@@ -1,0 +1,65 @@
+//go:build amd64
+
+package djstar
+
+import (
+	"math"
+	"testing"
+
+	"djstar/internal/engine"
+	"djstar/internal/graph"
+	"djstar/internal/sched"
+)
+
+// goldenAudioHash is audioHash(seq) as captured on commit eab383b, before
+// the DSP kernels were restructured into paired, cascaded and block forms.
+// It pins every restructured kernel on the graph's path to its former
+// output, bit for bit. amd64 only: other ports may fuse a*b+c into an FMA,
+// which rounds differently.
+const goldenAudioHash uint64 = 0x32e95441956e18b8
+
+// audioHash runs the default 67-node graph spin-free for 2048 cycles under
+// the given strategy and folds every sample of the master, record and
+// monitor outputs into one FNV-1a hash.
+func audioHash(t *testing.T, strategy string, threads int) uint64 {
+	t.Helper()
+	e, err := engine.New(engine.Config{Graph: graph.DefaultConfig(), Strategy: strategy, Threads: threads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	h := uint64(14695981039346656037)
+	fold := func(buf []float64) {
+		for _, v := range buf {
+			b := math.Float64bits(v)
+			for s := 0; s < 64; s += 8 {
+				h = (h ^ (b >> s & 0xff)) * 1099511628211
+			}
+		}
+	}
+	for c := 0; c < 2048; c++ {
+		e.Cycle(nil)
+		s := e.Session()
+		fold(s.MasterOut().L)
+		fold(s.MasterOut().R)
+		fold(s.RecordOut().L)
+		fold(s.RecordOut().R)
+		fold(s.MonitorOut())
+	}
+	return h
+}
+
+// TestAudioHashMatchesPreRestructureKernels is the end-to-end half of the
+// bit-exactness oracle (the per-kernel half lives in each package's
+// oracle_test.go), and it holds every parallel executor to the same hash.
+func TestAudioHashMatchesPreRestructureKernels(t *testing.T) {
+	seq := audioHash(t, sched.NameSequential, 1)
+	if seq != goldenAudioHash {
+		t.Fatalf("seq audio hash = %#x, want %#x: a kernel changed its output", seq, goldenAudioHash)
+	}
+	for _, strategy := range []string{sched.NameBusyWait, sched.NameWorkSteal, sched.NamePool} {
+		if got := audioHash(t, strategy, 4); got != seq {
+			t.Errorf("%s audio hash = %#x, want the seq hash %#x", strategy, got, seq)
+		}
+	}
+}

@@ -152,13 +152,29 @@ func (s Stereo) Peak() float64 {
 	return math.Max(s.L.Peak(), s.R.Peak())
 }
 
-// RMS returns the combined RMS level over both channels.
+// RMS returns the combined RMS level over both channels. The two energy
+// sums advance in one loop — separate accumulators, each adding its
+// channel's samples in index order as Buffer.Energy does — so the two
+// addition chains overlap instead of running back to back.
 func (s Stereo) RMS() float64 {
-	n := len(s.L) + len(s.R)
-	if n == 0 {
+	total := len(s.L) + len(s.R)
+	if total == 0 {
 		return 0
 	}
-	return math.Sqrt((s.L.Energy() + s.R.Energy()) / float64(n))
+	n := min(len(s.L), len(s.R))
+	r := s.R[:n]
+	var el, er float64
+	for i, v := range s.L[:n] {
+		el += v * v
+		er += r[i] * r[i]
+	}
+	for _, v := range s.L[n:] { // channels of unequal length: finish the longer
+		el += v * v
+	}
+	for _, v := range s.R[n:] {
+		er += v * v
+	}
+	return math.Sqrt((el + er) / float64(total))
 }
 
 // Mono mixes the stereo packet down into dst as (L+R)/2.

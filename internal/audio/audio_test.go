@@ -182,3 +182,29 @@ func TestBufferOpsDoNotAllocate(t *testing.T) {
 		t.Fatalf("buffer hot path allocates %v per run, want 0", allocs)
 	}
 }
+
+// TestStereoRMSMatchesPerChannelEnergies pins the single-pass Stereo.RMS
+// to its former two-pass form, bit for bit, over packets of every length
+// up to 130 and channels of unequal length.
+func TestStereoRMSMatchesPerChannelEnergies(t *testing.T) {
+	ref := func(s Stereo) float64 {
+		n := len(s.L) + len(s.R)
+		if n == 0 {
+			return 0
+		}
+		return math.Sqrt((s.L.Energy() + s.R.Energy()) / float64(n))
+	}
+	src := benchStereo()
+	long := Stereo{L: append(append(Buffer{}, src.L...), src.R...), R: append(append(Buffer{}, src.R...), src.L...)}
+	for n := 0; n <= 130; n++ {
+		for _, s := range []Stereo{
+			{L: long.L[:n], R: long.R[:n]},
+			{L: long.L[:n], R: long.R[:n/2]},
+			{L: long.L[:n/3], R: long.R[:n]},
+		} {
+			if got, want := s.RMS(), ref(s); got != want {
+				t.Fatalf("RMS of %d/%d samples = %v, want %v", len(s.L), len(s.R), got, want)
+			}
+		}
+	}
+}

@@ -157,12 +157,27 @@ func (d *Deck) ReadPacket(dst audio.Stereo) {
 		return
 	}
 	n := dst.Len()
-	trackLen := float64(d.track.Len())
-
-	// Read with resampling, honoring the loop one sample at a time so the
-	// wrap lands exactly on the loop boundary.
-	pos := d.pos
+	srcL, srcR := d.track.Audio.L, d.track.Audio.R
+	srcR = srcR[:len(srcL)]
+	trackLen := float64(len(srcL))
+	pos, tempo := d.pos, d.tempo
+	loopEnd := math.Inf(1)
+	if d.loopOn {
+		loopEnd = d.loopEnd
+	}
 	for i := 0; i < n; i++ {
+		// Interior: short of the loop end with all four taps inside the
+		// track — every sample but the few around a wrap or the end of
+		// the track. Straight Catmull-Rom, nothing to wrap or clamp.
+		if j := int(pos) - 1; j >= 0 && j+3 < len(srcL) && pos < loopEnd {
+			t := pos - float64(j+1)
+			dst.L[i] = dsp.CatmullRom(srcL[j], srcL[j+1], srcL[j+2], srcL[j+3], t)
+			dst.R[i] = dsp.CatmullRom(srcR[j], srcR[j+1], srcR[j+2], srcR[j+3], t)
+			pos += tempo
+			continue
+		}
+		// Edge: honor the loop one sample at a time so the wrap lands
+		// exactly on the loop boundary, and read taps beyond the track as 0.
 		if d.loopOn && pos >= d.loopEnd {
 			pos = d.loopStart + math.Mod(pos-d.loopEnd, d.loopEnd-d.loopStart)
 		}
@@ -176,9 +191,9 @@ func (d *Deck) ReadPacket(dst audio.Stereo) {
 			d.pos = trackLen
 			return
 		}
-		dst.L[i] = sampleCubic(d.track.Audio.L, pos)
-		dst.R[i] = sampleCubic(d.track.Audio.R, pos)
-		pos += d.tempo
+		dst.L[i] = sampleCubic(srcL, pos)
+		dst.R[i] = sampleCubic(srcR, pos)
+		pos += tempo
 	}
 	d.pos = pos
 
@@ -192,22 +207,17 @@ func (d *Deck) ReadPacket(dst audio.Stereo) {
 }
 
 // sampleCubic reads one Catmull-Rom interpolated sample at fractional
-// position pos.
+// position pos, with taps outside src reading as 0.
 func sampleCubic(src []float64, pos float64) float64 {
 	n := len(src)
 	idx := int(pos)
-	t := pos - float64(idx)
 	at := func(i int) float64 {
 		if i < 0 || i >= n {
 			return 0
 		}
 		return src[i]
 	}
-	p0, p1, p2, p3 := at(idx-1), at(idx), at(idx+1), at(idx+2)
-	a := -0.5*p0 + 1.5*p1 - 1.5*p2 + 0.5*p3
-	b := p0 - 2.5*p1 + 2*p2 - 0.5*p3
-	c := -0.5*p0 + 0.5*p2
-	return ((a*t+b)*t+c)*t + p1
+	return dsp.CatmullRom(at(idx-1), at(idx), at(idx+1), at(idx+2), pos-float64(idx))
 }
 
 // PitchShifter is a classic dual-tap delay-line pitch shifter: two read
@@ -244,16 +254,30 @@ func (p *PitchShifter) Process(buf []float64, shift float64) {
 	}
 	// Tap sweep rate: delay ramps at (1 - shift) samples per sample.
 	rate := (1 - shift) / p.window
+	window, phase := p.window, p.phase
 	for i, x := range buf {
 		p.line.Write(x)
-		p.phase += rate
-		p.phase -= math.Floor(p.phase)
+		// Wrap the phase into [0, 1]. It moves by |rate| << 1 per sample,
+		// so it is nearly always still inside and x - Floor(x) = x - 0
+		// leaves it as it is; Floor runs only on the wrapping sample.
+		phase += rate
+		if phase < 0 || phase >= 1 {
+			phase -= math.Floor(phase)
+		}
 
-		d1 := p.phase * p.window
-		d2 := math.Mod(p.phase+0.5, 1) * p.window
+		d1 := phase * window
+		// The second tap runs half a window ahead: Mod(phase+0.5, 1). With
+		// phase in [0, 1] the sum is in [0.5, 1.5], where Mod is the
+		// identity below 1 and an exact subtraction of 1 from there on.
+		half := phase + 0.5
+		if half >= 1 {
+			half -= 1
+		}
+		d2 := half * window
 		// Triangular crossfade: tap gain peaks mid-window.
-		g1 := 1 - math.Abs(2*p.phase-1)
+		g1 := 1 - math.Abs(2*phase-1)
 		g2 := 1 - g1
 		buf[i] = p.line.ReadFrac(1+d1)*g1 + p.line.ReadFrac(1+d2)*g2
 	}
+	p.phase = phase
 }

@@ -156,6 +156,14 @@ func (f *Biquad) Configure(kind FilterKind, freq, q, gainDB float64, hz int) {
 	f.a2 = a2 * inv
 }
 
+// SetCoeffsFrom copies src's coefficients into f and leaves f's state
+// untouched. The two channels of a stereo filter share one response, so
+// the second channel copies what Configure computed for the first instead
+// of evaluating the same Sin/Cos/Pow again.
+func (f *Biquad) SetCoeffsFrom(src *Biquad) {
+	f.b0, f.b1, f.b2, f.a1, f.a2 = src.b0, src.b1, src.b2, src.a1, src.a2
+}
+
 // Reset clears the filter state (the coefficients are kept).
 func (f *Biquad) Reset() { f.z1, f.z2 = 0, 0 }
 

@@ -6,13 +6,14 @@ import "fmt"
 // interpolated taps. Echo, flanger and phaser effects are built on it.
 type DelayLine struct {
 	buf  []float64
-	pos  int // next write position
-	mask int // len(buf)-1 when len is a power of two, else -1
+	pos  int // next write position, always in [0, len(buf))
+	mask int // len(buf)-1; len(buf) is always a power of two
 }
 
 // NewDelayLine returns a delay line holding capacity samples of history.
-// Capacity is rounded up to the next power of two so taps can wrap with a
-// mask instead of a modulo.
+// Capacity is rounded up to the next power of two, so every tap wraps with
+// the mask instead of a modulo and Span can tell how far a tap and the
+// write head run before either reaches the end of the buffer.
 func NewDelayLine(capacity int) *DelayLine {
 	if capacity < 1 {
 		capacity = 1
@@ -53,6 +54,32 @@ func (d *DelayLine) Read(delay int) float64 {
 	return d.buf[(d.pos-delay)&d.mask]
 }
 
+// Span opens the next run of up to n samples for block processing and
+// advances the write head past it. rd[i] is what Read(delay) would return
+// and wr[i] is where Write would store at step i of the run; both are
+// plain sub-slices of the ring, cut where the tap or the head would wrap,
+// so a packet takes one to three runs and the loop over a run carries no
+// mask, clamp or pointer chase. delay must be in [1, Capacity()] — the
+// caller clamps it once, where it is set, not per sample.
+//
+// The caller must, for i ascending, read rd[i] before it writes wr[i], and
+// write every wr[i] before it touches the line again. A run longer than
+// delay then behaves exactly like the per-sample calls: rd[i] aliases
+// wr[i-delay], which the loop has already written.
+func (d *DelayLine) Span(delay, n int) (rd, wr []float64) {
+	tap := (d.pos - delay) & d.mask
+	m := min(n, d.reach(delay))
+	rd, wr = d.buf[tap:tap+m], d.buf[d.pos:d.pos+m]
+	d.pos = (d.pos + m) & d.mask
+	return rd, wr
+}
+
+// reach returns how many steps the tap delay samples back and the write
+// head can both take before one of them wraps (at least 1).
+func (d *DelayLine) reach(delay int) int {
+	return len(d.buf) - max((d.pos-delay)&d.mask, d.pos)
+}
+
 // ReadFrac returns the linearly interpolated sample delay (possibly
 // fractional) steps in the past. Used by modulated effects (flanger).
 func (d *DelayLine) ReadFrac(delay float64) float64 {
@@ -87,8 +114,10 @@ type Comb struct {
 	state float64
 }
 
-// NewComb returns a comb filter with the given delay in samples.
+// NewComb returns a comb filter with the given delay in samples (at
+// least 1).
 func NewComb(delay int, feedback, damp float64) *Comb {
+	delay = max(delay, 1)
 	return &Comb{
 		line:     NewDelayLine(delay),
 		delay:    delay,
@@ -97,12 +126,35 @@ func NewComb(delay int, feedback, damp float64) *Comb {
 	}
 }
 
-// ProcessSample runs one sample through the comb.
-func (c *Comb) ProcessSample(x float64) float64 {
-	out := c.line.Read(c.delay)
-	c.state = out*(1-c.Damp) + c.state*c.Damp
-	c.line.Write(x + c.state*c.Feedback)
-	return out
+// CombPairAdd runs srcA through comb a and srcB through comb b and adds
+// each comb's output to its dst (dst[i] += y[i]), so a parallel bank sums
+// into one accumulator comb by comb. A comb's chain is the damping
+// one-pole, two dependent operations per sample; the two combs of a stereo
+// pair are independent, and one loop over both overlaps their chains. All
+// four slices must have one length.
+func CombPairAdd(a, b *Comb, dstA, dstB, srcA, srcB []float64) {
+	checkPair(dstA, dstB, srcA, srcB)
+	sa, ka, da, fa := a.state, 1-a.Damp, a.Damp, a.Feedback
+	sb, kb, db, fb := b.state, 1-b.Damp, b.Damp, b.Feedback
+	for len(srcA) > 0 {
+		// The longest run neither line wraps in; both Spans return m samples.
+		m := min(len(srcA), a.line.reach(a.delay), b.line.reach(b.delay))
+		rdA, wrA := a.line.Span(a.delay, m)
+		rdB, wrB := b.line.Span(b.delay, m)
+		rdA, wrA, rdB, wrB = rdA[:m], wrA[:m], rdB[:m], wrB[:m]
+		xa, xb, ya, yb := srcA[:m], srcB[:m], dstA[:m], dstB[:m]
+		for i, out := range rdA {
+			sa = out*ka + sa*da
+			wrA[i] = xa[i] + sa*fa
+			ya[i] += out
+			out = rdB[i]
+			sb = out*kb + sb*db
+			wrB[i] = xb[i] + sb*fb
+			yb[i] += out
+		}
+		srcA, srcB, dstA, dstB = srcA[m:], srcB[m:], dstA[m:], dstB[m:]
+	}
+	a.state, b.state = sa, sb
 }
 
 // Reset clears the comb's history.
@@ -119,17 +171,30 @@ type AllPassDelay struct {
 	Gain  float64
 }
 
-// NewAllPassDelay returns an all-pass stage with the given delay in samples.
+// NewAllPassDelay returns an all-pass stage with the given delay in
+// samples (at least 1).
 func NewAllPassDelay(delay int, gain float64) *AllPassDelay {
+	delay = max(delay, 1)
 	return &AllPassDelay{line: NewDelayLine(delay), delay: delay, Gain: gain}
 }
 
-// ProcessSample runs one sample through the all-pass stage.
-func (a *AllPassDelay) ProcessSample(x float64) float64 {
-	delayed := a.line.Read(a.delay)
-	y := -a.Gain*x + delayed
-	a.line.Write(x + a.Gain*y)
-	return y
+// Process runs buf through the all-pass stage in place. The only
+// recurrence is through the delay line, D samples back, so the loop is
+// bound by arithmetic and needs no pairing.
+func (a *AllPassDelay) Process(buf []float64) {
+	g := a.Gain
+	for len(buf) > 0 {
+		rd, wr := a.line.Span(a.delay, len(buf))
+		run := buf[:len(rd)]
+		wr = wr[:len(rd)]
+		for i, delayed := range rd {
+			x := run[i]
+			y := -g*x + delayed
+			wr[i] = x + g*y
+			run[i] = y
+		}
+		buf = buf[len(rd):]
+	}
 }
 
 // Reset clears the stage history.

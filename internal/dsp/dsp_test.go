@@ -102,31 +102,35 @@ func TestDelayLineResetAndString(t *testing.T) {
 }
 
 func TestCombImpulseResponse(t *testing.T) {
-	c := NewComb(4, 0.5, 0)
+	c, twin := NewComb(4, 0.5, 0), NewComb(4, 0.5, 0)
 	// Impulse: output is delayed copies with geometric decay.
-	var out []float64
-	out = append(out, c.ProcessSample(1))
-	for i := 0; i < 15; i++ {
-		out = append(out, c.ProcessSample(0))
-	}
+	in := make([]float64, 16)
+	in[0] = 1
+	out, out2 := make([]float64, 16), make([]float64, 16)
+	CombPairAdd(c, twin, out, out2, in, in)
 	// y[4] = 1, y[8] = 0.5, y[12] = 0.25.
 	if math.Abs(out[4]-1) > 1e-12 || math.Abs(out[8]-0.5) > 1e-12 || math.Abs(out[12]-0.25) > 1e-12 {
 		t.Fatalf("comb impulse response wrong: %v", out)
 	}
 	c.Reset()
-	if c.ProcessSample(0) != 0 {
+	twin.Reset()
+	out[0] = 0
+	CombPairAdd(c, twin, out[:1], out2[:1], in[1:2], in[1:2])
+	if out[0] != 0 {
 		t.Fatal("comb reset failed")
 	}
 }
 
 func TestAllPassDelayEnergyPreserving(t *testing.T) {
 	a := NewAllPassDelay(5, 0.5)
-	in := synth.WhiteNoise(8192, 0.7, 4)
+	buf := synth.WhiteNoise(8192, 0.7, 4)
 	inE := 0.0
-	outE := 0.0
-	for _, x := range in {
+	for _, x := range buf {
 		inE += x * x
-		y := a.ProcessSample(x)
+	}
+	a.Process(buf)
+	outE := 0.0
+	for _, y := range buf {
 		outE += y * y
 	}
 	// All-pass: asymptotically equal energy (allow a few percent for edge).

@@ -55,11 +55,20 @@ func (eq *ThreeBandEQ) Gains() (lowDB, midDB, highDB float64) {
 	return eq.lowDB, eq.midDB, eq.highDB
 }
 
-// Process applies the three bands in series, in place.
+// SetGainsFrom copies src's band gains and filter coefficients, keeping
+// eq's filter state: the second channel of a stereo EQ takes what SetGains
+// computed for the first. Both must have been built for one sampling rate.
+func (eq *ThreeBandEQ) SetGainsFrom(src *ThreeBandEQ) {
+	eq.lowDB, eq.midDB, eq.highDB = src.lowDB, src.midDB, src.highDB
+	eq.low.SetCoeffsFrom(src.low)
+	eq.mid.SetCoeffsFrom(src.mid)
+	eq.high.SetCoeffsFrom(src.high)
+}
+
+// Process applies the three bands in series, in place, in one pass over
+// buf (see cascade.go; ProcessEQPair does both channels of a stereo pair).
 func (eq *ThreeBandEQ) Process(buf []float64) {
-	eq.low.Process(buf)
-	eq.mid.Process(buf)
-	eq.high.Process(buf)
+	cascade3(eq.low, eq.mid, eq.high, buf)
 }
 
 // Reset clears all band filter state.

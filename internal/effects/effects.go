@@ -87,14 +87,25 @@ func (e *Echo) delaySamples() int {
 // Process implements Effect.
 func (e *Echo) Process(buf audio.Stereo) {
 	d := e.delaySamples()
-	for i := range buf.L {
-		wl := e.lineL.Read(d)
-		wr := e.lineR.Read(d)
-		// Ping-pong: cross-feed the feedback path.
-		e.lineL.Write(buf.L[i] + wr*e.feedback)
-		e.lineR.Write(buf.R[i] + wl*e.feedback)
-		buf.L[i] = e.mix(buf.L[i], wl)
-		buf.R[i] = e.mix(buf.R[i], wr)
+	fb, dry, wet := e.feedback, 1-e.wet, e.wet
+	l, r := buf.L, buf.R[:len(buf.L)]
+	for len(l) > 0 {
+		// The two lines share capacity, head and delay, so their runs are
+		// the same length.
+		tapL, headL := e.lineL.Span(d, len(l))
+		tapR, headR := e.lineR.Span(d, len(tapL))
+		m := len(tapL)
+		tapR, headL, headR = tapR[:m], headL[:m], headR[:m]
+		xl, xr := l[:m], r[:m]
+		for i, wl := range tapL {
+			wr := tapR[i]
+			// Ping-pong: cross-feed the feedback path.
+			headL[i] = xl[i] + wr*fb
+			headR[i] = xr[i] + wl*fb
+			xl[i] = xl[i]*dry + wl*wet
+			xr[i] = xr[i]*dry + wr*wet
+		}
+		l, r = l[m:], r[m:]
 	}
 }
 
@@ -167,6 +178,9 @@ type Phaser struct {
 	rate    int
 }
 
+// phaserSpread spaces the four stages' center frequencies: 1.6^i.
+var phaserSpread = [4]float64{math.Pow(1.6, 0), math.Pow(1.6, 1), math.Pow(1.6, 2), math.Pow(1.6, 3)}
+
 // NewPhaser returns a phaser for sampling rate hz.
 func NewPhaser(hz int) *Phaser {
 	p := &Phaser{base: base{name: "phaser", macro: 0.3, wet: 0.5}, rate: hz}
@@ -188,10 +202,12 @@ func (p *Phaser) Process(buf audio.Stereo) {
 	}
 	center := 800 * math.Pow(2, mod*1.5) // sweep ~±1.5 octaves
 	for i := range p.stagesL {
-		f := center * math.Pow(1.6, float64(i))
-		p.stagesL[i].Configure(dsp.AllPass, f, 0.7, 0, p.rate)
-		p.stagesR[i].Configure(dsp.AllPass, f, 0.7, 0, p.rate)
+		p.stagesL[i].Configure(dsp.AllPass, center*phaserSpread[i], 0.7, 0, p.rate)
+		p.stagesR[i].SetCoeffsFrom(p.stagesL[i])
 	}
+	// Eight sections advance per iteration, so their chains already
+	// overlap and the loop is bound by the multipliers: a cascade kernel
+	// with the state in locals measured no faster (DESIGN.md §17).
 	for i := range buf.L {
 		wl, wr := buf.L[i], buf.R[i]
 		for s := range p.stagesL {
@@ -220,11 +236,17 @@ type Reverb struct {
 	combsR [4]*dsp.Comb
 	apL    [2]*dsp.AllPassDelay
 	apR    [2]*dsp.AllPassDelay
+	in     audio.Stereo // one chunk of attenuated input feeding the comb bank
+	acc    audio.Stereo // the comb bank's sum, then the diffused wet signal
 }
 
 // NewReverb returns a reverb for sampling rate hz.
 func NewReverb(hz int) *Reverb {
-	r := &Reverb{base: base{name: "reverb", macro: 0.5, wet: 0.3}}
+	r := &Reverb{
+		base: base{name: "reverb", macro: 0.5, wet: 0.3},
+		in:   audio.NewStereo(audio.PacketSize),
+		acc:  audio.NewStereo(audio.PacketSize),
+	}
 	// Mutually prime comb delays, classic Schroeder choices scaled to hz.
 	combMs := [4]float64{29.7, 37.1, 41.1, 43.7}
 	for i, ms := range combMs {
@@ -241,7 +263,11 @@ func NewReverb(hz int) *Reverb {
 	return r
 }
 
-// Process implements Effect.
+// Process implements Effect. It works unit by unit over a chunk of the
+// packet instead of sample by sample through all twelve units: each comb
+// pair adds into the accumulator in the order the per-sample form summed
+// the combs (so the float sum is the same), then the diffusers run over
+// the sum.
 func (r *Reverb) Process(buf audio.Stereo) {
 	fb := 0.6 + r.macro*0.35 // decay control
 	for i := range r.combsL {
@@ -251,21 +277,31 @@ func (r *Reverb) Process(buf audio.Stereo) {
 	// Input attenuation keeps the parallel comb bank's resonant gain near
 	// unity (Freeverb does the same with a fixed 0.015 input gain).
 	const inGain = 0.2
-	for i := range buf.L {
-		inL, inR := buf.L[i], buf.R[i]
-		var wl, wr float64
+	dry, wet := 1-r.wet, r.wet
+	for at := 0; at < buf.Len(); at += audio.PacketSize {
+		m := min(audio.PacketSize, buf.Len()-at)
+		l, rr := buf.L[at:at+m], buf.R[at:at+m]
+		inL, inR := r.in.L[:m], r.in.R[:m]
+		wl, wr := r.acc.L[:m], r.acc.R[:m]
+		for i := range l {
+			inL[i], inR[i] = l[i]*inGain, rr[i]*inGain
+			wl[i], wr[i] = 0, 0
+		}
 		for c := range r.combsL {
-			wl += r.combsL[c].ProcessSample(inL * inGain)
-			wr += r.combsR[c].ProcessSample(inR * inGain)
+			dsp.CombPairAdd(r.combsL[c], r.combsR[c], wl, wr, inL, inR)
 		}
-		wl *= 0.5
-		wr *= 0.5
+		for i := range wl {
+			wl[i] *= 0.5
+			wr[i] *= 0.5
+		}
 		for a := range r.apL {
-			wl = r.apL[a].ProcessSample(wl)
-			wr = r.apR[a].ProcessSample(wr)
+			r.apL[a].Process(wl)
+			r.apR[a].Process(wr)
 		}
-		buf.L[i] = r.mix(inL, wl)
-		buf.R[i] = r.mix(inR, wr)
+		for i := range l {
+			l[i] = l[i]*dry + wl[i]*wet
+			rr[i] = rr[i]*dry + wr[i]*wet
+		}
 	}
 }
 
@@ -463,19 +499,16 @@ func (fs *FilterSweep) Process(buf audio.Stereo) {
 			t := m / (0.5 - dead)
 			freq := 80 * math.Pow(18000.0/80, t)
 			fs.fL.Configure(dsp.LowPass, freq, 0.9, 0, fs.rate)
-			fs.fR.Configure(dsp.LowPass, freq, 0.9, 0, fs.rate)
 		case m > 0.5+dead:
 			t := (m - (0.5 + dead)) / (0.5 - dead)
 			freq := 30 * math.Pow(16000.0/30, t)
 			fs.fL.Configure(dsp.HighPass, freq, 0.9, 0, fs.rate)
-			fs.fR.Configure(dsp.HighPass, freq, 0.9, 0, fs.rate)
 		default:
 			fs.fL.Configure(dsp.AllPass, 1000, 0.9, 0, fs.rate)
-			fs.fR.Configure(dsp.AllPass, 1000, 0.9, 0, fs.rate)
 		}
+		fs.fR.SetCoeffsFrom(fs.fL)
 	}
-	fs.fL.Process(buf.L)
-	fs.fR.Process(buf.R)
+	dsp.ProcessPair(fs.fL, fs.fR, buf.L, buf.R, buf.L, buf.R)
 }
 
 // Reset implements Effect.

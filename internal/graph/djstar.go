@@ -254,10 +254,8 @@ func BuildDJStar(cfg Config) (*Session, *Graph, error) {
 		for i := 0; i < cfg.SPPerDeck; i++ {
 			i := i
 			spIDs[i] = addMeta(fmt.Sprintf("SP%s%d", deckNames[d], i+1), sec, CostSP, func() bool {
-				buf := s.spBuf[d][i]
-				buf.CopyFrom(s.deckIn[d])
-				s.spFiltL[d][i].Process(buf.L)
-				s.spFiltR[d][i].Process(buf.R)
+				buf, in := s.spBuf[d][i], s.deckIn[d]
+				dsp.ProcessPair(s.spFiltL[d][i], s.spFiltR[d][i], buf.L, buf.R, in.L, in.R)
 				return s.active[d]
 			}, meta{
 				kind:   KindAudio,
@@ -467,15 +465,9 @@ func BuildDJStar(cfg Config) (*Session, *Graph, error) {
 		mustEdge(g, cueID, id)
 
 		id = addMeta("Spectrum", SectionMaster, CostMeter, func() bool {
-			n := s.spectrum.Size()
-			for i := 0; i < n; i++ {
-				if i < len(s.masterMono) {
-					s.specRe[i] = s.masterMono[i]
-				} else {
-					s.specRe[i] = 0
-				}
-				s.specIm[i] = 0
-			}
+			// The packet, zero-padded to the transform size.
+			clear(s.specRe[copy(s.specRe, s.masterMono):])
+			clear(s.specIm)
 			s.spectrum.Transform(s.specRe, s.specIm)
 			dsp.Magnitudes(s.specRe, s.specIm, s.specMag)
 			return false

@@ -1,0 +1,54 @@
+package mixer
+
+import (
+	"testing"
+
+	"djstar/internal/audio"
+	"djstar/internal/dsp"
+	"djstar/internal/synth"
+)
+
+// Each benchmark restores its 128-sample stereo packet from a fixed noise
+// source before the call, so in-place stages never decay their input into
+// denormals (the copy is part of every figure, as in bench/layers.go).
+
+var (
+	benchSrcL = synth.WhiteNoise(audio.PacketSize, 0.5, 1)
+	benchSrcR = synth.WhiteNoise(audio.PacketSize, 0.5, 2)
+)
+
+func benchStrip(b *testing.B, filterOn bool) {
+	strip := NewChannelStrip("bench", audio.SampleRate)
+	strip.SetEQ(3, -2, 1)
+	strip.SetFilter(dsp.LowPass, 2000, 0.9, filterOn)
+	buf := audio.NewStereo(audio.PacketSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		copy(buf.L, benchSrcL)
+		copy(buf.R, benchSrcR)
+		strip.Process(buf)
+	}
+}
+
+func BenchmarkChannelStripProcess(b *testing.B)       { benchStrip(b, false) }
+func BenchmarkChannelStripProcessFilter(b *testing.B) { benchStrip(b, true) }
+
+func BenchmarkVUMeterUpdate(b *testing.B) {
+	vu := NewVUMeter(0.95)
+	buf := audio.Stereo{L: benchSrcL, R: benchSrcR}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		vu.Update(buf)
+	}
+}
+
+func BenchmarkOutputStageProcess(b *testing.B) {
+	out := NewOutputStage(0.98, audio.SampleRate)
+	buf := audio.NewStereo(audio.PacketSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		copy(buf.L, benchSrcL)
+		copy(buf.R, benchSrcR)
+		out.Process(buf)
+	}
+}

@@ -67,14 +67,14 @@ func (c *ChannelStrip) SetFilter(kind dsp.FilterKind, freq, q float64, on bool) 
 	c.filterOn = on
 	if on {
 		c.filterL.Configure(kind, freq, q, 0, c.rate)
-		c.filterR.Configure(kind, freq, q, 0, c.rate)
+		c.filterR.SetCoeffsFrom(c.filterL)
 	}
 }
 
 // SetEQ sets the strip's three-band EQ gains in dB.
 func (c *ChannelStrip) SetEQ(lowDB, midDB, highDB float64) {
 	c.eqL.SetGains(lowDB, midDB, highDB)
-	c.eqR.SetGains(lowDB, midDB, highDB)
+	c.eqR.SetGainsFrom(c.eqL)
 }
 
 // EQGains returns the strip's current low/mid/high EQ gains in dB.
@@ -108,11 +108,9 @@ func (c *ChannelStrip) Peak() float64 { return c.peak }
 // Process runs the strip over one stereo packet in place.
 func (c *ChannelStrip) Process(buf audio.Stereo) {
 	if c.filterOn {
-		c.filterL.Process(buf.L)
-		c.filterR.Process(buf.R)
+		dsp.ProcessPair(c.filterL, c.filterR, buf.L, buf.R, buf.L, buf.R)
 	}
-	c.eqL.Process(buf.L)
-	c.eqR.Process(buf.R)
+	dsp.ProcessEQPair(c.eqL, c.eqR, buf.L, buf.R)
 	g := dsp.FaderCurve(c.fader)
 	c.gainL.Apply(buf.L, g)
 	c.gainR.Apply(buf.R, g)

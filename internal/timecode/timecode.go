@@ -137,23 +137,38 @@ func (g *Generator) Generate(l, r []float64) {
 		panic(fmt.Sprintf("timecode: channel length mismatch %d != %d", len(l), len(r)))
 	}
 	inc := CarrierHz / float64(g.rate) * g.speed
-	n := float64(g.seq.Len())
+	bits := g.seq.bits
+	n := float64(len(bits))
+	phase := g.phase
 	for i := range l {
-		cycle := int(math.Floor(g.phase))
+		// For a needle inside the sequence the conversion truncates to
+		// Floor(phase), the cycle index. Bit's wrap-around arithmetic is
+		// for the rest: a wrap that rounded to exactly n, or a speed so
+		// absurd that one wrap per sample does not bring the needle back.
+		var bit uint8
+		if cycle := int(phase); phase >= 0 && cycle < len(bits) {
+			bit = bits[cycle]
+		} else {
+			bit = g.seq.Bit(int(math.Floor(phase)))
+		}
 		amp := bitLow
-		if g.seq.Bit(cycle) == 1 {
+		if bit == 1 {
 			amp = bitHigh
 		}
-		ang := 2 * math.Pi * g.phase
-		l[i] = amp * math.Sin(ang)
-		r[i] = amp * math.Cos(ang)
-		g.phase += inc
-		if g.phase >= n {
-			g.phase -= n
-		} else if g.phase < 0 {
-			g.phase += n
+		// One argument reduction serves both carriers: Sincos evaluates
+		// the same polynomials on the same reduced argument as Sin and Cos
+		// (the oracle test holds it to that, bit for bit).
+		sin, cos := math.Sincos(2 * math.Pi * phase)
+		l[i] = amp * sin
+		r[i] = amp * cos
+		phase += inc
+		if phase >= n {
+			phase -= n
+		} else if phase < 0 {
+			phase += n
 		}
 	}
+	g.phase = phase
 }
 
 // Decoder recovers speed, direction and absolute position from the control
