@@ -17,7 +17,7 @@
 // With -graph it instead profiles the live task graph: per-node mean
 // durations (measured sequentially), the critical path and RESCON bound
 // they imply, and each parallel strategy's measured makespan against that
-// bound — the offline counterpart of djstar's /api/critpath.
+// bound — the offline counterpart of djstar's /v1/sessions/{id}/critpath.
 //
 // With -admit it audits the admission gate's analytical response-time
 // bound (internal/admission, DESIGN.md §15): every strategy runs at each

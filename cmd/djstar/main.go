@@ -56,8 +56,8 @@ func main() {
 		loadSet  = flag.String("settings", "", "load mixer/deck settings from this JSON file")
 		saveSet  = flag.String("save-settings", "", "save the final settings to this JSON file")
 		traceOut = flag.String("trace", "", "write sampled schedule realizations to this file as Chrome trace JSON (load in chrome://tracing or ui.perfetto.dev)")
-		httpAddr = flag.String("http", "", `serve live observability on this address (e.g. ":6060"): /debug/pprof/, /api/snapshot, /api/critpath, /api/trace, /metrics, /api/slo`)
-		metrics  = flag.String("metrics", "", `serve just the telemetry endpoint on this address (e.g. ":9090"): /metrics (OpenMetrics), /api/slo`)
+		httpAddr = flag.String("http", "", `serve live observability on this address (e.g. ":6060"): /debug/pprof/, /v1/sessions/{id}/snapshot|critpath|trace|slo, /metrics`)
+		metrics  = flag.String("metrics", "", `serve just the telemetry endpoint on this address (e.g. ":9090"): /metrics (OpenMetrics)`)
 		incDir   = flag.String("incident-dir", "", "write flight-recorder incident bundles to this directory (replay with djanalyze -incident)")
 		fuse     = flag.Bool("fuse", false, "compile the execution plan with cost-guided chain fusion (DESIGN.md §13)")
 		script   = flag.String("script", "", `timed live graph edits: a file of "@<cycle> <patch>" lines, e.g. "@500 insert-delay:A:2" (see DESIGN.md §14)`)
@@ -156,7 +156,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer srv.Close()
-		fmt.Printf("live observability on http://%s (pprof, /api/snapshot, /api/critpath, /api/trace, /metrics, /api/slo)\n", srv.Addr())
+		fmt.Printf("live observability on http://%s (pprof, /v1/sessions/%s/snapshot|critpath|trace|slo, /metrics)\n", srv.Addr(), e.SessionID())
 	}
 
 	if *metrics != "" {
@@ -174,7 +174,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer msrv.Close()
-		fmt.Printf("telemetry on http://%s/metrics (OpenMetrics) and /api/slo\n", msrv.Addr())
+		fmt.Printf("telemetry on http://%s/metrics (OpenMetrics)\n", msrv.Addr())
 	}
 
 	if *loadSet != "" {

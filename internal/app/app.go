@@ -123,6 +123,21 @@ func New(cfg Config) (*App, error) {
 			userHooks.OnAdmission(d)
 		}
 	}
+	ecfg.Hooks.OnCycle = func(ci engine.CycleInfo) {
+		// Deadline misses surface immediately, from the engine's own
+		// cycle record — every miss, whether or not a Metrics sink is
+		// attached.
+		if ci.DeadlineMiss {
+			bus.Publish(middleware.TopicDeadlineMiss, middleware.DeadlineMiss{
+				Cycle:      int64(ci.Cycle),
+				DurationMS: ci.APCMS,
+				DeadlineMS: engine.DeadlineMS,
+			})
+		}
+		if userHooks.OnCycle != nil {
+			userHooks.OnCycle(ci)
+		}
+	}
 	ecfg.Hooks.OnTrace = func(t *obs.CycleTrace) {
 		// Fires on the cycle thread every sampled cycle. The engine's
 		// trace buffers are reused, so copy into a fresh ScheduleTrace —
@@ -204,10 +219,6 @@ func (a *App) Cycle(m *engine.Metrics) {
 		}
 	}
 
-	before := 0.0
-	if m != nil {
-		before = m.APC.Max()
-	}
 	a.Engine.Cycle(m)
 	a.cycle++
 
@@ -299,15 +310,6 @@ func (a *App) Cycle(m *engine.Metrics) {
 			}
 		}
 		a.Bus.Publish(middleware.TopicHealth, rep)
-	}
-
-	// Deadline misses surface immediately.
-	if m != nil && m.APC.Max() > engine.DeadlineMS && m.APC.Max() != before {
-		a.Bus.Publish(middleware.TopicDeadlineMiss, middleware.DeadlineMiss{
-			Cycle:      a.cycle,
-			DurationMS: m.APC.Max(),
-			DeadlineMS: engine.DeadlineMS,
-		})
 	}
 }
 

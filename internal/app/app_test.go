@@ -196,3 +196,35 @@ func TestAppPublishesHealthAndFaultEvents(t *testing.T) {
 		t.Fatalf("health Level = %q, want normal (no governor)", last.Level)
 	}
 }
+
+// TestAppPublishesEveryDeadlineMiss: misses are published from the
+// engine's cycle record, so a miss that sets no new run maximum, and a
+// miss with no Metrics sink attached, both reach the bus.
+func TestAppPublishesEveryDeadlineMiss(t *testing.T) {
+	cfg := testConfig()
+	// Spin targets are time-based (RunSince), so no calibration is
+	// needed: TP alone is 190 µs × Scale × load factor.
+	cfg.Engine.Graph.Scale = 0.01
+	cfg.Engine.Graph.Calibration = graph.Calibration{NanosPerUnit: 1e9}
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	misses, _ := a.Bus.Subscribe(middleware.TopicDeadlineMiss, 16)
+
+	a.Engine.SetLoadFactor(2400) // TP ≥ 4.56 ms
+	a.Cycle(nil)
+	a.Engine.SetLoadFactor(1600) // TP ≥ 3.04 ms: a miss, but a shorter one
+	a.Cycle(nil)
+
+	if got := len(misses.Events()); got != 2 {
+		t.Fatalf("deadline-miss events = %d, want 2", got)
+	}
+	for i := int64(1); i <= 2; i++ {
+		ev := (<-misses.Events()).Payload.(middleware.DeadlineMiss)
+		if ev.Cycle != i || ev.DurationMS <= engine.DeadlineMS || ev.DeadlineMS != engine.DeadlineMS {
+			t.Fatalf("miss event %d = %+v", i, ev)
+		}
+	}
+}

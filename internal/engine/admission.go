@@ -50,7 +50,7 @@ type AdmissionOptions struct {
 }
 
 // AdmissionState is the engine's published admission status, exposed
-// through Snapshot (schema v3) and /api/admission.
+// through Snapshot (schema v3).
 type AdmissionState struct {
 	// Enabled mirrors AdmissionOptions.Enabled.
 	Enabled bool `json:"enabled"`

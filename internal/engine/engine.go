@@ -40,8 +40,12 @@ const (
 	targetVCUS = 150.0
 )
 
-// DeadlineMS is the hard APC deadline: one packet period, 2.902 ms.
-var DeadlineMS = float64(audio.StandardPacketPeriod) / 1e6
+// DeadlineMS is the hard APC deadline: one packet period, 2.902 ms;
+// deadlineNS is the same in the cycle record's unit.
+var (
+	DeadlineMS = float64(audio.StandardPacketPeriod) / 1e6
+	deadlineNS = int64(audio.StandardPacketPeriod)
+)
 
 // GraphBudgetMS is the paper's derived budget for graph execution alone.
 const GraphBudgetMS = 2.1
@@ -134,10 +138,6 @@ type TelemetryOptions struct {
 	// blow-out, quarantine or stall, the flight recorder writes a
 	// self-contained JSON bundle there (replay with djanalyze -incident).
 	IncidentDir string
-	// FlightTraces / FlightEvents size the recorder's retention rings
-	// (defaults 16 / 64).
-	FlightTraces int
-	FlightEvents int
 	// Session labels this engine's metric series under a shared worker
 	// pool (NewMulti stamps it automatically; default "0"). Fleet-scoped
 	// session IDs stay stable across shard migration.
@@ -245,9 +245,8 @@ type Engine struct {
 	lastTraceSeq uint64
 	traceScratch obs.CycleTrace
 
-	// live aggregates the engine's own always-on cycle accounting,
-	// independent of any user-supplied Metrics sink (see Snapshot).
-	live liveStats
+	// totals is the always-on whole-run accounting behind Snapshot.
+	totals cycleTotals
 
 	// cycleN counts Cycle calls (the watchdog's cycle coordinate).
 	// Atomic so edit staging on other threads can stamp outcomes with it.
@@ -391,10 +390,7 @@ func New(cfg Config) (*Engine, error) {
 			SLO:      cfg.Telemetry.SLO,
 		})
 		e.flight = telemetry.NewRecorder(e.tel, telemetry.RecorderConfig{
-			Nodes:  plan.Len(),
 			Dir:    cfg.Telemetry.IncidentDir,
-			Traces: cfg.Telemetry.FlightTraces,
-			Events: cfg.Telemetry.FlightEvents,
 			OnDump: cfg.Telemetry.OnIncident,
 		})
 		e.flight.SetBundleFiller(e.fillIncident)
@@ -676,12 +672,17 @@ type Metrics struct {
 	Faults     sched.FaultStats
 	Stalls     int64
 	FinalLevel GovLevel
+
+	// samples mirrors Config.CollectSamples.
+	samples bool
 }
 
-func newMetrics(strategy string, threads int) *Metrics {
-	return &Metrics{
-		Strategy:      strategy,
-		Threads:       threads,
+// newMetrics returns an empty sink for this engine, with room for n
+// per-cycle samples when sample collection is on.
+func (e *Engine) newMetrics(n int) *Metrics {
+	m := &Metrics{
+		Strategy:      e.sch().Name(),
+		Threads:       e.sch().Threads(),
 		TP:            stats.NewSummary(),
 		GP:            stats.NewSummary(),
 		Graph:         stats.NewSummary(),
@@ -689,7 +690,13 @@ func newMetrics(strategy string, threads int) *Metrics {
 		APC:           stats.NewSummary(),
 		Deadline:      stats.NewDeadlineTracker(DeadlineMS),
 		GraphDeadline: stats.NewDeadlineTracker(GraphBudgetMS),
+		samples:       e.cfg.CollectSamples,
 	}
+	if m.samples {
+		m.GraphSamplesMS = make([]float64, 0, n)
+		m.APCSamplesMS = make([]float64, 0, n)
+	}
+	return m
 }
 
 // String summarizes the run.
@@ -704,11 +711,7 @@ func (m *Metrics) String() string {
 // evaluation mode: the paper's numbers are execution times per cycle, not
 // wall-clock pacing.
 func (e *Engine) RunCycles(n int) *Metrics {
-	m := newMetrics(e.sch().Name(), e.sch().Threads())
-	if e.cfg.CollectSamples {
-		m.GraphSamplesMS = make([]float64, 0, n)
-		m.APCSamplesMS = make([]float64, 0, n)
-	}
+	m := e.newMetrics(n)
 	for i := 0; i < n; i++ {
 		e.Cycle(m)
 	}
@@ -719,7 +722,7 @@ func (e *Engine) RunCycles(n int) *Metrics {
 // NewMetrics returns an empty metrics sink for manual Cycle loops (the
 // chaos/governor drivers observe per-cycle state between cycles); call
 // StampMetrics when the loop finishes.
-func (e *Engine) NewMetrics() *Metrics { return newMetrics(e.sch().Name(), e.sch().Threads()) }
+func (e *Engine) NewMetrics() *Metrics { return e.newMetrics(0) }
 
 // StampMetrics records the run's fault-tolerance outcome (fault counters,
 // stall count, final governor level) into m. RunCycles and RunRealtime
@@ -733,28 +736,28 @@ func (e *Engine) StampMetrics(m *Metrics) {
 	m.FinalLevel = e.GovLevel()
 }
 
-// Cycle executes one APC, accumulating into m (which may be nil).
+// Cycle executes one APC, accumulating into m (which may be nil). The
+// five stage stamps are the cycle's only clock reads outside the load
+// top-ups; everything downstream is fed from the one cycleRecord.
 func (e *Engine) Cycle(m *Metrics) {
 	// Adopt a staged topology edit first, so the whole cycle runs on one
 	// plan. The Load on the nil fast path is one uncontended atomic read.
 	if e.staged.Load() != nil {
 		e.adoptStaged()
 	}
-	topo := e.topo.Load()
-	t0 := time.Now()
+	t0 := graph.NowNanos()
 
 	// TP: timecode processing. Generate each turntable's control packet
 	// (the hardware substitution) and decode it; when DVS control is on,
 	// the decoded speed drives the deck tempo.
-	e.timecodeStage()
-	t1 := time.Now()
+	e.timecodeStage(t0)
+	t1 := graph.NowNanos()
 
 	// GP: graph preprocessing — deck packets through the time stretcher,
 	// activity flags, sampler state.
-	gpStart := graph.NowNanos()
 	e.session.Prepare()
-	e.gpLoad.RunSince(gpStart, false)
-	t2 := time.Now()
+	e.gpLoad.RunSince(t1, false)
+	t2 := graph.NowNanos()
 
 	// Graph: the task graph under the configured scheduling strategy,
 	// under the stall watchdog when enabled.
@@ -766,68 +769,55 @@ func (e *Engine) Cycle(m *Metrics) {
 	if e.wd != nil {
 		e.wd.disarm()
 	}
-	t3 := time.Now()
+	t3 := graph.NowNanos()
 
 	// VC: various calculations (master tempo smoothing, accounting).
-	e.variousCalculations()
-	t4 := time.Now()
+	e.variousCalculations(t3)
+	t4 := graph.NowNanos()
 
-	if e.gov != nil {
-		e.gov.observe(t4.Sub(t0).Seconds()*1e3, t3.Sub(t2).Seconds()*1e3)
+	rec := cycleRecord{
+		cycle: cyc,
+		tp:    t1 - t0, gp: t2 - t1, graph: t3 - t2, vc: t4 - t3,
+		apc: t4 - t0,
 	}
-	tp := t1.Sub(t0).Seconds() * 1e3
-	gp := t2.Sub(t1).Seconds() * 1e3
-	gr := t3.Sub(t2).Seconds() * 1e3
-	vc := t4.Sub(t3).Seconds() * 1e3
-	apc := t4.Sub(t0).Seconds() * 1e3
-	missed := apc > DeadlineMS
-	e.live.add(tp, gp, gr, vc, apc, missed)
-	if e.tel != nil {
-		if e.tel.RecordCycle(t4.Unix(), t4.Sub(t0).Nanoseconds(), t3.Sub(t2).Nanoseconds(),
-			missed, int32(e.GovLevel())) {
-			e.flight.Trigger(cyc, telemetry.TriggerBudget)
-		}
+	rec.miss = rec.apc > deadlineNS
+	if e.gov != nil {
+		e.gov.observe(nsToMS(rec.apc), nsToMS(rec.graph))
+		rec.gov = e.gov.Level()
+	}
+	e.totals.add(&rec)
+	if e.tel != nil && e.tel.RecordCycle(graph.UnixSec(t4), rec.apc, rec.graph, rec.miss, int32(rec.gov)) {
+		e.flight.Trigger(cyc, telemetry.TriggerBudget)
 	}
 	if e.cfg.Hooks.OnCycle != nil {
-		e.cfg.Hooks.OnCycle(CycleInfo{
-			Cycle: cyc,
-			TPMS:  tp, GPMS: gp, GraphMS: gr, VCMS: vc, APCMS: apc,
-			DeadlineMiss: missed,
-		})
+		e.cfg.Hooks.OnCycle(rec.info())
 	}
-	if topo.col != nil && (e.flight != nil || e.cfg.Hooks.OnTrace != nil) {
-		if seq := topo.col.TraceSeq(); seq != e.lastTraceSeq {
-			e.lastTraceSeq = seq
-			if topo.col.LatestTrace(&e.traceScratch) {
-				if e.flight != nil {
-					e.flight.AddTrace(&e.traceScratch)
-				}
-				if e.cfg.Hooks.OnTrace != nil {
-					e.cfg.Hooks.OnTrace(&e.traceScratch)
-				}
-			}
-		}
+	if e.cfg.Hooks.OnTrace != nil {
+		e.deliverTrace()
 	}
-	if m == nil {
-		return
-	}
-	m.Cycles++
-	m.TP.Add(tp)
-	m.GP.Add(gp)
-	m.Graph.Add(gr)
-	m.VC.Add(vc)
-	m.APC.Add(apc)
-	m.Deadline.Add(apc)
-	m.GraphDeadline.Add(gr)
-	if e.cfg.CollectSamples {
-		m.GraphSamplesMS = append(m.GraphSamplesMS, gr)
-		m.APCSamplesMS = append(m.APCSamplesMS, apc)
+	if m != nil {
+		m.add(&rec)
 	}
 }
 
-// timecodeStage runs the TP component for all decks.
-func (e *Engine) timecodeStage() {
-	start := graph.NowNanos()
+// deliverTrace hands Hooks.OnTrace the collector's latest sampled
+// realization if it has not seen it yet (cycle thread).
+func (e *Engine) deliverTrace() {
+	col := e.topo.Load().col
+	if col == nil {
+		return
+	}
+	if seq := col.TraceSeq(); seq != e.lastTraceSeq {
+		e.lastTraceSeq = seq
+		if col.LatestTrace(&e.traceScratch) {
+			e.cfg.Hooks.OnTrace(&e.traceScratch)
+		}
+	}
+}
+
+// timecodeStage runs the TP component for all decks; start is the
+// stage's opening stamp, which the load top-up counts from.
+func (e *Engine) timecodeStage(start int64) {
 	for d := range e.tcGen {
 		e.tcGen[d].Generate(e.tcL[d], e.tcR[d])
 		e.tcDec[d].Decode(e.tcL[d], e.tcR[d])
@@ -840,9 +830,8 @@ func (e *Engine) timecodeStage() {
 	e.tpLoad.RunSince(start, false)
 }
 
-// variousCalculations runs the VC component.
-func (e *Engine) variousCalculations() {
-	start := graph.NowNanos()
+// variousCalculations runs the VC component (start as in timecodeStage).
+func (e *Engine) variousCalculations(start int64) {
 	// Master tempo: smoothed average of the playing decks.
 	sum, cnt := 0.0, 0
 	for _, d := range e.session.Decks {
@@ -886,11 +875,7 @@ type RealtimeReport struct {
 // pacing. The pacing loop spins (like the audio callback thread of a
 // low-latency audio stack) rather than sleeping.
 func (e *Engine) RunRealtime(n int) *RealtimeReport {
-	m := newMetrics(e.sch().Name(), e.sch().Threads())
-	if e.cfg.CollectSamples {
-		m.GraphSamplesMS = make([]float64, 0, n)
-		m.APCSamplesMS = make([]float64, 0, n)
-	}
+	m := e.newMetrics(n)
 	rep := &RealtimeReport{Metrics: m}
 	period := audio.StandardPacketPeriod
 	start := time.Now()

@@ -40,10 +40,6 @@ type DebugServer struct {
 // {id} must be the engine's session ID (GET /v1/sessions to discover
 // it); anything else is 404 — the path names a resource, and this
 // server hosts exactly one.
-//
-// Deprecated flat aliases remain for one release and answer with a
-// "Deprecation: true" header plus a successor Link: /api/snapshot,
-// /api/critpath, /api/trace, /api/admission, /api/edit, /api/slo.
 func StartDebugServer(addr string, e *Engine) (*DebugServer, error) {
 	if e == nil {
 		return nil, fmt.Errorf("engine: debug server needs an engine")
@@ -118,34 +114,17 @@ func StartDebugServer(addr string, e *Engine) (*DebugServer, error) {
 		RetuneHandler(e, w, r)
 	}))
 
-	handleSLO := func(w http.ResponseWriter, _ *http.Request) {
+	noTelemetry := func(w http.ResponseWriter, _ *http.Request) {
 		writeJSONStatus(w, http.StatusServiceUnavailable, apiv1.Error{Error: "telemetry disabled"})
 	}
+	handleSLO := noTelemetry
 	if tel := e.Telemetry(); tel != nil {
-		reg := telemetry.NewRegistry(tel)
-		mux.Handle("/metrics", reg.Handler())
-		h := reg.Handler()
-		handleSLO = func(w http.ResponseWriter, r *http.Request) { h.ServeHTTP(w, r) }
+		mux.Handle("/metrics", telemetry.NewRegistry(tel).Handler())
+		handleSLO = func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, tel.SLO()) }
 	} else {
-		mux.HandleFunc("/metrics", handleSLO)
+		mux.HandleFunc("/metrics", noTelemetry)
 	}
 	mux.HandleFunc("GET /v1/sessions/{id}/slo", guard(checkID, handleSLO))
-
-	// Legacy flat endpoints: thin shims over the /v1 handlers, kept for
-	// one deprecation cycle so existing scripts/dashboards keep working.
-	mux.HandleFunc("GET /api/snapshot", deprecated("/v1/sessions/{id}/snapshot", handleSnapshot))
-	mux.HandleFunc("GET /api/critpath", deprecated("/v1/sessions/{id}/critpath", handleCritpath))
-	mux.HandleFunc("GET /api/trace", deprecated("/v1/sessions/{id}/trace", handleTrace))
-	mux.HandleFunc("GET /api/admission", deprecated("/v1/sessions/{id}/snapshot", func(w http.ResponseWriter, _ *http.Request) {
-		st := e.AdmissionState()
-		if st == nil {
-			writeJSONStatus(w, http.StatusServiceUnavailable, apiv1.Error{Error: "admission gate disabled"})
-			return
-		}
-		writeJSON(w, st)
-	}))
-	mux.HandleFunc("POST /api/edit", deprecated("/v1/sessions/{id}/edits", handleEdit))
-	mux.HandleFunc("GET /api/slo", deprecated("/v1/sessions/{id}/slo", handleSLO))
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -215,16 +194,6 @@ func guard(check func(http.ResponseWriter, *http.Request) bool, h http.HandlerFu
 		if check(w, r) {
 			h(w, r)
 		}
-	}
-}
-
-// deprecated marks a legacy endpoint per RFC 9745 (Deprecation header)
-// with a Link to its /v1 successor, then serves the same data.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
 	}
 }
 

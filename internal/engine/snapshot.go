@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sync"
-
 	"djstar/internal/obs"
 	"djstar/internal/telemetry"
 )
@@ -90,36 +88,6 @@ type Snapshot struct {
 	CritPath *obs.PathStat `json:"crit_path,omitempty"`
 }
 
-// liveStats is the engine's always-on cycle accounting, updated once per
-// Cycle under a mutex that only Snapshot contends for.
-type liveStats struct {
-	mu                                    sync.Mutex
-	cycles                                uint64
-	tpSum, gpSum, graphSum, vcSum, apcSum float64
-	graphMax, apcMax                      float64
-	misses                                uint64
-}
-
-func (l *liveStats) add(tp, gp, graph, vc, apc float64, missed bool) {
-	l.mu.Lock()
-	l.cycles++
-	l.tpSum += tp
-	l.gpSum += gp
-	l.graphSum += graph
-	l.vcSum += vc
-	l.apcSum += apc
-	if graph > l.graphMax {
-		l.graphMax = graph
-	}
-	if apc > l.apcMax {
-		l.apcMax = apc
-	}
-	if missed {
-		l.misses++
-	}
-	l.mu.Unlock()
-}
-
 // Snapshot assembles the unified observability view.
 func (e *Engine) Snapshot() Snapshot {
 	s := Snapshot{
@@ -137,20 +105,20 @@ func (e *Engine) Snapshot() Snapshot {
 		cp := *le
 		s.LastEdit = &cp
 	}
-	e.live.mu.Lock()
-	s.Cycles = e.live.cycles
-	if n := float64(e.live.cycles); n > 0 {
-		s.TPMeanMS = e.live.tpSum / n
-		s.GPMeanMS = e.live.gpSum / n
-		s.GraphMeanMS = e.live.graphSum / n
-		s.VCMeanMS = e.live.vcSum / n
-		s.APCMeanMS = e.live.apcSum / n
-		s.MissRate = float64(e.live.misses) / n
+	tot := &e.totals
+	s.Cycles = tot.cycles.Load()
+	s.DeadlineMisses = tot.misses.Load()
+	if n := float64(s.Cycles); n > 0 {
+		tp, gp, gr, vc := tot.tpNS.Load(), tot.gpNS.Load(), tot.graphNS.Load(), tot.vcNS.Load()
+		s.TPMeanMS = nsToMS(tp) / n
+		s.GPMeanMS = nsToMS(gp) / n
+		s.GraphMeanMS = nsToMS(gr) / n
+		s.VCMeanMS = nsToMS(vc) / n
+		s.APCMeanMS = nsToMS(tp+gp+gr+vc) / n
+		s.MissRate = float64(s.DeadlineMisses) / n
 	}
-	s.GraphMaxMS = e.live.graphMax
-	s.APCMaxMS = e.live.apcMax
-	s.DeadlineMisses = e.live.misses
-	e.live.mu.Unlock()
+	s.GraphMaxMS = nsToMS(tot.graphMaxNS.Load())
+	s.APCMaxMS = nsToMS(tot.apcMaxNS.Load())
 
 	if e.tel != nil {
 		slo := e.tel.SLO()

@@ -132,7 +132,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	}
 
 	var snap Snapshot
-	if err := json.Unmarshal(get("/api/snapshot"), &snap); err != nil {
+	if err := json.Unmarshal(get("/v1/sessions/0/snapshot"), &snap); err != nil {
 		t.Fatal(err)
 	}
 	if snap.SchemaVersion != SnapshotSchemaVersion || snap.Cycles != 64 {
@@ -140,7 +140,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	}
 
 	var ps obs.PathStat
-	if err := json.Unmarshal(get("/api/critpath"), &ps); err != nil {
+	if err := json.Unmarshal(get("/v1/sessions/0/critpath"), &ps); err != nil {
 		t.Fatal(err)
 	}
 	if ps.LengthUS <= 0 || len(ps.Nodes) == 0 {
@@ -150,7 +150,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(get("/api/trace"), &doc); err != nil {
+	if err := json.Unmarshal(get("/v1/sessions/0/trace"), &doc); err != nil {
 		t.Fatal(err)
 	}
 	if len(doc.TraceEvents) == 0 {

@@ -10,8 +10,8 @@ import (
 // (histograms, SLO budget, per-second ring) and a telemetry.Recorder
 // (flight recorder). Fault, governor and stall events flow through the
 // wrapper methods below so they are counted and retained before any
-// user hook runs; Cycle feeds RecordCycle and triggers the recorder
-// when the rolling miss window blows its budget.
+// user hook runs; Cycle feeds RecordCycle from its cycle record and
+// triggers the recorder when the rolling miss window blows its budget.
 
 // Telemetry exposes the telemetry collector (nil when disabled via
 // TelemetryOptions.Disable).
@@ -63,12 +63,14 @@ func (e *Engine) onStall(r StallRecord) {
 }
 
 // fillIncident stamps the engine's side of an incident bundle: identity,
-// graph structure, the observed node means, and the live critical path —
-// everything the offline analyzer needs to replay the analysis without
-// this process. Runs on the dump goroutine.
+// graph structure, the observed node means, the live critical path and
+// the collector's sampled schedule realizations — everything the offline
+// analyzer needs to replay the analysis without this process. Runs on
+// the dump goroutine.
 func (e *Engine) fillIncident(inc *telemetry.Incident) {
 	// One topology load: the dump goroutine gets a plan and collector
-	// from the same epoch even if an edit lands mid-dump.
+	// from the same epoch even if an edit lands mid-dump, so the traces'
+	// node IDs index the bundled graph.
 	t := e.topo.Load()
 	inc.Threads = e.sch().Threads()
 	inc.Graph = telemetry.GraphInfo{
@@ -79,6 +81,7 @@ func (e *Engine) fillIncident(inc *telemetry.Incident) {
 	if t.col == nil {
 		return
 	}
+	inc.Traces = t.col.Traces()
 	means := t.col.NodeMeansUS()
 	inc.NodeMeansUS = means
 	hasData := false

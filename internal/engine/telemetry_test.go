@@ -190,14 +190,14 @@ func TestEngineMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get("http://" + srv.Addr() + "/api/slo")
+	resp, err = http.Get("http://" + srv.Addr() + "/v1/sessions/0/slo")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"target_per_10k"`) {
-		t.Fatalf("/api/slo status %d body %s", resp.StatusCode, body)
+		t.Fatalf("/v1/sessions/0/slo status %d body %s", resp.StatusCode, body)
 	}
 }
 

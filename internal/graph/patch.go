@@ -10,8 +10,8 @@ import (
 
 // Live-performance patch vocabulary: a small, serializable set of
 // topology edits a performer can apply mid-set (djstar stdin, -script
-// timed cues, POST /api/edit). Each spec compiles to an EditSet against
-// the engine's current graph:
+// timed cues, POST /v1/sessions/{id}/edits). Each spec compiles to an
+// EditSet against the engine's current graph:
 //
 //	insert-delay:<deck>[:units]  insert a chain of in-place stereo
 //	                             delay nodes between Channel<deck> and

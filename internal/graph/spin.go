@@ -198,6 +198,3 @@ func (l Load) RunSince(startNs int64, active bool) {
 
 // Enabled reports whether the load has any work target (false at scale 0).
 func (l Load) Enabled() bool { return l.baseNs > 0 || l.dataNs > 0 }
-
-// NowNanos exposes the package's monotonic clock for RunSince callers.
-func NowNanos() int64 { return nowNanos() }

@@ -150,7 +150,7 @@ func NewCollector(p *graph.Plan, cfg Config) *Collector {
 // BeginCycle implements sched.Observer (Execute caller thread; the
 // scheduler guarantees all workers are quiescent).
 func (c *Collector) BeginCycle() {
-	c.base = sched.NowNanos()
+	c.base = graph.NowNanos()
 	for i := range c.shards {
 		c.shards[i].n = 0
 	}

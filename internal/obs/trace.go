@@ -25,14 +25,6 @@ type CycleTrace struct {
 	EndNS   []int64 `json:"end_ns"`
 }
 
-// Clone returns an independent deep copy (hook callers that want to
-// retain a trace past the callback copy it with this).
-func (t *CycleTrace) Clone() CycleTrace {
-	var dst CycleTrace
-	copyTrace(&dst, t)
-	return dst
-}
-
 // MakespanNS returns the latest node end in the realization.
 func (t *CycleTrace) MakespanNS() int64 {
 	var m int64

@@ -17,7 +17,6 @@ package sched
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"djstar/internal/graph"
 )
@@ -35,7 +34,7 @@ type Observer interface {
 	// BeginCycle marks the start of an iteration (Execute caller thread).
 	BeginCycle()
 	// Record stores one node's execution window. Start and end are
-	// NowNanos timestamps; worker identifies the executing worker.
+	// graph.NowNanos timestamps; worker identifies the executing worker.
 	Record(node, worker int32, start, end int64)
 	// EndCycle marks the end of the iteration (Execute caller thread,
 	// after every node has completed).
@@ -201,15 +200,10 @@ func spinWait(cond func() bool) {
 	}
 }
 
-// nowNanos returns a monotonic timestamp in nanoseconds.
-func nowNanos() int64 { return int64(time.Since(timeBase)) }
-
-// NowNanos exposes the scheduler clock: the monotonic timestamp base all
-// Observer.Record start/end values are measured on. Observers that need
-// to relate node windows to a cycle epoch of their own read this clock.
-func NowNanos() int64 { return nowNanos() }
-
-var timeBase = time.Now()
+// nowNanos is the scheduler clock: graph.NowNanos, the process's one
+// monotonic base, so Observer.Record windows line up with the engine's
+// stage stamps.
+func nowNanos() int64 { return graph.NowNanos() }
 
 // TraceEvent is one node execution recorded by a Tracer.
 type TraceEvent struct {

@@ -36,9 +36,8 @@ func (c Config) withDefaults() Config {
 // per-second ring, the SLO budget window, and the fault/governor/stall
 // counters. RecordCycle is the audio-path entry point and is
 // allocation-free; everything else is snapshot-path. The mutex guards
-// the ring and the SLO window and is taken once per cycle, mirroring the
-// engine's liveStats discipline; the histograms and counters are atomic
-// and lock-free.
+// the ring and the SLO window and is taken once per cycle; the
+// histograms and counters are atomic and lock-free.
 type Collector struct {
 	cfg Config
 
@@ -96,8 +95,9 @@ func (c *Collector) Shard() string { return *c.shard.Load() }
 func (c *Collector) SetShard(s string) { c.shard.Store(&s) }
 
 // RecordCycle records one completed APC: histogram samples, the
-// per-second ring slot, and the SLO window. unixSec is the wall-clock
-// second the cycle completed in. It returns true exactly when this
+// per-second ring slot, and the SLO window. unixSec is the second the
+// cycle completed in (the engine derives it from the cycle's end stamp,
+// graph.UnixSec). It returns true exactly when this
 // cycle's miss pushes the rolling window past its budget — the caller's
 // cue to trigger the flight recorder. Allocation-free; single writer
 // (the cycle thread).

@@ -13,9 +13,10 @@ import (
 	"djstar/internal/obs"
 )
 
-// Flight recorder: a black box that continuously retains the recent past
-// — sampled schedule realizations, fault/governor/stall/miss events and
-// the rolling time series — and, when something goes wrong, dumps it all
+// Flight recorder: a black box that continuously retains the recent
+// fault/governor/stall/miss events and, when something goes wrong, dumps
+// them with the collector's rolling time series and whatever the engine
+// adds at dump time (graph, node means, sampled schedule realizations)
 // as one self-contained JSON incident bundle for offline replay
 // (djanalyze -incident). The retention path is preallocated and cheap;
 // the dump runs on its own goroutine, never on the audio path.
@@ -74,8 +75,9 @@ type Incident struct {
 
 	// Events is the recorder's event ring, oldest first.
 	Events []Event `json:"events"`
-	// Traces are the retained sampled schedule realizations, oldest
-	// first.
+	// Traces are the observability collector's sampled schedule
+	// realizations at dump time, oldest first, indexed by Graph's node
+	// IDs (stamped by the bundle filler).
 	Traces []obs.CycleTrace `json:"traces"`
 	// Series is the recent per-second time series, oldest first.
 	Series []RingSlot `json:"series"`
@@ -90,14 +92,9 @@ type Incident struct {
 
 // RecorderConfig tunes a flight recorder.
 type RecorderConfig struct {
-	// Nodes is the plan's node count (sizes the preallocated trace
-	// ring). Required when traces are fed.
-	Nodes int
 	// Dir receives incident bundles; empty disables dumping (triggers
 	// are still counted and retained as events).
 	Dir string
-	// Traces is the sampled-realization retention depth (default 16).
-	Traces int
 	// Events is the event ring depth (default 64).
 	Events int
 	// CooldownSeconds is the minimum spacing between dumps (default 10)
@@ -111,9 +108,6 @@ type RecorderConfig struct {
 }
 
 func (c RecorderConfig) withDefaults() RecorderConfig {
-	if c.Traces <= 0 {
-		c.Traces = 16
-	}
 	if c.Events <= 0 {
 		c.Events = 64
 	}
@@ -126,9 +120,8 @@ func (c RecorderConfig) withDefaults() RecorderConfig {
 	return c
 }
 
-// Recorder retains the recent past and dumps incident bundles. AddTrace
-// runs on the cycle thread and is allocation-free once the preallocated
-// rings are warm; AddEvent may run on worker or watchdog threads.
+// Recorder retains recent events and dumps incident bundles. AddEvent
+// may run on the cycle, worker or watchdog threads.
 type Recorder struct {
 	cfg Config // collector labels, copied for the bundle
 	rc  RecorderConfig
@@ -138,37 +131,25 @@ type Recorder struct {
 	events  []Event
 	evPos   int
 	evLen   int
-	traces  []obs.CycleTrace
-	trPos   int
-	trLen   int
 	lastDmp atomic.Int64 // unix seconds of the last dump
 	dumpSeq atomic.Uint64
 	pending sync.WaitGroup
 
 	// fill lets the engine stamp its side of the bundle (graph
-	// structure, node means, critical path, strategy identity) at dump
-	// time; set once at construction wiring.
+	// structure, node means, critical path, traces, strategy identity)
+	// at dump time; set once at construction wiring.
 	fill func(*Incident)
 }
 
 // NewRecorder builds a flight recorder bound to a collector.
 func NewRecorder(col *Collector, rc RecorderConfig) *Recorder {
 	rc = rc.withDefaults()
-	r := &Recorder{
+	return &Recorder{
 		cfg:    col.cfg,
 		rc:     rc,
 		col:    col,
 		events: make([]Event, rc.Events),
-		traces: make([]obs.CycleTrace, rc.Traces),
 	}
-	for i := range r.traces {
-		r.traces[i] = obs.CycleTrace{
-			Worker:  make([]int32, rc.Nodes),
-			StartNS: make([]int64, rc.Nodes),
-			EndNS:   make([]int64, rc.Nodes),
-		}
-	}
-	return r
 }
 
 // SetBundleFiller installs the engine-side bundle stamp. Call before the
@@ -182,25 +163,6 @@ func (r *Recorder) AddEvent(cycle uint64, kind, detail string) {
 	r.evPos = (r.evPos + 1) % len(r.events)
 	if r.evLen < len(r.events) {
 		r.evLen++
-	}
-	r.mu.Unlock()
-}
-
-// AddTrace retains a copy of one sampled schedule realization (cycle
-// thread; allocation-free once warm — the ring slices are preallocated
-// for the plan size).
-func (r *Recorder) AddTrace(t *obs.CycleTrace) {
-	r.mu.Lock()
-	dst := &r.traces[r.trPos]
-	dst.Cycle = t.Cycle
-	dst.BaseNS = t.BaseNS
-	dst.Workers = t.Workers
-	dst.Worker = append(dst.Worker[:0], t.Worker...)
-	dst.StartNS = append(dst.StartNS[:0], t.StartNS...)
-	dst.EndNS = append(dst.EndNS[:0], t.EndNS...)
-	r.trPos = (r.trPos + 1) % len(r.traces)
-	if r.trLen < len(r.traces) {
-		r.trLen++
 	}
 	r.mu.Unlock()
 }
@@ -231,20 +193,15 @@ func (r *Recorder) Trigger(cycle uint64, reason string) {
 // Flush waits for in-flight dumps to finish (shutdown and tests).
 func (r *Recorder) Flush() { r.pending.Wait() }
 
-// snapshot copies the retained rings, oldest first.
-func (r *Recorder) snapshot() (events []Event, traces []obs.CycleTrace) {
+// snapshot copies the retained events, oldest first.
+func (r *Recorder) snapshot() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	events = make([]Event, 0, r.evLen)
+	events := make([]Event, 0, r.evLen)
 	for i := 0; i < r.evLen; i++ {
 		events = append(events, r.events[(r.evPos-r.evLen+i+len(r.events))%len(r.events)])
 	}
-	traces = make([]obs.CycleTrace, 0, r.trLen)
-	for i := 0; i < r.trLen; i++ {
-		src := &r.traces[(r.trPos-r.trLen+i+len(r.traces))%len(r.traces)]
-		traces = append(traces, src.Clone())
-	}
-	return events, traces
+	return events
 }
 
 // dump assembles and writes one bundle.
@@ -259,8 +216,9 @@ func (r *Recorder) dump(cycle uint64, reason string, seq uint64) {
 		SLO:           r.col.SLO(),
 		Totals:        r.col.Totals(),
 		Series:        r.col.Series(r.rc.SeriesSeconds),
+		Events:        r.snapshot(),
+		Traces:        []obs.CycleTrace{},
 	}
-	inc.Events, inc.Traces = r.snapshot()
 	if r.fill != nil {
 		r.fill(inc)
 	}

@@ -11,11 +11,11 @@ import (
 
 func TestRecorderEventRingWrapsOldestFirst(t *testing.T) {
 	c := NewCollector(Config{})
-	r := NewRecorder(c, RecorderConfig{Nodes: 2, Events: 4})
+	r := NewRecorder(c, RecorderConfig{Events: 4})
 	for i := uint64(1); i <= 6; i++ {
 		r.AddEvent(i, "fault", "n")
 	}
-	events, _ := r.snapshot()
+	events := r.snapshot()
 	if len(events) != 4 {
 		t.Fatalf("retained %d events, want ring depth 4", len(events))
 	}
@@ -26,38 +26,11 @@ func TestRecorderEventRingWrapsOldestFirst(t *testing.T) {
 	}
 }
 
-func TestRecorderAddTraceDoesNotAllocate(t *testing.T) {
-	c := NewCollector(Config{})
-	r := NewRecorder(c, RecorderConfig{Nodes: 3, Traces: 4})
-	tr := obs.CycleTrace{
-		Cycle:   9,
-		Workers: 2,
-		Worker:  []int32{0, 1, 0},
-		StartNS: []int64{0, 10, 20},
-		EndNS:   []int64{10, 20, 30},
-	}
-	n := testing.AllocsPerRun(500, func() {
-		tr.Cycle++
-		r.AddTrace(&tr)
-	})
-	if n != 0 {
-		t.Fatalf("AddTrace allocates %.1f per op, want 0 (preallocated ring)", n)
-	}
-	_, traces := r.snapshot()
-	if len(traces) != 4 {
-		t.Fatalf("retained %d traces, want 4", len(traces))
-	}
-	last := traces[len(traces)-1]
-	if last.Cycle != tr.Cycle || len(last.Worker) != 3 || last.EndNS[2] != 30 {
-		t.Fatalf("retained trace = %+v, want copy of last added", last)
-	}
-}
-
 func TestRecorderTriggerDumpAndLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c := NewCollector(Config{Strategy: "busy", Session: "0"})
 	c.RecordCycle(100, 1_000_000, 500_000, false, 0)
-	r := NewRecorder(c, RecorderConfig{Nodes: 2, Dir: dir})
+	r := NewRecorder(c, RecorderConfig{Dir: dir})
 	r.SetBundleFiller(func(inc *Incident) {
 		inc.Threads = 4
 		inc.Graph = GraphInfo{
@@ -108,7 +81,7 @@ func TestRecorderTriggerDumpAndLoadRoundTrip(t *testing.T) {
 func TestRecorderCooldownSuppressesDumpStorm(t *testing.T) {
 	dir := t.TempDir()
 	c := NewCollector(Config{})
-	r := NewRecorder(c, RecorderConfig{Nodes: 1, Dir: dir, CooldownSeconds: 60})
+	r := NewRecorder(c, RecorderConfig{Dir: dir, CooldownSeconds: 60})
 	for i := uint64(0); i < 50; i++ {
 		r.Trigger(i, TriggerBudget)
 	}
@@ -125,7 +98,7 @@ func TestRecorderCooldownSuppressesDumpStorm(t *testing.T) {
 
 func TestRecorderNoDirNeverDumps(t *testing.T) {
 	c := NewCollector(Config{})
-	r := NewRecorder(c, RecorderConfig{Nodes: 1})
+	r := NewRecorder(c, RecorderConfig{})
 	r.Trigger(1, TriggerStall)
 	r.Flush()
 	if got := c.Totals().Incidents; got != 1 {

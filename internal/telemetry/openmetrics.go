@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -181,29 +180,12 @@ func formatValue(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// Handler serves the registry: /metrics (exposition text) and /api/slo
-// (per-collector SLOStatus JSON).
+// Handler serves the registry's exposition text on /metrics.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WriteOpenMetrics(w)
-	})
-	mux.HandleFunc("/api/slo", func(w http.ResponseWriter, _ *http.Request) {
-		type entry struct {
-			Strategy string    `json:"strategy"`
-			Session  string    `json:"session"`
-			Shard    string    `json:"shard,omitempty"`
-			SLO      SLOStatus `json:"slo"`
-		}
-		var out []entry
-		for _, c := range r.Collectors() {
-			out = append(out, entry{c.cfg.Strategy, c.cfg.Session, c.Shard(), c.SLO()})
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(out)
 	})
 	return mux
 }

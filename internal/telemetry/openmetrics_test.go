@@ -259,16 +259,4 @@ func TestRegistryHTTPEndpoints(t *testing.T) {
 	}
 	lintExposition(t, string(body))
 
-	resp, err = http.Get(fmt.Sprintf("http://%s/api/slo", srv.Addr()))
-	if err != nil {
-		t.Fatalf("GET /api/slo: %v", err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/api/slo status = %d", resp.StatusCode)
-	}
-	if !strings.Contains(string(body), `"target_per_10k": 5`) {
-		t.Fatalf("/api/slo body missing SLO status: %s", body)
-	}
 }

@@ -10,7 +10,8 @@
 #   - histogram families expose _bucket/_sum/_count samples
 #   - the document terminates with # EOF
 #
-# Also checks /api/slo serves the paper's 5-per-10k budget as JSON.
+# Also checks /v1/sessions/0/slo serves the paper's 5-per-10k budget as
+# JSON.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,7 +40,7 @@ if [ -z "$ok" ]; then
 fi
 sleep 2
 curl -fsS "http://$addr/metrics" -o "$s2"
-curl -fsS "http://$addr/api/slo" | jq -e '.[0].slo.target_per_10k == 5' >/dev/null
+curl -fsS "http://$addr/v1/sessions/0/slo" | jq -e '.target_per_10k == 5' >/dev/null
 
 lint() {
 	awk '
