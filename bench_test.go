@@ -360,12 +360,19 @@ func BenchmarkPoolSession(b *testing.B) {
 // driven concurrently — the multi-user capacity unit.
 func BenchmarkMultiSession(b *testing.B) {
 	const sessions = 4
-	m, err := engine.NewMulti(engine.Config{Graph: benchGraphConfig()}, sessions, 3)
+	pool, err := sched.NewPool(3, sessions)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(m.Close)
-	for _, e := range m.Engines() {
+	b.Cleanup(pool.Close)
+	var engines []*engine.Engine
+	for s := 0; s < sessions; s++ {
+		e, err := engine.New(engine.Config{Graph: benchGraphConfig(), Pool: pool})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(e.Close)
+		engines = append(engines, e)
 		for i := 0; i < 20; i++ {
 			e.Cycle(nil)
 		}
@@ -373,7 +380,7 @@ func BenchmarkMultiSession(b *testing.B) {
 	var wg sync.WaitGroup
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, e := range m.Engines() {
+		for _, e := range engines {
 			wg.Add(1)
 			go func(e *engine.Engine) {
 				defer wg.Done()

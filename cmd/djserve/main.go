@@ -59,10 +59,6 @@ func main() {
 		Pin:              *pin,
 	}
 	cfg.Engine.Graph = gcfg
-	// Fleets host many sessions per core: per-node observability rings
-	// would multiply memory for data nobody scrapes, so only telemetry
-	// (histograms, SLO budgets) stays on.
-	cfg.Engine.Obs.Disable = true
 	if !*quiet {
 		cfg.Logf = log.Printf
 	}

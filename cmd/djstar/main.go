@@ -19,11 +19,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -47,7 +45,6 @@ func main() {
 			fmt.Sprintf("scheduling strategy (%s, %s)",
 				strings.Join(sched.AllStrategies, ", "), sched.NamePool))
 		threads  = flag.Int("threads", 4, "worker threads")
-		sessions = flag.Int("sessions", 1, "concurrent DJ sessions sharing one worker pool (>1 forces the pool scheduler)")
 		scale    = flag.Float64("scale", 1.0, "node cost scale (1.0 = paper scale)")
 		dvs      = flag.Bool("dvs", true, "timecode (DVS) tempo control")
 		chaos    = flag.String("chaos", "", `deterministic fault script, e.g. "panic:FXA2@100x3, stall:Mixer@500:200ms"`)
@@ -119,35 +116,12 @@ func main() {
 		cfg.Admission.Config.PeriodUS = admission.DefaultPeriodUS * *scale
 	}
 
-	// Multi-session mode: N full sessions share one worker pool; the
-	// first session is the interactive one (status line, recording,
-	// settings), the others run the same paced cycle loop in the
-	// background — the "many concurrent users, one process" scenario.
-	var (
-		e      *engine.Engine
-		multi  *engine.MultiEngine
-		bgDone sync.WaitGroup
-		bgStop = make(chan struct{})
-		bgLate atomic.Int64
-	)
-	if *sessions > 1 {
-		m, err := engine.NewMulti(cfg, *sessions, *threads-1)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "djstar: %v\n", err)
-			os.Exit(1)
-		}
-		multi = m
-		e = m.Engines()[0]
-		defer m.Close()
-	} else {
-		var err error
-		e, err = engine.New(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "djstar: %v\n", err)
-			os.Exit(1)
-		}
-		defer e.Close()
+	e, err := engine.New(cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "djstar: %v\n", err)
+		os.Exit(1)
 	}
+	defer e.Close()
 
 	if *httpAddr != "" {
 		srv, err := engine.StartDebugServer(*httpAddr, e)
@@ -160,15 +134,7 @@ func main() {
 	}
 
 	if *metrics != "" {
-		// The standalone telemetry endpoint covers every session under
-		// -sessions; the debug server above stays per-engine.
-		var reg *telemetry.Registry
-		if multi != nil {
-			reg = multi.TelemetryRegistry()
-		} else {
-			reg = telemetry.NewRegistry(e.Telemetry())
-		}
-		msrv, err := reg.Serve(*metrics)
+		msrv, err := telemetry.NewRegistry(e.Telemetry()).Serve(*metrics)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "djstar: -metrics: %v\n", err)
 			os.Exit(1)
@@ -292,36 +258,6 @@ func main() {
 	}
 	fmt.Println()
 
-	// Launch the background sessions' paced cycle loops.
-	if multi != nil {
-		for _, bg := range multi.Engines()[1:] {
-			bgDone.Add(1)
-			go func(bg *engine.Engine) {
-				defer bgDone.Done()
-				period := audio.StandardPacketPeriod
-				start := time.Now()
-				for i := 0; ; i++ {
-					select {
-					case <-bgStop:
-						return
-					default:
-					}
-					due := start.Add(time.Duration(i+1) * period)
-					bg.Cycle(nil)
-					if time.Now().After(due) {
-						bgLate.Add(1)
-					} else {
-						for time.Now().Before(due) {
-							runtime.Gosched()
-						}
-					}
-				}
-			}(bg)
-		}
-		fmt.Printf("%d background sessions sharing the worker pool\n\n",
-			len(multi.Engines())-1)
-	}
-
 	m := &engine.Metrics{}
 	*m = *freshMetrics(e)
 	period := audio.StandardPacketPeriod
@@ -358,11 +294,6 @@ func main() {
 		}
 	}
 
-	if multi != nil {
-		close(bgStop)
-		bgDone.Wait()
-	}
-
 	if interrupted.Load() && done < totalCycles {
 		fmt.Printf("\ninterrupted after %d / %d cycles — partial metrics follow\n",
 			done, totalCycles)
@@ -373,10 +304,6 @@ func main() {
 	if h.Faults.Recovered > 0 || h.Stalls > 0 || len(h.Quarantined) > 0 {
 		fmt.Printf("health: %d faults contained, %d quarantines (%d restored), %d stalls detected\n",
 			h.Faults.Recovered, h.Faults.Quarantined, h.Faults.Restored, h.Stalls)
-	}
-	if multi != nil {
-		fmt.Printf("background sessions: %d, late packets: %d\n",
-			len(multi.Engines())-1, bgLate.Load())
 	}
 
 	if *traceOut != "" {

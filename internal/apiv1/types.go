@@ -6,8 +6,7 @@
 //
 // Versioning policy (DESIGN.md §16): additive changes (new fields, new
 // endpoints) stay within /v1; a field removal or meaning change mints
-// /v2 alongside /v1 for one deprecation cycle. The legacy flat /api/*
-// endpoints are shims over /v1 and answer with a Deprecation header.
+// /v2 alongside /v1 for one deprecation cycle.
 package apiv1
 
 import (

@@ -39,9 +39,8 @@ type AdmissionOptions struct {
 	// TP/GP/VC targets at the running scale when zero).
 	Config admission.Config
 	// Controller, when set, gates this session against the aggregate
-	// bound of every session sharing one worker pool (NewMulti wires a
-	// shared controller automatically). Nil means per-session analysis
-	// only.
+	// bound of every session sharing one worker pool. Nil means
+	// per-session analysis only.
 	Controller *admission.Controller
 	// PredictEvery is the predictive monitor's re-analysis period
 	// (default 250 ms; negative disables the monitor, keeping only the

@@ -168,27 +168,31 @@ func TestAdmissionPoolAggregate(t *testing.T) {
 	b3 := cp + (3*w-cp)/m
 	acfg.PeriodUS = (b2 + b3) / 2
 
-	cfg := Config{Graph: gc, Admission: AdmissionOptions{Enabled: true, Config: acfg, PredictEvery: -1}}
-	me, err := NewMulti(cfg, 2, workers)
-	if err != nil {
-		t.Fatalf("two sessions must fit (bound %.0f, envelope %.0f): %v", b2, acfg.PeriodUS, err)
-	}
-	defer me.Close()
-	if _, err := me.AddSession(); !errors.Is(err, admission.ErrOverBudget) {
+	// Like the per-session gate, the shared controller counts processors,
+	// not workers.
+	ctl := admission.NewController(effectiveProcs(workers+1), acfg)
+	cfg := Config{Graph: gc, Admission: AdmissionOptions{Enabled: true, Config: acfg, Controller: ctl, PredictEvery: -1}}
+	// Two sessions must fit (bound b2 under the envelope); poolSessions
+	// fails the test otherwise.
+	pool, engines := poolSessions(t, cfg, 2, workers, 3)
+	third := cfg
+	third.Pool = pool
+	third.Telemetry.Session = "2"
+	if e, err := New(third); !errors.Is(err, admission.ErrOverBudget) {
+		if err == nil {
+			e.Close()
+		}
 		t.Fatalf("third session err = %v, want ErrOverBudget", err)
 	}
-	if got := len(me.Controller().Sessions()); got != 2 {
+	if got := len(ctl.Sessions()); got != 2 {
 		t.Fatalf("controller holds %d sessions after refusal, want 2", got)
 	}
-	if got := len(me.Engines()); got != 2 {
-		t.Fatalf("%d engines, want 2", got)
-	}
-	for _, mm := range me.RunCyclesConcurrent(5) {
+	for _, mm := range runConcurrent(engines, 5) {
 		if mm.Cycles != 5 {
 			t.Fatalf("cycles = %d", mm.Cycles)
 		}
 	}
-	for _, sb := range me.Controller().Sessions() {
+	for _, sb := range ctl.Sessions() {
 		if !sb.Fits {
 			t.Fatalf("admitted session over budget: %+v", sb)
 		}
@@ -196,33 +200,27 @@ func TestAdmissionPoolAggregate(t *testing.T) {
 }
 
 // TestAdmissionPoolFullSentinel: when the analysis fits but the pool's
-// slots are gone, AddSession surfaces sched.ErrPoolFull — and the
+// slots are gone, engine.New surfaces sched.ErrPoolFull — and the
 // controller registration made before Attach is released again.
 func TestAdmissionPoolFullSentinel(t *testing.T) {
+	acfg := admission.Config{PeriodUS: 1e9, Margin: 1, BaseUS: -1}
+	ctl := admission.NewController(effectiveProcs(2), acfg)
 	cfg := Config{
-		Graph: admissionGraphConfig(),
-		Admission: AdmissionOptions{
-			Enabled:      true,
-			Config:       admission.Config{PeriodUS: 1e9, Margin: 1, BaseUS: -1},
-			PredictEvery: -1,
-		},
+		Graph:     admissionGraphConfig(),
+		Admission: AdmissionOptions{Enabled: true, Config: acfg, Controller: ctl, PredictEvery: -1},
 	}
-	me, err := NewMulti(cfg, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer me.Close()
-	// NewMulti reserves slot headroom beyond the boot count; fill it.
-	capacity := me.Pool().Capacity()
-	for i := 2; i < capacity; i++ {
-		if _, err := me.AddSession(); err != nil {
-			t.Fatalf("session %d/%d refused: %v", i, capacity, err)
+	const capacity = 3
+	pool, _ := poolSessions(t, cfg, capacity, 1, capacity)
+	over := cfg
+	over.Pool = pool
+	over.Telemetry.Session = "over"
+	if e, err := New(over); !errors.Is(err, sched.ErrPoolFull) {
+		if err == nil {
+			e.Close()
 		}
-	}
-	if _, err := me.AddSession(); !errors.Is(err, sched.ErrPoolFull) {
 		t.Fatalf("err = %v, want ErrPoolFull", err)
 	}
-	if got := len(me.Controller().Sessions()); got != capacity {
+	if got := len(ctl.Sessions()); got != capacity {
 		t.Fatalf("controller holds %d sessions after failed attach, want %d", got, capacity)
 	}
 }

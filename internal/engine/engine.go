@@ -61,7 +61,7 @@ type Config struct {
 	// Pool, when set, attaches this engine's plan as a session on a
 	// shared worker pool instead of building a private scheduler —
 	// several engines then execute concurrently over the same workers
-	// (see sched.Pool and NewMulti). Strategy is ignored when Pool is
+	// (see sched.Pool and package fleet). Strategy is ignored when Pool is
 	// set. With Strategy == sched.NamePool and no Pool, the engine owns
 	// a private single-session pool of Threads-1 workers.
 	Pool *sched.Pool
@@ -139,8 +139,8 @@ type TelemetryOptions struct {
 	// self-contained JSON bundle there (replay with djanalyze -incident).
 	IncidentDir string
 	// Session labels this engine's metric series under a shared worker
-	// pool (NewMulti stamps it automatically; default "0"). Fleet-scoped
-	// session IDs stay stable across shard migration.
+	// pool (the fleet stamps it; default "0"). Fleet-scoped session IDs
+	// stay stable across shard migration.
 	Session string
 	// Shard labels the metric series with the shard currently hosting
 	// the session (fleet mode; empty = label omitted). Migration updates
@@ -530,8 +530,8 @@ func (e *Engine) Health() Health {
 func (e *Engine) Session() *graph.Session { return e.session }
 
 // SessionID returns the engine's session label — the OpenMetrics
-// "session" label and the /v1 resource ID. Containers (NewMulti, fleet)
-// stamp it at construction; a standalone engine defaults to "0".
+// "session" label and the /v1 resource ID. The fleet stamps it at
+// construction; a standalone engine defaults to "0".
 func (e *Engine) SessionID() string {
 	if e.cfg.Telemetry.Session != "" {
 		return e.cfg.Telemetry.Session
@@ -649,8 +649,8 @@ type Metrics struct {
 	Threads  int
 	Cycles   int
 	// SessionID is the owning engine's stable session label (stamped by
-	// StampMetrics) — RunCyclesConcurrent results stay attributable even
-	// after sessions migrate between shards.
+	// StampMetrics), so results of concurrently driven sessions stay
+	// attributable.
 	SessionID string
 
 	// Per-component timing summaries in milliseconds.

@@ -1,45 +1,77 @@
 package engine
 
 import (
+	"strconv"
+	"sync"
 	"testing"
 
 	"djstar/internal/sched"
 )
 
-func TestMultiEngineValidation(t *testing.T) {
-	if _, err := NewMulti(fastConfig("", 0), 0, 2); err == nil {
-		t.Fatal("zero sessions accepted")
-	}
-	if _, err := NewMulti(fastConfig("", 0), 2, -1); err == nil {
-		t.Fatal("negative workers accepted")
-	}
-}
-
-// TestMultiEngineConcurrentSessions is the engine-level acceptance test
-// for shared-pool scheduling: four full DJ sessions (decks, mixer,
-// timecode) execute concurrently over one worker pool, each producing
-// audio and metrics independently.
-func TestMultiEngineConcurrentSessions(t *testing.T) {
-	const sessions = 4
-	m, err := NewMulti(fastConfig("", 0), sessions, 3)
+// poolSessions attaches k engines built from cfg to one fresh shared
+// pool with the given helper worker count and slot capacity — what a
+// one-shard fleet does, minus the drivers, for tests that must own the
+// cycle loop. Session IDs are "0".."k-1". Cleanup closes engines, then
+// the pool.
+func poolSessions(t *testing.T, cfg Config, k, workers, capacity int) (*sched.Pool, []*Engine) {
+	t.Helper()
+	pool, err := sched.NewPool(workers, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	t.Cleanup(pool.Close)
+	cfg.Pool = pool
+	var engines []*Engine
+	for i := 0; i < k; i++ {
+		cfg.Telemetry.Session = strconv.Itoa(i)
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatalf("session %d/%d: %v", i, k, err)
+		}
+		t.Cleanup(e.Close)
+		engines = append(engines, e)
+	}
+	return pool, engines
+}
 
-	if got := len(m.Engines()); got != sessions {
+// runConcurrent executes n cycles on every engine at once — one driving
+// goroutine per session, all sharing the pool's workers — and returns
+// per-session metrics in session order.
+func runConcurrent(engines []*Engine, n int) []*Metrics {
+	out := make([]*Metrics, len(engines))
+	var wg sync.WaitGroup
+	for i, e := range engines {
+		wg.Add(1)
+		go func(i int, e *Engine) {
+			defer wg.Done()
+			out[i] = e.RunCycles(n)
+		}(i, e)
+	}
+	wg.Wait()
+	return out
+}
+
+// TestPoolConcurrentSessions is the engine-level acceptance test
+// for shared-pool scheduling: four full DJ sessions (decks, mixer,
+// timecode) execute concurrently over one worker pool, each producing
+// audio and metrics independently.
+func TestPoolConcurrentSessions(t *testing.T) {
+	const sessions = 4
+	pool, engines := poolSessions(t, fastConfig("", 0), sessions, 3, sessions)
+
+	if got := len(engines); got != sessions {
 		t.Fatalf("%d engines, want %d", got, sessions)
 	}
-	if m.Pool().Workers() != 3 {
-		t.Fatalf("pool workers = %d, want 3", m.Pool().Workers())
+	if pool.Workers() != 3 {
+		t.Fatalf("pool workers = %d, want 3", pool.Workers())
 	}
-	for _, e := range m.Engines() {
+	for _, e := range engines {
 		if e.Scheduler().Name() != sched.NamePool {
 			t.Fatalf("scheduler = %q, want %q", e.Scheduler().Name(), sched.NamePool)
 		}
 	}
 
-	metrics := m.RunCyclesConcurrent(120)
+	metrics := runConcurrent(engines, 120)
 	if len(metrics) != sessions {
 		t.Fatalf("%d metric sets, want %d", len(metrics), sessions)
 	}
@@ -52,17 +84,17 @@ func TestMultiEngineConcurrentSessions(t *testing.T) {
 		}
 	}
 	// Every session must produce real audio independently.
-	for i, e := range m.Engines() {
+	for i, e := range engines {
 		if e.Session().MasterOut().Peak() == 0 {
 			t.Fatalf("session %d produced silence", i)
 		}
 	}
 }
 
-// TestMultiEngineMatchesSingle: a session executing on a shared pool
+// TestPoolSessionMatchesSingle: a session executing on a shared pool
 // produces bit-identical audio to a sequential engine with the same
 // config, even while sibling sessions churn concurrently.
-func TestMultiEngineMatchesSingle(t *testing.T) {
+func TestPoolSessionMatchesSingle(t *testing.T) {
 	const cycles = 80
 
 	ref, err := New(fastConfig(sched.NameSequential, 1))
@@ -71,11 +103,7 @@ func TestMultiEngineMatchesSingle(t *testing.T) {
 	}
 	defer ref.Close()
 
-	m, err := NewMulti(fastConfig("", 0), 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	_, engines := poolSessions(t, fastConfig("", 0), 3, 2, 3)
 
 	refSums := make([]float64, cycles)
 	gotSums := make([]float64, cycles)
@@ -88,12 +116,12 @@ func TestMultiEngineMatchesSingle(t *testing.T) {
 	go func() {
 		// Churn the sibling sessions while session 0 is measured.
 		for i := 0; i < cycles; i++ {
-			m.Engines()[1].Cycle(nil)
-			m.Engines()[2].Cycle(nil)
+			engines[1].Cycle(nil)
+			engines[2].Cycle(nil)
 		}
 		close(done)
 	}()
-	e0 := m.Engines()[0]
+	e0 := engines[0]
 	for c := 0; c < cycles; c++ {
 		e0.Cycle(nil)
 		gotSums[c] = e0.Session().MasterOut().Peak()

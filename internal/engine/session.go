@@ -5,12 +5,11 @@ import (
 )
 
 // SessionSpec describes one session to construct over a base Config —
-// the per-session knobs that containers (NewMulti, the fleet) compose
-// with pool-level defaults. It replaces the previous pattern of every
-// call site hand-cloning a shared Config and poking fields: the base
-// Config carries what all sessions share (graph shape, telemetry/obs
-// tuning, governor policy), the spec carries what distinguishes one
-// session, and Resolve merges the two without mutating either.
+// the per-session knobs that the fleet composes with its shard-level
+// defaults: the base Config carries what all sessions share (graph
+// shape, telemetry/obs tuning, governor policy), the spec carries what
+// distinguishes one session, and Resolve merges the two without mutating
+// either.
 type SessionSpec struct {
 	// ID labels the session's snapshot and metric series (the
 	// OpenMetrics "session" label and the /v1 resource ID). Fleet-scoped
@@ -64,12 +63,6 @@ func (sp SessionSpec) Resolve(base Config) Config {
 	}
 	c.Hooks = mergeHooks(base.Hooks, sp.Hooks)
 	return c
-}
-
-// NewSession builds an engine from a base Config and a per-session
-// spec — New(sp.Resolve(base)).
-func NewSession(base Config, sp SessionSpec) (*Engine, error) {
-	return New(sp.Resolve(base))
 }
 
 // mergeHooks overlays per-session hooks on container defaults: each

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"testing"
 
+	"djstar/internal/apiv1"
 	"djstar/internal/obs"
 	"djstar/internal/sched"
 )
@@ -159,5 +161,40 @@ func TestDebugServerEndpoints(t *testing.T) {
 
 	if body := get("/debug/pprof/cmdline"); len(body) == 0 {
 		t.Fatal("pprof endpoint empty")
+	}
+}
+
+// TestV1SessionMatchesSnapshot: the session summary is assembled from
+// the lock-free totals, not from a Snapshot, and must still serialize
+// byte-identically to the summary derived from one — with the admission
+// gate, telemetry and a shard label all present.
+func TestV1SessionMatchesSnapshot(t *testing.T) {
+	cfg := fastConfig(sched.NameBusyWait, 2)
+	cfg.Telemetry.Session = "sess"
+	cfg.Telemetry.Shard = "3"
+	cfg.Governor.Enabled = true
+	cfg.Admission = AdmissionOptions{Enabled: true, PredictEvery: -1}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.RunCycles(50)
+
+	snap := e.Snapshot()
+	want := apiv1.Session{
+		ID: snap.SessionID, Shard: 3, Strategy: snap.Strategy, Threads: snap.Threads,
+		Cycles: snap.Cycles, PlanEpoch: snap.PlanEpoch, APCMeanMS: snap.APCMeanMS,
+		MissRate: snap.MissRate, GovLevel: snap.Health.Level.String(), SLO: snap.SLO,
+		Verdict: snap.Admission.Verdict, BoundUS: snap.Admission.Report.BoundUS,
+		HeadroomUS: snap.Admission.Report.HeadroomUS,
+	}
+	if want.Cycles != 50 || want.APCMeanMS <= 0 || want.SLO == nil || want.Verdict == "" {
+		t.Fatalf("degenerate reference summary: %+v", want)
+	}
+	wantJSON, _ := json.Marshal(want)
+	gotJSON, _ := json.Marshal(V1Session(e))
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("V1Session drifted from the Snapshot-derived summary:\ngot  %s\nwant %s", gotJSON, wantJSON)
 	}
 }

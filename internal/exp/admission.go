@@ -151,12 +151,12 @@ func Admission(o Options) (*AdmissionResult, error) {
 	for _, k := range admissionSweep(capacity) {
 		// Gate OFF: attach everything, let the deadline misses tell the
 		// story.
-		off, err := engine.NewMulti(engine.Config{Graph: o.graphConfig()}, k, workers)
+		off, closeOff, err := poolEngines(engine.Config{Graph: o.graphConfig()}, k, workers)
 		if err != nil {
 			return nil, fmt.Errorf("admission: gate-off %d sessions: %w", k, err)
 		}
-		p95s, p99s, over := admissionDrive(off.Engines(), o.Cycles, periodUS)
-		off.Close()
+		p95s, p99s, over := admissionDrive(off, o.Cycles, periodUS)
+		closeOff()
 		row := AdmissionRow{Sessions: k, Gate: "off", Admitted: k}
 		for i := range p99s {
 			row.WorstP99US = max(row.WorstP99US, p99s[i])

@@ -2,8 +2,10 @@ package exp
 
 import (
 	"fmt"
+	"sync"
 
 	"djstar/internal/engine"
+	"djstar/internal/sched"
 	"djstar/internal/stats"
 )
 
@@ -22,6 +24,33 @@ type MultiSessionResult struct {
 	SingleMS float64
 }
 
+// poolEngines attaches k ungated engines built from cfg to one fresh
+// shared pool of the given helper worker count — the hand-driven
+// counterpart of a one-shard fleet, for experiments that must own the
+// cycle loop. closeAll closes the engines, then the pool.
+func poolEngines(cfg engine.Config, k, workers int) (engines []*engine.Engine, closeAll func(), err error) {
+	pool, err := sched.NewPool(workers, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	closeAll = func() {
+		for _, e := range engines {
+			e.Close()
+		}
+		pool.Close()
+	}
+	cfg.Pool = pool
+	for i := 0; i < k; i++ {
+		e, err := engine.New(cfg)
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
+		engines = append(engines, e)
+	}
+	return engines, closeAll, nil
+}
+
 // MultiSession measures shared-pool multi-session scheduling: 1, 2 and 4
 // concurrent sessions over a pool of MaxThreads-1 helper workers (every
 // session's driving goroutine participates too, so hardware parallelism
@@ -36,18 +65,28 @@ func MultiSession(opts Options) (*MultiSessionResult, error) {
 	}
 	var rows [][]string
 	for _, sessions := range []int{1, 2, 4} {
-		m, err := engine.NewMulti(cfg, sessions, opts.MaxThreads-1)
+		engines, closeAll, err := poolEngines(cfg, sessions, opts.MaxThreads-1)
 		if err != nil {
 			return nil, err
 		}
 		// Warm-up fills delay lines and faults in per-session memory.
-		for _, e := range m.Engines() {
+		for _, e := range engines {
 			for i := 0; i < min(opts.Cycles/10+1, 200); i++ {
 				e.Cycle(nil)
 			}
 		}
-		metrics := m.RunCyclesConcurrent(opts.Cycles)
-		m.Close()
+		// One driving goroutine per session, all sharing the pool's workers.
+		metrics := make([]*engine.Metrics, len(engines))
+		var wg sync.WaitGroup
+		for i, e := range engines {
+			wg.Add(1)
+			go func(i int, e *engine.Engine) {
+				defer wg.Done()
+				metrics[i] = e.RunCycles(opts.Cycles)
+			}(i, e)
+		}
+		wg.Wait()
+		closeAll()
 
 		mean, worst := 0.0, 0.0
 		for _, mm := range metrics {

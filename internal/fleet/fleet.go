@@ -1,10 +1,10 @@
 // Package fleet shards one process's sessions across N independent
-// worker pools sized to the machine's core topology — the scale-out
-// layer above engine.MultiEngine. Each shard owns a sched.Pool plus an
-// admission.Controller, optionally pinned to a disjoint CPU set
-// (Linux sched_setaffinity; portable no-op elsewhere), so shards
-// cannot steal each other's cores and one shard's overload cannot
-// smear across the fleet.
+// worker pools sized to the machine's core topology — the one
+// multi-session container (a single shared pool is a one-shard fleet).
+// Each shard owns a sched.Pool plus an admission.Controller, optionally
+// pinned to a disjoint CPU set (Linux sched_setaffinity; portable no-op
+// elsewhere), so shards cannot steal each other's cores and one shard's
+// overload cannot smear across the fleet.
 //
 // New sessions are placed by ANALYTICAL HEADROOM: every non-draining
 // shard's controller is probed with the candidate's admission report,
@@ -126,10 +126,17 @@ type Fleet struct {
 	seq      int
 	closed   bool
 
-	// repCache caches the per-session admission report by graph scale —
-	// the report's work/critical-path/base terms are what controllers
-	// consume, and they depend only on the graph shape and scale.
-	repCache map[float64]*admission.Report
+	// repCache caches the per-session admission report: the work,
+	// critical-path and base terms controllers consume depend only on
+	// the graph's shape and scale.
+	repCache map[reportKey]*admission.Report
+}
+
+// reportKey is the part of a graph.Config an admission report depends on.
+type reportKey struct {
+	decks, spPerDeck, fxPerDeck, controlNodes int
+	meters                                    bool
+	scale                                     float64
 }
 
 // New builds the fleet: Shards pools with WorkersPerShard helpers each,
@@ -157,7 +164,7 @@ func New(cfg Config) (*Fleet, error) {
 		period:   period,
 		acfg:     acfg,
 		sessions: make(map[string]*Session),
-		repCache: make(map[float64]*admission.Report),
+		repCache: make(map[reportKey]*admission.Report),
 	}
 	sets := hardware.SplitCPUs(runtime.NumCPU(), cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
@@ -221,7 +228,8 @@ func (f *Fleet) logf(format string, args ...any) {
 // config — total work, critical path and base cost at the config's
 // scale, the terms shard controllers aggregate.
 func (f *Fleet) report(gcfg graph.Config) (*admission.Report, error) {
-	if rep, ok := f.repCache[gcfg.Scale]; ok {
+	key := reportKey{gcfg.Decks, gcfg.SPPerDeck, gcfg.FXPerDeck, gcfg.ControlNodes, gcfg.Meters, gcfg.Scale}
+	if rep, ok := f.repCache[key]; ok {
 		return rep, nil
 	}
 	_, g, err := graph.BuildDJStar(gcfg)
@@ -244,7 +252,7 @@ func (f *Fleet) report(gcfg graph.Config) (*admission.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.repCache[gcfg.Scale] = rep
+	f.repCache[key] = rep
 	return rep, nil
 }
 
@@ -364,7 +372,6 @@ func (f *Fleet) AddSession(spec engine.SessionSpec) (*Session, apiv1.Placement, 
 		ctl:     make(chan func()),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
-		m:       eng.NewMetrics(),
 	}
 	s.setHeadroom(placement.HeadroomUS)
 	s.shard.Store(int32(sh.id))

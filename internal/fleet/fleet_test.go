@@ -99,7 +99,7 @@ func TestPlacementHeadroomBeatsRoundRobin(t *testing.T) {
 		Margin: margin,
 		// Exactly three plain sessions fit on one shard (m = 1):
 		// bound(n) = margin × (B + CP + (nW − CP)).
-		PeriodUS: margin*(B+CP+(3*W-CP)) * 1.0001,
+		PeriodUS: margin * (B + CP + (3*W - CP)) * 1.0001,
 	}
 	f, err := New(cfg)
 	if err != nil {
@@ -256,5 +256,33 @@ func TestDrainMigratesAllExactlyOnce(t *testing.T) {
 					id, ns.Name, ns.Count, cycles)
 			}
 		}
+	}
+}
+
+// TestReportFollowsGraphShape: two specs at the same scale but with
+// different graph shapes must each be placed and registered with their
+// own work and critical path, not the first shape's cached report.
+func TestReportFollowsGraphShape(t *testing.T) {
+	cfg := testConfig()
+	cfg.Engine.Graph.Scale = 1
+	cfg.Engine.Graph.Calibration = graph.Calibration{NanosPerUnit: 1e12} // analytical costs, free kernels
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	big, _, err := f.AddSession(engine.SessionSpec{ID: "four-decks"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cfg.Engine.Graph
+	g.Decks = 1
+	small, _, err := f.AddSession(engine.SessionSpec{ID: "one-deck", Graph: &g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.rep.TotalWorkUS >= big.rep.TotalWorkUS || small.BoundUS() >= big.BoundUS() {
+		t.Fatalf("1-deck session registered work %.0f µs, bound %.0f µs; 4-deck %.0f µs, %.0f µs — want strictly smaller",
+			small.rep.TotalWorkUS, small.BoundUS(), big.rep.TotalWorkUS, big.BoundUS())
 	}
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -24,9 +23,9 @@ import (
 //	                                   429 on analytical refusal
 //	GET    /v1/sessions/{id}         – session summary
 //	DELETE /v1/sessions/{id}         – stop and release the session
-//	GET    /v1/sessions/{id}/snapshot – full engine.Snapshot (schema v4)
-//	POST   /v1/sessions/{id}/edits   – stage a live graph edit
-//	POST   /v1/sessions/{id}/retune  – load factor / turntable speeds
+//	/v1/sessions/{id}/...            – snapshot, critpath, trace, slo,
+//	                                   edits, retune: the one route table
+//	                                   of engine.MountSessionRoutes
 //	GET    /v1/shards                – shard list with SLO rollups
 //	GET    /v1/shards/{id}           – one shard
 //	POST   /v1/shards/{id}/drain     – migrate all sessions off the shard
@@ -43,12 +42,12 @@ func (f *Fleet) Handler() http.Handler {
 		for _, s := range f.Sessions() {
 			list.Sessions = append(list.Sessions, f.v1Session(s))
 		}
-		fleetWriteJSON(w, http.StatusOK, list)
+		apiv1.Write(w, http.StatusOK, list)
 	})
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var req apiv1.CreateSessionRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			fleetWriteJSON(w, http.StatusBadRequest, apiv1.Error{Error: "malformed body: " + err.Error()})
+		if err := apiv1.Decode(w, r, &req); err != nil {
+			apiv1.Write(w, http.StatusBadRequest, apiv1.Error{Error: "malformed body: " + err.Error()})
 			return
 		}
 		spec := engine.SessionSpec{ID: req.ID, Fuse: req.Fuse, AdmissionMargin: req.AdmissionMargin}
@@ -68,10 +67,10 @@ func (f *Fleet) Handler() http.Handler {
 			case errors.Is(err, ErrDuplicate):
 				code = http.StatusConflict
 			}
-			fleetWriteJSON(w, code, apiv1.Error{Error: err.Error()})
+			apiv1.Write(w, code, apiv1.Error{Error: err.Error()})
 			return
 		}
-		fleetWriteJSON(w, http.StatusCreated, apiv1.CreateSessionResponse{
+		apiv1.Write(w, http.StatusCreated, apiv1.CreateSessionResponse{
 			Session:   f.v1Session(s),
 			Placement: placement,
 		})
@@ -80,41 +79,28 @@ func (f *Fleet) Handler() http.Handler {
 		return func(w http.ResponseWriter, r *http.Request) {
 			s := f.Session(r.PathValue("id"))
 			if s == nil {
-				fleetWriteJSON(w, http.StatusNotFound, apiv1.Error{Error: fmt.Sprintf("no session %q", r.PathValue("id"))})
+				apiv1.Write(w, http.StatusNotFound, apiv1.Error{Error: fmt.Sprintf("no session %q", r.PathValue("id"))})
 				return
 			}
 			h(w, r, s)
 		}
 	}
 	mux.HandleFunc("GET /v1/sessions/{id}", withSession(func(w http.ResponseWriter, _ *http.Request, s *Session) {
-		fleetWriteJSON(w, http.StatusOK, f.v1Session(s))
+		apiv1.Write(w, http.StatusOK, f.v1Session(s))
 	}))
 	mux.HandleFunc("DELETE /v1/sessions/{id}", withSession(func(w http.ResponseWriter, _ *http.Request, s *Session) {
 		if err := f.RemoveSession(s.ID()); err != nil {
-			fleetWriteJSON(w, http.StatusNotFound, apiv1.Error{Error: err.Error()})
+			apiv1.Write(w, http.StatusNotFound, apiv1.Error{Error: err.Error()})
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	}))
-	mux.HandleFunc("GET /v1/sessions/{id}/snapshot", withSession(func(w http.ResponseWriter, _ *http.Request, s *Session) {
-		fleetWriteJSON(w, http.StatusOK, s.Engine().Snapshot())
-	}))
-	mux.HandleFunc("POST /v1/sessions/{id}/edits", withSession(func(w http.ResponseWriter, r *http.Request, s *Session) {
-		var req apiv1.EditRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Patch == "" {
-			fleetWriteJSON(w, http.StatusBadRequest, apiv1.Error{Error: `body must be {"patch":"<spec>"}`})
-			return
+	engine.MountSessionRoutes(mux, func(id string) *engine.Engine {
+		if s := f.Session(id); s != nil {
+			return s.Engine()
 		}
-		e := s.Engine()
-		if err := e.ApplyPatch(req.Patch); err != nil {
-			fleetWriteJSON(w, http.StatusUnprocessableEntity, apiv1.EditResponse{Epoch: e.PlanEpoch(), Error: err.Error()})
-			return
-		}
-		fleetWriteJSON(w, http.StatusOK, apiv1.EditResponse{OK: true, Staged: true, Epoch: e.PlanEpoch()})
-	}))
-	mux.HandleFunc("POST /v1/sessions/{id}/retune", withSession(func(w http.ResponseWriter, r *http.Request, s *Session) {
-		engine.RetuneHandler(s.Engine(), w, r)
-	}))
+		return nil
+	})
 
 	mux.HandleFunc("GET /v1/shards", func(w http.ResponseWriter, _ *http.Request) {
 		list := apiv1.ShardList{}
@@ -122,13 +108,13 @@ func (f *Fleet) Handler() http.Handler {
 			st, _ := f.ShardStatus(sh.id)
 			list.Shards = append(list.Shards, st)
 		}
-		fleetWriteJSON(w, http.StatusOK, list)
+		apiv1.Write(w, http.StatusOK, list)
 	})
 	withShard := func(h func(http.ResponseWriter, *http.Request, int)) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			id, err := strconv.Atoi(r.PathValue("id"))
 			if err != nil || id < 0 || id >= len(f.shards) {
-				fleetWriteJSON(w, http.StatusNotFound, apiv1.Error{Error: fmt.Sprintf("no shard %q", r.PathValue("id"))})
+				apiv1.Write(w, http.StatusNotFound, apiv1.Error{Error: fmt.Sprintf("no shard %q", r.PathValue("id"))})
 				return
 			}
 			h(w, r, id)
@@ -137,26 +123,26 @@ func (f *Fleet) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/shards/{id}", withShard(func(w http.ResponseWriter, _ *http.Request, id int) {
 		st, err := f.ShardStatus(id)
 		if err != nil {
-			fleetWriteJSON(w, http.StatusNotFound, apiv1.Error{Error: err.Error()})
+			apiv1.Write(w, http.StatusNotFound, apiv1.Error{Error: err.Error()})
 			return
 		}
-		fleetWriteJSON(w, http.StatusOK, st)
+		apiv1.Write(w, http.StatusOK, st)
 	}))
 	mux.HandleFunc("POST /v1/shards/{id}/drain", withShard(func(w http.ResponseWriter, _ *http.Request, id int) {
 		res, err := f.Drain(id)
 		if err != nil {
-			fleetWriteJSON(w, http.StatusNotFound, apiv1.Error{Error: err.Error()})
+			apiv1.Write(w, http.StatusNotFound, apiv1.Error{Error: err.Error()})
 			return
 		}
 		code := http.StatusOK
 		if res.Failed > 0 {
 			code = http.StatusConflict
 		}
-		fleetWriteJSON(w, code, res)
+		apiv1.Write(w, code, res)
 	}))
 	mux.HandleFunc("DELETE /v1/shards/{id}/drain", withShard(func(w http.ResponseWriter, _ *http.Request, id int) {
 		if err := f.Undrain(id); err != nil {
-			fleetWriteJSON(w, http.StatusNotFound, apiv1.Error{Error: err.Error()})
+			apiv1.Write(w, http.StatusNotFound, apiv1.Error{Error: err.Error()})
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -206,11 +192,3 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close shuts the server down (the fleet keeps running).
 func (s *Server) Close() error { return s.srv.Close() }
-
-func fleetWriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}

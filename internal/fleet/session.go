@@ -36,8 +36,6 @@ type Session struct {
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
-
-	m *engine.Metrics
 }
 
 // ID returns the fleet-scoped session ID (stable across migration).
@@ -76,7 +74,7 @@ func (s *Session) run(period time.Duration) {
 			continue
 		default:
 		}
-		s.eng.Cycle(s.m)
+		s.eng.Cycle(nil)
 		if period > 0 {
 			if d := time.Until(next); d > 0 {
 				time.Sleep(d)

@@ -60,6 +60,16 @@ type listSpinPolicy struct {
 
 func (pol *listSpinPolicy) name() string { return pol.strategy }
 
+// stage re-deals the new plan's rank order round-robin. For STATIC this
+// means an offline schedule does not survive a topology edit — the old
+// assignment names nodes that no longer exist — so the strategy degrades
+// to BusyWait's dealing until a new schedule is installed via a
+// subsequent swap.
+func (pol *listSpinPolicy) stage(p *graph.Plan, threads int) func() {
+	lists := roundRobinLists(p, threads)
+	return func() { pol.lists = lists }
+}
+
 // beginCycle: the generation stamp makes the previous cycle's done flags
 // stale automatically, so there is nothing to reset.
 func (pol *listSpinPolicy) beginCycle(*core) {}

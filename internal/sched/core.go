@@ -25,15 +25,15 @@ type policy interface {
 	beginCycle(c *core)
 	// runCycle is worker w's participation in the iteration gen.
 	runCycle(c *core, w int32, gen uint64)
-	// prestage builds the policy's per-plan state (node lists, deques)
-	// for a staged plan. It runs on the STAGING goroutine, possibly
-	// concurrent with a cycle in flight, so it must only read immutable
-	// policy configuration — never the live per-cycle state.
-	prestage(p *graph.Plan, threads int) any
-	// replan installs per-plan state after a topology swap: pre is the
-	// prestage result (rebuilt inline when nil). It runs on the adoption
-	// thread between cycles (see core.AdoptStaged).
-	replan(c *core, pre any)
+	// stage builds the policy's per-plan state (node lists, executor
+	// registrations, deques) for plan p and returns the function that
+	// installs it. stage runs off the cycle thread — on the staging
+	// goroutine, possibly concurrent with a cycle in flight — so it must
+	// only read immutable policy configuration, never the live per-cycle
+	// state; it calls the same builder the policy's constructor used.
+	// install runs on the adoption thread between cycles (see
+	// core.AdoptStaged) and only assigns.
+	stage(p *graph.Plan, threads int) (install func())
 	// closing is called once when the core shuts down, before workers
 	// are released from their between-cycle wait.
 	closing(c *core)

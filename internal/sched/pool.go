@@ -141,12 +141,7 @@ func (p *Pool) Attach(plan *graph.Plan, o Options) (*PoolSession, error) {
 			pool:       p,
 			slot:       int32(i),
 		}
-		s.topo.Store(&poolTopo{
-			plan:    plan,
-			obs:     o.Observer,
-			pending: make([]atomic.Int32, plan.Len()),
-			claimed: make([]atomic.Uint64, plan.Len()),
-		})
+		s.topo.Store(newPoolTopo(plan, o.Observer))
 		p.slots[i].sess.Store(s)
 		p.slots[i].state.Store(slotIdle)
 		return s, nil
@@ -193,21 +188,11 @@ func (p *Pool) AttachMigrated(old *PoolSession, o Options) (*PoolSession, error)
 			pool:       p,
 			slot:       int32(i),
 		}
-		t := &poolTopo{
-			plan:    ot.plan,
-			obs:     obs,
-			pending: make([]atomic.Int32, ot.plan.Len()),
-			claimed: make([]atomic.Uint64, ot.plan.Len()),
-		}
-		// Continue the old session's cycle generation: claim stamps start
-		// at the carried generation so the first post-migration cycle
-		// (gen+1) claims every node exactly once, and observers keep a
-		// monotonic cycle coordinate.
-		gen := ot.gen.Load()
-		t.gen.Store(gen)
-		for j := range t.claimed {
-			t.claimed[j].Store(gen)
-		}
+		// Continue the old session's cycle generation, so the first
+		// post-migration cycle (gen+1) claims every node exactly once and
+		// observers keep a monotonic cycle coordinate.
+		t := newPoolTopo(ot.plan, obs)
+		t.resumeAt(ot.gen.Load())
 		ns.topo.Store(t)
 		// A swap staged but not yet adopted travels with the session.
 		if st := old.staged.Load(); st != nil {
@@ -408,6 +393,27 @@ type poolTopo struct {
 	remaining atomic.Int32
 }
 
+// newPoolTopo builds one plan epoch's claim state — the pool session's
+// per-plan builder, shared by Attach, AttachMigrated and StageSwap.
+func newPoolTopo(plan *graph.Plan, obs Observer) *poolTopo {
+	return &poolTopo{
+		plan:    plan,
+		obs:     obs,
+		pending: make([]atomic.Int32, plan.Len()),
+		claimed: make([]atomic.Uint64, plan.Len()),
+	}
+}
+
+// resumeAt continues a predecessor epoch's cycle counter: every claim
+// stamp starts at gen, so nodes are claimable only by generations > gen,
+// i.e. the next cycle — never by a stale helper still holding gen.
+func (t *poolTopo) resumeAt(gen uint64) {
+	t.gen.Store(gen)
+	for i := range t.claimed {
+		t.claimed[i].Store(gen)
+	}
+}
+
 // Name implements Scheduler.
 func (s *PoolSession) Name() string { return NamePool }
 
@@ -485,15 +491,9 @@ func (s *PoolSession) StageSwap(sw Swap) error {
 	if sw.Plan == nil || sw.Plan.Len() == 0 {
 		return fmt.Errorf("sched: swap with empty plan")
 	}
-	s.staged.Store(&poolStaged{
-		sw: sw,
-		topo: &poolTopo{
-			plan:    sw.Plan,
-			pending: make([]atomic.Int32, sw.Plan.Len()),
-			claimed: make([]atomic.Uint64, sw.Plan.Len()),
-		},
-		faults: newFaultArrays(sw.Plan),
-	})
+	// The staged bundle's observer is decided at adoption, when the
+	// current one is known.
+	s.staged.Store(&poolStaged{sw: sw, topo: newPoolTopo(sw.Plan, nil), faults: newFaultArrays(sw.Plan)})
 	return nil
 }
 
@@ -507,20 +507,13 @@ func (s *PoolSession) AdoptStaged() bool {
 	}
 	sw := st.sw
 	old := s.topo.Load()
-	gen := old.gen.Load()
 	t := st.topo
 	t.obs = old.obs
 	if sw.Observer != nil {
 		t.obs = sw.Observer
 	}
-	t.gen.Store(gen)
-	// Start the new epoch's claim stamps at the current generation:
-	// claimable only by generations > gen, i.e. the next cycle — never
-	// by a stale helper still holding gen. This must happen here, not at
-	// staging time, because gen advances between stage and adoption.
-	for i := range t.claimed {
-		t.claimed[i].Store(gen)
-	}
+	// Here, not at staging time: gen advances between stage and adoption.
+	t.resumeAt(old.gen.Load())
 	s.faultState.adoptInto(st.faults, sw.OldToNew)
 	s.topo.Store(t)
 	return true

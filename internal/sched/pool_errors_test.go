@@ -8,7 +8,7 @@ import (
 )
 
 // TestPoolTypedSentinels: Attach failures are distinguishable with
-// errors.Is — callers (the engine's admission gate, MultiEngine) branch
+// errors.Is — callers (the engine's admission gate, the fleet) branch
 // on pool-full vs pool-closed instead of string matching.
 func TestPoolTypedSentinels(t *testing.T) {
 	p, err := NewPool(1, 1)

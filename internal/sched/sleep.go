@@ -29,19 +29,34 @@ func NewSleep(p *graph.Plan, o Options) (*Sleep, error) {
 	if err := checkThreads(p, o.Threads); err != nil {
 		return nil, err
 	}
-	pol := newSleepPolicy(p, o.Threads)
+	pol := newSleepPolicy(newSleepPlan(p, o.Threads), o.Threads)
 	return &Sleep{core: newCore(p, o.Threads, o.Observer, pol, waitBlock)}, nil
+}
+
+// sleepPlan is SLEEP's per-plan state: the round-robin node lists and
+// the per-node executor registrations (a registration names a node of
+// its own epoch, so a new plan starts with zeroed ones).
+type sleepPlan struct {
+	// lists[w] holds worker w's assigned node IDs in queue order.
+	lists [][]int32
+	// executor[i] holds 1+worker of the thread sleeping on node i (0 =
+	// nobody registered).
+	executor []atomic.Int32
+}
+
+func newSleepPlan(p *graph.Plan, threads int) sleepPlan {
+	return sleepPlan{
+		lists:    roundRobinLists(p, threads),
+		executor: make([]atomic.Int32, p.Len()),
+	}
 }
 
 // sleepPolicy runs round-robin node lists with the register-then-sleep
 // wait discipline.
 type sleepPolicy struct {
 	noClose
-	lists [][]int32
+	sleepPlan
 
-	// executor[i] holds 1+worker of the thread sleeping on node i (0 =
-	// nobody registered).
-	executor []atomic.Int32
 	// wake[w] delivers wake-up tokens to worker w. Capacity 1: at most
 	// one wake can be outstanding, and spurious tokens (from a
 	// registration that resolved itself) are absorbed by re-checking the
@@ -49,16 +64,17 @@ type sleepPolicy struct {
 	wake []chan struct{}
 }
 
-func newSleepPolicy(p *graph.Plan, threads int) *sleepPolicy {
-	pol := &sleepPolicy{
-		lists:    roundRobinLists(p, threads),
-		executor: make([]atomic.Int32, p.Len()),
-		wake:     make([]chan struct{}, threads),
-	}
+func newSleepPolicy(sp sleepPlan, threads int) *sleepPolicy {
+	pol := &sleepPolicy{sleepPlan: sp, wake: make([]chan struct{}, threads)}
 	for w := 0; w < threads; w++ {
 		pol.wake[w] = make(chan struct{}, 1)
 	}
 	return pol
+}
+
+func (pol *sleepPolicy) stage(p *graph.Plan, threads int) func() {
+	sp := newSleepPlan(p, threads)
+	return func() { pol.sleepPlan = sp }
 }
 
 func (pol *sleepPolicy) name() string { return NameSleep }

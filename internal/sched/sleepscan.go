@@ -26,11 +26,8 @@ func NewSleepScan(p *graph.Plan, o Options) (*SleepScan, error) {
 	if err := checkThreads(p, o.Threads); err != nil {
 		return nil, err
 	}
-	pol := &sleepScanPolicy{sleepPolicy: newSleepPolicy(p, o.Threads)}
-	pol.ran = make([][]bool, o.Threads)
-	for w := 0; w < o.Threads; w++ {
-		pol.ran[w] = make([]bool, len(pol.lists[w]))
-	}
+	sp, ran := newSleepScanPlan(p, o.Threads)
+	pol := &sleepScanPolicy{sleepPolicy: newSleepPolicy(sp, o.Threads), ran: ran}
 	return &SleepScan{core: newCore(p, o.Threads, o.Observer, pol, waitBlock)}, nil
 }
 
@@ -45,7 +42,23 @@ type sleepScanPolicy struct {
 	ran [][]bool
 }
 
+// newSleepScanPlan is SLEEPSCAN's per-plan state: SLEEP's, plus ran rows
+// matching the list lengths.
+func newSleepScanPlan(p *graph.Plan, threads int) (sleepPlan, [][]bool) {
+	sp := newSleepPlan(p, threads)
+	ran := make([][]bool, threads)
+	for w := range ran {
+		ran[w] = make([]bool, len(sp.lists[w]))
+	}
+	return sp, ran
+}
+
 func (pol *sleepScanPolicy) name() string { return NameSleepScan }
+
+func (pol *sleepScanPolicy) stage(p *graph.Plan, threads int) func() {
+	sp, ran := newSleepScanPlan(p, threads)
+	return func() { pol.sleepPlan, pol.ran = sp, ran }
+}
 
 // runCycle executes worker w's list, preferring the earliest queued node
 // but running any later ready node rather than sleeping.

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"djstar/internal/graph"
 )
@@ -29,8 +28,9 @@ import (
 //
 // Every allocation adoption needs — fresh done stamps and pending
 // counters, the fault arrays of the new epoch, and the policy's per-plan
-// state (node lists, deques) — is performed at STAGING time, on the
-// staging goroutine, off the audio path. The adopting cycle boundary
+// state (node lists, deques; see policy.stage) — is performed at STAGING
+// time, on the staging goroutine, off the audio path, by the same
+// builder the strategy's constructor calls. The adopting cycle boundary
 // only installs the prebuilt structures and copies surviving per-node
 // state, keeping the swap-boundary cycle close to steady-state cost.
 
@@ -66,8 +66,9 @@ func (sw Swap) validate(threads int) error {
 // to the adopting thread.
 type stagedSwap struct {
 	sw Swap
-	// pre is the policy's prestaged per-plan state (see policy.prestage).
-	pre any
+	// install assigns the policy's prebuilt per-plan state (see
+	// policy.stage).
+	install func()
 	// done and pending are fresh per-node arrays for the new plan. Fresh
 	// stamps read as generation 0 — stale for every future cycle, exactly
 	// like a freshly built core's.
@@ -89,7 +90,7 @@ func (c *core) StageSwap(sw Swap) error {
 	}
 	c.staged.Store(&stagedSwap{
 		sw:      sw,
-		pre:     c.pol.prestage(sw.Plan, c.threads),
+		install: c.pol.stage(sw.Plan, c.threads),
 		done:    make([]doneStamp, sw.Plan.Len()),
 		pending: make([]depCount, sw.Plan.Len()),
 		faults:  newFaultArrays(sw.Plan),
@@ -115,128 +116,6 @@ func (c *core) AdoptStaged() bool {
 	}
 	c.done = st.done
 	c.pending = st.pending
-	c.pol.replan(c, st.pre)
+	st.install()
 	return true
-}
-
-// Policy prestage/replan pairs: prestage builds the per-plan strategy
-// state on the staging goroutine (immutable inputs only); replan
-// installs it on the adoption thread between cycles, rebuilding inline
-// when no prestaged state is available (defensive fallback — StageSwap
-// always provides one).
-
-// prestage for the list-spinning strategies (BUSY and STATIC) re-deals
-// the new plan's rank order round-robin. For STATIC this means an
-// offline schedule does not survive a topology edit — the old assignment
-// names nodes that no longer exist — so the strategy degrades to
-// BusyWait's dealing until a new schedule is installed via a subsequent
-// swap.
-func (pol *listSpinPolicy) prestage(p *graph.Plan, threads int) any {
-	return roundRobinLists(p, threads)
-}
-
-func (pol *listSpinPolicy) replan(c *core, pre any) {
-	if lists, ok := pre.([][]int32); ok {
-		pol.lists = lists
-		return
-	}
-	pol.lists = roundRobinLists(c.plan, c.threads)
-}
-
-// sleepPre is the prestaged per-plan state of SLEEP: fresh lists and
-// zeroed executor registrations (stale registrations would name nodes of
-// the old epoch).
-type sleepPre struct {
-	lists    [][]int32
-	executor []atomic.Int32
-}
-
-func (pol *sleepPolicy) prestage(p *graph.Plan, threads int) any {
-	return &sleepPre{
-		lists:    roundRobinLists(p, threads),
-		executor: make([]atomic.Int32, p.Len()),
-	}
-}
-
-func (pol *sleepPolicy) replan(c *core, pre any) {
-	if sp, ok := pre.(*sleepPre); ok {
-		pol.lists = sp.lists
-		pol.executor = sp.executor
-		return
-	}
-	pol.lists = roundRobinLists(c.plan, c.threads)
-	if len(pol.executor) != c.plan.Len() {
-		pol.executor = make([]atomic.Int32, c.plan.Len())
-		return
-	}
-	for i := range pol.executor {
-		pol.executor[i].Store(0)
-	}
-}
-
-// sleepScanPre extends sleepPre with fresh ran rows matching the new
-// list lengths.
-type sleepScanPre struct {
-	sleep *sleepPre
-	ran   [][]bool
-}
-
-func (pol *sleepScanPolicy) prestage(p *graph.Plan, threads int) any {
-	sp := pol.sleepPolicy.prestage(p, threads).(*sleepPre)
-	ran := make([][]bool, threads)
-	for w := range ran {
-		ran[w] = make([]bool, len(sp.lists[w]))
-	}
-	return &sleepScanPre{sleep: sp, ran: ran}
-}
-
-func (pol *sleepScanPolicy) replan(c *core, pre any) {
-	if ssp, ok := pre.(*sleepScanPre); ok {
-		pol.sleepPolicy.replan(c, ssp.sleep)
-		pol.ran = ssp.ran
-		return
-	}
-	pol.sleepPolicy.replan(c, nil)
-	for w := range pol.ran {
-		pol.ran[w] = make([]bool, len(pol.lists[w]))
-	}
-}
-
-// wsPre is the prestaged per-plan state of WS: fresh plan-sized deques
-// and the per-worker source seed lists. Deques are empty between cycles,
-// so dropping the old ones at adoption loses nothing.
-type wsPre struct {
-	deques  []dequeIface
-	initial [][]int32
-}
-
-func (pol *wsPolicy) prestage(p *graph.Plan, threads int) any {
-	deques := make([]dequeIface, threads)
-	for w := range deques {
-		if pol.opts.LockedDeque {
-			deques[w] = NewLockedDeque(p.Len() + 1)
-		} else {
-			deques[w] = NewDeque(p.Len() + 1)
-		}
-	}
-	return &wsPre{
-		deques:  deques,
-		initial: initialSources(p, threads, pol.opts.RoundRobinInit),
-	}
-}
-
-func (pol *wsPolicy) replan(c *core, pre any) {
-	if wp, ok := pre.(*wsPre); ok {
-		pol.deques = wp.deques
-		pol.initial = wp.initial
-		return
-	}
-	for w := 0; w < pol.threads; w++ {
-		if pol.opts.LockedDeque {
-			pol.deques[w] = NewLockedDeque(c.plan.Len() + 1)
-		} else {
-			pol.deques[w] = NewDeque(c.plan.Len() + 1)
-		}
-	}
-	pol.initial = initialSources(c.plan, pol.threads, pol.opts.RoundRobinInit)
 }

@@ -47,21 +47,29 @@ func NewWorkSteal(p *graph.Plan, o Options) (*WorkSteal, error) {
 		return nil, err
 	}
 	threads := o.Threads
-	pol := &wsPolicy{
-		threads: threads,
-		opts:    o.WS,
-		deques:  make([]dequeIface, threads),
-	}
+	pol := &wsPolicy{threads: threads, opts: o.WS, wsPlan: newWSPlan(p, threads, o.WS)}
 	pol.cond = sync.NewCond(&pol.mu)
-	for w := 0; w < threads; w++ {
-		if o.WS.LockedDeque {
-			pol.deques[w] = NewLockedDeque(p.Len() + 1)
+	return &WorkSteal{core: newCore(p, threads, o.Observer, pol, waitBlock), pol: pol}, nil
+}
+
+// wsPlan is WS's per-plan state: plan-sized deques and the per-worker
+// source seed lists. Deques are empty between cycles, so replacing them
+// at a swap loses nothing.
+type wsPlan struct {
+	deques  []dequeIface
+	initial [][]int32 // per-worker source nodes, seeded each cycle
+}
+
+func newWSPlan(p *graph.Plan, threads int, opts WSOptions) wsPlan {
+	deques := make([]dequeIface, threads)
+	for w := range deques {
+		if opts.LockedDeque {
+			deques[w] = NewLockedDeque(p.Len() + 1)
 		} else {
-			pol.deques[w] = NewDeque(p.Len() + 1)
+			deques[w] = NewDeque(p.Len() + 1)
 		}
 	}
-	pol.initial = initialSources(p, threads, o.WS.RoundRobinInit)
-	return &WorkSteal{core: newCore(p, threads, o.Observer, pol, waitBlock), pol: pol}, nil
+	return wsPlan{deques: deques, initial: initialSources(p, threads, opts.RoundRobinInit)}
 }
 
 // initialSources assigns the dependency-free nodes to workers. With
@@ -118,9 +126,7 @@ type wsPolicy struct {
 	noClose
 	threads int
 	opts    WSOptions
-
-	deques  []dequeIface
-	initial [][]int32 // per-worker source nodes, seeded each cycle
+	wsPlan
 
 	remaining atomic.Int32
 
@@ -139,6 +145,11 @@ type wsPolicy struct {
 }
 
 func (pol *wsPolicy) name() string { return NameWorkSteal }
+
+func (pol *wsPolicy) stage(p *graph.Plan, threads int) func() {
+	wp := newWSPlan(p, threads, pol.opts)
+	return func() { pol.wsPlan = wp }
+}
 
 // beginCycle resets the dependency and completion counters.
 func (pol *wsPolicy) beginCycle(c *core) {

@@ -3,8 +3,9 @@
 #
 # Boots djserve with two shards and drives the whole /v1 lifecycle
 # over HTTP: create (placement must be justified with candidate
-# headrooms), retune, live-edit, a steady-state SLO window, then
-# drain + undrain (the session must land on the other shard), a
+# headrooms), retune, live-edit, the per-session read-outs the fleet
+# shares with the debug server (slo, critpath, trace), a steady-state
+# SLO window, then drain + undrain (the session must land on the other shard), a
 # /metrics scrape (session/shard labels must survive the migration),
 # and destroy. Exits non-zero if any step fails or if a shard breaches
 # the 5-per-10k SLO during the observation window.
@@ -72,6 +73,15 @@ if ! jq -s -e '
 	jq '.shards[].slo' "$s2" >&2
 	exit 1
 fi
+
+# The per-session read-outs come from the same route table as the debug
+# server's: the session's SLO budget, its measured critical path and its
+# sampled cycles as Chrome trace events (every 32nd cycle is sampled; the
+# SLO window above ran well over a thousand).
+curl -fsS "http://$addr/v1/sessions/smoke-b/slo" | jq -e '.target_per_10k == 5' >/dev/null
+curl -fsS "http://$addr/v1/sessions/smoke-b/critpath" | jq -e '(.names | length > 0) and .length_us > 0' >/dev/null
+curl -fsS "http://$addr/v1/sessions/smoke-b/trace" \
+	| jq -e '.traceEvents | map(select(.ph == "X")) | length >= 1' >/dev/null
 
 # Drain the shard hosting smoke-a: it must migrate, nothing may fail.
 curl -fsS -X POST "http://$addr/v1/shards/$src/drain" -o "$body"
