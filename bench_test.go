@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"djstar/internal/admission"
 	"djstar/internal/engine"
 	"djstar/internal/exp"
 	"djstar/internal/graph"
@@ -189,52 +188,6 @@ func BenchmarkFig11(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkObsOverhead measures the same busy-wait APC cycle with each
-// always-on instrumentation layer A/B'd against the full default:
-// obs=on is the production configuration (observability collector AND
-// telemetry collector live), obs=off removes only the obs collector,
-// tel=off removes only the telemetry collector, adm=on adds the
-// admission gate on top of the production configuration (all of its
-// analysis runs off-cycle, so the contract is zero added cost and zero
-// added allocations on the hot path). CI compares the ratios against
-// checked-in baselines (scripts/check_obs_overhead.sh) — the contract
-// is that always-on instrumentation stays within noise of free.
-func BenchmarkObsOverhead(b *testing.B) {
-	run := func(b *testing.B, obsOff, telOff, admOn bool) {
-		cfg := engine.Config{
-			Graph:     benchGraphConfig(),
-			Strategy:  sched.NameBusyWait,
-			Threads:   4,
-			Obs:       engine.ObsOptions{Disable: obsOff},
-			Telemetry: engine.TelemetryOptions{Disable: telOff},
-		}
-		if admOn {
-			cfg.Admission = engine.AdmissionOptions{
-				Enabled:      true,
-				Config:       admission.Config{PeriodUS: 1e9},
-				PredictEvery: -1, // measure the per-cycle path, not the monitor
-			}
-		}
-		e, err := engine.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(e.Close)
-		for i := 0; i < 20; i++ {
-			e.Cycle(nil)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Cycle(nil)
-		}
-	}
-	b.Run("obs=on", func(b *testing.B) { run(b, false, false, false) })
-	b.Run("obs=off", func(b *testing.B) { run(b, true, false, false) })
-	b.Run("tel=off", func(b *testing.B) { run(b, false, true, false) })
-	b.Run("adm=on", func(b *testing.B) { run(b, false, false, true) })
 }
 
 // BenchmarkFig12 measures the BUSY/SLEEP strategy simulations of Fig. 12.
@@ -422,35 +375,6 @@ func BenchmarkPlanCompile(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkFusedCycle A/Bs one busy-wait APC cycle with chain fusion off
-// (the default, the paper's configuration) and on. CI gates the on/off
-// ratio (scripts/check_obs_overhead.sh): fusion must never make the
-// cycle slower.
-func BenchmarkFusedCycle(b *testing.B) {
-	run := func(b *testing.B, fuse bool) {
-		e, err := engine.New(engine.Config{
-			Graph:    benchGraphConfig(),
-			Strategy: sched.NameBusyWait,
-			Threads:  4,
-			FusePlan: fuse,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(e.Close)
-		for i := 0; i < 20; i++ {
-			e.Cycle(nil)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Cycle(nil)
-		}
-	}
-	b.Run("fusion=off", func(b *testing.B) { run(b, false) })
-	b.Run("fusion=on", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkSubstrates measures the main DSP substrates per packet, the

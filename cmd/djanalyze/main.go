@@ -52,7 +52,6 @@ import (
 	"djstar/internal/sched"
 	"djstar/internal/stats"
 	"djstar/internal/synth"
-	"djstar/internal/telemetry"
 )
 
 func main() {
@@ -414,7 +413,7 @@ func printFusedTopology(plan *graph.Plan, meansUS []float64) error {
 // graph structure + node means, verified against the path the live
 // engine recorded into the bundle.
 func analyzeIncident(path string) error {
-	inc, err := telemetry.LoadIncident(path)
+	inc, err := obs.LoadIncident(path)
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,7 @@
 //
 // Experiments: table1, fig4, fig8, fig9, fig10, fig11, fig12, deadlines,
 // profile, threadsweep, ablation, staticvsonline, designspace, nodecosts,
-// multisession, chaos, governor, critpath, obsoverhead, slo, fusion,
+// multisession, chaos, governor, critpath, slo, fusion,
 // editswap, admission, all.
 package main
 
@@ -32,7 +32,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run (table1, fig4, fig8, fig9, fig10, fig11, fig12, deadlines, profile, threadsweep, ablation, staticvsonline, designspace, nodecosts, multisession, chaos, governor, critpath, obsoverhead, slo, fusion, editswap, admission, loadgen, all)")
+		experiment = flag.String("experiment", "all", "experiment to run (table1, fig4, fig8, fig9, fig10, fig11, fig12, deadlines, profile, threadsweep, ablation, staticvsonline, designspace, nodecosts, multisession, chaos, governor, critpath, slo, fusion, editswap, admission, loadgen, all)")
 		cycles     = flag.Int("cycles", 10000, "APC iterations per measurement (paper: 10000)")
 		scale      = flag.Float64("scale", 1.0, "node cost scale (1.0 = paper scale, 0 = pure DSP)")
 		threads    = flag.Int("threads", 4, "maximum thread count (paper: 4)")
@@ -144,7 +144,6 @@ func main() {
 		{"chaos", wrap(exp.Chaos)},
 		{"governor", wrap(exp.Governor)},
 		{"critpath", wrap(exp.CritPath)},
-		{"obsoverhead", wrap(exp.ObsOverhead)},
 		{"slo", wrap(exp.SLO)},
 		{"fusion", wrap(exp.Fusion)},
 		{"editswap", wrap(exp.EditSwap)},

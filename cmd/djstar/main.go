@@ -35,7 +35,6 @@ import (
 	"djstar/internal/obs"
 	"djstar/internal/sched"
 	"djstar/internal/settings"
-	"djstar/internal/telemetry"
 )
 
 func main() {
@@ -54,7 +53,6 @@ func main() {
 		saveSet  = flag.String("save-settings", "", "save the final settings to this JSON file")
 		traceOut = flag.String("trace", "", "write sampled schedule realizations to this file as Chrome trace JSON (load in chrome://tracing or ui.perfetto.dev)")
 		httpAddr = flag.String("http", "", `serve live observability on this address (e.g. ":6060"): /debug/pprof/, /v1/sessions/{id}/snapshot|critpath|trace|slo, /metrics`)
-		metrics  = flag.String("metrics", "", `serve just the telemetry endpoint on this address (e.g. ":9090"): /metrics (OpenMetrics)`)
 		incDir   = flag.String("incident-dir", "", "write flight-recorder incident bundles to this directory (replay with djanalyze -incident)")
 		fuse     = flag.Bool("fuse", false, "compile the execution plan with cost-guided chain fusion (DESIGN.md §13)")
 		script   = flag.String("script", "", `timed live graph edits: a file of "@<cycle> <patch>" lines, e.g. "@500 insert-delay:A:2" (see DESIGN.md §14)`)
@@ -86,7 +84,7 @@ func main() {
 		Watchdog:       *watchdog,
 		Telemetry: engine.TelemetryOptions{
 			IncidentDir: *incDir,
-			OnIncident: func(path string, inc *telemetry.Incident) {
+			OnIncident: func(path string, inc *obs.Incident) {
 				fmt.Fprintf(os.Stderr, "INCIDENT %s: bundle written to %s\n", inc.Reason, path)
 			},
 		},
@@ -131,16 +129,6 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Printf("live observability on http://%s (pprof, /v1/sessions/%s/snapshot|critpath|trace|slo, /metrics)\n", srv.Addr(), e.SessionID())
-	}
-
-	if *metrics != "" {
-		msrv, err := telemetry.NewRegistry(e.Telemetry()).Serve(*metrics)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "djstar: -metrics: %v\n", err)
-			os.Exit(1)
-		}
-		defer msrv.Close()
-		fmt.Printf("telemetry on http://%s/metrics (OpenMetrics)\n", msrv.Addr())
 	}
 
 	if *loadSet != "" {

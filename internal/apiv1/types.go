@@ -11,7 +11,7 @@ package apiv1
 
 import (
 	"djstar/internal/admission"
-	"djstar/internal/telemetry"
+	"djstar/internal/obs"
 )
 
 // Version is the API version prefix.
@@ -38,7 +38,7 @@ type Session struct {
 
 	// SLO is the session's deadline-miss budget status (nil when
 	// telemetry is disabled).
-	SLO *telemetry.SLOStatus `json:"slo,omitempty"`
+	SLO *obs.SLOStatus `json:"slo,omitempty"`
 
 	// Verdict/BoundUS/HeadroomUS echo the admission decision that let
 	// the session in ("" when no gate was involved).

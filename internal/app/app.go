@@ -266,9 +266,7 @@ func (a *App) Cycle(m *engine.Metrics) {
 			total += d
 		}
 		// Feed the bus drop total into telemetry so /metrics exposes it.
-		if tel := a.Engine.Telemetry(); tel != nil {
-			tel.SetBusDrops(total)
-		}
+		a.Engine.Telemetry().SetBusDrops(total)
 		lastEdit := ""
 		if le := snap.LastEdit; le != nil {
 			if le.Applied {

@@ -9,6 +9,7 @@ import (
 
 	"djstar/internal/admission"
 	"djstar/internal/graph"
+	"djstar/internal/obs"
 	"djstar/internal/rescon"
 	"djstar/internal/sched"
 )
@@ -211,15 +212,12 @@ func (a *admissionRuntime) install(e *Engine) {
 		Report:  a.decision.Admitted,
 	}
 	a.state.Store(st)
-	if e.tel != nil {
-		e.tel.SetAdmissionBound(st.Report.BoundUS, st.Report.HeadroomUS)
-		if a.decision.Verdict == admission.VerdictDegraded {
-			e.tel.RecordAdmissionDegrade()
-		}
+	e.tel.SetAdmissionBound(st.Report.BoundUS, st.Report.HeadroomUS)
+	kind := obs.Admitted
+	if a.decision.Verdict == admission.VerdictDegraded {
+		kind = obs.AdmittedDegraded
 	}
-	if e.flight != nil {
-		e.flight.AddEvent(0, "admission", a.decision.Verdict.String()+": "+a.decision.Reason)
-	}
+	e.tel.Event(kind, 0, a.decision.Verdict.String()+": "+a.decision.Reason)
 	if a.every > 0 {
 		a.stop = make(chan struct{})
 		a.done = make(chan struct{})
@@ -292,9 +290,7 @@ func (a *admissionRuntime) refresh(e *Engine) {
 	}
 	a.state.Store(st)
 
-	if e.tel != nil {
-		e.tel.SetAdmissionBound(rep.BoundUS, rep.HeadroomUS)
-	}
+	e.tel.SetAdmissionBound(rep.BoundUS, rep.HeadroomUS)
 	if a.ctl != nil {
 		a.ctl.Update(a.ctlID, rep)
 	}
@@ -306,13 +302,8 @@ func (a *admissionRuntime) refresh(e *Engine) {
 		}
 		if a.overBudget.CompareAndSwap(false, true) {
 			// Rising edge: record the prediction once per excursion.
-			if e.flight != nil {
-				e.flight.AddEvent(e.cycleN.Load(), "admission-predict",
-					fmt.Sprintf("bound %.0f µs > envelope %.0f µs (%s costs)", rep.BoundUS, rep.EnvelopeUS, source))
-			}
-			if e.tel != nil {
-				e.tel.RecordPredictedOverload()
-			}
+			e.tel.Event(obs.PredictedOverload, e.cycleN.Load(),
+				fmt.Sprintf("bound %.0f µs > envelope %.0f µs (%s costs)", rep.BoundUS, rep.EnvelopeUS, source))
 			if e.cfg.Hooks.OnAdmission != nil {
 				e.cfg.Hooks.OnAdmission(AdmissionDecision{
 					Cycle:      e.cycleN.Load(),
@@ -391,9 +382,6 @@ func (a *admissionRuntime) checkEdit(e *Engine, plan *graph.Plan, remap *graph.R
 	}
 	if rep.Fits() {
 		return nil
-	}
-	if e.tel != nil {
-		e.tel.RecordRefusedEdit()
 	}
 	if e.cfg.Hooks.OnAdmission != nil {
 		e.cfg.Hooks.OnAdmission(AdmissionDecision{

@@ -107,8 +107,8 @@ func TestAdmissionAdmitsWithinEnvelope(t *testing.T) {
 	if snap.SchemaVersion != 4 || snap.Admission == nil || snap.Admission.Verdict != "admit" {
 		t.Fatalf("snapshot admission = %+v (schema %d)", snap.Admission, snap.SchemaVersion)
 	}
-	b, h := e.Telemetry().AdmissionBound()
-	if b != st.Report.BoundUS || h != st.Report.HeadroomUS {
+	tot := e.Telemetry().Totals()
+	if b, h := tot.AdmissionBoundUS, tot.AdmissionHeadroom; b != st.Report.BoundUS || h != st.Report.HeadroomUS {
 		t.Fatalf("telemetry gauges %v/%v, want %v/%v", b, h, st.Report.BoundUS, st.Report.HeadroomUS)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"djstar/internal/graph"
@@ -107,9 +108,11 @@ func (e *Engine) applyEditsLocked(es *graph.EditSet, desc string) error {
 			Cycle: e.cycleN.Load(), Epoch: e.planEpoch.Load(),
 			Ops: es.Len(), Err: err.Error(), Desc: desc,
 		})
-		if e.flight != nil {
-			e.flight.AddEvent(e.cycleN.Load(), "edit-rejected", desc+": "+err.Error())
+		kind := obs.EditRejected
+		if errors.Is(err, ErrUnschedulableEdit) {
+			kind = obs.EditRefused // the admission gate's refusals are counted
 		}
+		e.tel.Event(kind, e.cycleN.Load(), desc+": "+err.Error())
 		return err
 	}
 	g2, plan2, remap, err := base.g.Apply(es)
@@ -262,9 +265,7 @@ func (e *Engine) adoptStaged() {
 			Cycle: cyc, Epoch: e.planEpoch.Load(),
 			Ops: st.ops, Err: err.Error(), Desc: st.desc,
 		})
-		if e.flight != nil {
-			e.flight.AddEvent(cyc, "edit-rollback", st.desc+": "+err.Error())
-		}
+		e.tel.Event(obs.EditRollback, cyc, st.desc+": "+err.Error())
 		e.notifyTopology(TopologyChange{
 			Cycle: cyc, Epoch: e.planEpoch.Load(),
 			Nodes: old.plan.Len(), Ops: st.ops, Desc: st.desc,
@@ -286,9 +287,7 @@ func (e *Engine) adoptStaged() {
 	e.recordEdit(EditOutcome{
 		Cycle: cyc, Epoch: epoch, Ops: st.ops, Applied: true, Desc: st.desc,
 	})
-	if e.flight != nil {
-		e.flight.AddEvent(cyc, "plan-swap", fmt.Sprintf("%s (epoch %d)", st.desc, epoch))
-	}
+	e.tel.Event(obs.PlanSwap, cyc, fmt.Sprintf("%s (epoch %d)", st.desc, epoch))
 	e.notifyTopology(TopologyChange{
 		Cycle: cyc, Epoch: epoch, Nodes: st.topo.plan.Len(),
 		Ops: st.ops, Desc: st.desc, Applied: true,

@@ -27,7 +27,6 @@ import (
 	"djstar/internal/rescon"
 	"djstar/internal/sched"
 	"djstar/internal/stats"
-	"djstar/internal/telemetry"
 	"djstar/internal/timecode"
 )
 
@@ -118,22 +117,21 @@ type Config struct {
 	// sampled schedule realizations); see ObsOptions.
 	Obs ObsOptions
 
-	// Telemetry tunes the always-on production-telemetry collector
-	// (latency histograms, SLO budget, flight recorder); see
-	// TelemetryOptions.
+	// Telemetry tunes the always-on production-telemetry sink (latency
+	// histograms, SLO budget, flight recorder); see TelemetryOptions.
 	Telemetry TelemetryOptions
 }
 
-// TelemetryOptions tune the engine's telemetry collector and flight
-// recorder. The zero value keeps both on with the paper's SLO budget
-// (5 misses per 10,000 cycles); incident bundles are only written when
-// IncidentDir is set.
+// TelemetryOptions tune the engine's telemetry sink (obs.Sink). The
+// zero value keeps it on with the paper's SLO budget (5 misses per
+// 10,000 cycles); incident bundles are only written when IncidentDir is
+// set.
 type TelemetryOptions struct {
 	// Disable turns telemetry off entirely — no histograms, no SLO
 	// tracking, no flight recorder. Meant for overhead A/B measurement.
 	Disable bool
 	// SLO sets the deadline-miss budget (zero value = 5 per 10k).
-	SLO telemetry.SLOConfig
+	SLO obs.SLOConfig
 	// IncidentDir, when set, enables incident-bundle dumps: on a budget
 	// blow-out, quarantine or stall, the flight recorder writes a
 	// self-contained JSON bundle there (replay with djanalyze -incident).
@@ -144,11 +142,11 @@ type TelemetryOptions struct {
 	Session string
 	// Shard labels the metric series with the shard currently hosting
 	// the session (fleet mode; empty = label omitted). Migration updates
-	// it via Collector.SetShard.
+	// it via Sink.SetShard.
 	Shard string
 	// OnIncident, when set, is notified after an incident bundle is
 	// written (called on the dump goroutine, never the audio path).
-	OnIncident func(path string, inc *telemetry.Incident)
+	OnIncident func(path string, inc *obs.Incident)
 }
 
 // ObsOptions tune the engine's observability collector. The zero value
@@ -236,10 +234,9 @@ type Engine struct {
 	// predictive monitor.
 	adm *admissionRuntime
 
-	// tel is the telemetry collector and flight its incident recorder
-	// (both nil when cfg.Telemetry.Disable).
-	tel    *telemetry.Collector
-	flight *telemetry.Recorder
+	// tel is the telemetry sink; nil — the disabled sink, every call a
+	// no-op — when cfg.Telemetry.Disable.
+	tel *obs.Sink
 	// lastTraceSeq is the collector trace sequence already delivered to
 	// Hooks.OnTrace; traceScratch is the reused copy handed to the hook.
 	lastTraceSeq uint64
@@ -383,23 +380,19 @@ func New(cfg Config) (*Engine, error) {
 	e.govFactor.Store(math.Float64bits(1))
 
 	if !cfg.Telemetry.Disable {
-		e.tel = telemetry.NewCollector(telemetry.Config{
-			Strategy: scheduler.Name(),
-			Session:  cfg.Telemetry.Session,
-			Shard:    cfg.Telemetry.Shard,
-			SLO:      cfg.Telemetry.SLO,
+		e.tel = obs.NewSink(obs.SinkConfig{
+			Strategy:    scheduler.Name(),
+			Session:     cfg.Telemetry.Session,
+			Shard:       cfg.Telemetry.Shard,
+			SLO:         cfg.Telemetry.SLO,
+			IncidentDir: cfg.Telemetry.IncidentDir,
+			OnIncident:  cfg.Telemetry.OnIncident,
+			Fill:        e.fillIncident,
 		})
-		e.flight = telemetry.NewRecorder(e.tel, telemetry.RecorderConfig{
-			Dir:    cfg.Telemetry.IncidentDir,
-			OnDump: cfg.Telemetry.OnIncident,
-		})
-		e.flight.SetBundleFiller(e.fillIncident)
 	}
 
 	scheduler.SetFaultPolicy(cfg.FaultPolicy)
-	if e.tel != nil || cfg.Hooks.OnFault != nil {
-		scheduler.SetFaultHandler(e.onFault)
-	}
+	scheduler.SetFaultHandler(e.onFault)
 	if cfg.Governor.Enabled {
 		e.gov = newGovernor(cfg.Governor, scheduler, plan, func(f float64) {
 			e.govFactor.Store(math.Float64bits(f))
@@ -630,9 +623,7 @@ func (e *Engine) Close() {
 	if e.wd != nil {
 		e.wd.close()
 	}
-	if e.flight != nil {
-		e.flight.Flush()
-	}
+	e.tel.Flush()
 	e.staged.Store(nil)
 	e.sch().Close()
 	if e.ownedPool != nil {
@@ -786,9 +777,7 @@ func (e *Engine) Cycle(m *Metrics) {
 		rec.gov = e.gov.Level()
 	}
 	e.totals.add(&rec)
-	if e.tel != nil && e.tel.RecordCycle(graph.UnixSec(t4), rec.apc, rec.graph, rec.miss, int32(rec.gov)) {
-		e.flight.Trigger(cyc, telemetry.TriggerBudget)
-	}
+	e.tel.RecordCycle(cyc, graph.UnixSec(t4), rec.apc, rec.graph, rec.miss, int32(rec.gov))
 	if e.cfg.Hooks.OnCycle != nil {
 		e.cfg.Hooks.OnCycle(rec.info())
 	}

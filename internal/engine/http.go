@@ -10,7 +10,6 @@ import (
 
 	"djstar/internal/apiv1"
 	"djstar/internal/obs"
-	"djstar/internal/telemetry"
 )
 
 // DebugServer is the optional live-observability HTTP endpoint
@@ -59,13 +58,13 @@ func StartDebugServer(addr string, e *Engine) (*DebugServer, error) {
 	}))
 	MountSessionRoutes(mux, lookup)
 
-	if tel := e.Telemetry(); tel != nil {
-		mux.Handle("/metrics", telemetry.NewRegistry(tel).Handler())
-	} else {
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		if e.cfg.Telemetry.Disable {
 			apiv1.Write(w, http.StatusServiceUnavailable, apiv1.Error{Error: "telemetry disabled"})
-		})
-	}
+			return
+		}
+		obs.ServeMetrics(w, e.tel)
+	})
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -130,7 +129,7 @@ func MountSessionRoutes(mux *http.ServeMux, lookup func(id string) *Engine) {
 		_ = obs.WriteChromeTrace(w, t.plan, t.col.Traces())
 	})
 	route("GET /v1/sessions/{id}/slo", func(w http.ResponseWriter, _ *http.Request, e *Engine) {
-		if e.tel == nil {
+		if e.cfg.Telemetry.Disable {
 			apiv1.Write(w, http.StatusServiceUnavailable, apiv1.Error{Error: "telemetry disabled"})
 			return
 		}
@@ -191,12 +190,12 @@ func V1Session(e *Engine) apiv1.Session {
 		s.APCMeanMS = nsToMS(tot.tpNS.Load()+tot.gpNS.Load()+tot.graphNS.Load()+tot.vcNS.Load()) / n
 		s.MissRate = float64(tot.misses.Load()) / n
 	}
-	if e.tel != nil {
+	if !e.cfg.Telemetry.Disable {
 		slo := e.tel.SLO()
 		s.SLO = &slo
-		if sh, err := strconv.Atoi(e.tel.Shard()); err == nil {
-			s.Shard = sh
-		}
+	}
+	if sh, err := strconv.Atoi(e.tel.Shard()); err == nil {
+		s.Shard = sh
 	}
 	if a := e.AdmissionState(); a != nil {
 		s.Verdict = a.Verdict

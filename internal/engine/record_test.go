@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"djstar/internal/graph"
+	"djstar/internal/obs"
 	"djstar/internal/sched"
-	"djstar/internal/telemetry"
 )
 
 // spinConfig is fastConfig with a small time-based spin load (RunSince
@@ -103,7 +103,7 @@ func TestIncidentTracesIndexBundledGraph(t *testing.T) {
 	cfg.Telemetry.IncidentDir = dir
 	// Keep the timing-dependent deadline-budget trigger (and its dump
 	// cooldown) out of the way of the explicit trigger below.
-	cfg.Telemetry.SLO = telemetry.SLOConfig{TargetPer10k: 10000}
+	cfg.Telemetry.SLO = obs.SLOConfig{TargetPer10k: 10000}
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -117,14 +117,14 @@ func TestIncidentTracesIndexBundledGraph(t *testing.T) {
 	if e.PlanEpoch() != 1 || e.Plan().Len() == before {
 		t.Fatalf("edit not adopted: epoch %d, %d nodes", e.PlanEpoch(), e.Plan().Len())
 	}
-	e.FlightRecorder().Trigger(e.Cycles(), telemetry.TriggerStall)
+	e.Telemetry().Event(obs.Stall, e.Cycles(), "")
 	e.Close() // flushes the dump
 
 	paths, _ := filepath.Glob(filepath.Join(dir, "incident-*.json"))
 	if len(paths) != 1 {
 		t.Fatalf("dumped %d bundles, want 1", len(paths))
 	}
-	inc, err := telemetry.LoadIncident(paths[0])
+	inc, err := obs.LoadIncident(paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}

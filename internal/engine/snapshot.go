@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"djstar/internal/obs"
-	"djstar/internal/telemetry"
-)
+import "djstar/internal/obs"
 
 // SnapshotSchemaVersion identifies the Snapshot wire shape; consumers
 // (HTTP endpoint, middleware bus, UI) check it instead of sniffing
@@ -73,7 +70,7 @@ type Snapshot struct {
 
 	// SLO is the deadline-miss budget status (nil when telemetry is
 	// disabled).
-	SLO *telemetry.SLOStatus `json:"slo,omitempty"`
+	SLO *obs.SLOStatus `json:"slo,omitempty"`
 
 	// Admission is the schedulability gate's status: verdict, analytical
 	// response-time bound vs envelope, predictive-overload flag (nil
@@ -98,9 +95,7 @@ func (e *Engine) Snapshot() Snapshot {
 		PlanEpoch:     e.planEpoch.Load(),
 		Health:        e.Health(),
 	}
-	if e.tel != nil {
-		s.Shard = e.tel.Shard()
-	}
+	s.Shard = e.tel.Shard()
 	if le := e.lastEdit.Load(); le != nil {
 		cp := *le
 		s.LastEdit = &cp
@@ -120,7 +115,7 @@ func (e *Engine) Snapshot() Snapshot {
 	s.GraphMaxMS = nsToMS(tot.graphMaxNS.Load())
 	s.APCMaxMS = nsToMS(tot.apcMaxNS.Load())
 
-	if e.tel != nil {
+	if !e.cfg.Telemetry.Disable {
 		slo := e.tel.SLO()
 		s.SLO = &slo
 	}

@@ -10,10 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"djstar/internal/admission"
 	"djstar/internal/faults"
 	"djstar/internal/graph"
+	"djstar/internal/obs"
 	"djstar/internal/sched"
-	"djstar/internal/telemetry"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -38,12 +39,12 @@ func seededFaultConfig(t *testing.T, dir string) Config {
 		Threads:  4,
 		Telemetry: TelemetryOptions{
 			IncidentDir: dir,
-			SLO:         telemetry.SLOConfig{TargetPer10k: 10000},
+			SLO:         obs.SLOConfig{TargetPer10k: 10000},
 		},
 	}
 }
 
-func runSeededIncident(t *testing.T) *telemetry.Incident {
+func runSeededIncident(t *testing.T) *obs.Incident {
 	t.Helper()
 	dir := t.TempDir()
 	e, err := New(seededFaultConfig(t, dir))
@@ -56,7 +57,7 @@ func runSeededIncident(t *testing.T) *telemetry.Incident {
 	if len(paths) != 1 {
 		t.Fatalf("seeded faults dumped %d bundles, want 1: %v", len(paths), paths)
 	}
-	inc, err := telemetry.LoadIncident(paths[0])
+	inc, err := obs.LoadIncident(paths[0])
 	if err != nil {
 		t.Fatalf("LoadIncident: %v", err)
 	}
@@ -65,7 +66,7 @@ func runSeededIncident(t *testing.T) *telemetry.Incident {
 
 func TestEngineIncidentReplayMatchesLive(t *testing.T) {
 	inc := runSeededIncident(t)
-	if inc.Reason != telemetry.TriggerQuarantine {
+	if inc.Reason != obs.Quarantine.String() {
 		t.Fatalf("reason = %q, want quarantine", inc.Reason)
 	}
 	if inc.Strategy != sched.NameBusyWait || inc.Threads != 4 || inc.Session != "0" {
@@ -120,11 +121,11 @@ func TestEngineIncidentReplayMatchesLive(t *testing.T) {
 // (wall-clock, timing-derived measurements, sampled traces) so the rest
 // of the bundle — trigger identity, event sequence, graph structure —
 // can be compared against a golden file byte for byte.
-func normalizeIncident(inc *telemetry.Incident) *telemetry.Incident {
+func normalizeIncident(inc *obs.Incident) *obs.Incident {
 	n := *inc
 	n.UnixNanos = 0
-	n.SLO = telemetry.SLOStatus{}
-	n.Totals = telemetry.Totals{}
+	n.SLO = obs.SLOStatus{}
+	n.Totals = obs.Totals{}
 	n.Traces = nil
 	n.Series = nil
 	n.NodeMeansUS = nil
@@ -224,6 +225,82 @@ func TestEngineMetricsEndpointDisabledTelemetry(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("/metrics with telemetry disabled: status = %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestEventsWithAndWithoutSink drives one scripted run — three contained
+// panics ending in a quarantine, a stall, governor escalations, an
+// adopted and a rolled-back edit, an admission decision — through an
+// engine with the telemetry sink and one with Telemetry.Disable. Every
+// event call is unguarded, so the disabled engine exercises the nil-sink
+// path: it must not panic and its Snapshot must account the run exactly
+// as the enabled engine's does.
+func TestEventsWithAndWithoutSink(t *testing.T) {
+	run := func(disable bool) (Snapshot, *Engine) {
+		specs, err := faults.Parse("panic:FXA2@2x3, stall:Mixer@14:300ms")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := fastConfig(sched.NameBusyWait, 4)
+		cfg.Graph.Faults = faults.New(1, specs...)
+		cfg.Watchdog, cfg.WatchdogWallMS = true, 100
+		// Every cycle misses a 1 ns deadline: one escalation per window,
+		// the first (meters) at cycle 4, FX only shed from cycle 8.
+		cfg.Governor = GovernorConfig{Enabled: true, Window: 4, DeadlineMS: 1e-6}
+		cfg.Admission = AdmissionOptions{Enabled: true, Config: admission.Config{PeriodUS: 1e9}, PredictEvery: -1}
+		cfg.Telemetry = TelemetryOptions{Disable: disable, SLO: obs.SLOConfig{TargetPer10k: 10000}}
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		e.RunCycles(16)
+		if err := e.ApplyPatch("insert-delay:A:2"); err != nil {
+			t.Fatal(err)
+		}
+		e.RunCycles(2)
+		es := &graph.EditSet{}
+		for i := 2; i < e.Plan().Len(); i++ {
+			es.RemoveNode(graph.NodeRef(i))
+		}
+		if err := e.ApplyEdits(es); err != nil { // graph-valid; refused at the swap
+			t.Fatal(err)
+		}
+		e.RunCycles(2)
+		return e.Snapshot(), e
+	}
+	on, eOn := run(false)
+	off, eOff := run(true)
+
+	if eOff.Telemetry() != nil || off.SLO != nil || off.Shard != "" {
+		t.Fatalf("disabled engine still reports telemetry: sink %v, slo %v", eOff.Telemetry(), off.SLO)
+	}
+	for _, s := range []Snapshot{on, off} {
+		if s.Cycles != 20 || s.PlanEpoch != 1 || s.LastEdit == nil || s.LastEdit.Applied || s.LastEdit.Err == "" {
+			t.Errorf("cycles %d, epoch %d, last edit %+v; want 20, 1, a rollback", s.Cycles, s.PlanEpoch, s.LastEdit)
+		}
+		h := s.Health
+		if h.Faults.Recovered != 3 || h.Faults.Quarantined != 1 || len(h.Quarantined) != 1 || h.Quarantined[0] != "FXA2" {
+			t.Errorf("faults = %+v, quarantined %v; want 3 recovered, FXA2 quarantined", h.Faults, h.Quarantined)
+		}
+		if h.Stalls < 1 || h.Level != GovCritical {
+			t.Errorf("stalls %d, level %v; want ≥ 1, critical", h.Stalls, h.Level)
+		}
+		if s.Admission == nil || s.Admission.Verdict != "admit" {
+			t.Errorf("admission = %+v, want admit", s.Admission)
+		}
+	}
+
+	// The enabled engine's sink saw each of those events exactly once.
+	tot := eOn.Telemetry().Totals()
+	want := obs.Totals{
+		Cycles: 20, DeadlineMisses: on.DeadlineMisses,
+		Faults: 3, Quarantines: 1, Stalls: uint64(on.Health.Stalls), GovTransitions: 3,
+		Incidents: 1 + uint64(on.Health.Stalls), GovLevel: int32(GovCritical),
+		AdmissionBoundUS: tot.AdmissionBoundUS, AdmissionHeadroom: tot.AdmissionHeadroom,
+	}
+	if tot != want {
+		t.Errorf("totals = %+v, want %+v", tot, want)
 	}
 }
 

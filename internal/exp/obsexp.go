@@ -78,53 +78,3 @@ func CritPath(o Options) (*CritPathResult, error) {
 	fprintf(o.Out, "parallelism (work / critical path): %.2f\n\n", res.Path.Parallelism)
 	return res, nil
 }
-
-// ObsOverheadResult is the observability overhead A/B measurement.
-type ObsOverheadResult struct {
-	// OnMS / OffMS are mean APC times with the collector enabled at the
-	// default sampling rate and fully disabled.
-	OnMS, OffMS float64
-	// Ratio is OnMS / OffMS (1.0 = free; the acceptance bar is < 1.02).
-	Ratio float64
-}
-
-// ObsOverhead measures the cost of the always-on collector: two otherwise
-// identical busy-wait runs, one with the collector at default sampling
-// and one with Obs.Disable. CI gates on the same A/B through
-// BenchmarkObsOverhead and scripts/check_obs_overhead.sh.
-func ObsOverhead(o Options) (*ObsOverheadResult, error) {
-	o.normalize()
-	run := func(disable bool) (float64, error) {
-		cfg := engine.Config{
-			Graph:     o.graphConfig(),
-			Strategy:  ParallelStrategies[0],
-			Threads:   o.MaxThreads,
-			DisableGC: o.Scale >= 0.5,
-			Obs:       engine.ObsOptions{Disable: disable},
-		}
-		e, err := engine.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		defer e.Close()
-		for i := 0; i < min(o.Cycles/10+1, 200); i++ {
-			e.Cycle(nil)
-		}
-		return e.RunCycles(o.Cycles).APC.Mean(), nil
-	}
-	// Interleave off/on to share thermal and frequency conditions.
-	off, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	on, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	res := &ObsOverheadResult{OnMS: on, OffMS: off, Ratio: on / off}
-	fprintf(o.Out, "Observability overhead (%d cycles, busy-wait, %d threads)\n\n", o.Cycles, o.MaxThreads)
-	fprintf(o.Out, "  collector off: %.4f ms mean APC\n", res.OffMS)
-	fprintf(o.Out, "  collector on:  %.4f ms mean APC\n", res.OnMS)
-	fprintf(o.Out, "  ratio:         %.4f (acceptance: < 1.02)\n\n", res.Ratio)
-	return res, nil
-}

@@ -30,7 +30,7 @@ type SLOResult struct {
 	Rows         []SLORow
 }
 
-// SLO runs every parallel strategy with the telemetry collector at its
+// SLO runs every parallel strategy with the telemetry sink at its
 // default budget (the paper's 5 misses per 10,000 cycles) and reports
 // how each strategy's miss distribution spends it — the experiment
 // behind EXPERIMENTS.md R4. Sequential runs too, as the overload

@@ -35,9 +35,9 @@ import (
 	"djstar/internal/engine"
 	"djstar/internal/graph"
 	"djstar/internal/hardware"
+	"djstar/internal/obs"
 	"djstar/internal/rescon"
 	"djstar/internal/sched"
-	"djstar/internal/telemetry"
 )
 
 // ErrSessionClosed reports an operation against a session whose driver
@@ -449,9 +449,7 @@ func (f *Fleet) migrate(s *Session, exclude int) (apiv1.Placement, error) {
 	src.ctl.Release(s.id)
 	s.shard.Store(int32(dst.id))
 	s.setHeadroom(placement.HeadroomUS)
-	if tel := s.eng.Telemetry(); tel != nil {
-		tel.SetShard(strconv.Itoa(dst.id))
-	}
+	s.eng.Telemetry().SetShard(strconv.Itoa(dst.id))
 	f.logf("migrate %s: shard %d -> %d (headroom %.0f µs)", s.id, src.id, dst.id, placement.HeadroomUS)
 	if f.cfg.OnPlacement != nil {
 		f.cfg.OnPlacement(placement)
@@ -512,19 +510,16 @@ func (f *Fleet) ShardStatus(shardID int) (apiv1.Shard, error) {
 		EnvelopeUS: sh.ctl.Envelope(),
 		Bounds:     sh.ctl.Sessions(),
 	}
-	st.SLO.TargetPer10k = 5 // telemetry's default; overwritten below from live sessions
+	// Every session is built from the one engine template, so the
+	// configured budget is the shard's, sessions or none.
+	st.SLO.TargetPer10k = f.cfg.Engine.Telemetry.SLO.WithDefaults().TargetPer10k
 	for _, s := range f.Sessions() {
 		if s.Shard() != shardID {
 			continue
 		}
-		tel := s.eng.Telemetry()
-		if tel == nil {
-			continue
-		}
-		slo := tel.SLO()
+		slo := s.eng.Telemetry().SLO()
 		st.SLO.Cycles += slo.TotalCycles
 		st.SLO.Misses += slo.TotalMisses
-		st.SLO.TargetPer10k = slo.TargetPer10k
 		if slo.BurnRate1m > st.SLO.WorstBurn1m {
 			st.SLO.WorstBurn1m = slo.BurnRate1m
 		}
@@ -536,16 +531,15 @@ func (f *Fleet) ShardStatus(shardID int) (apiv1.Shard, error) {
 	return st, nil
 }
 
-// Registry assembles an OpenMetrics registry over every live session's
-// telemetry collector (sessions carry their shard label themselves).
-func (f *Fleet) Registry() *telemetry.Registry {
-	r := telemetry.NewRegistry()
-	for _, s := range f.Sessions() {
-		if tel := s.eng.Telemetry(); tel != nil {
-			r.Add(tel)
-		}
+// Sinks lists every live session's telemetry sink for a /metrics scrape
+// (sessions carry their shard label themselves).
+func (f *Fleet) Sinks() []*obs.Sink {
+	sessions := f.Sessions()
+	sinks := make([]*obs.Sink, len(sessions))
+	for i, s := range sessions {
+		sinks[i] = s.eng.Telemetry()
 	}
-	return r
+	return sinks
 }
 
 // Close stops every session and every shard pool. Idempotent.

@@ -286,3 +286,42 @@ func TestReportFollowsGraphShape(t *testing.T) {
 			small.rep.TotalWorkUS, small.BoundUS(), big.rep.TotalWorkUS, big.BoundUS())
 	}
 }
+
+// TestShardStatusReportsConfiguredSLOTarget: a shard's SLO rollup states
+// the budget the fleet was configured with — also when no session is on
+// the shard to read it from.
+func TestShardStatusReportsConfiguredSLOTarget(t *testing.T) {
+	cfg := testConfig()
+	cfg.Engine.Telemetry.SLO.TargetPer10k = 2
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, _, err := f.AddSession(engine.SessionSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shard := 0; shard < 2; shard++ {
+		st, err := f.ShardStatus(shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hosts := shard == s.Shard(); (st.Sessions == 1) != hosts || st.Sessions > 1 {
+			t.Fatalf("shard %d hosts %d sessions; the session is on shard %d", shard, st.Sessions, s.Shard())
+		}
+		if st.SLO.TargetPer10k != 2 {
+			t.Errorf("shard %d (%d sessions): target_per_10k = %v, want the configured 2", shard, st.Sessions, st.SLO.TargetPer10k)
+		}
+	}
+
+	// The default stays the paper's 5 per 10k.
+	d, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if st, _ := d.ShardStatus(0); st.SLO.TargetPer10k != 5 || !st.SLO.Healthy {
+		t.Errorf("default empty shard: %+v, want target 5, healthy", st.SLO)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"djstar/internal/admission"
 	"djstar/internal/apiv1"
 	"djstar/internal/engine"
+	"djstar/internal/obs"
 	"djstar/internal/sched"
 )
 
@@ -148,10 +149,10 @@ func (f *Fleet) Handler() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	}))
 
-	// The registry is rebuilt per scrape: sessions churn, and each
-	// session's collector carries its own session+shard labels.
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		f.Registry().Handler().ServeHTTP(w, r)
+	// The sink list is rebuilt per scrape: sessions churn, and each
+	// session's sink carries its own session+shard labels.
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		obs.ServeMetrics(w, f.Sinks()...)
 	})
 	return mux
 }

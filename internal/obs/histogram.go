@@ -1,18 +1,4 @@
-// Package telemetry is the engine's production-telemetry layer: it turns
-// the point-in-time views the observability collector already provides
-// (internal/obs) into the longitudinal signals a fleet operator scrapes
-// and alerts on — latency histograms, a rolling time series, an SLO
-// deadline-miss budget, an OpenMetrics /metrics endpoint, and a flight
-// recorder that dumps a self-contained incident bundle when the budget
-// blows, a node is quarantined, or the watchdog fires.
-//
-// The paper's headline result is itself an SLO — ~5 of 10,000 APC cycles
-// miss the 2.902 ms deadline (§V) — so the budget tracker defaults to
-// exactly that target. Everything recorded on the audio path (histogram
-// record, ring tick, SLO window update) is allocation-free; readers take
-// a mutex the recorder holds only briefly once per cycle, mirroring the
-// obs shard-merge discipline.
-package telemetry
+package obs
 
 import (
 	"math"

@@ -1,16 +1,27 @@
-// Package obs is the engine's observability layer: always-on per-node
-// timing statistics, schedule-realization capture, and critical-path
-// analysis over a compiled task graph.
+// Package obs is the engine's observability layer, in two halves with
+// two lifetimes.
 //
-// The paper's headline results are measurements of the schedule itself —
-// the 295 µs infinite-processor makespan, the 327 µs simulated BUSY
-// schedule, the Fig. 11 realization — so the collector is designed to
-// observe every audio processing cycle without perturbing it: each
-// worker appends its node executions to a private preallocated shard
-// (no atomics, no locks, no allocation on the hot path), and the
-// Execute caller merges the shards into the aggregates at cycle end.
-// Readers (UI, HTTP endpoint, analyzers) take a mutex that the merge
-// holds only briefly, once per cycle, off the node hot path.
+// Collector is per plan: always-on per-node timing statistics,
+// schedule-realization capture, and critical-path analysis over a
+// compiled task graph. The paper's headline results are measurements of
+// the schedule itself — the 295 µs infinite-processor makespan, the
+// 327 µs simulated BUSY schedule, the Fig. 11 realization — so the
+// collector is designed to observe every audio processing cycle without
+// perturbing it: each worker appends its node executions to a private
+// preallocated shard (no atomics, no locks, no allocation on the hot
+// path), and the Execute caller merges the shards into the aggregates at
+// cycle end. Readers (UI, HTTP endpoint, analyzers) take a mutex that
+// the merge holds only briefly, once per cycle, off the node hot path.
+//
+// Sink is per engine: the longitudinal signals a fleet operator scrapes
+// and alerts on — cycle-latency histograms, a rolling per-second series,
+// an SLO deadline-miss budget, the OpenMetrics /metrics document, and a
+// flight recorder that dumps a self-contained incident bundle when the
+// budget blows, a node is quarantined, or the watchdog fires. The
+// paper's headline result is itself an SLO — ~5 of 10,000 APC cycles
+// miss the 2.902 ms deadline (§V) — so the budget defaults to exactly
+// that target. Everything the sink records on the audio path is
+// allocation-free, under one mutex taken once per cycle.
 package obs
 
 import (
@@ -21,8 +32,7 @@ import (
 )
 
 // Config tunes a Collector. The zero value (plus Workers) selects the
-// defaults: a 256-sample p99 window and a trace sample every 32nd cycle
-// kept in an 8-deep ring.
+// defaults: a trace sample every 32nd cycle kept in an 8-deep ring.
 type Config struct {
 	// Workers is the shard count — the scheduler's Threads(). Required.
 	Workers int
@@ -32,17 +42,16 @@ type Config struct {
 	// TraceRing is the number of retained sampled realizations
 	// (default 8).
 	TraceRing int
-	// P99Window is the per-node sample window for the p99 estimate
-	// (default 256).
-	P99Window int
 }
 
 // Defaults for Config fields.
 const (
 	DefaultTraceEvery = 32
 	DefaultTraceRing  = 8
-	DefaultP99Window  = 256
 )
+
+// p99Window is the per-node sample window behind the p99 estimate.
+const p99Window = 256
 
 func (c Config) withDefaults() Config {
 	if c.TraceEvery == 0 {
@@ -50,9 +59,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceRing <= 0 {
 		c.TraceRing = DefaultTraceRing
-	}
-	if c.P99Window <= 0 {
-		c.P99Window = DefaultP99Window
 	}
 	return c
 }
@@ -132,7 +138,7 @@ func NewCollector(p *graph.Plan, cfg Config) *Collector {
 	}
 	for i := range c.agg {
 		c.agg[i].minNS = int64(1) << 62
-		c.agg[i].win = make([]int64, cfg.P99Window)
+		c.agg[i].win = make([]int64, p99Window)
 	}
 	if cfg.TraceEvery > 0 {
 		c.ring = make([]CycleTrace, cfg.TraceRing)
@@ -280,7 +286,7 @@ func (c *Collector) NodeStats() []NodeStat {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]NodeStat, 0, len(c.agg))
-	scratch := make([]int64, 0, c.cfg.P99Window)
+	scratch := make([]int64, 0, p99Window)
 	for id := range c.agg {
 		a := &c.agg[id]
 		s := NodeStat{Node: int32(id), Name: c.plan.Names[id], Count: a.count}

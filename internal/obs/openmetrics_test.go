@@ -1,11 +1,12 @@
-package telemetry
+package obs
 
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"io"
-	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -145,23 +146,23 @@ func lintExposition(t *testing.T, doc string) map[string]float64 {
 	return samples
 }
 
-func scrapeString(t *testing.T, r *Registry) string {
+func scrapeString(t *testing.T, sinks ...*Sink) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := r.WriteOpenMetrics(&buf); err != nil {
+	if err := WriteOpenMetrics(&buf, sinks...); err != nil {
 		t.Fatalf("WriteOpenMetrics: %v", err)
 	}
 	return buf.String()
 }
 
 func TestOpenMetricsExpositionLints(t *testing.T) {
-	c := NewCollector(Config{Strategy: "busy", Session: "0"})
+	c := NewSink(SinkConfig{Strategy: "busy", Session: "0"})
 	for i := 0; i < 500; i++ {
-		c.RecordCycle(100, 1_200_000, 400_000, i%100 == 0, 0)
+		c.RecordCycle(uint64(i+1), 100, 1_200_000, 400_000, i%100 == 0, 0)
 	}
-	c.RecordFault(true)
-	reg := NewRegistry(c)
-	doc := scrapeString(t, reg)
+	c.Event(Quarantine, 500, "n")
+	// A nil (disabled) sink contributes no series.
+	doc := scrapeString(t, c, nil)
 	samples := lintExposition(t, doc)
 
 	mustHave := []string{
@@ -194,18 +195,17 @@ func TestOpenMetricsExpositionLints(t *testing.T) {
 }
 
 func TestOpenMetricsCountersMonotoneAcrossScrapes(t *testing.T) {
-	c := NewCollector(Config{Strategy: "ws", Session: "1"})
-	reg := NewRegistry(c)
+	c := NewSink(SinkConfig{Strategy: "ws", Session: "1"})
 	record := func(n int) {
 		for i := 0; i < n; i++ {
-			c.RecordCycle(42, 3_000_000, 2_900_000, true, 1)
+			c.RecordCycle(1, 42, 3_000_000, 2_900_000, true, 1)
 		}
 	}
 	record(100)
-	first := lintExposition(t, scrapeString(t, reg))
+	first := lintExposition(t, scrapeString(t, c))
 	record(50)
-	c.RecordFault(false)
-	second := lintExposition(t, scrapeString(t, reg))
+	c.Event(Fault, 150, "n")
+	second := lintExposition(t, scrapeString(t, c))
 	for series, v1 := range first {
 		if !strings.Contains(series, "_total{") {
 			continue
@@ -220,13 +220,12 @@ func TestOpenMetricsCountersMonotoneAcrossScrapes(t *testing.T) {
 }
 
 func TestOpenMetricsMultiSessionLabels(t *testing.T) {
-	a := NewCollector(Config{Strategy: "pool", Session: "0"})
-	b := NewCollector(Config{Strategy: "pool", Session: "1"})
-	a.RecordCycle(10, 1_000_000, 500_000, false, 0)
-	b.RecordCycle(10, 1_000_000, 500_000, false, 0)
-	b.RecordCycle(10, 1_000_000, 500_000, false, 0)
-	reg := NewRegistry(a, b)
-	samples := lintExposition(t, scrapeString(t, reg))
+	a := NewSink(SinkConfig{Strategy: "pool", Session: "0"})
+	b := NewSink(SinkConfig{Strategy: "pool", Session: "1"})
+	a.RecordCycle(1, 10, 1_000_000, 500_000, false, 0)
+	b.RecordCycle(1, 10, 1_000_000, 500_000, false, 0)
+	b.RecordCycle(2, 10, 1_000_000, 500_000, false, 0)
+	samples := lintExposition(t, scrapeString(t, a, b))
 	if samples[`djstar_cycles_total{strategy="pool",session="0"}`] != 1 {
 		t.Error("session 0 series wrong or missing")
 	}
@@ -235,28 +234,61 @@ func TestOpenMetricsMultiSessionLabels(t *testing.T) {
 	}
 }
 
-func TestRegistryHTTPEndpoints(t *testing.T) {
-	c := NewCollector(Config{Strategy: "busy"})
-	c.RecordCycle(10, 1_000_000, 500_000, false, 0)
-	reg := NewRegistry(c)
-	srv, err := reg.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	defer srv.Close()
-
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", srv.Addr()))
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
+func TestServeMetrics(t *testing.T) {
+	c := NewSink(SinkConfig{Strategy: "busy"})
+	c.RecordCycle(1, 10, 1_000_000, 500_000, false, 0)
+	rec := httptest.NewRecorder()
+	ServeMetrics(rec, c)
+	resp := rec.Result()
 	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status = %d", resp.StatusCode)
-	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("/metrics content type = %q", ct)
 	}
 	lintExposition(t, string(body))
+}
 
+// maskSamples replaces every sample value with V, leaving family names,
+// # HELP, # TYPE, label sets (le boundaries included) and their order.
+func maskSamples(doc string) string {
+	lines := strings.SplitAfter(doc, "\n")
+	for i, l := range lines {
+		if l == "" || strings.HasPrefix(l, "#") {
+			continue
+		}
+		if sp := strings.LastIndexByte(l, ' '); sp >= 0 {
+			lines[i] = l[:sp] + " V\n"
+		}
+	}
+	return strings.Join(lines, "")
+}
+
+// TestMetricsDocumentGolden pins the /metrics wire format: the golden
+// was captured from the internal/telemetry writer before that package
+// was folded into this one, from the same recorded cycles and events.
+// Regenerate with `go test ./internal/obs -run Golden -update-golden`.
+func TestMetricsDocumentGolden(t *testing.T) {
+	a := NewSink(SinkConfig{Strategy: "busy", Session: "0"})
+	b := NewSink(SinkConfig{Strategy: "pool", Session: "s1", Shard: "2"})
+	for i := 0; i < 300; i++ {
+		a.RecordCycle(uint64(i+1), 100+int64(i/100), 1_200_000, 400_000, i%100 == 0, 1)
+		b.RecordCycle(uint64(i+1), 100, 300_000, 150_000, false, 0)
+	}
+	a.RecordCycle(301, 103, 3_000_000, 2_900_000, true, 2)
+	a.Event(Quarantine, 301, "n")
+	a.Event(Stall, 301, "n")
+	a.SetAdmissionBound(1800, 1100)
+	got := maskSamples(scrapeString(t, a, b))
+	golden := filepath.Join("testdata", "metrics.golden.txt")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update-golden)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("/metrics document diverged from golden file\ngot:\n%s\nwant:\n%s", got, want)
+	}
 }

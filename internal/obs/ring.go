@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 // RingSeconds is the rolling time-series retention: one slot per second,
 // 15 minutes deep — enough for the three standard SLO burn windows
@@ -26,7 +26,7 @@ type RingSlot struct {
 }
 
 // ring is the fixed-size per-second series. All methods are called with
-// the collector mutex held; the write path performs no allocation.
+// the sink mutex held; the write path performs no allocation.
 type ring struct {
 	slots [RingSeconds]RingSlot
 	// head indexes the slot for curSec; valid counts written slots.
@@ -49,6 +49,16 @@ func (r *ring) slotFor(sec int64) *RingSlot {
 		// Clock went backwards (or an old timestamp): fold into the
 		// current slot rather than corrupting the series.
 		sec = r.curSec
+	}
+	if sec-r.curSec >= RingSeconds {
+		// The whole retention was skipped (parked session, suspended VM,
+		// forward clock step): every slot is stale, so lay the ring out
+		// afresh in one pass instead of walking the gap second by second
+		// under the cycle-thread mutex.
+		for i := range r.slots {
+			r.slots[i] = RingSlot{UnixSec: sec - int64(RingSeconds-1-i)}
+		}
+		r.head, r.curSec, r.valid = RingSeconds-1, sec, RingSeconds
 	}
 	for r.curSec < sec {
 		r.curSec++

@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 // SLOConfig sets the deadline-miss budget. The zero value selects the
 // paper's own result as the objective: at most 5 misses per 10,000
@@ -11,7 +11,8 @@ type SLOConfig struct {
 	WindowCycles int
 }
 
-func (c SLOConfig) withDefaults() SLOConfig {
+// WithDefaults fills the zero fields with the paper's budget.
+func (c SLOConfig) WithDefaults() SLOConfig {
 	if c.TargetPer10k <= 0 {
 		c.TargetPer10k = 5
 	}
@@ -36,7 +37,7 @@ type sloWindow struct {
 }
 
 func newSLOWindow(cfg SLOConfig) *sloWindow {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	return &sloWindow{
 		cfg:  cfg,
 		bits: make([]uint64, (cfg.WindowCycles+63)/64),
@@ -115,7 +116,7 @@ type SLOStatus struct {
 	BurnRate15m float64 `json:"burn_rate_15m"`
 }
 
-// status assembles the view (collector mutex held).
+// status assembles the view (sink mutex held).
 func (w *sloWindow) status(totalCycles, totalMisses uint64, r *ring) SLOStatus {
 	s := SLOStatus{
 		TargetPer10k:  w.cfg.TargetPer10k,
