@@ -20,8 +20,9 @@ const goldenAudioHash uint64 = 0x32e95441956e18b8
 
 // audioHash runs the default 67-node graph spin-free for 2048 cycles under
 // the given strategy and folds every sample of the master, record and
-// monitor outputs into one FNV-1a hash.
-func audioHash(t *testing.T, strategy string, threads int) uint64 {
+// monitor outputs into one FNV-1a hash. between, when set, runs before
+// each cycle with the cycle's number: the place to work the decks.
+func audioHash(t *testing.T, strategy string, threads int, between func(c int, s *graph.Session)) uint64 {
 	t.Helper()
 	e, err := engine.New(engine.Config{Graph: graph.DefaultConfig(), Strategy: strategy, Threads: threads})
 	if err != nil {
@@ -38,6 +39,9 @@ func audioHash(t *testing.T, strategy string, threads int) uint64 {
 		}
 	}
 	for c := 0; c < 2048; c++ {
+		if between != nil {
+			between(c, e.Session())
+		}
 		e.Cycle(nil)
 		s := e.Session()
 		fold(s.MasterOut().L)
@@ -52,13 +56,52 @@ func audioHash(t *testing.T, strategy string, threads int) uint64 {
 // TestAudioHashMatchesPreRestructureKernels is the end-to-end half of the
 // bit-exactness oracle (the per-kernel half lives in each package's
 // oracle_test.go), and it holds every parallel executor to the same hash.
+// The settle step (dsp.Settle) leaves it where it was: what it turns to 0
+// is forty orders of magnitude under the last bit of any sample here.
 func TestAudioHashMatchesPreRestructureKernels(t *testing.T) {
-	seq := audioHash(t, sched.NameSequential, 1)
+	seq := audioHash(t, sched.NameSequential, 1, nil)
 	if seq != goldenAudioHash {
 		t.Fatalf("seq audio hash = %#x, want %#x: a kernel changed its output", seq, goldenAudioHash)
 	}
 	for _, strategy := range []string{sched.NameBusyWait, sched.NameWorkSteal, sched.NamePool} {
-		if got := audioHash(t, strategy, 4); got != seq {
+		if got := audioHash(t, strategy, 4, nil); got != seq {
+			t.Errorf("%s audio hash = %#x, want the seq hash %#x", strategy, got, seq)
+		}
+	}
+}
+
+// TestAudioHashWithPausedDecksIdenticalAcrossExecutors works the decks
+// mid-stream — pauses, resumes, a fader pulled down, all four silent at
+// once for a while — so that states settle to 0 and start up again inside
+// the hashed window, and requires every executor to produce the sequential
+// hash: settling is part of each kernel, not of who runs it.
+func TestAudioHashWithPausedDecksIdenticalAcrossExecutors(t *testing.T) {
+	script := func(c int, s *graph.Session) {
+		switch c {
+		case 200:
+			s.Decks[0].Pause()
+			s.Decks[2].Pause()
+		case 500:
+			s.Decks[1].Pause()
+			s.Strips[3].SetFader(0)
+		case 700:
+			s.Decks[3].Pause()
+		case 1300:
+			s.Decks[2].Play()
+		case 1500:
+			s.Decks[0].Play()
+			s.Decks[3].Play()
+			s.Strips[3].SetFader(1)
+		case 1800:
+			s.Decks[1].Play()
+		}
+	}
+	seq := audioHash(t, sched.NameSequential, 1, script)
+	if seq == goldenAudioHash {
+		t.Fatal("the deck script left the audio unchanged")
+	}
+	for _, strategy := range []string{sched.NameBusyWait, sched.NameWorkSteal, sched.NamePool} {
+		if got := audioHash(t, strategy, 4, script); got != seq {
 			t.Errorf("%s audio hash = %#x, want the seq hash %#x", strategy, got, seq)
 		}
 	}

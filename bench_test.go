@@ -394,3 +394,51 @@ func BenchmarkSubstrates(b *testing.B) {
 		}
 	})
 }
+
+// pausedDecksEngine returns a spin-free sequential engine (pure DSP, like
+// the benchmark's dsp-seq workload) whose first paused decks were paused
+// after 200 cycles of play, 3000 cycles ago: long enough for every biquad
+// on the silent decks to have decayed as far as it ever will. graphUS reports the graph stage
+// of the cycle that just ran.
+func pausedDecksEngine(tb testing.TB, paused int) (e *engine.Engine, graphUS func() float64) {
+	tb.Helper()
+	var last engine.CycleInfo
+	cfg := engine.Config{Graph: graph.DefaultConfig(), Strategy: sched.NameSequential, Threads: 1}
+	cfg.Graph.TrackBars = 4
+	cfg.Hooks.OnCycle = func(ci engine.CycleInfo) { last = ci }
+	e, err := engine.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(e.Close)
+	for i := 0; i < 3200; i++ {
+		if i == 200 { // with every filter and delay line full of sound
+			for d := 0; d < paused; d++ {
+				e.Session().Decks[d].Pause()
+			}
+		}
+		e.Cycle(nil)
+	}
+	return e, func() float64 { return last.GraphMS * 1e3 }
+}
+
+// BenchmarkPausedDecks measures the graph stage with 0, 1 and 3 of the
+// four decks paused. A paused deck feeds exact zeros into its SP filters,
+// effect chain and strip; with kernel cost independent of signal level
+// (DESIGN.md §21) the three figures are the same, where they used to be
+// 40, 250 and 650 us. ns/op is the whole cycle; graph-us/op the stage.
+func BenchmarkPausedDecks(b *testing.B) {
+	for _, paused := range []int{0, 1, 3} {
+		b.Run(fmt.Sprintf("paused=%d", paused), func(b *testing.B) {
+			e, graphUS := pausedDecksEngine(b, paused)
+			sum := 0.0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Cycle(nil)
+				sum += graphUS()
+			}
+			b.ReportMetric(sum/float64(b.N), "graph-us/op")
+		})
+	}
+}

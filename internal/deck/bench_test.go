@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"djstar/internal/audio"
+	"djstar/internal/dsp/dsptest"
 )
 
 // benchRead times ReadPacket on a deck looping over the whole test track:
@@ -50,6 +51,23 @@ func BenchmarkPitchShifterProcess(b *testing.B) {
 		copy(buf, src)
 		p.Process(buf, 1/0.97)
 	}
+}
+
+// BenchmarkSilenceTail times the key-lock shifter on sound and, beside it,
+// on the silence after it (dsptest.BenchSilenceTail). The shifter's line
+// is no feedback loop, so the two never differed; the pair is here so that
+// every kernel package reports the same two figures.
+func BenchmarkSilenceTail(b *testing.B) {
+	src := testTrack().Audio
+	b.Run("PitchShifter", func(b *testing.B) {
+		dsptest.BenchSilenceTail(b, 64, src.L[:audio.PacketSize], src.R[:audio.PacketSize], func() func(l, r []float64) {
+			pl, pr := NewPitchShifter(audio.SampleRate), NewPitchShifter(audio.SampleRate)
+			return func(l, r []float64) {
+				pl.Process(l, 1/0.97)
+				pr.Process(r, 1/0.97)
+			}
+		})
+	})
 }
 
 func TestPitchShifterProcessNoAlloc(t *testing.T) {

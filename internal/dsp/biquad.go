@@ -167,7 +167,14 @@ func (f *Biquad) SetCoeffsFrom(src *Biquad) {
 // Reset clears the filter state (the coefficients are kept).
 func (f *Biquad) Reset() { f.z1, f.z2 = 0, 0 }
 
-// ProcessSample filters one sample.
+// Settle ends a block of ProcessSample calls: a state that has decayed
+// below the floor becomes exactly 0 (see the package-level Settle). The
+// block kernels — Process, ProcessPair, the EQ cascades — do this
+// themselves on the way out.
+func (f *Biquad) Settle() { f.z1, f.z2 = Settle(f.z1), Settle(f.z2) }
+
+// ProcessSample filters one sample. A caller that runs it over a packet
+// calls Settle when the packet ends.
 func (f *Biquad) ProcessSample(x float64) float64 {
 	y := f.b0*x + f.z1
 	f.z1 = f.b1*x - f.a1*y + f.z2
@@ -185,7 +192,7 @@ func (f *Biquad) Process(buf []float64) {
 		z2 = b2*x - a2*y
 		buf[i] = y
 	}
-	f.z1, f.z2 = z1, z2
+	f.z1, f.z2 = Settle(z1), Settle(z2)
 }
 
 // MagnitudeAt returns the filter's magnitude response at frequency freq (Hz)

@@ -11,8 +11,9 @@ import "fmt"
 // loop iteration with every state variable in a local, which lets the
 // core overlap the chains. Each section still performs exactly the
 // operations of Process in the same order on the same inputs (stage k
-// reads stage k-1's output for the same sample), so the results are
-// bit-identical to running the sections one pass after another.
+// reads stage k-1's output for the same sample) and settles its state the
+// same way when the block ends, so the results are bit-identical to
+// running the sections one pass after another.
 
 // tick advances the section by one sample. The caller carries the state
 // in locals across the loop and stores it back once at the end; going
@@ -43,7 +44,7 @@ func ProcessPair(fl, fr *Biquad, dstL, dstR, srcL, srcR []float64) {
 		dstL[i], l1, l2 = fl.tick(x, l1, l2)
 		dstR[i], r1, r2 = fr.tick(srcR[i], r1, r2)
 	}
-	fl.z1, fl.z2, fr.z1, fr.z2 = l1, l2, r1, r2
+	fl.z1, fl.z2, fr.z1, fr.z2 = Settle(l1), Settle(l2), Settle(r1), Settle(r2)
 }
 
 // cascade3 runs buf through a, b and c in series, in place, in one pass.
@@ -54,7 +55,9 @@ func cascade3(a, b, c *Biquad, buf []float64) {
 		x, b1, b2 = b.tick(x, b1, b2)
 		buf[i], c1, c2 = c.tick(x, c1, c2)
 	}
-	a.z1, a.z2, b.z1, b.z2, c.z1, c.z2 = a1, a2, b1, b2, c1, c2
+	a.z1, a.z2 = Settle(a1), Settle(a2)
+	b.z1, b.z2 = Settle(b1), Settle(b2)
+	c.z1, c.z2 = Settle(c1), Settle(c2)
 }
 
 // ProcessEQPair runs bufL through l and bufR through r, in place: six
@@ -74,6 +77,6 @@ func ProcessEQPair(l, r *ThreeBandEQ, bufL, bufR []float64) {
 		x, rb1, rb2 = rb.tick(x, rb1, rb2)
 		bufR[i], rc1, rc2 = rc.tick(x, rc1, rc2)
 	}
-	la.z1, la.z2, lb.z1, lb.z2, lc.z1, lc.z2 = la1, la2, lb1, lb2, lc1, lc2
-	ra.z1, ra.z2, rb.z1, rb.z2, rc.z1, rc.z2 = ra1, ra2, rb1, rb2, rc1, rc2
+	la.z1, la.z2, lb.z1, lb.z2, lc.z1, lc.z2 = Settle(la1), Settle(la2), Settle(lb1), Settle(lb2), Settle(lc1), Settle(lc2)
+	ra.z1, ra.z2, rb.z1, rb.z2, rc.z1, rc.z2 = Settle(ra1), Settle(ra2), Settle(rb1), Settle(rb2), Settle(rc1), Settle(rc2)
 }

@@ -8,6 +8,8 @@ type DelayLine struct {
 	buf  []float64
 	pos  int // next write position, always in [0, len(buf))
 	mask int // len(buf)-1; len(buf) is always a power of two
+	trip int // Settle: samples written on the current trip round the loop
+	lane int // Settle: which sample in every settleShare this trip settles
 }
 
 // NewDelayLine returns a delay line holding capacity samples of history.
@@ -33,7 +35,58 @@ func (d *DelayLine) Reset() {
 	for i := range d.buf {
 		d.buf[i] = 0
 	}
-	d.pos = 0
+	d.pos, d.trip, d.lane = 0, 0, 0
+}
+
+// settleShare is the number of trips round a feedback loop within which
+// Settle reaches every sample travelling it.
+const settleShare = 8
+
+// Settle is the delay-line form of the package-level Settle, for a line
+// that closes a feedback loop through an integer tap delay samples back
+// and nothing else (an all-pass diffuser, an echo). The kernel calls it
+// once per block, after writing n samples.
+//
+// Such a loop is delay independent one-pole recursions interleaved in
+// time: the sample written now is the one written delay samples ago,
+// scaled and added to the input. Settling every written sample would cost
+// a compare per sample per line — for the reverb's twelve lines, half
+// again what their arithmetic costs — so Settle takes every settleShare-th
+// sample of the block instead, and shifts the lane it takes by one on each
+// trip round the loop: the sample at offset q of trip k is settled when
+// q%settleShare == k%settleShare. Each recursion is therefore settled on
+// exactly one trip in settleShare, whatever the delay and the block
+// length. In between it shrinks by at most the loop gain to the power
+// settleShare (and, where the loop is shorter than the block, by the trips
+// one block holds) — 0.45^8 = 2e-3 for the echo, the weakest loop — so a
+// value is never more than a few orders under the floor before it becomes
+// 0, and the subnormal range stays 240 orders away.
+//
+// A loop that mixes neighbouring samples cannot use this — an
+// interpolated tap (the flanger), a filter in the loop (the comb's
+// damping): each sample it writes blends several recursions, so the zeros
+// a lane leaves are filled back in on the next trip. Such a kernel
+// settles every sample it writes.
+func (d *DelayLine) Settle(n, delay int) {
+	delay = max(delay, 1)
+	first := d.pos - n // ring index of the block's first sample, before masking
+	for off := 0; off < n; {
+		if d.trip >= delay {
+			d.trip, d.lane = 0, (d.lane+1)%settleShare
+		}
+		run := min(n-off, delay-d.trip) // what the block holds of this trip
+		for i := off + (d.lane-d.trip%settleShare+settleShare)%settleShare; i < off+run; i += settleShare {
+			j := i
+			if j+delay < n {
+				// A loop shorter than the block has carried this sample
+				// on already: settle it where it has got to.
+				j += (n - 1 - j) / delay * delay
+			}
+			p := &d.buf[(first+j)&d.mask]
+			*p = Settle(*p)
+		}
+		off, d.trip = off+run, d.trip+run
+	}
 }
 
 // Write pushes one sample into the line.
@@ -132,6 +185,12 @@ func NewComb(delay int, feedback, damp float64) *Comb {
 // one-pole, two dependent operations per sample; the two combs of a stereo
 // pair are independent, and one loop over both overlaps their chains. All
 // four slices must have one length.
+//
+// The damping one-pole smears every sample of the loop into the ones
+// behind it, so the loop's recursions are not independent and
+// DelayLine.Settle's one-in-eight does not do: a comb settles each sample
+// on its way back into the line. That is integer work beside a loop that
+// waits on the floating-point chain, and costs it about a tenth.
 func CombPairAdd(a, b *Comb, dstA, dstB, srcA, srcB []float64) {
 	checkPair(dstA, dstB, srcA, srcB)
 	sa, ka, da, fa := a.state, 1-a.Damp, a.Damp, a.Feedback
@@ -145,16 +204,16 @@ func CombPairAdd(a, b *Comb, dstA, dstB, srcA, srcB []float64) {
 		xa, xb, ya, yb := srcA[:m], srcB[:m], dstA[:m], dstB[:m]
 		for i, out := range rdA {
 			sa = out*ka + sa*da
-			wrA[i] = xa[i] + sa*fa
+			wrA[i] = Settle(xa[i] + sa*fa)
 			ya[i] += out
 			out = rdB[i]
 			sb = out*kb + sb*db
-			wrB[i] = xb[i] + sb*fb
+			wrB[i] = Settle(xb[i] + sb*fb)
 			yb[i] += out
 		}
 		srcA, srcB, dstA, dstB = srcA[m:], srcB[m:], dstA[m:], dstB[m:]
 	}
-	a.state, b.state = sa, sb
+	a.state, b.state = Settle(sa), Settle(sb)
 }
 
 // Reset clears the comb's history.
@@ -182,7 +241,7 @@ func NewAllPassDelay(delay int, gain float64) *AllPassDelay {
 // recurrence is through the delay line, D samples back, so the loop is
 // bound by arithmetic and needs no pairing.
 func (a *AllPassDelay) Process(buf []float64) {
-	g := a.Gain
+	g, n := a.Gain, len(buf)
 	for len(buf) > 0 {
 		rd, wr := a.line.Span(a.delay, len(buf))
 		run := buf[:len(rd)]
@@ -195,6 +254,7 @@ func (a *AllPassDelay) Process(buf []float64) {
 		}
 		buf = buf[len(rd):]
 	}
+	a.line.Settle(n, a.delay)
 }
 
 // Reset clears the stage history.

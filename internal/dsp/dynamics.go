@@ -38,7 +38,10 @@ func (l *Limiter) Reset() { l.gain = 1 }
 // Gain returns the current smoothed gain (for metering).
 func (l *Limiter) Gain() float64 { return l.gain }
 
-// Process limits buf in place.
+// Process limits buf in place. The smoothed gain relaxes towards 1, not
+// towards 0: g-target is a difference of two numbers near 1, so it is 0 or
+// at least 2^-53 and its product with a coefficient cannot be subnormal —
+// the limiter is the one smoother with nothing to settle.
 func (l *Limiter) Process(buf []float64) {
 	th := l.Threshold
 	g := l.gain
@@ -103,14 +106,16 @@ func NewEnvelopeFollower(attackSamples, releaseSamples float64) *EnvelopeFollowe
 	}
 }
 
-// ProcessSample consumes one sample and returns the current level.
+// ProcessSample consumes one sample and returns the current level. The
+// follower has no block to end, and nothing on the cycle path calls it, so
+// it settles the level on every sample.
 func (e *EnvelopeFollower) ProcessSample(x float64) float64 {
 	a := math.Abs(x)
 	coef := e.release
 	if a > e.level {
 		coef = e.attack
 	}
-	e.level = a + (e.level-a)*coef
+	e.level = Settle(a + (e.level-a)*coef)
 	return e.level
 }
 

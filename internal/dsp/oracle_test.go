@@ -14,8 +14,12 @@ import (
 // sample and every piece of carried state compared with == — over 2000
 // packets of seeded noise and of the synthetic deck tracks, followed by
 // packets of 1, 7, 127 and 128 samples.
+//
+// The references keep their per-sample loops and end each packet with the
+// settle step the kernels end theirs with (settle.go): the tracks fall
+// silent every beat, and a state below the floor must become 0 in both.
 
-// refBiquadProcess is Biquad.Process as it was (and still is).
+// refBiquadProcess is Biquad.Process as it was, settled at the end.
 func refBiquadProcess(f *Biquad, buf []float64) {
 	b0, b1, b2, a1, a2 := f.b0, f.b1, f.b2, f.a1, f.a2
 	z1, z2 := f.z1, f.z2
@@ -25,7 +29,7 @@ func refBiquadProcess(f *Biquad, buf []float64) {
 		z2 = b2*x - a2*y
 		buf[i] = y
 	}
-	f.z1, f.z2 = z1, z2
+	f.z1, f.z2 = Settle(z1), Settle(z2)
 }
 
 // refDelayWrite and refDelayRead are DelayLine.Write and DelayLine.Read,
@@ -45,11 +49,12 @@ func refDelayRead(d *DelayLine, delay int) float64 {
 	return d.buf[(d.pos-delay)&d.mask]
 }
 
-// refCombSample is the former Comb.ProcessSample.
+// refCombSample is the former Comb.ProcessSample; what goes back into the
+// line is settled, as in CombPairAdd.
 func refCombSample(c *Comb, x float64) float64 {
 	out := refDelayRead(c.line, c.delay)
 	c.state = out*(1-c.Damp) + c.state*c.Damp
-	refDelayWrite(c.line, x+c.state*c.Feedback)
+	refDelayWrite(c.line, Settle(x+c.state*c.Feedback))
 	return out
 }
 
@@ -277,8 +282,8 @@ func TestSetCoeffsFromCopiesConfigureAndKeepsState(t *testing.T) {
 
 func sameLine(t *testing.T, got, want *DelayLine) {
 	t.Helper()
-	if got.pos != want.pos {
-		t.Errorf("delay line head at %d, want %d", got.pos, want.pos)
+	if got.pos != want.pos || got.trip != want.trip || got.lane != want.lane {
+		t.Errorf("delay line head at %d, trip %d, lane %d, want %d, %d, %d", got.pos, got.trip, got.lane, want.pos, want.trip, want.lane)
 	}
 	sameSamples(t, "delay line history", got.buf, want.buf)
 }
@@ -334,6 +339,7 @@ func TestOracleCombPairAdd(t *testing.T) {
 				wantL[i] += refCombSample(refA, l[i])
 				wantR[i] += refCombSample(refB, r[i])
 			}
+			refA.state, refB.state = Settle(refA.state), Settle(refB.state)
 			CombPairAdd(a, b, accL, accR, l, r)
 			sameSamples(t, "A", accL, wantL)
 			sameSamples(t, "B", accR, wantR)
@@ -358,6 +364,7 @@ func TestOracleAllPassDelayProcess(t *testing.T) {
 			for i := range want {
 				want[i] = refAllPassSample(ref, want[i])
 			}
+			ref.line.Settle(len(want), ref.delay)
 			a.Process(l)
 			sameSamples(t, "all-pass", l, want)
 		})

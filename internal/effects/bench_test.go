@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"djstar/internal/audio"
+	"djstar/internal/dsp/dsptest"
 	"djstar/internal/synth"
 )
 
@@ -15,12 +16,7 @@ import (
 func BenchmarkProcess(b *testing.B) {
 	srcL := synth.WhiteNoise(audio.PacketSize, 0.5, 1)
 	srcR := synth.WhiteNoise(audio.PacketSize, 0.5, 2)
-	names := make([]string, 0, len(Registry))
-	for name := range Registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range registryNames() {
 		b.Run(name, func(b *testing.B) {
 			fx := Registry[name](audio.SampleRate)
 			fx.SetWet(0.25)
@@ -33,4 +29,35 @@ func BenchmarkProcess(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSilenceTail times every registered unit on noise and, beside
+// it, on the silence that follows a burst of noise (dsptest.
+// BenchSilenceTail), after 40000 silent packets — 116 s, past the point at
+// which the longest tail, the reverb's, used to go subnormal. The silence
+// figure must not exceed the noise figure by more than measurement noise;
+// before the settle step the phaser's was 110 times its noise figure, the
+// reverb's 56 and the filter sweep's 39 (EXPERIMENTS.md R13).
+func BenchmarkSilenceTail(b *testing.B) {
+	srcL := synth.WhiteNoise(audio.PacketSize, 0.5, 1)
+	srcR := synth.WhiteNoise(audio.PacketSize, 0.5, 2)
+	for _, name := range registryNames() {
+		b.Run(name, func(b *testing.B) {
+			dsptest.BenchSilenceTail(b, 40000, srcL, srcR, func() func(l, r []float64) {
+				fx := Registry[name](audio.SampleRate)
+				fx.SetWet(0.25)
+				return func(l, r []float64) { fx.Process(audio.Stereo{L: l, R: r}) }
+			})
+		})
+	}
+}
+
+// registryNames lists the registered effects in a fixed order.
+func registryNames() []string {
+	names := make([]string, 0, len(Registry))
+	for name := range Registry {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

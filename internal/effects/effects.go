@@ -89,6 +89,7 @@ func (e *Echo) Process(buf audio.Stereo) {
 	d := e.delaySamples()
 	fb, dry, wet := e.feedback, 1-e.wet, e.wet
 	l, r := buf.L, buf.R[:len(buf.L)]
+	n := len(l)
 	for len(l) > 0 {
 		// The two lines share capacity, head and delay, so their runs are
 		// the same length.
@@ -107,6 +108,8 @@ func (e *Echo) Process(buf audio.Stereo) {
 		}
 		l, r = l[m:], r[m:]
 	}
+	e.lineL.Settle(n, d)
+	e.lineR.Settle(n, d)
 }
 
 // Reset implements Effect.
@@ -154,8 +157,10 @@ func (f *Flanger) Process(buf audio.Stereo) {
 		dr := f.center + f.depth*-mod // inverted on the right for width
 		wl := f.lineL.ReadFrac(dl)
 		wr := f.lineR.ReadFrac(dr)
-		f.lineL.Write(buf.L[i] + wl*f.feedback)
-		f.lineR.Write(buf.R[i] + wr*f.feedback)
+		// The taps are interpolated, so every sample written back is
+		// settled (see DelayLine.Settle); the loop is bound by Sin.
+		f.lineL.Write(dsp.Settle(buf.L[i] + wl*f.feedback))
+		f.lineR.Write(dsp.Settle(buf.R[i] + wr*f.feedback))
 		buf.L[i] = f.mix(buf.L[i], wl)
 		buf.R[i] = f.mix(buf.R[i], wr)
 	}
@@ -216,6 +221,10 @@ func (p *Phaser) Process(buf audio.Stereo) {
 		}
 		buf.L[i] = p.mix(buf.L[i], wl)
 		buf.R[i] = p.mix(buf.R[i], wr)
+	}
+	for s := range p.stagesL {
+		p.stagesL[s].Settle()
+		p.stagesR[s].Settle()
 	}
 }
 

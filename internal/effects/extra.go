@@ -101,6 +101,13 @@ func (b *Brake) Process(buf audio.Stereo) {
 				b.delay = 0
 			}
 		}
+		if b.speed >= 1 && b.delay == 0 {
+			// Spun up and caught up: the platter is live, so the brake is
+			// out of the signal path (the line above keeps filling, ready
+			// for the next trigger). Reading mid back would fold the
+			// stereo image to mono for as long as the unit sits released.
+			continue
+		}
 		out := b.line.ReadFrac(1+b.delay) * b.speed
 		buf.L[i] = out
 		buf.R[i] = out

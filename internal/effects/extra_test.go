@@ -139,3 +139,60 @@ func TestBrakeReleasesBackToLive(t *testing.T) {
 		t.Fatalf("did not spin back up: RMS %v", playing)
 	}
 }
+
+// TestBrakeReleasedIsTransparent feeds a released brake — fresh, and again
+// after a full stop and release — a packet whose channels differ. Once the
+// platter is back at speed and the tap has caught up, the unit is out of
+// the signal path: every sample must come back untouched, not folded to
+// the mono mid the line holds. The line must go on recording, so the next
+// trigger winds down the audio that was playing.
+func TestBrakeReleasedIsTransparent(t *testing.T) {
+	l := synth.WhiteNoise(audio.PacketSize, 0.5, 41)
+	r := synth.WhiteNoise(audio.PacketSize, 0.5, 42)
+	check := func(b *Brake, when string) {
+		t.Helper()
+		buf := audio.NewStereo(audio.PacketSize)
+		copy(buf.L, l)
+		copy(buf.R, r)
+		b.Process(buf)
+		for i := range l {
+			if buf.L[i] != l[i] || buf.R[i] != r[i] {
+				t.Fatalf("%s: sample %d = (%v, %v), want the input (%v, %v)", when, i, buf.L[i], buf.R[i], l[i], r[i])
+			}
+		}
+	}
+	b := NewBrake(rate)
+	check(b, "new unit")
+
+	b.SetMacro(1)
+	b.SetWet(1) // engage: 0.1 s to a stop
+	buf := audio.NewStereo(audio.PacketSize)
+	for p := 0; p < rate/4/audio.PacketSize; p++ {
+		copy(buf.L, l)
+		copy(buf.R, r)
+		b.Process(buf)
+	}
+	if buf.RMS() != 0 {
+		t.Fatalf("platter not stopped: RMS %v", buf.RMS())
+	}
+	b.SetWet(0) // release, and let the tap reel all the way back in
+	for p := 0; b.speed < 1 || b.delay > 0; p++ {
+		if p > 4*rate/audio.PacketSize {
+			t.Fatalf("tap never caught up: speed %v delay %v", b.speed, b.delay)
+		}
+		copy(buf.L, l)
+		copy(buf.R, r)
+		b.Process(buf)
+	}
+	check(b, "after stop and release")
+
+	// Still recording while transparent: engage and the first samples out
+	// are the mid of what just went in, at nearly full speed.
+	b.SetWet(1)
+	copy(buf.L, l)
+	copy(buf.R, r)
+	b.Process(buf)
+	if mid := 0.5 * (l[0] + r[0]); math.Abs(buf.L[0]-mid) > 0.01 || buf.L[0] != buf.R[0] {
+		t.Fatalf("engaged brake starts with (%v, %v), want the mid %v of the live input", buf.L[0], buf.R[0], mid)
+	}
+}

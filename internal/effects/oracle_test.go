@@ -16,6 +16,12 @@ import (
 // dsp calls that still exist (Biquad.Configure/Process/ProcessSample,
 // DelayLine.Read/Write). Each unit must match its reference on every
 // sample, packet after packet, while macro and wet are being turned.
+//
+// Each reference ends its packet (the reverb: each 128-sample chunk) with
+// the settle step its unit ends with — dsp.Settle on the scalar states,
+// DelayLine.Settle on the echo's and the diffusers' lines; a comb settles
+// what it writes back, sample by sample — and nothing else of the
+// restructured code.
 
 type refBase struct{ macro, wet float64 }
 
@@ -56,6 +62,8 @@ func (e *refEcho) Process(buf audio.Stereo) {
 		buf.L[i] = e.mix(buf.L[i], wl)
 		buf.R[i] = e.mix(buf.R[i], wr)
 	}
+	e.lineL.Settle(buf.Len(), d)
+	e.lineR.Settle(buf.Len(), d)
 }
 
 type refPhaser struct {
@@ -98,6 +106,10 @@ func (p *refPhaser) Process(buf audio.Stereo) {
 		buf.L[i] = p.mix(buf.L[i], wl)
 		buf.R[i] = p.mix(buf.R[i], wr)
 	}
+	for s := range p.stagesL {
+		p.stagesL[s].Settle()
+		p.stagesR[s].Settle()
+	}
 }
 
 // refComb and refAllPass are dsp.Comb and dsp.AllPassDelay with their
@@ -111,7 +123,7 @@ type refComb struct {
 func (c *refComb) ProcessSample(x float64) float64 {
 	out := c.line.Read(c.delay)
 	c.state = out*(1-c.Damp) + c.state*c.Damp
-	c.line.Write(x + c.state*c.Feedback)
+	c.line.Write(dsp.Settle(x + c.state*c.Feedback))
 	return out
 }
 
@@ -175,6 +187,22 @@ func (r *refReverb) Process(buf audio.Stereo) {
 		}
 		buf.L[i] = r.mix(inL, wl)
 		buf.R[i] = r.mix(inR, wr)
+		if m := i%audio.PacketSize + 1; m == audio.PacketSize || i == buf.Len()-1 {
+			r.settle(m)
+		}
+	}
+}
+
+// settle ends a chunk of m samples.
+func (r *refReverb) settle(m int) {
+	for c := range r.combsL {
+		for _, comb := range []*refComb{r.combsL[c], r.combsR[c]} {
+			comb.state = dsp.Settle(comb.state)
+		}
+	}
+	for a := range r.apL {
+		r.apL[a].line.Settle(m, r.apL[a].delay)
+		r.apR[a].line.Settle(m, r.apR[a].delay)
 	}
 }
 

@@ -437,7 +437,7 @@ func BuildDJStar(cfg Config) (*Session, *Graph, error) {
 		addMeta(fmt.Sprintf("Ctrl%s%s", kind, deckNames[d]+suffix(i/len(ctrlKinds))),
 			SectionControl, CostControl, func() bool {
 				// Tiny deterministic state update (beat phase tracking).
-				s.controlState[i] = 0.9*s.controlState[i] + 0.1*s.Decks[d].BeatPhase()
+				s.controlState[i] = dsp.Settle(0.9*s.controlState[i] + 0.1*s.Decks[d].BeatPhase())
 				return false
 			}, meta{kind: KindControl})
 	}
@@ -475,7 +475,7 @@ func BuildDJStar(cfg Config) (*Session, *Graph, error) {
 		mustEdge(g, masterID, id)
 
 		id = addMeta("Loudness", SectionMaster, CostMeter, func() bool {
-			s.loudness = 0.95*s.loudness + 0.05*s.masterBuf.RMS()
+			s.loudness = dsp.Settle(0.95*s.loudness + 0.05*s.masterBuf.RMS())
 			return false
 		}, meta{kind: KindMeter})
 		mustEdge(g, masterID, id)

@@ -5,6 +5,7 @@ import (
 
 	"djstar/internal/audio"
 	"djstar/internal/dsp"
+	"djstar/internal/dsp/dsptest"
 	"djstar/internal/synth"
 )
 
@@ -51,4 +52,26 @@ func BenchmarkOutputStageProcess(b *testing.B) {
 		copy(buf.R, benchSrcR)
 		out.Process(buf)
 	}
+}
+
+// BenchmarkSilenceTail times the strip (filter on) and the meter on noise
+// and, beside it, on the silence after a burst of noise (dsptest.
+// BenchSilenceTail): with a paused deck behind it a strip used to cost
+// several times its figure on sound, its seven biquads per channel all
+// subnormal.
+func BenchmarkSilenceTail(b *testing.B) {
+	b.Run("ChannelStrip", func(b *testing.B) {
+		dsptest.BenchSilenceTail(b, 400, benchSrcL, benchSrcR, func() func(l, r []float64) {
+			strip := NewChannelStrip("bench", audio.SampleRate)
+			strip.SetEQ(3, -2, 1)
+			strip.SetFilter(dsp.LowPass, 2000, 0.9, true)
+			return func(l, r []float64) { strip.Process(audio.Stereo{L: l, R: r}) }
+		})
+	})
+	b.Run("VUMeter", func(b *testing.B) {
+		dsptest.BenchSilenceTail(b, 16000, benchSrcL, benchSrcR, func() func(l, r []float64) {
+			vu := NewVUMeter(0.95)
+			return func(l, r []float64) { vu.Update(audio.Stereo{L: l, R: r}) }
+		})
+	})
 }

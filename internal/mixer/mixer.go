@@ -319,7 +319,7 @@ func (v *VUMeter) Update(buf audio.Stereo) {
 	if p > v.peak {
 		v.peak = p
 	} else {
-		v.peak *= v.decay
+		v.peak = dsp.Settle(v.peak * v.decay)
 	}
 	v.rms = buf.RMS()
 }
