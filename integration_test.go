@@ -182,7 +182,7 @@ func TestStaticExecutorEndToEnd(t *testing.T) {
 	}
 
 	ref := run(func(p *graph.Plan) (sched.Scheduler, error) {
-		return sched.NewSequential(p, sched.Options{}), nil
+		return sched.New(sched.NameSequential, p, sched.Options{})
 	})
 	got := run(func(p *graph.Plan) (sched.Scheduler, error) {
 		model, err := rescon.FromPlan(p, durs)

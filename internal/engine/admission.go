@@ -200,8 +200,7 @@ func (a *admissionRuntime) install(e *Engine) {
 		if e.gov != nil {
 			e.gov.force(level)
 		} else {
-			t := e.topo.Load()
-			shedKinds(e.sch(), t.plan, a.decision.ShedUI, a.decision.ShedFX)
+			shedLevel(e.faults, level)
 		}
 	}
 	st := &AdmissionState{
@@ -222,19 +221,6 @@ func (a *admissionRuntime) install(e *Engine) {
 		a.stop = make(chan struct{})
 		a.done = make(chan struct{})
 		go a.monitor(e)
-	}
-}
-
-// shedKinds applies the admit-degraded shed bits directly (governor
-// disabled): the same kind ladder the governor's applyShed uses.
-func shedKinds(s sched.Scheduler, p *graph.Plan, shedUI, shedFX bool) {
-	for i, k := range p.Kinds {
-		switch k {
-		case graph.KindMeter, graph.KindControl:
-			s.SetNodeShed(int32(i), shedUI)
-		case graph.KindFX:
-			s.SetNodeShed(int32(i), shedFX)
-		}
 	}
 }
 

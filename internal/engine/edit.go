@@ -243,9 +243,10 @@ func (e *Engine) editCosts(remap *graph.Remap, plan *graph.Plan) []float64 {
 // adoptStaged installs the staged topology at the cycle boundary: the
 // scheduler swaps plans in place (workers, fault counters, quarantine
 // and shed state survive through the remap), node state migrates via
-// the Migrate hooks, the governor and watchdog are retargeted, and the
-// epoch advances. On a refused swap the old topology stays live and the
-// rollback is retained as a flight-recorder event. Cycle thread only.
+// the Migrate hooks, the governor replays its level's shed bits onto the
+// new plan, and the epoch advances. On a refused swap the old topology
+// stays live and the rollback is retained as a flight-recorder event.
+// Cycle thread only.
 func (e *Engine) adoptStaged() {
 	st := e.staged.Swap(nil)
 	if st == nil {
@@ -279,10 +280,7 @@ func (e *Engine) adoptStaged() {
 	e.topo.Store(st.topo)
 	epoch := e.planEpoch.Add(1)
 	if e.gov != nil {
-		e.gov.retarget(e.sch(), st.topo.plan)
-	}
-	if e.wd != nil {
-		e.wd.retarget(e.sch(), st.topo.plan)
+		e.gov.retarget()
 	}
 	e.recordEdit(EditOutcome{
 		Cycle: cyc, Epoch: epoch, Ops: st.ops, Applied: true, Desc: st.desc,

@@ -61,7 +61,7 @@ type Config struct {
 	// shared worker pool instead of building a private scheduler —
 	// several engines then execute concurrently over the same workers
 	// (see sched.Pool and package fleet). Strategy is ignored when Pool is
-	// set. With Strategy == sched.NamePool and no Pool, the engine owns
+	// set. With Strategy == sched.NamePool and no Pool, the scheduler is
 	// a private single-session pool of Threads-1 workers.
 	Pool *sched.Pool
 	// FusePlan compiles the execution plan through graph.Fuse: linear
@@ -194,6 +194,11 @@ type Engine struct {
 	// it. Everywhere else it behaves like a plain field: stored at
 	// construction, read via sch().
 	sref atomic.Pointer[schedRef]
+	// faults is the session's fault/quarantine/shed state, fetched once
+	// from the construction-time scheduler. It outlives every executor
+	// (plan swaps and Rebind keep the same object), so the governor, the
+	// watchdog and the health read-outs hold it for life.
+	faults *sched.FaultState
 	// editMu serializes edit staging (ApplyEdits / ApplyPatch /
 	// RecompileFused); staged holds the topology bundle waiting for the
 	// next cycle boundary to adopt it (see edit.go).
@@ -206,9 +211,6 @@ type Engine struct {
 	// obsWorkers is the collector shard count, kept so structural edits
 	// can rebuild the collector for the new plan with the same sharding.
 	obsWorkers int
-	// ownedPool is the private pool behind Strategy == sched.NamePool
-	// (nil when a shared Pool was supplied or another strategy is used).
-	ownedPool *sched.Pool
 
 	seq     *timecode.Sequence
 	tcGen   []*timecode.Generator
@@ -336,39 +338,24 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	opts := sched.Options{Threads: threads, Observer: observer}
-	var (
-		scheduler sched.Scheduler
-		ownedPool *sched.Pool
-		err2      error
-	)
-	switch {
-	case cfg.Pool != nil:
+	var scheduler sched.Scheduler
+	if cfg.Pool != nil {
 		// Shared-pool mode: this engine is one session among many.
-		scheduler, err2 = cfg.Pool.Attach(execPlan, opts)
-	case cfg.Strategy == sched.NamePool:
-		// Private single-session pool: Threads-1 helper workers plus the
-		// cycle caller, matching the parallelism of the other strategies.
-		ownedPool, err2 = sched.NewPool(threads-1, 1)
-		if err2 == nil {
-			scheduler, err2 = ownedPool.Attach(execPlan, opts)
-		}
-	default:
-		scheduler, err2 = sched.New(cfg.Strategy, execPlan, opts)
+		scheduler, err = cfg.Pool.Attach(execPlan, opts)
+	} else {
+		scheduler, err = sched.New(cfg.Strategy, execPlan, opts)
 	}
-	if err2 != nil {
-		if ownedPool != nil {
-			ownedPool.Close()
-		}
+	if err != nil {
 		if adm != nil {
 			adm.close()
 		}
-		return nil, err2
+		return nil, err
 	}
 
 	e := &Engine{
 		cfg:         cfg,
 		session:     session,
-		ownedPool:   ownedPool,
+		faults:      scheduler.FaultState(),
 		obsWorkers:  obsWorkers,
 		seq:         sharedSequence,
 		lf:          lf,
@@ -391,10 +378,10 @@ func New(cfg Config) (*Engine, error) {
 		})
 	}
 
-	scheduler.SetFaultPolicy(cfg.FaultPolicy)
-	scheduler.SetFaultHandler(e.onFault)
+	e.faults.SetFaultPolicy(cfg.FaultPolicy)
+	e.faults.SetFaultHandler(e.onFault)
 	if cfg.Governor.Enabled {
-		e.gov = newGovernor(cfg.Governor, scheduler, plan, func(f float64) {
+		e.gov = newGovernor(cfg.Governor, e.faults, func(f float64) {
 			e.govFactor.Store(math.Float64bits(f))
 			e.applyLoadFactor()
 		})
@@ -405,7 +392,7 @@ func New(cfg Config) (*Engine, error) {
 		if wallMS <= 0 {
 			wallMS = 50 * DeadlineMS
 		}
-		e.wd = newWatchdog(scheduler, plan,
+		e.wd = newWatchdog(e.faults,
 			time.Duration(wallMS*float64(time.Millisecond)), e.onStall)
 	}
 	if adm != nil {
@@ -500,7 +487,7 @@ func (e *Engine) Health() Health {
 	h := Health{
 		Level:      e.GovLevel(),
 		LoadFactor: e.lf.Get(),
-		Faults:     e.sch().Faults(),
+		Faults:     e.faults.Faults(),
 	}
 	if e.gov != nil {
 		h.WindowMissRate = math.Float64frombits(e.gov.lastRate.Load())
@@ -508,7 +495,7 @@ func (e *Engine) Health() Health {
 	}
 	t := e.topo.Load()
 	for i := range t.plan.Names {
-		if e.sch().Quarantined(int32(i)) {
+		if e.faults.Quarantined(int32(i)) {
 			h.Quarantined = append(h.Quarantined, t.plan.Names[i])
 		}
 	}
@@ -544,10 +531,12 @@ func SessionBaseUS(scale float64) float64 {
 
 // Rebind migrates a pool-attached engine onto another shared pool — the
 // shard-drain primitive. The session's plan, node state (decks, delay
-// lines, FX), observer, fault/quarantine/shed state and cycle count all
-// carry over; only the executor changes, via sched.Pool.AttachMigrated,
-// so no cycle is lost or doubled. Any staged-but-unadopted topology edit
-// survives and adopts at the next cycle on the new pool.
+// lines, FX), observer and cycle count all carry over, and the fault
+// state is the same object before and after (so the governor and the
+// watchdog, which hold it, need no re-pointing); only the executor
+// changes, via sched.Pool.AttachMigrated, so no cycle is lost or doubled.
+// Any staged-but-unadopted topology edit survives and adopts at the next
+// cycle on the new pool.
 //
 // The caller must guarantee no Cycle is in flight (fleet drivers call it
 // strictly between cycles). The destination pool must not expose more
@@ -574,13 +563,6 @@ func (e *Engine) Rebind(dst *sched.Pool) error {
 	}
 	e.sref.Store(&schedRef{ns})
 	e.cfg.Pool = dst
-	t := e.topo.Load()
-	if e.gov != nil {
-		e.gov.retarget(ns, t.plan)
-	}
-	if e.wd != nil {
-		e.wd.retarget(ns, t.plan)
-	}
 	return nil
 }
 
@@ -626,9 +608,6 @@ func (e *Engine) Close() {
 	e.tel.Flush()
 	e.staged.Store(nil)
 	e.sch().Close()
-	if e.ownedPool != nil {
-		e.ownedPool.Close()
-	}
 	if e.cfg.DisableGC {
 		debug.SetGCPercent(e.prevGC)
 	}
@@ -720,7 +699,7 @@ func (e *Engine) NewMetrics() *Metrics { return e.newMetrics(0) }
 // call it automatically.
 func (e *Engine) StampMetrics(m *Metrics) {
 	m.SessionID = e.SessionID()
-	m.Faults = e.sch().Faults()
+	m.Faults = e.faults.Faults()
 	if e.wd != nil {
 		m.Stalls = e.wd.Stalls()
 	}
@@ -754,7 +733,7 @@ func (e *Engine) Cycle(m *Metrics) {
 	// under the stall watchdog when enabled.
 	cyc := e.cycleN.Add(1)
 	if e.wd != nil {
-		e.wd.arm(cyc)
+		e.wd.arm(cyc, t2)
 	}
 	e.sch().Execute()
 	if e.wd != nil {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"djstar/internal/graph"
 	"djstar/internal/sched"
@@ -221,5 +222,41 @@ func TestEngineHotPathAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { e.Cycle(nil) })
 	if allocs != 0 {
 		t.Fatalf("Cycle allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestWatchdogMeasuresOnCycleClock: the watchdog's interval is taken on
+// graph.NowNanos from the stamp the cycle hands it — never from the wall
+// clock, which an NTP or VM step can move by more than the stall wall —
+// and a stamp of 0 (the process's first nanosecond) arms like any other.
+func TestWatchdogMeasuresOnCycleClock(t *testing.T) {
+	e, err := New(fastConfig(sched.NameSequential, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	got := make(chan StallRecord, 1)
+	w := newWatchdog(e.faults, 20*time.Millisecond, func(r StallRecord) { got <- r })
+	defer w.close()
+
+	// An execution armed an hour ago on the monotonic base: the first poll
+	// reports it, with the elapsed time the two monotonic stamps imply.
+	const hourMS = float64(time.Hour / time.Millisecond)
+	w.arm(7, graph.NowNanos()-int64(time.Hour))
+	select {
+	case r := <-got:
+		if r.Cycle != 7 || r.Node != -1 || r.ElapsedMS < hourMS || r.ElapsedMS > hourMS+60e3 {
+			t.Fatalf("stall record = %+v, want cycle 7, no node in flight, elapsed ≈ 1 h", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("armed execution past the wall was never reported")
+	}
+	w.disarm()
+	if w.armed.Load() != 0 {
+		t.Fatal("disarm left the watchdog armed")
+	}
+	w.arm(8, 0)
+	if w.armed.Load() == 0 {
+		t.Fatal("a stamp of 0 reads as disarmed")
 	}
 }

@@ -106,9 +106,10 @@ func (c GovernorConfig) withDefaults() GovernorConfig {
 // graph executions); only the level is published atomically for Health
 // readers on other threads.
 type governor struct {
-	cfg   GovernorConfig
-	sched sched.Scheduler
-	plan  *graph.Plan
+	cfg GovernorConfig
+	// faults is the session's shed-bit store; it knows the live base plan
+	// across edits and migrations, so the governor never re-points.
+	faults *sched.FaultState
 
 	level atomic.Int32
 
@@ -140,12 +141,11 @@ type governor struct {
 	setFactor func(float64)
 }
 
-func newGovernor(cfg GovernorConfig, s sched.Scheduler, p *graph.Plan, setFactor func(float64)) *governor {
+func newGovernor(cfg GovernorConfig, fs *sched.FaultState, setFactor func(float64)) *governor {
 	cfg = cfg.withDefaults()
 	return &governor{
 		cfg:       cfg,
-		sched:     s,
-		plan:      p,
+		faults:    fs,
 		graphMS:   make([]float64, 0, cfg.Window),
 		setFactor: setFactor,
 	}
@@ -212,7 +212,7 @@ func (g *governor) observe(apcMS, graphMS float64) {
 // load factor, and the change notification.
 func (g *governor) transition(from, to GovLevel) {
 	g.level.Store(int32(to))
-	g.applyShed(to)
+	shedLevel(g.faults, to)
 	f := 1.0
 	if to >= GovCritical {
 		f = g.cfg.CriticalFactor
@@ -223,18 +223,17 @@ func (g *governor) transition(from, to GovLevel) {
 	}
 }
 
-// applyShed pushes the shed bits implied by a level into the scheduler.
-// The plan here is always the BASE plan — shed bits are per base node,
-// which the fault state honours on fused plans too.
-func (g *governor) applyShed(level GovLevel) {
-	shedUI := level >= GovDegraded1
-	shedFX := level >= GovDegraded2
-	for i, k := range g.plan.Kinds {
+// shedLevel pushes the shed bits a level implies into the fault state —
+// the one kind→rung walk: meter and control nodes go at GovDegraded1, FX
+// nodes at GovDegraded2. Shed bits are per BASE node (fs.Plan), which
+// the fault state honours on fused plans too.
+func shedLevel(fs *sched.FaultState, level GovLevel) {
+	for i, k := range fs.Plan().Kinds {
 		switch k {
 		case graph.KindMeter, graph.KindControl:
-			g.sched.SetNodeShed(int32(i), shedUI)
+			fs.SetNodeShed(int32(i), level >= GovDegraded1)
 		case graph.KindFX:
-			g.sched.SetNodeShed(int32(i), shedFX)
+			fs.SetNodeShed(int32(i), level >= GovDegraded2)
 		}
 	}
 }
@@ -249,13 +248,8 @@ func (g *governor) force(to GovLevel) {
 	}
 }
 
-// retarget points the governor at a freshly swapped scheduler and base
-// plan, replaying the current level's shed bits — nodes that joined in
-// the edit pick up the level's shedding, removed ones vanish with their
-// bits. Cycle thread only (like observe/transition), after the
-// scheduler has adopted the new plan.
-func (g *governor) retarget(s sched.Scheduler, p *graph.Plan) {
-	g.sched = s
-	g.plan = p
-	g.applyShed(g.Level())
-}
+// retarget replays the current level's shed bits after a plan swap —
+// nodes that joined in the edit pick up the level's shedding, removed
+// ones vanished with their bits. Cycle thread only (like
+// observe/transition), after the scheduler has adopted the new plan.
+func (g *governor) retarget() { shedLevel(g.faults, g.Level()) }

@@ -7,55 +7,51 @@ import (
 	"djstar/internal/sched"
 )
 
-// stubSched is a minimal sched.Scheduler for driving the governor state
-// machine directly: it only records shed marks.
-type stubSched struct {
-	shed map[int32]bool
-}
-
-func newStubSched() *stubSched { return &stubSched{shed: map[int32]bool{}} }
-
-func (s *stubSched) Name() string                            { return "stub" }
-func (s *stubSched) Threads() int                            { return 1 }
-func (s *stubSched) Execute()                                {}
-func (s *stubSched) Close()                                  {}
-func (s *stubSched) SetFaultPolicy(sched.FaultPolicy)        {}
-func (s *stubSched) SetFaultHandler(func(sched.FaultRecord)) {}
-func (s *stubSched) Faults() sched.FaultStats                { return sched.FaultStats{} }
-func (s *stubSched) SetNodeShed(id int32, shed bool)         { s.shed[id] = shed }
-func (s *stubSched) Quarantined(int32) bool                  { return false }
-func (s *stubSched) Inflight(int32) int32                    { return 0 }
-func (s *stubSched) StageSwap(sched.Swap) error              { return nil }
-func (s *stubSched) AdoptStaged() bool                       { return false }
-
-// govPlan is a four-node plan with one node of each sheddable kind plus
+// govKinds is a four-node plan with one node of each sheddable kind plus
 // one audio node the governor must never touch.
-func govPlan() *graph.Plan {
-	return &graph.Plan{
-		Names: []string{"audio", "meter", "control", "fx"},
-		Kinds: []graph.NodeKind{graph.KindAudio, graph.KindMeter, graph.KindControl, graph.KindFX},
-	}
-}
+var govKinds = []graph.NodeKind{graph.KindAudio, graph.KindMeter, graph.KindControl, graph.KindFX}
 
-// govHarness wires a governor to the stub scheduler and records every
-// transition and load-factor application.
+// govHarness drives the governor state machine directly against a real
+// fault state (a sequential scheduler over the four-node plan, never
+// executed) and records every transition and load-factor application.
 type govHarness struct {
 	g           *governor
-	s           *stubSched
+	fs          *sched.FaultState
 	factors     []float64
 	transitions []string
 }
 
 func newGovHarness(t *testing.T, cfg GovernorConfig) *govHarness {
 	t.Helper()
-	h := &govHarness{s: newStubSched()}
-	h.g = newGovernor(cfg, h.s, govPlan(), func(f float64) {
+	g := graph.New()
+	for _, k := range govKinds {
+		g.Node(g.AddNode(k.String(), graph.SectionMaster, func() {})).Kind = k
+	}
+	plan, err := g.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.New(sched.NameSequential, plan, sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	h := &govHarness{fs: s.FaultState()}
+	h.g = newGovernor(cfg, h.fs, func(f float64) {
 		h.factors = append(h.factors, f)
 	})
 	h.g.onChange = func(from, to GovLevel) {
 		h.transitions = append(h.transitions, from.String()+"->"+to.String())
 	}
 	return h
+}
+
+// shed lists the shed bit of each of the four nodes.
+func (h *govHarness) shed() (out [4]bool) {
+	for i := range out {
+		out[i] = h.fs.Shed(int32(i))
+	}
+	return out
 }
 
 // window feeds exactly one evaluation window: misses cycles over the
@@ -102,11 +98,8 @@ func TestGovernorEscalateExactBoundary(t *testing.T) {
 		t.Fatalf("level after first bad window = %v, want degraded1", got)
 	}
 	// Degraded1 sheds meter and control, keeps FX and DSP.
-	if !h.s.shed[1] || !h.s.shed[2] {
-		t.Fatalf("degraded1 must shed meter+control, shed map = %v", h.s.shed)
-	}
-	if h.s.shed[0] || h.s.shed[3] {
-		t.Fatalf("degraded1 must not shed audio or fx, shed map = %v", h.s.shed)
+	if got := h.shed(); got != [4]bool{false, true, true, false} {
+		t.Fatalf("degraded1 must shed exactly meter+control, shed = %v", got)
 	}
 
 	// A window at exactly the threshold rate must NOT escalate: the
@@ -121,8 +114,8 @@ func TestGovernorEscalateExactBoundary(t *testing.T) {
 		t.Fatalf("level after over-threshold window = %v, want degraded2", got)
 	}
 	// Degraded2 additionally sheds FX.
-	if !h.s.shed[3] {
-		t.Fatalf("degraded2 must shed fx, shed map = %v", h.s.shed)
+	if got := h.shed(); got != [4]bool{false, true, true, true} {
+		t.Fatalf("degraded2 must additionally shed fx, shed = %v", got)
 	}
 }
 
@@ -168,10 +161,8 @@ func TestGovernorDeEscalateExactBoundary(t *testing.T) {
 		t.Fatalf("level after 3 clean windows = %v, want normal", got)
 	}
 	// Recovery un-sheds everything.
-	for id, shed := range h.s.shed {
-		if shed {
-			t.Fatalf("node %d still shed after recovery", id)
-		}
+	if got := h.shed(); got != [4]bool{} {
+		t.Fatalf("nodes still shed after recovery: %v", got)
 	}
 }
 
@@ -283,5 +274,62 @@ func TestGovernorGraphBudgetP99Escalates(t *testing.T) {
 	}
 	if got := h.g.Level(); got != GovDegraded1 {
 		t.Fatalf("level after over-budget graph window = %v, want degraded1", got)
+	}
+}
+
+// TestGovernorPredictiveRung: the admission monitor's over-budget signal
+// escalates exactly one level at the next window boundary even though
+// the miss record is clean, is consumed by that escalation, is counted,
+// and recovers through the ordinary CleanWindows hysteresis.
+func TestGovernorPredictiveRung(t *testing.T) {
+	h := newGovHarness(t, govTestConfig())
+
+	h.g.predicted.Store(true)
+	// Mid-window the signal is only latched.
+	for i := 0; i < 7; i++ {
+		h.g.observe(1.0, 0.1)
+	}
+	if got := h.g.Level(); got != GovNormal {
+		t.Fatalf("level before the window boundary = %v, want normal", got)
+	}
+	h.g.observe(1.0, 0.1)
+	if got := h.g.Level(); got != GovDegraded1 {
+		t.Fatalf("level after a clean window with the signal armed = %v, want degraded1", got)
+	}
+	if got := h.shed(); got != [4]bool{false, true, true, false} {
+		t.Fatalf("predictive escalation must shed like any other, shed = %v", got)
+	}
+	if h.g.predicted.Load() {
+		t.Fatal("signal not consumed at the window boundary")
+	}
+	if e, p := h.g.escalates.Load(), h.g.predictEscalates.Load(); e != 1 || p != 1 {
+		t.Fatalf("escalates/predictEscalates = %d/%d, want 1/1", e, p)
+	}
+
+	// One signal, one level: the next clean windows hold, then recover.
+	// The escalating window reset the streak, so recovery takes a full
+	// CleanWindows run from here.
+	h.window(0)
+	h.window(0)
+	if got := h.g.Level(); got != GovDegraded1 {
+		t.Fatalf("level two clean windows later = %v, want degraded1", got)
+	}
+	h.window(0)
+	if got := h.g.Level(); got != GovNormal {
+		t.Fatalf("level after CleanWindows clean windows = %v, want normal", got)
+	}
+	if got := h.shed(); got != [4]bool{} {
+		t.Fatalf("nodes still shed after recovery: %v", got)
+	}
+
+	// A window that misses escalates on the misses, not the signal: the
+	// signal is still consumed, but not counted as predictive.
+	h.g.predicted.Store(true)
+	h.window(8)
+	if e, p := h.g.escalates.Load(), h.g.predictEscalates.Load(); e != 2 || p != 1 {
+		t.Fatalf("after a missing window: escalates/predictEscalates = %d/%d, want 2/1", e, p)
+	}
+	if h.g.predicted.Load() {
+		t.Fatal("signal survived a window boundary")
 	}
 }

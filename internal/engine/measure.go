@@ -27,7 +27,10 @@ func MeasureNodeDurations(cfg graph.Config, cycles int) ([]float64, *graph.Plan,
 		return nil, nil, err
 	}
 	tr := sched.NewTracer(plan.Len())
-	s := sched.NewSequential(plan, sched.Options{Observer: tr})
+	s, err := sched.New(sched.NameSequential, plan, sched.Options{Observer: tr})
+	if err != nil {
+		return nil, nil, err
+	}
 	defer s.Close()
 
 	sums := make([]float64, plan.Len())

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
+	"djstar/internal/faults"
 	"djstar/internal/graph"
 	"djstar/internal/sched"
 )
@@ -156,5 +158,104 @@ func TestRebindRejects(t *testing.T) {
 	defer ok.Close()
 	if err := pe.Rebind(ok); err == nil {
 		t.Fatal("Rebind accepted a closed engine")
+	}
+}
+
+// TestRebindKeepsFaultStateHolders: the fault state is one object for the
+// session's life, so everything that holds it — the governor, the
+// watchdog, a caller's own pointer — keeps working across Rebind (and an
+// edit adopted on the new pool) without any retarget call.
+func TestRebindKeepsFaultStateHolders(t *testing.T) {
+	src, err := sched.NewPool(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	dst, err := sched.NewPool(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+
+	const stallCycle = 12
+	specs, err := faults.Parse(fmt.Sprintf("stall:Mixer@%d:200ms", stallCycle))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalls := make(chan StallRecord, 1)
+	cfg := poolConfig(src)
+	cfg.Graph.Faults = faults.New(1, specs...)
+	cfg.Watchdog, cfg.WatchdogWallMS = true, 40
+	cfg.Governor = GovernorConfig{Enabled: true, Window: 1 << 20} // never evaluates on its own
+	cfg.Hooks.OnStall = func(r StallRecord) {
+		select {
+		case stalls <- r:
+		default:
+		}
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// Looked up per use: the edit adopted below renumbers nodes.
+	nodeID := func(name string) int32 { return int32(e.Graph().NodeByName(name)) }
+
+	fs := e.Scheduler().FaultState()
+	e.gov.force(GovDegraded1) // sheds meters (Loudness among them) and control
+	for i := 0; i < 3; i++ {
+		e.Cycle(nil)
+	}
+	if err := e.ApplyPatch("insert-delay:B:2"); err != nil { // adopts on the new pool
+		t.Fatal(err)
+	}
+	if err := e.Rebind(dst); err != nil {
+		t.Fatal(err)
+	}
+	e.Cycle(nil)
+	if e.PlanEpoch() != 1 {
+		t.Fatalf("plan epoch = %d, staged edit not adopted after rebind", e.PlanEpoch())
+	}
+
+	if got := e.Scheduler().FaultState(); got != fs {
+		t.Fatalf("fault state replaced by Rebind: %p -> %p", fs, got)
+	}
+	loud := nodeID("Loudness")
+	if e.GovLevel() != GovDegraded1 || !fs.Shed(loud) {
+		t.Fatalf("after rebind: level %v, Loudness shed %v; want degraded1, true", e.GovLevel(), fs.Shed(loud))
+	}
+	// The Loudness kernel folds each packet's RMS into a running value, so
+	// the value moving is the kernel running on the new executor.
+	before := e.Session().Loudness()
+	e.Cycle(nil)
+	e.Cycle(nil)
+	if got := e.Session().Loudness(); got != before {
+		t.Fatalf("shed node ran on the new executor: loudness %v -> %v", before, got)
+	}
+	// The pointer taken BEFORE the migration and the edit still steers what
+	// the new executor runs.
+	fs.SetNodeShed(loud, false)
+	e.Cycle(nil)
+	if got := e.Session().Loudness(); got == before {
+		t.Fatal("un-shed through the pre-rebind pointer had no effect on the new executor")
+	}
+	// So does the governor, which holds the same object.
+	e.gov.force(GovNormal)
+	if fs.Shed(nodeID("MasterVU")) {
+		t.Fatal("governor recovery after rebind left a meter shed")
+	}
+
+	// The watchdog names the wedged node of the new executor under the
+	// post-edit plan.
+	for e.Cycles() < stallCycle+1 {
+		e.Cycle(nil)
+	}
+	select {
+	case r := <-stalls:
+		if r.Name != "Mixer" || r.Node != nodeID("Mixer") || r.Inflight == "" {
+			t.Fatalf("stall record after rebind = %+v, want Mixer in flight", r)
+		}
+	default:
+		t.Fatal("watchdog did not diagnose the stall after rebind")
 	}
 }

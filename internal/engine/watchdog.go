@@ -35,16 +35,18 @@ type StallRecord struct {
 // turning a silent hang into an actionable diagnostic. Detection is
 // level-triggered once per cycle.
 type watchdog struct {
-	// sref holds the watched scheduler and the base plan naming its
-	// nodes behind one pointer, so the cycle thread can retarget both
-	// together after a plan swap while the monitor goroutine reads them
-	// concurrently (diagnose needs a plan consistent with the scheduler
-	// it polls).
-	sref atomic.Pointer[schedBox]
-	wall time.Duration
+	// faults is the watched session's fault state: its inflight view and
+	// the base plan naming the nodes in it. The same object serves every
+	// executor the session ever runs on, so there is nothing to re-point
+	// after a plan swap or a migration.
+	faults *sched.FaultState
+	wall   time.Duration
 
-	// startNs is the armed graph-execution start time (0 = not armed).
-	startNs atomic.Int64
+	// armed is 1 + the graph.NowNanos stamp of the armed graph execution's
+	// start (0 = not armed; the +1 keeps a stamp of 0 armed). The process's
+	// monotonic clock, not the wall clock: an NTP or VM clock step must
+	// neither fake a stall nor hide one.
+	armed atomic.Int64
 	// gen is the engine cycle being executed.
 	gen atomic.Uint64
 	// firedGen is the last cycle a stall was reported for.
@@ -60,41 +62,28 @@ type watchdog struct {
 	done chan struct{}
 }
 
-// schedBox wraps the Scheduler interface plus its base plan for
-// atomic.Pointer (interfaces with varying concrete types cannot go into
-// atomic.Value directly).
-type schedBox struct {
-	s    sched.Scheduler
-	plan *graph.Plan
-}
-
-func newWatchdog(s sched.Scheduler, p *graph.Plan, wall time.Duration, onStall func(StallRecord)) *watchdog {
+func newWatchdog(fs *sched.FaultState, wall time.Duration, onStall func(StallRecord)) *watchdog {
 	w := &watchdog{
+		faults:  fs,
 		wall:    wall,
 		onStall: onStall,
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	w.sref.Store(&schedBox{s: s, plan: p})
 	go w.monitor()
 	return w
 }
 
-// retarget points the watchdog at a freshly swapped scheduler and plan.
-// A mid-poll race at worst diagnoses against the retiring topology once
-// (Inflight is bounds-guarded in the scheduler).
-func (w *watchdog) retarget(s sched.Scheduler, p *graph.Plan) {
-	w.sref.Store(&schedBox{s: s, plan: p})
-}
-
-// arm marks the start of a graph execution (cycle thread).
-func (w *watchdog) arm(cycle uint64) {
+// arm marks the start of a graph execution (cycle thread); now is the
+// cycle's own graph.NowNanos stamp for that instant, so an enabled
+// watchdog adds no clock read to the cycle.
+func (w *watchdog) arm(cycle uint64, now int64) {
 	w.gen.Store(cycle)
-	w.startNs.Store(time.Now().UnixNano())
+	w.armed.Store(now + 1)
 }
 
 // disarm marks the end of the graph execution (cycle thread).
-func (w *watchdog) disarm() { w.startNs.Store(0) }
+func (w *watchdog) disarm() { w.armed.Store(0) }
 
 // close stops the monitor goroutine and waits for it to exit.
 func (w *watchdog) close() {
@@ -124,11 +113,11 @@ func (w *watchdog) monitor() {
 			return
 		case <-t.C:
 		}
-		start := w.startNs.Load()
-		if start == 0 {
+		armed := w.armed.Load()
+		if armed == 0 {
 			continue
 		}
-		elapsed := time.Duration(time.Now().UnixNano() - start)
+		elapsed := time.Duration(graph.NowNanos() - (armed - 1))
 		if elapsed < w.wall {
 			continue
 		}
@@ -146,8 +135,9 @@ func (w *watchdog) monitor() {
 	}
 }
 
-// diagnose assembles the stall record from the scheduler's in-flight
-// worker state.
+// diagnose assembles the stall record from the in-flight worker state.
+// One Plan load names every node of the pass; an edit adopted mid-poll
+// at worst labels a node "?" once (Inflight is bounds-guarded).
 func (w *watchdog) diagnose(gen uint64, elapsed time.Duration) StallRecord {
 	rec := StallRecord{
 		Cycle:     gen,
@@ -156,17 +146,16 @@ func (w *watchdog) diagnose(gen uint64, elapsed time.Duration) StallRecord {
 		ElapsedMS: float64(elapsed) / 1e6,
 	}
 	var b strings.Builder
-	box := w.sref.Load()
-	s := box.s
-	for wk := int32(0); wk < int32(s.Threads()); wk++ {
-		in := s.Inflight(wk)
+	names := w.faults.Plan().Names
+	for wk := int32(0); wk < int32(w.faults.Workers()); wk++ {
+		in := w.faults.Inflight(wk)
 		if in == 0 {
 			continue
 		}
 		node := in - 1
 		name := "?"
-		if int(node) < len(box.plan.Names) {
-			name = box.plan.Names[node]
+		if int(node) < len(names) {
+			name = names[node]
 		}
 		if rec.Node < 0 {
 			rec.Node = node

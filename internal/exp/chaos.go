@@ -113,7 +113,7 @@ func Chaos(o Options) (*ChaosResult, error) {
 	for i := 0; i < o.Cycles; i++ {
 		e.Cycle(res.Metrics)
 		rms := e.Session().DeckMixRMS(0)
-		if rec := e.Scheduler().Faults().Recovered; rec > prevRecovered {
+		if rec := e.Scheduler().FaultState().Faults().Recovered; rec > prevRecovered {
 			prevRecovered = rec
 			res.SilentPackets++
 			faultSum += rms

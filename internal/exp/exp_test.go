@@ -136,6 +136,12 @@ func TestFig11TracesAllStrategies(t *testing.T) {
 	}
 }
 
+// TestFig4Numbers holds the invariants of the §IV analysis on measured
+// durations. The figures themselves — 295 µs critical path, 33
+// processors, 324 µs on 4 cores — are pinned deterministically on the
+// static cost table in rescon_test.go; the bands a measured run should
+// land in are wall-clock assertions and live behind the perf tag
+// (TestFig4MeasuredBands).
 func TestFig4Numbers(t *testing.T) {
 	var buf bytes.Buffer
 	o := Quick(&buf)
@@ -145,24 +151,8 @@ func TestFig4Numbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Paper: 295 µs critical path, 33 processors, 324 µs on 4 cores.
-	// Measured durations inflate slightly over the targets (real DSP +
-	// timer overhead), so accept a generous band around the paper values.
-	if res.CriticalPathUS < 250 || res.CriticalPathUS > 420 {
-		t.Errorf("critical path %v µs, want ~295", res.CriticalPathUS)
-	}
-	if res.PeakConcurrency != 33 {
-		t.Errorf("peak concurrency %d, want 33", res.PeakConcurrency)
-	}
 	if res.FourCoreUS < res.CriticalPathUS {
 		t.Error("4-core makespan beats critical path")
-	}
-	if res.FourCoreUS > res.CriticalPathUS*1.35 {
-		t.Errorf("4-core %v too far above critical path %v (paper: +8%%)",
-			res.FourCoreUS, res.CriticalPathUS)
-	}
-	if res.SequentialUS < 1000 || res.SequentialUS > 1700 {
-		t.Errorf("sequential work %v µs, want ~1200", res.SequentialUS)
 	}
 	if len(res.Profile) != 100 {
 		t.Fatalf("profile %d samples", len(res.Profile))

@@ -84,13 +84,13 @@ func StaticVsOnline(opts Options) (*StaticResult, error) {
 		return nil, err
 	}
 	busySum, err := run(func(p *graph.Plan) (sched.Scheduler, error) {
-		return sched.NewBusyWait(p, sched.Options{Threads: opts.MaxThreads})
+		return sched.New(sched.NameBusyWait, p, sched.Options{Threads: opts.MaxThreads})
 	})
 	if err != nil {
 		return nil, err
 	}
 	wsSum, err := run(func(p *graph.Plan) (sched.Scheduler, error) {
-		return sched.NewWorkSteal(p, sched.Options{Threads: opts.MaxThreads})
+		return sched.New(sched.NameWorkSteal, p, sched.Options{Threads: opts.MaxThreads})
 	})
 	if err != nil {
 		return nil, err

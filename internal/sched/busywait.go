@@ -4,31 +4,6 @@ import (
 	"djstar/internal/graph"
 )
 
-// BusyWait implements the paper's winning strategy (§V-A): nodes from the
-// depth-sorted queue are assigned to threads round-robin; each thread
-// processes its nodes in queue order and spins ("busy-waits") until every
-// dependency of the next node is done. Workers are persistent and spin
-// across cycle boundaries too, so starting a cycle costs no wake-up — the
-// property that gives BUSY its strong early-start behaviour (Fig. 9/10).
-//
-// BusyWait is a listSpinPolicy over the shared execution core: the
-// round-robin split supplies the lists, the core supplies the workers.
-type BusyWait struct {
-	*core
-}
-
-// NewBusyWait returns a busy-waiting scheduler with o.Threads workers.
-// The calling goroutine acts as worker 0 during Execute; threads-1
-// persistent spinning workers are started immediately.
-func NewBusyWait(p *graph.Plan, o Options) (*BusyWait, error) {
-	o = o.withDefaults()
-	if err := checkThreads(p, o.Threads); err != nil {
-		return nil, err
-	}
-	pol := &listSpinPolicy{strategy: NameBusyWait, lists: roundRobinLists(p, o.Threads)}
-	return &BusyWait{core: newCore(p, o.Threads, o.Observer, pol, waitSpin)}, nil
-}
-
 // roundRobinLists splits the compile-time rank order across threads:
 // worker w gets RankOrder[w], RankOrder[w+T], RankOrder[w+2T], ...
 // Dealing by descending upward rank hands out critical-path nodes first,
@@ -46,13 +21,18 @@ func roundRobinLists(p *graph.Plan, threads int) [][]int32 {
 	return lists
 }
 
-// listSpinPolicy runs fixed per-worker node lists in order, busy-waiting
-// on unfinished dependencies via the core's generation-stamped done
-// flags. It backs both BusyWait (round-robin lists) and Static
-// (externally supplied lists); the two differ only in how the lists are
-// produced.
+// listSpinPolicy is the paper's winning strategy (§V-A): nodes from the
+// depth-sorted queue are assigned to threads round-robin; each thread
+// processes its nodes in queue order and spins ("busy-waits") until every
+// dependency of the next node is done, via the core's generation-stamped
+// done flags. Run under waitSpin, workers spin across cycle boundaries
+// too, so starting a cycle costs no wake-up — the property that gives
+// BUSY its strong early-start behaviour (Fig. 9/10).
+//
+// It backs both NameBusyWait (round-robin lists) and NameStatic
+// (externally supplied lists, see NewStatic); the two differ only in how
+// the lists are produced.
 type listSpinPolicy struct {
-	noClose
 	strategy string
 	// lists[w] holds worker w's assigned node IDs in queue order.
 	lists [][]int32
@@ -77,14 +57,13 @@ func (pol *listSpinPolicy) beginCycle(*core) {}
 // runCycle executes worker w's node list for the given generation,
 // spinning on unfinished dependencies.
 func (pol *listSpinPolicy) runCycle(c *core, w int32, gen uint64) {
-	obs := c.obs
 	for _, id := range pol.lists[w] {
 		// Dependency check with busy-waiting (paper Fig. 5).
 		for _, d := range c.plan.PredsOf(id) {
 			d := d
 			spinWait(func() bool { return c.done[d].v.Load() == gen })
 		}
-		c.exec(c.plan, obs, id, w, gen)
+		c.run(id, w, gen)
 		c.done[id].v.Store(gen)
 	}
 }

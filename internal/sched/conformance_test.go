@@ -18,14 +18,15 @@ type schedulerCase struct {
 	build func(t *testing.T, p *graph.Plan, o Options) (Scheduler, func())
 }
 
+// newNames lists every name New accepts: the private-worker strategies
+// plus NamePool (through New, a private single-session pool).
+func newNames() []string { return append(append([]string{}, AllStrategies...), NamePool) }
+
 func conformanceCases() []schedulerCase {
 	none := func() {}
-	cases := []schedulerCase{
-		{NameSequential, func(t *testing.T, p *graph.Plan, o Options) (Scheduler, func()) {
-			return NewSequential(p, o), none
-		}},
-	}
-	for _, name := range []string{NameBusyWait, NameSleep, NameWorkSteal, NameSleepScan, NameStatic} {
+	var cases []schedulerCase
+	// Each asked for 3 threads; seq ignores it.
+	for _, name := range newNames() {
 		name := name
 		cases = append(cases, schedulerCase{name, func(t *testing.T, p *graph.Plan, o Options) (Scheduler, func()) {
 			o.Threads = 3
@@ -36,7 +37,7 @@ func conformanceCases() []schedulerCase {
 			return s, none
 		}})
 	}
-	cases = append(cases, schedulerCase{NamePool, func(t *testing.T, p *graph.Plan, o Options) (Scheduler, func()) {
+	cases = append(cases, schedulerCase{"pool-attach", func(t *testing.T, p *graph.Plan, o Options) (Scheduler, func()) {
 		pool, err := NewPool(2, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -103,6 +104,83 @@ func TestLifecycleExecuteAfterClosePanics(t *testing.T) {
 				}
 			}()
 			s.Execute()
+		})
+	}
+}
+
+// TestLifecycleStageSwapRacesClose: StageSwap is documented safe from
+// any goroutine, so a stager racing Close must be clean under -race on
+// every executor, and once Close has returned StageSwap must refuse.
+func TestLifecycleStageSwapRacesClose(t *testing.T) {
+	for _, c := range conformanceCases() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			p, _ := conformancePlan(t)
+			next, _ := conformancePlan(t)
+			for round := 0; round < 20; round++ {
+				s, cleanup := c.build(t, p, Options{})
+				s.Execute()
+				started := make(chan struct{})
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					close(started)
+					for i := 0; i < 50; i++ {
+						_ = s.StageSwap(Swap{Plan: next}) // either outcome is legal mid-race
+					}
+				}()
+				<-started
+				s.Close()
+				<-done
+				if err := s.StageSwap(Swap{Plan: next}); err == nil || !strings.Contains(err.Error(), "StageSwap after Close") {
+					t.Fatalf("StageSwap after Close = %v", err)
+				}
+				cleanup()
+			}
+		})
+	}
+}
+
+// TestFaultStateOutlivesSwap: FaultState() is one object for the
+// scheduler's whole life — a holder that fetched it before a topology
+// swap keeps steering the session after it.
+func TestFaultStateOutlivesSwap(t *testing.T) {
+	for _, c := range conformanceCases() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			p, _ := conformancePlan(t)
+			next, ntr := conformancePlan(t)
+			s, cleanup := c.build(t, p, Options{})
+			defer cleanup()
+			defer s.Close()
+			fs := s.FaultState()
+			if fs == nil || fs.Plan() != p {
+				t.Fatalf("FaultState() = %v over plan %p, want plan %p", fs, fs.Plan(), p)
+			}
+			s.Execute()
+			if err := s.StageSwap(Swap{Plan: next}); err != nil {
+				t.Fatal(err)
+			}
+			if !s.AdoptStaged() {
+				t.Fatal("staged swap not adopted")
+			}
+			if got := s.FaultState(); got != fs {
+				t.Fatalf("FaultState() changed across AdoptStaged: %p -> %p", fs, got)
+			}
+			if fs.Plan() != next {
+				t.Fatal("held fault state does not see the adopted plan")
+			}
+			// A shed issued through the pointer taken before the swap
+			// decides what the executor runs after it.
+			fs.SetNodeShed(3, true)
+			ntr.Reset()
+			s.Execute()
+			if ntr.Stamp(3) != 0 {
+				t.Fatal("node shed through the pre-swap pointer still ran")
+			}
+			if ntr.Stamp(4) == 0 {
+				t.Fatal("unshed node did not run")
+			}
 		})
 	}
 }
@@ -274,10 +352,10 @@ func TestFaultToleranceConformance(t *testing.T) {
 			s, cleanup := c.build(t, p, Options{})
 			defer cleanup()
 			defer s.Close()
-			s.SetFaultPolicy(FaultPolicy{QuarantineAfter: quarantineAfter, ProbeEvery: probeEvery})
+			s.FaultState().SetFaultPolicy(FaultPolicy{QuarantineAfter: quarantineAfter, ProbeEvery: probeEvery})
 			var mu sync.Mutex
 			var recs []FaultRecord
-			s.SetFaultHandler(func(r FaultRecord) {
+			s.FaultState().SetFaultHandler(func(r FaultRecord) {
 				mu.Lock()
 				recs = append(recs, r)
 				mu.Unlock()
@@ -305,10 +383,10 @@ func TestFaultToleranceConformance(t *testing.T) {
 			for i := 0; i < quarantineAfter; i++ {
 				cycle(true) // faulting: victim dies, cycle still completes
 			}
-			if got := s.Faults().Recovered; got != quarantineAfter {
+			if got := s.FaultState().Faults().Recovered; got != quarantineAfter {
 				t.Fatalf("recovered = %d, want %d", got, quarantineAfter)
 			}
-			if !s.Quarantined(faultVictim) {
+			if !s.FaultState().Quarantined(faultVictim) {
 				t.Fatal("victim not quarantined after consecutive faults")
 			}
 			mu.Lock()
@@ -331,16 +409,16 @@ func TestFaultToleranceConformance(t *testing.T) {
 			for i := 0; i < probeEvery+1; i++ {
 				cycle(true)
 			}
-			if s.Quarantined(faultVictim) {
+			if s.FaultState().Quarantined(faultVictim) {
 				t.Fatal("probe did not lift the quarantine")
 			}
-			if fs := s.Faults(); fs.Restored != 1 || fs.Probes < 1 {
+			if fs := s.FaultState().Faults(); fs.Restored != 1 || fs.Probes < 1 {
 				t.Fatalf("fault stats after probe = %+v", fs)
 			}
 
 			cycle(false) // fully clean again
 			cycle(false)
-			if got := s.Faults().Recovered; got != quarantineAfter {
+			if got := s.FaultState().Faults().Recovered; got != quarantineAfter {
 				t.Fatalf("recovered grew to %d after restoration", got)
 			}
 		})
@@ -372,7 +450,7 @@ func TestPoolFaultIsolationAcrossSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		s.SetFaultPolicy(FaultPolicy{QuarantineAfter: 3, ProbeEvery: 8})
+		s.FaultState().SetFaultPolicy(FaultPolicy{QuarantineAfter: 3, ProbeEvery: 8})
 		ss = append(ss, sess{s, p, tr, armed})
 	}
 
@@ -404,18 +482,87 @@ func TestPoolFaultIsolationAcrossSessions(t *testing.T) {
 		}
 	}
 
-	if got := ss[0].s.Faults().Recovered; got != 3 {
+	if got := ss[0].s.FaultState().Faults().Recovered; got != 3 {
 		t.Fatalf("faulting session recovered = %d, want 3", got)
 	}
-	if ss[0].s.Quarantined(faultVictim) {
+	if ss[0].s.FaultState().Quarantined(faultVictim) {
 		t.Fatal("faulting session's victim still quarantined (probe never ran)")
 	}
 	for i := 1; i < sessions; i++ {
-		if fs := ss[i].s.Faults(); fs.Recovered != 0 || fs.Quarantined != 0 {
+		if fs := ss[i].s.FaultState().Faults(); fs.Recovered != 0 || fs.Quarantined != 0 {
 			t.Fatalf("innocent session %d has fault stats %+v", i, fs)
 		}
-		if ss[i].s.Quarantined(faultVictim) {
+		if ss[i].s.FaultState().Quarantined(faultVictim) {
 			t.Fatalf("innocent session %d quarantined its victim", i)
 		}
+	}
+}
+
+// TestFaultStateCarriedThroughMigration: AttachMigrated hands the
+// session's FaultState object to the new executor — not a copy — so a
+// pointer taken before the move reads the carried quarantine/shed state
+// and still steers the session afterwards; a wider destination than the
+// state was sized for is refused.
+func TestFaultStateCarriedThroughMigration(t *testing.T) {
+	src, err := NewPool(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	dst, err := NewPool(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	wide, err := NewPool(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wide.Close()
+
+	p, tr, armed := faultDAG(t)
+	old, err := src.Attach(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := old.FaultState()
+	fs.SetFaultPolicy(FaultPolicy{QuarantineAfter: 1, ProbeEvery: 1 << 30})
+	const shedID = 7
+	armed.Store(1)
+	old.Execute()
+	fs.SetNodeShed(shedID, true)
+	if !fs.Quarantined(faultVictim) || !fs.Shed(shedID) {
+		t.Fatal("setup: victim not quarantined / node not shed")
+	}
+
+	if _, err := wide.AttachMigrated(old, Options{}); err == nil {
+		t.Fatal("AttachMigrated accepted a pool wider than the fault state")
+	}
+	ns, err := dst.AttachMigrated(old, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	if ns.FaultState() != fs {
+		t.Fatalf("migration replaced the fault state: %p -> %p", fs, ns.FaultState())
+	}
+	if !fs.Quarantined(faultVictim) || !fs.Shed(shedID) || fs.Faults().Recovered != 1 {
+		t.Fatalf("state lost in migration: quarantined=%v shed=%v faults=%+v",
+			fs.Quarantined(faultVictim), fs.Shed(shedID), fs.Faults())
+	}
+	tr.Reset()
+	ns.Execute()
+	if tr.Stamp(faultVictim) != 0 || tr.Stamp(shedID) != 0 {
+		t.Fatal("quarantined/shed node ran on the new executor")
+	}
+	// The old pointer still steers: un-shed through it, the node runs.
+	fs.SetNodeShed(shedID, false)
+	tr.Reset()
+	ns.Execute()
+	if tr.Stamp(shedID) == 0 {
+		t.Fatal("un-shed through the pre-migration pointer had no effect")
+	}
+	if err := checkTolerant(p, tr); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -10,8 +10,8 @@ import (
 // policy is the strategy-specific part of a scheduler: how one worker
 // selects and runs its share of a cycle, and how per-cycle policy state
 // is reset. Everything else — worker spawning, OS-thread pinning, cycle
-// dispatch, completion signaling, observer plumbing, teardown — lives in
-// core and is shared by every strategy.
+// dispatch, completion signaling, observer plumbing, topology swaps,
+// teardown — lives in core and is shared by every strategy.
 //
 // A policy's runCycle must execute only nodes whose dependencies have
 // completed this cycle, using the core's done stamps (spin disciplines)
@@ -34,9 +34,6 @@ type policy interface {
 	// install runs on the adoption thread between cycles (see
 	// core.AdoptStaged) and only assigns.
 	stage(p *graph.Plan, threads int) (install func())
-	// closing is called once when the core shuts down, before workers
-	// are released from their between-cycle wait.
-	closing(c *core)
 }
 
 // waitMode is a policy's between-cycle worker discipline.
@@ -87,15 +84,17 @@ type depCount struct {
 	_ [cacheLine - 4]byte
 }
 
-// core owns the worker pool and per-cycle machinery shared by all
-// parallel strategies: persistent OS-thread-pinned workers, the
-// generation/epoch dispatch that starts a cycle, completion signaling,
-// the per-node done/pending state, and the observer hook. All of it is
-// allocation-free in steady state, per the package contract.
+// core is the one executor skeleton behind every private-worker strategy
+// — the sequential baseline included, as the one-thread case: persistent
+// OS-thread-pinned workers, the generation/epoch dispatch that starts a
+// cycle, completion signaling, the per-node done/pending state, the
+// observer hook, and the whole lifecycle (Close, execute-after-close,
+// StageSwap, AdoptStaged; see swap.go). All of it is allocation-free in
+// steady state, per the package contract.
 type core struct {
-	// faultState provides panic recovery, quarantine and load shedding
-	// for every node execution (promoted Scheduler methods).
-	*faultState
+	// faults provides panic recovery, quarantine and load shedding for
+	// every node execution.
+	faults *FaultState
 
 	plan    *graph.Plan
 	threads int
@@ -141,14 +140,14 @@ type core struct {
 // must have validated the plan/thread combination already.
 func newCore(p *graph.Plan, threads int, obs Observer, pol policy, mode waitMode) *core {
 	c := &core{
-		faultState: newFaultState(p, threads),
-		plan:       p,
-		threads:    threads,
-		obs:        obs,
-		pol:        pol,
-		mode:       mode,
-		done:       make([]doneStamp, p.Len()),
-		pending:    make([]depCount, p.Len()),
+		faults:  newFaultState(p, threads),
+		plan:    p,
+		threads: threads,
+		obs:     obs,
+		pol:     pol,
+		mode:    mode,
+		done:    make([]doneStamp, p.Len()),
+		pending: make([]depCount, p.Len()),
 	}
 	if mode == waitBlock {
 		c.start = make([]chan struct{}, threads)
@@ -170,6 +169,12 @@ func (c *core) resetPending() {
 	for i := range c.pending {
 		c.pending[i].v.Store(c.plan.Indegree[i])
 	}
+}
+
+// run executes node id on worker w with full fault handling (see
+// FaultState.exec); every policy's runCycle goes through it.
+func (c *core) run(id, w int32, gen uint64) {
+	c.faults.exec(c.plan, c.obs, id, w, gen)
 }
 
 // worker is the persistent loop for workers 1..threads-1.
@@ -213,6 +218,9 @@ func (c *core) Name() string { return c.pol.name() }
 // Threads implements Scheduler.
 func (c *core) Threads() int { return c.threads }
 
+// FaultState implements Scheduler.
+func (c *core) FaultState() *FaultState { return c.faults }
+
 // Execute implements Scheduler. The caller participates as worker 0.
 // Execute panics if the scheduler has been closed.
 func (c *core) Execute() {
@@ -254,15 +262,9 @@ func (c *core) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
-	c.pol.closing(c)
 	if c.mode == waitBlock {
 		for w := 1; w < c.threads; w++ {
 			close(c.start[w])
 		}
 	}
 }
-
-// noClose is embedded by policies with no shutdown work of their own.
-type noClose struct{}
-
-func (noClose) closing(*core) {}

@@ -12,7 +12,7 @@ import (
 // not wedge the cycle: its successors still depend on its done stamp /
 // pending counter, so the recovery path has to retire the node normally.
 // Every scheduler in this package therefore routes node execution through
-// a shared faultState: the node runs under recover; on panic its Flush
+// a shared FaultState: the node runs under recover; on panic its Flush
 // hook silences the half-written output buffer, the fault is reported,
 // and the node is retired so the cycle completes. After QuarantineAfter
 // consecutive faults the node is quarantined — subsequent cycles run its
@@ -79,7 +79,7 @@ type FaultStats struct {
 	Restored int64
 }
 
-// Node state bits in faultState.state.
+// Node state bits in faultArrays.state.
 const (
 	stateQuarantined uint32 = 1 << iota
 	stateShed
@@ -87,7 +87,7 @@ const (
 
 // faultArrays is the per-node fault state of one plan epoch: all arrays
 // are indexed by BASE node IDs. The whole set swaps atomically when a
-// topology edit is adopted (see faultState.adopt), so cross-thread
+// topology edit is adopted (see FaultState.adopt), so cross-thread
 // readers — Health snapshots calling Quarantined, the governor calling
 // SetNodeShed — always see arrays consistent with one plan.
 type faultArrays struct {
@@ -102,10 +102,15 @@ type faultArrays struct {
 	probeAt []atomic.Uint64
 }
 
-// faultState is the per-scheduler fault-tolerance state. It is embedded
-// by every Scheduler implementation, promoting the fault-management
-// methods of the Scheduler interface.
-type faultState struct {
+// FaultState is one session's fault-tolerance state: quarantine and shed
+// bits, fault counters, and the per-worker inflight view. It has the
+// lifetime of the session, not of an executor: a Scheduler is built
+// around one, hands the same pointer back from FaultState() for its
+// whole life — across every AdoptStaged — and Pool.AttachMigrated passes
+// it on to the session's next executor. Holders (the engine's governor,
+// watchdog and health read-outs) therefore fetch it once and never
+// re-point.
+type FaultState struct {
 	policy FaultPolicy
 	// handler is invoked synchronously from the recovering worker; it
 	// must be installed before the first Execute or between cycles, and
@@ -119,7 +124,9 @@ type faultState struct {
 
 	// running[w] holds 1 + the node worker w is currently executing
 	// (0 = idle); the engine's stall watchdog reads it to name the stuck
-	// node. Worker count never changes across swaps, so this array stays.
+	// node. Sized once, for the session's first executor: a topology swap
+	// keeps the worker count, and a migration may only narrow it (see
+	// Pool.AttachMigrated).
 	running []atomic.Int32
 
 	recovered   atomic.Int64
@@ -148,34 +155,13 @@ func newFaultArrays(p *graph.Plan) *faultArrays {
 
 // newFaultState sizes the fault-tolerance state for a plan and worker
 // count.
-func newFaultState(p *graph.Plan, workers int) *faultState {
-	f := &faultState{
+func newFaultState(p *graph.Plan, workers int) *FaultState {
+	f := &FaultState{
 		policy:  FaultPolicy{}.withDefaults(),
 		running: make([]atomic.Int32, workers),
 	}
 	f.arr.Store(newFaultArrays(p))
 	return f
-}
-
-// cloneFor copies the fault-tolerance state for a session migrating to
-// a pool with the given worker count: the per-node arrays (quarantine
-// and shed bits, consecutive-fault counts, probe deadlines), the policy,
-// the handler and the cumulative counters all carry over; only the
-// per-worker inflight array is rebuilt at the new pool's width. The
-// source must be quiescent (no Execute in flight) — the array pointer is
-// shared, which is safe because the source is detached right after.
-func (f *faultState) cloneFor(workers int) *faultState {
-	nf := &faultState{
-		policy:  f.policy,
-		handler: f.handler,
-		running: make([]atomic.Int32, workers),
-	}
-	nf.arr.Store(f.arr.Load())
-	nf.recovered.Store(f.recovered.Load())
-	nf.quarantines.Store(f.quarantines.Load())
-	nf.probes.Store(f.probes.Load())
-	nf.restored.Store(f.restored.Load())
-	return nf
 }
 
 // adopt rebinds the fault arrays to a new plan epoch, carrying each
@@ -184,16 +170,11 @@ func (f *faultState) cloneFor(workers int) *faultState {
 // stays quarantined after it, under its new ID. oldToNew == nil means
 // the base topology is unchanged (a re-fusion): when the base plan is
 // literally the same, the arrays are kept; otherwise state is copied by
-// identity index. Runs between cycles on the adoption thread.
-func (f *faultState) adopt(p *graph.Plan, oldToNew []int32) {
-	f.adoptInto(newFaultArrays(p), oldToNew)
-}
-
-// adoptInto is adopt with the destination arrays allocated by the
-// caller — schedulers pre-size them at staging time (off the audio
-// path) so the adoption boundary only copies surviving state. next must
-// be freshly zeroed and sized for the new plan (newFaultArrays).
-func (f *faultState) adoptInto(next *faultArrays, oldToNew []int32) {
+// identity index. Runs between cycles on the adoption thread. next is
+// allocated by the caller at staging time (off the audio path) so the
+// adoption boundary only copies surviving state; it must be freshly
+// zeroed and sized for the new plan (newFaultArrays).
+func (f *FaultState) adopt(next *faultArrays, oldToNew []int32) {
 	old := f.arr.Load()
 	if oldToNew == nil && next.plan == old.plan {
 		return
@@ -219,17 +200,17 @@ func (f *faultState) adoptInto(next *faultArrays, oldToNew []int32) {
 	f.arr.Store(next)
 }
 
-// SetFaultPolicy implements Scheduler. Zero fields select defaults;
-// call it before the first Execute or between cycles.
-func (f *faultState) SetFaultPolicy(p FaultPolicy) { f.policy = p.withDefaults() }
+// SetFaultPolicy configures the quarantine thresholds. Zero fields
+// select defaults; call it before the first Execute or between cycles.
+func (f *FaultState) SetFaultPolicy(p FaultPolicy) { f.policy = p.withDefaults() }
 
-// SetFaultHandler implements Scheduler: h is invoked synchronously from
-// the worker that recovered a fault, so it must be cheap and safe for
+// SetFaultHandler installs h, invoked synchronously from the worker
+// that recovered a fault, so it must be cheap and safe for
 // concurrent use. Install it before the first Execute or between cycles.
-func (f *faultState) SetFaultHandler(h func(FaultRecord)) { f.handler = h }
+func (f *FaultState) SetFaultHandler(h func(FaultRecord)) { f.handler = h }
 
-// Faults implements Scheduler.
-func (f *faultState) Faults() FaultStats {
+// Faults returns the cumulative fault-tolerance counters.
+func (f *FaultState) Faults() FaultStats {
 	return FaultStats{
 		Recovered:   f.recovered.Load(),
 		Quarantined: f.quarantines.Load(),
@@ -238,12 +219,12 @@ func (f *faultState) Faults() FaultStats {
 	}
 }
 
-// SetNodeShed implements Scheduler: a shed node runs its Bypass stand-in
+// SetNodeShed marks (or unmarks) a node as shed: a shed node runs its Bypass stand-in
 // (or is skipped) instead of its kernel until un-shed. The engine's
 // deadline governor drives this; it takes effect on the next cycle.
 // IDs outside the current plan epoch (a caller racing a topology swap)
 // are ignored.
-func (f *faultState) SetNodeShed(id int32, shed bool) {
+func (f *FaultState) SetNodeShed(id int32, shed bool) {
 	a := f.arr.Load()
 	if id < 0 || int(id) >= len(a.state) {
 		return
@@ -262,24 +243,38 @@ func (f *faultState) SetNodeShed(id int32, shed bool) {
 	}
 }
 
-// Quarantined implements Scheduler. IDs outside the current plan epoch
-// (a caller racing a topology swap) report false.
-func (f *faultState) Quarantined(id int32) bool {
+// bits returns node id's state bits; IDs outside the current plan epoch
+// (a caller racing a topology swap) read as 0.
+func (f *FaultState) bits(id int32) uint32 {
 	a := f.arr.Load()
 	if id < 0 || int(id) >= len(a.state) {
-		return false
+		return 0
 	}
-	return a.state[id].Load()&stateQuarantined != 0
+	return a.state[id].Load()
 }
 
-// Inflight implements Scheduler: 1 + the node worker w is currently
-// executing, or 0 when idle.
-func (f *faultState) Inflight(w int32) int32 {
+// Quarantined reports whether a node is currently quarantined.
+func (f *FaultState) Quarantined(id int32) bool { return f.bits(id)&stateQuarantined != 0 }
+
+// Shed reports whether a node is currently marked shed.
+func (f *FaultState) Shed(id int32) bool { return f.bits(id)&stateShed != 0 }
+
+// Inflight returns 1 + the node worker w is currently executing, or 0
+// when the worker is idle (the stall watchdog's view).
+func (f *FaultState) Inflight(w int32) int32 {
 	if int(w) >= len(f.running) {
 		return 0
 	}
 	return f.running[w].Load()
 }
+
+// Workers returns the width of the inflight view: the worker count of
+// the session's first executor, an upper bound on every later one.
+func (f *FaultState) Workers() int { return len(f.running) }
+
+// Plan returns the base plan of the current epoch — the node-ID space of
+// SetNodeShed, Quarantined and Inflight. It changes only at AdoptStaged.
+func (f *FaultState) Plan() *graph.Plan { return f.arr.Load().plan }
 
 // exec runs node id of plan p on worker w for cycle gen with full fault
 // handling. It always returns normally — on a node panic the fault is
@@ -292,7 +287,7 @@ func (f *faultState) Inflight(w int32) int32 {
 // plan. A panicking member is contained without aborting the rest of the
 // unit — later members see the same flushed-output state they would see
 // in an unfused run.
-func (f *faultState) exec(p *graph.Plan, o Observer, id, w int32, gen uint64) {
+func (f *FaultState) exec(p *graph.Plan, o Observer, id, w int32, gen uint64) {
 	if p.Members != nil {
 		base := p.Base
 		for _, m := range p.Members[id] {
@@ -306,7 +301,7 @@ func (f *faultState) exec(p *graph.Plan, o Observer, id, w int32, gen uint64) {
 // execNode is exec for a single unfused node. The fault arrays are
 // loaded once per call: a topology swap never happens while a cycle is
 // in flight, so the arrays match the plan the caller is executing.
-func (f *faultState) execNode(p *graph.Plan, o Observer, id, w int32, gen uint64) {
+func (f *FaultState) execNode(p *graph.Plan, o Observer, id, w int32, gen uint64) {
 	a := f.arr.Load()
 	st := a.state[id].Load()
 	if st == 0 {
@@ -345,7 +340,7 @@ func (f *faultState) execNode(p *graph.Plan, o Observer, id, w int32, gen uint64
 }
 
 // guard runs node id under recover, reporting success or the panic value.
-func (f *faultState) guard(p *graph.Plan, o Observer, id, w int32) (err any, ok bool) {
+func (f *FaultState) guard(p *graph.Plan, o Observer, id, w int32) (err any, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = r
@@ -358,7 +353,7 @@ func (f *faultState) guard(p *graph.Plan, o Observer, id, w int32) (err any, ok 
 
 // alternate runs the node's bypass stand-in (guarded too — a broken
 // bypass must not crash either) and records its window for the observer.
-func (f *faultState) alternate(p *graph.Plan, o Observer, id, w int32) {
+func (f *FaultState) alternate(p *graph.Plan, o Observer, id, w int32) {
 	b := p.Bypass[id]
 	if o == nil {
 		if b != nil {
@@ -374,14 +369,14 @@ func (f *faultState) alternate(p *graph.Plan, o Observer, id, w int32) {
 }
 
 // safely invokes fn, swallowing a panic.
-func (f *faultState) safely(fn func()) {
+func (f *FaultState) safely(fn func()) {
 	defer func() { _ = recover() }()
 	fn()
 }
 
 // noteFault records a contained fault: flush the node's half-written
 // output, count towards quarantine, and report to the handler.
-func (f *faultState) noteFault(a *faultArrays, p *graph.Plan, id, w int32, gen uint64, err any) {
+func (f *FaultState) noteFault(a *faultArrays, p *graph.Plan, id, w int32, gen uint64, err any) {
 	f.recovered.Add(1)
 	if fl := p.Flush[id]; fl != nil {
 		f.safely(fl)
@@ -408,7 +403,7 @@ func (f *faultState) noteFault(a *faultArrays, p *graph.Plan, id, w int32, gen u
 
 // setQuarantine sets the quarantine bit, reporting whether this call
 // performed the transition.
-func (f *faultState) setQuarantine(a *faultArrays, id int32) bool {
+func (f *FaultState) setQuarantine(a *faultArrays, id int32) bool {
 	for {
 		old := a.state[id].Load()
 		if old&stateQuarantined != 0 {
@@ -421,7 +416,7 @@ func (f *faultState) setQuarantine(a *faultArrays, id int32) bool {
 }
 
 // clearQuarantine clears the quarantine bit (shed state is preserved).
-func (f *faultState) clearQuarantine(a *faultArrays, id int32) {
+func (f *FaultState) clearQuarantine(a *faultArrays, id int32) {
 	for {
 		old := a.state[id].Load()
 		if old&stateQuarantined == 0 {

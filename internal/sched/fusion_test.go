@@ -134,10 +134,10 @@ type faultOutcome struct {
 func runFaultPhases(t *testing.T, s Scheduler, runs []*atomic.Int64, armed *atomic.Int32) faultOutcome {
 	t.Helper()
 	const quarantineAfter, probeEvery = 3, 6
-	s.SetFaultPolicy(FaultPolicy{QuarantineAfter: quarantineAfter, ProbeEvery: probeEvery})
+	s.FaultState().SetFaultPolicy(FaultPolicy{QuarantineAfter: quarantineAfter, ProbeEvery: probeEvery})
 	var mu sync.Mutex
 	records := 0
-	s.SetFaultHandler(func(r FaultRecord) {
+	s.FaultState().SetFaultHandler(func(r FaultRecord) {
 		mu.Lock()
 		records++
 		mu.Unlock()
@@ -152,12 +152,12 @@ func runFaultPhases(t *testing.T, s Scheduler, runs []*atomic.Int64, armed *atom
 	for i := 0; i < quarantineAfter; i++ {
 		s.Execute()
 	}
-	out := faultOutcome{quarantined: s.Quarantined(fusionVictim)}
+	out := faultOutcome{quarantined: s.FaultState().Quarantined(fusionVictim)}
 	for i := 0; i < probeEvery+1; i++ {
 		s.Execute()
 	}
 	s.Execute()
-	out.stats = s.Faults()
+	out.stats = s.FaultState().Faults()
 	out.runs = make([]int64, len(runs))
 	for i, r := range runs {
 		out.runs[i] = r.Load()

@@ -136,11 +136,7 @@ func (p *Pool) Attach(plan *graph.Plan, o Options) (*PoolSession, error) {
 		if p.slots[i].state.Load() != slotEmpty {
 			continue
 		}
-		s := &PoolSession{
-			faultState: newFaultState(plan, p.workers+1),
-			pool:       p,
-			slot:       int32(i),
-		}
+		s := &PoolSession{faults: newFaultState(plan, p.workers+1), pool: p, slot: int32(i)}
 		s.topo.Store(newPoolTopo(plan, o.Observer))
 		p.slots[i].sess.Store(s)
 		p.slots[i].state.Store(slotIdle)
@@ -151,14 +147,17 @@ func (p *Pool) Attach(plan *graph.Plan, o Options) (*PoolSession, error) {
 
 // AttachMigrated moves a quiescent session from its current pool onto p
 // — the shard-drain primitive. The new session continues the old one
-// mid-stream: same plan and observer, same fault/quarantine/shed state
-// and cumulative fault counters, and the same cycle generation, so no
-// cycle is lost or doubled across the move. On success the old session
-// is detached (its slot frees for a new Attach); on failure it is left
-// attached and untouched.
+// mid-stream: same plan and observer, the same FaultState object
+// (quarantine/shed bits, policy, handler, counters — whoever holds the
+// pointer keeps steering the session), and the same cycle generation, so
+// no cycle is lost or doubled across the move. On success the old
+// session is detached (its slot frees for a new Attach); on failure it
+// is left attached and untouched.
 //
-// The caller must guarantee the old session has no Execute in flight —
-// fleet drivers migrate strictly between cycles. o.Observer, when set,
+// p must not expose more parallelism than the pool the session was first
+// attached to: the fault state's inflight view is sized once. The caller
+// must guarantee the old session has no Execute in flight — fleet
+// drivers migrate strictly between cycles. o.Observer, when set,
 // replaces the carried observer (the usual case keeps it nil: the
 // engine's collector travels with the engine, not the pool).
 func (p *Pool) AttachMigrated(old *PoolSession, o Options) (*PoolSession, error) {
@@ -167,6 +166,10 @@ func (p *Pool) AttachMigrated(old *PoolSession, o Options) (*PoolSession, error)
 	}
 	if old.closed.Load() {
 		return nil, fmt.Errorf("sched: AttachMigrated of closed session")
+	}
+	if n := old.faults.Workers(); p.workers+1 > n {
+		return nil, fmt.Errorf("sched: AttachMigrated target exposes %d workers, session is sized for %d",
+			p.workers+1, n)
 	}
 	ot := old.topo.Load()
 	obs := ot.obs
@@ -183,11 +186,7 @@ func (p *Pool) AttachMigrated(old *PoolSession, o Options) (*PoolSession, error)
 		if p.slots[i].state.Load() != slotEmpty {
 			continue
 		}
-		ns = &PoolSession{
-			faultState: old.faultState.cloneFor(p.workers + 1),
-			pool:       p,
-			slot:       int32(i),
-		}
+		ns = &PoolSession{faults: old.faults, pool: p, slot: int32(i)}
 		// Continue the old session's cycle generation, so the first
 		// post-migration cycle (gen+1) claims every node exactly once and
 		// observers keep a monotonic cycle coordinate.
@@ -329,13 +328,16 @@ func (p *Pool) wakeIfIdle() {
 // serialized by the caller, like every Scheduler), but distinct sessions
 // of one pool may Execute concurrently.
 type PoolSession struct {
-	// faultState provides panic recovery, quarantine and load shedding
-	// (promoted Scheduler methods), per session — a faulty node in one
-	// session never affects its siblings on the same pool.
-	*faultState
+	// faults provides panic recovery, quarantine and load shedding, per
+	// session — a faulty node in one session never affects its siblings
+	// on the same pool.
+	faults *FaultState
 
 	pool *Pool
 	slot int32
+	// ownsPool marks the session of a private single-session pool (see
+	// newPrivatePool): its Close also closes the pool.
+	ownsPool bool
 
 	// topo bundles the session's plan with ALL of its per-cycle claim
 	// state — including the cycle counter. The bundle swaps atomically
@@ -414,8 +416,28 @@ func (t *poolTopo) resumeAt(gen uint64) {
 	}
 }
 
+// newPrivatePool builds New's NamePool executor: a single-session pool
+// of o.Threads-1 helper workers plus the Execute caller — the
+// parallelism of the other strategies — owned by its one session.
+func newPrivatePool(plan *graph.Plan, o Options) (*PoolSession, error) {
+	p, err := NewPool(o.Threads-1, 1)
+	if err != nil {
+		return nil, err
+	}
+	s, err := p.Attach(plan, o)
+	if err != nil {
+		p.Close()
+		return nil, err
+	}
+	s.ownsPool = true
+	return s, nil
+}
+
 // Name implements Scheduler.
 func (s *PoolSession) Name() string { return NamePool }
+
+// FaultState implements Scheduler.
+func (s *PoolSession) FaultState() *FaultState { return s.faults }
 
 // Threads implements Scheduler: the parallelism available to this
 // session — the pool's workers plus the Execute caller.
@@ -514,7 +536,7 @@ func (s *PoolSession) AdoptStaged() bool {
 	}
 	// Here, not at staging time: gen advances between stage and adoption.
 	t.resumeAt(old.gen.Load())
-	s.faultState.adoptInto(st.faults, sw.OldToNew)
+	s.faults.adopt(st.faults, sw.OldToNew)
 	s.topo.Store(t)
 	return true
 }
@@ -548,7 +570,7 @@ func (s *PoolSession) claim(t *poolTopo, gen uint64) (int32, bool) {
 // Execute caller cannot observe completion before the node's effects
 // (and successor releases) are published.
 func (s *PoolSession) runClaimed(t *poolTopo, id, w int32, gen uint64) {
-	s.exec(t.plan, t.obs, id, w, gen)
+	s.faults.exec(t.plan, t.obs, id, w, gen)
 	readied := false
 	for _, succ := range t.plan.SuccsOf(id) {
 		if t.pending[succ].Add(-1) == 0 {
@@ -562,8 +584,9 @@ func (s *PoolSession) runClaimed(t *poolTopo, id, w int32, gen uint64) {
 }
 
 // Close implements Scheduler: it detaches the session from the pool,
-// freeing its slot for a new Attach. Idempotent. The session must be
-// quiescent (no Execute in flight).
+// freeing its slot for a new Attach (and closes a private pool with its
+// one session). Idempotent. The session must be quiescent (no Execute in
+// flight).
 func (s *PoolSession) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
@@ -573,4 +596,7 @@ func (s *PoolSession) Close() {
 	p.slots[s.slot].state.Store(slotEmpty)
 	p.slots[s.slot].sess.Store(nil)
 	p.mu.Unlock()
+	if s.ownsPool {
+		p.Close()
+	}
 }

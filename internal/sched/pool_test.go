@@ -227,7 +227,7 @@ func TestPoolMatchesSequentialAudio(t *testing.T) {
 		return sums
 	}
 
-	ref := run(func(p *graph.Plan) (Scheduler, error) { return NewSequential(p, Options{}), nil })
+	ref := run(func(p *graph.Plan) (Scheduler, error) { return New(NameSequential, p, Options{}) })
 
 	pool, err := NewPool(3, 4)
 	if err != nil {

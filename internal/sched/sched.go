@@ -45,8 +45,9 @@ type Observer interface {
 // "1 thread, no observer, default work-stealing configuration".
 type Options struct {
 	// Threads is the worker count for parallel strategies (the Execute
-	// caller participates as one of them). Ignored by NewSequential and
-	// Pool.Attach (a pool session's parallelism is the pool's).
+	// caller participates as one of them). Ignored by NameSequential
+	// (always 1), NewStatic (one per list) and Pool.Attach (a pool
+	// session's parallelism is the pool's).
 	Threads int
 	// Observer, when non-nil, receives every cycle's schedule
 	// realization. Must not be a typed nil pointer.
@@ -67,9 +68,11 @@ func (o Options) withDefaults() Options {
 // Execute call. Implementations are not safe for concurrent Execute
 // calls; the audio engine serializes cycles by construction.
 //
-// All implementations share one lifecycle contract, enforced by the
-// conformance tests: Close is idempotent, Execute panics after Close,
-// and the construction-time Observer (if any) sees every cycle.
+// There are two implementations — core (private workers, one policy per
+// strategy) and PoolSession (shared workers) — and they share one
+// lifecycle contract, enforced by the conformance tests: Close is
+// idempotent, Execute panics after Close, and the construction-time
+// Observer (if any) sees every cycle.
 type Scheduler interface {
 	// Name returns the strategy identifier ("seq", "busy", "sleep", "ws",
 	// "sleepscan", "static", "pool").
@@ -83,31 +86,6 @@ type Scheduler interface {
 	// scheduler must not be used afterwards (Execute panics).
 	Close()
 
-	// Fault tolerance (see faulttol.go). Every scheduler contains node
-	// panics: the cycle still completes, the faulted node's output is
-	// flushed to silence, and after FaultPolicy.QuarantineAfter
-	// consecutive faults the node is quarantined onto its bypass
-	// stand-in, probed every FaultPolicy.ProbeEvery cycles.
-
-	// SetFaultPolicy configures quarantine thresholds (zero fields =
-	// defaults); call before the first Execute or between cycles.
-	SetFaultPolicy(p FaultPolicy)
-	// SetFaultHandler installs a callback invoked synchronously from the
-	// worker that recovered a node fault. It must be cheap and safe for
-	// concurrent use; install before the first Execute or between cycles.
-	SetFaultHandler(h func(FaultRecord))
-	// Faults returns the cumulative fault-tolerance counters.
-	Faults() FaultStats
-	// SetNodeShed marks (or unmarks) a node to run its bypass stand-in
-	// instead of its kernel — the engine's deadline governor's degraded
-	// modes. Takes effect on the next cycle.
-	SetNodeShed(id int32, shed bool)
-	// Quarantined reports whether a node is currently quarantined.
-	Quarantined(id int32) bool
-	// Inflight returns 1 + the node worker w is currently executing, or
-	// 0 when the worker is idle (the stall watchdog's view).
-	Inflight(w int32) int32
-
 	// Live topology swaps (see swap.go). StageSwap stages a new compiled
 	// plan; it may be called from any goroutine and a later stage
 	// replaces an unadopted earlier one. AdoptStaged adopts the staged
@@ -117,6 +95,14 @@ type Scheduler interface {
 	// whether a swap was adopted.
 	StageSwap(sw Swap) error
 	AdoptStaged() bool
+
+	// FaultState returns the session's fault-tolerance state (see
+	// faulttol.go): every scheduler contains node panics — the cycle still
+	// completes, the faulted node's output is flushed to silence, repeat
+	// offenders are quarantined onto their bypass stand-in — and honours
+	// the shed bits the engine's deadline governor sets there. The pointer
+	// is the same for the scheduler's whole life.
+	FaultState() *FaultState
 }
 
 // Strategy names accepted by New.
@@ -131,43 +117,55 @@ const (
 // Three additional executors exist beyond the paper's set, all accepted
 // by New: NameSleepScan (the improved sleeper §V-B sketches), NameStatic
 // (the offline MCFlow-style executor, with a default round-robin worker
-// assignment when built through New), and — via NewPool/Pool.Attach
-// rather than New — NamePool, the shared-pool multi-session executor.
+// assignment when built through New), and NamePool, the shared-pool
+// multi-session executor (through New a private single-session pool;
+// NewPool + Pool.Attach to actually share one).
 var Strategies = []string{NameSequential, NameBusyWait, NameSleep, NameWorkSteal}
 
-// AllStrategies lists every strategy name New accepts, paper strategies
-// first.
+// AllStrategies lists every private-worker strategy name New accepts,
+// paper strategies first. NamePool is accepted too but not listed: it is
+// the other Scheduler implementation, and callers that sweep "every
+// strategy" decide for themselves whether a pool belongs in the sweep.
 var AllStrategies = []string{
 	NameSequential, NameBusyWait, NameSleep, NameWorkSteal,
 	NameSleepScan, NameStatic,
 }
 
-// New constructs a scheduler by strategy name. NameStatic gets a default
-// round-robin assignment of the queue order (use NewStatic directly to
-// supply a computed schedule); NamePool sessions need a shared Pool and
-// are built with NewPool + Pool.Attach instead.
+// New constructs a scheduler by strategy name: one policy over the
+// shared core per private-worker strategy, or for NamePool a private
+// single-session pool of o.Threads-1 helpers whose session Close also
+// closes the pool. NameSequential ignores o.Threads; NameStatic gets a
+// default round-robin assignment of the queue order (use NewStatic to
+// supply a computed schedule).
 func New(name string, p *graph.Plan, o Options) (Scheduler, error) {
 	o = o.withDefaults()
 	switch name {
 	case NameSequential:
-		return NewSequential(p, o), nil
-	case NameBusyWait:
-		return NewBusyWait(p, o)
-	case NameSleep:
-		return NewSleep(p, o)
+		o.Threads = 1
 	case NameWorkSteal:
 		return NewWorkSteal(p, o)
+	case NamePool:
+		return newPrivatePool(p, o)
+	}
+	if err := checkThreads(p, o.Threads); err != nil {
+		return nil, err
+	}
+	var pol policy
+	mode := waitBlock
+	switch name {
+	case NameSequential:
+		pol, mode = seqPolicy{}, waitSpin
+	case NameBusyWait, NameStatic:
+		pol, mode = &listSpinPolicy{strategy: name, lists: roundRobinLists(p, o.Threads)}, waitSpin
+	case NameSleep:
+		pol = newSleepPolicy(newSleepPlan(p, o.Threads), o.Threads)
 	case NameSleepScan:
-		return NewSleepScan(p, o)
-	case NameStatic:
-		if err := checkThreads(p, o.Threads); err != nil {
-			return nil, err
-		}
-		return NewStatic(p, roundRobinLists(p, o.Threads), o)
+		pol = newSleepScanPolicy(p, o.Threads)
 	default:
 		return nil, fmt.Errorf("sched: unknown strategy %q (want one of %v)",
 			name, AllStrategies)
 	}
+	return newCore(p, o.Threads, o.Observer, pol, mode), nil
 }
 
 // checkThreads validates a worker count against the plan.

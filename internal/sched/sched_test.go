@@ -45,7 +45,7 @@ func TestThreadValidation(t *testing.T) {
 			t.Fatalf("%s accepted more threads than nodes", name)
 		}
 	}
-	if _, err := NewBusyWait(nil, Options{Threads: 1}); err == nil {
+	if _, err := New(NameBusyWait, nil, Options{Threads: 1}); err == nil {
 		t.Fatal("nil plan accepted")
 	}
 }
@@ -53,13 +53,18 @@ func TestThreadValidation(t *testing.T) {
 func TestNamesAndThreads(t *testing.T) {
 	g, _ := graph.RandomDAG(graph.RandomSpec{Nodes: 10, EdgeProb: 0.2, Seed: 2})
 	p, _ := g.Compile()
-	for _, s := range newEach(t, p, 3) {
+	// Every name New accepts, each asked for 3 threads: seq ignores it.
+	for _, name := range newNames() {
+		s, err := New(name, p, Options{Threads: 3})
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
 		wantThreads := 3
-		if s.Name() == NameSequential {
+		if name == NameSequential {
 			wantThreads = 1
 		}
-		if s.Threads() != wantThreads {
-			t.Fatalf("%s Threads = %d, want %d", s.Name(), s.Threads(), wantThreads)
+		if s.Name() != name || s.Threads() != wantThreads {
+			t.Fatalf("New(%q) Name/Threads = %s/%d, want %s/%d", name, s.Name(), s.Threads(), name, wantThreads)
 		}
 		s.Close()
 	}

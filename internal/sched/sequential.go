@@ -1,97 +1,25 @@
 package sched
 
-import (
-	"fmt"
-	"sync/atomic"
+import "djstar/internal/graph"
 
-	"djstar/internal/graph"
-)
+// seqPolicy is the sequential baseline: the node queue drained in order
+// by one thread — DJ Star's original implementation ("single nodes can
+// simply be removed from the queue in the same order (FIFO) during graph
+// execution and processed sequentially", paper §IV) and the reference for
+// all speedup numbers. It is the skeleton's one-thread case: core starts
+// no workers, the Execute caller walks plan.Order, and since that order
+// is topological there is no dependency to check.
+type seqPolicy struct{}
 
-// Sequential executes the node queue in order on the calling thread —
-// DJ Star's original implementation ("single nodes can simply be removed
-// from the queue in the same order (FIFO) during graph execution and
-// processed sequentially", paper §IV) and the baseline for all speedup
-// numbers. It has no worker pool, but follows the same lifecycle
-// contract as the pooled strategies: Close is idempotent and Execute
-// panics after Close.
-type Sequential struct {
-	// faultState provides panic recovery and quarantine (promoted
-	// Scheduler methods), same as the pooled strategies.
-	*faultState
+func (seqPolicy) name() string { return NameSequential }
 
-	plan   *graph.Plan
-	obs    Observer
-	staged atomic.Pointer[seqStaged]
-	gen    uint64
-	closed bool
-}
+func (seqPolicy) beginCycle(*core) {}
 
-// seqStaged is a staged swap plus the fault arrays adoption will
-// install, pre-sized at staging time.
-type seqStaged struct {
-	sw     Swap
-	faults *faultArrays
-}
-
-// NewSequential returns the sequential baseline executor. Only
-// o.Observer is honoured (a sequential run has exactly one worker).
-func NewSequential(p *graph.Plan, o Options) *Sequential {
-	return &Sequential{faultState: newFaultState(p, 1), plan: p, obs: o.Observer}
-}
-
-// Name implements Scheduler.
-func (s *Sequential) Name() string { return NameSequential }
-
-// Threads implements Scheduler.
-func (s *Sequential) Threads() int { return 1 }
-
-// StageSwap implements Scheduler.
-func (s *Sequential) StageSwap(sw Swap) error {
-	if s.closed {
-		return fmt.Errorf("sched: StageSwap after Close")
-	}
-	if err := sw.validate(1); err != nil {
-		return err
-	}
-	s.staged.Store(&seqStaged{sw: sw, faults: newFaultArrays(sw.Plan)})
-	return nil
-}
-
-// AdoptStaged implements Scheduler: adopt the staged swap, if any,
-// between cycles on the Execute thread.
-func (s *Sequential) AdoptStaged() bool {
-	st := s.staged.Swap(nil)
-	if st == nil || s.closed {
-		return false
-	}
-	sw := st.sw
-	s.faultState.adoptInto(st.faults, sw.OldToNew)
-	s.plan = sw.Plan
-	if sw.Observer != nil {
-		s.obs = sw.Observer
-	}
-	return true
-}
-
-// Execute implements Scheduler.
-func (s *Sequential) Execute() {
-	if s.closed {
-		panic("sched: Execute called after Close")
-	}
-	if s.staged.Load() != nil {
-		s.AdoptStaged()
-	}
-	if s.obs != nil {
-		s.obs.BeginCycle()
-	}
-	s.gen++
-	for _, id := range s.plan.Order {
-		s.exec(s.plan, s.obs, id, 0, s.gen)
-	}
-	if s.obs != nil {
-		s.obs.EndCycle()
+func (seqPolicy) runCycle(c *core, w int32, gen uint64) {
+	for _, id := range c.plan.Order {
+		c.run(id, w, gen)
 	}
 }
 
-// Close implements Scheduler (no worker pool to stop).
-func (s *Sequential) Close() { s.closed = true }
+// stage: the queue order lives in the plan itself.
+func (seqPolicy) stage(*graph.Plan, int) func() { return func() {} }

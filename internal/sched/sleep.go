@@ -6,33 +6,6 @@ import (
 	"djstar/internal/graph"
 )
 
-// Sleep implements the thread-sleeping strategy (paper §V-B): the node
-// queue is split round-robin exactly like BusyWait, but a thread whose
-// next node still has open dependencies registers itself as that node's
-// executor and goes to sleep; the predecessor that resolves the last
-// dependency wakes it. This saves the CPU cycles BUSY burns spinning, at
-// the price of wake-up latency — visible in the paper's histograms as the
-// complete absence of sub-0.4 ms graph executions for SLEEP.
-//
-// Sleep is a sleepPolicy over the shared execution core: the core owns
-// the workers and the pending counters; the policy owns the per-node
-// executor registrations and wake channels.
-type Sleep struct {
-	*core
-}
-
-// NewSleep returns a thread-sleeping scheduler. The calling goroutine is
-// worker 0; threads-1 persistent workers are started immediately and
-// sleep between cycles.
-func NewSleep(p *graph.Plan, o Options) (*Sleep, error) {
-	o = o.withDefaults()
-	if err := checkThreads(p, o.Threads); err != nil {
-		return nil, err
-	}
-	pol := newSleepPolicy(newSleepPlan(p, o.Threads), o.Threads)
-	return &Sleep{core: newCore(p, o.Threads, o.Observer, pol, waitBlock)}, nil
-}
-
 // sleepPlan is SLEEP's per-plan state: the round-robin node lists and
 // the per-node executor registrations (a registration names a node of
 // its own epoch, so a new plan starts with zeroed ones).
@@ -51,10 +24,17 @@ func newSleepPlan(p *graph.Plan, threads int) sleepPlan {
 	}
 }
 
-// sleepPolicy runs round-robin node lists with the register-then-sleep
-// wait discipline.
+// sleepPolicy is the thread-sleeping strategy (paper §V-B): the node
+// queue is split round-robin exactly like BUSY, but a thread whose next
+// node still has open dependencies registers itself as that node's
+// executor and goes to sleep; the predecessor that resolves the last
+// dependency wakes it. This saves the CPU cycles BUSY burns spinning, at
+// the price of wake-up latency — visible in the paper's histograms as the
+// complete absence of sub-0.4 ms graph executions for SLEEP.
+//
+// The core owns the workers and the pending counters; the policy owns
+// the per-node executor registrations and wake channels.
 type sleepPolicy struct {
-	noClose
 	sleepPlan
 
 	// wake[w] delivers wake-up tokens to worker w. Capacity 1: at most
@@ -84,7 +64,6 @@ func (pol *sleepPolicy) beginCycle(c *core) { c.resetPending() }
 
 // runCycle executes worker w's nodes, sleeping on open dependencies.
 func (pol *sleepPolicy) runCycle(c *core, w int32, gen uint64) {
-	obs := c.obs
 	for _, id := range pol.lists[w] {
 		// Register-then-recheck avoids the lost-wakeup race: either the
 		// final predecessor sees our registration and sends a token, or
@@ -97,7 +76,7 @@ func (pol *sleepPolicy) runCycle(c *core, w int32, gen uint64) {
 				<-pol.wake[w]
 			}
 		}
-		c.exec(c.plan, obs, id, w, gen)
+		c.run(id, w, gen)
 		// Notify successors; wake the executor of any that became ready.
 		for _, succ := range c.plan.SuccsOf(id) {
 			if c.pending[succ].v.Add(-1) == 0 {

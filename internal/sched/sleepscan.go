@@ -4,42 +4,32 @@ import (
 	"djstar/internal/graph"
 )
 
-// SleepScan is the improved sleeping strategy the paper sketches but does
-// not build (§V-B): "Instead of putting the executor thread to sleep
-// because its node is currently blocked, it could look for other
+// NameSleepScan is the strategy identifier for the improved sleeper.
+const NameSleepScan = "sleepscan"
+
+// sleepScanPolicy is the improved sleeping strategy the paper sketches
+// but does not build (§V-B): "Instead of putting the executor thread to
+// sleep because its node is currently blocked, it could look for other
 // available nodes and compute them." A worker whose next node has open
 // dependencies first scans the rest of its own list for any ready node
 // and runs that instead; it sleeps only when nothing on its list is
 // runnable. The paper predicts this trades earlier start times for more
 // queue-management overhead — the scan — which is exactly what the
-// ablation harness measures against plain Sleep and WS.
-type SleepScan struct {
-	*core
-}
-
-// NameSleepScan is the strategy identifier for the improved sleeper.
-const NameSleepScan = "sleepscan"
-
-// NewSleepScan returns the scanning sleep scheduler.
-func NewSleepScan(p *graph.Plan, o Options) (*SleepScan, error) {
-	o = o.withDefaults()
-	if err := checkThreads(p, o.Threads); err != nil {
-		return nil, err
-	}
-	sp, ran := newSleepScanPlan(p, o.Threads)
-	pol := &sleepScanPolicy{sleepPolicy: newSleepPolicy(sp, o.Threads), ran: ran}
-	return &SleepScan{core: newCore(p, o.Threads, o.Observer, pol, waitBlock)}, nil
-}
-
-// sleepScanPolicy extends sleepPolicy with the scan-before-sleeping
-// discipline; it reuses its lists, executor registrations and wake
-// channels and overrides only the per-cycle loop.
+// ablation harness measures against plain SLEEP and WS.
+//
+// It extends sleepPolicy, reusing its lists, executor registrations and
+// wake channels, and overrides only the per-cycle loop.
 type sleepScanPolicy struct {
 	*sleepPolicy
 
 	// ran tracks per-worker which of its own list entries already ran
 	// this cycle (only the owning worker touches its row).
 	ran [][]bool
+}
+
+func newSleepScanPolicy(p *graph.Plan, threads int) *sleepScanPolicy {
+	sp, ran := newSleepScanPlan(p, threads)
+	return &sleepScanPolicy{sleepPolicy: newSleepPolicy(sp, threads), ran: ran}
 }
 
 // newSleepScanPlan is SLEEPSCAN's per-plan state: SLEEP's, plus ran rows
@@ -106,7 +96,7 @@ func (pol *sleepScanPolicy) runCycle(c *core, w int32, gen uint64) {
 
 // execute runs a node and resolves successors, waking sleepers.
 func (pol *sleepScanPolicy) execute(c *core, id, w int32, gen uint64) {
-	c.exec(c.plan, c.obs, id, w, gen)
+	c.run(id, w, gen)
 	for _, succ := range c.plan.SuccsOf(id) {
 		if c.pending[succ].v.Add(-1) == 0 {
 			if e := pol.executor[succ].Load(); e != 0 {

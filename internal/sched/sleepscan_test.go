@@ -15,7 +15,7 @@ func TestSleepScanRespectsDependencies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, threads := range []int{1, 2, 4} {
-			s, err := NewSleepScan(p, Options{Threads: threads})
+			s, err := New(NameSleepScan, p, Options{Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -28,24 +28,6 @@ func TestSleepScanRespectsDependencies(t *testing.T) {
 			}
 			s.Close()
 		}
-	}
-}
-
-func TestSleepScanViaFactory(t *testing.T) {
-	g, tr := graph.RandomDAG(graph.RandomSpec{Nodes: 20, EdgeProb: 0.2, Seed: 3})
-	p, _ := g.Compile()
-	s, err := New(NameSleepScan, p, Options{Threads: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Name() != NameSleepScan || s.Threads() != 3 {
-		t.Fatalf("Name/Threads = %s/%d", s.Name(), s.Threads())
-	}
-	tr.Reset()
-	s.Execute()
-	if err := tr.Check(p); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -87,7 +69,7 @@ func TestSleepScanRunsLaterReadyNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSleepScan(p, Options{Threads: 2})
+	s, err := New(NameSleepScan, p, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +86,7 @@ func TestSleepScanRunsLaterReadyNodes(t *testing.T) {
 func TestSleepScanSoak(t *testing.T) {
 	g, tr := graph.RandomDAG(graph.RandomSpec{Nodes: 67, EdgeProb: 0.08, Seed: 9})
 	p, _ := g.Compile()
-	s, err := NewSleepScan(p, Options{Threads: 4})
+	s, err := New(NameSleepScan, p, Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

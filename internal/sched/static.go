@@ -6,27 +6,22 @@ import (
 	"djstar/internal/graph"
 )
 
-// Static executes a precomputed offline schedule: each worker runs a
-// fixed, externally supplied node list in order, busy-waiting on
-// dependencies exactly like BusyWait. It models the MCFlow-style
-// offline-scheduling alternative the paper's related work contrasts with
-// ("the scheduling decision in MCFlow is taken offline while we use an
-// online scheduling which enables us to dynamically load-balance"): with
-// imbalanced, data-dependent node costs a static assignment computed from
-// average durations cannot adapt, which is measurable in the ablation
-// harness.
-//
-// Static shares the listSpinPolicy with BusyWait — the strategies are
-// identical at run time and differ only in where the lists come from.
-type Static struct {
-	*core
-}
-
 // NameStatic is the strategy identifier for the offline executor.
 const NameStatic = "static"
 
-// NewStatic returns a scheduler executing the given per-worker node
-// lists. Every node must appear exactly once across the lists, and each
+// NewStatic returns the offline executor: each worker runs a fixed,
+// externally supplied node list in order, busy-waiting on dependencies
+// exactly like BUSY (the same listSpinPolicy — the strategies are
+// identical at run time and differ only in where the lists come from).
+// It models the MCFlow-style offline-scheduling alternative the paper's
+// related work contrasts with ("the scheduling decision in MCFlow is
+// taken offline while we use an online scheduling which enables us to
+// dynamically load-balance"): with imbalanced, data-dependent node costs
+// a static assignment computed from average durations cannot adapt, which
+// is measurable in the ablation harness.
+//
+// len(lists) is the worker count (o.Threads is ignored). Every node must
+// appear exactly once across the lists, and each
 // list must be dependency-consistent with the plan's queue order in the
 // sense that execution can always make progress (any assignment is safe
 // for liveness here because workers busy-wait on cross-list dependencies;
@@ -34,7 +29,7 @@ const NameStatic = "static"
 // wait on each other's *later* nodes would deadlock, so lists must be
 // consistent with some global topological order; assignments derived from
 // a schedule, e.g. rescon.Result, always are).
-func NewStatic(p *graph.Plan, lists [][]int32, o Options) (*Static, error) {
+func NewStatic(p *graph.Plan, lists [][]int32, o Options) (Scheduler, error) {
 	if p == nil || p.Len() == 0 {
 		return nil, fmt.Errorf("sched: empty plan")
 	}
@@ -59,7 +54,7 @@ func NewStatic(p *graph.Plan, lists [][]int32, o Options) (*Static, error) {
 		return nil, fmt.Errorf("sched: static schedule covers %d of %d nodes", count, p.Len())
 	}
 	pol := &listSpinPolicy{strategy: NameStatic, lists: lists}
-	return &Static{core: newCore(p, len(lists), o.Observer, pol, waitSpin)}, nil
+	return newCore(p, len(lists), o.Observer, pol, waitSpin), nil
 }
 
 // FromScheduleOrder builds per-worker lists from a processor assignment

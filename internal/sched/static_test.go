@@ -49,27 +49,6 @@ func TestStaticExecutesQueueSplit(t *testing.T) {
 	}
 }
 
-func TestStaticWithTracer(t *testing.T) {
-	g, trace := graph.RandomDAG(graph.RandomSpec{Nodes: 20, EdgeProb: 0.2, Seed: 8})
-	p, _ := g.Compile()
-	tr := NewTracer(p.Len())
-	s, err := NewStatic(p, roundRobinLists(p, 2), Options{Observer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	trace.Reset()
-	s.Execute()
-	for i, e := range tr.Events() {
-		if e.Worker < 0 {
-			t.Fatalf("node %d untraced", i)
-		}
-	}
-	if tr.Makespan() <= 0 {
-		t.Fatal("no makespan")
-	}
-}
-
 func TestFromScheduleOrder(t *testing.T) {
 	g, tr := graph.RandomDAG(graph.RandomSpec{Nodes: 12, EdgeProb: 0.25, Seed: 4})
 	p, _ := g.Compile()

@@ -76,7 +76,7 @@ type stagedSwap struct {
 	pending []depCount
 	// faults is a pre-sized fault-array set for the new plan; adoption
 	// copies the surviving quarantine/shed/fault state into it through
-	// the remap (see faultState.adoptInto).
+	// the remap (see FaultState.adopt).
 	faults *faultArrays
 }
 
@@ -109,7 +109,7 @@ func (c *core) AdoptStaged() bool {
 		return false
 	}
 	sw := st.sw
-	c.faultState.adoptInto(st.faults, sw.OldToNew)
+	c.faults.adopt(st.faults, sw.OldToNew)
 	c.plan = sw.Plan
 	if sw.Observer != nil {
 		c.obs = sw.Observer

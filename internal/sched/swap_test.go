@@ -295,14 +295,14 @@ func TestSwapPreservesQuarantineAndShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.SetFaultPolicy(FaultPolicy{QuarantineAfter: 1, ProbeEvery: 1 << 30})
+	s.FaultState().SetFaultPolicy(FaultPolicy{QuarantineAfter: 1, ProbeEvery: 1 << 30})
 	boomID := int32(e.g.NodeByName("boom"))
 	shedID := int32(e.g.NodeByName("sheddable"))
 	s.Execute()
-	if !s.Quarantined(boomID) {
+	if !s.FaultState().Quarantined(boomID) {
 		t.Fatal("boom not quarantined after fault")
 	}
-	s.SetNodeShed(shedID, true)
+	s.FaultState().SetNodeShed(shedID, true)
 	s.Execute()
 	shedRuns := cShed.count.Load()
 
@@ -322,7 +322,7 @@ func TestSwapPreservesQuarantineAndShed(t *testing.T) {
 
 	newBoom := int32(g2.NodeByName("boom"))
 	newShed := int32(g2.NodeByName("sheddable"))
-	if !s.Quarantined(newBoom) {
+	if !s.FaultState().Quarantined(newBoom) {
 		t.Fatal("quarantine lost across swap")
 	}
 	if got := cShed.count.Load(); got != shedRuns {
@@ -333,7 +333,7 @@ func TestSwapPreservesQuarantineAndShed(t *testing.T) {
 	}
 	// Un-shed under the NEW ID and disarm the kernel: the shed node runs
 	// again; the quarantined node stays bypassed until its probe.
-	s.SetNodeShed(newShed, false)
+	s.FaultState().SetNodeShed(newShed, false)
 	boomArmed = false
 	s.Execute()
 	if got := cShed.count.Load(); got != shedRuns+1 {

@@ -123,7 +123,6 @@ func (s *WorkSteal) Parks() int64 { return s.pol.parks.Load() }
 // wsPolicy holds the strategy state of WorkSteal: per-worker deques of
 // ready nodes, the cycle seed lists, and the mid-cycle parking machinery.
 type wsPolicy struct {
-	noClose
 	threads int
 	opts    WSOptions
 	wsPlan
@@ -187,7 +186,7 @@ func (pol *wsPolicy) runCycle(c *core, w int32, gen uint64) {
 
 // execute runs node id and resolves its successors.
 func (pol *wsPolicy) execute(c *core, id, w int32, gen uint64) {
-	c.exec(c.plan, c.obs, id, w, gen)
+	c.run(id, w, gen)
 	pushed := false
 	for _, succ := range c.plan.SuccsOf(id) {
 		if c.pending[succ].v.Add(-1) == 0 {
