@@ -149,12 +149,12 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkFig9Fig10(b *testing.B) {
 	e := newBenchEngine(b, sched.NameBusyWait, 4)
 	h := stats.MustHistogram(0, 10, 30)
-	m := e.RunCycles(0)
+	var m engine.Metrics
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Cycle(m)
-		h.Add(m.Graph.Mean())
+		e.Cycle(&m)
+		h.Add(m.GraphMeanMS())
 	}
 }
 
@@ -224,14 +224,14 @@ func BenchmarkFig12(b *testing.B) {
 // accounting — the unit behind the §VI miss-rate experiment.
 func BenchmarkDeadlines(b *testing.B) {
 	e := newBenchEngine(b, sched.NameBusyWait, 4)
-	m := e.RunCycles(0)
+	var m engine.Metrics
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Cycle(m)
+		e.Cycle(&m)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(m.Deadline.Missed()), "misses")
+	b.ReportMetric(float64(m.Misses()), "misses")
 }
 
 // BenchmarkProfile measures the sequential APC used for the §III-B/§VI

@@ -182,16 +182,14 @@ func analyzeGraph(cycles int, scale float64, threads int, fused bool) error {
 		if err != nil {
 			return err
 		}
-		for i := 0; i < min(cycles/10+1, 200); i++ {
-			e.Cycle(nil)
-		}
+		e.WarmUp(cycles)
 		m := e.RunCycles(cycles)
 		run, ok := e.CriticalPath()
 		e.Close()
 		if !ok {
 			return fmt.Errorf("collector disabled during %s run", name)
 		}
-		measuredUS := m.Graph.Mean() * 1e3
+		measuredUS := m.GraphMeanMS() * 1e3
 		if run.LengthUS > measuredUS {
 			return fmt.Errorf("%s: critical path %.1f µs exceeds measured makespan %.1f µs — measurement inconsistent",
 				name, run.LengthUS, measuredUS)
@@ -281,20 +279,16 @@ func analyzeAdmit(cycles int, scale float64, maxThreads int) error {
 		}
 		e, err := engine.New(engine.Config{
 			Graph: cfg, Strategy: c.strategy, Threads: c.threads,
-			CollectSamples: true,
-			DisableGC:      true, // GC pauses would land in p99 and falsify spuriously
+			DisableGC: true, // GC pauses would land in p99 and falsify spuriously
 		})
 		if err != nil {
 			return err
 		}
-		for i := 0; i < min(cycles/10+1, 200); i++ {
-			e.Cycle(nil)
-		}
-		m := e.RunCycles(cycles)
+		m := sampledRun(e, cycles)
 		e.Close()
 		pcts := stats.Percentiles(m.GraphSamplesMS, 0.95, 0.99)
 		p95US, p99US := pcts[0]*1e3, pcts[1]*1e3
-		meanUS := m.Graph.Mean() * 1e3
+		meanUS := m.GraphMeanMS() * 1e3
 
 		verdict := "ok"
 		switch {
@@ -325,6 +319,17 @@ func analyzeAdmit(cycles int, scale float64, maxThreads int) error {
 	return nil
 }
 
+// sampledRun warms e up and runs cycles measured cycles, keeping every
+// cycle's graph and APC time for percentiles.
+func sampledRun(e *engine.Engine, cycles int) *engine.Metrics {
+	e.WarmUp(cycles)
+	m := &engine.Metrics{KeepSamples: true}
+	for i := 0; i < cycles; i++ {
+		e.Cycle(m)
+	}
+	return m
+}
+
 // admitNoiseFloor measures the host's timing-noise allowance from the
 // sequential executor — the null model: with no scheduler in play, its
 // p95 − mean spread is pure environment (preemption, interrupts, cache
@@ -332,18 +337,14 @@ func analyzeAdmit(cycles int, scale float64, maxThreads int) error {
 func admitNoiseFloor(cfg graph.Config, cycles int) (float64, error) {
 	e, err := engine.New(engine.Config{
 		Graph: cfg, Strategy: sched.NameSequential, Threads: 1,
-		CollectSamples: true,
-		DisableGC:      true,
+		DisableGC: true,
 	})
 	if err != nil {
 		return 0, err
 	}
 	defer e.Close()
-	for i := 0; i < min(cycles/10+1, 200); i++ {
-		e.Cycle(nil)
-	}
-	m := e.RunCycles(cycles)
-	noise := stats.Percentiles(m.GraphSamplesMS, 0.95)[0]*1e3 - m.Graph.Mean()*1e3
+	m := sampledRun(e, cycles)
+	noise := stats.Percentiles(m.GraphSamplesMS, 0.95)[0]*1e3 - m.GraphMeanMS()*1e3
 	if noise < 0 {
 		noise = 0
 	}

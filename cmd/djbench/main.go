@@ -10,7 +10,7 @@
 // Experiments: table1, fig4, fig8, fig9, fig10, fig11, fig12, deadlines,
 // profile, threadsweep, ablation, staticvsonline, designspace, nodecosts,
 // multisession, chaos, governor, critpath, slo, fusion,
-// editswap, admission, all.
+// editswap, admission, loadgen, all.
 package main
 
 import (

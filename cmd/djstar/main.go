@@ -75,13 +75,12 @@ func main() {
 		gc.Faults = faults.New(1, specs...)
 	}
 	cfg := engine.Config{
-		Graph:          gc,
-		Strategy:       *strategy,
-		Threads:        *threads,
-		FusePlan:       *fuse,
-		DVS:            *dvs,
-		CollectSamples: false,
-		Watchdog:       *watchdog,
+		Graph:    gc,
+		Strategy: *strategy,
+		Threads:  *threads,
+		FusePlan: *fuse,
+		DVS:      *dvs,
+		Watchdog: *watchdog,
 		Telemetry: engine.TelemetryOptions{
 			IncidentDir: *incDir,
 			OnIncident: func(path string, inc *obs.Incident) {
@@ -246,16 +245,9 @@ func main() {
 	}
 	fmt.Println()
 
-	m := &engine.Metrics{}
-	*m = *freshMetrics(e)
-	period := audio.StandardPacketPeriod
-	start := time.Now()
-	late := 0
-	done := 0
-	for i := 0; i < totalCycles && !interrupted.Load(); i++ {
-		done = i + 1
-		due := start.Add(time.Duration(i+1) * period)
-		for len(patches) > 0 && patches[0].cycle <= i {
+	// stagePatches stages every scripted patch due before cycle next.
+	stagePatches := func(next int) {
+		for len(patches) > 0 && patches[0].cycle <= next {
 			p := patches[0]
 			patches = patches[1:]
 			if err := e.ApplyPatch(p.spec); err != nil {
@@ -264,30 +256,29 @@ func main() {
 				fmt.Fprintf(os.Stderr, "PATCH @%d staged: %s\n", p.cycle, p.spec)
 			}
 		}
-		e.Cycle(m)
+	}
+	stagePatches(0)
+	rep := e.RunRealtime(totalCycles, func(done, late int) bool {
 		if rec != nil {
 			if err := rec.WritePacket(e.Session().RecordOut()); err != nil {
 				fmt.Fprintf(os.Stderr, "djstar: recording: %v\n", err)
 				os.Exit(1)
 			}
 		}
-		if time.Now().After(due) {
-			late++
-		} else {
-			for time.Now().Before(due) {
-			}
+		if done%statusEvery == 0 {
+			printStatus(e, done, late)
 		}
-		if (i+1)%statusEvery == 0 {
-			printStatus(e, m, i+1, late)
-		}
-	}
+		stagePatches(done)
+		return !interrupted.Load()
+	})
 
-	if interrupted.Load() && done < totalCycles {
+	m := e.Totals()
+	if done := m.Cycles(); done < uint64(totalCycles) {
 		fmt.Printf("\ninterrupted after %d / %d cycles — partial metrics follow\n",
 			done, totalCycles)
 	}
-	fmt.Printf("\nfinal: %s\n", m)
-	fmt.Printf("late packets (missed sound card request): %d / %d\n", late, done)
+	fmt.Printf("\nfinal: %s/%d: %s\n", e.Scheduler().Name(), e.Scheduler().Threads(), m)
+	fmt.Printf("late packets (missed sound card request): %d / %d\n", rep.Late, m.Cycles())
 	h := e.Health()
 	if h.Faults.Recovered > 0 || h.Stalls > 0 || len(h.Quarantined) > 0 {
 		fmt.Printf("health: %d faults contained, %d quarantines (%d restored), %d stalls detected\n",
@@ -357,14 +348,8 @@ func loadPatchScript(path string) ([]timedPatch, error) {
 	return out, nil
 }
 
-// freshMetrics builds an empty metrics container matching the engine.
-func freshMetrics(e *engine.Engine) *engine.Metrics {
-	// RunCycles(0) conveniently builds an initialized Metrics.
-	return e.RunCycles(0)
-}
-
 // printStatus renders one status line per half second of audio.
-func printStatus(e *engine.Engine, m *engine.Metrics, cycle, late int) {
+func printStatus(e *engine.Engine, cycle, late int) {
 	s := e.Session()
 	var decks []string
 	for d, dk := range s.Decks {
@@ -390,5 +375,5 @@ func printStatus(e *engine.Engine, m *engine.Metrics, cycle, late int) {
 	}
 	fmt.Printf("cycle %6d | %s | out %5.2f | graph %.3f ms avg | late %d%s\n",
 		cycle, strings.Join(decks, " | "), s.MasterOut().Peak(),
-		m.Graph.Mean(), late, health)
+		e.Totals().GraphMeanMS(), late, health)
 }

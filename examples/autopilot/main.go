@@ -61,11 +61,10 @@ func main() {
 
 	const seconds = 60
 	cycles := int(seconds / audio.StandardPacketPeriod.Seconds())
-	m := a.Engine.RunCycles(0)
 	lastLive := ap.LiveDeck()
 	fmt.Printf("\nrunning a %d-second set...\n", seconds)
 	for i := 0; i < cycles; i++ {
-		a.Cycle(m)
+		a.Cycle(nil)
 		ap.Cycle()
 		if live := ap.LiveDeck(); live != lastLive {
 			now := float64(i) * audio.StandardPacketPeriod.Seconds()
@@ -78,7 +77,7 @@ func main() {
 
 	fmt.Printf("\nset: %v\n", ap.History())
 	fmt.Printf("transitions: %d\n", ap.Transitions())
-	fmt.Printf("engine: %s\n", m)
+	fmt.Printf("engine: %s\n", a.Engine.Totals())
 	for _, name := range ap.History() {
 		if name == "misfit" {
 			fmt.Println("warning: the misfit got played!? (should be excluded by BPM)")

@@ -31,10 +31,9 @@ func main() {
 	cfg := graph.DefaultConfig()
 	cfg.TrackBars = 32 // ~60 s tracks
 	e, err := engine.New(engine.Config{
-		Graph:          cfg,
-		Strategy:       sched.NameBusyWait,
-		Threads:        4,
-		CollectSamples: true,
+		Graph:    cfg,
+		Strategy: sched.NameBusyWait,
+		Threads:  4,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -92,7 +91,6 @@ func main() {
 
 	const seconds = 60.0
 	total := int(seconds / audio.StandardPacketPeriod.Seconds())
-	m := e.RunCycles(0) // empty metrics container
 	next := 0
 	var peakHold float64
 
@@ -126,7 +124,7 @@ func main() {
 				log.Fatalf("remove-delay: %v", err)
 			}
 		}
-		e.Cycle(m)
+		e.Cycle(nil)
 		p := s.MasterOut().Peak()
 		if p > peakHold {
 			peakHold = p
@@ -148,12 +146,13 @@ func main() {
 		log.Fatalf("audio discontinuity: %d silent master packets around the re-patch window", zeroInWindow)
 	}
 
-	fmt.Printf("\nset complete: %d cycles (%.0f s of audio)\n", m.Cycles, seconds)
+	m := e.Totals()
+	fmt.Printf("\nset complete: %d cycles (%.0f s of audio)\n", m.Cycles(), seconds)
 	fmt.Printf("re-patch: 2 topology edits adopted live (epoch %d), audio continuous through both swaps\n",
 		e.PlanEpoch())
-	fmt.Printf("graph: mean %.4f ms, worst %.4f ms\n", m.Graph.Mean(), m.Graph.Max())
+	fmt.Printf("graph: mean %.4f ms, worst %.4f ms\n", m.GraphMeanMS(), m.GraphMaxMS())
 	fmt.Printf("APC deadline misses: %d / %d (deadline %.3f ms)\n",
-		m.Deadline.Missed(), m.Deadline.Total(), engine.DeadlineMS)
+		m.Misses(), m.Cycles(), engine.DeadlineMS)
 	fmt.Printf("output peak held at %.3f (limiter ceiling 0.98) — clipped samples: %d\n",
 		peakHold, s.OutputStage().ClippedSamples())
 }

@@ -22,10 +22,9 @@ func main() {
 
 	// 2. Build an engine around it with the paper's winning strategy.
 	e, err := engine.New(engine.Config{
-		Graph:          cfg,
-		Strategy:       sched.NameBusyWait,
-		Threads:        4,
-		CollectSamples: true,
+		Graph:    cfg,
+		Strategy: sched.NameBusyWait,
+		Threads:  4,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -38,12 +37,12 @@ func main() {
 
 	// 4. Inspect the results.
 	fmt.Printf("ran %d audio processing cycles (%.1f ms of audio)\n",
-		m.Cycles, float64(m.Cycles)*audio.StandardPacketPeriod.Seconds()*1e3)
+		m.Cycles(), float64(m.Cycles())*audio.StandardPacketPeriod.Seconds()*1e3)
 	fmt.Printf("graph execution: mean %.4f ms, worst %.4f ms (budget %.1f ms)\n",
-		m.Graph.Mean(), m.Graph.Max(), engine.GraphBudgetMS)
+		m.GraphMeanMS(), m.GraphMaxMS(), engine.GraphBudgetMS)
 	fmt.Printf("full APC:        mean %.4f ms, worst %.4f ms (deadline %.3f ms)\n",
-		m.APC.Mean(), m.APC.Max(), engine.DeadlineMS)
-	fmt.Printf("deadline misses: %d / %d\n", m.Deadline.Missed(), m.Deadline.Total())
+		m.APCMeanMS(), m.APCMaxMS(), engine.DeadlineMS)
+	fmt.Printf("deadline misses: %d / %d\n", m.Misses(), m.Cycles())
 
 	// The session is live: the master output buffer holds the last packet.
 	s := e.Session()

@@ -30,7 +30,7 @@ func TestRealtimeDeadlinesAcrossStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := e.RunRealtime(100)
+		rep := e.RunRealtime(100, nil)
 		e.Close()
 		if rep.Late > 20 {
 			t.Fatalf("%s: %d of 100 paced packets late (max lateness %.2f ms)",

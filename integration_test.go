@@ -139,7 +139,7 @@ func TestSimulationBracketsReality(t *testing.T) {
 	}
 	defer e.Close()
 	met := e.RunCycles(100)
-	measuredUS := met.Graph.Mean() * 1e3
+	measuredUS := met.GraphMeanMS() * 1e3
 	if measuredUS < m.TotalWork()/3 || measuredUS > m.TotalWork()*3 {
 		t.Fatalf("measured sequential %v µs vs simulated work %v µs", measuredUS, m.TotalWork())
 	}

@@ -125,8 +125,8 @@ func New(cfg Config) (*App, error) {
 	}
 	ecfg.Hooks.OnCycle = func(ci engine.CycleInfo) {
 		// Deadline misses surface immediately, from the engine's own
-		// cycle record — every miss, whether or not a Metrics sink is
-		// attached.
+		// cycle record — every miss, whether or not the caller keeps a
+		// run window.
 		if ci.DeadlineMiss {
 			bus.Publish(middleware.TopicDeadlineMiss, middleware.DeadlineMiss{
 				Cycle:      int64(ci.Cycle),
@@ -313,7 +313,7 @@ func (a *App) Cycle(m *engine.Metrics) {
 
 // RunCycles runs n cycles and returns the metrics.
 func (a *App) RunCycles(n int) *engine.Metrics {
-	m := a.Engine.RunCycles(0) // empty initialized container
+	m := &engine.Metrics{}
 	for i := 0; i < n; i++ {
 		a.Cycle(m)
 	}

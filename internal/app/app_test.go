@@ -140,10 +140,10 @@ func TestAppMetricsAccumulate(t *testing.T) {
 	}
 	defer a.Close()
 	m := a.RunCycles(50)
-	if m.Cycles != 50 {
-		t.Fatalf("cycles = %d", m.Cycles)
+	if m.Cycles() != 50 {
+		t.Fatalf("cycles = %d", m.Cycles())
 	}
-	if m.Graph.Mean() <= 0 {
+	if m.GraphMeanMS() <= 0 {
 		t.Fatal("no graph timing")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"djstar/internal/admission"
 	"djstar/internal/graph"
 	"djstar/internal/obs"
-	"djstar/internal/rescon"
 	"djstar/internal/sched"
 )
 
@@ -95,7 +94,6 @@ type admissionRuntime struct {
 	cfg      admission.Config
 	strategy string
 	threads  int
-	scale    float64
 
 	decision *admission.Decision
 	ctl      *admission.Controller
@@ -107,18 +105,6 @@ type admissionRuntime struct {
 	every time.Duration
 	stop  chan struct{}
 	done  chan struct{}
-}
-
-// admissionStaticCosts is the static per-node cost table at the
-// engine's execution scale: the design-cost table (paper µs) scaled the
-// same way graph.NewLoad scales the kernels. Used whenever the live
-// collector has no measurements yet.
-func admissionStaticCosts(p *graph.Plan, scale float64) []float64 {
-	out := rescon.PaperCostsUS(p)
-	for i := range out {
-		out[i] *= scale
-	}
-	return out
 }
 
 // newAdmissionRuntime resolves the gate's config and decides admission
@@ -143,7 +129,6 @@ func newAdmissionRuntime(cfg *Config, plan *graph.Plan, threads int) (*admission
 		cfg:      acfg,
 		strategy: strategy,
 		threads:  effThreads,
-		scale:    cfg.Graph.Scale,
 		ctl:      cfg.Admission.Controller,
 		every:    cfg.Admission.PredictEvery,
 	}
@@ -151,7 +136,7 @@ func newAdmissionRuntime(cfg *Config, plan *graph.Plan, threads int) (*admission
 		a.every = 250 * time.Millisecond
 	}
 
-	costs := admissionStaticCosts(plan, cfg.Graph.Scale)
+	costs := staticCostsUS(plan, cfg.Graph.Scale) // nothing has run yet
 	d, err := admission.Decide(plan, costs, strategy, effThreads, "static", acfg)
 	if err != nil {
 		return nil, err
@@ -259,7 +244,7 @@ func (a *admissionRuntime) monitor(e *Engine) {
 // flag). Exported to tests via Engine.RefreshAdmission.
 func (a *admissionRuntime) refresh(e *Engine) {
 	topo := e.topo.Load()
-	costs, source := a.liveCosts(topo)
+	costs, source := e.nodeCosts(topo, topo.plan, nil)
 	rep, err := admission.Analyze(topo.plan, costs, a.strategy, a.threads, source, a.cfg)
 	if err != nil {
 		return
@@ -306,50 +291,13 @@ func (a *admissionRuntime) refresh(e *Engine) {
 	}
 }
 
-// liveCosts returns the best available per-node cost table for the
-// given topology: the collector's measured means (real µs at the
-// running scale) overlaid on the static table, or the static table
-// alone before the first observed cycle.
-func (a *admissionRuntime) liveCosts(t *topology) ([]float64, string) {
-	out := admissionStaticCosts(t.plan, a.scale)
-	if t.col == nil {
-		return out, "static"
-	}
-	m, ok := t.col.CostModel()
-	if !ok {
-		return out, "static"
-	}
-	for i := range out {
-		if i < len(m) && m[i] > 0 {
-			out[i] = m[i]
-		}
-	}
-	return out, "measured"
-}
-
 // checkEdit analyzes a staged plan (the result of an edit) under the
 // engine's current degradation rung and returns an error wrapping
 // ErrUnschedulableEdit when its bound exceeds the envelope. Costs are
 // the measured means of surviving nodes through the remap, static for
 // fresh ones. Called with editMu held, never on the audio path.
 func (a *admissionRuntime) checkEdit(e *Engine, plan *graph.Plan, remap *graph.Remap) error {
-	costs := admissionStaticCosts(plan, a.scale)
-	live := e.topo.Load()
-	if live.col != nil {
-		if m, ok := live.col.CostModel(); ok {
-			for i := range costs {
-				if remap == nil {
-					if i < len(m) && m[i] > 0 {
-						costs[i] = m[i]
-					}
-				} else if i < len(remap.NewToOld) {
-					if old := remap.NewToOld[i]; old >= 0 && int(old) < len(m) && m[old] > 0 {
-						costs[i] = m[old]
-					}
-				}
-			}
-		}
-	}
+	costs, _ := e.nodeCosts(e.topo.Load(), plan, remap)
 	// Judge the edit at the engine's current rung: a degraded session's
 	// meters are already shed, so they cost nothing — but an edit must
 	// fit WITHOUT help from deeper rungs it has not earned.

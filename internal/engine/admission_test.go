@@ -38,7 +38,7 @@ func staticReports(t *testing.T, gc graph.Config, strategy string, threads int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := admissionStaticCosts(plan, gc.Scale)
+	costs := staticCostsUS(plan, gc.Scale)
 	procs := effectiveProcs(threads)
 	full, err = admission.Analyze(plan, costs, strategy, procs, "static", acfg)
 	if err != nil {
@@ -188,8 +188,8 @@ func TestAdmissionPoolAggregate(t *testing.T) {
 		t.Fatalf("controller holds %d sessions after refusal, want 2", got)
 	}
 	for _, mm := range runConcurrent(engines, 5) {
-		if mm.Cycles != 5 {
-			t.Fatalf("cycles = %d", mm.Cycles)
+		if mm.Cycles() != 5 {
+			t.Fatalf("cycles = %d", mm.Cycles())
 		}
 	}
 	for _, sb := range ctl.Sessions() {

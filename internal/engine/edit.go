@@ -133,7 +133,8 @@ func (e *Engine) applyEditsLocked(es *graph.EditSet, desc string) error {
 	}
 	execPlan := plan2
 	if e.cfg.FusePlan {
-		execPlan, err = graph.Fuse(plan2, e.editCosts(remap, plan2), e.cfg.Fuse)
+		costs, _ := e.nodeCosts(e.topo.Load(), plan2, remap)
+		execPlan, err = graph.Fuse(plan2, costs, e.cfg.Fuse)
 		if err != nil {
 			return fail(err)
 		}
@@ -186,7 +187,7 @@ func (e *Engine) RecompileFused(costsUS []float64) error {
 		remap, ops, desc = prev.remap, prev.ops, prev.desc+"; refuse"
 	}
 	if costsUS == nil {
-		costsUS = e.editCosts(remap, base.plan)
+		costsUS, _ = e.nodeCosts(e.topo.Load(), base.plan, remap)
 	}
 	fused, err := graph.Fuse(base.plan, costsUS, e.cfg.Fuse)
 	if err != nil {
@@ -207,37 +208,42 @@ func (e *Engine) RecompileFused(costsUS []float64) error {
 	return nil
 }
 
-// editCosts produces a per-node µs cost table for plan (the target plan
-// of a staged edit). Measured means from the live collector are carried
-// through remap when one exists; nodes without a measurement (including
-// freshly added ones) fall back to the static design table.
-func (e *Engine) editCosts(remap *graph.Remap, plan *graph.Plan) []float64 {
-	out := rescon.PaperCostsUS(plan)
-	live := e.topo.Load()
+// staticCostsUS is the static per-node cost table at an engine's
+// execution scale: the design table (paper µs) scaled the way
+// graph.NewLoad scales the kernels.
+func staticCostsUS(p *graph.Plan, scale float64) []float64 {
+	out := rescon.PaperCostsUS(p)
+	for i := range out {
+		out[i] *= scale
+	}
+	return out
+}
+
+// nodeCosts is the engine's one per-node µs cost table for plan, with
+// its source: staticCostsUS at the running scale, overlaid with live's
+// measured means — "measured" — once its collector has observed a
+// cycle, else "static". plan is live's own (remap nil) or a staged
+// edit's, whose surviving nodes carry their measurement through remap
+// and whose fresh ones keep the static figure.
+func (e *Engine) nodeCosts(live *topology, plan *graph.Plan, remap *graph.Remap) ([]float64, string) {
+	out := staticCostsUS(plan, e.cfg.Graph.Scale)
 	if live.col == nil {
-		return out
+		return out, "static"
 	}
 	m, ok := live.col.CostModel()
 	if !ok {
-		return out
-	}
-	if remap == nil {
-		// Same ID space: take any measured (non-zero) mean directly.
-		for i := range out {
-			if i < len(m) && m[i] > 0 {
-				out[i] = m[i]
-			}
-		}
-		return out
+		return out, "static"
 	}
 	for i := range out {
-		if i < len(remap.NewToOld) {
-			if old := remap.NewToOld[i]; old >= 0 && int(old) < len(m) && m[old] > 0 {
-				out[i] = m[old]
-			}
+		old := int32(i)
+		if remap != nil {
+			old = remap.NewToOld[i] // -1 for a node the edit adds
+		}
+		if old >= 0 && int(old) < len(m) && m[old] > 0 {
+			out[i] = m[old]
 		}
 	}
-	return out
+	return out, "measured"
 }
 
 // adoptStaged installs the staged topology at the cycle boundary: the

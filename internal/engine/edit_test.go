@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"djstar/internal/graph"
+	"djstar/internal/rescon"
 	"djstar/internal/sched"
 )
 
@@ -53,8 +54,8 @@ func TestEngineApplyPatchAllStrategies(t *testing.T) {
 				t.Fatal("delay nodes missing from live graph")
 			}
 			m := e.RunCycles(20)
-			if m.Cycles != 20 {
-				t.Fatalf("post-insert cycles = %d", m.Cycles)
+			if m.Cycles() != 20 {
+				t.Fatalf("post-insert cycles = %d", m.Cycles())
 			}
 
 			if err := e.ApplyPatch("remove-delay:B"); err != nil {
@@ -169,8 +170,8 @@ func TestEngineEditRollback(t *testing.T) {
 	}
 	// The engine keeps running on the old topology.
 	m := e.RunCycles(10)
-	if m.Cycles != 10 {
-		t.Fatalf("post-rollback cycles = %d", m.Cycles)
+	if m.Cycles() != 10 {
+		t.Fatalf("post-rollback cycles = %d", m.Cycles())
 	}
 }
 
@@ -311,11 +312,65 @@ func TestEngineEditWithFusionAndGovernor(t *testing.T) {
 		t.Fatal("exec plan is not a fusion of the edited base plan")
 	}
 	m := e.RunCycles(30)
-	if m.Cycles != 30 {
-		t.Fatalf("cycles = %d", m.Cycles)
+	if m.Cycles() != 30 {
+		t.Fatalf("cycles = %d", m.Cycles())
 	}
 	// The new collector observes the edited base plan.
 	if got := len(e.Collector().NodeMeansUS()); got != base+2 {
 		t.Fatalf("collector sized %d, want %d", got, base+2)
+	}
+}
+
+// TestNodeCostsAtRunningScale: the engine's one cost table prices a
+// staged edit's nodes in one unit — a node the edit adds at the static
+// design cost × the running scale, a surviving node at its measured mean
+// carried through the remap — so fusion and the admission gate see an
+// inserted node beside its neighbours, not 1/scale times dearer.
+func TestNodeCostsAtRunningScale(t *testing.T) {
+	const scale = 0.05
+	cfg := spinConfig(sched.NameSequential, 1)
+	cfg.Graph.Scale = scale
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	live := e.topo.Load()
+	if _, source := e.nodeCosts(live, live.plan, nil); source != "static" {
+		t.Fatalf("source before the first cycle = %q, want static", source)
+	}
+	e.RunCycles(10)
+	measured, ok := live.col.CostModel()
+	if !ok {
+		t.Fatal("no cost model after 10 cycles")
+	}
+	es, err := e.session.BuildPatch(live.g, "insert-delay:A:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, plan2, remap, err := live.g.Apply(es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs, source := e.nodeCosts(live, plan2, remap)
+	if source != "measured" || len(costs) != plan2.Len() {
+		t.Fatalf("source %q, %d costs for %d nodes", source, len(costs), plan2.Len())
+	}
+	static := rescon.PaperCostsUS(plan2)
+	fresh := 0
+	for i, got := range costs {
+		want := static[i] * scale
+		if old := remap.NewToOld[i]; old < 0 {
+			fresh++
+		} else if measured[old] > 0 {
+			want = measured[old]
+		}
+		if got != want {
+			t.Errorf("node %s: cost %.3f µs, want %.3f", plan2.Names[i], got, want)
+		}
+	}
+	if fresh != 2 {
+		t.Fatalf("edit added %d nodes, want the 2 delay units", fresh)
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"djstar/internal/obs"
 	"djstar/internal/rescon"
 	"djstar/internal/sched"
-	"djstar/internal/stats"
 	"djstar/internal/timecode"
 )
 
@@ -74,9 +73,6 @@ type Config struct {
 	FusePlan bool
 	// Fuse tunes the fusion pass when FusePlan is set (zero = defaults).
 	Fuse graph.FuseOptions
-	// CollectSamples retains per-cycle timing samples in the metrics
-	// (needed for histograms; costs 8 bytes × cycles × 2).
-	CollectSamples bool
 	// DVS couples deck tempos to the decoded timecode signal, exercising
 	// the decode → control path end to end.
 	DVS bool
@@ -245,7 +241,7 @@ type Engine struct {
 	traceScratch obs.CycleTrace
 
 	// totals is the always-on whole-run accounting behind Snapshot.
-	totals cycleTotals
+	totals Metrics
 
 	// cycleN counts Cycle calls (the watchdog's cycle coordinate).
 	// Atomic so edit staging on other threads can stamp outcomes with it.
@@ -613,98 +609,29 @@ func (e *Engine) Close() {
 	}
 }
 
-// Metrics aggregates the timing results of a run.
-type Metrics struct {
-	Strategy string
-	Threads  int
-	Cycles   int
-	// SessionID is the owning engine's stable session label (stamped by
-	// StampMetrics), so results of concurrently driven sessions stay
-	// attributable.
-	SessionID string
-
-	// Per-component timing summaries in milliseconds.
-	TP, GP, Graph, VC, APC *stats.Summary
-
-	// Deadline tracks APC times against the 2.9 ms packet period.
-	Deadline *stats.DeadlineTracker
-	// GraphDeadline tracks graph times against the 2.1 ms budget.
-	GraphDeadline *stats.DeadlineTracker
-
-	// GraphSamplesMS and APCSamplesMS hold per-cycle times when sample
-	// collection is enabled (for histograms and percentiles).
-	GraphSamplesMS []float64
-	APCSamplesMS   []float64
-
-	// Fault-tolerance outcome of the run, stamped when RunCycles /
-	// RunRealtime return: the scheduler's cumulative fault counters, the
-	// watchdog's stall count, and the governor's final level.
-	Faults     sched.FaultStats
-	Stalls     int64
-	FinalLevel GovLevel
-
-	// samples mirrors Config.CollectSamples.
-	samples bool
-}
-
-// newMetrics returns an empty sink for this engine, with room for n
-// per-cycle samples when sample collection is on.
-func (e *Engine) newMetrics(n int) *Metrics {
-	m := &Metrics{
-		Strategy:      e.sch().Name(),
-		Threads:       e.sch().Threads(),
-		TP:            stats.NewSummary(),
-		GP:            stats.NewSummary(),
-		Graph:         stats.NewSummary(),
-		VC:            stats.NewSummary(),
-		APC:           stats.NewSummary(),
-		Deadline:      stats.NewDeadlineTracker(DeadlineMS),
-		GraphDeadline: stats.NewDeadlineTracker(GraphBudgetMS),
-		samples:       e.cfg.CollectSamples,
-	}
-	if m.samples {
-		m.GraphSamplesMS = make([]float64, 0, n)
-		m.APCSamplesMS = make([]float64, 0, n)
-	}
-	return m
-}
-
-// String summarizes the run.
-func (m *Metrics) String() string {
-	return fmt.Sprintf("%s/%d: %d cycles, graph mean %.4f ms (max %.4f), APC mean %.4f ms, misses %d/%d",
-		m.Strategy, m.Threads, m.Cycles, m.Graph.Mean(), m.Graph.Max(),
-		m.APC.Mean(), m.Deadline.Missed(), m.Deadline.Total())
-}
-
 // RunCycles executes n audio processing cycles back to back (as fast as
-// the machine allows) and returns the timing metrics. This is the
-// evaluation mode: the paper's numbers are execution times per cycle, not
+// the machine allows) and returns their totals. This is the evaluation
+// mode: the paper's numbers are execution times per cycle, not
 // wall-clock pacing.
 func (e *Engine) RunCycles(n int) *Metrics {
-	m := e.newMetrics(n)
+	m := &Metrics{}
 	for i := 0; i < n; i++ {
 		e.Cycle(m)
 	}
-	e.StampMetrics(m)
 	return m
 }
 
-// NewMetrics returns an empty metrics sink for manual Cycle loops (the
-// chaos/governor drivers observe per-cycle state between cycles); call
-// StampMetrics when the loop finishes.
-func (e *Engine) NewMetrics() *Metrics { return e.newMetrics(0) }
+// WarmUpCycles is the evaluation warm-up before a measured run of n
+// cycles: enough unrecorded cycles to fill delay lines and fault in all
+// memory.
+func WarmUpCycles(n int) int { return min(n/10+1, 200) }
 
-// StampMetrics records the run's fault-tolerance outcome (fault counters,
-// stall count, final governor level) into m. RunCycles and RunRealtime
-// call it automatically.
-func (e *Engine) StampMetrics(m *Metrics) {
-	m.SessionID = e.SessionID()
-	m.Faults = e.faults.Faults()
-	if e.wd != nil {
-		m.Stalls = e.wd.Stalls()
-	}
-	m.FinalLevel = e.GovLevel()
-}
+// WarmUp runs the warm-up for a measured run of n cycles.
+func (e *Engine) WarmUp(n int) { e.RunCycles(WarmUpCycles(n)) }
+
+// Totals is the engine's own account of every cycle it has run — what
+// Snapshot reports. Read-only for callers; safe from any thread.
+func (e *Engine) Totals() *Metrics { return &e.totals }
 
 // Cycle executes one APC, accumulating into m (which may be nil). The
 // five stage stamps are the cycle's only clock reads outside the load
@@ -765,6 +692,10 @@ func (e *Engine) Cycle(m *Metrics) {
 	}
 	if m != nil {
 		m.add(&rec)
+		if m.KeepSamples {
+			m.GraphSamplesMS = append(m.GraphSamplesMS, nsToMS(rec.graph))
+			m.APCSamplesMS = append(m.APCSamplesMS, nsToMS(rec.apc))
+		}
 	}
 }
 
@@ -837,33 +768,35 @@ type RealtimeReport struct {
 	MaxLatenessMS float64
 }
 
-// RunRealtime paces cycles against the simulated sound card clock: cycle
-// i must complete by (i+1) packet periods after start. It runs for the
-// given number of cycles and reports deadline behaviour under real
-// pacing. The pacing loop spins (like the audio callback thread of a
-// low-latency audio stack) rather than sleeping.
-func (e *Engine) RunRealtime(n int) *RealtimeReport {
-	m := e.newMetrics(n)
-	rep := &RealtimeReport{Metrics: m}
+// RunRealtime paces up to n cycles against the simulated sound card
+// clock: cycle i must complete by (i+1) packet periods after start. The
+// pacing loop spins (like the audio callback thread of a low-latency
+// audio stack) rather than sleeping.
+//
+// between, when non-nil, is called on the cycle thread after every
+// cycle, in the slack before the next packet request, with the counts of
+// cycles done and of late packets so far; returning false ends the run
+// at that boundary. It is where a driver stages edits, tapes the record
+// bus, prints status and honours an interrupt.
+func (e *Engine) RunRealtime(n int, between func(done, late int) bool) *RealtimeReport {
+	rep := &RealtimeReport{Metrics: &Metrics{}}
 	period := audio.StandardPacketPeriod
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		due := start.Add(time.Duration(i+1) * period)
-		e.Cycle(m)
-		now := time.Now()
-		if now.After(due) {
+		e.Cycle(rep.Metrics)
+		if lateBy := time.Since(due); lateBy > 0 {
 			rep.Late++
-			if late := now.Sub(due).Seconds() * 1e3; late > rep.MaxLatenessMS {
-				rep.MaxLatenessMS = late
-			}
-		} else {
-			// Wait for the next packet request (spin, as an audio callback
-			// would effectively do between interrupts).
-			for time.Now().Before(due) {
-				runtime.Gosched()
-			}
+			rep.MaxLatenessMS = max(rep.MaxLatenessMS, lateBy.Seconds()*1e3)
+		}
+		if between != nil && !between(i+1, rep.Late) {
+			break
+		}
+		// Wait for the next packet request (spin, as an audio callback
+		// would effectively do between interrupts).
+		for time.Now().Before(due) {
+			runtime.Gosched()
 		}
 	}
-	e.StampMetrics(m)
 	return rep
 }

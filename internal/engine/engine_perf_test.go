@@ -20,9 +20,9 @@ func TestRunRealtimePacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	rep := e.RunRealtime(40)
-	if rep.Metrics.Cycles != 40 {
-		t.Fatalf("cycles = %d", rep.Metrics.Cycles)
+	rep := e.RunRealtime(40, nil)
+	if rep.Metrics.Cycles() != 40 {
+		t.Fatalf("cycles = %d", rep.Metrics.Cycles())
 	}
 	// At zero synthetic load the machine should keep up comfortably.
 	if rep.Late > 5 {

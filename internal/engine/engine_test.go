@@ -15,10 +15,9 @@ func fastConfig(strategy string, threads int) Config {
 	gc := graph.DefaultConfig()
 	gc.TrackBars = 2
 	return Config{
-		Graph:          gc,
-		Strategy:       strategy,
-		Threads:        threads,
-		CollectSamples: true,
+		Graph:    gc,
+		Strategy: strategy,
+		Threads:  threads,
 	}
 }
 
@@ -29,21 +28,35 @@ func TestEngineRunCycles(t *testing.T) {
 	}
 	defer e.Close()
 	m := e.RunCycles(100)
-	if m.Cycles != 100 {
-		t.Fatalf("cycles = %d", m.Cycles)
+	if m.Cycles() != 100 {
+		t.Fatalf("cycles = %d", m.Cycles())
 	}
-	if m.Graph.N() != 100 || m.APC.N() != 100 {
-		t.Fatal("summaries incomplete")
-	}
-	if m.Graph.Mean() <= 0 || m.APC.Mean() <= m.Graph.Mean() {
+	if m.GraphMeanMS() <= 0 || m.APCMeanMS() <= m.GraphMeanMS() {
 		t.Fatalf("component means inconsistent: graph %v APC %v",
-			m.Graph.Mean(), m.APC.Mean())
+			m.GraphMeanMS(), m.APCMeanMS())
 	}
-	if len(m.GraphSamplesMS) != 100 || len(m.APCSamplesMS) != 100 {
+	if m.GraphSamplesMS != nil || m.APCSamplesMS != nil {
+		t.Fatal("samples kept without KeepSamples")
+	}
+	if !strings.Contains(m.String(), "100 cycles") {
+		t.Fatalf("String = %q", m.String())
+	}
+
+	// A zero-value window is ready to use, and keeping samples is its
+	// property, not the engine's.
+	var w Metrics
+	w.KeepSamples = true
+	for i := 0; i < 100; i++ {
+		e.Cycle(&w)
+	}
+	if w.Cycles() != 100 || w.GraphMeanMS() <= 0 || w.APCMaxMS() < w.APCMeanMS() {
+		t.Fatalf("zero-value window: %s", &w)
+	}
+	if len(w.GraphSamplesMS) != 100 || len(w.APCSamplesMS) != 100 {
 		t.Fatal("samples not collected")
 	}
-	if !strings.Contains(m.String(), "busy/4") {
-		t.Fatalf("String = %q", m.String())
+	if got := e.Totals().Cycles(); got != 200 {
+		t.Fatalf("engine totals = %d cycles, want both windows' 200", got)
 	}
 }
 
@@ -54,9 +67,9 @@ func TestEngineComponentsSumToAPC(t *testing.T) {
 	}
 	defer e.Close()
 	m := e.RunCycles(50)
-	sum := m.TP.Mean() + m.GP.Mean() + m.Graph.Mean() + m.VC.Mean()
-	if math.Abs(sum-m.APC.Mean())/m.APC.Mean() > 0.05 {
-		t.Fatalf("TP+GP+Graph+VC = %v, APC = %v", sum, m.APC.Mean())
+	sum := m.TPMeanMS() + m.GPMeanMS() + m.GraphMeanMS() + m.VCMeanMS()
+	if math.Abs(sum-m.APCMeanMS())/m.APCMeanMS() > 0.05 {
+		t.Fatalf("TP+GP+Graph+VC = %v, APC = %v", sum, m.APCMeanMS())
 	}
 }
 
@@ -67,11 +80,11 @@ func TestEngineAllStrategies(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		m := e.RunCycles(30)
-		if m.Cycles != 30 {
-			t.Fatalf("%s: %d cycles", name, m.Cycles)
+		if m.Cycles() != 30 {
+			t.Fatalf("%s: %d cycles", name, m.Cycles())
 		}
-		if m.Strategy != name {
-			t.Fatalf("metrics strategy %q, want %q", m.Strategy, name)
+		if got := e.Scheduler().Name(); got != name {
+			t.Fatalf("scheduler %q, want %q", got, name)
 		}
 		e.Close()
 	}
@@ -219,9 +232,54 @@ func TestEngineHotPathAllocationFree(t *testing.T) {
 	}
 	defer e.Close()
 	e.RunCycles(10) // warm up
-	allocs := testing.AllocsPerRun(100, func() { e.Cycle(nil) })
-	if allocs != 0 {
-		t.Fatalf("Cycle allocates %v per run, want 0", allocs)
+	var window Metrics
+	for name, m := range map[string]*Metrics{"Cycle(nil)": nil, "Cycle(&m), samples off": &window} {
+		if allocs := testing.AllocsPerRun(100, func() { e.Cycle(m) }); allocs != 0 {
+			t.Errorf("%s allocates %v per run, want 0", name, allocs)
+		}
+	}
+}
+
+// TestRunRealtimeCallbackContract: between runs once per cycle, in order,
+// on the cycle thread; returning false ends the run at that boundary; and
+// Late is exactly the count the callback was last told. How many packets
+// are late is the box's business — nothing here depends on it.
+func TestRunRealtimeCallbackContract(t *testing.T) {
+	e, err := New(fastConfig(sched.NameSequential, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const n, stopAt = 12, 7
+	var calls []int
+	lates := 0
+	rep := e.RunRealtime(n, func(done, late int) bool {
+		calls = append(calls, done)
+		if got := e.Cycles(); got != uint64(done) {
+			t.Errorf("between(%d) ran with %d cycles complete", done, got)
+		}
+		if late < lates || late > lates+1 {
+			t.Errorf("between(%d): late count went %d → %d", done, lates, late)
+		}
+		lates = late
+		return done < stopAt
+	})
+	if len(calls) != stopAt {
+		t.Fatalf("between called %d times, want %d (stop honoured at the boundary)", len(calls), stopAt)
+	}
+	for i, done := range calls {
+		if done != i+1 {
+			t.Fatalf("call %d reported %d cycles done", i, done)
+		}
+	}
+	if rep.Metrics.Cycles() != stopAt || e.Cycles() != stopAt {
+		t.Fatalf("window %d cycles, engine %d, want %d", rep.Metrics.Cycles(), e.Cycles(), stopAt)
+	}
+	if rep.Late != lates || (rep.Late > 0) != (rep.MaxLatenessMS > 0) {
+		t.Fatalf("Late = %d (max %.3f ms), callback was told of %d", rep.Late, rep.MaxLatenessMS, lates)
+	}
+	if rep := e.RunRealtime(3, nil); rep.Metrics.Cycles() != 3 {
+		t.Fatalf("nil callback: %d cycles, want 3", rep.Metrics.Cycles())
 	}
 }
 

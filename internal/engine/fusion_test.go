@@ -31,7 +31,7 @@ func TestEngineFusePlan(t *testing.T) {
 	}
 
 	m := e.RunCycles(60)
-	if m.Cycles != 60 || m.Graph.Mean() <= 0 {
+	if m.Cycles() != 60 || m.GraphMeanMS() <= 0 {
 		t.Fatalf("fused run metrics: %+v", m)
 	}
 	// The collector observes base nodes: every original node has a
@@ -81,7 +81,7 @@ func TestEngineRecompileFused(t *testing.T) {
 		t.Fatalf("strategy changed across swap: %s", e.Scheduler().Name())
 	}
 	m := e.RunCycles(30)
-	if m.Cycles != 30 || m.Graph.Mean() <= 0 {
+	if m.Cycles() != 30 || m.GraphMeanMS() <= 0 {
 		t.Fatalf("post-swap metrics: %+v", m)
 	}
 

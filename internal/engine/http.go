@@ -181,14 +181,11 @@ func V1Session(e *Engine) apiv1.Session {
 		Shard:     -1,
 		Strategy:  sch.Name(),
 		Threads:   sch.Threads(),
-		Cycles:    e.totals.cycles.Load(),
+		Cycles:    e.totals.Cycles(),
+		APCMeanMS: e.totals.APCMeanMS(),
+		MissRate:  e.totals.MissRate(),
 		PlanEpoch: e.PlanEpoch(),
 		GovLevel:  e.GovLevel().String(),
-	}
-	if n := float64(s.Cycles); n > 0 {
-		tot := &e.totals
-		s.APCMeanMS = nsToMS(tot.tpNS.Load()+tot.gpNS.Load()+tot.graphNS.Load()+tot.vcNS.Load()) / n
-		s.MissRate = float64(tot.misses.Load()) / n
 	}
 	if !e.cfg.Telemetry.Disable {
 		slo := e.tel.SLO()

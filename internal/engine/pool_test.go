@@ -76,10 +76,10 @@ func TestPoolConcurrentSessions(t *testing.T) {
 		t.Fatalf("%d metric sets, want %d", len(metrics), sessions)
 	}
 	for i, mm := range metrics {
-		if mm.Cycles != 120 {
-			t.Fatalf("session %d ran %d cycles, want 120", i, mm.Cycles)
+		if mm.Cycles() != 120 {
+			t.Fatalf("session %d ran %d cycles, want 120", i, mm.Cycles())
 		}
-		if mm.Graph.Mean() <= 0 {
+		if mm.GraphMeanMS() <= 0 {
 			t.Fatalf("session %d has zero graph time", i)
 		}
 	}
@@ -152,7 +152,7 @@ func TestEnginePrivatePoolStrategy(t *testing.T) {
 		t.Fatalf("threads = %d, want 4 (3 workers + caller)", e.Scheduler().Threads())
 	}
 	m := e.RunCycles(60)
-	if m.Cycles != 60 || m.Graph.Mean() <= 0 {
+	if m.Cycles() != 60 || m.GraphMeanMS() <= 0 {
 		t.Fatalf("bad metrics: %+v", m)
 	}
 	if e.Session().MasterOut().Peak() == 0 {

@@ -25,12 +25,16 @@ func spinConfig(strategy string, threads int) Config {
 const forceMissFactor = 1600
 
 // TestCycleReadOutsAgree: every consumer is fed from the one cycle
-// record, so every read-out reports the same cycles and the same misses.
+// record, so every read-out reports the same cycles and the same misses,
+// and the two lifetimes of the one totals type — a caller's run window
+// and the engine's own — hold the OnCycle stream's sums to the
+// nanosecond.
 func TestCycleReadOutsAgree(t *testing.T) {
 	const cycles, forced = 40, 3
 	for _, strategy := range []string{sched.NameSequential, sched.NamePool} {
 		t.Run(strategy, func(t *testing.T) {
 			var hookCycles, hookMisses uint64
+			var hookNS [4]int64 // TP, GP, Graph, VC sums of the stream
 			cfg := spinConfig(strategy, 2)
 			cfg.Hooks.OnCycle = func(ci CycleInfo) {
 				hookCycles++
@@ -43,6 +47,9 @@ func TestCycleReadOutsAgree(t *testing.T) {
 				// The record is integer nanoseconds; the ms fields convert
 				// back exactly.
 				ns := func(ms float64) int64 { return int64(math.Round(ms * 1e6)) }
+				for i, ms := range []float64{ci.TPMS, ci.GPMS, ci.GraphMS, ci.VCMS} {
+					hookNS[i] += ns(ms)
+				}
 				if sum := ns(ci.TPMS) + ns(ci.GPMS) + ns(ci.GraphMS) + ns(ci.VCMS); sum != ns(ci.APCMS) {
 					t.Errorf("cycle %d: TP+GP+Graph+VC = %d ns, APC = %d ns", ci.Cycle, sum, ns(ci.APCMS))
 				}
@@ -55,19 +62,19 @@ func TestCycleReadOutsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			m := e.NewMetrics()
+			var m Metrics
 			for i := 1; i <= cycles; i++ {
 				if i%10 == 0 && i/10 <= forced {
 					e.SetLoadFactor(forceMissFactor)
 				}
-				e.Cycle(m)
+				e.Cycle(&m)
 				e.SetLoadFactor(1)
 			}
 
 			snap, tot, slo := e.Snapshot(), e.Telemetry().Totals(), e.Telemetry().SLO()
 			for name, got := range map[string]uint64{
 				"Snapshot.Cycles": snap.Cycles, "Totals.Cycles": tot.Cycles, "SLO.TotalCycles": slo.TotalCycles,
-				"Metrics.Cycles": uint64(m.Cycles), "Deadline.Total": uint64(m.Deadline.Total()), "OnCycle calls": hookCycles,
+				"Metrics.Cycles": m.Cycles(), "OnCycle calls": hookCycles,
 			} {
 				if got != cycles {
 					t.Errorf("%s = %d, want %d", name, got, cycles)
@@ -80,10 +87,25 @@ func TestCycleReadOutsAgree(t *testing.T) {
 			}
 			for name, got := range map[string]uint64{
 				"Snapshot.DeadlineMisses": snap.DeadlineMisses, "Totals.DeadlineMisses": tot.DeadlineMisses,
-				"SLO.TotalMisses": slo.TotalMisses, "Deadline.Missed": uint64(m.Deadline.Missed()),
+				"SLO.TotalMisses": slo.TotalMisses, "Metrics.Misses": m.Misses(),
 			} {
 				if got != hookMisses {
 					t.Errorf("%s = %d, OnCycle saw %d misses", name, got, hookMisses)
+				}
+			}
+			if got := [4]int64{m.tpNS.Load(), m.gpNS.Load(), m.graphNS.Load(), m.vcNS.Load()}; got != hookNS {
+				t.Errorf("window stage sums %v ns, OnCycle stream %v ns", got, hookNS)
+			}
+			// The window was open from cycle 1: lifetime minus window is zero.
+			life := e.Totals()
+			for name, d := range map[string]int64{
+				"cycles": int64(life.Cycles() - m.Cycles()), "misses": int64(life.Misses() - m.Misses()),
+				"tp": life.tpNS.Load() - m.tpNS.Load(), "gp": life.gpNS.Load() - m.gpNS.Load(),
+				"graph": life.graphNS.Load() - m.graphNS.Load(), "vc": life.vcNS.Load() - m.vcNS.Load(),
+				"graph max": life.graphMaxNS.Load() - m.graphMaxNS.Load(), "apc max": life.apcMaxNS.Load() - m.apcMaxNS.Load(),
+			} {
+				if d != 0 {
+					t.Errorf("lifetime − window %s = %d, want 0", name, d)
 				}
 			}
 			if want := snap.TPMeanMS + snap.GPMeanMS + snap.GraphMeanMS + snap.VCMeanMS; math.Abs(snap.APCMeanMS-want) > 1e-9 {

@@ -21,10 +21,8 @@ type SessionSpec struct {
 	// rules.
 	Strategy string
 	Threads  int
-	// Fuse enables cost-guided chain fusion for this session, with
-	// FuseOpts tuning the pass (zero = defaults).
-	Fuse     bool
-	FuseOpts graph.FuseOptions
+	// Fuse enables cost-guided chain fusion for this session.
+	Fuse bool
 	// AdmissionMargin overrides the admission gate's safety margin
 	// (margin × (base + graph bound) ≤ period); 0 keeps the base
 	// config's margin.
@@ -53,7 +51,6 @@ func (sp SessionSpec) Resolve(base Config) Config {
 	}
 	if sp.Fuse {
 		c.FusePlan = true
-		c.Fuse = sp.FuseOpts
 	}
 	if sp.AdmissionMargin > 0 {
 		c.Admission.Config.Margin = sp.AdmissionMargin

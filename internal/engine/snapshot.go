@@ -23,10 +23,8 @@ const SnapshotSchemaVersion = 4
 // Snapshot is the engine's unified point-in-time observability view:
 // whole-run cycle accounting, health/fault/degradation state, per-node
 // timing stats and the measured critical path, in one versioned struct.
-// It replaces the previous split where Metrics, Health and ad-hoc
-// scheduler queries each exposed a different subset. Snapshot allocates
-// and takes the collector mutex — call it from UI/telemetry rates, not
-// the audio path.
+// Snapshot allocates and takes the collector mutex — call it from
+// UI/telemetry rates, not the audio path.
 type Snapshot struct {
 	SchemaVersion int `json:"schema_version"`
 
@@ -40,8 +38,8 @@ type Snapshot struct {
 
 	Strategy string `json:"strategy"`
 	Threads  int    `json:"threads"`
-	// Cycles is the engine's own cycle count (independent of any
-	// user-supplied Metrics sink).
+	// Cycles is the engine's own cycle count (Engine.Totals, not a
+	// caller's run window).
 	Cycles uint64 `json:"cycles"`
 
 	// PlanEpoch counts adopted topology swaps (0 = construction plan);
@@ -101,19 +99,16 @@ func (e *Engine) Snapshot() Snapshot {
 		s.LastEdit = &cp
 	}
 	tot := &e.totals
-	s.Cycles = tot.cycles.Load()
-	s.DeadlineMisses = tot.misses.Load()
-	if n := float64(s.Cycles); n > 0 {
-		tp, gp, gr, vc := tot.tpNS.Load(), tot.gpNS.Load(), tot.graphNS.Load(), tot.vcNS.Load()
-		s.TPMeanMS = nsToMS(tp) / n
-		s.GPMeanMS = nsToMS(gp) / n
-		s.GraphMeanMS = nsToMS(gr) / n
-		s.VCMeanMS = nsToMS(vc) / n
-		s.APCMeanMS = nsToMS(tp+gp+gr+vc) / n
-		s.MissRate = float64(s.DeadlineMisses) / n
-	}
-	s.GraphMaxMS = nsToMS(tot.graphMaxNS.Load())
-	s.APCMaxMS = nsToMS(tot.apcMaxNS.Load())
+	s.Cycles = tot.Cycles()
+	s.DeadlineMisses = tot.Misses()
+	s.MissRate = tot.MissRate()
+	s.TPMeanMS = tot.TPMeanMS()
+	s.GPMeanMS = tot.GPMeanMS()
+	s.GraphMeanMS = tot.GraphMeanMS()
+	s.VCMeanMS = tot.VCMeanMS()
+	s.APCMeanMS = tot.APCMeanMS()
+	s.GraphMaxMS = tot.GraphMaxMS()
+	s.APCMaxMS = tot.APCMaxMS()
 
 	if !e.cfg.Telemetry.Disable {
 		slo := e.tel.SLO()

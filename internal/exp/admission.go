@@ -256,7 +256,6 @@ func admissionSweep(capacity int) []int {
 // (after a warmup) and returns each session's p95 and p99 cycle times
 // (µs) and the total count of cycles over periodUS.
 func admissionDrive(engines []*engine.Engine, cycles int, periodUS float64) ([]float64, []float64, int64) {
-	warm := min(cycles/10+1, 200)
 	p95s := make([]float64, len(engines))
 	p99s := make([]float64, len(engines))
 	overruns := make([]int64, len(engines))
@@ -265,9 +264,7 @@ func admissionDrive(engines []*engine.Engine, cycles int, periodUS float64) ([]f
 		wg.Add(1)
 		go func(i int, e *engine.Engine) {
 			defer wg.Done()
-			for c := 0; c < warm; c++ {
-				e.Cycle(nil)
-			}
+			e.WarmUp(cycles)
 			durs := make([]float64, 0, cycles)
 			for c := 0; c < cycles; c++ {
 				t0 := time.Now()

@@ -8,7 +8,6 @@ import (
 	"djstar/internal/engine"
 	"djstar/internal/faults"
 	"djstar/internal/sched"
-	"djstar/internal/stats"
 )
 
 // Chaos and Governor are the robustness experiments: where the rest of
@@ -20,6 +19,7 @@ import (
 
 // ChaosResult is the outcome of the scripted-fault containment run.
 type ChaosResult struct {
+	// Metrics is the run's window: every cycle of the script.
 	Metrics *engine.Metrics
 	// Injected are the injector's counters (what the script fired).
 	Injected faults.Stats
@@ -104,7 +104,7 @@ func Chaos(o Options) (*ChaosResult, error) {
 	}
 	defer e.Close()
 
-	res := &ChaosResult{Metrics: e.NewMetrics()}
+	res := &ChaosResult{Metrics: &engine.Metrics{}}
 	var (
 		prevRecovered          int64
 		faultSum, cleanSum     float64
@@ -123,7 +123,6 @@ func Chaos(o Options) (*ChaosResult, error) {
 			cleanCount++
 		}
 	}
-	e.StampMetrics(res.Metrics)
 	if faultCount > 0 {
 		res.FaultRMS = faultSum / float64(faultCount)
 	}
@@ -133,7 +132,7 @@ func Chaos(o Options) (*ChaosResult, error) {
 
 	res.Injected = inj.Stats()
 	res.Health = e.Health()
-	fs := res.Metrics.Faults
+	fs := res.Health.Faults
 	res.Quarantined = fs.Quarantined >= 1
 	res.Restored = fs.Restored >= 1
 	mu.Lock()
@@ -146,7 +145,7 @@ func Chaos(o Options) (*ChaosResult, error) {
 
 	w := o.Out
 	fprintf(w, "Chaos containment (%d cycles, %s/%d threads)\n",
-		res.Metrics.Cycles, res.Metrics.Strategy, res.Metrics.Threads)
+		res.Metrics.Cycles(), e.Scheduler().Name(), e.Scheduler().Threads())
 	fprintf(w, "  script             : %s\n", script)
 	fprintf(w, "  injected           : %d panics, %d stalls\n",
 		res.Injected.Panics, res.Injected.Stalls)
@@ -156,9 +155,9 @@ func Chaos(o Options) (*ChaosResult, error) {
 	fprintf(w, "  silenced packets   : %d (bound: faults+1 = %d), deck RMS %.5f vs %.5f clean\n",
 		res.SilentPackets, fs.Recovered+1, res.FaultRMS, res.CleanRMS)
 	fprintf(w, "  stall detected     : %v (node %q, %d total)\n",
-		res.StallDetected, res.StallNode, res.Metrics.Stalls)
+		res.StallDetected, res.StallNode, res.Health.Stalls)
 	fprintf(w, "  cycles completed   : %d/%d — no crash, no hang\n",
-		res.Metrics.Cycles, o.Cycles)
+		res.Metrics.Cycles(), o.Cycles)
 	return res, nil
 }
 
@@ -259,26 +258,22 @@ func Governor(o Options) (*GovernorResult, error) {
 		}
 		defer e.Close()
 
-		phase := func(n int, track *stats.DeadlineTracker) {
-			for i := 0; i < n; i++ {
-				t := time.Now()
-				e.Cycle(nil)
-				if track != nil {
-					track.Add(time.Since(t).Seconds() * 1e3)
-				}
+		e.RunCycles(50 + govBaseWindows*govWindow) // warm-up, then baseline
+		e.SetLoadFactor(overload)
+		missed := 0
+		for i := 0; i < govOverWindows*govWindow; i++ {
+			t := time.Now()
+			e.Cycle(nil)
+			if time.Since(t).Seconds()*1e3 > deadline {
+				missed++
 			}
 		}
-		phase(50, nil) // warm-up
-		phase(govBaseWindows*govWindow, nil)
-		e.SetLoadFactor(overload)
-		tr := stats.NewDeadlineTracker(deadline)
-		phase(govOverWindows*govWindow, tr)
 		e.SetLoadFactor(1.0)
-		phase(govRecoatWindows*govWindow, nil)
+		e.RunCycles(govRecoatWindows * govWindow)
 		if governed {
 			res.FinalLevel = e.GovLevel()
 		}
-		return tr.MissRate(), nil
+		return float64(missed) / float64(govOverWindows*govWindow), nil
 	}
 
 	if res.UngovernedMissRate, err = run(false); err != nil {
@@ -315,14 +310,8 @@ func probeAPC(o Options, overload float64) (base, over float64, err error) {
 	for i := 0; i < 30; i++ {
 		e.Cycle(nil)
 	}
-	m := e.NewMetrics()
-	for i := 0; i < n; i++ {
-		e.Cycle(m)
-	}
+	m := e.RunCycles(n)
 	e.SetLoadFactor(overload)
-	m2 := e.NewMetrics()
-	for i := 0; i < n; i++ {
-		e.Cycle(m2)
-	}
-	return m.APC.Mean(), m2.APC.Mean(), nil
+	m2 := e.RunCycles(n)
+	return m.APCMeanMS(), m2.APCMeanMS(), nil
 }

@@ -18,10 +18,10 @@ func TestChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := int(res.Metrics.Cycles), o.Cycles; got != want {
+	if got, want := int(res.Metrics.Cycles()), o.Cycles; got != want {
 		t.Errorf("cycles completed = %d, want %d", got, want)
 	}
-	fs := res.Metrics.Faults
+	fs := res.Health.Faults
 	if res.Injected.Panics == 0 {
 		t.Fatal("no panics injected — script did not arm")
 	}

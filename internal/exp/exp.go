@@ -98,22 +98,22 @@ func (o *Options) graphConfig() graph.Config {
 // runEngine measures one (strategy, threads) cell.
 func (o *Options) runEngine(strategy string, threads int, collect bool) (*engine.Metrics, error) {
 	cfg := engine.Config{
-		Graph:          o.graphConfig(),
-		Strategy:       strategy,
-		Threads:        threads,
-		CollectSamples: collect,
-		DisableGC:      o.Scale >= 0.5, // full-scale runs measure without GC noise
+		Graph:     o.graphConfig(),
+		Strategy:  strategy,
+		Threads:   threads,
+		DisableGC: o.Scale >= 0.5, // full-scale runs measure without GC noise
 	}
 	e, err := engine.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer e.Close()
-	// Warm-up cycles fill delay lines and fault in all memory.
-	for i := 0; i < min(o.Cycles/10+1, 200); i++ {
-		e.Cycle(nil)
+	e.WarmUp(o.Cycles)
+	m := &engine.Metrics{KeepSamples: collect}
+	for i := 0; i < o.Cycles; i++ {
+		e.Cycle(m)
 	}
-	return e.RunCycles(o.Cycles), nil
+	return m, nil
 }
 
 // ParallelStrategies are the three strategies the paper evaluates.

@@ -34,14 +34,14 @@ func Deadlines(opts Options) (*DeadlineResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Missed[name] = m.Deadline.Missed()
-		res.Total = m.Deadline.Total()
-		res.WorstMS[name] = m.Deadline.Worst()
+		res.Missed[name] = int64(m.Misses())
+		res.Total = int64(m.Cycles())
+		res.WorstMS[name] = m.APCMaxMS()
 		rows = append(rows, []string{
 			name,
-			fmt.Sprintf("%d / %d", m.Deadline.Missed(), m.Deadline.Total()),
-			fmt.Sprintf("%.4f", m.APC.Mean()),
-			fmt.Sprintf("%.4f", m.Deadline.Worst()),
+			fmt.Sprintf("%d / %d", m.Misses(), m.Cycles()),
+			fmt.Sprintf("%.4f", m.APCMeanMS()),
+			fmt.Sprintf("%.4f", m.APCMaxMS()),
 			fmt.Sprintf("%.4f", engine.DeadlineMS),
 		})
 	}
@@ -90,11 +90,11 @@ func Profile(opts Options) (*ProfileResult, error) {
 		return nil, err
 	}
 	res := &ProfileResult{
-		TPMS:    m.TP.Mean(),
-		GPMS:    m.GP.Mean(),
-		GraphMS: m.Graph.Mean(),
-		VCMS:    m.VC.Mean(),
-		APCMS:   m.APC.Mean(),
+		TPMS:    m.TPMeanMS(),
+		GPMS:    m.GPMeanMS(),
+		GraphMS: m.GraphMeanMS(),
+		VCMS:    m.VCMeanMS(),
+		APCMS:   m.APCMeanMS(),
 	}
 	fprintf(opts.Out, "§III-B / §VI: APC component profile (sequential, %d cycles)\n", opts.Cycles)
 	rows := [][]string{
@@ -127,7 +127,7 @@ func ThreadSweep(opts Options) (*ThreadSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &ThreadSweepResult{SeqMS: seq.Graph.Mean()}
+	res := &ThreadSweepResult{SeqMS: seq.GraphMeanMS()}
 	var rows [][]string
 	for t := 1; t <= 8; t++ {
 		m, err := opts.runEngine(sched.NameBusyWait, t, false)
@@ -135,11 +135,11 @@ func ThreadSweep(opts Options) (*ThreadSweepResult, error) {
 			return nil, err
 		}
 		res.Threads = append(res.Threads, t)
-		res.MeanMS = append(res.MeanMS, m.Graph.Mean())
+		res.MeanMS = append(res.MeanMS, m.GraphMeanMS())
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", t),
-			fmt.Sprintf("%.4f", m.Graph.Mean()),
-			fmt.Sprintf("%.2f", res.SeqMS/m.Graph.Mean()),
+			fmt.Sprintf("%.4f", m.GraphMeanMS()),
+			fmt.Sprintf("%.2f", res.SeqMS/m.GraphMeanMS()),
 		})
 	}
 	fprintf(opts.Out, "§VI ablation: BUSY thread sweep (paper: no gain above 4 threads)\n")

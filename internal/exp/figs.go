@@ -27,13 +27,11 @@ func collectHistograms(opts Options) (*HistResult, error) {
 		Samples: map[string][]float64{},
 	}
 	var all []float64
-	metrics := map[string]*engine.Metrics{}
 	for _, name := range ParallelStrategies {
 		m, err := opts.runEngine(name, opts.MaxThreads, true)
 		if err != nil {
 			return nil, err
 		}
-		metrics[name] = m
 		res.Samples[name] = m.GraphSamplesMS
 		all = append(all, m.GraphSamplesMS...)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"djstar/internal/engine"
 	"djstar/internal/graph"
 	"djstar/internal/sched"
 	"djstar/internal/stats"
@@ -104,8 +105,7 @@ func measureNSPerNode(strategy string, p *graph.Plan, threads, cycles, baseNodes
 		return 0, err
 	}
 	defer s.Close()
-	warm := min(cycles/10+1, 200)
-	for i := 0; i < warm; i++ {
+	for i := engine.WarmUpCycles(cycles); i > 0; i-- {
 		s.Execute()
 	}
 	t0 := time.Now()

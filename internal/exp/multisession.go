@@ -71,9 +71,7 @@ func MultiSession(opts Options) (*MultiSessionResult, error) {
 		}
 		// Warm-up fills delay lines and faults in per-session memory.
 		for _, e := range engines {
-			for i := 0; i < min(opts.Cycles/10+1, 200); i++ {
-				e.Cycle(nil)
-			}
+			e.WarmUp(opts.Cycles)
 		}
 		// One driving goroutine per session, all sharing the pool's workers.
 		metrics := make([]*engine.Metrics, len(engines))
@@ -90,9 +88,9 @@ func MultiSession(opts Options) (*MultiSessionResult, error) {
 
 		mean, worst := 0.0, 0.0
 		for _, mm := range metrics {
-			mean += mm.Graph.Mean()
-			if mm.Graph.Max() > worst {
-				worst = mm.Graph.Max()
+			mean += mm.GraphMeanMS()
+			if mm.GraphMaxMS() > worst {
+				worst = mm.GraphMaxMS()
 			}
 		}
 		mean /= float64(len(metrics))

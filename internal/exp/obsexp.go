@@ -50,9 +50,7 @@ func CritPath(o Options) (*CritPathResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < min(o.Cycles/10+1, 200); i++ {
-			e.Cycle(nil)
-		}
+		e.WarmUp(o.Cycles)
 		m := e.RunCycles(o.Cycles)
 		ps, ok := e.CriticalPath()
 		e.Close()
@@ -62,10 +60,10 @@ func CritPath(o Options) (*CritPathResult, error) {
 		row := CritPathRow{
 			Strategy:   name,
 			Threads:    o.MaxThreads,
-			MeasuredUS: m.Graph.Mean() * 1e3,
+			MeasuredUS: m.GraphMeanMS() * 1e3,
 			CritPathUS: ps.LengthUS,
 			BoundUS:    ps.Bound(o.MaxThreads),
-			Efficiency: ps.Efficiency(m.Graph.Mean()*1e3, o.MaxThreads),
+			Efficiency: ps.Efficiency(m.GraphMeanMS()*1e3, o.MaxThreads),
 		}
 		res.Rows = append(res.Rows, row)
 		if name == ParallelStrategies[0] {

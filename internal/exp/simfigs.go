@@ -111,7 +111,7 @@ func Fig12(opts Options) (*Fig12Result, error) {
 		OptimalUS:      four.MakespanUS,
 		SimBusyUS:      simBusy.MakespanUS,
 		SimSleepUS:     simSleep.MakespanUS,
-		MeasuredBusyUS: meas.Graph.Mean() * 1e3,
+		MeasuredBusyUS: meas.GraphMeanMS() * 1e3,
 		Efficiency:     m.Efficiency(simBusy),
 	}
 	fprintf(opts.Out, "Fig. 12 / §VI: BUSY schedule — simulation vs measurement (4 threads)\n")

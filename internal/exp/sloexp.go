@@ -57,9 +57,7 @@ func SLO(o Options) (*SLOResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < min(o.Cycles/10+1, 200); i++ {
-			e.Cycle(nil)
-		}
+		e.WarmUp(o.Cycles)
 		e.RunCycles(o.Cycles)
 		tel := e.Telemetry()
 		slo := tel.SLO()

@@ -44,7 +44,7 @@ func Table1(opts Options) (*Table1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.SeqMeanMS = seq.Graph.Mean()
+	res.SeqMeanMS = seq.GraphMeanMS()
 
 	for _, name := range ParallelStrategies {
 		for _, t := range res.Threads {
@@ -52,7 +52,7 @@ func Table1(opts Options) (*Table1Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			res.MeanMS[name] = append(res.MeanMS[name], m.Graph.Mean())
+			res.MeanMS[name] = append(res.MeanMS[name], m.GraphMeanMS())
 		}
 	}
 

@@ -16,11 +16,10 @@ type FuseOptions struct {
 	// cost-weighted critical path, but never below twice the most
 	// expensive single node (so uniform-cost chains still fuse in pairs).
 	MaxCostUS float64
-	// MaxLen caps the number of members per fused unit (0 = 8).
-	MaxLen int
 }
 
-const defaultFuseMaxLen = 8
+// fuseMaxLen caps the number of members per fused unit.
+const fuseMaxLen = 8
 
 // Fuse compiles a lower-overhead execution plan from p by collapsing
 // single-pred/single-succ chains of same-kind nodes into fused units. A
@@ -56,10 +55,6 @@ func Fuse(p *Plan, costUS []float64, o FuseOptions) (*Plan, error) {
 		return costUS[id]
 	}
 
-	maxLen := o.MaxLen
-	if maxLen <= 0 {
-		maxLen = defaultFuseMaxLen
-	}
 	maxCost := o.MaxCostUS
 	if maxCost <= 0 {
 		// Cost-weighted critical path (longest path by summed cost) and
@@ -107,7 +102,7 @@ func Fuse(p *Plan, costUS []float64, o FuseOptions) (*Plan, error) {
 		assigned[head] = true
 		sum := cost(head)
 		tail := head
-		for len(chain) < maxLen {
+		for len(chain) < fuseMaxLen {
 			succs := p.SuccsOf(tail)
 			if len(succs) != 1 {
 				break

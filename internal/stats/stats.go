@@ -1,9 +1,9 @@
 // Package stats provides the measurement machinery of the evaluation
 // (paper §VI): streaming summaries (mean, min, max, stddev), fixed-bin
-// histograms and cumulative histograms, percentiles, and deadline-miss
-// accounting. The paper argues that averages alone are meaningless for a
-// real-time system and relies on distributions and worst cases — this
-// package is what the harness uses to produce them.
+// histograms and cumulative histograms, and percentiles. The paper
+// argues that averages alone are meaningless for a real-time system and
+// relies on distributions and worst cases — this package is what the
+// harness uses to produce them.
 package stats
 
 import (
@@ -186,44 +186,4 @@ func Percentiles(xs []float64, qs ...float64) []float64 {
 		}
 	}
 	return out
-}
-
-// DeadlineTracker counts misses against a fixed deadline, mirroring the
-// paper's "five out of 10K APC executions exceed the deadline of 2.9 ms".
-type DeadlineTracker struct {
-	Deadline float64
-	total    int64
-	missed   int64
-	worst    float64
-}
-
-// NewDeadlineTracker returns a tracker for the given deadline.
-func NewDeadlineTracker(deadline float64) *DeadlineTracker {
-	return &DeadlineTracker{Deadline: deadline}
-}
-
-// Add records one cycle time and reports whether it missed the deadline.
-func (d *DeadlineTracker) Add(x float64) bool {
-	d.total++
-	if x > d.worst {
-		d.worst = x
-	}
-	if x > d.Deadline {
-		d.missed++
-		return true
-	}
-	return false
-}
-
-// Total and Missed return the counters; Worst the worst observation.
-func (d *DeadlineTracker) Total() int64   { return d.total }
-func (d *DeadlineTracker) Missed() int64  { return d.missed }
-func (d *DeadlineTracker) Worst() float64 { return d.worst }
-
-// MissRate returns missed/total (0 if empty).
-func (d *DeadlineTracker) MissRate() float64 {
-	if d.total == 0 {
-		return 0
-	}
-	return float64(d.missed) / float64(d.total)
 }

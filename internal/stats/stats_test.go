@@ -166,30 +166,6 @@ func TestPercentiles(t *testing.T) {
 	}
 }
 
-func TestDeadlineTracker(t *testing.T) {
-	d := NewDeadlineTracker(2.9)
-	if d.MissRate() != 0 {
-		t.Fatal("empty miss rate")
-	}
-	for i := 0; i < 9; i++ {
-		if d.Add(1.0) {
-			t.Fatal("1.0 flagged as miss")
-		}
-	}
-	if !d.Add(3.5) {
-		t.Fatal("3.5 not flagged")
-	}
-	if d.Total() != 10 || d.Missed() != 1 {
-		t.Fatalf("total/missed = %d/%d", d.Total(), d.Missed())
-	}
-	if d.Worst() != 3.5 {
-		t.Fatalf("worst = %v", d.Worst())
-	}
-	if math.Abs(d.MissRate()-0.1) > 1e-12 {
-		t.Fatalf("miss rate = %v", d.MissRate())
-	}
-}
-
 func TestRenderHistogram(t *testing.T) {
 	h := MustHistogram(0, 1, 4)
 	for i := 0; i < 10; i++ {
