@@ -45,6 +45,13 @@ const (
 // its own session's cycle, so a cycle completes even with zero pool
 // workers or a fully loaded pool.
 //
+// Claim protocol (DESIGN.md §8, §24): a node is claimed by a CAS on its
+// generation stamp. Each participant — helper or caller — scans its own
+// section-homed permutation of the plan's rank order from a
+// claimed-prefix cursor, and after running a node follows the
+// continuation it readied; every participant can still claim every ready
+// node, so the pool stays work-conserving.
+//
 // Memory model: node effects are published across OS threads through the
 // per-session pending counters and claim stamps (sync/atomic,
 // sequentially consistent in Go); a node's claimant therefore observes
@@ -53,6 +60,10 @@ const (
 type Pool struct {
 	workers int
 	slots   []poolSlot
+	// hi is one past the highest attached slot: the parking re-check
+	// (anyClaimable) reads slots [0, hi), not the whole capacity.
+	// Guarded by mu (install, detach, park).
+	hi int
 
 	// Parking (same epoch discipline as the work-stealing strategy): an
 	// idle worker registers, re-verifies under the lock, and waits;
@@ -127,22 +138,45 @@ func (p *Pool) Attach(plan *graph.Plan, o Options) (*PoolSession, error) {
 	if plan == nil || plan.Len() == 0 {
 		return nil, fmt.Errorf("sched: empty plan")
 	}
+	s := &PoolSession{faults: newFaultState(plan, p.workers+1), pool: p}
+	s.topo.Store(newPoolTopo(plan, o.Observer, p.workers+1))
+	if err := p.install(s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// install places s in the lowest free slot and raises the high-water
+// mark over it.
+func (p *Pool) install(s *PoolSession) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
-		return nil, ErrPoolClosed
+		return ErrPoolClosed
 	}
 	for i := range p.slots {
 		if p.slots[i].state.Load() != slotEmpty {
 			continue
 		}
-		s := &PoolSession{faults: newFaultState(plan, p.workers+1), pool: p, slot: int32(i)}
-		s.topo.Store(newPoolTopo(plan, o.Observer))
+		s.slot = int32(i)
 		p.slots[i].sess.Store(s)
 		p.slots[i].state.Store(slotIdle)
-		return s, nil
+		p.hi = max(p.hi, i+1)
+		return nil
 	}
-	return nil, fmt.Errorf("%w (%d sessions)", ErrPoolFull, len(p.slots))
+	return fmt.Errorf("%w (%d sessions)", ErrPoolFull, len(p.slots))
+}
+
+// detach frees s's slot and lowers the high-water mark to the highest
+// slot still attached.
+func (p *Pool) detach(s *PoolSession) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.slots[s.slot].state.Store(slotEmpty)
+	p.slots[s.slot].sess.Store(nil)
+	for p.hi > 0 && p.slots[p.hi-1].state.Load() == slotEmpty {
+		p.hi--
+	}
 }
 
 // AttachMigrated moves a quiescent session from its current pool onto p
@@ -176,34 +210,21 @@ func (p *Pool) AttachMigrated(old *PoolSession, o Options) (*PoolSession, error)
 	if o.Observer != nil {
 		obs = o.Observer
 	}
-	p.mu.Lock()
-	if p.closed.Load() {
-		p.mu.Unlock()
-		return nil, ErrPoolClosed
+	// The destination's participant count decides the scan orders and
+	// cursors, so the epoch — and a swap staged but not yet adopted, which
+	// travels with the session — is rebuilt for p, never carried over.
+	ns := &PoolSession{faults: old.faults, pool: p}
+	t := newPoolTopo(ot.plan, obs, p.workers+1)
+	// Continue the old session's cycle generation, so the first
+	// post-migration cycle (gen+1) claims every node exactly once and
+	// observers keep a monotonic cycle coordinate.
+	t.resumeAt(ot.gen.Load())
+	ns.topo.Store(t)
+	if st := old.staged.Load(); st != nil {
+		ns.staged.Store(&poolStaged{sw: st.sw, topo: newPoolTopo(st.sw.Plan, nil, p.workers+1), faults: st.faults})
 	}
-	var ns *PoolSession
-	for i := range p.slots {
-		if p.slots[i].state.Load() != slotEmpty {
-			continue
-		}
-		ns = &PoolSession{faults: old.faults, pool: p, slot: int32(i)}
-		// Continue the old session's cycle generation, so the first
-		// post-migration cycle (gen+1) claims every node exactly once and
-		// observers keep a monotonic cycle coordinate.
-		t := newPoolTopo(ot.plan, obs)
-		t.resumeAt(ot.gen.Load())
-		ns.topo.Store(t)
-		// A swap staged but not yet adopted travels with the session.
-		if st := old.staged.Load(); st != nil {
-			ns.staged.Store(st)
-		}
-		p.slots[i].sess.Store(ns)
-		p.slots[i].state.Store(slotIdle)
-		break
-	}
-	p.mu.Unlock()
-	if ns == nil {
-		return nil, fmt.Errorf("%w (%d sessions)", ErrPoolFull, len(p.slots))
+	if err := p.install(ns); err != nil {
+		return nil, err
 	}
 	old.Close()
 	return ns, nil
@@ -222,6 +243,12 @@ func (p *Pool) Close() {
 // worker is one persistent pool worker: it scans the session slots for
 // claimable nodes, helping whichever sessions have a cycle in flight,
 // and parks when there is nothing to do anywhere.
+//
+// The round walks every slot, not [0, hi): on a 256-slot shard that walk
+// is ~4 µs between two runtime.Gosched calls, i.e. it is the helper's
+// spin, and it sets how often the locked thread goes through Gosched's
+// futex hand-off. Bounding it by hi was measured (EXPERIMENTS.md R15)
+// and is a spin-policy change, which belongs to the shard tick driver.
 func (p *Pool) worker(w int32) {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
@@ -259,7 +286,7 @@ func (p *Pool) worker(w int32) {
 			runtime.Gosched()
 			continue
 		}
-		p.park()
+		p.park(w)
 		failedRounds = 0
 	}
 }
@@ -267,11 +294,11 @@ func (p *Pool) worker(w int32) {
 // park sleeps until a session publishes work or the pool closes,
 // using the same registration/epoch discipline as the work-stealing
 // strategy's mid-cycle parking.
-func (p *Pool) park() {
+func (p *Pool) park(w int32) {
 	p.mu.Lock()
 	p.idlers.Add(1)
 	epoch := p.pushEpoch
-	if p.closed.Load() || p.anyClaimable() {
+	if p.closed.Load() || p.anyClaimable(w) {
 		p.idlers.Add(-1)
 		p.mu.Unlock()
 		return
@@ -283,10 +310,11 @@ func (p *Pool) park() {
 	p.mu.Unlock()
 }
 
-// anyClaimable reports whether any running session currently has a
-// claimable node. Called only on the slow parking path.
-func (p *Pool) anyClaimable() bool {
-	for i := range p.slots {
+// anyClaimable reports whether any running session currently has a node
+// helper w could claim. Called only on the slow parking path, with mu
+// held, by w itself (the scan advances w's cursors).
+func (p *Pool) anyClaimable(w int32) bool {
+	for i := range p.slots[:p.hi] {
 		if p.slots[i].state.Load() != slotRunning {
 			continue
 		}
@@ -295,11 +323,8 @@ func (p *Pool) anyClaimable() bool {
 			continue
 		}
 		t := sess.topo.Load()
-		gen := t.gen.Load()
-		for _, id := range t.plan.RankOrder {
-			if t.claimed[id].Load() < gen && t.pending[id].Load() == 0 {
-				return true
-			}
+		if _, ok := t.scan(w, t.gen.Load(), false); ok {
+			return true
 		}
 	}
 	return false
@@ -393,22 +418,86 @@ type poolTopo struct {
 	// remaining counts nodes not yet completed this cycle; the Execute
 	// caller returns when it reaches zero.
 	remaining atomic.Int32
+
+	// orders holds one permutation of plan.RankOrder per participant
+	// (helpers 0…workers-1, then the Execute caller), back to back:
+	// participant w scans orders[w*n:(w+1)*n]. The nodes of the sections
+	// homed at w (poolHome) come first, everyone else's follow, each part
+	// in rank order. Every order contains every node, so any ready node
+	// stays claimable by any participant; only the preference differs.
+	orders []int32
+	// cursors[w] is participant w's scan start (see poolCursor).
+	cursors []poolCursor
 }
 
-// newPoolTopo builds one plan epoch's claim state — the pool session's
-// per-plan builder, shared by Attach, AttachMigrated and StageSwap.
-func newPoolTopo(plan *graph.Plan, obs Observer) *poolTopo {
-	return &poolTopo{
+// poolCursor is one participant's claimed-prefix cursor: within cycle
+// gen, the first pos nodes of its order are already claimed, so its
+// scans start there. Claim stamps only rise within a generation, so a
+// skipped node can never become claimable again before gen changes — and
+// a cursor whose gen is not the scanner's restarts at 0. It is plain
+// memory: cursors[w] is touched only by participant w (helper w's
+// goroutine; for the caller's index, whichever goroutine holds the
+// session's Execute, which the Scheduler contract serializes), and
+// padded to a cache line so neighbours do not share one.
+type poolCursor struct {
+	gen uint64
+	pos int32
+	_   [cacheLine - 12]byte
+}
+
+// poolHome is the participant (of `participants`, the last being the
+// Execute caller) whose scan order leads with section sec's nodes, or -1
+// for a section nobody leads with: decks are dealt round-robin from
+// helper 0; the master section stays with the caller, which is where the
+// cycle's output is consumed; control nodes have no home — they are
+// short, always-ready sources off the audio path, so they sit at the
+// tail of every order (rank order puts them last) and fill the wait for
+// the last deck chain instead of delaying anyone's start on it. The only
+// definition of "home" in the package.
+func poolHome(sec graph.Section, participants int) int {
+	switch {
+	case sec >= graph.SectionDeckA && sec <= graph.SectionDeckD:
+		return int(sec-graph.SectionDeckA) % participants
+	case sec == graph.SectionMaster:
+		return participants - 1
+	default:
+		return -1
+	}
+}
+
+// newPoolTopo builds one plan epoch's claim state for a pool of the
+// given participant count (workers+1) — the pool session's per-plan
+// builder, shared by Attach, AttachMigrated and StageSwap.
+func newPoolTopo(plan *graph.Plan, obs Observer, participants int) *poolTopo {
+	n := plan.Len()
+	t := &poolTopo{
 		plan:    plan,
 		obs:     obs,
-		pending: make([]atomic.Int32, plan.Len()),
-		claimed: make([]atomic.Uint64, plan.Len()),
+		pending: make([]atomic.Int32, n),
+		claimed: make([]atomic.Uint64, n),
+		orders:  make([]int32, 0, participants*n),
+		cursors: make([]poolCursor, participants),
 	}
+	for w := 0; w < participants; w++ {
+		for _, id := range plan.RankOrder {
+			if poolHome(plan.Sections[id], participants) == w {
+				t.orders = append(t.orders, id)
+			}
+		}
+		for _, id := range plan.RankOrder {
+			if poolHome(plan.Sections[id], participants) != w {
+				t.orders = append(t.orders, id)
+			}
+		}
+	}
+	return t
 }
 
 // resumeAt continues a predecessor epoch's cycle counter: every claim
 // stamp starts at gen, so nodes are claimable only by generations > gen,
-// i.e. the next cycle — never by a stale helper still holding gen.
+// i.e. the next cycle — never by a stale helper still holding gen. t is
+// always a freshly built epoch, so its cursors are at generation 0 and
+// the first scan of gen+1 begins at the head of its order.
 func (t *poolTopo) resumeAt(gen uint64) {
 	t.gen.Store(gen)
 	for i := range t.claimed {
@@ -472,13 +561,13 @@ func (s *PoolSession) Execute() {
 	// Participate as the session's own worker until the cycle is done.
 	callerID := int32(s.pool.workers)
 	for t.remaining.Load() > 0 {
-		id, ok := s.claim(t, gen)
+		id, ok := t.scan(callerID, gen, true)
 		if !ok {
 			// Nothing claimable right now: pool workers hold the rest.
 			runtime.Gosched()
 			continue
 		}
-		s.runClaimed(t, id, callerID, gen)
+		s.run(t, id, callerID, gen)
 	}
 	slot.state.Store(slotIdle)
 	// Every node's Record happened before its remaining decrement, so at
@@ -488,19 +577,19 @@ func (s *PoolSession) Execute() {
 	}
 }
 
-// help lets pool worker w run one claimable node of this session.
-// It reports whether a node was executed. The topology bundle and its
-// generation are loaded together; a helper racing a swap works entirely
-// against the old epoch, whose frozen generation makes every claim CAS
-// fail (see PoolSession.topo).
+// help lets pool worker w claim one node of this session and run it and
+// the continuations it readies. It reports whether a node was executed.
+// The topology bundle and its generation are loaded together; a helper
+// racing a swap works entirely against the old epoch, whose frozen
+// generation makes every claim CAS fail (see PoolSession.topo).
 func (s *PoolSession) help(w int32) bool {
 	t := s.topo.Load()
 	gen := t.gen.Load()
-	id, ok := s.claim(t, gen)
+	id, ok := t.scan(w, gen, true)
 	if !ok {
 		return false
 	}
-	s.runClaimed(t, id, w, gen)
+	s.run(t, id, w, gen)
 	return true
 }
 
@@ -515,7 +604,7 @@ func (s *PoolSession) StageSwap(sw Swap) error {
 	}
 	// The staged bundle's observer is decided at adoption, when the
 	// current one is known.
-	s.staged.Store(&poolStaged{sw: sw, topo: newPoolTopo(sw.Plan, nil), faults: newFaultArrays(sw.Plan)})
+	s.staged.Store(&poolStaged{sw: sw, topo: newPoolTopo(sw.Plan, nil, s.pool.workers+1), faults: newFaultArrays(sw.Plan)})
 	return nil
 }
 
@@ -541,45 +630,87 @@ func (s *PoolSession) AdoptStaged() bool {
 	return true
 }
 
-// claim finds a ready, unclaimed node and stamps it with gen. The stamp
-// CAS is the exclusivity point: exactly one claimant wins each node per
-// cycle. A stale gen (from a worker that read the counter just before a
-// new cycle) can only ever claim nodes stamped strictly older than it —
-// and a completed cycle leaves every stamp at its generation, so stale
-// claims are impossible once the cycle that published them finished.
-// The scan walks RankOrder, so among ready nodes the claimant prefers
-// the one heading the most expensive remaining chain.
-func (s *PoolSession) claim(t *poolTopo, gen uint64) (int32, bool) {
-	for _, id := range t.plan.RankOrder {
-		old := t.claimed[id].Load()
-		if old >= gen {
-			continue // already claimed this cycle (or claimant is stale)
+// tryClaim stamps node id with gen if no claimant of this cycle has. The
+// stamp CAS is the exclusivity point: exactly one claimant wins each
+// node per cycle. A stale gen (from a worker that read the counter just
+// before a new cycle) can only ever claim nodes stamped strictly older
+// than it — and a completed cycle leaves every stamp at its generation,
+// so stale claims are impossible once the cycle that published them
+// finished.
+func (t *poolTopo) tryClaim(id int32, gen uint64) bool {
+	old := t.claimed[id].Load()
+	return old < gen && t.claimed[id].CompareAndSwap(old, gen)
+}
+
+// scan walks participant w's order from its cursor for a ready,
+// unclaimed node of cycle gen, advancing the cursor over the claimed
+// prefix on the way. With take it claims the node it returns (and moves
+// on when another claimant wins the CAS); without, it only reports one.
+// The order puts w's home sections first and is rank-sorted within each
+// part, so among ready nodes the claimant prefers its own sections' and
+// then the one heading the most expensive remaining chain.
+func (t *poolTopo) scan(w int32, gen uint64, take bool) (int32, bool) {
+	c := &t.cursors[w]
+	if c.gen != gen {
+		c.gen, c.pos = gen, 0
+	}
+	n := int32(len(t.claimed))
+	order := t.orders[w*n : (w+1)*n]
+	prefix := true
+	for i := c.pos; i < n; i++ {
+		id := order[i]
+		if t.claimed[id].Load() >= gen {
+			// Already claimed this cycle (or the claimant is stale).
+			if prefix {
+				c.pos = i + 1
+			}
+			continue
 		}
+		prefix = false
 		if t.pending[id].Load() != 0 {
 			continue // dependencies still running
 		}
-		if t.claimed[id].CompareAndSwap(old, gen) {
+		if !take || t.tryClaim(id, gen) {
 			return id, true
 		}
 	}
 	return 0, false
 }
 
-// runClaimed executes a claimed node, resolves its successors and
-// retires it from the cycle. The remaining decrement comes last so the
-// Execute caller cannot observe completion before the node's effects
-// (and successor releases) are published.
-func (s *PoolSession) runClaimed(t *poolTopo, id, w int32, gen uint64) {
-	s.faults.exec(t.plan, t.obs, id, w, gen)
-	readied := false
-	for _, succ := range t.plan.SuccsOf(id) {
-		if t.pending[succ].Add(-1) == 0 {
-			readied = true
+// run executes a claimed node, resolves its successors and retires it
+// from the cycle — then follows its continuation: of the successors this
+// participant's decrement made ready it claims the highest-ranked one
+// (the first: graph.Plan keeps successor lists in descending rank) and
+// runs it next, without a scan, so a chain stays on one thread and most
+// claims cost one CAS. Other readied successors stay claimable by anyone.
+// The remaining decrement comes after the successor releases so the
+// Execute caller cannot observe completion before the node's effects are
+// published; a claimed continuation is still counted in remaining, so
+// the cycle (and gen) cannot move on under it.
+func (s *PoolSession) run(t *poolTopo, id, w int32, gen uint64) {
+	for {
+		s.faults.exec(t.plan, t.obs, id, w, gen)
+		next, readied := int32(-1), 0
+		for _, succ := range t.plan.SuccsOf(id) {
+			if t.pending[succ].Add(-1) == 0 {
+				if readied++; next < 0 {
+					next = succ
+				}
+			}
 		}
-	}
-	t.remaining.Add(-1)
-	if readied {
-		s.pool.wakeIfIdle()
+		if next >= 0 && t.tryClaim(next, gen) {
+			readied--
+		} else {
+			next = -1
+		}
+		t.remaining.Add(-1)
+		if readied > 0 {
+			s.pool.wakeIfIdle()
+		}
+		if next < 0 {
+			return
+		}
+		id = next
 	}
 }
 
@@ -592,10 +723,7 @@ func (s *PoolSession) Close() {
 		return
 	}
 	p := s.pool
-	p.mu.Lock()
-	p.slots[s.slot].state.Store(slotEmpty)
-	p.slots[s.slot].sess.Store(nil)
-	p.mu.Unlock()
+	p.detach(s)
 	if s.ownsPool {
 		p.Close()
 	}
