@@ -34,7 +34,6 @@ import (
 	"djstar/internal/graph"
 	"djstar/internal/obs"
 	"djstar/internal/sched"
-	"djstar/internal/settings"
 )
 
 func main() {
@@ -49,8 +48,6 @@ func main() {
 		chaos    = flag.String("chaos", "", `deterministic fault script, e.g. "panic:FXA2@100x3, stall:Mixer@500:200ms"`)
 		watchdog = flag.Bool("watchdog", true, "stall watchdog (detects and names wedged nodes)")
 		record   = flag.String("record", "", "write the record bus to this WAV file")
-		loadSet  = flag.String("settings", "", "load mixer/deck settings from this JSON file")
-		saveSet  = flag.String("save-settings", "", "save the final settings to this JSON file")
 		traceOut = flag.String("trace", "", "write sampled schedule realizations to this file as Chrome trace JSON (load in chrome://tracing or ui.perfetto.dev)")
 		httpAddr = flag.String("http", "", `serve live observability on this address (e.g. ":6060"): /debug/pprof/, /v1/sessions/{id}/snapshot|critpath|trace|slo, /metrics`)
 		incDir   = flag.String("incident-dir", "", "write flight-recorder incident bundles to this directory (replay with djanalyze -incident)")
@@ -130,38 +127,6 @@ func main() {
 		fmt.Printf("live observability on http://%s (pprof, /v1/sessions/%s/snapshot|critpath|trace|slo, /metrics)\n", srv.Addr(), e.SessionID())
 	}
 
-	if *loadSet != "" {
-		f, err := os.Open(*loadSet)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "djstar: %v\n", err)
-			os.Exit(1)
-		}
-		st, err := settings.Load(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "djstar: %v\n", err)
-			os.Exit(1)
-		}
-		st.Apply(e.Session())
-		fmt.Printf("loaded settings from %s\n", *loadSet)
-	}
-	if *saveSet != "" {
-		defer func() {
-			f, err := os.Create(*saveSet)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "djstar: %v\n", err)
-				return
-			}
-			defer f.Close()
-			st := settings.Capture(e.Session(), *strategy, *threads)
-			if err := st.Save(f); err != nil {
-				fmt.Fprintf(os.Stderr, "djstar: %v\n", err)
-				return
-			}
-			fmt.Printf("saved settings to %s\n", *saveSet)
-		}()
-	}
-
 	// Optional recorder on the record bus (the RecordBuffer node's
 	// limited/clipped output, exactly what the real app would tape).
 	var rec *audio.WAVWriter
@@ -188,8 +153,8 @@ func main() {
 
 	// SIGINT/SIGTERM stop the paced loop at the next cycle boundary; the
 	// deferred cleanup then runs normally — engine Close (restoring the GC
-	// setting), recording finalization, settings save — and the partial
-	// metrics are printed before a clean exit 0.
+	// setting), recording finalization — and the partial metrics are
+	// printed before a clean exit 0.
 	var interrupted atomic.Bool
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)

@@ -110,8 +110,8 @@ type admissionRuntime struct {
 // newAdmissionRuntime resolves the gate's config and decides admission
 // for a session about to be constructed: per-session ladder first, then
 // the shared pool's aggregate bound. A refusal returns an error
-// wrapping admission.ErrOverBudget (after firing Hooks.OnAdmission);
-// nothing is registered on the controller in that case.
+// wrapping admission.ErrOverBudget; nothing is registered on the
+// controller in that case.
 func newAdmissionRuntime(cfg *Config, plan *graph.Plan, threads int) (*admissionRuntime, error) {
 	strategy := cfg.Strategy
 	effThreads := threads
@@ -142,19 +142,7 @@ func newAdmissionRuntime(cfg *Config, plan *graph.Plan, threads int) (*admission
 		return nil, err
 	}
 	a.decision = d
-	notify := func(verdict string) {
-		if cfg.Hooks.OnAdmission != nil {
-			cfg.Hooks.OnAdmission(AdmissionDecision{
-				Verdict:    verdict,
-				Reason:     d.Reason,
-				BoundUS:    d.Admitted.BoundUS,
-				EnvelopeUS: d.Admitted.EnvelopeUS,
-				PreShed:    d.PreShed(),
-			})
-		}
-	}
 	if d.Verdict == admission.VerdictRefuse {
-		notify("refuse")
 		return nil, fmt.Errorf("engine: session refused: %s: %w", d.Reason, admission.ErrOverBudget)
 	}
 	if a.ctl != nil {
@@ -163,12 +151,9 @@ func newAdmissionRuntime(cfg *Config, plan *graph.Plan, threads int) (*admission
 			a.ctlID = fmt.Sprintf("s%d", admissionSeq.Add(1))
 		}
 		if err := a.ctl.TryAdmit(a.ctlID, d.Admitted); err != nil {
-			d.Reason = err.Error()
-			notify("refuse")
 			return nil, fmt.Errorf("engine: session refused: %w", err)
 		}
 	}
-	notify(d.Verdict.String())
 	return a, nil
 }
 
@@ -275,16 +260,6 @@ func (a *admissionRuntime) refresh(e *Engine) {
 			// Rising edge: record the prediction once per excursion.
 			e.tel.Event(obs.PredictedOverload, e.cycleN.Load(),
 				fmt.Sprintf("bound %.0f µs > envelope %.0f µs (%s costs)", rep.BoundUS, rep.EnvelopeUS, source))
-			if e.cfg.Hooks.OnAdmission != nil {
-				e.cfg.Hooks.OnAdmission(AdmissionDecision{
-					Cycle:      e.cycleN.Load(),
-					Verdict:    "predict-overload",
-					Reason:     fmt.Sprintf("recomputed bound %.0f µs exceeds envelope %.0f µs (%s costs)", rep.BoundUS, rep.EnvelopeUS, source),
-					BoundUS:    rep.BoundUS,
-					EnvelopeUS: rep.EnvelopeUS,
-					Predicted:  true,
-				})
-			}
 		}
 	} else {
 		a.overBudget.Store(false)
@@ -316,15 +291,6 @@ func (a *admissionRuntime) checkEdit(e *Engine, plan *graph.Plan, remap *graph.R
 	}
 	if rep.Fits() {
 		return nil
-	}
-	if e.cfg.Hooks.OnAdmission != nil {
-		e.cfg.Hooks.OnAdmission(AdmissionDecision{
-			Cycle:      e.cycleN.Load(),
-			Verdict:    "edit-refused",
-			Reason:     fmt.Sprintf("staged plan bound %.0f µs exceeds envelope %.0f µs", rep.BoundUS, rep.EnvelopeUS),
-			BoundUS:    rep.BoundUS,
-			EnvelopeUS: rep.EnvelopeUS,
-		})
 	}
 	return fmt.Errorf("bound %.0f µs > envelope %.0f µs (%d nodes): %w",
 		rep.BoundUS, rep.EnvelopeUS, plan.Len(), ErrUnschedulableEdit)

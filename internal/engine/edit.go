@@ -62,7 +62,7 @@ type stagedTopo struct {
 // boundary. The error reports validation/compilation failures
 // (graph.ErrBadEdit, graph.ErrCycle); the audio is untouched on error.
 // Safe from any thread; the edit itself takes effect on the cycle
-// thread, observable via PlanEpoch, LastEdit and Hooks.OnTopology.
+// thread, observable via PlanEpoch and LastEdit.
 func (e *Engine) ApplyEdits(es *graph.EditSet) error {
 	e.editMu.Lock()
 	defer e.editMu.Unlock()
@@ -273,10 +273,6 @@ func (e *Engine) adoptStaged() {
 			Ops: st.ops, Err: err.Error(), Desc: st.desc,
 		})
 		e.tel.Event(obs.EditRollback, cyc, st.desc+": "+err.Error())
-		e.notifyTopology(TopologyChange{
-			Cycle: cyc, Epoch: e.planEpoch.Load(),
-			Nodes: old.plan.Len(), Ops: st.ops, Desc: st.desc,
-		})
 		return
 	}
 	e.sch().AdoptStaged()
@@ -292,10 +288,6 @@ func (e *Engine) adoptStaged() {
 		Cycle: cyc, Epoch: epoch, Ops: st.ops, Applied: true, Desc: st.desc,
 	})
 	e.tel.Event(obs.PlanSwap, cyc, fmt.Sprintf("%s (epoch %d)", st.desc, epoch))
-	e.notifyTopology(TopologyChange{
-		Cycle: cyc, Epoch: epoch, Nodes: st.topo.plan.Len(),
-		Ops: st.ops, Desc: st.desc, Applied: true,
-	})
 }
 
 // migrateStates runs the new plan's Migrate hooks with the state of the
@@ -317,10 +309,3 @@ func migrateStates(oldPlan, newPlan *graph.Plan, r *graph.Remap) {
 
 // recordEdit publishes one edit outcome for LastEdit / Snapshot readers.
 func (e *Engine) recordEdit(o EditOutcome) { e.lastEdit.Store(&o) }
-
-// notifyTopology fires the OnTopology hook when installed.
-func (e *Engine) notifyTopology(tc TopologyChange) {
-	if e.cfg.Hooks.OnTopology != nil {
-		e.cfg.Hooks.OnTopology(tc)
-	}
-}

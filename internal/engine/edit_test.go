@@ -134,10 +134,7 @@ func TestEngineApplyPatchRejected(t *testing.T) {
 // plan below the worker count) rolls back — the old topology stays
 // live, the epoch does not advance, and the outcome is recorded.
 func TestEngineEditRollback(t *testing.T) {
-	var changes []TopologyChange
-	cfg := fastConfig(sched.NameBusyWait, 4)
-	cfg.Hooks.OnTopology = func(tc TopologyChange) { changes = append(changes, tc) }
-	e, err := New(cfg)
+	e, err := New(fastConfig(sched.NameBusyWait, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +159,8 @@ func TestEngineEditRollback(t *testing.T) {
 		t.Fatal("rollback changed the live plan")
 	}
 	le := e.LastEdit()
-	if le == nil || le.Applied || le.Err == "" {
-		t.Fatalf("LastEdit = %+v", le)
-	}
-	if len(changes) != 1 || changes[0].Applied {
-		t.Fatalf("OnTopology changes = %+v, want one rollback", changes)
+	if le == nil || le.Applied || le.Err == "" || le.Epoch != 0 {
+		t.Fatalf("LastEdit = %+v, want one rollback at epoch 0", le)
 	}
 	// The engine keeps running on the old topology.
 	m := e.RunCycles(10)
@@ -210,13 +204,11 @@ func TestEngineEditMigratesState(t *testing.T) {
 	}
 }
 
-// TestEngineTopologyHookOnAdoption: OnTopology fires once per adopted
-// edit with the post-adoption epoch and node count.
-func TestEngineTopologyHookOnAdoption(t *testing.T) {
-	var changes []TopologyChange
-	cfg := fastConfig(sched.NameWorkSteal, 4)
-	cfg.Hooks.OnTopology = func(tc TopologyChange) { changes = append(changes, tc) }
-	e, err := New(cfg)
+// TestEngineLastEditOnAdoption: an adopted edit is recorded once, with
+// the post-adoption epoch and node count; an edit-free cycle after it
+// records nothing new.
+func TestEngineLastEditOnAdoption(t *testing.T) {
+	e, err := New(fastConfig(sched.NameWorkSteal, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,13 +218,13 @@ func TestEngineTopologyHookOnAdoption(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Cycle(nil)
-	e.Cycle(nil) // no second event without a new edit
-	if len(changes) != 1 {
-		t.Fatalf("%d topology events, want 1", len(changes))
+	le := e.LastEdit()
+	if le == nil || !le.Applied || le.Epoch != 1 || e.Plan().Len() != base+3 || le.Desc != "insert-delay:A:3" {
+		t.Fatalf("LastEdit = %+v with %d nodes, want epoch 1 and %d", le, e.Plan().Len(), base+3)
 	}
-	tc := changes[0]
-	if !tc.Applied || tc.Epoch != 1 || tc.Nodes != base+3 || tc.Desc != "insert-delay:A:3" {
-		t.Fatalf("event = %+v", tc)
+	e.Cycle(nil) // no second outcome without a new edit
+	if again := e.LastEdit(); again.Cycle != le.Cycle || e.PlanEpoch() != 1 {
+		t.Fatalf("edit-free cycle recorded %+v (epoch %d)", again, e.PlanEpoch())
 	}
 }
 

@@ -4,12 +4,13 @@
 //	T(APC) = T(TP) + T(GP) + T(Graph) + T(VC)
 //
 // where TP is timecode processing (decoding the control-vinyl signal of
-// each deck), GP is graph preprocessing (pulling one packet per deck
-// through the time stretcher and refreshing per-cycle state), Graph is
-// the task-graph execution under the selected scheduling strategy, and VC
-// is various calculations (master tempo, accounting). The sound card
-// requests one packet every 2.902 ms; TP+GP+VC average ~0.8 ms in the
-// paper, leaving T(Graph) ≤ 2.1 ms as the real-time budget.
+// each deck), GP is graph preprocessing (pulling one resampled packet per
+// deck, key-locked by deck.PitchShifter, and refreshing per-cycle state),
+// Graph is the task-graph execution under the selected scheduling
+// strategy, and VC is various calculations (master tempo, accounting).
+// The sound card requests one packet every 2.902 ms; TP+GP+VC average
+// ~0.8 ms in the paper, leaving T(Graph) ≤ 2.1 ms as the real-time
+// budget.
 package engine
 
 import (
@@ -650,8 +651,8 @@ func (e *Engine) Cycle(m *Metrics) {
 	e.timecodeStage(t0)
 	t1 := graph.NowNanos()
 
-	// GP: graph preprocessing — deck packets through the time stretcher,
-	// activity flags, sampler state.
+	// GP: graph preprocessing — resampled (and key-locked) deck packets,
+	// activity flags.
 	e.session.Prepare()
 	e.gpLoad.RunSince(t1, false)
 	t2 := graph.NowNanos()

@@ -29,58 +29,6 @@ type Hooks struct {
 	// ObsOptions.TraceEvery cycles). The pointed-to trace is only valid
 	// during the call — copy it (obs-side slices are reused) to retain.
 	OnTrace func(*obs.CycleTrace)
-	// OnTopology is invoked on the cycle thread when a staged topology
-	// edit (ApplyEdits / ApplyPatch / RecompileFused) is adopted — or
-	// refused and rolled back — at a cycle boundary.
-	OnTopology func(TopologyChange)
-	// OnAdmission is invoked for every admission decision: the
-	// construction-time gate (including refusals — the hook fires before
-	// New returns the error), edit-time schedulability rejections, and
-	// the predictive monitor's over-budget flags. Called from the
-	// admitting goroutine (construction, editor or monitor — never the
-	// audio path).
-	OnAdmission func(AdmissionDecision)
-}
-
-// AdmissionDecision is one admission-control outcome, delivered to
-// Hooks.OnAdmission.
-type AdmissionDecision struct {
-	// Cycle is the engine cycle at decision time (0 at construction).
-	Cycle uint64
-	// Verdict is "admit", "degraded", "refuse", "edit-refused" or
-	// "predict-overload".
-	Verdict string
-	// Reason is the human-readable summary of the analysis.
-	Reason string
-	// BoundUS is the analytical response-time bound of the decided
-	// configuration and EnvelopeUS the deadline it was held against (µs).
-	BoundUS    float64
-	EnvelopeUS float64
-	// PreShed names the degradation rung of an admit-degraded decision
-	// ("" when nothing was shed).
-	PreShed string
-	// Predicted is true for the monitor's over-budget flags (bound blown
-	// by live cost drift, before misses occur).
-	Predicted bool
-}
-
-// TopologyChange is one adoption decision on a staged topology edit,
-// delivered to Hooks.OnTopology.
-type TopologyChange struct {
-	// Cycle is the engine cycle at the adoption boundary.
-	Cycle uint64
-	// Epoch is the plan epoch after the decision (unchanged on a
-	// rollback).
-	Epoch uint64
-	// Nodes is the live base plan's node count after the decision.
-	Nodes int
-	// Ops counts the edit operations in the staged set.
-	Ops int
-	// Desc describes the edit ("insert-delay:A:2", "refuse", "3 ops").
-	Desc string
-	// Applied is false when the scheduler refused the swap and the old
-	// topology stayed live.
-	Applied bool
 }
 
 // CycleInfo is one completed APC's timing breakdown, delivered to

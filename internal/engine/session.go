@@ -81,11 +81,5 @@ func mergeHooks(base, over Hooks) Hooks {
 	if over.OnTrace != nil {
 		h.OnTrace = over.OnTrace
 	}
-	if over.OnTopology != nil {
-		h.OnTopology = over.OnTopology
-	}
-	if over.OnAdmission != nil {
-		h.OnAdmission = over.OnAdmission
-	}
 	return h
 }

@@ -3,7 +3,7 @@ package engine
 import "djstar/internal/obs"
 
 // SnapshotSchemaVersion identifies the Snapshot wire shape; consumers
-// (HTTP endpoint, middleware bus, UI) check it instead of sniffing
+// (clients of the /v1 snapshot route) check it instead of sniffing
 // fields. Bump on any incompatible change.
 //
 // v2 added PlanEpoch and LastEdit (live topology editing); v1 consumers

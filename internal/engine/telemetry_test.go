@@ -117,6 +117,41 @@ func TestEngineIncidentReplayMatchesLive(t *testing.T) {
 	}
 }
 
+// TestLoadIncidentAcceptsBusDropsBundle: bundles written before the
+// bus-drop counter was removed still carry "totals": {"bus_drops": 0, …}.
+// They keep schema version 1 and must still load and replay to the
+// critical path the live engine recorded.
+func TestLoadIncidentAcceptsBusDropsBundle(t *testing.T) {
+	inc := runSeededIncident(t)
+	data, err := json.MarshalIndent(inc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(data), `"totals": {`, `"totals": {`+"\n    \"bus_drops\": 0,", 1)
+	if old == string(data) {
+		t.Fatal("bundle has no totals object")
+	}
+	path := filepath.Join(t.TempDir(), "incident-old.json")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := obs.LoadIncident(path)
+	if err != nil {
+		t.Fatalf("LoadIncident on a bus_drops bundle: %v", err)
+	}
+	if got.Totals != inc.Totals || got.CritPath == nil {
+		t.Fatalf("totals %+v / critical path %v, want %+v and the live path", got.Totals, got.CritPath, inc.Totals)
+	}
+	ps, err := got.Replay()
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if ps.LengthUS != got.CritPath.LengthUS || ps.String() != got.CritPath.String() {
+		t.Fatalf("replayed critical path %s (%v µs), live %s (%v µs)",
+			ps.String(), ps.LengthUS, got.CritPath.String(), got.CritPath.LengthUS)
+	}
+}
+
 // normalizeIncident zeroes the fields that legitimately vary run to run
 // (wall-clock, timing-derived measurements, sampled traces) so the rest
 // of the bundle — trigger identity, event sequence, graph structure —

@@ -182,8 +182,9 @@ func (s *Session) OutputStage() *mixer.OutputStage { return s.outStage }
 const activityThreshold = 0.05
 
 // Prepare runs the per-cycle preprocessing stage (GP in the paper's APC
-// decomposition): it pulls one packet from every deck through the time
-// stretcher, updates the activity flags and advances the sampler state.
+// decomposition): it pulls one resampled (and, with key lock on,
+// pitch-compensated) packet from every deck and updates the activity
+// flags.
 // It must be called before each graph execution and never concurrently
 // with one.
 func (s *Session) Prepare() {

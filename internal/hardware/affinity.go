@@ -1,9 +1,11 @@
-// CPU affinity: shard layers pin each worker pool to a disjoint CPU set
-// so sessions on one shard never preempt another shard's workers — the
-// capacity-isolation half of server-based multiprocessor scheduling.
-// Linux binds threads with sched_setaffinity; every other platform is a
-// documented no-op (the fleet still partitions admission capacity, it
-// just cannot enforce the partition on the cores).
+// Package hardware is what is left of the Hardware Access layer of DJ
+// Star's architecture (paper Fig. 2): CPU-affinity pinning. Shard layers
+// pin each worker pool to a disjoint CPU set so sessions on one shard
+// never preempt another shard's workers — the capacity-isolation half of
+// server-based multiprocessor scheduling. Linux binds threads with
+// sched_setaffinity; every other platform is a documented no-op (the
+// fleet still partitions admission capacity, it just cannot enforce the
+// partition on the cores).
 package hardware
 
 import "fmt"

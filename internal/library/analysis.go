@@ -2,7 +2,9 @@
 // Core layer ("Audio Data Collection" and "Track Preprocessing" in the
 // paper's Fig. 2 architecture): offline track analysis — tempo (BPM)
 // estimation, musical key detection, beat-grid construction and waveform
-// overview rendering — plus the library index the UI layer browses.
+// overview rendering — plus a name-keyed index of analyzed tracks.
+// djanalyze's default mode (the BPM/key/beat-grid report, WAV import and
+// -match) is the package's only caller.
 //
 // Analysis is offline work done when a track is loaded into the library,
 // not part of the 2.9 ms audio processing cycle; it may allocate freely.

@@ -17,8 +17,8 @@ type Entry struct {
 	Analysis *Analysis
 }
 
-// Library indexes analyzed tracks by name. It is safe for concurrent use:
-// the UI layer browses while the analysis worker adds entries.
+// Library indexes analyzed tracks by name. It is safe for concurrent use,
+// so tracks may be analyzed and added from several goroutines at once.
 type Library struct {
 	mu       sync.RWMutex
 	analyzer *Analyzer
@@ -74,17 +74,6 @@ func (l *Library) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Remove deletes a track by name; it reports whether it existed.
-func (l *Library) Remove(name string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.entries[name]; !ok {
-		return false
-	}
-	delete(l.entries, name)
-	return true
 }
 
 // CompatibleBPM lists tracks whose analyzed tempo is within pct percent

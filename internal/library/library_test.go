@@ -188,11 +188,8 @@ func TestLibraryCRUD(t *testing.T) {
 	if len(names) != 2 || names[0] != "one" || names[1] != "two" {
 		t.Fatalf("Names = %v", names)
 	}
-	if !lib.Remove("one") || lib.Remove("one") {
-		t.Fatal("Remove semantics wrong")
-	}
-	if lib.Len() != 1 {
-		t.Fatal("Len after remove")
+	if _, err := lib.Add(tr2); err != nil || lib.Len() != 2 {
+		t.Fatal("re-adding a name must replace its entry")
 	}
 }
 

@@ -77,11 +77,6 @@ func (c *ChannelStrip) SetEQ(lowDB, midDB, highDB float64) {
 	c.eqR.SetGainsFrom(c.eqL)
 }
 
-// EQGains returns the strip's current low/mid/high EQ gains in dB.
-func (c *ChannelStrip) EQGains() (lowDB, midDB, highDB float64) {
-	return c.eqL.Gains()
-}
-
 // SetFader positions the channel fader in [0, 1] (audio taper applied).
 func (c *ChannelStrip) SetFader(x float64) {
 	c.fader = audio.Clamp(x, 0, 1)

@@ -36,8 +36,6 @@ var scalarFamilies = []struct {
 		func(s *scrape) float64 { return float64(s.tot.GovTransitions) }},
 	{"djstar_incidents_total", "counter", "Flight recorder incident triggers.",
 		func(s *scrape) float64 { return float64(s.tot.Incidents) }},
-	{"djstar_bus_dropped_events_total", "counter", "Middleware bus events dropped by slow subscribers.",
-		func(s *scrape) float64 { return float64(s.tot.BusDrops) }},
 	{"djstar_admission_degrades_total", "counter", "Sessions admitted pre-degraded by the admission gate.",
 		func(s *scrape) float64 { return float64(s.tot.AdmissionDegrades) }},
 	{"djstar_admission_refused_edits_total", "counter", "Live edits rejected as unschedulable by the admission gate.",

@@ -20,9 +20,6 @@ type RingSlot struct {
 	Stalls      uint64 `json:"stalls"`
 	// GovLevel is the highest governor level seen in the second.
 	GovLevel int32 `json:"gov_level"`
-	// BusDrops is the cumulative bus drop count at the slot's last write
-	// (a level, not a delta; the bus counts are already cumulative).
-	BusDrops int64 `json:"bus_drops"`
 }
 
 // ring is the fixed-size per-second series. All methods are called with

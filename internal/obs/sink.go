@@ -98,7 +98,6 @@ type Totals struct {
 	GovTransitions uint64 `json:"gov_transitions"`
 	Incidents      uint64 `json:"incidents"`
 	GovLevel       int32  `json:"gov_level"`
-	BusDrops       int64  `json:"bus_drops"`
 
 	// Admission-control counters and gauges (0 when the gate is off).
 	AdmissionDegrades  uint64  `json:"admission_degrades"`
@@ -218,7 +217,6 @@ func (s *Sink) RecordCycle(cycle uint64, unixSec, apcNS, graphNS int64, miss boo
 	if govLevel > slot.GovLevel {
 		slot.GovLevel = govLevel
 	}
-	slot.BusDrops = s.tot.BusDrops
 	if s.slo.add(miss) {
 		s.trigger(cycle, ReasonBudget)
 	}
@@ -288,10 +286,6 @@ func (s *Sink) Flush() {
 		s.pending.Wait()
 	}
 }
-
-// SetBusDrops publishes the middleware bus's cumulative drop count
-// (off-path gauge; the app facade updates it at health-report rate).
-func (s *Sink) SetBusDrops(n int64) { s.locked(func() { s.tot.BusDrops = n }) }
 
 // SetAdmissionBound publishes the latest analytical response-time bound
 // and its headroom against the envelope, in µs (admission gate and

@@ -399,35 +399,32 @@ func TestSinkRatesTotalsAndGauges(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.RecordCycle(uint64(i+1), 500, 1_000_000, 400_000, i < 10, 2)
 	}
-	s.SetBusDrops(7)
 	s.SetAdmissionBound(1800, 1100)
 	s.RecordCycle(101, 500, 1_000_000, 400_000, false, 1)
 	tot := s.Totals()
 	if tot.Cycles != 101 || tot.DeadlineMisses != 10 {
 		t.Fatalf("cycles/misses = %d/%d, want 101/10", tot.Cycles, tot.DeadlineMisses)
 	}
-	if tot.GovLevel != 1 || tot.BusDrops != 7 || tot.AdmissionBoundUS != 1800 || tot.AdmissionHeadroom != 1100 {
-		t.Fatalf("gauges = %+v, want level 1, drops 7, bound 1800/1100", tot)
+	if tot.GovLevel != 1 || tot.AdmissionBoundUS != 1800 || tot.AdmissionHeadroom != 1100 {
+		t.Fatalf("gauges = %+v, want level 1, bound 1800/1100", tot)
 	}
 	sc := s.scrape(1)
 	if sc.cycleHz != 101 || math.Abs(sc.missRate-10.0/101) > 1e-12 {
 		t.Fatalf("rates = %v Hz / %v, want 101 / %v", sc.cycleHz, sc.missRate, 10.0/101)
 	}
-	// The ring slot keeps the second's highest governor level and the
-	// bus drop level at its last write.
-	if slot := sc.series[0]; slot.Cycles != 101 || slot.Misses != 10 || slot.GovLevel != 2 || slot.BusDrops != 7 {
-		t.Fatalf("slot = %+v, want 101 cycles, 10 misses, gov 2, drops 7", slot)
+	// The ring slot keeps the second's highest governor level.
+	if slot := sc.series[0]; slot.Cycles != 101 || slot.Misses != 10 || slot.GovLevel != 2 {
+		t.Fatalf("slot = %+v, want 101 cycles, 10 misses, gov 2", slot)
 	}
 }
 
-// TestNilSinkIsDisabled: every method the engine, fleet and app call
+// TestNilSinkIsDisabled: every method the engine and fleet call
 // unguarded is a no-op on the nil (disabled) sink.
 func TestNilSinkIsDisabled(t *testing.T) {
 	var s *Sink
 	s.RecordCycle(1, 1, 1, 1, true, 3)
 	s.Event(Quarantine, 1, "n")
 	s.SetShard("2")
-	s.SetBusDrops(1)
 	s.SetAdmissionBound(1, 1)
 	s.Flush()
 	if s.Shard() != "" || s.SLO() != (SLOStatus{}) || s.Totals() != (Totals{}) {

@@ -37,7 +37,7 @@ func (t *CycleTrace) MakespanNS() int64 {
 }
 
 // GanttTasks converts the realization into renderable tasks (times in
-// microseconds) for stats.RenderGantt — the UI's textual Fig. 11.
+// microseconds) for stats.RenderGantt — a textual Fig. 11.
 func (t *CycleTrace) GanttTasks(names []string) []stats.GanttTask {
 	out := make([]stats.GanttTask, 0, len(t.Worker))
 	for i, w := range t.Worker {

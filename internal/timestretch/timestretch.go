@@ -3,10 +3,15 @@
 // In DJ Star the "audio stream preprocessing (time stretching, phase
 // alignment, buffer overhead)" accounts for 33 % of APC run time (paper
 // §III-B); the authors deliberately leave it sequential because good
-// parallel versions of the underlying algorithms exist. We implement the
-// two standard algorithms — a phase vocoder (FFT-based, high quality) and
-// WSOLA (time-domain, cheap) — so the engine's preprocessing stage performs
-// the same class of work at the same structural position in the cycle.
+// parallel versions of the underlying algorithms exist. This package
+// implements the two standard algorithms — a phase vocoder (FFT-based,
+// high quality) and WSOLA (time-domain, cheap).
+//
+// The engine does not use it: its GP stage reads deck packets by
+// vinyl-style resampling and, with key lock on, deck.PitchShifter. The
+// only importer is the benchmark's timestretch.ns_per_packet probe row
+// (bench/layers.go), and the package is kept only as long as that row
+// exists.
 package timestretch
 
 import (
