@@ -9,8 +9,7 @@
 //
 // Experiments: table1, fig4, fig8, fig9, fig10, fig11, fig12, deadlines,
 // profile, threadsweep, ablation, staticvsonline, designspace, nodecosts,
-// multisession, chaos, governor, critpath, slo, fusion,
-// editswap, admission, loadgen, all.
+// chaos, governor, fusion, admission, loadgen, all.
 package main
 
 import (
@@ -31,11 +30,12 @@ import (
 )
 
 func main() {
+	opts := exp.Defaults(os.Stdout)
+	flag.IntVar(&opts.Cycles, "cycles", opts.Cycles, "APC iterations per measurement (paper: 10000)")
+	flag.Float64Var(&opts.Scale, "scale", opts.Scale, "node cost scale (1.0 = paper scale, 0 = pure DSP)")
+	flag.IntVar(&opts.MaxThreads, "threads", opts.MaxThreads, "maximum thread count (paper: 4)")
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run (table1, fig4, fig8, fig9, fig10, fig11, fig12, deadlines, profile, threadsweep, ablation, staticvsonline, designspace, nodecosts, multisession, chaos, governor, critpath, slo, fusion, editswap, admission, loadgen, all)")
-		cycles     = flag.Int("cycles", 10000, "APC iterations per measurement (paper: 10000)")
-		scale      = flag.Float64("scale", 1.0, "node cost scale (1.0 = paper scale, 0 = pure DSP)")
-		threads    = flag.Int("threads", 4, "maximum thread count (paper: 4)")
+		experiment = flag.String("experiment", "all", "experiment to run (table1, fig4, fig8, fig9, fig10, fig11, fig12, deadlines, profile, threadsweep, ablation, staticvsonline, designspace, nodecosts, chaos, governor, fusion, admission, loadgen, all)")
 		quick      = flag.Bool("quick", false, "fast smoke settings (300 cycles, scale 0.05)")
 		csvDir     = flag.String("csv", "", "also write table1.csv and fig9_samples.csv to this directory")
 		httpAddr   = flag.String("http", "", "serve net/http/pprof on this address (e.g. :6060) while benchmarking")
@@ -87,13 +87,6 @@ func main() {
 		go func() { _ = http.Serve(ln, nil) }()
 	}
 
-	opts := exp.Options{
-		Out:        os.Stdout,
-		Cycles:     *cycles,
-		Scale:      *scale,
-		MaxThreads: *threads,
-		TrackBars:  16,
-	}
 	if *quick {
 		opts = exp.Quick(os.Stdout)
 	}
@@ -140,13 +133,9 @@ func main() {
 		{"staticvsonline", wrap(exp.StaticVsOnline)},
 		{"designspace", wrap(exp.DesignSpace)},
 		{"nodecosts", wrap(exp.NodeCosts)},
-		{"multisession", wrap(exp.MultiSession)},
 		{"chaos", wrap(exp.Chaos)},
 		{"governor", wrap(exp.Governor)},
-		{"critpath", wrap(exp.CritPath)},
-		{"slo", wrap(exp.SLO)},
 		{"fusion", wrap(exp.Fusion)},
-		{"editswap", wrap(exp.EditSwap)},
 		{"admission", wrap(exp.Admission)},
 		{"loadgen", wrap(exp.Loadgen)},
 	}

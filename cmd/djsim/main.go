@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"djstar/internal/engine"
-	"djstar/internal/exp"
 	"djstar/internal/graph"
 	"djstar/internal/rescon"
 	"djstar/internal/stats"
@@ -37,7 +36,7 @@ func main() {
 	cfg := graph.DefaultConfig()
 	cfg.Scale = *scale
 	if *scale > 0 {
-		cfg.Calibration = exp.Calib()
+		cfg.Calibration = graph.Calibrate()
 	}
 
 	if *dot {

@@ -29,7 +29,6 @@ import (
 	"djstar/internal/admission"
 	"djstar/internal/audio"
 	"djstar/internal/engine"
-	"djstar/internal/exp"
 	"djstar/internal/faults"
 	"djstar/internal/graph"
 	"djstar/internal/obs"
@@ -61,7 +60,7 @@ func main() {
 	gc := graph.DefaultConfig()
 	gc.Scale = *scale
 	if *scale > 0 {
-		gc.Calibration = exp.Calib()
+		gc.Calibration = graph.Calibrate()
 	}
 	if *chaos != "" {
 		specs, err := faults.Parse(*chaos)

@@ -198,6 +198,33 @@ func Admission(o Options) (*AdmissionResult, error) {
 	return res, nil
 }
 
+// poolEngines attaches k ungated engines built from cfg to one fresh
+// shared pool of the given helper worker count — the hand-driven
+// counterpart of a one-shard fleet, for a sweep that must own the cycle
+// loop. closeAll closes the engines, then the pool.
+func poolEngines(cfg engine.Config, k, workers int) (engines []*engine.Engine, closeAll func(), err error) {
+	pool, err := sched.NewPool(workers, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	closeAll = func() {
+		for _, e := range engines {
+			e.Close()
+		}
+		pool.Close()
+	}
+	cfg.Pool = pool
+	for i := 0; i < k; i++ {
+		e, err := engine.New(cfg)
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
+		engines = append(engines, e)
+	}
+	return engines, closeAll, nil
+}
+
 // admissionStaticReport probes the gate's own construction-time
 // analysis for one pool-attached session: build a throwaway admitted
 // engine with an unbounded envelope and read the report it published.

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"djstar/internal/engine"
+	"djstar/internal/obs"
 	"djstar/internal/sched"
 )
 
@@ -197,16 +199,45 @@ func TestDeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Total != 120 {
-		t.Fatalf("total %d", res.Total)
+	want := append([]string{sched.NameSequential}, ParallelStrategies...)
+	if len(res.Rows) != len(want) {
+		t.Fatalf("%d rows, want %v", len(res.Rows), want)
 	}
-	for _, name := range ParallelStrategies {
-		if res.WorstMS[name] <= 0 {
-			t.Fatalf("%s worst %v", name, res.WorstMS[name])
+	for i, r := range res.Rows {
+		if r.Strategy != want[i] {
+			t.Fatalf("row %d is %q, want %q", i, r.Strategy, want[i])
+		}
+		if r.Cycles != 120 || len(r.Samples) != 120 {
+			t.Fatalf("%s: %d cycles, %d samples, want 120", r.Strategy, r.Cycles, len(r.Samples))
+		}
+		// One window: the miss count is the samples over the deadline.
+		above := uint64(0)
+		for _, ms := range r.Samples {
+			if ms > engine.DeadlineMS {
+				above++
+			}
+		}
+		if r.Misses != above {
+			t.Errorf("%s: %d misses, %d samples above %.3f ms", r.Strategy, r.Misses, above, engine.DeadlineMS)
+		}
+		if got := float64(r.Misses) / float64(r.Cycles) * 1e4; r.MissesPer10k != got {
+			t.Errorf("%s: %v per 10k, want %v", r.Strategy, r.MissesPer10k, got)
+		}
+		if r.WithinBudget != (r.MissesPer10k <= obs.SLOConfig{}.WithDefaults().TargetPer10k) {
+			t.Errorf("%s: budget verdict %v at %v per 10k", r.Strategy, r.WithinBudget, r.MissesPer10k)
+		}
+		if !(0 < r.P50MS && r.P50MS <= r.P99MS && r.P99MS <= r.P999MS && r.P999MS <= r.WorstMS) {
+			t.Errorf("%s: quantiles out of order: p50 %v p99 %v p99.9 %v worst %v",
+				r.Strategy, r.P50MS, r.P99MS, r.P999MS, r.WorstMS)
+		}
+		if r.WorstMS != r.Samples[len(r.Samples)-1] {
+			t.Errorf("%s: worst %v, largest sample %v", r.Strategy, r.WorstMS, r.Samples[len(r.Samples)-1])
 		}
 	}
-	if !strings.Contains(buf.String(), "deadline") {
-		t.Fatal("missing report")
+	for _, col := range []string{"deadline", "per 10k", "budget", "p50 ms", "p99 ms", "p99.9 ms"} {
+		if !strings.Contains(buf.String(), col) {
+			t.Fatalf("report lacks %q:\n%s", col, buf.String())
+		}
 	}
 }
 

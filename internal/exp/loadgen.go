@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"djstar/internal/apiv1"
@@ -21,9 +22,9 @@ type LoadgenResult struct {
 
 	// Levels is the concurrency ladder; per level the dwell-window
 	// per-shard miss rates (per 10k) and whether all shards held SLO.
-	Levels      []int
-	MissPer10k  [][]float64
-	Healthy     []bool
+	Levels     []int
+	MissPer10k [][]float64
+	Healthy    []bool
 	// AdmitLimited[i] records that the fleet's analytical gate refused
 	// further sessions at this level (the level ran below target).
 	AdmitLimited []bool
@@ -45,9 +46,31 @@ type LoadgenResult struct {
 	MaxHeadroomWins int
 
 	// DrainMoved is the mid-run shard-drain demo: sessions migrated off
-	// shard 0 with zero cycles lost.
-	DrainMoved  int
-	DrainFailed int
+	// shard 0. DrainGaps and DrainDoubles count cycle numbers skipped and
+	// repeated, over every session created up to the end of the drain.
+	DrainMoved   int
+	DrainFailed  int
+	DrainGaps    int64
+	DrainDoubles int64
+}
+
+// cycleSeq checks that one session's cycle numbers, fed from
+// Hooks.OnCycle on the cycle thread, arrive one apart: a number skipped
+// is a gap, one repeated or gone backwards a double. The counts may be
+// read from any thread.
+type cycleSeq struct {
+	last          uint64
+	gaps, doubles atomic.Int64
+}
+
+func (c *cycleSeq) observe(ci engine.CycleInfo) {
+	switch {
+	case ci.Cycle > c.last+1:
+		c.gaps.Add(1)
+	case ci.Cycle <= c.last:
+		c.doubles.Add(1)
+	}
+	c.last = ci.Cycle
 }
 
 // Loadgen drives the fleet the way a session frontend would: ramp
@@ -92,12 +115,15 @@ func Loadgen(opts Options) (*LoadgenResult, error) {
 	fprintf(w, "R8 — fleet load generation: %d shards over %d cores, scale %.2f, paced at %s\n\n",
 		shards, cores, gcfg.Scale, f.Period())
 
+	var seqs []*cycleSeq
 	create := func() bool {
-		_, _, err := f.AddSession(engine.SessionSpec{})
+		seq := &cycleSeq{}
+		_, _, err := f.AddSession(engine.SessionSpec{Hooks: engine.Hooks{OnCycle: seq.observe}})
 		if err != nil {
 			res.Refused++
 			return false
 		}
+		seqs = append(seqs, seq)
 		res.Created++
 		return true
 	}
@@ -192,26 +218,21 @@ func Loadgen(opts Options) (*LoadgenResult, error) {
 		res.KneeSessions, res.KneePerCore)
 
 	// Drain demo: move everything off shard 0 at cycle boundaries, then
-	// reopen it. Cycle counts keep advancing through the move.
-	pre := map[string]uint64{}
-	for _, s := range f.Sessions() {
-		pre[s.ID()] = s.Engine().Cycles()
-	}
+	// reopen it. Every session's cycle numbers must stay one apart
+	// through the move.
 	dr, err := f.Drain(0)
 	if err != nil {
 		return nil, err
 	}
 	res.DrainMoved, res.DrainFailed = dr.Moved, dr.Failed
 	time.Sleep(dwell / 2)
-	lost := 0
-	for _, s := range f.Sessions() {
-		if s.Engine().Cycles() < pre[s.ID()] {
-			lost++
-		}
+	for _, seq := range seqs {
+		res.DrainGaps += seq.gaps.Load()
+		res.DrainDoubles += seq.doubles.Load()
 	}
 	_ = f.Undrain(0)
-	fprintf(w, "drain shard 0: %d sessions migrated (%d failed), %d sessions lost cycles\n",
-		res.DrainMoved, res.DrainFailed, lost)
+	fprintf(w, "drain shard 0: %d sessions migrated (%d failed); cycle numbers over %d sessions: %d gaps, %d doubles\n",
+		res.DrainMoved, res.DrainFailed, len(seqs), res.DrainGaps, res.DrainDoubles)
 
 	// Churn to the cumulative-creation target at a comfortable level
 	// (half the knee), proving placement and ID hygiene at volume.

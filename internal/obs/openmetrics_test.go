@@ -13,10 +13,10 @@ import (
 )
 
 // lintExposition validates the Prometheus/OpenMetrics text format rules
-// CI also enforces (scripts/lint_metrics.sh): every sample belongs to a
-// family announced by # HELP and # TYPE lines, counter family names end
-// in _total (histograms in _bucket/_sum/_count), histogram cumulative
-// counts are monotone in le, and the document terminates with # EOF.
+// a scraper relies on: every sample belongs to a family announced by
+// # HELP and # TYPE lines, counter family names end in _total
+// (histograms in _bucket/_sum/_count), histogram cumulative counts are
+// monotone in le, and the document terminates with # EOF.
 // It returns the parsed samples for cross-scrape checks.
 func lintExposition(t *testing.T, doc string) map[string]float64 {
 	t.Helper()
