@@ -16,7 +16,6 @@ import (
 	"djstar/internal/engine"
 	"djstar/internal/exp"
 	"djstar/internal/graph"
-	"djstar/internal/obs"
 	"djstar/internal/rescon"
 	"djstar/internal/sched"
 	"djstar/internal/stats"
@@ -174,7 +173,6 @@ func BenchmarkFig11(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Cleanup(e.Close)
-			var ct obs.CycleTrace
 			for i := 0; i < 20; i++ {
 				e.Cycle(nil)
 			}
@@ -182,9 +180,10 @@ func BenchmarkFig11(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.Cycle(nil)
-				if !e.Collector().LatestTrace(&ct) || ct.MakespanNS() <= 0 {
-					b.Fatal("empty trace")
-				}
+			}
+			b.StopTimer()
+			if ts := e.Collector().Traces(); len(ts) != 1 || ts[0].MakespanNS() <= 0 {
+				b.Fatal("empty trace")
 			}
 		})
 	}
@@ -346,9 +345,9 @@ func BenchmarkMultiSession(b *testing.B) {
 
 // BenchmarkPlanCompile measures the plan-compilation pipeline on the
 // standard DJ Star graph: the CSR + rank compile itself, and the
-// cost-guided fusion pass on top of it. Both run at engine start-up (or
-// RecompileFused), never on the audio path, but regressions here delay
-// session bring-up and plan swaps.
+// cost-guided fusion pass on top of it. Both run at engine start-up and
+// when an edit is staged, never on the audio path, but regressions here
+// delay session bring-up and plan swaps.
 func BenchmarkPlanCompile(b *testing.B) {
 	_, g, err := graph.BuildDJStar(benchGraphConfig())
 	if err != nil {

@@ -84,18 +84,8 @@ func (c *Controller) TryAdmit(id string, rep *Report) error {
 	return nil
 }
 
-// Update replaces a session's registered load (after an adopted edit or
-// a cost-model refresh) without re-gating it; the predictive monitor is
-// responsible for flagging an over-budget aggregate.
-func (c *Controller) Update(id string, rep *Report) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.sessions[id]; ok {
-		c.sessions[id] = &sessionLoad{workUS: rep.TotalWorkUS, cpUS: rep.CritPathUS, baseUS: rep.BaseUS}
-	}
-}
-
-// Release removes a session (engine Close, failed construction).
+// Release removes a session (removal, migration away, failed
+// construction).
 func (c *Controller) Release(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -38,10 +38,6 @@ type AdmissionOptions struct {
 	// 1.25 margin, default overheads; BaseUS is filled from the engine's
 	// TP/GP/VC targets at the running scale when zero).
 	Config admission.Config
-	// Controller, when set, gates this session against the aggregate
-	// bound of every session sharing one worker pool. Nil means
-	// per-session analysis only.
-	Controller *admission.Controller
 	// PredictEvery is the predictive monitor's re-analysis period
 	// (default 250 ms; negative disables the monitor, keeping only the
 	// construction- and edit-time gates).
@@ -71,10 +67,6 @@ type AdmissionState struct {
 	PredictiveEscalations int64 `json:"predictive_escalations"`
 }
 
-// admissionSeq disambiguates controller session IDs when the caller
-// did not label the session.
-var admissionSeq atomic.Uint64
-
 // effectiveProcs clamps a worker count to the machine's processor
 // count. Graham's argument (and the dedicated-processor simulations)
 // count processors, not workers: on a machine with fewer cores than
@@ -88,16 +80,15 @@ func effectiveProcs(workers int) int {
 }
 
 // admissionRuntime is the per-engine admission state: the resolved
-// analysis config, the construction decision, the optional shared-pool
-// controller registration, and the predictive monitor.
+// analysis config, the construction decision and the predictive
+// monitor. It judges this session alone; sessions sharing a pool are
+// admitted against each other by the fleet's shard controllers.
 type admissionRuntime struct {
 	cfg      admission.Config
 	strategy string
 	threads  int
 
 	decision *admission.Decision
-	ctl      *admission.Controller
-	ctlID    string
 
 	state      atomic.Pointer[AdmissionState]
 	overBudget atomic.Bool
@@ -108,10 +99,8 @@ type admissionRuntime struct {
 }
 
 // newAdmissionRuntime resolves the gate's config and decides admission
-// for a session about to be constructed: per-session ladder first, then
-// the shared pool's aggregate bound. A refusal returns an error
-// wrapping admission.ErrOverBudget; nothing is registered on the
-// controller in that case.
+// for a session about to be constructed. A refusal returns an error
+// wrapping admission.ErrOverBudget.
 func newAdmissionRuntime(cfg *Config, plan *graph.Plan, threads int) (*admissionRuntime, error) {
 	strategy := cfg.Strategy
 	effThreads := threads
@@ -129,14 +118,13 @@ func newAdmissionRuntime(cfg *Config, plan *graph.Plan, threads int) (*admission
 		cfg:      acfg,
 		strategy: strategy,
 		threads:  effThreads,
-		ctl:      cfg.Admission.Controller,
 		every:    cfg.Admission.PredictEvery,
 	}
 	if a.every == 0 {
 		a.every = 250 * time.Millisecond
 	}
 
-	costs := staticCostsUS(plan, cfg.Graph.Scale) // nothing has run yet
+	costs := StaticCostsUS(plan, cfg.Graph.Scale) // nothing has run yet
 	d, err := admission.Decide(plan, costs, strategy, effThreads, "static", acfg)
 	if err != nil {
 		return nil, err
@@ -144,15 +132,6 @@ func newAdmissionRuntime(cfg *Config, plan *graph.Plan, threads int) (*admission
 	a.decision = d
 	if d.Verdict == admission.VerdictRefuse {
 		return nil, fmt.Errorf("engine: session refused: %s: %w", d.Reason, admission.ErrOverBudget)
-	}
-	if a.ctl != nil {
-		a.ctlID = cfg.Telemetry.Session
-		if a.ctlID == "" {
-			a.ctlID = fmt.Sprintf("s%d", admissionSeq.Add(1))
-		}
-		if err := a.ctl.TryAdmit(a.ctlID, d.Admitted); err != nil {
-			return nil, fmt.Errorf("engine: session refused: %w", err)
-		}
 	}
 	return a, nil
 }
@@ -194,14 +173,11 @@ func (a *admissionRuntime) install(e *Engine) {
 	}
 }
 
-// close stops the monitor and releases the controller registration.
+// close stops the monitor.
 func (a *admissionRuntime) close() {
 	if a.stop != nil {
 		close(a.stop)
 		<-a.done
-	}
-	if a.ctl != nil {
-		a.ctl.Release(a.ctlID)
 	}
 }
 
@@ -225,8 +201,8 @@ func (a *admissionRuntime) monitor(e *Engine) {
 }
 
 // refresh recomputes the bound against the live topology and publishes
-// the result (state, telemetry gauges, controller load, predictive
-// flag). Exported to tests via Engine.RefreshAdmission.
+// the result (state, telemetry gauges, predictive flag). Exported to
+// tests via Engine.RefreshAdmission.
 func (a *admissionRuntime) refresh(e *Engine) {
 	topo := e.topo.Load()
 	costs, source := e.nodeCosts(topo, topo.plan, nil)
@@ -247,9 +223,6 @@ func (a *admissionRuntime) refresh(e *Engine) {
 	a.state.Store(st)
 
 	e.tel.SetAdmissionBound(rep.BoundUS, rep.HeadroomUS)
-	if a.ctl != nil {
-		a.ctl.Update(a.ctlID, rep)
-	}
 	if over {
 		if e.gov != nil {
 			// Re-armed every over-budget refresh: one predictive

@@ -40,7 +40,7 @@ func staticReports(t *testing.T, gc graph.Config, strategy string, threads int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := staticCostsUS(plan, gc.Scale)
+	costs := StaticCostsUS(plan, gc.Scale)
 	procs := effectiveProcs(threads)
 	full, err = admission.Analyze(plan, costs, strategy, procs, "static", acfg)
 	if err != nil {
@@ -157,10 +157,12 @@ func TestAdmissionDegradedPreSheds(t *testing.T) {
 	e.RunCycles(5)
 }
 
-// TestAdmissionPoolAggregate: sessions on one shared pool are gated on
-// the AGGREGATE bound — the envelope that fits two sessions refuses the
-// third, with the typed sentinel, and the refused session leaves no
-// controller registration behind.
+// TestAdmissionPoolAggregate: sessions on one shared pool are gated one
+// by one — the engine judges only its own session, so an envelope that
+// fits two sessions in aggregate still admits a third engine — while the
+// static reports they publish compose into the AGGREGATE bound a shard
+// controller holds: summed there, the same envelope refuses the third
+// with the typed sentinel and keeps only the two admitted registrations.
 func TestAdmissionPoolAggregate(t *testing.T) {
 	gc := admissionGraphConfig()
 	const workers = 1
@@ -173,60 +175,42 @@ func TestAdmissionPoolAggregate(t *testing.T) {
 	b3 := cp + (3*w-cp)/m
 	acfg.PeriodUS = (b2 + b3) / 2
 
+	cfg := Config{Graph: gc, Admission: AdmissionOptions{Enabled: true, Config: acfg, PredictEvery: -1}}
+	// Each session alone fits; poolSessions fails the test otherwise.
+	_, engines := poolSessions(t, cfg, 3, workers, 3)
+
 	// Like the per-session gate, the shared controller counts processors,
 	// not workers.
 	ctl := admission.NewController(effectiveProcs(workers+1), acfg)
-	cfg := Config{Graph: gc, Admission: AdmissionOptions{Enabled: true, Config: acfg, Controller: ctl, PredictEvery: -1}}
-	// Two sessions must fit (bound b2 under the envelope); poolSessions
-	// fails the test otherwise.
-	pool, engines := poolSessions(t, cfg, 2, workers, 3)
-	third := cfg
-	third.Pool = pool
-	third.Telemetry.Session = "2"
-	if e, err := New(third); !errors.Is(err, admission.ErrOverBudget) {
-		if err == nil {
-			e.Close()
+	for i, e := range engines {
+		st := e.AdmissionState()
+		if st == nil || st.Verdict != "admit" || st.Report == nil {
+			t.Fatalf("session %d: state = %+v", i, st)
 		}
-		t.Fatalf("third session err = %v, want ErrOverBudget", err)
+		if st.Report.TotalWorkUS != w || st.Report.CritPathUS != cp {
+			t.Fatalf("session %d publishes work %v cp %v, want the pool-shaped static %v/%v",
+				i, st.Report.TotalWorkUS, st.Report.CritPathUS, w, cp)
+		}
+		err := ctl.TryAdmit(strconv.Itoa(i), st.Report)
+		if i < 2 && err != nil {
+			t.Fatalf("session %d refused in aggregate: %v", i, err)
+		}
+		if i == 2 && !errors.Is(err, admission.ErrOverBudget) {
+			t.Fatalf("third session aggregate err = %v, want ErrOverBudget", err)
+		}
 	}
-	if got := len(ctl.Sessions()); got != 2 {
+	if got := ctl.Len(); got != 2 {
 		t.Fatalf("controller holds %d sessions after refusal, want 2", got)
-	}
-	for _, mm := range runConcurrent(engines, 5) {
-		if mm.Cycles() != 5 {
-			t.Fatalf("cycles = %d", mm.Cycles())
-		}
 	}
 	for _, sb := range ctl.Sessions() {
 		if !sb.Fits {
 			t.Fatalf("admitted session over budget: %+v", sb)
 		}
 	}
-}
-
-// TestAdmissionPoolFullSentinel: when the analysis fits but the pool's
-// slots are gone, engine.New surfaces sched.ErrPoolFull — and the
-// controller registration made before Attach is released again.
-func TestAdmissionPoolFullSentinel(t *testing.T) {
-	acfg := admission.Config{PeriodUS: 1e9, Margin: 1, BaseUS: -1}
-	ctl := admission.NewController(effectiveProcs(2), acfg)
-	cfg := Config{
-		Graph:     admissionGraphConfig(),
-		Admission: AdmissionOptions{Enabled: true, Config: acfg, Controller: ctl, PredictEvery: -1},
-	}
-	const capacity = 3
-	pool, _ := poolSessions(t, cfg, capacity, 1, capacity)
-	over := cfg
-	over.Pool = pool
-	over.Telemetry.Session = "over"
-	if e, err := New(over); !errors.Is(err, sched.ErrPoolFull) {
-		if err == nil {
-			e.Close()
+	for _, mm := range runConcurrent(engines, 5) {
+		if mm.Cycles() != 5 {
+			t.Fatalf("cycles = %d", mm.Cycles())
 		}
-		t.Fatalf("err = %v, want ErrPoolFull", err)
-	}
-	if got := len(ctl.Sessions()); got != capacity {
-		t.Fatalf("controller holds %d sessions after failed attach, want %d", got, capacity)
 	}
 }
 

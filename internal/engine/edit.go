@@ -47,8 +47,7 @@ func (e *Engine) LastEdit() *EditOutcome { return e.lastEdit.Load() }
 
 // stagedTopo is a compiled topology parked until the next cycle
 // boundary adopts it. remap composes every edit staged since the live
-// topology (nil for a pure execution-plan recompilation, which keeps
-// the base ID space).
+// topology.
 type stagedTopo struct {
 	topo  *topology
 	remap *graph.Remap
@@ -119,7 +118,7 @@ func (e *Engine) applyEditsLocked(es *graph.EditSet, desc string) error {
 	if err != nil {
 		return fail(err)
 	}
-	if prev != nil && prev.remap != nil {
+	if prev != nil {
 		remap = prev.remap.Compose(remap)
 	}
 	if e.adm != nil {
@@ -134,7 +133,7 @@ func (e *Engine) applyEditsLocked(es *graph.EditSet, desc string) error {
 	execPlan := plan2
 	if e.cfg.FusePlan {
 		costs, _ := e.nodeCosts(e.topo.Load(), plan2, remap)
-		execPlan, err = graph.Fuse(plan2, costs, e.cfg.Fuse)
+		execPlan, err = graph.Fuse(plan2, costs, graph.FuseOptions{})
 		if err != nil {
 			return fail(err)
 		}
@@ -161,57 +160,12 @@ func (e *Engine) applyEditsLocked(es *graph.EditSet, desc string) error {
 	return nil
 }
 
-// RecompileFused compiles a new fused execution plan over the current
-// base plan and stages it for adoption at the next cycle boundary — the
-// audio never stops: the current cycle finishes on the old plan, the
-// next starts on the new one, on the same scheduler workers. costsUS
-// supplies per-node cost estimates in µs (base-plan IDs); nil means
-// "best available" — the collector's measured means when at least one
-// cycle has been observed, else the static design table.
-//
-// The engine's public node-ID space is unchanged: the collector,
-// governor, watchdog, telemetry and Health still see base nodes. Safe
-// to call from any thread, including for engines attached to a worker
-// pool. A staged structural edit is preserved: the recompilation fuses
-// the staged plan and both land together.
-func (e *Engine) RecompileFused(costsUS []float64) error {
-	e.editMu.Lock()
-	defer e.editMu.Unlock()
-	if e.closed.Load() {
-		return fmt.Errorf("engine: RecompileFused after Close")
-	}
-	base, prev := e.editBase()
-	var remap *graph.Remap
-	ops, desc := 0, "refuse"
-	if prev != nil {
-		remap, ops, desc = prev.remap, prev.ops, prev.desc+"; refuse"
-	}
-	if costsUS == nil {
-		costsUS, _ = e.nodeCosts(e.topo.Load(), base.plan, remap)
-	}
-	fused, err := graph.Fuse(base.plan, costsUS, e.cfg.Fuse)
-	if err != nil {
-		return err
-	}
-	e.staged.Store(&stagedTopo{
-		topo:  &topology{g: base.g, plan: base.plan, execPlan: fused, col: base.col},
-		remap: remap,
-		ops:   ops,
-		desc:  desc,
-	})
-	if e.adm != nil {
-		// A recompilation keeps the topology (and so the conservative
-		// base-plan bound); refresh the published analysis against the
-		// supplied costs rather than gating — flag, don't reject.
-		e.adm.refresh(e)
-	}
-	return nil
-}
-
-// staticCostsUS is the static per-node cost table at an engine's
+// StaticCostsUS is the static per-node cost table at an engine's
 // execution scale: the design table (paper µs) scaled the way
-// graph.NewLoad scales the kernels.
-func staticCostsUS(p *graph.Plan, scale float64) []float64 {
+// graph.NewLoad scales the kernels. It is what the engine's admission
+// gate and the fleet's placement analysis both price a session with
+// before it has run.
+func StaticCostsUS(p *graph.Plan, scale float64) []float64 {
 	out := rescon.PaperCostsUS(p)
 	for i := range out {
 		out[i] *= scale
@@ -220,13 +174,13 @@ func staticCostsUS(p *graph.Plan, scale float64) []float64 {
 }
 
 // nodeCosts is the engine's one per-node µs cost table for plan, with
-// its source: staticCostsUS at the running scale, overlaid with live's
+// its source: StaticCostsUS at the running scale, overlaid with live's
 // measured means — "measured" — once its collector has observed a
 // cycle, else "static". plan is live's own (remap nil) or a staged
 // edit's, whose surviving nodes carry their measurement through remap
 // and whose fresh ones keep the static figure.
 func (e *Engine) nodeCosts(live *topology, plan *graph.Plan, remap *graph.Remap) ([]float64, string) {
-	out := staticCostsUS(plan, e.cfg.Graph.Scale)
+	out := StaticCostsUS(plan, e.cfg.Graph.Scale)
 	if live.col == nil {
 		return out, "static"
 	}
@@ -259,10 +213,7 @@ func (e *Engine) adoptStaged() {
 		return
 	}
 	old := e.topo.Load()
-	sw := sched.Swap{Plan: st.topo.execPlan}
-	if st.remap != nil {
-		sw.OldToNew = st.remap.OldToNew
-	}
+	sw := sched.Swap{Plan: st.topo.execPlan, OldToNew: st.remap.OldToNew}
 	if st.topo.col != old.col {
 		sw.Observer = st.topo.col
 	}
@@ -276,9 +227,7 @@ func (e *Engine) adoptStaged() {
 		return
 	}
 	e.sch().AdoptStaged()
-	if st.remap != nil {
-		migrateStates(old.plan, st.topo.plan, st.remap)
-	}
+	migrateStates(old.plan, st.topo.plan, st.remap)
 	e.topo.Store(st.topo)
 	epoch := e.planEpoch.Add(1)
 	if e.gov != nil {

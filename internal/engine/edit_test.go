@@ -270,14 +270,12 @@ func TestEngineCloseWhileEditStaged(t *testing.T) {
 	if err := e.ApplyPatch("insert-delay:A"); err == nil {
 		t.Fatal("ApplyPatch after Close accepted")
 	}
-	if err := e.RecompileFused(nil); err == nil {
-		t.Fatal("RecompileFused after Close accepted")
-	}
 }
 
 // TestEngineEditWithFusionAndGovernor: structural edits compose with
-// plan fusion and an enabled governor/watchdog — the fused exec plan is
-// rebuilt over the edited base plan at adoption.
+// plan fusion and an enabled governor — the fused exec plan is rebuilt
+// over the edited base plan, from the measured costs, and adopted at the
+// cycle boundary.
 func TestEngineEditWithFusionAndGovernor(t *testing.T) {
 	cfg := fastConfig(sched.NameBusyWait, 4)
 	cfg.FusePlan = true
@@ -291,6 +289,9 @@ func TestEngineEditWithFusionAndGovernor(t *testing.T) {
 	base := e.Plan().Len()
 	if err := e.ApplyPatch("insert-delay:B:2"); err != nil {
 		t.Fatal(err)
+	}
+	if e.PlanEpoch() != 0 {
+		t.Fatal("edit adopted outside a cycle boundary")
 	}
 	e.Cycle(nil)
 	if e.PlanEpoch() != 1 {

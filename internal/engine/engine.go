@@ -67,13 +67,12 @@ type Config struct {
 	// FusePlan compiles the execution plan through graph.Fuse: linear
 	// same-kind chains collapse into fused units that are claimed once
 	// and run back-to-back, cutting per-cycle scheduling overhead. The
-	// initial fusion uses the static design-cost table
-	// (rescon.PaperCostsUS); call RecompileFused once the collector has
-	// measured real node costs to re-fuse online. Off by default — the
-	// paper-reproduction experiments run the unfused 67-node graph.
+	// construction plan is fused on the static design-cost table
+	// (rescon.PaperCostsUS); every adopted edit is fused on the engine's
+	// node costs, measured where the collector has seen the node. Off by
+	// default — the paper-reproduction experiments run the unfused
+	// 67-node graph.
 	FusePlan bool
-	// Fuse tunes the fusion pass when FusePlan is set (zero = defaults).
-	Fuse graph.FuseOptions
 	// DVS couples deck tempos to the decoded timecode signal, exercising
 	// the decode → control path end to end.
 	DVS bool
@@ -196,9 +195,9 @@ type Engine struct {
 	// (plan swaps and Rebind keep the same object), so the governor, the
 	// watchdog and the health read-outs hold it for life.
 	faults *sched.FaultState
-	// editMu serializes edit staging (ApplyEdits / ApplyPatch /
-	// RecompileFused); staged holds the topology bundle waiting for the
-	// next cycle boundary to adopt it (see edit.go).
+	// editMu serializes edit staging (ApplyEdits / ApplyPatch); staged
+	// holds the topology bundle waiting for the next cycle boundary to
+	// adopt it (see edit.go).
 	editMu sync.Mutex
 	staged atomic.Pointer[stagedTopo]
 	// lastEdit is the most recent edit outcome (nil until one is staged).
@@ -229,17 +228,12 @@ type Engine struct {
 	gov *governor
 	wd  *watchdog
 	// adm is the admission gate's runtime (nil when disabled): the
-	// construction decision, the controller registration and the
-	// predictive monitor.
+	// construction decision and the predictive monitor.
 	adm *admissionRuntime
 
 	// tel is the telemetry sink; nil — the disabled sink, every call a
 	// no-op — when cfg.Telemetry.Disable.
 	tel *obs.Sink
-	// lastTraceSeq is the collector trace sequence already delivered to
-	// Hooks.OnTrace; traceScratch is the reused copy handed to the hook.
-	lastTraceSeq uint64
-	traceScratch obs.CycleTrace
 
 	// totals is the always-on whole-run accounting behind Snapshot.
 	totals Metrics
@@ -290,10 +284,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	execPlan := plan
 	if cfg.FusePlan {
-		// Initial fusion from the static design-cost table; once the
-		// collector has real measurements, RecompileFused re-fuses from
-		// them without stopping the audio.
-		execPlan, err = graph.Fuse(plan, rescon.PaperCostsUS(plan), cfg.Fuse)
+		// Initial fusion from the static design-cost table; adopted
+		// edits re-fuse from measured costs (edit.go).
+		execPlan, err = graph.Fuse(plan, rescon.PaperCostsUS(plan), graph.FuseOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -343,9 +336,6 @@ func New(cfg Config) (*Engine, error) {
 		scheduler, err = sched.New(cfg.Strategy, execPlan, opts)
 	}
 	if err != nil {
-		if adm != nil {
-			adm.close()
-		}
 		return nil, err
 	}
 
@@ -582,7 +572,7 @@ func (e *Engine) Collector() *obs.Collector { return e.topo.Load().col }
 
 // ExecPlan exposes the plan the scheduler is actually running: Plan()
 // itself, or its fused compilation. The execution plan changes at cycle
-// boundaries when an edit or recompilation is adopted.
+// boundaries when an edit is adopted.
 func (e *Engine) ExecPlan() *graph.Plan { return e.topo.Load().execPlan }
 
 // PlanEpoch counts topology swaps adopted so far (0 = the
@@ -688,29 +678,11 @@ func (e *Engine) Cycle(m *Metrics) {
 	if e.cfg.Hooks.OnCycle != nil {
 		e.cfg.Hooks.OnCycle(rec.info())
 	}
-	if e.cfg.Hooks.OnTrace != nil {
-		e.deliverTrace()
-	}
 	if m != nil {
 		m.add(&rec)
 		if m.KeepSamples {
 			m.GraphSamplesMS = append(m.GraphSamplesMS, nsToMS(rec.graph))
 			m.APCSamplesMS = append(m.APCSamplesMS, nsToMS(rec.apc))
-		}
-	}
-}
-
-// deliverTrace hands Hooks.OnTrace the collector's latest sampled
-// realization if it has not seen it yet (cycle thread).
-func (e *Engine) deliverTrace() {
-	col := e.topo.Load().col
-	if col == nil {
-		return
-	}
-	if seq := col.TraceSeq(); seq != e.lastTraceSeq {
-		e.lastTraceSeq = seq
-		if col.LatestTrace(&e.traceScratch) {
-			e.cfg.Hooks.OnTrace(&e.traceScratch)
 		}
 	}
 }

@@ -226,17 +226,24 @@ func TestMeasureNodeDurations(t *testing.T) {
 }
 
 func TestEngineHotPathAllocationFree(t *testing.T) {
-	e, err := New(fastConfig(sched.NameBusyWait, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.RunCycles(10) // warm up
-	var window Metrics
-	for name, m := range map[string]*Metrics{"Cycle(nil)": nil, "Cycle(&m), samples off": &window} {
-		if allocs := testing.AllocsPerRun(100, func() { e.Cycle(m) }); allocs != 0 {
-			t.Errorf("%s allocates %v per run, want 0", name, allocs)
+	// The governor evaluates its window on the cycle thread; Window 1
+	// makes every cycle a window boundary (thresholds out of reach, so
+	// the level holds).
+	gov := fastConfig(sched.NameBusyWait, 4)
+	gov.Governor = GovernorConfig{Enabled: true, Window: 1, DeadlineMS: 1e6, GraphBudgetMS: 1e6}
+	for cfgName, cfg := range map[string]Config{"governor off": fastConfig(sched.NameBusyWait, 4), "governor window 1": gov} {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		e.RunCycles(10) // warm up
+		var window Metrics
+		for name, m := range map[string]*Metrics{"Cycle(nil)": nil, "Cycle(&m), samples off": &window} {
+			if allocs := testing.AllocsPerRun(100, func() { e.Cycle(m) }); allocs != 0 {
+				t.Errorf("%s, %s allocates %v per run, want 0", cfgName, name, allocs)
+			}
+		}
+		e.Close()
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"djstar/internal/graph"
@@ -166,7 +167,10 @@ func (g *governor) observe(apcMS, graphMS float64) {
 		return
 	}
 	rate := float64(g.misses) / float64(g.cycles)
-	p99 := stats.Percentiles(g.graphMS, 0.99)[0]
+	// In place: the window is discarded below, and the cycle thread must
+	// not allocate.
+	slices.Sort(g.graphMS)
+	p99 := stats.SortedQuantile(g.graphMS, 0.99)
 	g.lastRate.Store(math.Float64bits(rate))
 	g.lastP99.Store(math.Float64bits(p99))
 	g.cycles = 0

@@ -1,15 +1,14 @@
 package engine
 
-import (
-	"djstar/internal/obs"
-	"djstar/internal/sched"
-)
+import "djstar/internal/sched"
 
 // Hooks is the engine's consolidated event surface: every callback the
 // engine can emit lives here, replacing the ad-hoc per-event Config
 // fields that accumulated one by one (OnFault, OnGovChange, OnStall).
 // The zero value is a valid no-op; set only the events you consume. New
-// event kinds join this struct instead of growing Config.
+// event kinds join this struct instead of growing Config. Sampled
+// schedule realizations are not pushed: read them from
+// Collector().Traces().
 type Hooks struct {
 	// OnFault is invoked synchronously from the worker that recovered a
 	// node panic; it must be cheap and concurrency-safe.
@@ -24,11 +23,6 @@ type Hooks struct {
 	// with that cycle's component timings. It is on the audio path: keep
 	// it cheap and allocation-free.
 	OnCycle func(CycleInfo)
-	// OnTrace is invoked on the cycle thread whenever the observability
-	// collector samples a fresh schedule realization (every
-	// ObsOptions.TraceEvery cycles). The pointed-to trace is only valid
-	// during the call — copy it (obs-side slices are reused) to retain.
-	OnTrace func(*obs.CycleTrace)
 }
 
 // CycleInfo is one completed APC's timing breakdown, delivered to

@@ -16,11 +16,6 @@ type SessionSpec struct {
 	// IDs stay stable across shard migration. Empty = the container
 	// assigns a monotonic ID.
 	ID string
-	// Strategy and Threads override the base scheduling strategy —
-	// ignored by pool-attached containers, where the pool's parallelism
-	// rules.
-	Strategy string
-	Threads  int
 	// Fuse enables cost-guided chain fusion for this session.
 	Fuse bool
 	// AdmissionMargin overrides the admission gate's safety margin
@@ -42,12 +37,6 @@ func (sp SessionSpec) Resolve(base Config) Config {
 	c := base
 	if sp.Graph != nil {
 		c.Graph = *sp.Graph
-	}
-	if sp.Strategy != "" {
-		c.Strategy = sp.Strategy
-	}
-	if sp.Threads > 0 {
-		c.Threads = sp.Threads
 	}
 	if sp.Fuse {
 		c.FusePlan = true
@@ -77,9 +66,6 @@ func mergeHooks(base, over Hooks) Hooks {
 	}
 	if over.OnCycle != nil {
 		h.OnCycle = over.OnCycle
-	}
-	if over.OnTrace != nil {
-		h.OnTrace = over.OnTrace
 	}
 	return h
 }

@@ -3,29 +3,30 @@ package exp
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"djstar/internal/admission"
 	"djstar/internal/engine"
+	"djstar/internal/fleet"
 	"djstar/internal/sched"
 	"djstar/internal/stats"
 )
 
 // Admission runs the deadline-aware admission-control experiment
 // (EXPERIMENTS.md R7): a session-count load sweep over one shared
-// worker pool, gate off vs gate on, up to one session PAST the pool's
-// analytical capacity. With the gate off, every session is attached and
-// the overload shows up the only way it can — as blown cycle deadlines.
-// With the gate on, the same offered load is held against the
-// analytical schedulability bound first: sessions the pool can carry
-// are admitted (possibly degraded, meters pre-shed), the excess is
-// refused with a typed error, and the admitted sessions keep their
-// deadlines. After each gate-on run the bound is recomputed from the
-// LIVE measured cost model and printed beside the measured p95/p99 of
-// every admitted session — the falsifiability contract: measured p95
-// must stay below bound, bound must stay below the envelope.
+// worker pool — a one-shard unpaced fleet — gate off vs gate on, up to
+// one session PAST the shard's analytical capacity. With the gate off
+// (an envelope no load can exceed), every session is attached and the
+// overload shows up the only way it can — as blown cycle deadlines.
+// With the gate on, the same offered load is held against the shard
+// controller's analytical schedulability bound first: sessions the pool
+// can carry are admitted, the excess is refused with a typed error, and
+// the admitted sessions keep their deadlines. After each gate-on run the
+// bound is recomputed from the LIVE measured cost model and printed
+// beside the measured p95/p99 of every admitted session — the
+// falsifiability contract: measured p95 must stay below bound, bound
+// must stay below the envelope.
 
 // The sweep's SLO is two-sided: every session's p95 cycle time must fit
 // the period envelope, and its p99 may exceed the envelope only by the
@@ -48,11 +49,13 @@ const admissionMinScale = 0.35
 // preemptions land around 2× the envelope, genuine overload around 20×.
 const admissionTailTolerance = 4.0
 
+// admissionGateOffUS is the gate-off rows' envelope: no load exceeds it,
+// so the shard controller admits every session offered.
+const admissionGateOffUS = 1e12
+
 // AdmissionSession is one admitted session's bound-vs-measured pair.
 type AdmissionSession struct {
 	ID string
-	// Verdict is the gate's decision ("admit" or "degraded").
-	Verdict string
 	// BoundUS is the session's aggregate analytical bound on the shared
 	// pool, recomputed from the live measured cost model after the run;
 	// MeasuredP95US / MeasuredP99US are what the run actually showed.
@@ -70,10 +73,9 @@ type AdmissionRow struct {
 	Sessions int
 	// Gate is "off" or "on".
 	Gate string
-	// Admitted/Degraded/Refused count the gate's verdicts (gate off:
+	// Admitted/Refused count the shard controller's verdicts (gate off:
 	// everything is admitted).
 	Admitted int
-	Degraded int
 	Refused  int
 	// WorstP99US / WorstP95US are the worst per-session p99 and p95
 	// cycle times (µs).
@@ -104,8 +106,9 @@ type AdmissionResult struct {
 	// Workers is the shared pool's helper worker count.
 	Workers int
 	// Capacity is the analytical session capacity of the pool: the
-	// largest count the static aggregate bound admits. The sweep runs to
-	// Capacity+1, so the gate always has something to refuse.
+	// number of sessions the gated shard admits before its first
+	// refusal. The sweep runs to Capacity+1, so the gate always has
+	// something to refuse.
 	Capacity int
 	Rows     []AdmissionRow
 	// KneeSessions is the first session count whose gate-off row blows
@@ -124,60 +127,49 @@ func Admission(o Options) (*AdmissionResult, error) {
 			admissionMinScale)
 		o.Scale = admissionMinScale
 	}
-	workers := o.MaxThreads - 1
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(o.MaxThreads-1, 1)
 	// The envelope is the paper's 2.902 ms packet period at the
 	// experiment's cost scale, so the sweep crosses it at any scale.
 	periodUS := admission.DefaultPeriodUS * o.Scale
-	acfg := admission.Config{PeriodUS: periodUS}
+	acfg := admission.Config{PeriodUS: periodUS, BaseUS: engine.SessionBaseUS(o.Scale)}
 
-	rep, err := admissionStaticReport(o, workers, acfg)
+	// The gate-on row one past capacity comes first: offering sessions
+	// until the shard's first refusal is what measures the capacity.
+	past, procs, err := admissionRun(o, 0, workers, acfg, "on", periodUS)
 	if err != nil {
 		return nil, err
 	}
-	procs := workers + 1
-	if p := runtime.GOMAXPROCS(0); procs > p {
-		procs = p
-	}
-	capacity := admissionCapacity(rep, procs, acfg)
+	capacity := past.Admitted
 	res := &AdmissionResult{PeriodUS: periodUS, Workers: workers, Capacity: capacity}
 
 	fprintf(o.Out, "admission-gated shared pool: %d helper workers (%d effective processors), envelope %.0f µs = packet period × scale %.2f, analytical capacity %d sessions, SLO: p95 within envelope and p99 within %.0fx\n\n",
 		workers, procs, periodUS, o.Scale, capacity, admissionTailTolerance)
 
+	off := acfg
+	off.PeriodUS = admissionGateOffUS
 	var rows [][]string
 	for _, k := range admissionSweep(capacity) {
 		// Gate OFF: attach everything, let the deadline misses tell the
 		// story.
-		off, closeOff, err := poolEngines(engine.Config{Graph: o.graphConfig()}, k, workers)
-		if err != nil {
-			return nil, fmt.Errorf("admission: gate-off %d sessions: %w", k, err)
-		}
-		p95s, p99s, over := admissionDrive(off, o.Cycles, periodUS)
-		closeOff()
-		row := AdmissionRow{Sessions: k, Gate: "off", Admitted: k}
-		for i := range p99s {
-			row.WorstP99US = max(row.WorstP99US, p99s[i])
-			row.WorstP95US = max(row.WorstP95US, p95s[i])
-		}
-		row.OverrunsPer10k = float64(over) / float64(k*o.Cycles) * 1e4
-		row.SLOOK = admissionSLOOK(row.WorstP95US, row.WorstP99US, periodUS)
-		if !row.SLOOK && res.KneeSessions == 0 {
-			res.KneeSessions = k
-		}
-		res.Rows = append(res.Rows, row)
-		rows = append(rows, admissionTableRow(row))
-
-		// Gate ON: the same offered load through the analytical front door.
-		onRow, err := admissionGateOn(o, k, workers, acfg, periodUS)
+		row, _, err := admissionRun(o, k, workers, off, "off", periodUS)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, *onRow)
-		rows = append(rows, admissionTableRow(*onRow))
-		for _, s := range onRow.Admittees {
+		if !row.SLOOK && res.KneeSessions == 0 {
+			res.KneeSessions = k
+		}
+		res.Rows = append(res.Rows, *row)
+		rows = append(rows, admissionTableRow(*row))
+
+		// Gate ON: the same offered load through the analytical front door.
+		if k == capacity+1 {
+			row = past
+		} else if row, _, err = admissionRun(o, k, workers, acfg, "on", periodUS); err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, *row)
+		rows = append(rows, admissionTableRow(*row))
+		for _, s := range row.Admittees {
 			if s.MeasuredP95US > s.BoundUS {
 				res.BoundViolations++
 			}
@@ -185,10 +177,10 @@ func Admission(o Options) (*AdmissionResult, error) {
 	}
 
 	fprintf(o.Out, "%s", stats.RenderTable(
-		[]string{"sessions", "gate", "admit", "degr", "refuse",
+		[]string{"sessions", "gate", "admit", "refuse",
 			"worst p95 µs", "worst p99 µs", "max bound µs", "over/10k", "SLO"}, rows))
 	if res.KneeSessions > 0 {
-		fprintf(o.Out, "\nknee at %d sessions: gate off blows the SLO there; gate on refuses or degrades the excess instead\n",
+		fprintf(o.Out, "\nknee at %d sessions: gate off blows the SLO there; gate on refuses the excess instead\n",
 			res.KneeSessions)
 	} else {
 		fprintf(o.Out, "\nno gate-off SLO violation observed (machine has headroom past the analytical capacity)\n")
@@ -196,74 +188,6 @@ func Admission(o Options) (*AdmissionResult, error) {
 	fprintf(o.Out, "bound-vs-measured (admitted sessions, gate on, live measured-cost bounds): %d violations of measured p95 <= bound\n",
 		res.BoundViolations)
 	return res, nil
-}
-
-// poolEngines attaches k ungated engines built from cfg to one fresh
-// shared pool of the given helper worker count — the hand-driven
-// counterpart of a one-shard fleet, for a sweep that must own the cycle
-// loop. closeAll closes the engines, then the pool.
-func poolEngines(cfg engine.Config, k, workers int) (engines []*engine.Engine, closeAll func(), err error) {
-	pool, err := sched.NewPool(workers, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	closeAll = func() {
-		for _, e := range engines {
-			e.Close()
-		}
-		pool.Close()
-	}
-	cfg.Pool = pool
-	for i := 0; i < k; i++ {
-		e, err := engine.New(cfg)
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		engines = append(engines, e)
-	}
-	return engines, closeAll, nil
-}
-
-// admissionStaticReport probes the gate's own construction-time
-// analysis for one pool-attached session: build a throwaway admitted
-// engine with an unbounded envelope and read the report it published.
-func admissionStaticReport(o Options, workers int, acfg admission.Config) (*admission.Report, error) {
-	pool, err := sched.NewPool(workers, 1)
-	if err != nil {
-		return nil, err
-	}
-	defer pool.Close()
-	probeCfg := acfg
-	probeCfg.PeriodUS = 1e12
-	e, err := engine.New(engine.Config{
-		Graph: o.graphConfig(),
-		Pool:  pool,
-		Admission: engine.AdmissionOptions{
-			Enabled: true, Config: probeCfg, PredictEvery: -1,
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("admission: probe session: %w", err)
-	}
-	defer e.Close()
-	st := e.AdmissionState()
-	if st == nil || st.Report == nil {
-		return nil, fmt.Errorf("admission: probe session published no report")
-	}
-	return st.Report, nil
-}
-
-// admissionCapacity is the number of identical sessions the aggregate
-// bound admits on procs effective processors.
-func admissionCapacity(rep *admission.Report, procs int, acfg admission.Config) int {
-	ctl := admission.NewController(procs, acfg)
-	for k := 1; k <= 1024; k++ {
-		if err := ctl.TryAdmit(fmt.Sprintf("cap%d", k), rep); err != nil {
-			return k - 1
-		}
-	}
-	return 1024
 }
 
 // admissionSweep picks the session counts to measure: the single-session
@@ -279,128 +203,141 @@ func admissionSweep(capacity int) []int {
 	return ks
 }
 
-// admissionDrive runs every engine concurrently for cycles cycles
-// (after a warmup) and returns each session's p95 and p99 cycle times
-// (µs) and the total count of cycles over periodUS.
-func admissionDrive(engines []*engine.Engine, cycles int, periodUS float64) ([]float64, []float64, int64) {
-	p95s := make([]float64, len(engines))
-	p99s := make([]float64, len(engines))
-	overruns := make([]int64, len(engines))
-	var wg sync.WaitGroup
-	for i, e := range engines {
-		wg.Add(1)
-		go func(i int, e *engine.Engine) {
-			defer wg.Done()
-			e.WarmUp(cycles)
-			durs := make([]float64, 0, cycles)
-			for c := 0; c < cycles; c++ {
-				t0 := time.Now()
-				e.Cycle(nil)
-				us := float64(time.Since(t0).Nanoseconds()) / 1e3
-				durs = append(durs, us)
-				if us > periodUS {
-					overruns[i]++
-				}
-			}
-			pcts := stats.Percentiles(durs, 0.95, 0.99)
-			p95s[i], p99s[i] = pcts[0], pcts[1]
-		}(i, e)
-	}
-	wg.Wait()
-	var total int64
-	for _, o := range overruns {
-		total += o
-	}
-	return p95s, p99s, total
+// apcLog records one session's APC times (µs) from its OnCycle hook once
+// the run is armed and the session's warm-up has passed, and calls full
+// when it holds cap(us) samples.
+type apcLog struct {
+	armed *atomic.Bool
+	warm  int
+	us    []float64
+	full  func()
 }
 
-// admissionGateOn offers k sessions to an admission-gated pool one at a
-// time, runs whatever was admitted, refreshes each session's bound from
-// its live measured cost model, and reports verdicts plus each admitted
-// session's bound beside its measured p99.
-func admissionGateOn(o Options, k, workers int, acfg admission.Config, periodUS float64) (*AdmissionRow, error) {
-	pool, err := sched.NewPool(workers, k)
-	if err != nil {
-		return nil, err
+func (l *apcLog) record(ci engine.CycleInfo) {
+	if !l.armed.Load() || len(l.us) == cap(l.us) {
+		return
 	}
-	defer pool.Close()
-	procs := workers + 1
-	if p := runtime.GOMAXPROCS(0); procs > p {
-		procs = p
+	if l.warm > 0 {
+		l.warm--
+		return
 	}
-	ctl := admission.NewController(procs, acfg)
+	l.us = append(l.us, ci.APCMS*1e3)
+	if len(l.us) == cap(l.us) {
+		l.full()
+	}
+}
 
-	row := &AdmissionRow{Sessions: k, Gate: "on"}
-	var engines []*engine.Engine
-	defer func() {
-		for _, e := range engines {
-			e.Close()
-		}
-	}()
-	for i := 0; i < k; i++ {
-		cfg := engine.Config{
-			Graph: o.graphConfig(),
-			Pool:  pool,
-			Admission: engine.AdmissionOptions{
-				Enabled:      true,
-				Config:       acfg,
-				Controller:   ctl,
-				PredictEvery: -1, // bounds refreshed explicitly after the run
-			},
-		}
-		cfg.Telemetry.Session = fmt.Sprintf("s%d", i)
-		e, err := engine.New(cfg)
+// admissionRun offers k sessions (k <= 0: until the first refusal) to
+// a fresh one-shard unpaced fleet whose controller holds acfg's
+// envelope, runs whatever it admitted until every session has logged
+// o.Cycles cycles past its warm-up, and reports the row plus the
+// effective processor count the controller assumes. A gated row also
+// recomputes each admitted session's bound: admission.Analyze on the
+// session's plan under its collector's measured node means, aggregated
+// over the shard in a fresh controller.
+func admissionRun(o Options, k, workers int, acfg admission.Config, gate string, periodUS float64) (*AdmissionRow, int, error) {
+	f, err := fleet.New(fleet.Config{
+		Shards:          1,
+		Period:          -1,
+		WorkersPerShard: workers,
+		Engine:          engine.Config{Graph: o.graphConfig()},
+		Admission:       acfg,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	procs := f.Shards()[0].Controller().Workers()
+	row := &AdmissionRow{Gate: gate}
+	var armed atomic.Bool
+	var full sync.WaitGroup
+	var admitted []*fleet.Session
+	var logs []*apcLog
+	for i := 0; i < k || k <= 0 && row.Refused == 0; i++ {
+		l := &apcLog{armed: &armed, warm: engine.WarmUpCycles(o.Cycles), us: make([]float64, 0, o.Cycles), full: full.Done}
+		s, _, err := f.AddSession(engine.SessionSpec{
+			ID:    fmt.Sprintf("s%d", i),
+			Hooks: engine.Hooks{OnCycle: l.record},
+		})
 		switch {
 		case err == nil:
-			engines = append(engines, e)
-			if st := e.AdmissionState(); st != nil && st.Verdict == "degraded" {
-				row.Degraded++
-			} else {
-				row.Admitted++
-			}
+			full.Add(1)
+			admitted = append(admitted, s)
+			logs = append(logs, l)
 		case errors.Is(err, admission.ErrOverBudget):
 			row.Refused++
 		default:
-			return nil, fmt.Errorf("admission: gate-on session %d: %w", i, err)
+			return nil, 0, fmt.Errorf("admission: gate-%s session %d: %w", gate, i, err)
 		}
 	}
+	row.Admitted = len(admitted)
+	row.Sessions = row.Admitted + row.Refused
+	// Measure only once every offered session is attached, so each one
+	// is timed against the full competing load.
+	armed.Store(true)
+	full.Wait()
+	f.Close() // stops the drivers: the logs are final
 
-	if len(engines) > 0 {
-		p95s, p99s, over := admissionDrive(engines, o.Cycles, periodUS)
-		// Recompute every session's bound from the costs the run just
-		// measured — the strongest falsification the formula can face —
-		// then read the aggregate bounds back from the controller.
-		for _, e := range engines {
-			e.RefreshAdmission()
-		}
-		bounds := map[string]float64{}
-		for _, sb := range ctl.Sessions() {
-			bounds[sb.ID] = sb.BoundUS
-			if sb.BoundUS > row.MaxBoundUS {
-				row.MaxBoundUS = sb.BoundUS
+	var over int64
+	p95s := make([]float64, len(logs))
+	p99s := make([]float64, len(logs))
+	for i, l := range logs {
+		pcts := stats.Percentiles(l.us, 0.95, 0.99)
+		p95s[i], p99s[i] = pcts[0], pcts[1]
+		row.WorstP95US = max(row.WorstP95US, p95s[i])
+		row.WorstP99US = max(row.WorstP99US, p99s[i])
+		for _, us := range l.us {
+			if us > periodUS {
+				over++
 			}
 		}
-		for i, e := range engines {
-			if p99s[i] > row.WorstP99US {
-				row.WorstP99US = p99s[i]
-			}
-			if p95s[i] > row.WorstP95US {
-				row.WorstP95US = p95s[i]
-			}
-			st := e.AdmissionState()
-			id := fmt.Sprintf("s%d", i)
-			row.Admittees = append(row.Admittees, AdmissionSession{
-				ID:            id,
-				Verdict:       st.Verdict,
-				BoundUS:       bounds[id],
-				MeasuredP95US: p95s[i],
-				MeasuredP99US: p99s[i],
-			})
-		}
-		row.OverrunsPer10k = float64(over) / float64(len(engines)*o.Cycles) * 1e4
+	}
+	if len(logs) > 0 {
+		row.OverrunsPer10k = float64(over) / float64(len(logs)*o.Cycles) * 1e4
 	}
 	row.SLOOK = admissionSLOOK(row.WorstP95US, row.WorstP99US, periodUS)
-	return row, nil
+	if gate == "on" && len(admitted) > 0 {
+		if err := admissionBounds(row, procs, admitted, acfg, p95s, p99s); err != nil {
+			return nil, 0, err
+		}
+	}
+	return row, procs, nil
+}
+
+// admissionBounds fills a gated row's admittees: every admitted
+// session's aggregate bound on the shard under the costs the run just
+// measured — the strongest falsification the formula can face — beside
+// its measured percentiles.
+func admissionBounds(row *AdmissionRow, procs int, admitted []*fleet.Session, acfg admission.Config, p95s, p99s []float64) error {
+	// The summing controller must register every session, so its own
+	// envelope is unbounded; only the bounds it computes are read.
+	sum := acfg
+	sum.PeriodUS = admissionGateOffUS
+	ctl := admission.NewController(procs, sum)
+	for _, s := range admitted {
+		e := s.Engine()
+		rep, err := admission.Analyze(e.Plan(), e.Collector().NodeMeansUS(), sched.NamePool, procs, "measured", acfg)
+		if err != nil {
+			return err
+		}
+		if err := ctl.TryAdmit(s.ID(), rep); err != nil {
+			return err
+		}
+	}
+	bounds := map[string]float64{}
+	for _, sb := range ctl.Sessions() {
+		bounds[sb.ID] = sb.BoundUS
+		row.MaxBoundUS = max(row.MaxBoundUS, sb.BoundUS)
+	}
+	for i, s := range admitted {
+		row.Admittees = append(row.Admittees, AdmissionSession{
+			ID:            s.ID(),
+			BoundUS:       bounds[s.ID()],
+			MeasuredP95US: p95s[i],
+			MeasuredP99US: p99s[i],
+		})
+	}
+	return nil
 }
 
 // admissionSLOOK applies the two-sided SLO: the bulk of cycles (p95)
@@ -423,7 +360,6 @@ func admissionTableRow(r AdmissionRow) []string {
 		fmt.Sprintf("%d", r.Sessions),
 		r.Gate,
 		fmt.Sprintf("%d", r.Admitted),
-		fmt.Sprintf("%d", r.Degraded),
 		fmt.Sprintf("%d", r.Refused),
 		fmt.Sprintf("%.0f", r.WorstP95US),
 		fmt.Sprintf("%.0f", r.WorstP99US),

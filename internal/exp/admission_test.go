@@ -45,10 +45,10 @@ func TestAdmissionShape(t *testing.T) {
 			}
 			continue
 		}
-		if got := r.Admitted + r.Degraded + r.Refused; got != r.Sessions {
+		if got := r.Admitted + r.Refused; got != r.Sessions {
 			t.Fatalf("gate-on row %+v: verdicts sum to %d, want %d", r, got, r.Sessions)
 		}
-		if len(r.Admittees) != r.Admitted+r.Degraded {
+		if len(r.Admittees) != r.Admitted {
 			t.Fatalf("gate-on row %+v: %d admittee reports", r, len(r.Admittees))
 		}
 		for _, s := range r.Admittees {

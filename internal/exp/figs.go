@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"djstar/internal/engine"
-	"djstar/internal/obs"
 	"djstar/internal/sched"
 	"djstar/internal/stats"
 )
@@ -93,9 +92,9 @@ type Fig11Result struct {
 
 // Fig11 reproduces Fig. 11: typical schedule realizations of the three
 // strategies with four threads. For each strategy it samples every cycle
-// through the engine's observability collector (Obs.TraceEvery=1 plus the
-// OnTrace hook) and reports the one whose makespan is closest to the
-// strategy's median.
+// into the engine collector's trace ring (Obs.TraceEvery=1, one ring
+// slot per cycle), pulls the ring after the run and reports the
+// realization whose makespan is the strategy's median.
 func Fig11(opts Options) (*Fig11Result, error) {
 	opts.normalize()
 	res := &Fig11Result{
@@ -104,32 +103,12 @@ func Fig11(opts Options) (*Fig11Result, error) {
 	}
 	traceCycles := min(opts.Cycles, 400)
 	for _, name := range ParallelStrategies {
-		type rec struct {
-			makespan int64
-			events   []sched.TraceEvent
-		}
-		var recs []rec
-		cfg := engine.Config{
+		e, err := engine.New(engine.Config{
 			Graph:    opts.graphConfig(),
 			Strategy: name,
 			Threads:  opts.MaxThreads,
-			Obs:      engine.ObsOptions{TraceEvery: 1, TraceRing: 1},
-			Hooks: engine.Hooks{OnTrace: func(t *obs.CycleTrace) {
-				// The trace buffers are reused across cycles: copy into a
-				// flat event list (one entry per node, like the Tracer).
-				evs := make([]sched.TraceEvent, len(t.Worker))
-				for id := range t.Worker {
-					evs[id] = sched.TraceEvent{
-						Node:   int32(id),
-						Worker: t.Worker[id],
-						Start:  t.StartNS[id],
-						End:    t.EndNS[id],
-					}
-				}
-				recs = append(recs, rec{t.MakespanNS(), evs})
-			}},
-		}
-		e, err := engine.New(cfg)
+			Obs:      engine.ObsOptions{TraceEvery: 1, TraceRing: traceCycles},
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -138,26 +117,22 @@ func Fig11(opts Options) (*Fig11Result, error) {
 		}
 		e.Close()
 
-		sort.Slice(recs, func(a, b int) bool { return recs[a].makespan < recs[b].makespan })
-		median := recs[len(recs)/2]
-		res.Events[name] = median.events
-		res.MakespanUS[name] = float64(median.makespan) / 1e3
-
-		// Render as a Gantt chart.
-		plan := e.Plan()
-		var tasks []stats.GanttTask
-		for _, ev := range median.events {
-			if ev.Worker < 0 {
-				continue
+		traces := e.Collector().Traces()
+		sort.Slice(traces, func(a, b int) bool { return traces[a].MakespanNS() < traces[b].MakespanNS() })
+		median := &traces[len(traces)/2]
+		evs := make([]sched.TraceEvent, len(median.Worker))
+		for id := range median.Worker {
+			evs[id] = sched.TraceEvent{
+				Node:   int32(id),
+				Worker: median.Worker[id],
+				Start:  median.StartNS[id],
+				End:    median.EndNS[id],
 			}
-			tasks = append(tasks, stats.GanttTask{
-				Name:   plan.Names[ev.Node],
-				Worker: int(ev.Worker),
-				Start:  float64(ev.Start) / 1e3,
-				End:    float64(ev.End) / 1e3,
-			})
 		}
-		fprintf(opts.Out, "%s\n", stats.RenderGantt(tasks,
+		res.Events[name] = evs
+		res.MakespanUS[name] = float64(median.MakespanNS()) / 1e3
+
+		fprintf(opts.Out, "%s\n", stats.RenderGantt(median.GanttTasks(e.Plan().Names),
 			fmt.Sprintf("Fig. 11 (%s): typical schedule realization, µs", name), 100))
 	}
 	return res, nil

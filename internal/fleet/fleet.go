@@ -7,14 +7,17 @@
 // overload cannot smear across the fleet.
 //
 // New sessions are placed by ANALYTICAL HEADROOM: every non-draining
-// shard's controller is probed with the candidate's admission report,
-// and the session lands on the shard whose post-admission minimum
-// aggregate headroom is largest (ties fall to the shard with fewer
-// sessions, then the lower ID — degenerating to round-robin on a
-// symmetric fleet). Draining a shard migrates its sessions onto the
-// rest of the fleet at cycle boundaries via engine.Rebind, carrying
-// audio state, cycle counts and fault state so no cycle is lost or
-// doubled; fleet-scoped session IDs stay stable across the move.
+// shard with a free session slot has its controller probed with the
+// candidate's admission report, and the session lands on the shard
+// whose post-admission minimum aggregate headroom is largest (ties fall
+// to the shard with fewer sessions, then the lower ID — degenerating to
+// round-robin on a symmetric fleet). The shard controllers are the only
+// place cross-session admission is decided; the engine's own gate,
+// switched off for fleet sessions, judges a session alone. Draining a
+// shard migrates its sessions onto the rest of the fleet at cycle
+// boundaries via engine.Rebind, carrying audio state, cycle counts and
+// fault state so no cycle is lost or doubled; fleet-scoped session IDs
+// stay stable across the move.
 //
 // See DESIGN.md §16.
 package fleet
@@ -36,7 +39,6 @@ import (
 	"djstar/internal/graph"
 	"djstar/internal/hardware"
 	"djstar/internal/obs"
-	"djstar/internal/rescon"
 	"djstar/internal/sched"
 )
 
@@ -240,10 +242,7 @@ func (f *Fleet) report(gcfg graph.Config) (*admission.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	costs := rescon.PaperCostsUS(plan)
-	for i := range costs {
-		costs[i] *= gcfg.Scale
-	}
+	costs := engine.StaticCostsUS(plan, gcfg.Scale)
 	acfg := f.acfg
 	if gcfg.Scale != f.cfg.Engine.Graph.Scale {
 		acfg.BaseUS = engine.SessionBaseUS(gcfg.Scale)
@@ -259,16 +258,25 @@ func (f *Fleet) report(gcfg graph.Config) (*admission.Report, error) {
 // placeLocked probes every eligible shard with the candidate's report
 // and picks the one with the most post-admission analytical headroom.
 // exclude < 0 considers all shards. Caller holds f.mu. The chosen
-// shard is nil when nothing fits.
-func (f *Fleet) placeLocked(rep *admission.Report, exclude int, reason string) (*Shard, apiv1.Placement) {
-	p := apiv1.Placement{Shard: -1, BoundUS: rep.BoundUS, Reason: reason}
-	var best *Shard
+// shard is nil when nothing fits; why then wraps sched.ErrPoolFull if
+// some shard had analytical room but no free slot, else
+// admission.ErrOverBudget.
+func (f *Fleet) placeLocked(rep *admission.Report, exclude int, reason string) (best *Shard, p apiv1.Placement, why error) {
+	p = apiv1.Placement{Shard: -1, BoundUS: rep.BoundUS, Reason: reason}
+	why = admission.ErrOverBudget
 	for _, sh := range f.shards {
 		if sh.id == exclude || sh.draining.Load() {
 			continue
 		}
 		h, fits := sh.ctl.Probe(rep)
-		c := apiv1.ShardHeadroom{Shard: sh.id, HeadroomUS: h, Fits: fits, Sessions: sh.ctl.Len()}
+		// Every attached session is registered on the controller (from
+		// before Attach until after detach), so its count bounds the
+		// occupied pool slots from above.
+		n := sh.ctl.Len()
+		if fits && n >= sh.pool.Capacity() {
+			fits, why = false, sched.ErrPoolFull
+		}
+		c := apiv1.ShardHeadroom{Shard: sh.id, HeadroomUS: h, Fits: fits, Sessions: n}
 		p.Candidates = append(p.Candidates, c)
 		if !fits {
 			continue
@@ -291,13 +299,13 @@ func (f *Fleet) placeLocked(rep *admission.Report, exclude int, reason string) (
 	if best != nil {
 		p.Shard = best.id
 	}
-	return best, p
+	return best, p, why
 }
 
 // AddSession places and starts one session. The spec's ID must be
 // unused (empty auto-assigns a fleet-scoped monotonic "s-NNNNNN"). The
 // error wraps admission.ErrOverBudget when no shard has analytical
-// room, sched.ErrPoolFull when the chosen shard's slots are exhausted.
+// room, sched.ErrPoolFull when every shard with room has no free slot.
 func (f *Fleet) AddSession(spec engine.SessionSpec) (*Session, apiv1.Placement, error) {
 	f.mu.Lock()
 	if f.closed {
@@ -333,11 +341,11 @@ func (f *Fleet) AddSession(spec engine.SessionSpec) (*Session, apiv1.Placement, 
 		r.BaseUS *= k
 		rep = &r
 	}
-	sh, placement := f.placeLocked(rep, -1, "create")
+	sh, placement, why := f.placeLocked(rep, -1, "create")
 	if sh == nil {
 		f.mu.Unlock()
 		return nil, placement, fmt.Errorf("fleet: no shard can admit session %q (bound %.0f µs): %w",
-			spec.ID, rep.BoundUS, admission.ErrOverBudget)
+			spec.ID, rep.BoundUS, why)
 	}
 	if err := sh.ctl.TryAdmit(spec.ID, rep); err != nil {
 		f.mu.Unlock()
@@ -350,7 +358,6 @@ func (f *Fleet) AddSession(spec engine.SessionSpec) (*Session, apiv1.Placement, 
 	// The fleet owns admission — the engine-level gate stays out of the
 	// way, and each session gets a private load-factor knob.
 	c.Admission.Enabled = false
-	c.Admission.Controller = nil
 	c.Graph.LoadFactor = nil
 	c.Telemetry.Session = spec.ID
 	c.Telemetry.Shard = strconv.Itoa(sh.id)
@@ -426,10 +433,10 @@ func (f *Fleet) RemoveSession(id string) error {
 // boundary. Caller must NOT hold f.mu.
 func (f *Fleet) migrate(s *Session, exclude int) (apiv1.Placement, error) {
 	f.mu.Lock()
-	dst, placement := f.placeLocked(s.rep, exclude, "drain")
+	dst, placement, why := f.placeLocked(s.rep, exclude, "drain")
 	if dst == nil {
 		f.mu.Unlock()
-		return placement, fmt.Errorf("fleet: no shard can absorb session %q: %w", s.id, admission.ErrOverBudget)
+		return placement, fmt.Errorf("fleet: no shard can absorb session %q: %w", s.id, why)
 	}
 	// Admit on the destination before the move; the source keeps its
 	// registration until the rebind lands, so concurrent placements see

@@ -2,12 +2,15 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"djstar/internal/admission"
 	"djstar/internal/engine"
 	"djstar/internal/graph"
+	"djstar/internal/sched"
 )
 
 func testConfig() Config {
@@ -65,8 +68,10 @@ func TestFleetAddRemoveSession(t *testing.T) {
 // TestPlacementHeadroomBeatsRoundRobin pre-loads shard 0 with a heavy
 // ballast registration and shows that analytical-headroom placement
 // (a) sends the first session to the empty shard with the larger
-// probed headroom, and (b) admits strictly more sessions than blind
-// round-robin on the same asymmetric fleet.
+// probed headroom, (b) admits strictly more sessions than blind
+// round-robin on the same asymmetric fleet, and (c) once no shard fits,
+// refuses with admission.ErrOverBudget and leaves every controller as
+// it was.
 func TestPlacementHeadroomBeatsRoundRobin(t *testing.T) {
 	// Probe the per-session load first so the envelope can be sized to
 	// "three plain sessions per shard" regardless of machine. Scale 1
@@ -138,6 +143,16 @@ func TestPlacementHeadroomBeatsRoundRobin(t *testing.T) {
 	}
 	if admitted != 4 {
 		t.Fatalf("headroom placement admitted %d/4", admitted)
+	}
+	before := [][]admission.SessionBound{f.shards[0].ctl.Sessions(), f.shards[1].ctl.Sessions()}
+	if _, p, err := f.AddSession(engine.SessionSpec{ID: "fifth"}); !errors.Is(err, admission.ErrOverBudget) {
+		t.Fatalf("fifth session: err = %v, want ErrOverBudget", err)
+	} else if p.Shard != -1 {
+		t.Fatalf("refused session placed on shard %d", p.Shard)
+	}
+	after := [][]admission.SessionBound{f.shards[0].ctl.Sessions(), f.shards[1].ctl.Sessions()}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("refusal changed the controllers: %+v -> %+v", before, after)
 	}
 
 	// Round-robin on an identical fleet: alternate shards blindly.
@@ -284,6 +299,60 @@ func TestReportFollowsGraphShape(t *testing.T) {
 	if small.rep.TotalWorkUS >= big.rep.TotalWorkUS || small.BoundUS() >= big.BoundUS() {
 		t.Fatalf("1-deck session registered work %.0f µs, bound %.0f µs; 4-deck %.0f µs, %.0f µs — want strictly smaller",
 			small.rep.TotalWorkUS, small.BoundUS(), big.rep.TotalWorkUS, big.BoundUS())
+	}
+}
+
+// TestPlacementRespectsSessionSlots: a shard whose pool slots are all
+// taken is no candidate, however much analytical headroom it offers —
+// the session goes to a shard that fits and has a free slot — and when
+// every slot is taken the fleet refuses with sched.ErrPoolFull and no
+// registration is left behind.
+func TestPlacementRespectsSessionSlots(t *testing.T) {
+	cfg := testConfig()
+	cfg.Engine.Graph.Scale = 1
+	cfg.Engine.Graph.Calibration = graph.Calibration{NanosPerUnit: 1e12} // analytical costs, free kernels
+	cfg.SessionsPerShard = 2
+	cfg.ProcsPerShard = 2
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// The 4-deck session takes shard 0; the light 1-deck sessions prefer
+	// shard 1's headroom until its two slots are gone.
+	if _, _, err := f.AddSession(engine.SessionSpec{ID: "four-decks"}); err != nil {
+		t.Fatal(err)
+	}
+	g := cfg.Engine.Graph
+	g.Decks = 1
+	for i := 0; i < 3; i++ {
+		id := fmt.Sprintf("one-deck-%d", i)
+		_, p, err := f.AddSession(engine.SessionSpec{ID: id, Graph: &g})
+		if err != nil {
+			t.Fatalf("%s: %v (candidates %+v)", id, err, p.Candidates)
+		}
+		for _, c := range p.Candidates {
+			if c.Fits && c.Sessions >= cfg.SessionsPerShard {
+				t.Fatalf("%s: shard %d listed as fitting with %d sessions in %d slots", id, c.Shard, c.Sessions, cfg.SessionsPerShard)
+			}
+		}
+	}
+	for _, sh := range f.shards {
+		if n := sh.ctl.Len(); n != cfg.SessionsPerShard {
+			t.Fatalf("shard %d holds %d sessions, want %d", sh.id, n, cfg.SessionsPerShard)
+		}
+	}
+	_, p, err := f.AddSession(engine.SessionSpec{ID: "one-too-many", Graph: &g})
+	if !errors.Is(err, sched.ErrPoolFull) {
+		t.Fatalf("err = %v, want ErrPoolFull", err)
+	}
+	if p.Shard != -1 || len(p.Candidates) != len(f.shards) {
+		t.Fatalf("placement %+v, want no shard and every shard a candidate", p)
+	}
+	for _, sh := range f.shards {
+		if n := sh.ctl.Len(); n != cfg.SessionsPerShard {
+			t.Fatalf("shard %d holds %d registrations after the refusal, want %d", sh.id, n, cfg.SessionsPerShard)
+		}
 	}
 }
 

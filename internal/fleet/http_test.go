@@ -54,9 +54,11 @@ func TestControlPlane(t *testing.T) {
 		}
 	}
 
-	// Create two sessions; the response must justify the placement.
+	// Create two sessions; the response must justify the placement. The
+	// first one is fused, so the edit below re-fuses a plan staged from
+	// this goroutine while the session's driver cycles.
 	var created apiv1.CreateSessionResponse
-	do("POST", "/v1/sessions", apiv1.CreateSessionRequest{}, http.StatusCreated, &created)
+	do("POST", "/v1/sessions", apiv1.CreateSessionRequest{Fuse: true}, http.StatusCreated, &created)
 	if created.Session.ID == "" || created.Placement.Shard < 0 || len(created.Placement.Candidates) != 2 {
 		t.Fatalf("create response %+v", created)
 	}

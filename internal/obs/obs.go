@@ -25,6 +25,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 
 	"djstar/internal/graph"
@@ -256,15 +257,6 @@ func (c *Collector) Cycles() uint64 {
 	return c.cycles
 }
 
-// TraceSeq returns the number of realizations sampled into the trace
-// ring so far; a caller polling for fresh traces compares it to the last
-// value it saw.
-func (c *Collector) TraceSeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seq
-}
-
 // NodeStat is one node's aggregated timing snapshot.
 type NodeStat struct {
 	Node  int32  `json:"node"`
@@ -281,24 +273,33 @@ type NodeStat struct {
 
 // NodeStats returns the per-node aggregates. It allocates (snapshot
 // path, not the audio path); the p99 is computed from the node's sample
-// window on demand.
+// window on demand. Only the copy of the windows holds the lock every
+// cycle's merge takes; the sorting happens after it is released.
 func (c *Collector) NodeStats() []NodeStat {
+	n := len(c.agg) // fixed at construction
+	out := make([]NodeStat, n)
+	wins := make([][]int64, n)
+	buf := make([]int64, n*p99Window)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]NodeStat, 0, len(c.agg))
-	scratch := make([]int64, 0, p99Window)
 	for id := range c.agg {
 		a := &c.agg[id]
-		s := NodeStat{Node: int32(id), Name: c.plan.Names[id], Count: a.count}
+		s := &out[id]
+		*s = NodeStat{Node: int32(id), Name: c.plan.Names[id], Count: a.count}
 		if a.count > 0 {
 			s.MinUS = float64(a.minNS) / 1e3
 			s.MaxUS = float64(a.maxNS) / 1e3
 			s.MeanUS = float64(a.sumNS) / float64(a.count) / 1e3
 			s.WaitMeanUS = float64(a.waitSum) / float64(a.count) / 1e3
-			scratch = append(scratch[:0], a.win[:a.wlen]...)
-			s.P99US = float64(percentileNS(scratch, 0.99)) / 1e3
+			wins[id] = buf[id*p99Window : id*p99Window+a.wlen]
+			copy(wins[id], a.win)
 		}
-		out = append(out, s)
+	}
+	c.mu.Unlock()
+	for id, w := range wins {
+		if len(w) > 0 {
+			slices.Sort(w)
+			out[id].P99US = float64(w[int(0.99*float64(len(w)-1))]) / 1e3
+		}
 	}
 	return out
 }
@@ -331,35 +332,6 @@ func (c *Collector) CostModel() (costUS []float64, ok bool) {
 		return nil, false
 	}
 	return c.NodeMeansUS(), true
-}
-
-// percentileNS returns the q-quantile of the (unsorted, clobbered)
-// sample set using an insertion sort — windows are small.
-func percentileNS(v []int64, q float64) int64 {
-	if len(v) == 0 {
-		return 0
-	}
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-	idx := int(q * float64(len(v)-1))
-	return v[idx]
-}
-
-// LatestTrace copies the most recently sampled realization into dst,
-// reporting whether one exists. dst's slices are resized as needed, so a
-// reused dst makes the copy allocation-free after the first call.
-func (c *Collector) LatestTrace(dst *CycleTrace) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.seq == 0 || len(c.ring) == 0 {
-		return false
-	}
-	src := &c.ring[(c.seq-1)%uint64(len(c.ring))]
-	copyTrace(dst, src)
-	return true
 }
 
 // Traces returns copies of every valid ring entry, oldest first.

@@ -107,23 +107,33 @@ func TestCollectorMinMax(t *testing.T) {
 func TestCollectorTraceRing(t *testing.T) {
 	p := chainPlan(t)
 	c := NewCollector(p, Config{Workers: 2, TraceEvery: 2, TraceRing: 3})
-	var ct CycleTrace
-	if c.LatestTrace(&ct) {
-		t.Fatal("trace before any cycle")
+	if got := c.Traces(); len(got) != 0 {
+		t.Fatalf("%d traces before any cycle", len(got))
 	}
 	starts := []int64{0, 10, 20, 30}
 	ends := []int64{5, 15, 25, 35}
-	for cyc := 0; cyc < 10; cyc++ {
+	feed(c, 2, starts, ends)
+	feed(c, 2, starts, ends)
+	// A ring not yet full exports what it has: the one sample, cycle 2.
+	if got := c.Traces(); len(got) != 1 || got[0].Cycle != 2 {
+		t.Fatalf("traces after 2 cycles = %+v, want one from cycle 2", got)
+	}
+	for cyc := 2; cyc < 10; cyc++ {
 		feed(c, 2, starts, ends)
 	}
-	// 10 cycles at TraceEvery=2 → 5 samples (cycles 2,4,6,8,10).
-	if got := c.TraceSeq(); got != 5 {
-		t.Fatalf("TraceSeq = %d, want 5", got)
+	// 10 cycles at TraceEvery=2 → 5 samples (cycles 2,4,6,8,10); ring
+	// depth 3 → the export holds the 3 newest, oldest first.
+	traces := c.Traces()
+	if len(traces) != 3 {
+		t.Fatalf("%d traces, want 3", len(traces))
 	}
-	if !c.LatestTrace(&ct) {
-		t.Fatal("no latest trace")
+	for i, want := range []uint64{6, 8, 10} {
+		if traces[i].Cycle != want {
+			t.Fatalf("trace %d from cycle %d, want %d", i, traces[i].Cycle, want)
+		}
 	}
-	if ct.Cycle != 10 || ct.Workers != 2 {
+	ct := traces[2]
+	if ct.Workers != 2 {
 		t.Fatalf("latest trace cycle/workers = %d/%d, want 10/2", ct.Cycle, ct.Workers)
 	}
 	if ct.MakespanNS() != 35*1e3 {
@@ -136,16 +146,6 @@ func TestCollectorTraceRing(t *testing.T) {
 		}
 		if ct.Worker[i] != int32(i%2) {
 			t.Fatalf("node %d worker %d, want %d", i, ct.Worker[i], i%2)
-		}
-	}
-	// Ring depth 3 → the export holds the 3 newest samples, oldest first.
-	traces := c.Traces()
-	if len(traces) != 3 {
-		t.Fatalf("%d traces, want 3", len(traces))
-	}
-	for i, want := range []uint64{6, 8, 10} {
-		if traces[i].Cycle != want {
-			t.Fatalf("trace %d from cycle %d, want %d", i, traces[i].Cycle, want)
 		}
 	}
 
@@ -163,10 +163,6 @@ func TestCollectorTracesDisabled(t *testing.T) {
 	p := chainPlan(t)
 	c := NewCollector(p, Config{Workers: 1, TraceEvery: -1})
 	feed(c, 1, []int64{0, 1, 2, 3}, []int64{1, 2, 3, 4})
-	var ct CycleTrace
-	if c.LatestTrace(&ct) {
-		t.Fatal("trace captured with TraceEvery < 0")
-	}
 	if got := c.Traces(); len(got) != 0 {
 		t.Fatalf("%d traces with capture disabled", len(got))
 	}
@@ -212,11 +208,11 @@ func TestCollectorAsObserver(t *testing.T) {
 			t.Fatalf("node %s stats inconsistent: %+v", st.Name, st)
 		}
 	}
-	var ct CycleTrace
-	if !c.LatestTrace(&ct) {
-		t.Fatal("no trace sampled")
+	traces := c.Traces()
+	if len(traces) != 4 {
+		t.Fatalf("%d traces sampled, want a full ring of 4", len(traces))
 	}
-	if ct.MakespanNS() <= 0 {
-		t.Fatal("empty makespan")
+	if traces[3].Cycle != cycles || traces[3].MakespanNS() <= 0 {
+		t.Fatalf("newest trace from cycle %d, makespan %d ns", traces[3].Cycle, traces[3].MakespanNS())
 	}
 }

@@ -69,12 +69,13 @@ func TestCriticalPathBoundsMakespan(t *testing.T) {
 			}
 			defer s.Close()
 			durUS := make([]float64, p.Len())
-			var ct CycleTrace
 			for cyc := 0; cyc < 10; cyc++ {
 				s.Execute()
-				if !col.LatestTrace(&ct) {
+				traces := col.Traces()
+				if len(traces) != 1 {
 					t.Fatal("no trace")
 				}
+				ct := traces[0]
 				sum := 0.0
 				for id := range durUS {
 					if ct.Worker[id] < 0 {

@@ -75,7 +75,6 @@ func TestPoolShardMergeRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var ct CycleTrace
 			for {
 				select {
 				case <-stop:
@@ -83,7 +82,7 @@ func TestPoolShardMergeRace(t *testing.T) {
 				default:
 					_ = b.col.NodeStats()
 					_ = b.col.NodeMeansUS()
-					b.col.LatestTrace(&ct)
+					_ = b.col.Traces()
 				}
 			}
 		}()
@@ -112,8 +111,11 @@ func TestPoolShardMergeRace(t *testing.T) {
 				t.Fatalf("session %d node %s count = %d, want %d", i, st.Name, st.Count, cycles)
 			}
 		}
-		if got := b.col.TraceSeq(); got != cycles/4 {
-			t.Fatalf("session %d sampled %d traces, want %d", i, got, cycles/4)
+		// Every 4th cycle sampled; the 4-deep ring keeps the newest four.
+		traces := b.col.Traces()
+		if len(traces) != 4 || traces[3].Cycle != cycles {
+			t.Fatalf("session %d kept %d traces, newest from cycle %d; want 4, newest %d",
+				i, len(traces), traces[len(traces)-1].Cycle, cycles)
 		}
 	}
 }

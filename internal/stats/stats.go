@@ -168,22 +168,27 @@ func Percentiles(xs []float64, qs ...float64) []float64 {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
 	for i, q := range qs {
-		if q <= 0 {
-			out[i] = sorted[0]
-			continue
-		}
-		if q >= 1 {
-			out[i] = sorted[len(sorted)-1]
-			continue
-		}
-		pos := q * float64(len(sorted)-1)
-		lo := int(pos)
-		frac := pos - float64(lo)
-		if lo+1 < len(sorted) {
-			out[i] = sorted[lo]*(1-frac) + sorted[lo+1]*frac
-		} else {
-			out[i] = sorted[lo]
-		}
+		out[i] = SortedQuantile(sorted, q)
 	}
 	return out
+}
+
+// SortedQuantile is the q-quantile (0 <= q <= 1) of an ascending,
+// non-empty sample slice, linearly interpolated between order
+// statistics — Percentiles' estimator without the copy, for callers that
+// sort in place and must not allocate.
+func SortedQuantile(sorted []float64, q float64) float64 {
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 1 {
+		return sorted[len(sorted)-1]
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	if lo+1 >= len(sorted) {
+		return sorted[lo]
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
