@@ -13,11 +13,13 @@
 //	djanalyze -graph -fused         # ... plus the cost-guided fused topology
 //	djanalyze -admit                # admission bound vs measured p99 audit
 //	djanalyze -incident i.json      # replay a flight-recorder bundle
+//	djanalyze -dot | dot -Tsvg      # the task graph (Fig. 3) in Graphviz DOT
 //
 // With -graph it instead profiles the live task graph: per-node mean
-// durations (measured sequentially), the critical path and RESCON bound
-// they imply, and each parallel strategy's measured makespan against that
-// bound — the offline counterpart of djstar's /v1/sessions/{id}/critpath.
+// durations (a sequential engine's collector means), the critical path
+// and RESCON bound they imply, and each parallel strategy's measured
+// makespan against that bound — the offline counterpart of djstar's
+// /v1/sessions/{id}/critpath.
 //
 // With -admit it audits the admission gate's analytical response-time
 // bound (internal/admission, DESIGN.md §15): every strategy runs at each
@@ -66,9 +68,20 @@ func main() {
 		fused     = flag.Bool("fused", false, "with -graph: also print the cost-guided fused topology")
 		admit     = flag.Bool("admit", false, "audit the admission bound against measured p99 per strategy/threads")
 		incident  = flag.String("incident", "", "replay this flight-recorder incident bundle")
+		dot       = flag.Bool("dot", false, "print the task graph in Graphviz DOT format (Fig. 3)")
 	)
 	flag.Parse()
 
+	if *dot {
+		_, g, err := graph.BuildDJStar(graph.DefaultConfig())
+		if err == nil {
+			err = g.WriteDOT(os.Stdout, "djstar")
+		}
+		if err != nil {
+			fatal(err)
+		}
+		return
+	}
 	if *incident != "" {
 		if err := analyzeIncident(*incident); err != nil {
 			fatal(err)
@@ -235,10 +248,6 @@ func analyzeAdmit(cycles int, scale float64, maxThreads int) error {
 	if scale > 0 {
 		cfg.Calibration = graph.Calibrate()
 	}
-	means, plan, err := engine.MeasureNodeDurations(cfg, cycles)
-	if err != nil {
-		return err
-	}
 	acfg := admission.Config{BaseUS: -1} // graph alone: djanalyze measures graph makespans
 	gomax := runtime.GOMAXPROCS(0)
 
@@ -258,7 +267,7 @@ func analyzeAdmit(cycles int, scale float64, maxThreads int) error {
 		}
 	}
 
-	noiseUS, err := admitNoiseFloor(cfg, cycles)
+	noiseUS, means, plan, err := admitNoiseFloor(cfg, cycles)
 	if err != nil {
 		return err
 	}
@@ -330,25 +339,23 @@ func sampledRun(e *engine.Engine, cycles int) *engine.Metrics {
 	return m
 }
 
-// admitNoiseFloor measures the host's timing-noise allowance from the
-// sequential executor — the null model: with no scheduler in play, its
-// p95 − mean spread is pure environment (preemption, interrupts, cache
+// admitNoiseFloor runs the sequential executor — the null model — and
+// returns the host's timing-noise allowance with the node means and plan
+// its collector measured on the way. With no scheduler in play, the p95
+// − mean spread is pure environment (preemption, interrupts, cache
 // weather) that no schedule bound can or should cover.
-func admitNoiseFloor(cfg graph.Config, cycles int) (float64, error) {
+func admitNoiseFloor(cfg graph.Config, cycles int) (noiseUS float64, means []float64, plan *graph.Plan, err error) {
 	e, err := engine.New(engine.Config{
 		Graph: cfg, Strategy: sched.NameSequential, Threads: 1,
 		DisableGC: true,
 	})
 	if err != nil {
-		return 0, err
+		return 0, nil, nil, err
 	}
 	defer e.Close()
 	m := sampledRun(e, cycles)
-	noise := stats.Percentiles(m.GraphSamplesMS, 0.95)[0]*1e3 - m.GraphMeanMS()*1e3
-	if noise < 0 {
-		noise = 0
-	}
-	return noise, nil
+	noiseUS = max(stats.Percentiles(m.GraphSamplesMS, 0.95)[0]*1e3-m.GraphMeanMS()*1e3, 0)
+	return noiseUS, e.Collector().NodeMeansUS(), e.Plan(), nil
 }
 
 // printRankTable shows the head of the compile-time HEFT-style rank

@@ -181,13 +181,10 @@ func StaticCostsUS(p *graph.Plan, scale float64) []float64 {
 // and whose fresh ones keep the static figure.
 func (e *Engine) nodeCosts(live *topology, plan *graph.Plan, remap *graph.Remap) ([]float64, string) {
 	out := StaticCostsUS(plan, e.cfg.Graph.Scale)
-	if live.col == nil {
+	if live.col == nil || live.col.Cycles() == 0 {
 		return out, "static"
 	}
-	m, ok := live.col.CostModel()
-	if !ok {
-		return out, "static"
-	}
+	m := live.col.NodeMeansUS()
 	for i := range out {
 		old := int32(i)
 		if remap != nil {

@@ -334,10 +334,7 @@ func TestNodeCostsAtRunningScale(t *testing.T) {
 		t.Fatalf("source before the first cycle = %q, want static", source)
 	}
 	e.RunCycles(10)
-	measured, ok := live.col.CostModel()
-	if !ok {
-		t.Fatal("no cost model after 10 cycles")
-	}
+	measured := live.col.NodeMeansUS()
 	es, err := e.session.BuildPatch(live.g, "insert-delay:A:2")
 	if err != nil {
 		t.Fatal(err)

@@ -18,9 +18,10 @@ type SessionSpec struct {
 	ID string
 	// Fuse enables cost-guided chain fusion for this session.
 	Fuse bool
-	// AdmissionMargin overrides the admission gate's safety margin
-	// (margin × (base + graph bound) ≤ period); 0 keeps the base
-	// config's margin.
+	// AdmissionMargin overrides the fleet's placement safety margin for
+	// this session (margin × (base + graph bound) ≤ period); 0 keeps the
+	// fleet's. Resolve does not read it: the fleet switches the engine's
+	// own gate off and scales the session's registered load instead.
 	AdmissionMargin float64
 	// Hooks are per-session event hooks; non-nil fields override the
 	// base config's.
@@ -40,9 +41,6 @@ func (sp SessionSpec) Resolve(base Config) Config {
 	}
 	if sp.Fuse {
 		c.FusePlan = true
-	}
-	if sp.AdmissionMargin > 0 {
-		c.Admission.Config.Margin = sp.AdmissionMargin
 	}
 	if sp.ID != "" {
 		c.Telemetry.Session = sp.ID

@@ -66,18 +66,12 @@ func (e *Engine) fillIncident(inc *obs.Incident) {
 		return
 	}
 	inc.Traces = t.col.Traces()
-	// One read of the means, so the bundled path replays exactly.
-	means := t.col.NodeMeansUS()
-	inc.NodeMeansUS = means
-	hasData := false
-	for _, m := range means {
-		if m > 0 {
-			hasData = true
-			break
-		}
-	}
-	if hasData {
-		ps := obs.CriticalPath(t.plan, means)
+	// One read of the means, so the bundled path replays exactly; the
+	// cycle count is read first, so a seen cycle is in the means.
+	seen := t.col.Cycles() > 0
+	inc.NodeMeansUS = t.col.NodeMeansUS()
+	if seen {
+		ps := obs.CriticalPath(t.plan, inc.NodeMeansUS)
 		inc.CritPath = &ps
 	}
 }

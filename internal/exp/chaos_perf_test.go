@@ -47,17 +47,18 @@ func TestFig4MeasuredBands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CriticalPathUS < 250 || res.CriticalPathUS > 420 {
-		t.Errorf("critical path %v µs, want ~295", res.CriticalPathUS)
+	m := res.Measured
+	if m.CriticalPathUS < 250 || m.CriticalPathUS > 420 {
+		t.Errorf("critical path %v µs, want ~295", m.CriticalPathUS)
 	}
-	if res.PeakConcurrency != 33 {
-		t.Errorf("peak concurrency %d, want 33", res.PeakConcurrency)
+	if m.PeakConcurrency != 33 {
+		t.Errorf("peak concurrency %d, want 33", m.PeakConcurrency)
 	}
-	if res.FourCoreUS > res.CriticalPathUS*1.35 {
+	if m.ListUS[4] > m.CriticalPathUS*1.35 {
 		t.Errorf("4-core %v too far above critical path %v (paper: +8%%)",
-			res.FourCoreUS, res.CriticalPathUS)
+			m.ListUS[4], m.CriticalPathUS)
 	}
-	if res.SequentialUS < 1000 || res.SequentialUS > 1700 {
-		t.Errorf("sequential work %v µs, want ~1200", res.SequentialUS)
+	if m.SequentialUS < 1000 || m.SequentialUS > 1700 {
+		t.Errorf("sequential work %v µs, want ~1200", m.SequentialUS)
 	}
 }

@@ -7,11 +7,12 @@
 // Experiment index (see DESIGN.md §5):
 //
 //	Table1      — average task-graph response times, 3 strategies × 1–4 threads
-//	Fig4        — simulated optimal schedules (earliest start, 4-core)
+//	Fig4        — simulated optimal schedules (earliest start, 1–8-core list
+//	              schedules; measured and design node costs)
 //	Fig8        — speedup over sequential
 //	Fig9/Fig10  — execution-time histograms and cumulative histograms
 //	Fig11       — typical schedule realizations (Gantt)
-//	Fig12       — BUSY strategy simulated vs measured
+//	Fig12       — BUSY strategy simulated vs measured, simulated BUSY Gantt
 //	Deadlines   — misses of the 2.9 ms APC deadline over 10k cycles
 //	Profile     — APC component breakdown (TP/GP/Graph/VC)
 //	ThreadSweep — thread counts beyond four
@@ -26,6 +27,7 @@ import (
 	"djstar/internal/engine"
 	"djstar/internal/graph"
 	"djstar/internal/sched"
+	"djstar/internal/stats"
 )
 
 // Options configure an experiment run.
@@ -114,6 +116,33 @@ func (o *Options) runEngine(strategy string, threads int, collect bool) (*engine
 		e.Cycle(m)
 	}
 	return m, nil
+}
+
+// timeGraph measures the graph alone — no TP/GP/VC — under the scheduler
+// build makes for a fresh DJ Star plan: Cycles Executes, each after the
+// session's Prepare, timed in ms. The scheduler is closed on return.
+func (o *Options) timeGraph(build func(*graph.Plan) (sched.Scheduler, error)) (*stats.Summary, error) {
+	session, g, err := graph.BuildDJStar(o.graphConfig())
+	if err != nil {
+		return nil, err
+	}
+	plan, err := g.Compile()
+	if err != nil {
+		return nil, err
+	}
+	s, err := build(plan)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	sum := stats.NewSummary()
+	for c := 0; c < o.Cycles; c++ {
+		session.Prepare()
+		start := graph.NowNanos()
+		s.Execute()
+		sum.Add(float64(graph.NowNanos()-start) / 1e6)
+	}
+	return sum, nil
 }
 
 // ParallelStrategies are the three strategies the paper evaluates.

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -125,12 +127,12 @@ func TestFig11TracesAllStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range ParallelStrategies {
-		evs := res.Events[name]
-		if len(evs) != 67 {
-			t.Fatalf("%s traced %d events, want 67", name, len(evs))
+		trace := res.Traces[name]
+		if len(trace.Worker) != 67 {
+			t.Fatalf("%s traced %d nodes, want 67", name, len(trace.Worker))
 		}
-		if res.MakespanUS[name] <= 0 {
-			t.Fatalf("%s makespan %v", name, res.MakespanUS[name])
+		if trace.MakespanNS() <= 0 {
+			t.Fatalf("%s makespan %v ns", name, trace.MakespanNS())
 		}
 	}
 	if !strings.Contains(buf.String(), "schedule realization") {
@@ -153,14 +155,33 @@ func TestFig4Numbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FourCoreUS < res.CriticalPathUS {
-		t.Error("4-core makespan beats critical path")
+	// E1's design-cost column: the graph's shape alone fixes the peak.
+	if d := res.Design; d.PeakConcurrency != 33 || d.CriticalPathUS > d.ListUS[4] {
+		t.Errorf("design costs: peak concurrency %d (want 33), critical path %v vs 4-core %v",
+			d.PeakConcurrency, d.CriticalPathUS, d.ListUS[4])
 	}
-	if len(res.Profile) != 100 {
-		t.Fatalf("profile %d samples", len(res.Profile))
+	// E3's simulated curve, under either cost table: one processor does
+	// the total work, and more processors never lengthen the schedule.
+	for name, c := range map[string]Fig4Costs{"design": res.Design, "measured": res.Measured} {
+		if math.Abs(c.ListUS[1]-c.SequentialUS) > 1e-9*c.SequentialUS {
+			t.Errorf("%s: 1-processor makespan %v, total work %v", name, c.ListUS[1], c.SequentialUS)
+		}
+		for i := 1; i < len(fig4Procs); i++ {
+			if p, q := fig4Procs[i-1], fig4Procs[i]; c.ListUS[q] > c.ListUS[p] {
+				t.Errorf("%s: %d-processor makespan %v above %d-processor %v", name, q, c.ListUS[q], p, c.ListUS[p])
+			}
+		}
+		if c.ListUS[4] < c.CriticalPathUS {
+			t.Errorf("%s: 4-core makespan %v beats critical path %v", name, c.ListUS[4], c.CriticalPathUS)
+		}
 	}
-	if !strings.Contains(buf.String(), "concurrency profile") {
-		t.Fatal("missing profile render")
+	if len(res.Measured.Profile) != 100 {
+		t.Fatalf("profile %d samples", len(res.Measured.Profile))
+	}
+	for _, want := range []string{"concurrency profile", "design costs", "list schedule 8 procs"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("report lacks %q:\n%s", want, buf.String())
+		}
 	}
 }
 
@@ -190,6 +211,10 @@ func TestFig12Numbers(t *testing.T) {
 	}
 	if res.Efficiency <= 0 || res.Efficiency > 1.001 {
 		t.Errorf("efficiency %v", res.Efficiency)
+	}
+	gantt := fmt.Sprintf("Fig. 12: simulated BUSY schedule (µs) (makespan %.1f, 4 workers)", res.SimBusyUS)
+	if !strings.Contains(buf.String(), gantt) {
+		t.Errorf("report lacks the simulated-BUSY Gantt %q:\n%s", gantt, buf.String())
 	}
 }
 

@@ -217,31 +217,20 @@ func Ablation(opts Options) (*AblationResult, error) {
 	}
 	var rows [][]string
 	for _, v := range variants {
-		// Build the graph pieces directly (the engine's scheduler factory
-		// cannot inject WS options).
-		session, g, err := graph.BuildDJStar(opts.graphConfig())
+		// Built here, not by the engine's factory, which cannot inject WS
+		// options.
+		var ws *sched.WorkSteal
+		sum, err := opts.timeGraph(func(p *graph.Plan) (sched.Scheduler, error) {
+			var err error
+			ws, err = sched.NewWorkSteal(p, sched.Options{Threads: opts.MaxThreads, WS: v.opts})
+			return ws, err
+		})
 		if err != nil {
 			return nil, err
-		}
-		plan, err := g.Compile()
-		if err != nil {
-			return nil, err
-		}
-		ws, err := sched.NewWorkSteal(plan, sched.Options{Threads: opts.MaxThreads, WS: v.opts})
-		if err != nil {
-			return nil, err
-		}
-		sum := stats.NewSummary()
-		for c := 0; c < opts.Cycles; c++ {
-			session.Prepare()
-			start := nowMS()
-			ws.Execute()
-			sum.Add(nowMS() - start)
 		}
 		res.MeanMS[v.name] = sum.Mean()
 		res.Steals[v.name] = ws.Steals()
 		res.Parks[v.name] = ws.Parks()
-		ws.Close()
 		rows = append(rows, []string{
 			v.name,
 			fmt.Sprintf("%.4f", sum.Mean()),
@@ -253,26 +242,12 @@ func Ablation(opts Options) (*AblationResult, error) {
 	// paper sketches in §V-B ("it could look for other available nodes and
 	// compute them") — measuring the early-starts vs queue-overhead trade.
 	for _, name := range []string{sched.NameSleep, sched.NameSleepScan} {
-		session, g, err := graph.BuildDJStar(opts.graphConfig())
+		sum, err := opts.timeGraph(func(p *graph.Plan) (sched.Scheduler, error) {
+			return sched.New(name, p, sched.Options{Threads: opts.MaxThreads})
+		})
 		if err != nil {
 			return nil, err
 		}
-		plan, err := g.Compile()
-		if err != nil {
-			return nil, err
-		}
-		s, err := sched.New(name, plan, sched.Options{Threads: opts.MaxThreads})
-		if err != nil {
-			return nil, err
-		}
-		sum := stats.NewSummary()
-		for c := 0; c < opts.Cycles; c++ {
-			session.Prepare()
-			start := nowMS()
-			s.Execute()
-			sum.Add(nowMS() - start)
-		}
-		s.Close()
 		res.MeanMS[name] = sum.Mean()
 		rows = append(rows, []string{name, fmt.Sprintf("%.4f", sum.Mean()), "-", "-"})
 	}

@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"djstar/internal/engine"
-	"djstar/internal/sched"
+	"djstar/internal/obs"
 	"djstar/internal/stats"
 )
 
@@ -83,11 +83,9 @@ func Fig10(opts Options) (*HistResult, error) {
 
 // Fig11Result holds one traced schedule realization per strategy.
 type Fig11Result struct {
-	// Events maps strategy to the traced node executions of a typical
-	// (near-median) cycle.
-	Events map[string][]sched.TraceEvent
-	// MakespanUS maps strategy to that cycle's makespan in µs.
-	MakespanUS map[string]float64
+	// Traces maps strategy to the collector's realization of its typical
+	// (median-makespan) cycle.
+	Traces map[string]obs.CycleTrace
 }
 
 // Fig11 reproduces Fig. 11: typical schedule realizations of the three
@@ -97,10 +95,7 @@ type Fig11Result struct {
 // realization whose makespan is the strategy's median.
 func Fig11(opts Options) (*Fig11Result, error) {
 	opts.normalize()
-	res := &Fig11Result{
-		Events:     map[string][]sched.TraceEvent{},
-		MakespanUS: map[string]float64{},
-	}
+	res := &Fig11Result{Traces: map[string]obs.CycleTrace{}}
 	traceCycles := min(opts.Cycles, 400)
 	for _, name := range ParallelStrategies {
 		e, err := engine.New(engine.Config{
@@ -119,18 +114,8 @@ func Fig11(opts Options) (*Fig11Result, error) {
 
 		traces := e.Collector().Traces()
 		sort.Slice(traces, func(a, b int) bool { return traces[a].MakespanNS() < traces[b].MakespanNS() })
-		median := &traces[len(traces)/2]
-		evs := make([]sched.TraceEvent, len(median.Worker))
-		for id := range median.Worker {
-			evs[id] = sched.TraceEvent{
-				Node:   int32(id),
-				Worker: median.Worker[id],
-				Start:  median.StartNS[id],
-				End:    median.EndNS[id],
-			}
-		}
-		res.Events[name] = evs
-		res.MakespanUS[name] = float64(median.MakespanNS()) / 1e3
+		median := traces[len(traces)/2]
+		res.Traces[name] = median
 
 		fprintf(opts.Out, "%s\n", stats.RenderGantt(median.GanttTasks(e.Plan().Names),
 			fmt.Sprintf("Fig. 11 (%s): typical schedule realization, µs", name), 100))

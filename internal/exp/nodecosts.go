@@ -96,8 +96,8 @@ func NodeCosts(opts Options) (*NodeCostsResult, error) {
 	fprintf(opts.Out, "%s", stats.RenderTable(
 		[]string{"node class", "count", "target µs", "measured µs", "dev"}, rows))
 	fprintf(opts.Out, "mean per-node deviation: %.1f%%\n", res.MeanAbsErrPct)
-	fprintf(opts.Out, "(short nodes carry ~1 µs of fixed tracer overhead, which dominates the\n")
-	fprintf(opts.Out, " 2-4 µs control/meter targets; the audio nodes are the ones that matter)\n\n")
+	fprintf(opts.Out, "(every node reads a few tenths of a µs high — the spin top-up checks the clock every\n")
+	fprintf(opts.Out, " ~0.5 µs — which shows on the 2-4 µs control/meter targets; the audio nodes are the ones that matter)\n\n")
 	return res, nil
 }
 

@@ -41,31 +41,7 @@ func StaticVsOnline(opts Options) (*StaticResult, error) {
 		return nil, err
 	}
 
-	run := func(build func(p *graph.Plan) (sched.Scheduler, error)) (*stats.Summary, error) {
-		session, g, err := graph.BuildDJStar(opts.graphConfig())
-		if err != nil {
-			return nil, err
-		}
-		plan, err := g.Compile()
-		if err != nil {
-			return nil, err
-		}
-		s, err := build(plan)
-		if err != nil {
-			return nil, err
-		}
-		defer s.Close()
-		sum := stats.NewSummary()
-		for c := 0; c < opts.Cycles; c++ {
-			session.Prepare()
-			start := nowMS()
-			s.Execute()
-			sum.Add(nowMS() - start)
-		}
-		return sum, nil
-	}
-
-	staticSum, err := run(func(p *graph.Plan) (sched.Scheduler, error) {
+	staticSum, err := opts.timeGraph(func(p *graph.Plan) (sched.Scheduler, error) {
 		model, err := rescon.FromPlan(p, durs)
 		if err != nil {
 			return nil, err
@@ -83,13 +59,13 @@ func StaticVsOnline(opts Options) (*StaticResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	busySum, err := run(func(p *graph.Plan) (sched.Scheduler, error) {
+	busySum, err := opts.timeGraph(func(p *graph.Plan) (sched.Scheduler, error) {
 		return sched.New(sched.NameBusyWait, p, sched.Options{Threads: opts.MaxThreads})
 	})
 	if err != nil {
 		return nil, err
 	}
-	wsSum, err := run(func(p *graph.Plan) (sched.Scheduler, error) {
+	wsSum, err := opts.timeGraph(func(p *graph.Plan) (sched.Scheduler, error) {
 		return sched.New(sched.NameWorkSteal, p, sched.Options{Threads: opts.MaxThreads})
 	})
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 // WriteDOT renders the graph in Graphviz DOT format, clustered by mixer
 // section — a machine-readable Fig. 3. Render with:
 //
-//	go run ./cmd/djsim -dot | dot -Tsvg > graph.svg
+//	go run ./cmd/djanalyze -dot | dot -Tsvg > graph.svg
 func (g *Graph) WriteDOT(w io.Writer, title string) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", title)

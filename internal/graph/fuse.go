@@ -29,8 +29,8 @@ const fuseMaxLen = 8
 // possibly a deque push or wakeup) per hop. A fused unit is claimed once
 // and runs its members back-to-back on one worker.
 //
-// costUS supplies per-node cost estimates in µs (from
-// obs.Collector.CostModel or a static design table); nil means unit
+// costUS supplies per-node cost estimates in µs (an engine's measured
+// collector means or a static design table); nil means unit
 // costs, which fuses purely by shape. The returned plan carries the
 // original as Base and per-unit member lists in Members; the scheduler
 // executes, times and fault-isolates each member individually under its

@@ -319,21 +319,6 @@ func (c *Collector) NodeMeansUS() []float64 {
 	return out
 }
 
-// CostModel exports the collector's per-node mean durations in µs as a
-// cost table for plan compilation (graph.Fuse and upward ranks). Nodes
-// never observed running report 0 — chain fusion treats them as free. ok
-// is false until at least one full cycle has been merged, so callers can
-// fall back to static design costs before any measurement exists.
-func (c *Collector) CostModel() (costUS []float64, ok bool) {
-	c.mu.Lock()
-	cycles := c.cycles
-	c.mu.Unlock()
-	if cycles == 0 {
-		return nil, false
-	}
-	return c.NodeMeansUS(), true
-}
-
 // Traces returns copies of every valid ring entry, oldest first.
 func (c *Collector) Traces() []CycleTrace {
 	c.mu.Lock()

@@ -194,7 +194,7 @@ func TestLifecycleObserverConformance(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			p, tr := conformancePlan(t)
-			trace := NewTracer(p.Len())
+			trace := newRecorder(p.Len())
 			s, cleanup := c.build(t, p, Options{Observer: trace})
 			defer cleanup()
 			defer s.Close()

@@ -30,7 +30,7 @@ func fusePlan(t *testing.T, g *graph.Graph) (*graph.Plan, *graph.Plan) {
 // plan must (a) run every ORIGINAL node exactly once per cycle, (b)
 // respect every original edge's happens-before, and (c) report every
 // original node to the observer with a consistent window. (a) and (b)
-// are exactly ExecTrace.Check against the base plan; (c) uses a Tracer
+// are exactly ExecTrace.Check against the base plan; (c) uses a recorder
 // sized for the base plan, which fused execution records into per
 // member.
 func TestFusionPropertyAllStrategies(t *testing.T) {
@@ -48,7 +48,7 @@ func TestFusionPropertyAllStrategies(t *testing.T) {
 				if name == NameSequential {
 					threads = 1
 				}
-				trace := NewTracer(fp.BaseLen())
+				trace := newRecorder(fp.BaseLen())
 				s, err := New(name, fp, Options{Threads: threads, Observer: trace})
 				if err != nil {
 					t.Fatal(err)

@@ -464,7 +464,7 @@ func TestPoolClaimPropertyThreaded(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer p.Close()
-					trace := NewTracer(plan.BaseLen())
+					trace := newRecorder(plan.BaseLen())
 					s, err := p.Attach(plan, Options{Observer: trace})
 					if err != nil {
 						t.Fatal(err)

@@ -82,7 +82,7 @@ func TestPoolSessionTracer(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan, _ := g.Compile()
-	tr := NewTracer(plan.Len())
+	tr := newRecorder(plan.Len())
 	s, err := p.Attach(plan, Options{Observer: tr})
 	if err != nil {
 		t.Fatal(err)

@@ -203,64 +203,6 @@ func spinWait(cond func() bool) {
 // stage stamps.
 func nowNanos() int64 { return graph.NowNanos() }
 
-// TraceEvent is one node execution recorded by a Tracer.
-type TraceEvent struct {
-	Node   int32
-	Worker int32
-	// Start and End are nanoseconds relative to the cycle start.
-	Start, End int64
-}
-
-// Tracer captures one iteration's schedule realization (paper Fig. 11).
-// It is preallocated for the plan size and allocation-free while tracing.
-// Tracer implements Observer; install it at construction through
-// Options{Observer: tr}.
-type Tracer struct {
-	events []TraceEvent
-	base   int64
-}
-
-// NewTracer returns a tracer for plans of n nodes.
-func NewTracer(n int) *Tracer {
-	return &Tracer{events: make([]TraceEvent, n)}
-}
-
-// BeginCycle resets the tracer clock; schedulers call it from Execute.
-func (t *Tracer) BeginCycle() {
-	t.base = nowNanos()
-	for i := range t.events {
-		t.events[i] = TraceEvent{Node: int32(i), Worker: -1}
-	}
-}
-
-// Record stores one node's execution window.
-func (t *Tracer) Record(node, worker int32, start, end int64) {
-	t.events[node] = TraceEvent{
-		Node:   node,
-		Worker: worker,
-		Start:  start - t.base,
-		End:    end - t.base,
-	}
-}
-
-// EndCycle implements Observer; a Tracer has no end-of-cycle work.
-func (t *Tracer) EndCycle() {}
-
-// Events returns the recorded events indexed by node ID. Entries with
-// Worker == -1 did not execute (only possible on a partial trace).
-func (t *Tracer) Events() []TraceEvent { return t.events }
-
-// Makespan returns the latest End across all events.
-func (t *Tracer) Makespan() int64 {
-	var m int64
-	for _, e := range t.events {
-		if e.Worker >= 0 && e.End > m {
-			m = e.End
-		}
-	}
-	return m
-}
-
 // runNode executes node id on worker w, recording its window when an
 // observer is installed. Shared by all strategies.
 func runNode(p *graph.Plan, o Observer, id, w int32) {

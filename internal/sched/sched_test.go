@@ -246,7 +246,7 @@ func TestTracerRecordsFullSchedule(t *testing.T) {
 		if name == NameSequential {
 			threads = 1
 		}
-		tr := NewTracer(p.Len())
+		tr := newRecorder(p.Len())
 		s, err := New(name, p, Options{Threads: threads, Observer: tr})
 		if err != nil {
 			t.Fatal(err)
