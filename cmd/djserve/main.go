@@ -28,6 +28,7 @@ import (
 	"djstar/internal/fleet"
 	"djstar/internal/graph"
 	"djstar/internal/hardware"
+	"djstar/internal/synth"
 )
 
 func main() {
@@ -45,20 +46,13 @@ func main() {
 	)
 	flag.Parse()
 
-	gcfg := graph.DefaultConfig()
-	gcfg.Scale = *scale
-	gcfg.TrackBars = *trackBars
-	if *scale > 0 {
-		gcfg.Calibration = graph.Calibrate()
-	}
-
 	cfg := fleet.Config{
 		Shards:           *shards,
 		WorkersPerShard:  *workers,
 		SessionsPerShard: *capacity,
 		Pin:              *pin,
 	}
-	cfg.Engine.Graph = gcfg
+	cfg.Engine.Graph = graphConfig(*scale, *trackBars)
 	if !*quiet {
 		cfg.Logf = log.Printf
 	}
@@ -93,4 +87,19 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("djserve: shutting down")
+}
+
+// graphConfig is every session's graph config. It carries one rendered
+// set of standard tracks, so the sessions share it, read-only, instead of
+// each rendering four tracks of its own.
+func graphConfig(scale float64, trackBars int) graph.Config {
+	gcfg := graph.DefaultConfig()
+	gcfg.Scale = scale
+	gcfg.TrackBars = trackBars
+	tracks := synth.StandardDeckTracks(trackBars)
+	gcfg.Tracks = tracks[:]
+	if scale > 0 {
+		gcfg.Calibration = graph.Calibrate()
+	}
+	return gcfg
 }

@@ -107,43 +107,43 @@ func pcm16(x float64) int16 {
 }
 
 // DecodeWAV parses a 16-bit stereo PCM WAV produced by WAVWriter (or any
-// compatible encoder) and returns the audio and sampling rate. It is used
-// by tests and by track-import tooling; it intentionally supports only
-// the canonical 44-byte-header layout plus extra trailing chunks.
-func DecodeWAV(r io.Reader) (Stereo, int, error) {
+// compatible encoder) and returns the two channels and the sampling rate.
+// Each sample is PCM/32767 rounded to float32, which WAVWriter turns back
+// into the same PCM value. It is used by tests and by track-import
+// tooling; it intentionally supports only the canonical 44-byte-header
+// layout plus extra trailing chunks.
+func DecodeWAV(rd io.Reader) (l, r []float32, rate int, err error) {
 	var hdr [44]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Stereo{}, 0, fmt.Errorf("audio: short WAV header: %w", err)
+	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
+		return nil, nil, 0, fmt.Errorf("audio: short WAV header: %w", err)
 	}
 	if string(hdr[0:4]) != "RIFF" || string(hdr[8:12]) != "WAVE" || string(hdr[12:16]) != "fmt " {
-		return Stereo{}, 0, fmt.Errorf("audio: not a RIFF/WAVE file")
+		return nil, nil, 0, fmt.Errorf("audio: not a RIFF/WAVE file")
 	}
 	if binary.LittleEndian.Uint16(hdr[20:22]) != 1 {
-		return Stereo{}, 0, fmt.Errorf("audio: not PCM")
+		return nil, nil, 0, fmt.Errorf("audio: not PCM")
 	}
 	if ch := binary.LittleEndian.Uint16(hdr[22:24]); ch != 2 {
-		return Stereo{}, 0, fmt.Errorf("audio: %d channels, want stereo", ch)
+		return nil, nil, 0, fmt.Errorf("audio: %d channels, want stereo", ch)
 	}
 	if bits := binary.LittleEndian.Uint16(hdr[34:36]); bits != 16 {
-		return Stereo{}, 0, fmt.Errorf("audio: %d-bit samples, want 16", bits)
+		return nil, nil, 0, fmt.Errorf("audio: %d-bit samples, want 16", bits)
 	}
-	rate := int(binary.LittleEndian.Uint32(hdr[24:28]))
+	rate = int(binary.LittleEndian.Uint32(hdr[24:28]))
 	if string(hdr[36:40]) != "data" {
-		return Stereo{}, 0, fmt.Errorf("audio: missing data chunk")
+		return nil, nil, 0, fmt.Errorf("audio: missing data chunk")
 	}
 	dataBytes := binary.LittleEndian.Uint32(hdr[40:44])
 
 	raw := make([]byte, dataBytes)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return Stereo{}, 0, fmt.Errorf("audio: short WAV data: %w", err)
+	if _, err := io.ReadFull(rd, raw); err != nil {
+		return nil, nil, 0, fmt.Errorf("audio: short WAV data: %w", err)
 	}
 	frames := int(dataBytes / 4)
-	out := NewStereo(frames)
-	for i := 0; i < frames; i++ {
-		l := int16(binary.LittleEndian.Uint16(raw[i*4:]))
-		rr := int16(binary.LittleEndian.Uint16(raw[i*4+2:]))
-		out.L[i] = float64(l) / 32767
-		out.R[i] = float64(rr) / 32767
+	l, r = make([]float32, frames), make([]float32, frames)
+	for i := range l {
+		l[i] = float32(float64(int16(binary.LittleEndian.Uint16(raw[i*4:]))) / 32767)
+		r[i] = float32(float64(int16(binary.LittleEndian.Uint16(raw[i*4+2:]))) / 32767)
 	}
-	return out, rate, nil
+	return l, r, rate, nil
 }

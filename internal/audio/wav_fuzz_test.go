@@ -31,15 +31,18 @@ func FuzzDecodeWAV(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		clip, rate, err := DecodeWAV(bytes.NewReader(data))
+		cl, cr, rate, err := DecodeWAV(bytes.NewReader(data))
 		if err != nil {
 			return // rejection is always fine
 		}
 		if rate < 0 {
 			t.Fatalf("negative rate %d", rate)
 		}
-		for i := 0; i < clip.Len(); i++ {
-			l, r := clip.L[i], clip.R[i]
+		if len(cl) != len(cr) {
+			t.Fatalf("channel lengths %d and %d", len(cl), len(cr))
+		}
+		for i := range cl {
+			l, r := cl[i], cr[i]
 			if l < -1.01 || l > 1.01 || r < -1.01 || r > 1.01 {
 				t.Fatalf("sample %d out of range: %v/%v", i, l, r)
 			}

@@ -64,22 +64,22 @@ func TestWAVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, rate, err := DecodeWAV(bytes.NewReader(buf.data))
+	gotL, gotR, rate, err := DecodeWAV(bytes.NewReader(buf.data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rate != SampleRate {
 		t.Fatalf("rate = %d", rate)
 	}
-	if got.Len() != 300 {
-		t.Fatalf("decoded %d frames", got.Len())
+	if len(gotL) != 300 || len(gotR) != 300 {
+		t.Fatalf("decoded %d/%d frames", len(gotL), len(gotR))
 	}
 	for i := 0; i < 300; i++ {
-		if math.Abs(got.L[i]-src.L[i]) > 1.0/32000 {
-			t.Fatalf("L[%d] = %v, want %v", i, got.L[i], src.L[i])
+		if math.Abs(float64(gotL[i])-src.L[i]) > 1.0/32000 {
+			t.Fatalf("L[%d] = %v, want %v", i, gotL[i], src.L[i])
 		}
-		if math.Abs(got.R[i]-src.R[i]) > 1.0/32000 {
-			t.Fatalf("R[%d] = %v, want %v", i, got.R[i], src.R[i])
+		if math.Abs(float64(gotR[i])-src.R[i]) > 1.0/32000 {
+			t.Fatalf("R[%d] = %v, want %v", i, gotR[i], src.R[i])
 		}
 	}
 }
@@ -110,12 +110,12 @@ func TestWAVClampsClipping(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := DecodeWAV(bytes.NewReader(buf.data))
+	gotL, gotR, _, err := DecodeWAV(bytes.NewReader(buf.data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.L[0] < 0.999 || got.R[0] > -0.999 {
-		t.Fatalf("clipping not clamped: %v %v", got.L[0], got.R[0])
+	if gotL[0] < 0.999 || gotR[0] > -0.999 {
+		t.Fatalf("clipping not clamped: %v %v", gotL[0], gotR[0])
 	}
 }
 
@@ -125,7 +125,7 @@ func TestDecodeWAVRejectsGarbage(t *testing.T) {
 		[]byte("not a wav file at all, just text padding!!!!"),
 	}
 	for i, c := range cases {
-		if _, _, err := DecodeWAV(bytes.NewReader(c)); err == nil {
+		if _, _, _, err := DecodeWAV(bytes.NewReader(c)); err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
@@ -134,7 +134,7 @@ func TestDecodeWAVRejectsGarbage(t *testing.T) {
 	w, _ := NewWAVWriter(&buf, 44100)
 	_ = w.WritePacket(NewStereo(10))
 	_ = w.Close()
-	if _, _, err := DecodeWAV(bytes.NewReader(buf.data[:50])); err == nil {
+	if _, _, _, err := DecodeWAV(bytes.NewReader(buf.data[:50])); err == nil {
 		t.Fatal("truncated data accepted")
 	}
 }

@@ -44,7 +44,7 @@ func BenchmarkReadPacketEdge(b *testing.B) {
 
 func BenchmarkPitchShifterProcess(b *testing.B) {
 	p := NewPitchShifter(audio.SampleRate)
-	src := testTrack().Audio.L[:audio.PacketSize]
+	src := f64(testTrack().L[:audio.PacketSize])
 	buf := make([]float64, audio.PacketSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -58,9 +58,9 @@ func BenchmarkPitchShifterProcess(b *testing.B) {
 // is no feedback loop, so the two never differed; the pair is here so that
 // every kernel package reports the same two figures.
 func BenchmarkSilenceTail(b *testing.B) {
-	src := testTrack().Audio
+	src := testTrack()
 	b.Run("PitchShifter", func(b *testing.B) {
-		dsptest.BenchSilenceTail(b, 64, src.L[:audio.PacketSize], src.R[:audio.PacketSize], func() func(l, r []float64) {
+		dsptest.BenchSilenceTail(b, 64, f64(src.L[:audio.PacketSize]), f64(src.R[:audio.PacketSize]), func() func(l, r []float64) {
 			pl, pr := NewPitchShifter(audio.SampleRate), NewPitchShifter(audio.SampleRate)
 			return func(l, r []float64) {
 				pl.Process(l, 1/0.97)

@@ -157,7 +157,7 @@ func (d *Deck) ReadPacket(dst audio.Stereo) {
 		return
 	}
 	n := dst.Len()
-	srcL, srcR := d.track.Audio.L, d.track.Audio.R
+	srcL, srcR := d.track.L, d.track.R
 	srcR = srcR[:len(srcL)]
 	trackLen := float64(len(srcL))
 	pos, tempo := d.pos, d.tempo
@@ -171,8 +171,8 @@ func (d *Deck) ReadPacket(dst audio.Stereo) {
 		// the track. Straight Catmull-Rom, nothing to wrap or clamp.
 		if j := int(pos) - 1; j >= 0 && j+3 < len(srcL) && pos < loopEnd {
 			t := pos - float64(j+1)
-			dst.L[i] = dsp.CatmullRom(srcL[j], srcL[j+1], srcL[j+2], srcL[j+3], t)
-			dst.R[i] = dsp.CatmullRom(srcR[j], srcR[j+1], srcR[j+2], srcR[j+3], t)
+			dst.L[i] = dsp.CatmullRom(float64(srcL[j]), float64(srcL[j+1]), float64(srcL[j+2]), float64(srcL[j+3]), t)
+			dst.R[i] = dsp.CatmullRom(float64(srcR[j]), float64(srcR[j+1]), float64(srcR[j+2]), float64(srcR[j+3]), t)
 			pos += tempo
 			continue
 		}
@@ -208,16 +208,15 @@ func (d *Deck) ReadPacket(dst audio.Stereo) {
 
 // sampleCubic reads one Catmull-Rom interpolated sample at fractional
 // position pos, with taps outside src reading as 0.
-func sampleCubic(src []float64, pos float64) float64 {
-	n := len(src)
+func sampleCubic(src []float32, pos float64) float64 {
 	idx := int(pos)
-	at := func(i int) float64 {
-		if i < 0 || i >= n {
-			return 0
+	var p [4]float64
+	for k := range p {
+		if i := idx - 1 + k; i >= 0 && i < len(src) {
+			p[k] = float64(src[i])
 		}
-		return src[i]
 	}
-	return dsp.CatmullRom(at(idx-1), at(idx), at(idx+1), at(idx+2), pos-float64(idx))
+	return dsp.CatmullRom(p[0], p[1], p[2], p[3], pos-float64(idx))
 }
 
 // PitchShifter is a classic dual-tap delay-line pitch shifter: two read

@@ -40,7 +40,7 @@ func TestDeckPlaysTrackAudio(t *testing.T) {
 	d.Play()
 	dst := audio.NewStereo(audio.PacketSize)
 	d.ReadPacket(dst)
-	want := tr.Audio.L[:audio.PacketSize]
+	want := f64(tr.L[:audio.PacketSize])
 	for i := 0; i < audio.PacketSize; i++ {
 		if math.Abs(dst.L[i]-want[i]) > 1e-9 {
 			t.Fatalf("unity playback differs at %d: %v vs %v", i, dst.L[i], want[i])
@@ -199,7 +199,8 @@ func TestKeyLockPreservesPitch(t *testing.T) {
 	tr := &synth.Track{
 		Name:         "tone",
 		BPM:          120,
-		Audio:        audio.Stereo{L: tone, R: append(audio.Buffer(nil), tone...)},
+		L:            f32(tone),
+		R:            f32(tone),
 		FramesPerBar: rate,
 		LoudBars:     []bool{true},
 	}
@@ -246,7 +247,7 @@ func TestKeyLockUnityTempoBypasses(t *testing.T) {
 	dst := audio.NewStereo(audio.PacketSize)
 	d.ReadPacket(dst)
 	for i := 0; i < audio.PacketSize; i++ {
-		if math.Abs(dst.L[i]-tr.Audio.L[i]) > 1e-9 {
+		if math.Abs(dst.L[i]-float64(tr.L[i])) > 1e-9 {
 			t.Fatalf("keylock at unity tempo altered audio at %d", i)
 		}
 	}

@@ -11,12 +11,14 @@ import (
 // The bit-exactness oracle for the deck read path. refReadPacket,
 // refSampleCubic and refShifterProcess are ReadPacket, sampleCubic and
 // PitchShifter.Process as they were before the interior fast path and the
-// hoisted phase wraps — moved here verbatim, operating on a real Deck's
-// fields. A deck read through ReadPacket and a twin read through the
-// reference must agree on every sample and on every piece of carried state
-// (playhead, playing flag, shifter phase and history).
+// hoisted phase wraps — moved here verbatim,
+// operating on a real Deck's fields, except that each tap reads
+// float64(src[i]) from the float32 track. A deck read through ReadPacket
+// and a twin read through the reference must agree on every sample and on
+// every piece of carried state (playhead, playing flag, shifter phase and
+// history).
 
-func refSampleCubic(src []float64, pos float64) float64 {
+func refSampleCubic(src []float32, pos float64) float64 {
 	n := len(src)
 	idx := int(pos)
 	t := pos - float64(idx)
@@ -24,7 +26,7 @@ func refSampleCubic(src []float64, pos float64) float64 {
 		if i < 0 || i >= n {
 			return 0
 		}
-		return src[i]
+		return float64(src[i])
 	}
 	p0, p1, p2, p3 := at(idx-1), at(idx), at(idx+1), at(idx+2)
 	a := -0.5*p0 + 1.5*p1 - 1.5*p2 + 0.5*p3
@@ -78,8 +80,8 @@ func refReadPacket(d *Deck, dst audio.Stereo) {
 			d.pos = trackLen
 			return
 		}
-		dst.L[i] = refSampleCubic(d.track.Audio.L, pos)
-		dst.R[i] = refSampleCubic(d.track.Audio.R, pos)
+		dst.L[i] = refSampleCubic(d.track.L, pos)
+		dst.R[i] = refSampleCubic(d.track.R, pos)
 		pos += d.tempo
 	}
 	d.pos = pos
@@ -112,8 +114,26 @@ func oracleTracks() []*synth.Track {
 	return []*synth.Track{
 		synth.GenerateTrack(synth.TrackSpec{Name: "synthetic", Bars: 2, Seed: 1}),
 		{Name: "noise", BPM: 126, FramesPerBar: n / 2,
-			Audio: audio.Stereo{L: synth.WhiteNoise(n, 0.5, 31), R: synth.WhiteNoise(n, 0.5, 32)}},
+			L: f32(synth.WhiteNoise(n, 0.5, 31)), R: f32(synth.WhiteNoise(n, 0.5, 32))},
 	}
+}
+
+// f32 stores a float64 signal as a track channel.
+func f32(x []float64) []float32 {
+	out := make([]float32, len(x))
+	for i, v := range x {
+		out[i] = float32(v)
+	}
+	return out
+}
+
+// f64 widens a track channel.
+func f64(x []float32) []float64 {
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = float64(v)
+	}
+	return out
 }
 
 // samePacket fails on the first differing sample.
@@ -217,7 +237,7 @@ func TestOraclePitchShifter(t *testing.T) {
 		for _, tr := range src {
 			at := 0
 			for _, n := range oracleLens()[1500:] {
-				got := append([]float64(nil), tr.Audio.L[at:at+n]...)
+				got := f64(tr.L[at : at+n])
 				want := append([]float64(nil), got...)
 				p.Process(got, shift)
 				refShifterProcess(ref, want, shift)

@@ -133,10 +133,10 @@ func oracleStreams() []oracleStream {
 	out := []oracleStream{{"noise", synth.WhiteNoise(total, 0.5, 11), synth.WhiteNoise(total, 0.5, 12)}}
 	tracks := synth.StandardDeckTracks(4)
 	for _, d := range []int{0, 3} {
-		a := tracks[d].Audio
-		s := oracleStream{tracks[d].Name, make([]float64, total), make([]float64, total)}
+		a := tracks[d]
+		s := oracleStream{a.Name, make([]float64, total), make([]float64, total)}
 		for i := range s.l {
-			s.l[i], s.r[i] = a.L[i%len(a.L)], a.R[i%len(a.R)]
+			s.l[i], s.r[i] = float64(a.L[i%a.Len()]), float64(a.R[i%a.Len()])
 		}
 		out = append(out, s)
 	}

@@ -26,12 +26,15 @@ func sweepTracks(amp float64) []*synth.Track {
 	burst, silence := sweepBurst*audio.PacketSize, sweepSilence*audio.PacketSize
 	tracks := make([]*synth.Track, 4)
 	for d := range tracks {
-		a := audio.NewStereo(2*burst + silence)
-		copy(a.L, synth.WhiteNoise(burst, amp, uint64(81+2*d)))
-		copy(a.R, synth.WhiteNoise(burst, amp, uint64(82+2*d)))
-		copy(a.L[burst+silence:], a.L[:burst])
-		copy(a.R[burst+silence:], a.R[:burst])
-		tracks[d] = &synth.Track{Name: "sweep", BPM: 126, Audio: a, FramesPerBar: 84000}
+		tr := &synth.Track{Name: "sweep", BPM: 126, FramesPerBar: 84000,
+			L: make([]float32, 2*burst+silence), R: make([]float32, 2*burst+silence)}
+		noiseL, noiseR := synth.WhiteNoise(burst, amp, uint64(81+2*d)), synth.WhiteNoise(burst, amp, uint64(82+2*d))
+		for i := range noiseL {
+			tr.L[i], tr.R[i] = float32(noiseL[i]), float32(noiseR[i])
+		}
+		copy(tr.L[burst+silence:], tr.L[:burst])
+		copy(tr.R[burst+silence:], tr.R[:burst])
+		tracks[d] = tr
 	}
 	return tracks
 }

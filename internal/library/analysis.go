@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 
-	"djstar/internal/audio"
 	"djstar/internal/dsp"
 )
 
@@ -74,21 +73,17 @@ func NewAnalyzer(rate int) *Analyzer {
 	return a
 }
 
-// Analyze runs the full analysis over a stereo clip.
-func (a *Analyzer) Analyze(clip audio.Stereo) (*Analysis, error) {
-	n := clip.Len()
+// Analyze runs the full analysis over a stereo clip, a track's two
+// channels.
+func (a *Analyzer) Analyze(l, r []float32) (*Analysis, error) {
+	n := len(l)
 	if n < analysisFrame {
 		return nil, fmt.Errorf("library: clip too short to analyze (%d frames)", n)
 	}
-	mono := make([]float64, n)
-	for i := 0; i < n; i++ {
-		mono[i] = 0.5 * (clip.L[i] + clip.R[i])
-	}
-
-	envelope := a.onsetEnvelope(mono)
+	envelope := a.onsetEnvelope(l, r)
 	bpm, conf := a.estimateBPM(envelope)
 	grid := a.beatGrid(envelope, bpm)
-	key := a.estimateKey(mono)
+	key := a.estimateKey(l, r)
 
 	return &Analysis{
 		BPM:             bpm,
@@ -96,24 +91,28 @@ func (a *Analyzer) Analyze(clip audio.Stereo) (*Analysis, error) {
 		Key:             key,
 		KeyName:         KeyName(key),
 		BeatGrid:        grid,
-		Overview:        BuildOverview(clip, 400),
+		Overview:        BuildOverview(l, r, 400),
 		DurationSeconds: float64(n) / float64(a.rate),
 	}, nil
 }
 
+// mid is the mono mix of frame i, read straight from the float32
+// channels: no mono copy of the clip is made.
+func mid(l, r []float32, i int) float64 { return 0.5 * (float64(l[i]) + float64(r[i])) }
+
 // onsetEnvelope computes a half-wave-rectified energy-difference envelope
-// at hop resolution: large values mark percussive onsets (the kick drum,
-// for our synthetic tracks).
-func (a *Analyzer) onsetEnvelope(mono []float64) []float64 {
-	hops := (len(mono) - a.hop) / a.hop
+// of the mono mix at hop resolution: large values mark percussive onsets
+// (the kick drum, for our synthetic tracks).
+func (a *Analyzer) onsetEnvelope(l, r []float32) []float64 {
+	hops := (len(l) - a.hop) / a.hop
 	if hops < 2 {
 		return nil
 	}
 	energy := make([]float64, hops)
 	for h := 0; h < hops; h++ {
 		sum := 0.0
-		seg := mono[h*a.hop : h*a.hop+a.hop]
-		for _, s := range seg {
+		for i := h * a.hop; i < h*a.hop+a.hop; i++ {
+			s := mid(l, r, i)
 			sum += s * s
 		}
 		energy[h] = math.Sqrt(sum / float64(a.hop))
@@ -246,16 +245,16 @@ func (a *Analyzer) beatGrid(env []float64, bpm float64) []int {
 // FFT frames and returns the dominant pitch class — a deliberately simple
 // root detector suited to the bass-forward program material of a DJ
 // library.
-func (a *Analyzer) estimateKey(mono []float64) int {
+func (a *Analyzer) estimateKey(l, r []float32) int {
 	var chroma [12]float64
 	re := make([]float64, keyFrame)
 	im := make([]float64, keyFrame)
 	mags := make([]float64, keyFrame/2)
 
 	step := keyFrame // non-overlapping frames are plenty here
-	for start := 0; start+keyFrame <= len(mono); start += step {
+	for start := 0; start+keyFrame <= len(l); start += step {
 		for i := 0; i < keyFrame; i++ {
-			re[i] = mono[start+i] * a.keyWindow[i]
+			re[i] = mid(l, r, start+i) * a.keyWindow[i]
 			im[i] = 0
 		}
 		a.keyFFT.Transform(re, im)
@@ -296,13 +295,13 @@ type Overview struct {
 	RMS  []float64
 }
 
-// BuildOverview decimates a clip into the given number of display
-// buckets.
-func BuildOverview(clip audio.Stereo, buckets int) Overview {
+// BuildOverview decimates a clip, a track's two channels, into the given
+// number of display buckets.
+func BuildOverview(l, r []float32, buckets int) Overview {
 	if buckets < 1 {
 		buckets = 1
 	}
-	n := clip.Len()
+	n := len(l)
 	ov := Overview{
 		Peak: make([]float64, buckets),
 		RMS:  make([]float64, buckets),
@@ -321,11 +320,11 @@ func BuildOverview(clip audio.Stereo, buckets int) Overview {
 		}
 		peak, sum := 0.0, 0.0
 		for i := lo; i < hi; i++ {
-			v := math.Max(math.Abs(clip.L[i]), math.Abs(clip.R[i]))
+			v := math.Max(math.Abs(float64(l[i])), math.Abs(float64(r[i])))
 			if v > peak {
 				peak = v
 			}
-			m := 0.5 * (clip.L[i] + clip.R[i])
+			m := mid(l, r, i)
 			sum += m * m
 		}
 		ov.Peak[b] = peak

@@ -17,7 +17,7 @@ func (l *Library) ImportWAV(r io.Reader, name string) (*Entry, error) {
 	if name == "" {
 		return nil, fmt.Errorf("library: import needs a track name")
 	}
-	clip, rate, err := audio.DecodeWAV(r)
+	left, right, rate, err := audio.DecodeWAV(r)
 	if err != nil {
 		return nil, fmt.Errorf("library: importing %q: %w", name, err)
 	}
@@ -25,19 +25,20 @@ func (l *Library) ImportWAV(r io.Reader, name string) (*Entry, error) {
 		return nil, fmt.Errorf("library: %q is %d Hz, library runs at %d Hz (no resampling on import)",
 			name, rate, l.analyzer.rate)
 	}
-	an, err := l.analyzer.Analyze(clip)
+	an, err := l.analyzer.Analyze(left, right)
 	if err != nil {
 		return nil, fmt.Errorf("library: analyzing %q: %w", name, err)
 	}
 
-	framesPerBar := clip.Len()
+	framesPerBar := len(left)
 	if an.BPM > 0 {
 		framesPerBar = int(4 * 60 / an.BPM * float64(rate))
 	}
 	tr := &synth.Track{
 		Name:         name,
 		BPM:          an.BPM,
-		Audio:        clip,
+		L:            left,
+		R:            right,
 		FramesPerBar: framesPerBar,
 		LoudBars:     nil, // unknown for imported audio
 	}

@@ -39,7 +39,7 @@ func (l *Library) Add(t *synth.Track) (*Entry, error) {
 	if t == nil || t.Name == "" {
 		return nil, fmt.Errorf("library: track must be non-nil and named")
 	}
-	an, err := l.analyzer.Analyze(t.Audio)
+	an, err := l.analyzer.Analyze(t.L, t.R)
 	if err != nil {
 		return nil, fmt.Errorf("library: analyzing %q: %w", t.Name, err)
 	}

@@ -15,7 +15,7 @@ func TestAnalyzeBPMOnGroundTruthTracks(t *testing.T) {
 		tr := synth.GenerateTrack(synth.TrackSpec{
 			Name: "t", BPM: bpm, Bars: 16, Seed: 42, QuietEvery: 0, // all loud
 		})
-		an, err := a.Analyze(tr.Audio)
+		an, err := a.Analyze(tr.L, tr.R)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func TestAnalyzeBPMWithQuietSections(t *testing.T) {
 	// The standard tracks alternate loud/quiet bars; tempo must survive.
 	a := NewAnalyzer(audio.SampleRate)
 	tr := synth.GenerateTrack(synth.TrackSpec{Name: "t", BPM: 126, Bars: 16, Seed: 7})
-	an, err := a.Analyze(tr.Audio)
+	an, err := a.Analyze(tr.L, tr.R)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestAnalyzeKeyTracksRoot(t *testing.T) {
 		tr := synth.GenerateTrack(synth.TrackSpec{
 			Name: "t", Bars: 8, Seed: 3, Key: tc.key, QuietEvery: 0,
 		})
-		an, err := a.Analyze(tr.Audio)
+		an, err := a.Analyze(tr.L, tr.R)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestAnalyzeKeyTracksRoot(t *testing.T) {
 func TestAnalyzeBeatGridSpacing(t *testing.T) {
 	a := NewAnalyzer(audio.SampleRate)
 	tr := synth.GenerateTrack(synth.TrackSpec{Name: "t", BPM: 120, Bars: 8, Seed: 1, QuietEvery: 0})
-	an, err := a.Analyze(tr.Audio)
+	an, err := a.Analyze(tr.L, tr.R)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +97,16 @@ func TestAnalyzeBeatGridSpacing(t *testing.T) {
 
 func TestAnalyzeRejectsShortClip(t *testing.T) {
 	a := NewAnalyzer(audio.SampleRate)
-	if _, err := a.Analyze(audio.NewStereo(100)); err == nil {
+	short := make([]float32, 100)
+	if _, err := a.Analyze(short, short); err == nil {
 		t.Fatal("short clip accepted")
 	}
 }
 
 func TestAnalyzeSilence(t *testing.T) {
 	a := NewAnalyzer(audio.SampleRate)
-	an, err := a.Analyze(audio.NewStereo(audio.SampleRate * 2))
+	silence := make([]float32, audio.SampleRate*2)
+	an, err := a.Analyze(silence, silence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,35 +125,34 @@ func TestKeyNameWraps(t *testing.T) {
 }
 
 func TestOverviewShape(t *testing.T) {
-	clip := audio.NewStereo(1000)
+	clip := make([]float32, 1000)
 	for i := 500; i < 1000; i++ { // silent first half, loud second half
-		clip.L[i] = 0.8
-		clip.R[i] = 0.8
+		clip[i] = 0.8
 	}
-	ov := BuildOverview(clip, 10)
+	ov := BuildOverview(clip, clip, 10)
 	if len(ov.Peak) != 10 || len(ov.RMS) != 10 {
 		t.Fatalf("bucket counts %d/%d", len(ov.Peak), len(ov.RMS))
 	}
 	if ov.Peak[0] != 0 || ov.RMS[0] != 0 {
 		t.Fatalf("silent bucket nonzero: %v %v", ov.Peak[0], ov.RMS[0])
 	}
-	if math.Abs(ov.Peak[9]-0.8) > 1e-12 || math.Abs(ov.RMS[9]-0.8) > 1e-12 {
-		t.Fatalf("loud bucket %v/%v, want 0.8", ov.Peak[9], ov.RMS[9])
+	// The stored sample is float32(0.8); the overview must not lose more.
+	if want := float64(float32(0.8)); math.Abs(ov.Peak[9]-want) > 1e-12 || math.Abs(ov.RMS[9]-want) > 1e-12 {
+		t.Fatalf("loud bucket %v/%v, want %v", ov.Peak[9], ov.RMS[9], want)
 	}
 	// Degenerate inputs.
-	empty := BuildOverview(audio.Stereo{}, 0)
+	empty := BuildOverview(nil, nil, 0)
 	if len(empty.Peak) != 1 {
 		t.Fatal("zero-bucket overview")
 	}
 }
 
 func TestOverviewRender(t *testing.T) {
-	clip := audio.NewStereo(100)
-	for i := range clip.L {
-		clip.L[i] = 1
-		clip.R[i] = 1
+	clip := make([]float32, 100)
+	for i := range clip {
+		clip[i] = 1
 	}
-	out := BuildOverview(clip, 20).Render(3)
+	out := BuildOverview(clip, clip, 20).Render(3)
 	if !strings.Contains(out, "#") || !strings.Contains(out, "-") {
 		t.Fatalf("render missing marks:\n%s", out)
 	}

@@ -77,10 +77,13 @@ func TestOracleChannelStrip(t *testing.T) {
 		lens = append(lens, n)
 		total += n
 	}
-	track := synth.StandardDeckTracks(4)[2].Audio
+	track, widened := synth.StandardDeckTracks(4)[2], audio.NewStereo(total)
+	for i := range widened.L {
+		widened.L[i], widened.R[i] = float64(track.L[i]), float64(track.R[i])
+	}
 	streams := map[string]audio.Stereo{
 		"noise": {L: synth.WhiteNoise(total, 0.5, 41), R: synth.WhiteNoise(total, 0.5, 42)},
-		"track": {L: track.L[:total], R: track.R[:total]},
+		"track": widened,
 	}
 	for name, s := range streams {
 		strip, ref := NewChannelStrip("oracle", audio.SampleRate), newRefStrip(audio.SampleRate)

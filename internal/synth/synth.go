@@ -144,8 +144,10 @@ func (e ADSR) Level(i, gateLen int) float64 {
 type Track struct {
 	Name string
 	BPM  float64
-	// Audio holds the full rendered clip.
-	Audio audio.Stereo
+	// L and R hold the full clip, one float32 per sample: lossless for a
+	// 16- or 24-bit PCM source, within 2⁻²³ of the float64 render for a
+	// generated one (DESIGN.md §29). Readers widen what they use to float64.
+	L, R []float32
 	// LoudBars marks, per bar, whether the bar was rendered in the loud
 	// (full arrangement) or quiet (sparse) section. Used by tests.
 	LoudBars []bool
@@ -154,7 +156,7 @@ type Track struct {
 }
 
 // Len returns the number of frames in the track.
-func (t *Track) Len() int { return t.Audio.Len() }
+func (t *Track) Len() int { return len(t.L) }
 
 // TrackSpec configures GenerateTrack.
 type TrackSpec struct {
@@ -199,7 +201,8 @@ func GenerateTrack(spec TrackSpec) *Track {
 	tr := &Track{
 		Name:         spec.Name,
 		BPM:          spec.BPM,
-		Audio:        audio.NewStereo(total),
+		L:            make([]float32, total),
+		R:            make([]float32, total),
 		LoudBars:     make([]bool, spec.Bars),
 		FramesPerBar: framesPerBar,
 	}
@@ -218,6 +221,11 @@ func GenerateTrack(spec TrackSpec) *Track {
 		arp[i] = scale[rng.Intn(len(scale))]
 	}
 
+	// Each beat is rendered in float64 into one reusable buffer and stored
+	// as float32. The float64 peak is kept, so scaling the stored samples
+	// once at the end normalizes the clip to 0.95 as the float64 render
+	// would, with no full-length float64 copy ever held.
+	beat, peak := audio.NewStereo(framesPerBeat), 0.0
 	for bar := 0; bar < spec.Bars; bar++ {
 		loud := true
 		if spec.QuietEvery > 0 && (bar/2)%spec.QuietEvery == spec.QuietEvery-1 {
@@ -228,33 +236,36 @@ func GenerateTrack(spec TrackSpec) *Track {
 		if !loud {
 			level = 0.18
 		}
-		barStart := bar * framesPerBar
-		for beat := 0; beat < 4; beat++ {
-			beatStart := barStart + beat*framesPerBeat
-			renderBeat(tr, spec, beatStart, framesPerBeat, level, loud,
-				bass, lead, kickEnv, bassEnv, leadEnv, arp, bar*4+beat, rng)
+		for b := 0; b < 4; b++ {
+			renderBeat(beat, spec, level, loud, bass, lead, kickEnv, bassEnv, leadEnv, arp, bar*4+b, rng)
+			peak = math.Max(peak, beat.Peak())
+			at := bar*framesPerBar + b*framesPerBeat
+			for i := range beat.L {
+				tr.L[at+i], tr.R[at+i] = float32(beat.L[i]), float32(beat.R[i])
+			}
 		}
 	}
-	normalize(tr.Audio, 0.95)
+	if peak > 0 {
+		g := 0.95 / peak
+		for i := range tr.L {
+			tr.L[i], tr.R[i] = float32(float64(tr.L[i])*g), float32(float64(tr.R[i])*g)
+		}
+	}
 	return tr
 }
 
-// renderBeat renders one beat of the arrangement in place.
-func renderBeat(tr *Track, spec TrackSpec, start, frames int, level float64,
+// renderBeat renders one beat of the arrangement into buf, a beat long.
+func renderBeat(buf audio.Stereo, spec TrackSpec, level float64,
 	loud bool, bass, lead *Osc, kickEnv, bassEnv, leadEnv ADSR,
 	arp []int, beatIndex int, rng *Rand) {
 
-	rate := spec.Rate
+	rate, frames := spec.Rate, buf.Len()
 	half := frames / 2
 	root := 55.0 * math.Pow(2, float64(spec.Key)/12)
 	leadStep := arp[beatIndex%len(arp)]
 	lead.SetFreq(root*4*math.Pow(2, float64(leadStep)/12), rate)
 
 	for i := 0; i < frames; i++ {
-		idx := start + i
-		if idx >= tr.Audio.Len() {
-			return
-		}
 		var l, r float64
 
 		// Kick: pitch-swept sine on the beat, always present (even quiet
@@ -300,18 +311,8 @@ func renderBeat(tr *Track, spec TrackSpec, start, frames int, level float64,
 			r += pad
 		}
 
-		tr.Audio.L[idx] += l
-		tr.Audio.R[idx] += r
+		buf.L[i], buf.R[i] = l, r
 	}
-}
-
-// normalize scales the clip so its peak equals target (if non-silent).
-func normalize(s audio.Stereo, target float64) {
-	p := s.Peak()
-	if p <= 0 {
-		return
-	}
-	s.Scale(target / p)
 }
 
 // StandardDeckTracks renders the four-deck test set used by the evaluation:

@@ -142,7 +142,7 @@ func TestGenerateTrackDeterministic(t *testing.T) {
 		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
 	for i := 0; i < a.Len(); i++ {
-		if a.Audio.L[i] != b.Audio.L[i] || a.Audio.R[i] != b.Audio.R[i] {
+		if a.L[i] != b.L[i] || a.R[i] != b.R[i] {
 			t.Fatalf("tracks diverge at frame %d", i)
 		}
 	}
@@ -157,7 +157,11 @@ func TestGenerateTrackShape(t *testing.T) {
 	if tr.Len() != 4*framesPerBar {
 		t.Fatalf("Len = %d, want %d", tr.Len(), 4*framesPerBar)
 	}
-	if p := tr.Audio.Peak(); math.Abs(p-0.95) > 1e-6 {
+	p := 0.0
+	for i := range tr.L {
+		p = math.Max(p, math.Max(math.Abs(float64(tr.L[i])), math.Abs(float64(tr.R[i]))))
+	}
+	if math.Abs(p-0.95) > 1e-6 {
 		t.Fatalf("peak = %v, want normalized to 0.95", p)
 	}
 	if len(tr.LoudBars) != 4 {
@@ -171,8 +175,10 @@ func TestGenerateTrackLoudQuietContrast(t *testing.T) {
 	var loudN, quietN int
 	for bar, loud := range tr.LoudBars {
 		start := bar * tr.FramesPerBar
-		seg := tr.Audio.L[start : start+tr.FramesPerBar]
-		e := audio.Buffer(seg).Energy()
+		e := 0.0
+		for _, v := range tr.L[start : start+tr.FramesPerBar] {
+			e += float64(v) * float64(v)
+		}
 		if loud {
 			loudE += e
 			loudN++
@@ -200,7 +206,7 @@ func TestStandardDeckTracksDistinct(t *testing.T) {
 	same := 0
 	n := min(tracks[0].Len(), tracks[1].Len())
 	for i := 0; i < n; i++ {
-		if tracks[0].Audio.L[i] == tracks[1].Audio.L[i] {
+		if tracks[0].L[i] == tracks[1].L[i] {
 			same++
 		}
 	}

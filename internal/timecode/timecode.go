@@ -45,8 +45,11 @@ func lfsrNext(s uint16) uint16 {
 // Sequence holds the precomputed LFSR bitstream and the window → index
 // lookup used to resolve absolute positions.
 type Sequence struct {
-	bits   []uint8           // bit per carrier cycle, length 65535
-	lookup map[uint16]uint32 // window of PositionBits bits → cycle index
+	bits []uint8 // bit per carrier cycle, length 65535
+	// lookup is indexed by a window of PositionBits bits and holds the
+	// cycle index + 1; 0 marks the all-zero window, which never occurs.
+	// An array, so a uint16 index needs no bounds check.
+	lookup *[1 << PositionBits]uint32
 }
 
 // NewSequence builds the canonical position sequence. It is deterministic
@@ -56,7 +59,7 @@ func NewSequence() *Sequence {
 	const period = 1<<PositionBits - 1
 	s := &Sequence{
 		bits:   make([]uint8, period),
-		lookup: make(map[uint16]uint32, period),
+		lookup: new([1 << PositionBits]uint32),
 	}
 	state := uint16(0xACE1)
 	for i := 0; i < period; i++ {
@@ -69,7 +72,7 @@ func NewSequence() *Sequence {
 		bit := s.bits[i%period]
 		win = win<<1 | uint16(bit)
 		if i >= PositionBits-1 {
-			s.lookup[win] = uint32(i % period)
+			s.lookup[win] = uint32(i%period) + 1
 		}
 	}
 	return s
@@ -93,8 +96,10 @@ func (s *Sequence) Bit(i int) uint8 {
 // return is false if the window does not occur, which for a maximal LFSR
 // only happens for the all-zero window.
 func (s *Sequence) Find(window uint16) (uint32, bool) {
-	idx, ok := s.lookup[window]
-	return idx, ok
+	if v := s.lookup[window]; v != 0 {
+		return v - 1, true
+	}
+	return 0, false
 }
 
 // Generator synthesizes the stereo control signal of a turntable playing

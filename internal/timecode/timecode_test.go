@@ -31,8 +31,14 @@ func TestLFSRPeriod(t *testing.T) {
 func TestSequenceWindowsUnique(t *testing.T) {
 	// A maximal LFSR guarantees every non-zero 16-bit window appears
 	// exactly once per period.
-	if got := len(sharedSeq.lookup); got != 1<<16-1 {
-		t.Fatalf("lookup has %d windows, want 65535 (collision?)", got)
+	got := 0
+	for _, v := range sharedSeq.lookup {
+		if v != 0 {
+			got++
+		}
+	}
+	if got != 1<<16-1 || sharedSeq.lookup[0] != 0 {
+		t.Fatalf("lookup has %d windows (all-zero window %d), want 65535 (collision?)", got, sharedSeq.lookup[0])
 	}
 }
 
