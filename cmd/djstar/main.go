@@ -222,7 +222,7 @@ func main() {
 		}
 	}
 	stagePatches(0)
-	rep := e.RunRealtime(totalCycles, func(done, late int) bool {
+	rep := e.RunRealtime(totalCycles, audio.StandardPacketPeriod, func(done, late int) bool {
 		if rec != nil {
 			if err := rec.WritePacket(e.Session().RecordOut()); err != nil {
 				fmt.Fprintf(os.Stderr, "djstar: recording: %v\n", err)

@@ -6,7 +6,9 @@ import (
 	"sort"
 	"testing"
 
+	"djstar/internal/audio"
 	"djstar/internal/engine"
+	"djstar/internal/rescon"
 	"djstar/internal/sched"
 )
 
@@ -30,12 +32,37 @@ func TestRealtimeDeadlinesAcrossStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := e.RunRealtime(100, nil)
+		rep := e.RunRealtime(100, audio.StandardPacketPeriod, nil)
 		e.Close()
 		if rep.Late > 20 {
 			t.Fatalf("%s: %d of 100 paced packets late (max lateness %.2f ms)",
 				strategy, rep.Late, rep.MaxLatenessMS)
 		}
+	}
+}
+
+// TestMeasuredSequentialNearSimulatedWork: the measured sequential graph
+// time is within 3x of the simulator's total work, both derived from the
+// same measured node durations (timer overhead and cache effects
+// allowed). TestSimulationBracketsReality keeps the schedule bracket.
+func TestMeasuredSequentialNearSimulatedWork(t *testing.T) {
+	cfg := integConfig()
+	durs, plan, err := engine.MeasureNodeDurations(cfg, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := rescon.FromPlan(plan, durs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.New(engine.Config{Graph: cfg, Strategy: sched.NameSequential, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	measuredUS := e.RunCycles(100).GraphMeanMS() * 1e3
+	if measuredUS < m.TotalWork()/3 || measuredUS > m.TotalWork()*3 {
+		t.Fatalf("measured sequential %v µs vs simulated work %v µs", measuredUS, m.TotalWork())
 	}
 }
 

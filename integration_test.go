@@ -101,10 +101,10 @@ func TestDVSScratchChangesAudio(t *testing.T) {
 	}
 }
 
-// TestSimulationBracketsReality: for any valid schedule, critical path <=
-// k-core schedule <= sequential sum, and the measured sequential graph
-// time should be close to the simulator's total work (both derive from
-// the same measured node durations).
+// TestSimulationBracketsReality: for any valid schedule over measured
+// node durations, critical path <= k-core schedule <= sequential sum. How
+// close the measured sequential time comes to the simulated work is a
+// wall-clock claim: TestMeasuredSequentialNearSimulatedWork (perf tag).
 func TestSimulationBracketsReality(t *testing.T) {
 	cfg := integConfig()
 	durs, plan, err := engine.MeasureNodeDurations(cfg, 100)
@@ -129,19 +129,6 @@ func TestSimulationBracketsReality(t *testing.T) {
 	}
 	if math.Abs(one.MakespanUS-m.TotalWork()) > 1e-6 {
 		t.Fatalf("1-core schedule %v != total work %v", one.MakespanUS, m.TotalWork())
-	}
-
-	// The measured sequential graph time should be within 3x of the
-	// simulated total work (timer overhead and cache effects allowed).
-	e, err := engine.New(engine.Config{Graph: cfg, Strategy: sched.NameSequential, Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	met := e.RunCycles(100)
-	measuredUS := met.GraphMeanMS() * 1e3
-	if measuredUS < m.TotalWork()/3 || measuredUS > m.TotalWork()*3 {
-		t.Fatalf("measured sequential %v µs vs simulated work %v µs", measuredUS, m.TotalWork())
 	}
 }
 

@@ -93,9 +93,7 @@ type admissionRuntime struct {
 	state      atomic.Pointer[AdmissionState]
 	overBudget atomic.Bool
 
-	every time.Duration
-	stop  chan struct{}
-	done  chan struct{}
+	every time.Duration // refresh period for the engine's monitor (< 0: none)
 }
 
 // newAdmissionRuntime resolves the gate's config and decides admission
@@ -138,8 +136,8 @@ func newAdmissionRuntime(cfg *Config, plan *graph.Plan, threads int) (*admission
 
 // install finishes the gate on a constructed engine: applies the
 // admit-degraded pre-shed (through the governor when present, so level
-// and shed bits stay consistent), publishes the initial state, seeds
-// the telemetry gauges, and starts the predictive monitor.
+// and shed bits stay consistent), publishes the initial state and seeds
+// the telemetry gauges.
 func (a *admissionRuntime) install(e *Engine) {
 	if a.decision.Verdict == admission.VerdictDegraded {
 		level := GovDegraded1
@@ -166,43 +164,14 @@ func (a *admissionRuntime) install(e *Engine) {
 		kind = obs.AdmittedDegraded
 	}
 	e.tel.Event(kind, 0, a.decision.Verdict.String()+": "+a.decision.Reason)
-	if a.every > 0 {
-		a.stop = make(chan struct{})
-		a.done = make(chan struct{})
-		go a.monitor(e)
-	}
 }
 
-// close stops the monitor.
-func (a *admissionRuntime) close() {
-	if a.stop != nil {
-		close(a.stop)
-		<-a.done
-	}
-}
-
-// monitor is the predictive goroutine: every period it re-analyzes the
+// refresh is the predictive step, run every PredictEvery by the engine's
+// monitor and on demand by Engine.RefreshAdmission: it re-analyzes the
 // live topology under the collector's measured cost model (static costs
-// until one cycle has been observed) and arms the governor's predictive
-// rung while the recomputed bound exceeds the envelope. Never runs on
-// the audio path.
-func (a *admissionRuntime) monitor(e *Engine) {
-	defer close(a.done)
-	t := time.NewTicker(a.every)
-	defer t.Stop()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-t.C:
-			a.refresh(e)
-		}
-	}
-}
-
-// refresh recomputes the bound against the live topology and publishes
-// the result (state, telemetry gauges, predictive flag). Exported to
-// tests via Engine.RefreshAdmission.
+// until one cycle has been observed), publishes the result (state,
+// telemetry gauges) and arms the governor's predictive rung while the
+// recomputed bound exceeds the envelope. Never runs on the audio path.
 func (a *admissionRuntime) refresh(e *Engine) {
 	topo := e.topo.Load()
 	costs, source := e.nodeCosts(topo, topo.plan, nil)

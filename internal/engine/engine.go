@@ -96,7 +96,7 @@ type Config struct {
 	// AdmissionOptions. Off by default.
 	Admission AdmissionOptions
 
-	// Watchdog enables the stall watchdog: a monitor goroutine that
+	// Watchdog enables the stall watchdog: the engine's monitor goroutine
 	// detects a graph execution stuck past the hard wall and reports the
 	// offending node instead of letting the process hang silently.
 	Watchdog bool
@@ -230,6 +230,10 @@ type Engine struct {
 	// adm is the admission gate's runtime (nil when disabled): the
 	// construction decision and the predictive monitor.
 	adm *admissionRuntime
+
+	// monStop and monDone stop and await the monitor goroutine (nil when
+	// neither the watchdog nor the admission refresh needs one).
+	monStop, monDone chan struct{}
 
 	// tel is the telemetry sink; nil — the disabled sink, every call a
 	// no-op — when cfg.Telemetry.Disable.
@@ -384,11 +388,12 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if adm != nil {
 		// Apply the admit-degraded pre-shed (through the governor when
-		// present), publish the initial state and start the predictive
-		// monitor. After the governor so forced levels stay consistent.
+		// present) and publish the initial state. After the governor so
+		// forced levels stay consistent.
 		e.adm = adm
 		adm.install(e)
 	}
+	e.startMonitor()
 
 	// Timecode front end: one virtual turntable per deck, spinning at the
 	// deck's nominal tempo.
@@ -487,8 +492,8 @@ func (e *Engine) Health() Health {
 		}
 	}
 	if e.wd != nil {
-		h.Stalls = e.wd.Stalls()
-		h.LastStall = e.wd.Last()
+		h.Stalls = e.wd.stalls.Load()
+		h.LastStall = e.wd.last.Load()
 	}
 	return h
 }
@@ -579,6 +584,45 @@ func (e *Engine) ExecPlan() *graph.Plan { return e.topo.Load().execPlan }
 // construction-time plan is still live). Safe from any thread.
 func (e *Engine) PlanEpoch() uint64 { return e.planEpoch.Load() }
 
+// startMonitor starts the engine's one background goroutine when it has
+// work: every tick it hands the watchdog the time, and every PredictEvery
+// it refreshes the admission prediction.
+func (e *Engine) startMonitor() {
+	var tick, every time.Duration
+	if e.wd != nil {
+		tick = max(e.wd.wall/8, time.Millisecond) // a stall is seen within wall*9/8
+	}
+	if e.adm != nil && e.adm.every > 0 {
+		every = e.adm.every
+		if tick == 0 || every < tick {
+			tick = every
+		}
+	}
+	if tick == 0 {
+		return
+	}
+	e.monStop, e.monDone = make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(e.monDone)
+		t := time.NewTicker(tick)
+		defer t.Stop()
+		refreshEvery := max(int(every/tick), 1)
+		for n := 1; ; n++ {
+			select {
+			case <-e.monStop:
+				return
+			case <-t.C:
+			}
+			if e.wd != nil {
+				e.wd.check(graph.NowNanos())
+			}
+			if every > 0 && n%refreshEvery == 0 {
+				e.adm.refresh(e)
+			}
+		}
+	}()
+}
+
 // Close releases the scheduler workers and restores the GC setting.
 // Close is idempotent and safe to call while an edit is staged: a
 // staged topology holds no running resources, so it is simply dropped.
@@ -586,11 +630,9 @@ func (e *Engine) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
 	}
-	if e.adm != nil {
-		e.adm.close()
-	}
-	if e.wd != nil {
-		e.wd.close()
+	if e.monStop != nil {
+		close(e.monStop)
+		<-e.monDone
 	}
 	e.tel.Flush()
 	e.staged.Store(nil)
@@ -741,35 +783,50 @@ type RealtimeReport struct {
 	MaxLatenessMS float64
 }
 
-// RunRealtime paces up to n cycles against the simulated sound card
-// clock: cycle i must complete by (i+1) packet periods after start. The
-// pacing loop spins (like the audio callback thread of a low-latency
-// audio stack) rather than sleeping.
+// resyncPeriods is how many periods late a cycle may finish before
+// pacing stops catching up (a long migration, a descheduled host).
+const resyncPeriods = 16
+
+// pace is the packet clock's periodic-release arithmetic. The cycle due
+// at due completed at now, late by late (> 0 counts); the next cycle is
+// released at release (at once if already past, catching up) and due at
+// next. Past resyncPeriods late the clock restarts: next is now + period.
+// A period ≤ 0 is unpaced: no wait, nothing late.
+func pace(due, now int64, period time.Duration) (late, release, next int64) {
+	if period <= 0 {
+		return 0, now, now
+	}
+	if late = now - due; late > resyncPeriods*int64(period) {
+		due = now
+	}
+	return late, due, due + int64(period)
+}
+
+// RunRealtime runs up to n cycles paced to a packet clock of the given
+// period (≤ 0 runs them back to back), sleeping until each release that
+// pace computes. It is the one paced loop: djstar's realtime mode and
+// every fleet session driver run through it.
 //
 // between, when non-nil, is called on the cycle thread after every
 // cycle, in the slack before the next packet request, with the counts of
 // cycles done and of late packets so far; returning false ends the run
-// at that boundary. It is where a driver stages edits, tapes the record
-// bus, prints status and honours an interrupt.
-func (e *Engine) RunRealtime(n int, between func(done, late int) bool) *RealtimeReport {
+// at that boundary. It is where a driver stages edits, runs control
+// closures, tapes the record bus, prints status and honours a stop.
+func (e *Engine) RunRealtime(n int, period time.Duration, between func(done, late int) bool) *RealtimeReport {
 	rep := &RealtimeReport{Metrics: &Metrics{}}
-	period := audio.StandardPacketPeriod
-	start := time.Now()
+	due := graph.NowNanos() + int64(period)
 	for i := 0; i < n; i++ {
-		due := start.Add(time.Duration(i+1) * period)
 		e.Cycle(rep.Metrics)
-		if lateBy := time.Since(due); lateBy > 0 {
+		late, release, next := pace(due, graph.NowNanos(), period)
+		due = next
+		if late > 0 {
 			rep.Late++
-			rep.MaxLatenessMS = max(rep.MaxLatenessMS, lateBy.Seconds()*1e3)
+			rep.MaxLatenessMS = max(rep.MaxLatenessMS, float64(late)/1e6)
 		}
 		if between != nil && !between(i+1, rep.Late) {
 			break
 		}
-		// Wait for the next packet request (spin, as an audio callback
-		// would effectively do between interrupts).
-		for time.Now().Before(due) {
-			runtime.Gosched()
-		}
+		graph.SleepUntil(release)
 	}
 	return rep
 }

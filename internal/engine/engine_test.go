@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"djstar/internal/audio"
 	"djstar/internal/graph"
 	"djstar/internal/sched"
 )
@@ -260,7 +261,7 @@ func TestRunRealtimeCallbackContract(t *testing.T) {
 	const n, stopAt = 12, 7
 	var calls []int
 	lates := 0
-	rep := e.RunRealtime(n, func(done, late int) bool {
+	rep := e.RunRealtime(n, audio.StandardPacketPeriod, func(done, late int) bool {
 		calls = append(calls, done)
 		if got := e.Cycles(); got != uint64(done) {
 			t.Errorf("between(%d) ran with %d cycles complete", done, got)
@@ -285,42 +286,101 @@ func TestRunRealtimeCallbackContract(t *testing.T) {
 	if rep.Late != lates || (rep.Late > 0) != (rep.MaxLatenessMS > 0) {
 		t.Fatalf("Late = %d (max %.3f ms), callback was told of %d", rep.Late, rep.MaxLatenessMS, lates)
 	}
-	if rep := e.RunRealtime(3, nil); rep.Metrics.Cycles() != 3 {
-		t.Fatalf("nil callback: %d cycles, want 3", rep.Metrics.Cycles())
+	if rep := e.RunRealtime(3, 0, nil); rep.Metrics.Cycles() != 3 || rep.Late != 0 {
+		t.Fatalf("nil callback, unpaced: %d cycles, %d late; want 3, 0", rep.Metrics.Cycles(), rep.Late)
 	}
 }
 
-// TestWatchdogMeasuresOnCycleClock: the watchdog's interval is taken on
-// graph.NowNanos from the stamp the cycle hands it — never from the wall
-// clock, which an NTP or VM step can move by more than the stall wall —
-// and a stamp of 0 (the process's first nanosecond) arms like any other.
+// TestPaceReleasesAndResyncs drives the packet clock's arithmetic with
+// synthetic times (period 1000, cycle due at 5000): an early finish waits
+// for its release, a late one runs the next at once and keeps the
+// schedule, and only a finish more than resyncPeriods periods late
+// restarts the clock from now. Unpaced never waits and is never late.
+func TestPaceReleasesAndResyncs(t *testing.T) {
+	const p, due = 1000, 5000
+	for _, tc := range []struct {
+		name                string
+		now                 int64
+		period              time.Duration
+		late, release, next int64
+	}{
+		{"on time", 4200, p, -800, 5000, 6000},
+		{"exactly due", 5000, p, 0, 5000, 6000},
+		{"one late cycle catches up", 5300, p, 300, 5000, 6000},
+		{"16 periods late still catches up", due + 16*p, p, 16 * p, 5000, 6000},
+		{"past 16 periods resyncs to now + period", due + 16*p + 1, p, 16*p + 1, due + 16*p + 1, due + 17*p + 1},
+		{"unpaced", 7777, 0, 0, 7777, 7777},
+		{"negative period is unpaced", 7777, -1, 0, 7777, 7777},
+	} {
+		late, release, next := pace(due, tc.now, tc.period)
+		if late != tc.late || release != tc.release || next != tc.next {
+			t.Errorf("%s: pace(%d, %d, %d) = late %d, release %d, next %d; want %d, %d, %d",
+				tc.name, due, tc.now, tc.period, late, release, next, tc.late, tc.release, tc.next)
+		}
+	}
+}
+
+// TestWatchdogMeasuresOnCycleClock drives watchdog.check with synthetic
+// graph.NowNanos instants while a real node is wedged in flight: nothing
+// before the wall, one record naming the node at the wall, nothing more
+// for that cycle, and the next cycle can fire again. A stamp of 0 (the
+// process's first nanosecond) arms like any other.
 func TestWatchdogMeasuresOnCycleClock(t *testing.T) {
-	e, err := New(fastConfig(sched.NameSequential, 1))
+	entered, release := make(chan struct{}), make(chan struct{})
+	g := graph.New()
+	g.AddNode("Wedge", graph.SectionMaster, func() {
+		close(entered)
+		<-release
+	})
+	plan, err := g.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	got := make(chan StallRecord, 1)
-	w := newWatchdog(e.faults, 20*time.Millisecond, func(r StallRecord) { got <- r })
-	defer w.close()
+	s, err := sched.New(sched.NameSequential, plan, sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Execute()
+	}()
+	defer func() { close(release); <-done }()
+	<-entered
 
-	// An execution armed an hour ago on the monotonic base: the first poll
-	// reports it, with the elapsed time the two monotonic stamps imply.
-	const hourMS = float64(time.Hour / time.Millisecond)
-	w.arm(7, graph.NowNanos()-int64(time.Hour))
-	select {
-	case r := <-got:
-		if r.Cycle != 7 || r.Node != -1 || r.ElapsedMS < hourMS || r.ElapsedMS > hourMS+60e3 {
-			t.Fatalf("stall record = %+v, want cycle 7, no node in flight, elapsed ≈ 1 h", r)
+	const wall = 20 * time.Millisecond
+	var got []StallRecord
+	w := newWatchdog(s.FaultState(), wall, func(r StallRecord) { got = append(got, r) })
+	const t0 = int64(time.Hour) // any stamp: the interval is all that counts
+	w.arm(7, t0)
+	for _, step := range []struct {
+		now  int64
+		want int
+	}{
+		{t0 + int64(wall) - 1, 0},
+		{t0 + int64(wall), 1},
+		{t0 + int64(time.Hour), 1}, // the same cycle reports once
+	} {
+		w.check(step.now)
+		if len(got) != step.want {
+			t.Fatalf("check(t0%+d ns): %d records, want %d", step.now-t0, len(got), step.want)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("armed execution past the wall was never reported")
+	}
+	if r := got[0]; r.Cycle != 7 || r.Name != "Wedge" || r.Node != 0 || r.Inflight != "w0:Wedge" || r.ElapsedMS != 20 {
+		t.Fatalf("stall record = %+v, want cycle 7, Wedge in flight on w0, 20 ms", r)
+	}
+	w.arm(8, t0+int64(2*time.Hour))
+	w.check(t0 + int64(2*time.Hour) + int64(wall))
+	if len(got) != 2 || got[1].Cycle != 8 || w.stalls.Load() != 2 || w.last.Load().Cycle != 8 {
+		t.Fatalf("next cycle: records %+v, stalls %d; want a second record for cycle 8", got, w.stalls.Load())
 	}
 	w.disarm()
-	if w.armed.Load() != 0 {
-		t.Fatal("disarm left the watchdog armed")
+	w.check(t0 + int64(3*time.Hour))
+	if len(got) != 2 {
+		t.Fatal("a disarmed watchdog reported a stall")
 	}
-	w.arm(8, 0)
+	w.arm(9, 0)
 	if w.armed.Load() == 0 {
 		t.Fatal("a stamp of 0 reads as disarmed")
 	}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"djstar/internal/graph"
 	"djstar/internal/sched"
 )
 
@@ -29,11 +28,11 @@ type StallRecord struct {
 }
 
 // watchdog detects cycles stuck inside graph execution. The cycle thread
-// arms it around sched.Execute; a monitor goroutine checks the armed
-// timestamp and, when an execution exceeds the hard wall, records a
-// StallRecord naming the in-flight node(s) and notifies the handler —
-// turning a silent hang into an actionable diagnostic. Detection is
-// level-triggered once per cycle.
+// arms it around sched.Execute; the engine's monitor goroutine calls
+// check with the current time and, when an execution exceeds the hard
+// wall, records a StallRecord naming the in-flight node(s) and notifies
+// the handler — turning a silent hang into an actionable diagnostic.
+// Detection is level-triggered once per cycle.
 type watchdog struct {
 	// faults is the watched session's fault state: its inflight view and
 	// the base plan naming the nodes in it. The same object serves every
@@ -49,29 +48,20 @@ type watchdog struct {
 	armed atomic.Int64
 	// gen is the engine cycle being executed.
 	gen atomic.Uint64
-	// firedGen is the last cycle a stall was reported for.
-	firedGen atomic.Uint64
+	// firedGen is the last cycle a stall was reported for (check's
+	// caller only).
+	firedGen uint64
 
+	// stalls counts reported stalls; last is the most recent (Health).
 	stalls atomic.Int64
 	last   atomic.Pointer[StallRecord]
 
-	// onStall, when set, is invoked from the monitor goroutine.
+	// onStall, when set, is invoked from check's caller.
 	onStall func(StallRecord)
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 func newWatchdog(fs *sched.FaultState, wall time.Duration, onStall func(StallRecord)) *watchdog {
-	w := &watchdog{
-		faults:  fs,
-		wall:    wall,
-		onStall: onStall,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	go w.monitor()
-	return w
+	return &watchdog{faults: fs, wall: wall, onStall: onStall}
 }
 
 // arm marks the start of a graph execution (cycle thread); now is the
@@ -85,53 +75,25 @@ func (w *watchdog) arm(cycle uint64, now int64) {
 // disarm marks the end of the graph execution (cycle thread).
 func (w *watchdog) disarm() { w.armed.Store(0) }
 
-// close stops the monitor goroutine and waits for it to exit.
-func (w *watchdog) close() {
-	close(w.stop)
-	<-w.done
-}
-
-// Stalls returns the cumulative stall count.
-func (w *watchdog) Stalls() int64 { return w.stalls.Load() }
-
-// Last returns the most recent stall record (nil if none).
-func (w *watchdog) Last() *StallRecord { return w.last.Load() }
-
-// monitor polls the armed timestamp at wall/8 granularity; detection
-// latency is therefore at most wall*9/8.
-func (w *watchdog) monitor() {
-	defer close(w.done)
-	tick := w.wall / 8
-	if tick < time.Millisecond {
-		tick = time.Millisecond
+// check reports the armed execution as stalled when it has run for at
+// least the wall at now (a graph.NowNanos stamp) — once per cycle. One
+// goroutine at a time calls it: the engine's monitor, or a test.
+func (w *watchdog) check(now int64) {
+	armed := w.armed.Load()
+	if armed == 0 {
+		return
 	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-t.C:
-		}
-		armed := w.armed.Load()
-		if armed == 0 {
-			continue
-		}
-		elapsed := time.Duration(graph.NowNanos() - (armed - 1))
-		if elapsed < w.wall {
-			continue
-		}
-		gen := w.gen.Load()
-		if w.firedGen.Load() == gen {
-			continue // already reported this cycle's stall
-		}
-		w.firedGen.Store(gen)
-		rec := w.diagnose(gen, elapsed)
-		w.stalls.Add(1)
-		w.last.Store(&rec)
-		if w.onStall != nil {
-			w.onStall(rec)
-		}
+	elapsed := time.Duration(now - (armed - 1))
+	gen := w.gen.Load()
+	if elapsed < w.wall || w.firedGen == gen {
+		return
+	}
+	w.firedGen = gen
+	rec := w.diagnose(gen, elapsed)
+	w.stalls.Add(1)
+	w.last.Store(&rec)
+	if w.onStall != nil {
+		w.onStall(rec)
 	}
 }
 

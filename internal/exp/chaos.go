@@ -3,10 +3,10 @@ package exp
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"djstar/internal/engine"
 	"djstar/internal/faults"
+	"djstar/internal/graph"
 	"djstar/internal/sched"
 )
 
@@ -262,9 +262,9 @@ func Governor(o Options) (*GovernorResult, error) {
 		e.SetLoadFactor(overload)
 		missed := 0
 		for i := 0; i < govOverWindows*govWindow; i++ {
-			t := time.Now()
+			t := graph.NowNanos()
 			e.Cycle(nil)
-			if time.Since(t).Seconds()*1e3 > deadline {
+			if float64(graph.NowNanos()-t)/1e6 > deadline {
 				missed++
 			}
 		}

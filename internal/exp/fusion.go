@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"djstar/internal/engine"
 	"djstar/internal/graph"
@@ -108,12 +107,12 @@ func measureNSPerNode(strategy string, p *graph.Plan, threads, cycles, baseNodes
 	for i := engine.WarmUpCycles(cycles); i > 0; i-- {
 		s.Execute()
 	}
-	t0 := time.Now()
+	t0 := graph.NowNanos()
 	for i := 0; i < cycles; i++ {
 		s.Execute()
 	}
-	dt := time.Since(t0)
-	return float64(dt.Nanoseconds()) / float64(cycles) / float64(baseNodes), nil
+	dt := graph.NowNanos() - t0
+	return float64(dt) / float64(cycles) / float64(baseNodes), nil
 }
 
 // Fusion runs the chain-fusion overhead experiment (EXPERIMENTS.md R5).

@@ -9,6 +9,7 @@ import (
 	"djstar/internal/apiv1"
 	"djstar/internal/engine"
 	"djstar/internal/fleet"
+	"djstar/internal/graph"
 	"djstar/internal/stats"
 )
 
@@ -147,7 +148,7 @@ func Loadgen(opts Options) (*LoadgenResult, error) {
 			st, _ := f.ShardStatus(i)
 			before[i] = cm{st.SLO.Cycles, st.SLO.Misses}
 		}
-		time.Sleep(dwell)
+		graph.SleepUntil(graph.NowNanos() + int64(dwell))
 		out := make([]float64, shards)
 		for i := 0; i < shards; i++ {
 			st, _ := f.ShardStatus(i)
@@ -225,7 +226,7 @@ func Loadgen(opts Options) (*LoadgenResult, error) {
 		return nil, err
 	}
 	res.DrainMoved, res.DrainFailed = dr.Moved, dr.Failed
-	time.Sleep(dwell / 2)
+	graph.SleepUntil(graph.NowNanos() + int64(dwell/2))
 	for _, seq := range seqs {
 		res.DrainGaps += seq.gaps.Load()
 		res.DrainDoubles += seq.doubles.Load()

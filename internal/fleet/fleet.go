@@ -377,7 +377,6 @@ func (f *Fleet) AddSession(spec engine.SessionSpec) (*Session, apiv1.Placement, 
 
 	s := &Session{
 		id:      spec.ID,
-		fleet:   f,
 		eng:     eng,
 		rep:     rep,
 		verdict: "admit",
@@ -453,16 +452,23 @@ func (f *Fleet) migrate(s *Session, exclude int) (apiv1.Placement, error) {
 	}
 	f.mu.Unlock()
 
+	// The release and shard switch run with Rebind on the driver, so a
+	// RemoveSession that stopped the driver reads the registered shard.
 	src := f.shards[s.Shard()]
-	err := s.do(func() error { return s.eng.Rebind(dst.pool) })
+	err := s.do(func() error {
+		if err := s.eng.Rebind(dst.pool); err != nil {
+			return err
+		}
+		src.ctl.Release(s.id)
+		s.shard.Store(int32(dst.id))
+		s.setHeadroom(placement.HeadroomUS)
+		s.eng.Telemetry().SetShard(strconv.Itoa(dst.id))
+		return nil
+	})
 	if err != nil {
 		dst.ctl.Release(s.id)
 		return placement, err
 	}
-	src.ctl.Release(s.id)
-	s.shard.Store(int32(dst.id))
-	s.setHeadroom(placement.HeadroomUS)
-	s.eng.Telemetry().SetShard(strconv.Itoa(dst.id))
 	f.logf("migrate %s: shard %d -> %d (headroom %.0f µs)", s.id, src.id, dst.id, placement.HeadroomUS)
 	if f.cfg.OnPlacement != nil {
 		f.cfg.OnPlacement(placement)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -427,5 +428,63 @@ func TestShardStatusReportsConfiguredSLOTarget(t *testing.T) {
 	defer d.Close()
 	if st, _ := d.ShardStatus(0); st.SLO.TargetPer10k != 5 || !st.SLO.Healthy {
 		t.Errorf("default empty shard: %+v, want target 5, healthy", st.SLO)
+	}
+}
+
+// TestRemoveRacingDrainLeavesNoRegistration races RemoveSession against a
+// Drain of the same session's shard. Whichever wins, every controller
+// must end up registering exactly the sessions its shard hosts: the
+// migration moves the registration on the driver, where RemoveSession
+// reads it once the driver has stopped.
+func TestRemoveRacingDrainLeavesNoRegistration(t *testing.T) {
+	f, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// A standing session that the drains move back and forth.
+	if _, _, err := f.AddSession(engine.SessionSpec{ID: "keep"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		s, _, err := f.AddSession(engine.SessionSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		from := s.Shard()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, _ = f.Drain(from) // a lost race is a reported failure, not an error
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := f.RemoveSession(s.ID()); err != nil {
+				t.Error(err)
+			}
+		}()
+		close(start)
+		wg.Wait()
+		if err := f.Undrain(from); err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range f.shards {
+			var registered, hosted []string
+			for _, b := range sh.ctl.Sessions() {
+				registered = append(registered, b.ID)
+			}
+			for _, h := range f.Sessions() {
+				if h.Shard() == sh.id {
+					hosted = append(hosted, h.ID())
+				}
+			}
+			if !reflect.DeepEqual(registered, hosted) {
+				t.Fatalf("round %d: shard %d registers %v, hosts %v", i, sh.id, registered, hosted)
+			}
+		}
 	}
 }

@@ -17,17 +17,16 @@ import (
 // the driver goroutine itself, so by construction no cycle is in
 // flight when the executor is swapped.
 type Session struct {
-	id    string
-	fleet *Fleet
-	eng   *engine.Engine
+	id  string
+	eng *engine.Engine
 
 	// rep is the admission load registered with the hosting shard's
 	// controller; migrations re-register the same report elsewhere.
 	rep     *admission.Report
 	verdict string
 	boundUS float64
-	// headroom is Float64bits of the placement headroom — migrations
-	// (driver-adjacent goroutines) update it while HTTP readers poll.
+	// headroom is Float64bits of the placement headroom — the driver
+	// updates it on migration while HTTP readers poll.
 	headroom atomic.Uint64
 
 	shard atomic.Int32
@@ -57,33 +56,23 @@ func (s *Session) HeadroomUS() float64 {
 
 func (s *Session) setHeadroom(h float64) { s.headroom.Store(math.Float64bits(h)) }
 
-// run is the driver loop: control closures between cycles, then one
-// Cycle, then pacing to the packet clock (period <= 0 runs unpaced).
-// When the loop has fallen far behind (a long migration, a descheduled
-// host), the pacing clock resynchronizes instead of bursting to catch
-// up.
+// run drives the engine through Engine.RunRealtime, paced to period
+// (≤ 0 runs unpaced), until stopped. Between cycles it runs the pending
+// control closures and honours stop.
 func (s *Session) run(period time.Duration) {
 	defer close(s.done)
-	next := time.Now().Add(period)
-	for {
-		select {
-		case <-s.stop:
-			return
-		case fn := <-s.ctl:
-			fn()
-			continue
-		default:
-		}
-		s.eng.Cycle(nil)
-		if period > 0 {
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
-			} else if d < -16*period {
-				next = time.Now()
+	s.eng.RunRealtime(math.MaxInt, period, func(int, int) bool {
+		for {
+			select {
+			case <-s.stop:
+				return false
+			case fn := <-s.ctl:
+				fn()
+			default:
+				return true
 			}
-			next = next.Add(period)
 		}
-	}
+	})
 }
 
 // do runs fn on the driver goroutine between cycles and returns its

@@ -3,7 +3,6 @@ package graph
 import (
 	"math"
 	"sync/atomic"
-	"time"
 )
 
 // Workload modeling.
@@ -52,9 +51,9 @@ func Calibrate() Calibration {
 	const units = 200000
 	best := float64(1 << 62)
 	for trial := 0; trial < 3; trial++ {
-		start := time.Now()
+		start := nowNanos()
 		Spin(units)
-		el := float64(time.Since(start).Nanoseconds()) / units
+		el := float64(nowNanos()-start) / units
 		if el < best {
 			best = el
 		}

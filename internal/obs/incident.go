@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"djstar/internal/graph"
 )
@@ -75,7 +74,7 @@ func (s *Sink) dump(cycle uint64, reason string, seq uint64) {
 	inc := &Incident{
 		SchemaVersion: IncidentSchemaVersion,
 		Reason:        reason,
-		UnixNanos:     time.Now().UnixNano(),
+		UnixNanos:     graph.UnixNanos(graph.NowNanos()),
 		Cycle:         cycle,
 		Strategy:      s.cfg.Strategy,
 		Session:       s.cfg.Session,

@@ -95,6 +95,38 @@ func TestSinkCooldownSuppressesDumpStorm(t *testing.T) {
 	}
 }
 
+// TestSinkCooldownCountsRecordedSeconds: the dump cooldown counts in the
+// Unix seconds RecordCycle is handed, so two budget crossings 5 s apart
+// write one bundle and 11 s apart write two — with no clock read.
+func TestSinkCooldownCountsRecordedSeconds(t *testing.T) {
+	for _, tc := range []struct {
+		gapSec  int64
+		bundles int
+	}{{5, 1}, {11, 2}} {
+		dir := t.TempDir()
+		s := NewSink(SinkConfig{IncidentDir: dir, SLO: SLOConfig{TargetPer10k: 5, WindowCycles: 100}})
+		var cycle uint64
+		// One miss crosses the budget; 100 clean cycles slide it out of
+		// the window, which re-arms the crossing.
+		cross := func(sec int64) {
+			for i := 0; i <= 100; i++ {
+				cycle++
+				s.RecordCycle(cycle, sec, 3_000_000, 2_900_000, i == 0, 0)
+			}
+		}
+		cross(1000)
+		cross(1000 + tc.gapSec)
+		s.Flush()
+		if got := s.Totals().Incidents; got != 2 {
+			t.Fatalf("gap %d s: incidents = %d, want 2 crossings", tc.gapSec, got)
+		}
+		paths, _ := filepath.Glob(filepath.Join(dir, "incident-"+ReasonBudget+"-*.json"))
+		if len(paths) != tc.bundles {
+			t.Fatalf("gap %d s: %d bundles, want %d", tc.gapSec, len(paths), tc.bundles)
+		}
+	}
+}
+
 // TestSinkBudgetCrossingTriggers: RecordCycle fires the recorder itself,
 // once, when the rolling miss window crosses its budget.
 func TestSinkBudgetCrossingTriggers(t *testing.T) {

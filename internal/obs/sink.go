@@ -3,7 +3,8 @@ package obs
 import (
 	"fmt"
 	"sync"
-	"time"
+
+	"djstar/internal/graph"
 )
 
 // SinkConfig labels and tunes a Sink.
@@ -218,7 +219,7 @@ func (s *Sink) RecordCycle(cycle uint64, unixSec, apcNS, graphNS int64, miss boo
 		slot.GovLevel = govLevel
 	}
 	if s.slo.add(miss) {
-		s.trigger(cycle, ReasonBudget)
+		s.trigger(cycle, ReasonBudget, unixSec)
 	}
 	s.mu.Unlock()
 }
@@ -242,7 +243,7 @@ func (s *Sink) Event(kind Kind, cycle uint64, detail string) {
 		k.count(&s.tot, slot)
 	}
 	if k.dump {
-		s.trigger(cycle, k.name)
+		s.trigger(cycle, k.name, graph.UnixSec(graph.NowNanos()))
 	}
 	s.mu.Unlock()
 }
@@ -258,19 +259,19 @@ func (s *Sink) retain(cycle uint64, kind, detail string) {
 
 // trigger fires the flight recorder (mutex held): the trigger is
 // retained as an event and counted, and — when an incident directory is
-// configured and the cooldown has passed — a bundle is assembled and
-// written on a fresh goroutine, off the audio path.
-func (s *Sink) trigger(cycle uint64, reason string) {
+// configured and the cooldown has passed since the last dump, counting
+// in the caller's Unix seconds — a bundle is assembled and written on a
+// fresh goroutine, off the audio path.
+func (s *Sink) trigger(cycle uint64, reason string, unixSec int64) {
 	s.retain(cycle, reason, "")
 	s.tot.Incidents++
 	if s.cfg.IncidentDir == "" {
 		return
 	}
-	now := time.Now().Unix()
-	if now-s.lastDmp < dumpCooldownSec {
+	if unixSec-s.lastDmp < dumpCooldownSec {
 		return
 	}
-	s.lastDmp = now
+	s.lastDmp = unixSec
 	s.dumpSeq++
 	seq := s.dumpSeq
 	s.pending.Add(1)
