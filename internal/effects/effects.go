@@ -147,23 +147,28 @@ func NewFlanger(hz int) *Flanger {
 func (f *Flanger) Process(buf audio.Stereo) {
 	lfoHz := 0.05 + f.macro*2 // 0.05..2.05 Hz
 	inc := lfoHz / float64(f.rate)
+	// The LFO is a rotor reseeded from the phase every packet; the phase
+	// advances as it always has and stays the only state (DESIGN.md §31).
+	rot := dsp.NewRotor(f.phase, inc)
+	phase := f.phase
 	for i := range buf.L {
-		mod := math.Sin(2 * math.Pi * f.phase)
-		f.phase += inc
-		if f.phase >= 1 {
-			f.phase -= 1
+		mod, _ := rot.Next()
+		phase += inc
+		if phase >= 1 {
+			phase -= 1
 		}
 		dl := f.center + f.depth*mod
 		dr := f.center + f.depth*-mod // inverted on the right for width
 		wl := f.lineL.ReadFrac(dl)
 		wr := f.lineR.ReadFrac(dr)
 		// The taps are interpolated, so every sample written back is
-		// settled (see DelayLine.Settle); the loop is bound by Sin.
+		// settled (see DelayLine.Settle).
 		f.lineL.Write(dsp.Settle(buf.L[i] + wl*f.feedback))
 		f.lineR.Write(dsp.Settle(buf.R[i] + wr*f.feedback))
 		buf.L[i] = f.mix(buf.L[i], wl)
 		buf.R[i] = f.mix(buf.R[i], wr)
 	}
+	f.phase = phase
 }
 
 // Reset implements Effect.

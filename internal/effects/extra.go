@@ -24,11 +24,15 @@ func NewAutoPan(hz int) *AutoPan {
 func (a *AutoPan) Process(buf audio.Stereo) {
 	lfoHz := 0.1 + a.macro*8 // 0.1..8.1 Hz
 	inc := lfoHz / float64(a.rate)
+	// The LFO is a rotor reseeded from the phase every packet, as the
+	// flanger's is (DESIGN.md §31); the pan law stays per sample.
+	rot := dsp.NewRotor(a.phase, inc)
+	phase := a.phase
 	for i := range buf.L {
-		pan := math.Sin(2 * math.Pi * a.phase) // -1..1
-		a.phase += inc
-		if a.phase >= 1 {
-			a.phase -= 1
+		pan, _ := rot.Next() // -1..1
+		phase += inc
+		if phase >= 1 {
+			phase -= 1
 		}
 		gl, gr := dsp.EqualPowerPan(pan)
 		// Mono-ize the pan source so the sweep is audible on any input,
@@ -37,6 +41,7 @@ func (a *AutoPan) Process(buf audio.Stereo) {
 		buf.L[i] = a.mix(buf.L[i], mid*gl*math.Sqrt2)
 		buf.R[i] = a.mix(buf.R[i], mid*gr*math.Sqrt2)
 	}
+	a.phase = phase
 }
 
 // Reset implements Effect.

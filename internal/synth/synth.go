@@ -271,14 +271,18 @@ func renderBeat(buf audio.Stereo, spec TrackSpec, level float64,
 		// Kick: pitch-swept sine on the beat, always present (even quiet
 		// bars keep a faint pulse so beat tracking stays possible). The
 		// sweep is tuned to the track key so the kick reinforces the root.
-		kt := float64(i) / float64(rate)
-		kick := math.Sin(2*math.Pi*(root+90*math.Exp(-kt*30))*kt) * kickEnv.Level(i, frames/4)
-		kAmp := 0.9 * level
-		if !loud {
-			kAmp = 0.25
+		// Past the envelope's end the kick would be ±0, and l and r start
+		// at +0, so skipping it there leaves every bit as it was.
+		if env := kickEnv.Level(i, frames/4); env != 0 {
+			kt := float64(i) / float64(rate)
+			kick := math.Sin(2*math.Pi*(root+90*math.Exp(-kt*30))*kt) * env
+			kAmp := 0.9 * level
+			if !loud {
+				kAmp = 0.25
+			}
+			l += kick * kAmp
+			r += kick * kAmp
 		}
-		l += kick * kAmp
-		r += kick * kAmp
 
 		if loud {
 			// Off-beat bass stab.

@@ -20,6 +20,8 @@ package timecode
 import (
 	"fmt"
 	"math"
+
+	"djstar/internal/dsp"
 )
 
 const (
@@ -145,6 +147,12 @@ func (g *Generator) Generate(l, r []float64) {
 	bits := g.seq.bits
 	n := float64(len(bits))
 	phase := g.phase
+	// Both carriers come from one rotor seeded at the needle, so the
+	// per-sample work is a complex multiply; the needle itself advances
+	// exactly as it would without it and reseeds the rotor every packet
+	// (DESIGN.md §31). Wrapping by n, a whole number of cycles, leaves the
+	// angle where it is.
+	rot := dsp.NewRotor(phase, inc)
 	for i := range l {
 		// For a needle inside the sequence the conversion truncates to
 		// Floor(phase), the cycle index. Bit's wrap-around arithmetic is
@@ -160,10 +168,7 @@ func (g *Generator) Generate(l, r []float64) {
 		if bit == 1 {
 			amp = bitHigh
 		}
-		// One argument reduction serves both carriers: Sincos evaluates
-		// the same polynomials on the same reduced argument as Sin and Cos
-		// (the oracle test holds it to that, bit for bit).
-		sin, cos := math.Sincos(2 * math.Pi * phase)
+		sin, cos := rot.Next()
 		l[i] = amp * sin
 		r[i] = amp * cos
 		phase += inc
