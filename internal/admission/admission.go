@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 
+	"djstar/internal/audio"
 	"djstar/internal/graph"
 	"djstar/internal/rescon"
 )
@@ -46,8 +47,9 @@ import (
 var ErrOverBudget = errors.New("admission: analytical bound exceeds the deadline envelope")
 
 // DefaultPeriodUS is the APC deadline envelope in microseconds: one
-// 2.902 ms packet period.
-const DefaultPeriodUS = 2902.3
+// packet period, audio.StandardPacketPeriod — the deadline the engine
+// counts misses against.
+var DefaultPeriodUS = float64(audio.StandardPacketPeriod) / 1e3
 
 // DefaultMargin is the safety factor applied to the mean-cost bound.
 // The bound models mean node costs; the 5-per-10k miss budget tolerates
@@ -162,7 +164,7 @@ func Analyze(plan *graph.Plan, costsUS []float64, strategy string, threads int, 
 		BaseUS:     cfg.BaseUS,
 	}
 	r.TotalWorkUS = m.TotalWork()
-	r.CritPathUS = m.EarliestStart().MakespanUS
+	r.CritPathUS = m.CriticalPathUS()
 	if ls, err := m.ListSchedule(threads); err == nil {
 		r.ListUS = ls.MakespanUS
 	}
@@ -198,30 +200,23 @@ func Analyze(plan *graph.Plan, costsUS []float64, strategy string, threads int, 
 	return r, nil
 }
 
-// ShedCosts returns a copy of costsUS with the shed node kinds zeroed —
-// the cost model of the governor ladder's degraded modes (rung 1 sheds
-// meters and control, rung 2 additionally bypasses FX). Shed nodes
-// still dispatch (the bypass stand-in runs), so the per-node check
-// overhead in the analysis is unchanged; only the kernel cost vanishes.
-func ShedCosts(plan *graph.Plan, costsUS []float64, shedUI, shedFX bool) []float64 {
+// ShedCosts returns a copy of costsUS with the nodes shed at ladder rung
+// zeroed (graph.NodeKind.ShedAt) — the cost model of the governor's
+// degraded levels. Shed nodes still dispatch (the bypass stand-in runs),
+// so the per-node check overhead in the analysis is unchanged; only the
+// kernel cost vanishes.
+func ShedCosts(plan *graph.Plan, costsUS []float64, rung int) []float64 {
 	out := append([]float64(nil), costsUS...)
 	for i, k := range plan.Kinds {
-		if i >= len(out) {
-			break
-		}
-		switch k {
-		case graph.KindMeter, graph.KindControl:
-			if shedUI {
-				out[i] = 0
-			}
-		case graph.KindFX:
-			if shedFX {
-				out[i] = 0
-			}
+		if i < len(out) && k.ShedAt(rung) {
+			out[i] = 0
 		}
 	}
 	return out
 }
+
+// rungLabels names what each ladder rung sheds.
+var rungLabels = [graph.MaxShedRung + 1]string{"", "meters+control", "meters+control+fx"}
 
 // Verdict is the outcome of the admission ladder.
 type Verdict int
@@ -259,23 +254,15 @@ type Decision struct {
 	// VerdictRefuse).
 	Full     *Report `json:"full"`
 	Admitted *Report `json:"admitted"`
-	// ShedUI / ShedFX describe the pre-shed rung of a degraded admission.
-	ShedUI bool `json:"shed_ui,omitempty"`
-	ShedFX bool `json:"shed_fx,omitempty"`
+	// Rung is the pre-shed ladder rung of a degraded admission (0 when
+	// nothing is shed; graph.MaxShedRung on a refusal).
+	Rung int `json:"rung,omitempty"`
 	// Reason is a human-readable summary of the decision.
 	Reason string `json:"reason"`
 }
 
 // PreShed names the degradation rung ("" when nothing is shed).
-func (d *Decision) PreShed() string {
-	switch {
-	case d.ShedFX:
-		return "meters+control+fx"
-	case d.ShedUI:
-		return "meters+control"
-	}
-	return ""
-}
+func (d *Decision) PreShed() string { return rungLabels[d.Rung] }
 
 // Decide walks the admission ladder for one plan: full graph, then the
 // governor's degradation rungs (shed meters+control, then also FX). The
@@ -292,29 +279,22 @@ func Decide(plan *graph.Plan, costsUS []float64, strategy string, threads int, s
 		d.Reason = fmt.Sprintf("bound %.0f µs within envelope %.0f µs", full.BoundUS, full.EnvelopeUS)
 		return d, nil
 	}
-	rungs := []struct {
-		ui, fx bool
-		label  string
-	}{
-		{true, false, "shed meters+control"},
-		{true, true, "shed meters+control+fx"},
-	}
-	for _, rung := range rungs {
-		rep, err := Analyze(plan, ShedCosts(plan, costsUS, rung.ui, rung.fx), strategy, threads, source, cfg)
+	for rung := 1; rung <= graph.MaxShedRung; rung++ {
+		rep, err := Analyze(plan, ShedCosts(plan, costsUS, rung), strategy, threads, source, cfg)
 		if err != nil {
 			return nil, err
 		}
 		d.Admitted = rep
 		if rep.Fits() {
 			d.Verdict = VerdictDegraded
-			d.ShedUI, d.ShedFX = rung.ui, rung.fx
-			d.Reason = fmt.Sprintf("full bound %.0f µs over envelope %.0f µs; fits at %.0f µs after %s",
-				full.BoundUS, full.EnvelopeUS, rep.BoundUS, rung.label)
+			d.Rung = rung
+			d.Reason = fmt.Sprintf("full bound %.0f µs over envelope %.0f µs; fits at %.0f µs after shed %s",
+				full.BoundUS, full.EnvelopeUS, rep.BoundUS, rungLabels[rung])
 			return d, nil
 		}
 	}
 	d.Verdict = VerdictRefuse
-	d.ShedUI, d.ShedFX = true, true
+	d.Rung = graph.MaxShedRung
 	d.Reason = fmt.Sprintf("bound %.0f µs (%.0f µs fully shed) exceeds envelope %.0f µs",
 		full.BoundUS, d.Admitted.BoundUS, full.EnvelopeUS)
 	return d, nil

@@ -141,11 +141,11 @@ func TestShedCostsZeroesKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := []float64{10, 20, 30, 40}
-	ui := ShedCosts(plan, costs, true, false)
+	ui := ShedCosts(plan, costs, 1)
 	if ui[audio] != 10 || ui[fx] != 20 || ui[meter] != 0 || ui[ctrl] != 0 {
 		t.Fatalf("shed-UI costs = %v", ui)
 	}
-	both := ShedCosts(plan, costs, true, true)
+	both := ShedCosts(plan, costs, 2)
 	if both[audio] != 10 || both[fx] != 0 || both[meter] != 0 || both[ctrl] != 0 {
 		t.Fatalf("shed-UI+FX costs = %v", both)
 	}
@@ -189,8 +189,8 @@ func TestDecideLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Verdict != VerdictDegraded || !d.ShedUI || d.ShedFX {
-		t.Fatalf("envelope 200: verdict %v ui=%v fx=%v, want degraded meters-only", d.Verdict, d.ShedUI, d.ShedFX)
+	if d.Verdict != VerdictDegraded || d.Rung != 1 || d.PreShed() != "meters+control" {
+		t.Fatalf("envelope 200: verdict %v rung %d, want degraded meters-only", d.Verdict, d.Rung)
 	}
 	if d.Admitted.BoundUS >= d.Full.BoundUS {
 		t.Fatalf("degraded bound %v must undercut full bound %v", d.Admitted.BoundUS, d.Full.BoundUS)
@@ -201,8 +201,8 @@ func TestDecideLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Verdict != VerdictDegraded || !d.ShedFX {
-		t.Fatalf("envelope 120: verdict %v fx=%v, want degraded with fx shed", d.Verdict, d.ShedFX)
+	if d.Verdict != VerdictDegraded || d.Rung != 2 || d.PreShed() != "meters+control+fx" {
+		t.Fatalf("envelope 120: verdict %v rung %d, want degraded with fx shed", d.Verdict, d.Rung)
 	}
 
 	cfg.PeriodUS = 50 // nothing fits

@@ -140,10 +140,7 @@ func newAdmissionRuntime(cfg *Config, plan *graph.Plan, threads int) (*admission
 // the telemetry gauges.
 func (a *admissionRuntime) install(e *Engine) {
 	if a.decision.Verdict == admission.VerdictDegraded {
-		level := GovDegraded1
-		if a.decision.ShedFX {
-			level = GovDegraded2
-		}
+		level := GovLevel(a.decision.Rung)
 		if e.gov != nil {
 			e.gov.force(level)
 		} else {
@@ -218,15 +215,11 @@ func (a *admissionRuntime) checkEdit(e *Engine, plan *graph.Plan, remap *graph.R
 	// Judge the edit at the engine's current rung: a degraded session's
 	// meters are already shed, so they cost nothing — but an edit must
 	// fit WITHOUT help from deeper rungs it has not earned.
-	shedUI, shedFX := false, false
+	rung := a.decision.Rung
 	if e.gov != nil {
-		level := e.gov.Level()
-		shedUI = level >= GovDegraded1
-		shedFX = level >= GovDegraded2
-	} else if a.decision != nil {
-		shedUI, shedFX = a.decision.ShedUI, a.decision.ShedFX
+		rung = int(e.gov.Level())
 	}
-	rep, err := admission.Analyze(plan, admission.ShedCosts(plan, costs, shedUI, shedFX),
+	rep, err := admission.Analyze(plan, admission.ShedCosts(plan, costs, rung),
 		a.strategy, a.threads, "edit", a.cfg)
 	if err != nil {
 		return err

@@ -46,7 +46,7 @@ func staticReports(t *testing.T, gc graph.Config, strategy string, threads int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	shed1, err = admission.Analyze(plan, admission.ShedCosts(plan, costs, true, false),
+	shed1, err = admission.Analyze(plan, admission.ShedCosts(plan, costs, 1),
 		strategy, procs, "static", acfg)
 	if err != nil {
 		t.Fatal(err)

@@ -98,10 +98,6 @@ func (e *Engine) editBase() (*topology, *stagedTopo) {
 
 // applyEditsLocked compiles and stages one edit set. editMu held.
 func (e *Engine) applyEditsLocked(es *graph.EditSet, desc string) error {
-	if e.closed.Load() {
-		return fmt.Errorf("engine: ApplyEdits after Close")
-	}
-	base, prev := e.editBase()
 	fail := func(err error) error {
 		e.recordEdit(EditOutcome{
 			Cycle: e.cycleN.Load(), Epoch: e.planEpoch.Load(),
@@ -114,9 +110,41 @@ func (e *Engine) applyEditsLocked(es *graph.EditSet, desc string) error {
 		e.tel.Event(kind, e.cycleN.Load(), desc+": "+err.Error())
 		return err
 	}
+	for {
+		if e.closed.Load() {
+			return fmt.Errorf("engine: ApplyEdits after Close")
+		}
+		base, prev := e.editBase()
+		next, err := e.buildStaged(es, desc, base, prev)
+		if err != nil {
+			return fail(err)
+		}
+		if e.beforePublish != nil {
+			e.beforePublish()
+		}
+		// Publish only over the stage next was built on. The cycle thread
+		// may have adopted prev meanwhile: next's remap, composed through
+		// prev's, is then indexed by the plan before the live one, and
+		// would move fault bits and node state onto the wrong nodes.
+		if e.staged.CompareAndSwap(prev, next) {
+			return nil
+		}
+		if e.topo.Load() != prev.topo {
+			return fail(errors.New("engine: the staged edit this one stacks on was rolled back"))
+		}
+		// prev is live now, and es was built against its graph: rebuild
+		// on the live topology.
+	}
+}
+
+// buildStaged applies es to base — the live topology, or the staged
+// edit prev stacks on — and compiles the stage that would replace prev:
+// admission check, fusion, a collector for the new plan, and the remap
+// from the live plan. editMu held.
+func (e *Engine) buildStaged(es *graph.EditSet, desc string, base *topology, prev *stagedTopo) (*stagedTopo, error) {
 	g2, plan2, remap, err := base.g.Apply(es)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if prev != nil {
 		remap = prev.remap.Compose(remap)
@@ -127,15 +155,14 @@ func (e *Engine) applyEditsLocked(es *graph.EditSet, desc string) error {
 		// rung, or the edit is rejected here — before fusion, before the
 		// swap, with the live topology untouched (ErrUnschedulableEdit).
 		if err := e.adm.checkEdit(e, plan2, remap); err != nil {
-			return fail(err)
+			return nil, err
 		}
 	}
 	execPlan := plan2
 	if e.cfg.FusePlan {
 		costs, _ := e.nodeCosts(e.topo.Load(), plan2, remap)
-		execPlan, err = graph.Fuse(plan2, costs, graph.FuseOptions{})
-		if err != nil {
-			return fail(err)
+		if execPlan, err = graph.Fuse(plan2, costs, graph.FuseOptions{}); err != nil {
+			return nil, err
 		}
 	}
 	var col *obs.Collector
@@ -146,18 +173,17 @@ func (e *Engine) applyEditsLocked(es *graph.EditSet, desc string) error {
 			TraceRing:  e.cfg.Obs.TraceRing,
 		})
 	}
-	ops, d := es.Len(), desc
-	if prev != nil {
-		ops += prev.ops
-		d = prev.desc + "; " + desc
-	}
-	e.staged.Store(&stagedTopo{
+	st := &stagedTopo{
 		topo:  &topology{g: g2, plan: plan2, execPlan: execPlan, col: col},
 		remap: remap,
-		ops:   ops,
-		desc:  d,
-	})
-	return nil
+		ops:   es.Len(),
+		desc:  desc,
+	}
+	if prev != nil {
+		st.ops += prev.ops
+		st.desc = prev.desc + "; " + desc
+	}
+	return st, nil
 }
 
 // StaticCostsUS is the static per-node cost table at an engine's

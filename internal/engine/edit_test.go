@@ -106,6 +106,51 @@ func TestEngineApplyEditsStacked(t *testing.T) {
 	e.RunCycles(5)
 }
 
+// TestStackedEditRacingAdoption: an edit stacked on a staged one whose
+// stage the cycle thread adopts between build and publish lands as if
+// built on the live topology — shed bits stay on the node they were set
+// on, not on the node that held its ID two epochs back.
+func TestStackedEditRacingAdoption(t *testing.T) {
+	e, err := New(fastConfig(sched.NameBusyWait, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	base := e.Plan().Len()
+	e.RunCycles(3)
+	if err := e.ApplyPatch("drop-node:MeterA"); err != nil {
+		t.Fatal(err)
+	}
+	// Each drop shifts the later IDs down by one.
+	e.faults.SetNodeShed(int32(e.Graph().NodeByName("Loudness")), true)
+	adopted := false
+	e.beforePublish = func() {
+		if !adopted {
+			adopted = true
+			e.Cycle(nil) // the cycle thread adopts the stage the edit was built on
+		}
+	}
+	if err := e.ApplyPatch("drop-node:CueVU"); err != nil {
+		t.Fatal(err)
+	}
+	if !adopted || e.PlanEpoch() != 1 {
+		t.Fatalf("adopted %v, epoch %d before the stacked edit's boundary, want 1", adopted, e.PlanEpoch())
+	}
+	e.Cycle(nil)
+	if e.PlanEpoch() != 2 || e.Plan().Len() != base-2 {
+		t.Fatalf("epoch %d with %d nodes, want 2 and %d", e.PlanEpoch(), e.Plan().Len(), base-2)
+	}
+	for i, name := range e.Plan().Names {
+		if name == "MeterA" || name == "CueVU" {
+			t.Fatalf("%s survived its drop", name)
+		}
+		if got, want := e.faults.Shed(int32(i)), name == "Loudness"; got != want {
+			t.Errorf("%s shed = %v, want %v", name, got, want)
+		}
+	}
+	e.RunCycles(3)
+}
+
 // TestEngineApplyPatchRejected: a bad spec is refused synchronously,
 // recorded in LastEdit, and leaves the topology untouched.
 func TestEngineApplyPatchRejected(t *testing.T) {

@@ -249,6 +249,9 @@ type Engine struct {
 	masterTempo float64
 	prevGC      int
 	closed      atomic.Bool
+	// beforePublish, when set, runs between building a stage and
+	// publishing it (a test seam for the adoption race; nil in production).
+	beforePublish func()
 }
 
 // schedRef wraps the Scheduler interface for atomic.Pointer (interfaces

@@ -5,13 +5,14 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"djstar/internal/graph"
 	"djstar/internal/sched"
 	"djstar/internal/stats"
 )
 
 // GovLevel is the deadline governor's degradation level. Levels are
-// ordered: each one sheds strictly more work than the previous.
+// ordered: each one sheds strictly more work than the previous. A
+// level's value is its rung on graph.NodeKind.ShedAt's ladder, which is
+// how the admission gate's rungs and the governor's levels convert.
 type GovLevel int32
 
 const (
@@ -227,18 +228,14 @@ func (g *governor) transition(from, to GovLevel) {
 	}
 }
 
-// shedLevel pushes the shed bits a level implies into the fault state —
-// the one kind→rung walk: meter and control nodes go at GovDegraded1, FX
-// nodes at GovDegraded2. Shed bits are per BASE node (fs.Plan), which
-// the fault state honours on fused plans too.
+// shedLevel pushes the shed bits a level implies into the fault state.
+// A level is a rung of graph.NodeKind.ShedAt's ladder — meter and
+// control nodes go at GovDegraded1, FX nodes at GovDegraded2 — the rule
+// admission's degraded cost models use too. Shed bits are per BASE node
+// (fs.Plan), which the fault state honours on fused plans too.
 func shedLevel(fs *sched.FaultState, level GovLevel) {
 	for i, k := range fs.Plan().Kinds {
-		switch k {
-		case graph.KindMeter, graph.KindControl:
-			fs.SetNodeShed(int32(i), level >= GovDegraded1)
-		case graph.KindFX:
-			fs.SetNodeShed(int32(i), level >= GovDegraded2)
-		}
+		fs.SetNodeShed(int32(i), k.ShedAt(int(level)))
 	}
 }
 

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
+	"djstar/internal/admission"
+	"djstar/internal/audio"
 	"djstar/internal/graph"
 	"djstar/internal/sched"
 )
@@ -331,5 +334,26 @@ func TestGovernorPredictiveRung(t *testing.T) {
 	}
 	if h.g.predicted.Load() {
 		t.Fatal("signal survived a window boundary")
+	}
+}
+
+// TestOneDeadline: the deadline the engine counts misses against, the
+// admission envelope and the governor's default deadline are one packet
+// period, audio.StandardPacketPeriod.
+func TestOneDeadline(t *testing.T) {
+	periodMS := audio.StandardPacketPeriod.Seconds() * 1e3
+	for _, c := range []struct {
+		name string
+		ms   float64
+	}{
+		{"engine.DeadlineMS", DeadlineMS},
+		{"engine.deadlineNS", float64(deadlineNS) / 1e6},
+		{"admission.DefaultPeriodUS", admission.DefaultPeriodUS / 1e3},
+		{"admission.Config default envelope", admission.NewController(1, admission.Config{}).Envelope() / 1e3},
+		{"GovernorConfig default DeadlineMS", GovernorConfig{}.withDefaults().DeadlineMS},
+	} {
+		if math.Abs(c.ms-periodMS) > 1e-9*periodMS {
+			t.Errorf("%s = %.9f ms, want the packet period %.9f ms", c.name, c.ms, periodMS)
+		}
 	}
 }

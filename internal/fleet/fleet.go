@@ -81,8 +81,8 @@ type Config struct {
 	// overridden per shard — the fleet owns admission.
 	Engine engine.Config
 	// Admission configures each shard's controller (zero = defaults:
-	// 2902.3 µs envelope, 1.25 margin; BaseUS defaults from the graph
-	// scale).
+	// one packet period of envelope, admission.DefaultPeriodUS, and a
+	// 1.25 margin; BaseUS defaults from the graph scale).
 	Admission admission.Config
 	// OnPlacement observes every placement decision (create and drain).
 	OnPlacement func(apiv1.Placement)

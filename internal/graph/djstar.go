@@ -210,8 +210,8 @@ func BuildDJStar(cfg Config) (*Session, *Graph, error) {
 
 	// add registers a node whose cost is topped up to the target: the
 	// kernel runs the real DSP and returns whether the node's input was
-	// "active" (loud), which selects the data-dependent extra cost. The
-	// meta carries the node's degradation classification and its
+	// "active" (loud), which selects the data-dependent extra cost; the
+	// target is recorded as the node's design cost. The meta carries the node's degradation classification and its
 	// quarantine/shed bypass and fault-flush hooks; the fault injector
 	// (when configured) wraps the finished run function so scripted
 	// failures fire inside the node, under the scheduler's recovery.
@@ -238,6 +238,7 @@ func BuildDJStar(cfg Config) (*Session, *Graph, error) {
 		id := g.AddNode(name, sec, run)
 		n := g.Node(id)
 		n.Kind = x.kind
+		n.Cost = c
 		n.Bypass = x.bypass
 		n.Flush = x.flush
 		return id

@@ -33,7 +33,8 @@ type NodeRef int
 func (r NodeRef) Added() bool { return r < 0 }
 
 // NodeSpec describes a node an EditSet adds. Zero-value Kind is
-// KindAudio; a nil Run becomes a no-op (like Graph.AddNode).
+// KindAudio; a nil Run becomes a no-op (like Graph.AddNode). Added nodes
+// have no spin target, so their design cost (Node.Cost) is zero.
 type NodeSpec struct {
 	Name    string
 	Section Section
@@ -481,6 +482,7 @@ func (st *editState) compact() (*Graph, *Plan, *Remap, error) {
 		newID := out.AddNode(n.Name, n.Section, n.Run)
 		nn := out.Node(newID)
 		nn.Kind = n.Kind
+		nn.Cost = n.Cost
 		nn.Bypass = n.Bypass
 		nn.Flush = n.Flush
 		nn.State = n.State

@@ -48,37 +48,16 @@ func Fuse(p *Plan, costUS []float64, o FuseOptions) (*Plan, error) {
 	if costUS != nil && len(costUS) != n {
 		return nil, fmt.Errorf("graph: fuse cost table has %d entries for %d nodes", len(costUS), n)
 	}
-	cost := func(id int32) float64 {
-		if costUS == nil {
-			return 1
-		}
-		return costUS[id]
-	}
+	cost := func(id int32) float64 { return costAt(costUS, id) }
 
 	maxCost := o.MaxCostUS
 	if maxCost <= 0 {
-		// Cost-weighted critical path (longest path by summed cost) and
-		// the most expensive single node, via a reverse topological sweep.
-		down := make([]float64, n)
-		maxNode := 0.0
-		for i := n - 1; i >= 0; i-- {
-			id := p.Order[i]
-			best := 0.0
-			for _, s := range p.SuccsOf(id) {
-				if down[s] > best {
-					best = down[s]
-				}
-			}
-			down[id] = cost(id) + best
-			if c := cost(id); c > maxNode {
-				maxNode = c
-			}
-		}
-		cpUS := 0.0
-		for _, d := range down {
-			if d > cpUS {
-				cpUS = d
-			}
+		// Cost-weighted critical path (the largest upward rank) and the
+		// most expensive single node.
+		cpUS, maxNode := 0.0, 0.0
+		for id, d := range p.UpwardRank(costUS) {
+			cpUS = max(cpUS, d)
+			maxNode = max(maxNode, cost(int32(id)))
 		}
 		maxCost = cpUS / 4
 		if floor := 2 * maxNode; maxCost < floor {
@@ -146,6 +125,10 @@ func Fuse(p *Plan, costUS []float64, o FuseOptions) (*Plan, error) {
 			}
 		})
 		super.Node(sid).Kind = p.Kinds[head]
+		for _, m := range chain {
+			super.Node(sid).Cost.BaseUS += p.Costs[m].BaseUS
+			super.Node(sid).Cost.DataUS += p.Costs[m].DataUS
+		}
 	}
 	for v := int32(0); v < int32(n); v++ {
 		for _, u := range p.PredsOf(v) {

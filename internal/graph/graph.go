@@ -10,6 +10,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -71,6 +72,23 @@ const (
 	KindControl
 )
 
+// MaxShedRung is the deepest rung of the degradation ladder ShedAt
+// knows: rung 1 sheds meter and control nodes, rung 2 also bypasses FX.
+const MaxShedRung = 2
+
+// ShedAt reports whether a node of kind k is shed at ladder rung r — the
+// one kind→rung rule behind the governor's levels and the admission
+// ladder's degraded cost models. Audio nodes are never shed.
+func (k NodeKind) ShedAt(r int) bool {
+	switch k {
+	case KindMeter, KindControl:
+		return r >= 1
+	case KindFX:
+		return r >= 2
+	}
+	return false
+}
+
 // String returns the kind label.
 func (k NodeKind) String() string {
 	switch k {
@@ -97,6 +115,9 @@ type Node struct {
 	Section Section
 	// Kind classifies the node for load shedding (KindAudio by default).
 	Kind NodeKind
+	// Cost is the node's design cost (DESIGN.md §4): the target its
+	// calibrated load tops the kernel up to. Zero for nodes without one.
+	Cost Cost
 	// Run executes the node's computation. It must be safe to call from
 	// any worker thread; mutual exclusion between nodes sharing buffers is
 	// provided by the dependency edges.
@@ -246,6 +267,11 @@ type Plan struct {
 	// quarantines each member individually under its base ID.
 	Base    *Plan
 	Members [][]int32
+
+	// Costs holds each node's design cost (Node.Cost), the plan's static
+	// work model. It is last so the fields the schedulers read every
+	// cycle keep their cache-line placement.
+	Costs []Cost
 }
 
 // Len returns the number of nodes in the plan.
@@ -284,26 +310,12 @@ func (p *Plan) SuccsOf(id int32) []int32 {
 }
 
 // PredLists materializes the per-node predecessor lists (always non-nil,
-// so they serialize as [] rather than null). It allocates; use it for
-// serialization and offline analysis, not on the cycle path.
+// so they serialize as [] rather than null). It allocates; it exists for
+// serialization (incident bundles), not for analysis or the cycle path.
 func (p *Plan) PredLists() [][]int32 {
 	out := make([][]int32, p.Len())
 	for i := range out {
-		seg := p.PredsOf(int32(i))
-		out[i] = make([]int32, len(seg))
-		copy(out[i], seg)
-	}
-	return out
-}
-
-// SuccLists materializes the per-node successor lists (allocates;
-// entries are always non-nil, like PredLists).
-func (p *Plan) SuccLists() [][]int32 {
-	out := make([][]int32, p.Len())
-	for i := range out {
-		seg := p.SuccsOf(int32(i))
-		out[i] = make([]int32, len(seg))
-		copy(out[i], seg)
+		out[i] = append([]int32{}, p.PredsOf(int32(i))...)
 	}
 	return out
 }
@@ -367,6 +379,7 @@ func (g *Graph) Compile() (*Plan, error) {
 		Names:            make([]string, n),
 		Sections:         make([]Section, n),
 		Kinds:            make([]NodeKind, n),
+		Costs:            make([]Cost, n),
 		Run:              make([]func(), n),
 		Bypass:           make([]func(), n),
 		Flush:            make([]func(), n),
@@ -384,6 +397,7 @@ func (g *Graph) Compile() (*Plan, error) {
 		p.Names[i] = node.Name
 		p.Sections[i] = node.Section
 		p.Kinds[i] = node.Kind
+		p.Costs[i] = node.Cost
 		p.Run[i] = node.Run
 		p.Bypass[i] = node.Bypass
 		p.Flush[i] = node.Flush
@@ -418,37 +432,100 @@ func (g *Graph) Compile() (*Plan, error) {
 	return p, nil
 }
 
-// computeRanks fills Rank and RankOrder from per-node costs in µs (nil =
-// unit costs) and sorts each node's successor segment by descending rank
-// so the release walk wakes the most critical successor first. Rank is
-// the classic HEFT upward rank on a single machine class:
+// The plan's work model is decided here, once: every cost-weighted
+// longest path in the repository — ranks, fusion's cap, the schedule
+// simulator's critical path and list priorities, the observed critical
+// path, the admission bound — is one of the two sweeps below over a
+// per-node µs cost slice (nil = unit costs).
+
+// UpwardRank is the backward sweep: the HEFT upward rank on a single
+// machine class, the longest cost path from each node (inclusive) to a
+// sink,
 //
 //	rank(i) = cost(i) + max over successors s of rank(s)
-//
-// Every edge u→v therefore gives Rank(u) ≥ Rank(v) + cost(u) > Rank(v)
-// when costs are positive, so descending rank is a topological order and
-// the list-based schedulers can substitute RankOrder for Order without
-// touching their deadlock-freedom argument.
-func (p *Plan) computeRanks(costUS []float64) {
-	n := p.Len()
-	p.Rank = make([]float64, n)
-	cost := func(id int32) float64 {
-		if costUS == nil {
-			return 1
-		}
-		return costUS[id]
-	}
+func (p *Plan) UpwardRank(costUS []float64) []float64 {
+	rank := make([]float64, p.Len())
 	// Order is topological, so a reverse sweep sees all successors first.
-	for i := n - 1; i >= 0; i-- {
+	for i := len(p.Order) - 1; i >= 0; i-- {
 		id := p.Order[i]
 		best := 0.0
 		for _, s := range p.SuccsOf(id) {
-			if p.Rank[s] > best {
-				best = p.Rank[s]
+			if rank[s] > best {
+				best = rank[s]
 			}
 		}
-		p.Rank[id] = cost(id) + best
+		rank[id] = costAt(costUS, id) + best
 	}
+	return rank
+}
+
+// EarliestFinish is the forward sweep: with unbounded processors every
+// node starts the moment its last predecessor finishes, so
+// finish[i] = cost(i) + max over predecessors of finish. via[i] is the
+// predecessor that set the start (the first in PredsOf order to reach
+// it; -1 for a node that starts at 0).
+func (p *Plan) EarliestFinish(costUS []float64) (finish []float64, via []int32) {
+	finish = make([]float64, p.Len())
+	via = make([]int32, p.Len())
+	for _, id := range p.Order {
+		via[id] = -1
+		start := 0.0
+		for _, pr := range p.PredsOf(id) {
+			if finish[pr] > start {
+				start = finish[pr]
+				via[id] = pr
+			}
+		}
+		finish[id] = start + costAt(costUS, id)
+	}
+	return finish, via
+}
+
+// CriticalPath returns the longest cost path in execution order and its
+// length, the infinite-processor makespan. Among equally long paths it
+// ends at the sink earliest in Order.
+func (p *Plan) CriticalPath(costUS []float64) (path []int32, lengthUS float64) {
+	finish, via := p.EarliestFinish(costUS)
+	last := int32(-1)
+	for _, id := range p.Order {
+		if last < 0 || finish[id] > finish[last] {
+			last = id
+		}
+	}
+	if last < 0 {
+		return nil, 0
+	}
+	for at := last; at >= 0; at = via[at] {
+		path = append(path, at)
+	}
+	slices.Reverse(path)
+	return path, finish[last]
+}
+
+// MakespanLowerBound is the resource-constrained lower bound on any
+// schedule of workUS total work with critical path cpUS on procs
+// processors: max(cp, work/procs).
+func MakespanLowerBound(workUS, cpUS float64, procs int) float64 {
+	return max(cpUS, workUS/float64(max(procs, 1)))
+}
+
+func costAt(costUS []float64, id int32) float64 {
+	if costUS == nil {
+		return 1
+	}
+	return costUS[id]
+}
+
+// computeRanks fills Rank (UpwardRank) and RankOrder from per-node costs
+// in µs (nil = unit costs) and sorts each node's successor segment by
+// descending rank so the release walk wakes the most critical successor
+// first. Every edge u→v gives Rank(u) ≥ Rank(v) + cost(u) > Rank(v) when
+// costs are positive, so descending rank is a topological order and the
+// list-based schedulers can substitute RankOrder for Order without
+// touching their deadlock-freedom argument.
+func (p *Plan) computeRanks(costUS []float64) {
+	n := p.Len()
+	p.Rank = p.UpwardRank(costUS)
 
 	posOf := make([]int32, n)
 	for pos, id := range p.Order {
@@ -483,6 +560,7 @@ func PlanFromLists(names []string, order []int32, preds [][]int32) *Plan {
 		Names:    append([]string(nil), names...),
 		Sections: make([]Section, n),
 		Kinds:    make([]NodeKind, n),
+		Costs:    make([]Cost, n),
 		Run:      make([]func(), n),
 		Bypass:   make([]func(), n),
 		Flush:    make([]func(), n),

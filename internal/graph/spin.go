@@ -81,6 +81,12 @@ type Cost struct {
 	DataUS float64
 }
 
+// MeanUS is the cost's expected average: the base plus half the
+// data-dependent part, since the synthetic tracks are loud about half
+// the time. It is how the paper's "average vertex computation time"
+// feeds the schedule analyses.
+func (c Cost) MeanUS() float64 { return c.BaseUS + c.DataUS/2 }
+
 // Standard node cost targets (µs, paper scale). Derived in DESIGN.md §4 to
 // reproduce the paper's sequential sum (~1.09 ms), critical path (~295 µs)
 // and 4-core optimum (~324 µs).

@@ -34,35 +34,12 @@ type PathStat struct {
 // durUS (microseconds, indexed by node ID) as node weights. Zero-weight
 // nodes are legal; dependencies still route the path through them.
 func CriticalPath(p *graph.Plan, durUS []float64) PathStat {
-	n := p.Len()
-	finish := make([]float64, n)
-	via := make([]int32, n)
 	var ps PathStat
-	last := int32(-1)
+	ps.Nodes, ps.LengthUS = p.CriticalPath(durUS)
 	for _, id := range p.Order {
-		via[id] = -1
-		start := 0.0
-		for _, pr := range p.PredsOf(id) {
-			if finish[pr] > start {
-				start = finish[pr]
-				via[id] = pr
-			}
-		}
-		finish[id] = start + durUS[id]
 		ps.TotalWorkUS += durUS[id]
-		if last < 0 || finish[id] > finish[last] {
-			last = id
-		}
 	}
-	if last >= 0 {
-		ps.LengthUS = finish[last]
-		for at := last; at >= 0; at = via[at] {
-			ps.Nodes = append(ps.Nodes, at)
-		}
-		// Reverse into execution order.
-		for i, j := 0, len(ps.Nodes)-1; i < j; i, j = i+1, j-1 {
-			ps.Nodes[i], ps.Nodes[j] = ps.Nodes[j], ps.Nodes[i]
-		}
+	if ps.Nodes != nil {
 		ps.Names = make([]string, len(ps.Nodes))
 		for i, id := range ps.Nodes {
 			ps.Names[i] = p.Names[id]
@@ -78,14 +55,7 @@ func CriticalPath(p *graph.Plan, durUS []float64) PathStat {
 // given thread count: max(critical path, total work / threads) — the
 // RESCON-style resource-constrained bound.
 func (ps PathStat) Bound(threads int) float64 {
-	if threads < 1 {
-		threads = 1
-	}
-	b := ps.TotalWorkUS / float64(threads)
-	if ps.LengthUS > b {
-		b = ps.LengthUS
-	}
-	return b
+	return graph.MakespanLowerBound(ps.TotalWorkUS, ps.LengthUS, threads)
 }
 
 // Efficiency returns Bound(threads)/measuredUS — 1.0 means the measured

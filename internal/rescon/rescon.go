@@ -20,14 +20,24 @@ import (
 	"djstar/internal/graph"
 )
 
-// Model is an immutable scheduling problem: tasks with durations and
-// dependencies, plus the queue order used by the static strategies.
+// Model is an immutable scheduling problem: a compiled plan — its
+// dependencies, its queue order (used by the static strategies) and its
+// longest-path sweeps — weighted with per-node durations.
 type Model struct {
-	names []string
-	dur   []float64 // microseconds
-	preds [][]int32
-	succs [][]int32
-	order []int32
+	plan *graph.Plan
+	dur  []float64 // microseconds
+}
+
+// PaperCostsUS returns the plan's design costs (DESIGN.md §4, Node.Cost)
+// in µs at paper scale, each at its expected average (Cost.MeanUS) — how
+// the paper's "average vertex computation time over 10k APC executions"
+// feeds the RESCON simulation.
+func PaperCostsUS(p *graph.Plan) []float64 {
+	out := make([]float64, p.Len())
+	for i, c := range p.Costs {
+		out[i] = c.MeanUS()
+	}
+	return out
 }
 
 // FromPlan builds a model from a compiled graph plan and per-node
@@ -41,20 +51,14 @@ func FromPlan(p *graph.Plan, durUS []float64) (*Model, error) {
 			return nil, fmt.Errorf("rescon: bad duration %v for node %d (%s)", d, i, p.Names[i])
 		}
 	}
-	return &Model{
-		names: p.Names,
-		dur:   append([]float64(nil), durUS...),
-		preds: p.PredLists(),
-		succs: p.SuccLists(),
-		order: p.Order,
-	}, nil
+	return &Model{plan: p, dur: append([]float64(nil), durUS...)}, nil
 }
 
 // Len returns the task count.
 func (m *Model) Len() int { return len(m.dur) }
 
 // Name returns task i's name.
-func (m *Model) Name(i int) string { return m.names[i] }
+func (m *Model) Name(i int) string { return m.plan.Names[i] }
 
 // Duration returns task i's duration in µs.
 func (m *Model) Duration(i int) float64 { return m.dur[i] }
@@ -89,7 +93,7 @@ type Result struct {
 	WaitUS float64
 }
 
-// computeMakespanAndPeak fills the derived fields of r.
+// finishResult fills the derived fields of r.
 func (m *Model) finishResult(r *Result) {
 	mk := 0.0
 	for _, f := range r.Finish {
@@ -128,24 +132,17 @@ func (m *Model) finishResult(r *Result) {
 // equals the critical-path length; the peak concurrency is the paper's
 // "maximum concurrency in the graph" (33 for the standard graph).
 func (m *Model) EarliestStart() *Result {
-	n := m.Len()
+	finish, via := m.plan.EarliestFinish(m.dur)
 	r := &Result{
 		Strategy: "earliest-start",
-		Threads:  0,
-		Start:    make([]float64, n),
-		Finish:   make([]float64, n),
-		Proc:     make([]int32, n),
+		Start:    make([]float64, m.Len()),
+		Finish:   finish,
+		Proc:     make([]int32, m.Len()),
 	}
-	// Process in a dependency-respecting order (the queue order is one).
-	for _, id := range m.order {
-		st := 0.0
-		for _, d := range m.preds[id] {
-			if f := r.Finish[d]; f > st {
-				st = f
-			}
+	for id, v := range via {
+		if v >= 0 {
+			r.Start[id] = finish[v]
 		}
-		r.Start[id] = st
-		r.Finish[id] = st + m.dur[id]
 	}
 	m.labelProcs(r)
 	m.finishResult(r)
@@ -189,11 +186,11 @@ func (m *Model) ListSchedule(procs int) (*Result, error) {
 		return nil, fmt.Errorf("rescon: procs = %d, want >= 1", procs)
 	}
 	n := m.Len()
-	rank := m.upwardRank()
+	rank := m.plan.UpwardRank(m.dur)
 
 	// Priority order: higher rank first, ties by queue position.
 	pos := make([]int, n)
-	for i, id := range m.order {
+	for i, id := range m.plan.Order {
 		pos[id] = i
 	}
 	prio := make([]int, n)
@@ -217,7 +214,7 @@ func (m *Model) ListSchedule(procs int) (*Result, error) {
 	scheduled := make([]bool, n)
 	unresolved := make([]int, n)
 	for i := range unresolved {
-		unresolved[i] = len(m.preds[i])
+		unresolved[i] = len(m.plan.PredsOf(int32(i)))
 	}
 	procFree := make([]float64, procs)
 
@@ -234,7 +231,7 @@ func (m *Model) ListSchedule(procs int) (*Result, error) {
 			return nil, fmt.Errorf("rescon: no ready task (cycle in model?)")
 		}
 		ready := 0.0
-		for _, d := range m.preds[pick] {
+		for _, d := range m.plan.PredsOf(int32(pick)) {
 			if f := r.Finish[d]; f > ready {
 				ready = f
 			}
@@ -252,31 +249,12 @@ func (m *Model) ListSchedule(procs int) (*Result, error) {
 		r.Proc[pick] = int32(best)
 		procFree[best] = r.Finish[pick]
 		scheduled[pick] = true
-		for _, s := range m.succs[pick] {
+		for _, s := range m.plan.SuccsOf(int32(pick)) {
 			unresolved[s]--
 		}
 	}
 	m.finishResult(r)
 	return r, nil
-}
-
-// upwardRank returns, per task, the longest duration path from the task
-// (inclusive) to any sink.
-func (m *Model) upwardRank() []float64 {
-	n := m.Len()
-	rank := make([]float64, n)
-	// Process in reverse queue order: successors before predecessors.
-	for i := n - 1; i >= 0; i-- {
-		id := m.order[i]
-		best := 0.0
-		for _, s := range m.succs[id] {
-			if rank[s] > best {
-				best = rank[s]
-			}
-		}
-		rank[id] = best + m.dur[id]
-	}
-	return rank
 }
 
 // StrategyOverheads parameterizes the strategy simulations.
@@ -318,10 +296,10 @@ func (m *Model) simulateStatic(name string, threads int, ov StrategyOverheads, s
 	threadTime := make([]float64, threads)
 	// Nodes in global queue order: every predecessor of a node appears
 	// earlier, so its finish time is already known when we reach the node.
-	for i, id := range m.order {
+	for i, id := range m.plan.Order {
 		w := i % threads
 		ready := 0.0
-		for _, d := range m.preds[id] {
+		for _, d := range m.plan.PredsOf(id) {
 			if f := r.Finish[d]; f > ready {
 				ready = f
 			}
@@ -378,16 +356,15 @@ func (m *Model) Efficiency(r *Result) float64 {
 	if r.MakespanUS <= 0 || r.Threads < 1 {
 		return 0
 	}
-	cp := m.EarliestStart().MakespanUS
-	lower := math.Max(m.TotalWork()/float64(r.Threads), cp)
-	return lower / r.MakespanUS
+	return graph.MakespanLowerBound(m.TotalWork(), m.CriticalPathUS(), r.Threads) / r.MakespanUS
 }
 
 // CriticalPathUS returns the earliest-start makespan — the critical
 // path length at unbounded parallelism, the absolute lower bound on any
 // execution of the model.
 func (m *Model) CriticalPathUS() float64 {
-	return m.EarliestStart().MakespanUS
+	_, cp := m.plan.CriticalPath(m.dur)
+	return cp
 }
 
 // GrahamBound is Graham's greedy-scheduling upper bound for any

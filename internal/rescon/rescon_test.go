@@ -137,7 +137,7 @@ func TestListScheduleNeverBeatsCriticalPath(t *testing.T) {
 // checkScheduleValid asserts dependency and resource feasibility.
 func checkScheduleValid(m *Model, r *Result, procs int) error {
 	for i := 0; i < m.Len(); i++ {
-		for _, d := range m.preds[i] {
+		for _, d := range m.plan.PredsOf(int32(i)) {
 			if r.Start[i] < r.Finish[d]-1e-9 {
 				return errf("task %d starts before pred %d finishes", i, d)
 			}
