@@ -1,24 +1,21 @@
-// Command djanalyze is the track-preparation tool: it analyzes audio
-// (tempo, key, beat grid) and prints a library report with waveform
-// overviews — the offline "Track Preprocessing" path of the paper's
-// Fig. 2 architecture. Without arguments it analyzes the built-in
-// four-deck test set; given WAV files it imports and analyzes those.
+// Command djanalyze is the offline analysis tool for the APC task graph
+// (the paper's Fig. 3): what the live engine's collector, admission gate
+// and flight recorder report, reproduced outside the process that runs
+// the audio. Exactly one analysis runs, chosen by flag; with none, or with
+// a positional argument, it prints usage and exits 2.
 //
 // Usage:
 //
-//	djanalyze                       # analyze the synthetic deck tracks
-//	djanalyze set.wav other.wav     # analyze 16-bit stereo 44.1 kHz WAVs
-//	djanalyze -bars 32 -waveform    # longer tracks, draw waveforms
 //	djanalyze -graph                # task-graph critical-path analysis
 //	djanalyze -graph -fused         # ... plus the cost-guided fused topology
 //	djanalyze -admit                # admission bound vs measured p99 audit
 //	djanalyze -incident i.json      # replay a flight-recorder bundle
 //	djanalyze -dot | dot -Tsvg      # the task graph (Fig. 3) in Graphviz DOT
 //
-// With -graph it instead profiles the live task graph: per-node mean
-// durations (a sequential engine's collector means), the critical path
-// and RESCON bound they imply, and each parallel strategy's measured
-// makespan against that bound — the offline counterpart of djstar's
+// With -graph it profiles the live task graph: per-node mean durations (a
+// sequential engine's collector means), the critical path and RESCON
+// bound they imply, and each parallel strategy's measured makespan against
+// that bound — the offline counterpart of djstar's
 // /v1/sessions/{id}/critpath.
 //
 // With -admit it audits the admission gate's analytical response-time
@@ -34,129 +31,82 @@
 // engine used, and the result is checked against the bundle's own
 // recorded path — a self-consistency proof that the incident is
 // reproducible without the process that captured it.
+//
+// With -dot it prints the task graph in Graphviz DOT format.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
 
 	"djstar/internal/admission"
-	"djstar/internal/audio"
 	"djstar/internal/engine"
 	"djstar/internal/graph"
-	"djstar/internal/library"
 	"djstar/internal/obs"
 	"djstar/internal/sched"
 	"djstar/internal/stats"
-	"djstar/internal/synth"
 )
 
-func main() {
-	var (
-		bars      = flag.Int("bars", 16, "bars per built-in synthetic track")
-		waveform  = flag.Bool("waveform", false, "render waveform overviews")
-		match     = flag.Float64("match", 0, "list tracks within this BPM percentage of the first track")
-		graphMode = flag.Bool("graph", false, "analyze the task graph (critical path, bounds, strategy efficiency)")
-		cycles    = flag.Int("cycles", 2000, "measurement cycles for -graph")
-		scale     = flag.Float64("scale", 0.2, "node cost scale for -graph")
-		threads   = flag.Int("threads", 4, "threads for -graph strategy runs")
-		fused     = flag.Bool("fused", false, "with -graph: also print the cost-guided fused topology")
-		admit     = flag.Bool("admit", false, "audit the admission bound against measured p99 per strategy/threads")
-		incident  = flag.String("incident", "", "replay this flight-recorder incident bundle")
-		dot       = flag.Bool("dot", false, "print the task graph in Graphviz DOT format (Fig. 3)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
 
-	if *dot {
-		_, g, err := graph.BuildDJStar(graph.DefaultConfig())
-		if err == nil {
+// run parses args, runs the analysis they select and returns the exit
+// code: 0 on success, 1 when the analysis fails, 2 on a usage error.
+func run(args []string) int {
+	fs := flag.NewFlagSet("djanalyze", flag.ExitOnError)
+	var (
+		graphMode = fs.Bool("graph", false, "analyze the task graph (critical path, bounds, strategy efficiency)")
+		cycles    = fs.Int("cycles", 2000, "measurement cycles for -graph and -admit")
+		scale     = fs.Float64("scale", 0.2, "node cost scale for -graph and -admit")
+		threads   = fs.Int("threads", 4, "threads for -graph strategy runs; the largest thread count for -admit")
+		fused     = fs.Bool("fused", false, "with -graph: also print the cost-guided fused topology")
+		admit     = fs.Bool("admit", false, "audit the admission bound against measured p99 per strategy/threads")
+		incident  = fs.String("incident", "", "replay this flight-recorder incident bundle")
+		dot       = fs.Bool("dot", false, "print the task graph in Graphviz DOT format (Fig. 3)")
+	)
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "djanalyze: unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
+
+	var err error
+	switch {
+	case *dot:
+		var g *graph.Graph
+		if _, g, err = graph.BuildDJStar(graph.DefaultConfig()); err == nil {
 			err = g.WriteDOT(os.Stdout, "djstar")
 		}
-		if err != nil {
-			fatal(err)
-		}
-		return
+	case *incident != "":
+		err = analyzeIncident(*incident)
+	case *admit:
+		err = analyzeAdmit(*cycles, *scale, *threads)
+	case *graphMode:
+		err = analyzeGraph(*cycles, *scale, *threads, *fused)
+	default:
+		fmt.Fprintln(os.Stderr, "djanalyze: choose an analysis: -graph, -admit, -incident or -dot")
+		fs.Usage()
+		return 2
 	}
-	if *incident != "" {
-		if err := analyzeIncident(*incident); err != nil {
-			fatal(err)
-		}
-		return
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "djanalyze: %v\n", err)
+		return 1
 	}
-	if *admit {
-		if err := analyzeAdmit(*cycles, *scale, *threads); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *graphMode {
-		if err := analyzeGraph(*cycles, *scale, *threads, *fused); err != nil {
-			fatal(err)
-		}
-		return
-	}
+	return 0
+}
 
-	lib := library.New(audio.SampleRate)
-
-	if flag.NArg() == 0 {
-		for _, tr := range synth.StandardDeckTracks(*bars) {
-			if _, err := lib.Add(tr); err != nil {
-				fatal(err)
-			}
-		}
-	} else {
-		for _, path := range flag.Args() {
-			f, err := os.Open(path)
-			if err != nil {
-				fatal(err)
-			}
-			name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-			_, err = lib.ImportWAV(f, name)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-		}
+// checkRun rejects a measurement that would print figures it never took:
+// zero cycles leave every mean and quantile at 0, and zero threads make
+// every bound meaningless.
+func checkRun(cycles, threads int) error {
+	if cycles < 1 || threads < 1 {
+		return fmt.Errorf("need -cycles ≥ 1 and -threads ≥ 1, got %d and %d", cycles, threads)
 	}
-
-	var rows [][]string
-	for _, name := range lib.Names() {
-		e := lib.Get(name)
-		a := e.Analysis
-		rows = append(rows, []string{
-			name,
-			fmt.Sprintf("%.1f", a.BPM),
-			fmt.Sprintf("%.2f", a.BPMConfidence),
-			a.KeyName,
-			fmt.Sprintf("%.1fs", a.DurationSeconds),
-			fmt.Sprintf("%d", len(a.BeatGrid)),
-		})
-	}
-	fmt.Print(stats.RenderTable(
-		[]string{"track", "bpm", "conf", "key", "length", "beats"}, rows))
-
-	if *waveform {
-		for _, name := range lib.Names() {
-			fmt.Printf("\n%s\n", name)
-			fmt.Print(lib.Get(name).Analysis.Overview.Render(3))
-		}
-	}
-
-	if *match > 0 && lib.Len() > 1 {
-		first := lib.Get(lib.Names()[0])
-		fmt.Printf("\ntracks within %.0f%% of %s (%.1f BPM):\n",
-			*match, first.Track.Name, first.Analysis.BPM)
-		for _, e := range lib.CompatibleBPM(first.Analysis.BPM, *match) {
-			if e != first {
-				fmt.Printf("  %-10s %.1f BPM\n", e.Track.Name, e.Analysis.BPM)
-			}
-		}
-	}
+	return nil
 }
 
 // analyzeGraph profiles the DJ Star task graph offline: sequentially
@@ -166,6 +116,9 @@ func main() {
 // cp ≤ measured must hold for every strategy; the tool exits non-zero if
 // the measurement ever contradicts the theory.
 func analyzeGraph(cycles int, scale float64, threads int, fused bool) error {
+	if err := checkRun(cycles, threads); err != nil {
+		return err
+	}
 	cfg := graph.DefaultConfig()
 	cfg.Scale = scale
 	if scale > 0 {
@@ -243,6 +196,9 @@ func analyzeGraph(cycles int, scale float64, threads int, fused bool) error {
 // when measured p95 exceeds bound + allowance, i.e. when the excess
 // tail cannot be blamed on the environment.
 func analyzeAdmit(cycles int, scale float64, maxThreads int) error {
+	if err := checkRun(cycles, maxThreads); err != nil {
+		return err
+	}
 	cfg := graph.DefaultConfig()
 	cfg.Scale = scale
 	if scale > 0 {
@@ -483,9 +439,4 @@ func analyzeIncident(path string) error {
 	}
 	fmt.Println("replay matches the live engine's recorded critical path ✓")
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "djanalyze: %v\n", err)
-	os.Exit(1)
 }

@@ -18,6 +18,7 @@ type WAVWriter struct {
 	rate   int
 	frames int64
 	closed bool
+	buf    []byte // encoded packet, grown only for a longer packet
 }
 
 // NewWAVWriter writes a 16-bit stereo WAV header for the given sampling
@@ -63,13 +64,18 @@ func (ww *WAVWriter) writeHeader(dataBytes uint32) error {
 	return err
 }
 
-// WritePacket appends one stereo packet, clamping samples to [-1, 1].
+// WritePacket appends one stereo packet, clamping samples to [-1, 1]. It
+// encodes into a buffer kept on the writer, so a stream of equal-length
+// packets allocates nothing after the first.
 func (ww *WAVWriter) WritePacket(s Stereo) error {
 	if ww.closed {
 		return fmt.Errorf("audio: write to closed WAVWriter")
 	}
 	n := s.Len()
-	buf := make([]byte, n*4)
+	if cap(ww.buf) < n*4 {
+		ww.buf = make([]byte, n*4)
+	}
+	buf := ww.buf[:n*4]
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint16(buf[i*4:], uint16(pcm16(s.L[i])))
 		binary.LittleEndian.PutUint16(buf[i*4+2:], uint16(pcm16(s.R[i])))
@@ -104,46 +110,4 @@ func pcm16(x float64) int16 {
 	x = Clamp(x, -1, 1)
 	v := math.Round(x * 32767)
 	return int16(v)
-}
-
-// DecodeWAV parses a 16-bit stereo PCM WAV produced by WAVWriter (or any
-// compatible encoder) and returns the two channels and the sampling rate.
-// Each sample is PCM/32767 rounded to float32, which WAVWriter turns back
-// into the same PCM value. It is used by tests and by track-import
-// tooling; it intentionally supports only the canonical 44-byte-header
-// layout plus extra trailing chunks.
-func DecodeWAV(rd io.Reader) (l, r []float32, rate int, err error) {
-	var hdr [44]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-		return nil, nil, 0, fmt.Errorf("audio: short WAV header: %w", err)
-	}
-	if string(hdr[0:4]) != "RIFF" || string(hdr[8:12]) != "WAVE" || string(hdr[12:16]) != "fmt " {
-		return nil, nil, 0, fmt.Errorf("audio: not a RIFF/WAVE file")
-	}
-	if binary.LittleEndian.Uint16(hdr[20:22]) != 1 {
-		return nil, nil, 0, fmt.Errorf("audio: not PCM")
-	}
-	if ch := binary.LittleEndian.Uint16(hdr[22:24]); ch != 2 {
-		return nil, nil, 0, fmt.Errorf("audio: %d channels, want stereo", ch)
-	}
-	if bits := binary.LittleEndian.Uint16(hdr[34:36]); bits != 16 {
-		return nil, nil, 0, fmt.Errorf("audio: %d-bit samples, want 16", bits)
-	}
-	rate = int(binary.LittleEndian.Uint32(hdr[24:28]))
-	if string(hdr[36:40]) != "data" {
-		return nil, nil, 0, fmt.Errorf("audio: missing data chunk")
-	}
-	dataBytes := binary.LittleEndian.Uint32(hdr[40:44])
-
-	raw := make([]byte, dataBytes)
-	if _, err := io.ReadFull(rd, raw); err != nil {
-		return nil, nil, 0, fmt.Errorf("audio: short WAV data: %w", err)
-	}
-	frames := int(dataBytes / 4)
-	l, r = make([]float32, frames), make([]float32, frames)
-	for i := range l {
-		l[i] = float32(float64(int16(binary.LittleEndian.Uint16(raw[i*4:]))) / 32767)
-		r[i] = float32(float64(int16(binary.LittleEndian.Uint16(raw[i*4+2:]))) / 32767)
-	}
-	return l, r, rate, nil
 }

@@ -1,7 +1,7 @@
 package audio
 
 import (
-	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"testing"
@@ -45,14 +45,11 @@ func TestWAVRoundTrip(t *testing.T) {
 		src.L[i] = math.Sin(2 * math.Pi * float64(i) / 50)
 		src.R[i] = -src.L[i] / 2
 	}
-	// Write in two packets.
-	half := Stereo{L: src.L[:150], R: src.R[:150]}
-	rest := Stereo{L: src.L[150:], R: src.R[150:]}
-	if err := w.WritePacket(half); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WritePacket(rest); err != nil {
-		t.Fatal(err)
+	// A long packet, then shorter ones that reuse its encode buffer.
+	for _, cut := range [][2]int{{0, 200}, {200, 250}, {250, 300}} {
+		if err := w.WritePacket(Stereo{L: src.L[cut[0]:cut[1]], R: src.R[cut[0]:cut[1]]}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if w.Frames() != 300 {
 		t.Fatalf("Frames = %d", w.Frames())
@@ -64,22 +61,49 @@ func TestWAVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gotL, gotR, rate, err := DecodeWAV(bytes.NewReader(buf.data))
-	if err != nil {
-		t.Fatal(err)
+	checkWAV(t, buf.data, src)
+}
+
+// checkWAV checks a finished file byte by byte: the canonical 44-byte
+// header at its fixed offsets, then each frame's little-endian int16 pair
+// against pcm16 of the source sample.
+func checkWAV(t *testing.T, data []byte, src Stereo) {
+	t.Helper()
+	n := src.Len()
+	if len(data) != 44+4*n {
+		t.Fatalf("file is %d bytes, want %d", len(data), 44+4*n)
 	}
-	if rate != SampleRate {
-		t.Fatalf("rate = %d", rate)
-	}
-	if len(gotL) != 300 || len(gotR) != 300 {
-		t.Fatalf("decoded %d/%d frames", len(gotL), len(gotR))
-	}
-	for i := 0; i < 300; i++ {
-		if math.Abs(float64(gotL[i])-src.L[i]) > 1.0/32000 {
-			t.Fatalf("L[%d] = %v, want %v", i, gotL[i], src.L[i])
+	le := binary.LittleEndian
+	for _, f := range []struct {
+		off  int
+		tag  string
+		got  uint32
+		want uint32
+	}{
+		{4, "RIFF size", le.Uint32(data[4:]), uint32(36 + 4*n)},
+		{16, "fmt size", le.Uint32(data[16:]), 16},
+		{20, "format (PCM)", uint32(le.Uint16(data[20:])), 1},
+		{22, "channels", uint32(le.Uint16(data[22:])), 2},
+		{24, "sample rate", le.Uint32(data[24:]), SampleRate},
+		{28, "byte rate", le.Uint32(data[28:]), SampleRate * 4},
+		{32, "block align", uint32(le.Uint16(data[32:])), 4},
+		{34, "bits per sample", uint32(le.Uint16(data[34:])), 16},
+		{40, "data size", le.Uint32(data[40:]), uint32(4 * n)},
+	} {
+		if f.got != f.want {
+			t.Errorf("header %s at offset %d = %d, want %d", f.tag, f.off, f.got, f.want)
 		}
-		if math.Abs(float64(gotR[i])-src.R[i]) > 1.0/32000 {
-			t.Fatalf("R[%d] = %v, want %v", i, gotR[i], src.R[i])
+	}
+	for off, tag := range map[int]string{0: "RIFF", 8: "WAVE", 12: "fmt ", 36: "data"} {
+		if got := string(data[off : off+4]); got != tag {
+			t.Errorf("header tag at offset %d = %q, want %q", off, got, tag)
+		}
+	}
+	for i := 0; i < n; i++ {
+		l := int16(le.Uint16(data[44+4*i:]))
+		r := int16(le.Uint16(data[44+4*i+2:]))
+		if l != pcm16(src.L[i]) || r != pcm16(src.R[i]) {
+			t.Fatalf("frame %d = (%d, %d), want (%d, %d)", i, l, r, pcm16(src.L[i]), pcm16(src.R[i]))
 		}
 	}
 }
@@ -110,32 +134,38 @@ func TestWAVClampsClipping(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	gotL, gotR, _, err := DecodeWAV(bytes.NewReader(buf.data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotL[0] < 0.999 || gotR[0] > -0.999 {
-		t.Fatalf("clipping not clamped: %v %v", gotL[0], gotR[0])
+	checkWAV(t, buf.data, s)
+	le := binary.LittleEndian
+	if l, r := int16(le.Uint16(buf.data[44:])), int16(le.Uint16(buf.data[46:])); l != 32767 || r != -32767 {
+		t.Fatalf("clipping not clamped: %d %d", l, r)
 	}
 }
 
-func TestDecodeWAVRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("not a wav file at all, just text padding!!!!"),
+// discardSeeker is an io.WriteSeeker that keeps nothing, so the writer's
+// own allocations are the only ones measured.
+type discardSeeker struct{}
+
+func (discardSeeker) Write(p []byte) (int, error)                  { return len(p), nil }
+func (discardSeeker) Seek(offset int64, whence int) (int64, error) { return 0, nil }
+
+// TestWAVWriterAllocatesNothingPerPacket pins the record path: djstar
+// -record writes one packet per cycle from RunRealtime's between hook,
+// so the steady state must not allocate.
+func TestWAVWriterAllocatesNothingPerPacket(t *testing.T) {
+	w, err := NewWAVWriter(discardSeeker{}, SampleRate)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, c := range cases {
-		if _, _, _, err := DecodeWAV(bytes.NewReader(c)); err == nil {
-			t.Fatalf("case %d accepted", i)
+	s := NewStereo(PacketSize)
+	for i := range s.L {
+		s.L[i], s.R[i] = 0.25, -0.25
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := w.WritePacket(s); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Valid header but truncated data.
-	var buf seekBuffer
-	w, _ := NewWAVWriter(&buf, 44100)
-	_ = w.WritePacket(NewStereo(10))
-	_ = w.Close()
-	if _, _, _, err := DecodeWAV(bytes.NewReader(buf.data[:50])); err == nil {
-		t.Fatal("truncated data accepted")
+	}); allocs != 0 {
+		t.Fatalf("WritePacket allocates %.1f times per packet, want 0", allocs)
 	}
 }
 

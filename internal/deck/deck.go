@@ -2,20 +2,16 @@
 // paper's architecture, Fig. 2). A Deck streams audio packets out of a
 // loaded track with variable tempo (vinyl-style resampling), optional
 // key lock (granular pitch compensation so tempo changes do not change
-// pitch), loops and cue points. Four Decks feed the audio graph.
+// pitch) and loops. Four Decks feed the audio graph.
 package deck
 
 import (
-	"fmt"
 	"math"
 
 	"djstar/internal/audio"
 	"djstar/internal/dsp"
 	"djstar/internal/synth"
 )
-
-// MaxCues is the number of hot-cue slots per deck.
-const MaxCues = 8
 
 // Deck is a single track player. It is not safe for concurrent use; the
 // engine mutates decks only between graph executions (in the GP stage).
@@ -31,8 +27,6 @@ type Deck struct {
 
 	loopStart, loopEnd float64
 	loopOn             bool
-
-	cues [MaxCues]float64
 
 	shifterL, shifterR *PitchShifter
 }
@@ -102,24 +96,6 @@ func (d *Deck) SetKeyLock(on bool) { d.keyLock = on }
 
 // KeyLock reports whether pitch compensation is active.
 func (d *Deck) KeyLock() bool { return d.keyLock }
-
-// SetCue stores the current playhead in cue slot i.
-func (d *Deck) SetCue(i int) error {
-	if i < 0 || i >= MaxCues {
-		return fmt.Errorf("deck: cue slot %d out of range [0,%d)", i, MaxCues)
-	}
-	d.cues[i] = d.pos
-	return nil
-}
-
-// JumpCue moves the playhead to cue slot i.
-func (d *Deck) JumpCue(i int) error {
-	if i < 0 || i >= MaxCues {
-		return fmt.Errorf("deck: cue slot %d out of range [0,%d)", i, MaxCues)
-	}
-	d.pos = d.cues[i]
-	return nil
-}
 
 // SetLoop arms a loop between start and end (frames). An end at or before
 // start disables the loop.

@@ -125,28 +125,6 @@ func TestDeckLoopDegenerateDisables(t *testing.T) {
 	}
 }
 
-func TestDeckCues(t *testing.T) {
-	d := New("x", audio.SampleRate)
-	d.Load(testTrack())
-	d.Seek(500)
-	if err := d.SetCue(3); err != nil {
-		t.Fatal(err)
-	}
-	d.Seek(900)
-	if err := d.JumpCue(3); err != nil {
-		t.Fatal(err)
-	}
-	if d.Position() != 500 {
-		t.Fatalf("position after JumpCue = %v, want 500", d.Position())
-	}
-	if err := d.SetCue(-1); err == nil {
-		t.Fatal("SetCue(-1) accepted")
-	}
-	if err := d.JumpCue(MaxCues); err == nil {
-		t.Fatal("JumpCue out of range accepted")
-	}
-}
-
 func TestDeckSeekClamped(t *testing.T) {
 	d := New("x", audio.SampleRate)
 	tr := testTrack()

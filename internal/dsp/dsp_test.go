@@ -193,53 +193,6 @@ func TestHardClip(t *testing.T) {
 	}
 }
 
-func TestSoftClipBoundedAndMonotone(t *testing.T) {
-	// Output is bounded by 1/tanh(drive) (unity is hit exactly at x = ±1).
-	bound := 1/math.Tanh(2) + 1e-9
-	f := func(x float64) bool {
-		buf := []float64{x}
-		SoftClip(buf, 2)
-		return buf[0] >= -bound && buf[0] <= bound
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Unity at +-1 for normalized tanh drive.
-	buf := []float64{1, -1, 0}
-	SoftClip(buf, 3)
-	if math.Abs(buf[0]-1) > 1e-12 || math.Abs(buf[1]+1) > 1e-12 || buf[2] != 0 {
-		t.Fatalf("SoftClip normalization wrong: %v", buf)
-	}
-	// Zero drive falls back to 1.
-	b2 := []float64{0.5}
-	SoftClip(b2, 0)
-	if math.IsNaN(b2[0]) {
-		t.Fatal("SoftClip(0 drive) produced NaN")
-	}
-}
-
-func TestEnvelopeFollower(t *testing.T) {
-	e := NewEnvelopeFollower(4, 400)
-	// Feed a constant 1: level should approach 1.
-	for i := 0; i < 100; i++ {
-		e.ProcessSample(1)
-	}
-	if l := e.Level(); l < 0.99 {
-		t.Fatalf("attack level = %v, want ~1", l)
-	}
-	// Release: decays slowly.
-	for i := 0; i < 100; i++ {
-		e.ProcessSample(0)
-	}
-	if l := e.Level(); l < 0.5 || l >= 1 {
-		t.Fatalf("release level after 100 samples = %v, want slow decay", l)
-	}
-	e.Reset()
-	if e.Level() != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
 func TestEqualPowerPan(t *testing.T) {
 	l, r := EqualPowerPan(0)
 	if math.Abs(l-r) > 1e-12 || math.Abs(l*l+r*r-1) > 1e-12 {
@@ -310,46 +263,6 @@ func TestSmoothedGainRampsWithoutJump(t *testing.T) {
 	s.Apply(nil, 0.5)
 	if s.Current() != 0.5 {
 		t.Fatalf("Current after empty Apply = %v", s.Current())
-	}
-}
-
-func TestLinearResampleUnityRate(t *testing.T) {
-	src := []float64{0, 1, 2, 3, 4, 5, 6, 7}
-	dst := make([]float64, 4)
-	pos := LinearResample(dst, src, 0, 1)
-	if pos != 4 {
-		t.Fatalf("pos = %v, want 4", pos)
-	}
-	for i := range dst {
-		if dst[i] != float64(i) {
-			t.Fatalf("dst = %v", dst)
-		}
-	}
-}
-
-func TestLinearResampleHalfRate(t *testing.T) {
-	src := []float64{0, 2, 4, 6}
-	dst := make([]float64, 6)
-	LinearResample(dst, src, 0, 0.5)
-	want := []float64{0, 1, 2, 3, 4, 5}
-	for i := range want {
-		if math.Abs(dst[i]-want[i]) > 1e-12 {
-			t.Fatalf("dst = %v, want %v", dst, want)
-		}
-	}
-}
-
-func TestLinearResamplePastEnd(t *testing.T) {
-	src := []float64{1, 1}
-	dst := make([]float64, 5)
-	LinearResample(dst, src, 0, 1)
-	if dst[0] != 1 || dst[1] != 1 {
-		t.Fatalf("in-range samples wrong: %v", dst)
-	}
-	for i := 2; i < 5; i++ {
-		if dst[i] != 0 {
-			t.Fatalf("past-end sample %d = %v, want 0", i, dst[i])
-		}
 	}
 }
 

@@ -76,51 +76,3 @@ func HardClip(buf []float64, ceiling float64) int {
 	}
 	return clipped
 }
-
-// SoftClip applies a tanh-style saturator with the given drive, in place.
-// Used by the bit-crusher and as a musical overload stage.
-func SoftClip(buf []float64, drive float64) {
-	if drive <= 0 {
-		drive = 1
-	}
-	norm := math.Tanh(drive)
-	for i, x := range buf {
-		buf[i] = math.Tanh(x*drive) / norm
-	}
-}
-
-// EnvelopeFollower tracks the rectified signal level with separate attack
-// and release smoothing; drives meters and the gater effect.
-type EnvelopeFollower struct {
-	attack  float64
-	release float64
-	level   float64
-}
-
-// NewEnvelopeFollower returns a follower with the given attack and release
-// time constants in samples.
-func NewEnvelopeFollower(attackSamples, releaseSamples float64) *EnvelopeFollower {
-	return &EnvelopeFollower{
-		attack:  coefForSamples(attackSamples),
-		release: coefForSamples(releaseSamples),
-	}
-}
-
-// ProcessSample consumes one sample and returns the current level. The
-// follower has no block to end, and nothing on the cycle path calls it, so
-// it settles the level on every sample.
-func (e *EnvelopeFollower) ProcessSample(x float64) float64 {
-	a := math.Abs(x)
-	coef := e.release
-	if a > e.level {
-		coef = e.attack
-	}
-	e.level = Settle(a + (e.level-a)*coef)
-	return e.level
-}
-
-// Level returns the current envelope value.
-func (e *EnvelopeFollower) Level() float64 { return e.level }
-
-// Reset zeroes the envelope.
-func (e *EnvelopeFollower) Reset() { e.level = 0 }

@@ -2,32 +2,6 @@ package dsp
 
 import "math"
 
-// LinearResample reads len(dst) samples from src starting at fractional
-// position pos with the given playback rate (1.0 = unity), writing linearly
-// interpolated values into dst. It returns the new fractional position.
-// Reads past the end of src produce 0 and do not advance further use of
-// src; callers detect end-of-source by comparing the returned position to
-// len(src).
-func LinearResample(dst, src []float64, pos, rate float64) float64 {
-	n := len(src)
-	for i := range dst {
-		idx := int(pos)
-		if idx >= n-1 {
-			if idx >= n {
-				dst[i] = 0
-			} else {
-				dst[i] = src[n-1]
-			}
-			pos += rate
-			continue
-		}
-		frac := pos - float64(idx)
-		dst[i] = src[idx] + frac*(src[idx+1]-src[idx])
-		pos += rate
-	}
-	return pos
-}
-
 // CatmullRom evaluates the Catmull–Rom spline through four consecutive
 // samples at fraction t in [0, 1) between p1 and p2. It is the one
 // interpolation kernel behind CubicResample and the decks' varispeed read;
@@ -39,9 +13,12 @@ func CatmullRom(p0, p1, p2, p3, t float64) float64 {
 	return ((a*t+b)*t+c)*t + p1
 }
 
-// CubicResample is like LinearResample but uses 4-point Catmull–Rom
-// interpolation, giving noticeably less aliasing for vinyl-style pitch
-// bends. Positions outside src read as 0 (before) or the last sample.
+// CubicResample reads len(dst) samples from src starting at fractional
+// position pos with the given playback rate (1.0 = unity), writing 4-point
+// Catmull–Rom interpolated values into dst, and returns the new position.
+// Cubic rather than linear interpolation gives noticeably less aliasing
+// for vinyl-style pitch bends. Taps before src read as 0 and taps past its
+// end as the last sample; positions at or past the end produce 0.
 func CubicResample(dst, src []float64, pos, rate float64) float64 {
 	n := len(src)
 	at := func(i int) float64 {

@@ -213,14 +213,6 @@ func TestSilenceSweep(t *testing.T) {
 	}
 	const release = 2205.0 // samples: the output stage's 50 ms
 	kernels = append(kernels,
-		dsptest.Kernel{Name: "EnvelopeFollower", ZeroBy: dsptest.PacketsToFloor(1, math.Exp(-1/release)), New: func() dsptest.Unit {
-			es := []*EnvelopeFollower{NewEnvelopeFollower(8, release), NewEnvelopeFollower(8, release)}
-			return dsptest.Unit{State: es, Process: func(l, r []float64) {
-				for i := range l {
-					l[i], r[i] = es[0].ProcessSample(l[i]), es[1].ProcessSample(r[i])
-				}
-			}}
-		}},
 		// The limiter's gain relaxes to 1, not 0 (dynamics.go): nothing of
 		// it must reach 0, but nothing of it may go subnormal either, and
 		// below its threshold it is a new limiter.
