@@ -18,6 +18,7 @@ import (
 	"djstar/internal/engine"
 	"djstar/internal/graph"
 	"djstar/internal/sched"
+	"djstar/internal/synth"
 )
 
 // cue is one scripted action at a given cycle.
@@ -47,6 +48,10 @@ func main() {
 	s.Strips[1].SetCue(true)
 	s.Strips[2].SetFader(0)
 	s.Strips[3].SetFader(0)
+	// A session's sampler is built empty: load the hit it plays at 35 s.
+	hit := synth.SineBuffer(880, audio.SampleRate/4, audio.SampleRate)
+	s.Sampler.LoadClip(audio.Stereo{L: hit, R: hit})
+	s.Sampler.SetGain(0.5)
 
 	script := []cue{
 		{5, "kill deck B lows for the blend", func(s *graph.Session) {

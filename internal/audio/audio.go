@@ -216,14 +216,3 @@ func Clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-// FramesToDuration converts a frame count at rate hz to wall-clock time.
-func FramesToDuration(frames, hz int) time.Duration {
-	return time.Duration(float64(frames) / float64(hz) * float64(time.Second))
-}
-
-// DurationToFrames converts wall-clock time to a frame count at rate hz,
-// rounding to nearest.
-func DurationToFrames(d time.Duration, hz int) int {
-	return int(math.Round(d.Seconds() * float64(hz)))
-}

@@ -157,17 +157,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestFrameDurationRoundTrip(t *testing.T) {
-	f := func(n uint16) bool {
-		frames := int(n)
-		d := FramesToDuration(frames, SampleRate)
-		return DurationToFrames(d, SampleRate) == frames
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBufferOpsDoNotAllocate(t *testing.T) {
 	b := NewBuffer(PacketSize)
 	src := NewBuffer(PacketSize)

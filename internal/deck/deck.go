@@ -207,11 +207,12 @@ type PitchShifter struct {
 	phase  float64 // tap sweep phase in [0, 1)
 }
 
-// NewPitchShifter returns a shifter with a ~32 ms grain window.
+// NewPitchShifter returns a shifter with a ~32 ms grain window. Its line
+// holds what the taps reach: 1 + window samples back, and one more.
 func NewPitchShifter(rate int) *PitchShifter {
 	w := float64(rate) * 0.032
 	return &PitchShifter{
-		line:   dsp.NewDelayLine(int(w) * 2),
+		line:   dsp.NewDelayLine(int(w) + 3),
 		window: w,
 	}
 }

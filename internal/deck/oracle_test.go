@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"djstar/internal/audio"
+	"djstar/internal/dsp"
 	"djstar/internal/synth"
 )
 
@@ -16,7 +17,9 @@ import (
 // float64(src[i]) from the float32 track. A deck read through ReadPacket
 // and a twin read through the reference must agree on every sample and on
 // every piece of carried state (playhead, playing flag, shifter phase and
-// history).
+// history). The reference's shifters are built by refNewPitchShifter, with
+// the line twice the window that NewPitchShifter had before it was sized
+// to what the taps reach.
 
 func refSampleCubic(src []float32, pos float64) float64 {
 	n := len(src)
@@ -33,6 +36,15 @@ func refSampleCubic(src []float32, pos float64) float64 {
 	b := p0 - 2.5*p1 + 2*p2 - 0.5*p3
 	c := -0.5*p0 + 0.5*p2
 	return ((a*t+b)*t+c)*t + p1
+}
+
+// refNewPitchShifter is NewPitchShifter as it was, verbatim.
+func refNewPitchShifter(rate int) *PitchShifter {
+	w := float64(rate) * 0.032
+	return &PitchShifter{
+		line:   dsp.NewDelayLine(int(w) * 2),
+		window: w,
+	}
 }
 
 func refShifterProcess(p *PitchShifter, buf []float64, shift float64) {
@@ -199,6 +211,7 @@ func TestOracleReadPacket(t *testing.T) {
 					return d
 				}
 				d, ref := mk(), mk()
+				ref.shifterL, ref.shifterR = refNewPitchShifter(audio.SampleRate), refNewPitchShifter(audio.SampleRate)
 				for p, n := range oracleLens() {
 					got, want := audio.NewStereo(n), audio.NewStereo(n)
 					got.L[0], want.L[0] = 99, 99 // must be overwritten
@@ -228,12 +241,17 @@ func TestOracleReadPacket(t *testing.T) {
 	}
 }
 
-// TestOraclePitchShifter sweeps the shift ratio, including ratios no deck
-// tempo produces, where the phase wraps on nearly every sample.
+// TestOraclePitchShifter sweeps the shift ratio: 1/tempo for every deck
+// tempo from 0.5 to 1.5 in steps of 0.05, then ratios no deck tempo
+// produces, where the phase wraps on nearly every sample.
 func TestOraclePitchShifter(t *testing.T) {
 	src := oracleTracks()
-	for _, shift := range []float64{1 / 0.97, 1 / 1.03, 1 / 1.5, 2, 1, 0.5, 0, -3, 700, 1412, 5000, 1e9, math.Inf(1)} {
-		p, ref := NewPitchShifter(audio.SampleRate), NewPitchShifter(audio.SampleRate)
+	var shifts []float64
+	for k := 0; k <= 20; k++ {
+		shifts = append(shifts, 1/(0.5+float64(k)/20))
+	}
+	for _, shift := range append(shifts, 1/0.97, 1/1.03, 0.5, 0, -3, 700, 1412, 5000, 1e9, math.Inf(1)) {
+		p, ref := NewPitchShifter(audio.SampleRate), refNewPitchShifter(audio.SampleRate)
 		for _, tr := range src {
 			at := 0
 			for _, n := range oracleLens()[1500:] {

@@ -9,9 +9,9 @@ import (
 )
 
 // TestSilenceSweep puts the key-lock shifter through dsptest.Sweep. Its
-// delay line is not in a feedback loop — it holds the last 2*window input
-// samples and nothing else — so it has no state to settle: the sweep holds
-// it to that, by value.
+// delay line is not in a feedback loop — it holds the last input samples
+// its taps reach and nothing else — so it has no state to settle: the
+// sweep holds it to that, by value.
 func TestSilenceSweep(t *testing.T) {
 	noiseL := synth.WhiteNoise(64*audio.PacketSize, 0.5, 71)
 	noiseR := synth.WhiteNoise(64*audio.PacketSize, 0.5, 72)

@@ -30,6 +30,17 @@ func NewDelayLine(capacity int) *DelayLine {
 // Capacity returns the usable history length in samples.
 func (d *DelayLine) Capacity() int { return len(d.buf) }
 
+// Grow raises the capacity to at least capacity samples, keeping every
+// sample the line holds at its delay; the new, older slots read 0. It
+// allocates: call it on the control path, never in a block.
+func (d *DelayLine) Grow(capacity int) {
+	if capacity > len(d.buf) {
+		g := NewDelayLine(capacity) // unrolled oldest first, head at len(d.buf)
+		copy(g.buf[copy(g.buf, d.buf[d.pos:]):], d.buf[:d.pos])
+		d.buf, d.mask, d.pos = g.buf, g.mask, len(d.buf)
+	}
+}
+
 // Reset zeroes the history.
 func (d *DelayLine) Reset() {
 	for i := range d.buf {

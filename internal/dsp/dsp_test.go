@@ -89,6 +89,40 @@ func TestDelayLineCapacityRounding(t *testing.T) {
 	}
 }
 
+// TestDelayLineGrowKeepsHistory grows a line that has wrapped (head
+// mid-ring) and one that has not: every sample it held reads back at its
+// delay, the new slots read 0, a smaller capacity changes nothing, and the
+// grown line keeps running like a line built at the larger size.
+func TestDelayLineGrowKeepsHistory(t *testing.T) {
+	for _, written := range []int{5, 8 + 3} {
+		d, big := NewDelayLine(8), NewDelayLine(32)
+		for i := 1; i <= written; i++ {
+			d.Write(float64(i))
+			if i > written-8 {
+				big.Write(float64(i))
+			}
+		}
+		d.Grow(4)
+		if d.Capacity() != 8 {
+			t.Fatalf("Grow(4) on a line of 8: capacity %d", d.Capacity())
+		}
+		d.Grow(20)
+		if d.Capacity() != 32 {
+			t.Fatalf("Grow(20): capacity %d, want 32", d.Capacity())
+		}
+		for i := 0; i < 40; i++ {
+			for k := 1; k <= 32; k++ {
+				if got, want := d.Read(k), big.Read(k); got != want {
+					t.Fatalf("%d written, step %d: Read(%d) = %v, want %v", written, i, k, got, want)
+				}
+			}
+			rd, wr := d.Span(9, 1)
+			wr[0] = rd[0] + 100
+			big.Write(big.Read(9) + 100)
+		}
+	}
+}
+
 func TestDelayLineResetAndString(t *testing.T) {
 	d := NewDelayLine(4)
 	d.Write(5)

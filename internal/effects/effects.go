@@ -57,31 +57,32 @@ type Echo struct {
 	rate         int
 }
 
-// NewEcho returns an echo for sampling rate hz.
+// NewEcho returns an echo for sampling rate hz. Its lines hold what the
+// macro's delay reaches back (DESIGN.md §29); SetMacro grows them.
 func NewEcho(hz int) *Echo {
-	maxDelay := hz // up to 1 s
 	e := &Echo{
 		base:     base{name: "echo", macro: 0.5, wet: 0.5},
-		lineL:    dsp.NewDelayLine(maxDelay),
-		lineR:    dsp.NewDelayLine(maxDelay),
 		feedback: 0.45,
 		rate:     hz,
 	}
+	e.lineL, e.lineR = dsp.NewDelayLine(e.delaySamples()), dsp.NewDelayLine(e.delaySamples())
 	return e
 }
 
-// delaySamples converts the macro position to a delay length.
+// SetMacro implements Effect. A longer delay grows the lines, keeping
+// what they hold; what they had already dropped reads 0.
+func (e *Echo) SetMacro(v float64) {
+	e.base.SetMacro(v)
+	e.lineL.Grow(e.delaySamples())
+	e.lineR.Grow(e.delaySamples())
+}
+
+// delaySamples converts the macro position to a delay length, at most
+// 0.95 s.
 func (e *Echo) delaySamples() int {
 	beat := 60.0 / 126 * float64(e.rate)
 	frac := 1.0/16 + e.macro*(1.0/2-1.0/16)
-	d := int(beat * 4 * frac)
-	if d < 1 {
-		d = 1
-	}
-	if d > e.lineL.Capacity() {
-		d = e.lineL.Capacity()
-	}
-	return d
+	return max(int(beat*4*frac), 1)
 }
 
 // Process implements Effect.
@@ -415,29 +416,32 @@ type BeatMasher struct {
 	rate       int
 }
 
-// NewBeatMasher returns a beat masher for sampling rate hz.
+// NewBeatMasher returns a beat masher for sampling rate hz. It holds the
+// macro's slice (DESIGN.md §29); SetMacro grows it.
 func NewBeatMasher(hz int) *BeatMasher {
-	n := hz / 2 // up to 500 ms slice
-	return &BeatMasher{
+	m := &BeatMasher{
 		base:      base{name: "beatmasher", macro: 0.4, wet: 1},
-		bufL:      make([]float64, n),
-		bufR:      make([]float64, n),
 		capturing: true,
 		rate:      hz,
 	}
+	m.bufL, m.bufR = make([]float64, m.sliceLen()), make([]float64, m.sliceLen())
+	return m
 }
 
-// sliceLen returns the active loop length in samples.
+// SetMacro implements Effect. A longer slice grows the capture, keeping
+// what it holds; the new tail reads 0 until a capture reaches it.
+func (m *BeatMasher) SetMacro(v float64) {
+	m.base.SetMacro(v)
+	if n := m.sliceLen(); n > len(m.bufL) {
+		m.bufL = append(m.bufL, make([]float64, n-len(m.bufL))...)
+		m.bufR = append(m.bufR, make([]float64, n-len(m.bufR))...)
+	}
+}
+
+// sliceLen returns the active loop length in samples: 1/64 s up to 500 ms.
 func (m *BeatMasher) sliceLen() int {
-	minLen := m.rate / 64
-	n := minLen + int(m.macro*float64(len(m.bufL)-minLen))
-	if n < 1 {
-		n = 1
-	}
-	if n > len(m.bufL) {
-		n = len(m.bufL)
-	}
-	return n
+	minLen, maxLen := m.rate/64, m.rate/2
+	return max(minLen+int(m.macro*float64(maxLen-minLen)), 1)
 }
 
 // Process implements Effect.

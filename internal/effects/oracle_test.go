@@ -1,6 +1,7 @@
 package effects
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -474,4 +475,193 @@ func TestOracleLFOWithinTolerance(t *testing.T) {
 		}
 		t.Logf("%s: worst sample error 2^%.1f", u.name, math.Log2(worst))
 	}
+}
+
+// The echo and the beat masher hold only what their macro reaches and
+// grow on SetMacro (DESIGN.md §29). refEcho above and refBeatMasher below
+// are built for the longest macro, as the units were; the units must
+// match them sample for sample.
+
+// refBeatMasher is BeatMasher as it was, its capture sized for the longest
+// slice, rate/2, whatever the macro; moved here verbatim.
+type refBeatMasher struct {
+	refBase
+	bufL, bufR []float64
+	writePos   int
+	readPos    int
+	capturing  bool
+	rate       int
+}
+
+func newRefBeatMasher(hz int) *refBeatMasher {
+	n := hz / 2 // up to 500 ms slice
+	return &refBeatMasher{
+		refBase:   refBase{0.4, 1},
+		bufL:      make([]float64, n),
+		bufR:      make([]float64, n),
+		capturing: true,
+		rate:      hz,
+	}
+}
+
+func (m *refBeatMasher) sliceLen() int {
+	minLen := m.rate / 64
+	n := minLen + int(m.macro*float64(len(m.bufL)-minLen))
+	if n < 1 {
+		n = 1
+	}
+	if n > len(m.bufL) {
+		n = len(m.bufL)
+	}
+	return n
+}
+
+func (m *refBeatMasher) Process(buf audio.Stereo) {
+	n := m.sliceLen()
+	for i := range buf.L {
+		if m.capturing {
+			m.bufL[m.writePos] = buf.L[i]
+			m.bufR[m.writePos] = buf.R[i]
+			m.writePos++
+			if m.writePos >= n {
+				m.capturing = false
+				m.readPos = 0
+			}
+			// While capturing, pass dry through.
+			continue
+		}
+		wl := m.bufL[m.readPos]
+		wr := m.bufR[m.readPos]
+		m.readPos++
+		if m.readPos >= n {
+			m.readPos = 0
+		}
+		buf.L[i] = m.mix(buf.L[i], wl)
+		buf.R[i] = m.mix(buf.R[i], wr)
+	}
+}
+
+// resized is a sized-to-reach unit beside its worst-case reference.
+type resized struct {
+	fx    Effect
+	ref   interface{ Process(audio.Stereo) }
+	knobs *refBase
+	span  func() int // the samples the unit holds: line capacity or slice
+}
+
+func newResized(name string) resized {
+	if name == "echo" {
+		fx, ref := NewEcho(audio.SampleRate), newRefEcho(audio.SampleRate)
+		return resized{fx, ref, &ref.refBase, fx.lineL.Capacity}
+	}
+	fx, ref := NewBeatMasher(audio.SampleRate), newRefBeatMasher(audio.SampleRate)
+	return resized{fx, ref, &ref.refBase, fx.sliceLen}
+}
+
+func (u resized) setMacro(v float64) {
+	u.fx.SetMacro(v)
+	u.knobs.macro = v
+}
+
+// feed runs n samples of s from at through the unit and its reference, in
+// packets of standard and odd lengths, and fails on the first sample that
+// differs. It returns where it stopped.
+func (u resized) feed(t *testing.T, what string, s audio.Stereo, at, n int) int {
+	t.Helper()
+	lens := []int{128, 128, 128, 1, 7, 127, 129, 300}
+	for p, end := 0, at+n; at < end; p++ {
+		m := min(lens[p%len(lens)], end-at)
+		got, want := audio.NewStereo(m), audio.NewStereo(m)
+		got.CopyFrom(audio.Stereo{L: s.L[at : at+m], R: s.R[at : at+m]})
+		want.CopyFrom(got)
+		u.fx.Process(got)
+		u.ref.Process(want)
+		for i := 0; i < m; i++ {
+			if got.L[i] != want.L[i] || got.R[i] != want.R[i] {
+				t.Fatalf("%s: sample %d = (%v, %v), want (%v, %v)",
+					what, at+i, got.L[i], got.R[i], want.L[i], want.R[i])
+			}
+		}
+		at += m
+	}
+	return at
+}
+
+// TestOracleResizedUnits runs the echo and the beat masher at every macro
+// from 0 to 1 in steps of 0.05, each past at least two wraps of its line
+// or loop.
+func TestOracleResizedUnits(t *testing.T) {
+	for stream, s := range oracleStreams() {
+		for _, name := range []string{"echo", "beatmasher"} {
+			for k := 0; k <= 20; k++ {
+				u := newResized(name)
+				macro := float64(k) / 20
+				u.setMacro(macro)
+				if len(s.L) < 2*u.span() {
+					t.Fatalf("%s at macro %v holds %d samples: %d do not wrap it twice", name, macro, u.span(), len(s.L))
+				}
+				u.feed(t, fmt.Sprintf("%s on %s at macro %v", name, stream, macro), s, 0, len(s.L))
+			}
+		}
+	}
+}
+
+// TestOracleResizedUnitsRaisedMidStream raises the macro mid-stream, then
+// runs on past two wraps of the (grown) state. Raised before its line
+// wraps, or within the history the line holds, the echo matches the
+// worst-case reference. Raised past that history, its grown
+// line reads 0 where a worst-case line still held older audio: the
+// reference then has everything older than the old capacity cleared at
+// the raise, and must be matched from there on. The beat masher never
+// held more than its capture, so it matches the plain reference whenever
+// the raise comes, capturing or looping.
+func TestOracleResizedUnitsRaisedMidStream(t *testing.T) {
+	s := oracleStreams()["track"]
+	for _, c := range []struct {
+		name   string
+		unit   string
+		before int     // samples run before the raise
+		lower  float64 // a macro run for 50 packets before the raise; 0 = none
+		macro  float64
+		cut    bool
+	}{
+		{"echo before its line wraps", "echo", 100 * 128, 0, 1, false},
+		{"echo after its line wraps, within its history", "echo", 400 * 128, 0, 0.74, false},
+		{"echo after its line wraps, past its history", "echo", 400 * 128, 0, 1, true},
+		{"beatmasher while capturing", "beatmasher", 30 * 128, 0, 1, false},
+		{"beatmasher while looping", "beatmasher", 100 * 128, 0, 1, false},
+		{"beatmasher lowered while looping, then raised", "beatmasher", 100 * 128, 0.2, 1, false},
+	} {
+		u := newResized(c.unit)
+		at := u.feed(t, c.name+", before the raise", s, 0, c.before)
+		if c.lower > 0 {
+			u.setMacro(c.lower)
+			at = u.feed(t, c.name+", lowered", s, at, 50*128)
+		}
+		held := u.span()
+		if c.cut {
+			r := u.ref.(*refEcho)
+			r.lineL, r.lineR = keepNewest(r.lineL, held), keepNewest(r.lineR, held)
+		}
+		u.setMacro(c.macro)
+		if u.span() < held {
+			t.Fatalf("%s: %d samples held after the raise, %d before", c.name, u.span(), held)
+		}
+		if rest := len(s.L) - at; rest < 2*u.span() {
+			t.Fatalf("%s: %d samples after the raise do not wrap %d twice", c.name, rest, u.span())
+		}
+		u.feed(t, c.name, s, at, len(s.L)-at)
+	}
+}
+
+// keepNewest returns a line of line's capacity holding only its newest
+// keep samples; every older slot reads 0. The copy starts its settle lanes
+// afresh, which cannot change a sample of these streams: none is within
+// sixty orders of 0.
+func keepNewest(line *dsp.DelayLine, keep int) *dsp.DelayLine {
+	out := dsp.NewDelayLine(line.Capacity())
+	for k := keep; k >= 1; k-- {
+		out.Write(line.Read(k))
+	}
+	return out
 }

@@ -63,8 +63,10 @@ func sweepCases() map[string]sweepCase {
 		// the slowest gate), and multiplies the input: nothing to reach 0
 		// but the output, at once.
 		"gater": {macro: 0.5, wet: 0.25, zeroBy: 1},
-		// Loops what it captured for good.
-		"beatmasher": {macro: 0.4, wet: 0.25, zeroBy: 0},
+		// Loops what it captured for good, in the capture it was built
+		// with and in one grown to the longest slice.
+		"beatmasher":       {macro: 0.4, wet: 0.25, zeroBy: 0},
+		"beatmasher/grown": {effect: "beatmasher", macro: 1, wet: 0.25, zeroBy: 0},
 		// Macro 0 is the 80 Hz low-pass, the slowest poles of the sweep.
 		"filtersweep": {macro: 0, wet: 1, zeroBy: dsptest.PacketsToFloor(100, dsptest.PoleRadius(80, 0.9, audio.SampleRate))},
 		"autopan":     {macro: 0.3, wet: 0.25, zeroBy: 1},

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -245,6 +246,34 @@ func TestEngineHotPathAllocationFree(t *testing.T) {
 			}
 		}
 		e.Close()
+	}
+}
+
+// TestEngineCycleAllocationFreeAfterMacroGrowth turns every effect's macro
+// to 1 between cycles, which grows the echoes' lines and the beat
+// mashers' captures on the control path (DESIGN.md §29); the cycles after
+// it allocate nothing.
+func TestEngineCycleAllocationFreeAfterMacroGrowth(t *testing.T) {
+	e, err := New(fastConfig(sched.NameBusyWait, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.RunCycles(10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, chain := range e.Session().FX {
+		for _, fx := range chain {
+			fx.SetMacro(1)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Two echoes, each doubling two lines of 32768 float64s.
+	if grown := after.TotalAlloc - before.TotalAlloc; grown < 1<<20 {
+		t.Fatalf("SetMacro(1) allocated %d bytes, want the echo lines grown (1 MiB)", grown)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.Cycle(nil) }); allocs != 0 {
+		t.Fatalf("Cycle allocates %v per run after the growth, want 0", allocs)
 	}
 }
 

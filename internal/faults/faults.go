@@ -157,9 +157,6 @@ func (in *Injector) BeginCycle() { in.cycle.Add(1) }
 // Cycle returns the current 1-based cycle number.
 func (in *Injector) Cycle() uint64 { return in.cycle.Load() }
 
-// Specs returns the configured specs (do not modify).
-func (in *Injector) Specs() []Spec { return in.specs }
-
 // Stats returns the cumulative injection counters.
 func (in *Injector) Stats() Stats {
 	return Stats{

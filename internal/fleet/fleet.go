@@ -111,9 +111,6 @@ func (sh *Shard) Pool() *sched.Pool { return sh.pool }
 // Controller exposes the shard's admission controller.
 func (sh *Shard) Controller() *admission.Controller { return sh.ctl }
 
-// Draining reports whether the shard is refusing placements.
-func (sh *Shard) Draining() bool { return sh.draining.Load() }
-
 // Fleet owns the shards and the session registry.
 type Fleet struct {
 	cfg    Config

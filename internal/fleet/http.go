@@ -12,6 +12,7 @@ import (
 	"djstar/internal/admission"
 	"djstar/internal/apiv1"
 	"djstar/internal/engine"
+	"djstar/internal/graph"
 	"djstar/internal/obs"
 	"djstar/internal/sched"
 )
@@ -21,6 +22,7 @@ import (
 //	GET    /v1/sessions              – list every session (all shards)
 //	POST   /v1/sessions              – create: body apiv1.CreateSessionRequest;
 //	                                   201 with the placement decision,
+//	                                   400 on a config the graph rejects,
 //	                                   429 on analytical refusal
 //	GET    /v1/sessions/{id}         – session summary
 //	DELETE /v1/sessions/{id}         – stop and release the session
@@ -52,7 +54,7 @@ func (f *Fleet) Handler() http.Handler {
 			return
 		}
 		spec := engine.SessionSpec{ID: req.ID, Fuse: req.Fuse, AdmissionMargin: req.AdmissionMargin}
-		if req.Scale > 0 {
+		if req.Scale != 0 {
 			g := f.cfg.Engine.Graph
 			g.Scale = req.Scale
 			spec.Graph = &g
@@ -67,6 +69,8 @@ func (f *Fleet) Handler() http.Handler {
 				code = http.StatusTooManyRequests
 			case errors.Is(err, ErrDuplicate):
 				code = http.StatusConflict
+			case errors.Is(err, graph.ErrInvalidConfig):
+				code = http.StatusBadRequest
 			}
 			apiv1.Write(w, code, apiv1.Error{Error: err.Error()})
 			return

@@ -15,6 +15,29 @@ import (
 	"djstar/internal/engine"
 )
 
+// TestCreateRejectsBadScale: on a fleet built without a calibration (as
+// `djserve -scale 0` builds it) a positive scale cannot be honoured, and
+// a negative one is never valid. Both are the client's error: 400, and no
+// session is created.
+func TestCreateRejectsBadScale(t *testing.T) {
+	f, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	h := f.Handler()
+	for _, body := range []string{`{"scale":0.5}`, `{"scale":-1}`} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST /v1/sessions %s = %d, want 400: %s", body, rec.Code, rec.Body)
+		}
+	}
+	if n := len(f.Sessions()); n != 0 {
+		t.Fatalf("%d sessions created, want 0", n)
+	}
+}
+
 // TestControlPlane drives a two-shard fleet through the full /v1
 // lifecycle over HTTP: create (with placement justification), list,
 // snapshot, retune, edit, shard rollups, drain, undrain, destroy.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 
 	"djstar/internal/audio"
@@ -65,27 +66,30 @@ func DefaultConfig() Config {
 	}
 }
 
+// ErrInvalidConfig is wrapped by every error BuildDJStar returns for a Config it rejects.
+var ErrInvalidConfig = errors.New("graph: invalid config")
+
 func (c *Config) normalize() error {
 	if c.Rate <= 0 {
 		c.Rate = audio.SampleRate
 	}
 	if c.Decks < 1 || c.Decks > 4 {
-		return fmt.Errorf("graph: Decks = %d, want 1..4", c.Decks)
+		return fmt.Errorf("%w: Decks = %d, want 1..4", ErrInvalidConfig, c.Decks)
 	}
 	if c.SPPerDeck < 1 || c.SPPerDeck > 4 {
-		return fmt.Errorf("graph: SPPerDeck = %d, want 1..4", c.SPPerDeck)
+		return fmt.Errorf("%w: SPPerDeck = %d, want 1..4", ErrInvalidConfig, c.SPPerDeck)
 	}
 	if c.FXPerDeck < 0 || c.FXPerDeck > 4 {
-		return fmt.Errorf("graph: FXPerDeck = %d, want 0..4", c.FXPerDeck)
+		return fmt.Errorf("%w: FXPerDeck = %d, want 0..4", ErrInvalidConfig, c.FXPerDeck)
 	}
 	if c.ControlNodes < 0 {
-		return fmt.Errorf("graph: ControlNodes = %d, want >= 0", c.ControlNodes)
+		return fmt.Errorf("%w: ControlNodes = %d, want >= 0", ErrInvalidConfig, c.ControlNodes)
 	}
 	if c.Scale < 0 {
-		return fmt.Errorf("graph: Scale = %v, want >= 0", c.Scale)
+		return fmt.Errorf("%w: Scale = %v, want >= 0", ErrInvalidConfig, c.Scale)
 	}
 	if c.Scale > 0 && c.Calibration.NanosPerUnit <= 0 {
-		return fmt.Errorf("graph: Scale %v requires a Calibration", c.Scale)
+		return fmt.Errorf("%w: Scale %v requires a Calibration", ErrInvalidConfig, c.Scale)
 	}
 	if c.TrackBars <= 0 {
 		c.TrackBars = 16
@@ -105,7 +109,7 @@ type Session struct {
 	Strips []*mixer.ChannelStrip
 	// Mix is the crossfader/master/cue mixer.
 	Mix *mixer.Mixer
-	// Sampler is the one-shot clip player mixed into the master.
+	// Sampler is the one-shot clip player mixed into the master, built empty (silent).
 	Sampler *mixer.Sampler
 
 	// FX holds each deck's effect chain; FX[d][j] is unit j of deck d.
@@ -600,18 +604,6 @@ func newSession(cfg Config) *Session {
 
 		s.deckMeters = append(s.deckMeters, mixer.NewVUMeter(0.95))
 	}
-
-	// A short sampler clip (air-horn-ish burst).
-	clipLen := cfg.Rate / 4
-	clip := audio.NewStereo(clipLen)
-	osc := synth.NewOsc(synth.Saw, 880, cfg.Rate)
-	for i := 0; i < clipLen; i++ {
-		env := 1 - float64(i)/float64(clipLen)
-		v := osc.Next() * env * 0.5
-		clip.L[i] = v
-		clip.R[i] = v
-	}
-	s.Sampler.LoadClip(clip)
 
 	return s
 }

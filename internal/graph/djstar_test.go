@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -262,6 +263,28 @@ func TestDJStarGraphExecutionNoAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("graph cycle allocates %v per run, want 0", allocs)
 	}
+}
+
+// TestSessionStateBytes holds what BuildDJStar allocates for one session,
+// tracks excluded, to the state its units can reach (DESIGN.md §29): the
+// echo, beat-masher and pitch-shifter history sized by their parameters,
+// no sampler clip. Worst-case sizing came to about 3.8 MiB.
+func TestSessionStateBytes(t *testing.T) {
+	cfg := DefaultConfig()
+	tracks := synth.StandardDeckTracks(cfg.TrackBars)
+	cfg.Tracks = tracks[:]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, _, err := BuildDJStar(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	if got > 2.25 {
+		t.Fatalf("BuildDJStar allocated %.2f MiB beside its tracks, want at most 2.25", got)
+	}
+	t.Logf("%.2f MiB per session", got)
 }
 
 func TestDJStarControlNodeNames(t *testing.T) {
