@@ -123,7 +123,8 @@ type RetuneRequest struct {
 	// experiments inflate it). Nil leaves it unchanged.
 	LoadFactor *float64 `json:"load_factor,omitempty"`
 	// TurntableSpeed sets virtual turntable speeds by deck index
-	// (scratching / pitch bends over the control plane).
+	// (scratching / pitch bends over the control plane). An index with no
+	// deck rejects the whole request (422) before anything is applied.
 	TurntableSpeed map[int]float64 `json:"turntable_speed,omitempty"`
 }
 

@@ -94,9 +94,6 @@ func (d *Deck) Tempo() float64 { return d.tempo }
 // SetKeyLock enables or disables pitch compensation.
 func (d *Deck) SetKeyLock(on bool) { d.keyLock = on }
 
-// KeyLock reports whether pitch compensation is active.
-func (d *Deck) KeyLock() bool { return d.keyLock }
-
 // SetLoop arms a loop between start and end (frames). An end at or before
 // start disables the loop.
 func (d *Deck) SetLoop(start, end float64) {
@@ -110,9 +107,6 @@ func (d *Deck) SetLoop(start, end float64) {
 
 // ClearLoop disables the loop.
 func (d *Deck) ClearLoop() { d.loopOn = false }
-
-// LoopActive reports whether a loop is armed.
-func (d *Deck) LoopActive() bool { return d.loopOn }
 
 // BeatPhase returns the playhead's position within the current bar in
 // [0, 1), or 0 if no track is loaded. Used by the beat-grid control nodes.
@@ -202,7 +196,7 @@ func sampleCubic(src []float32, pos float64) float64 {
 // lock — the "time stretching, phase alignment" preprocessing work the
 // paper measures at 33 % of the APC.
 type PitchShifter struct {
-	line   *dsp.DelayLine
+	line   *dsp.DelayLine[float64]
 	window float64 // sweep window in samples
 	phase  float64 // tap sweep phase in [0, 1)
 }
@@ -212,7 +206,7 @@ type PitchShifter struct {
 func NewPitchShifter(rate int) *PitchShifter {
 	w := float64(rate) * 0.032
 	return &PitchShifter{
-		line:   dsp.NewDelayLine(int(w) + 3),
+		line:   dsp.NewDelayLine[float64](int(w) + 3),
 		window: w,
 	}
 }

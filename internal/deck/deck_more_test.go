@@ -28,11 +28,11 @@ func TestDeckPauseAndGetters(t *testing.T) {
 		t.Fatalf("position after pause = %v", d.Position())
 	}
 	d.SetKeyLock(true)
-	if !d.KeyLock() {
+	if !d.keyLock {
 		t.Fatal("KeyLock getter wrong")
 	}
 	d.SetKeyLock(false)
-	if d.KeyLock() {
+	if d.keyLock {
 		t.Fatal("KeyLock not cleared")
 	}
 }

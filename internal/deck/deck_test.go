@@ -99,7 +99,7 @@ func TestDeckLoopWraps(t *testing.T) {
 	tr := testTrack()
 	d.Load(tr)
 	d.SetLoop(100, 200)
-	if !d.LoopActive() {
+	if !d.loopOn {
 		t.Fatal("loop not armed")
 	}
 	d.Seek(150)
@@ -112,7 +112,7 @@ func TestDeckLoopWraps(t *testing.T) {
 		t.Fatalf("position %v escaped loop [100,200)", p)
 	}
 	d.ClearLoop()
-	if d.LoopActive() {
+	if d.loopOn {
 		t.Fatal("ClearLoop failed")
 	}
 }
@@ -120,7 +120,7 @@ func TestDeckLoopWraps(t *testing.T) {
 func TestDeckLoopDegenerateDisables(t *testing.T) {
 	d := New("x", audio.SampleRate)
 	d.SetLoop(200, 100)
-	if d.LoopActive() {
+	if d.loopOn {
 		t.Fatal("degenerate loop armed")
 	}
 }

@@ -42,7 +42,7 @@ func refSampleCubic(src []float32, pos float64) float64 {
 func refNewPitchShifter(rate int) *PitchShifter {
 	w := float64(rate) * 0.032
 	return &PitchShifter{
-		line:   dsp.NewDelayLine(int(w) * 2),
+		line:   dsp.NewDelayLine[float64](int(w) * 2),
 		window: w,
 	}
 }

@@ -148,7 +148,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	eqL, eqR := NewThreeBandEQ(44100), NewThreeBandEQ(44100)
 	ca, cb := NewComb(1309, 0.78, 0.2), NewComb(1332, 0.78, 0.2)
 	ap := NewAllPassDelay(74, 0.7)
-	line := NewDelayLine(100)
+	line := NewDelayLine[float64](100)
 	l, r := make([]float64, benchN), make([]float64, benchN)
 	accL, accR := make([]float64, benchN), make([]float64, benchN)
 	src := synth.WhiteNoise(4*benchN, 0.5, 3)

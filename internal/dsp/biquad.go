@@ -194,28 +194,3 @@ func (f *Biquad) Process(buf []float64) {
 	}
 	f.z1, f.z2 = Settle(z1), Settle(z2)
 }
-
-// MagnitudeAt returns the filter's magnitude response at frequency freq (Hz)
-// for sampling rate hz. Used by tests and the spectrum display.
-func (f *Biquad) MagnitudeAt(freq float64, hz int) float64 {
-	w := 2 * math.Pi * freq / float64(hz)
-	// Evaluate H(e^jw) = (b0 + b1 z^-1 + b2 z^-2) / (1 + a1 z^-1 + a2 z^-2).
-	c1, s1 := math.Cos(w), math.Sin(w)
-	c2, s2 := math.Cos(2*w), math.Sin(2*w)
-	numRe := f.b0 + f.b1*c1 + f.b2*c2
-	numIm := -f.b1*s1 - f.b2*s2
-	denRe := 1 + f.a1*c1 + f.a2*c2
-	denIm := -f.a1*s1 - f.a2*s2
-	num := math.Hypot(numRe, numIm)
-	den := math.Hypot(denRe, denIm)
-	if den == 0 {
-		return math.Inf(1)
-	}
-	return num / den
-}
-
-// IsStable reports whether the filter's poles are inside the unit circle.
-func (f *Biquad) IsStable() bool {
-	// Jury criterion for 1 + a1 z^-1 + a2 z^-2.
-	return math.Abs(f.a2) < 1 && math.Abs(f.a1) < 1+f.a2
-}

@@ -1,51 +1,61 @@
 package dsp
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"unsafe"
+)
+
+// Sample is the precision a DelayLine stores. float64 is the default;
+// float32 is for long, whole-sample history outside any per-sample
+// recursion (the echo), where it halves the memory (DESIGN.md §29).
+type Sample interface{ float32 | float64 }
 
 // DelayLine is a circular buffer supporting fixed and fractionally
 // interpolated taps. Echo, flanger and phaser effects are built on it.
-type DelayLine struct {
-	buf  []float64
-	pos  int // next write position, always in [0, len(buf))
-	mask int // len(buf)-1; len(buf) is always a power of two
-	trip int // Settle: samples written on the current trip round the loop
-	lane int // Settle: which sample in every settleShare this trip settles
+type DelayLine[T Sample] struct {
+	buf  []T
+	pos  int     // next write position, always in [0, len(buf))
+	top  float64 // len(buf)-1, ReadFrac's clamp: stored, it keeps ReadFrac inlinable
+	trip int     // Settle: samples written on the current trip round the loop
+	lane int     // Settle: which sample in every settleShare this trip settles
 }
 
-// NewDelayLine returns a delay line holding capacity samples of history.
-// Capacity is rounded up to the next power of two, so every tap wraps with
-// the mask instead of a modulo and Span can tell how far a tap and the
-// write head run before either reaches the end of the buffer.
-func NewDelayLine(capacity int) *DelayLine {
-	if capacity < 1 {
-		capacity = 1
-	}
-	size := 1
-	for size < capacity {
-		size <<= 1
-	}
-	return &DelayLine{buf: make([]float64, size), mask: size - 1}
+// NewDelayLine returns a delay line holding exactly capacity samples of
+// history (at least 1): the reach of the longest tap its unit reads.
+func NewDelayLine[T Sample](capacity int) *DelayLine[T] {
+	capacity = max(capacity, 1)
+	return &DelayLine[T]{buf: make([]T, capacity), top: float64(capacity - 1)}
 }
 
 // Capacity returns the usable history length in samples.
-func (d *DelayLine) Capacity() int { return len(d.buf) }
+func (d *DelayLine[T]) Capacity() int { return len(d.buf) }
 
-// Grow raises the capacity to at least capacity samples, keeping every
+// back returns the ring index of the sample written k steps ago, for k in
+// [0, len(buf)]. The ring is exactly as long as its reach, so there is no
+// mask to wrap with; one conditional add does, and keeps Read inlinable.
+func (d *DelayLine[T]) back(k int) int {
+	i := d.pos - k
+	if i < 0 {
+		i += len(d.buf)
+	}
+	return i
+}
+
+// Grow raises the capacity to capacity samples, keeping every
 // sample the line holds at its delay; the new, older slots read 0. It
 // allocates: call it on the control path, never in a block.
-func (d *DelayLine) Grow(capacity int) {
+func (d *DelayLine[T]) Grow(capacity int) {
 	if capacity > len(d.buf) {
-		g := NewDelayLine(capacity) // unrolled oldest first, head at len(d.buf)
-		copy(g.buf[copy(g.buf, d.buf[d.pos:]):], d.buf[:d.pos])
-		d.buf, d.mask, d.pos = g.buf, g.mask, len(d.buf)
+		g := make([]T, capacity) // unrolled oldest first, head at len(d.buf)
+		copy(g[copy(g, d.buf[d.pos:]):], d.buf[:d.pos])
+		d.buf, d.pos, d.top = g, len(d.buf), float64(capacity-1)
 	}
 }
 
 // Reset zeroes the history.
-func (d *DelayLine) Reset() {
-	for i := range d.buf {
-		d.buf[i] = 0
-	}
+func (d *DelayLine[T]) Reset() {
+	clear(d.buf)
 	d.pos, d.trip, d.lane = 0, 0, 0
 }
 
@@ -55,8 +65,9 @@ const settleShare = 8
 
 // Settle is the delay-line form of the package-level Settle, for a line
 // that closes a feedback loop through an integer tap delay samples back
-// and nothing else (an all-pass diffuser, an echo). The kernel calls it
-// once per block, after writing n samples.
+// and nothing else (an all-pass diffuser). The kernel calls it once per
+// block, after writing n samples. A float32 line settles to its own,
+// higher floor (settleFloor32).
 //
 // Such a loop is delay independent one-pole recursions interleaved in
 // time: the sample written now is the one written delay samples ago,
@@ -69,18 +80,17 @@ const settleShare = 8
 // exactly one trip in settleShare, whatever the delay and the block
 // length. In between it shrinks by at most the loop gain to the power
 // settleShare (and, where the loop is shorter than the block, by the trips
-// one block holds) — 0.45^8 = 2e-3 for the echo, the weakest loop — so a
-// value is never more than a few orders under the floor before it becomes
-// 0, and the subnormal range stays 240 orders away.
+// one block holds) — 0.45^8 = 2e-3 for the echo's gain, the weakest loop —
+// so a value is never more than a few orders under the floor before it
+// becomes 0, and the subnormal range stays 240 orders away.
 //
 // A loop that mixes neighbouring samples cannot use this — an
 // interpolated tap (the flanger), a filter in the loop (the comb's
 // damping): each sample it writes blends several recursions, so the zeros
 // a lane leaves are filled back in on the next trip. Such a kernel
 // settles every sample it writes.
-func (d *DelayLine) Settle(n, delay int) {
+func (d *DelayLine[T]) Settle(n, delay int) {
 	delay = max(delay, 1)
-	first := d.pos - n // ring index of the block's first sample, before masking
 	for off := 0; off < n; {
 		if d.trip >= delay {
 			d.trip, d.lane = 0, (d.lane+1)%settleShare
@@ -93,29 +103,35 @@ func (d *DelayLine) Settle(n, delay int) {
 				// on already: settle it where it has got to.
 				j += (n - 1 - j) / delay * delay
 			}
-			p := &d.buf[(first+j)&d.mask]
-			*p = Settle(*p)
+			// j is among the block's last delay samples, so at most
+			// delay <= len(buf) steps back.
+			p := &d.buf[d.back(n-j)]
+			*p = settled(*p)
 		}
 		off, d.trip = off+run, d.trip+run
 	}
 }
 
+// settled is Settle or Narrow, whichever is x's precision.
+func settled[T Sample](x T) T {
+	if unsafe.Sizeof(x) == 4 {
+		return T(Narrow(float64(x)))
+	}
+	return T(Settle(float64(x)))
+}
+
 // Write pushes one sample into the line.
-func (d *DelayLine) Write(x float64) {
+func (d *DelayLine[T]) Write(x T) {
 	d.buf[d.pos] = x
-	d.pos = (d.pos + 1) & d.mask
+	if d.pos++; d.pos == len(d.buf) {
+		d.pos = 0
+	}
 }
 
 // Read returns the sample written delay steps ago. delay must be in
 // [1, Capacity()]; it is clamped otherwise.
-func (d *DelayLine) Read(delay int) float64 {
-	if delay < 1 {
-		delay = 1
-	}
-	if delay > len(d.buf) {
-		delay = len(d.buf)
-	}
-	return d.buf[(d.pos-delay)&d.mask]
+func (d *DelayLine[T]) Read(delay int) T {
+	return d.buf[d.back(min(max(delay, 1), len(d.buf)))]
 }
 
 // Span opens the next run of up to n samples for block processing and
@@ -123,53 +139,68 @@ func (d *DelayLine) Read(delay int) float64 {
 // and wr[i] is where Write would store at step i of the run; both are
 // plain sub-slices of the ring, cut where the tap or the head would wrap,
 // so a packet takes one to three runs and the loop over a run carries no
-// mask, clamp or pointer chase. delay must be in [1, Capacity()] — the
+// wrap, clamp or pointer chase. delay must be in [1, Capacity()] — the
 // caller clamps it once, where it is set, not per sample.
 //
 // The caller must, for i ascending, read rd[i] before it writes wr[i], and
 // write every wr[i] before it touches the line again. A run longer than
 // delay then behaves exactly like the per-sample calls: rd[i] aliases
 // wr[i-delay], which the loop has already written.
-func (d *DelayLine) Span(delay, n int) (rd, wr []float64) {
-	tap := (d.pos - delay) & d.mask
-	m := min(n, d.reach(delay))
-	rd, wr = d.buf[tap:tap+m], d.buf[d.pos:d.pos+m]
-	d.pos = (d.pos + m) & d.mask
-	return rd, wr
+func (d *DelayLine[T]) Span(delay, n int) (rd, wr []T) {
+	buf, pos := d.buf, d.pos // back and reach inlined by hand: Span stays inlinable
+	tap := pos - delay
+	if tap < 0 {
+		tap += len(buf)
+	}
+	m := min(n, len(buf)-max(tap, pos))
+	if d.pos = pos + m; d.pos == len(buf) {
+		d.pos = 0
+	}
+	return buf[tap : tap+m], buf[pos : pos+m]
 }
 
 // reach returns how many steps the tap delay samples back and the write
 // head can both take before one of them wraps (at least 1).
-func (d *DelayLine) reach(delay int) int {
-	return len(d.buf) - max((d.pos-delay)&d.mask, d.pos)
+func (d *DelayLine[T]) reach(delay int) int {
+	return len(d.buf) - max(d.back(delay), d.pos)
 }
 
 // ReadFrac returns the linearly interpolated sample delay (possibly
 // fractional) steps in the past. Used by modulated effects (flanger).
-func (d *DelayLine) ReadFrac(delay float64) float64 {
+func (d *DelayLine[T]) ReadFrac(delay float64) T {
+	// Each tap wraps with its own conditional add, so neither load waits
+	// on the other, and the method stays inlinable (CI checks it). A NaN
+	// delay passes the clamps and converts to math.MinInt on amd64; the
+	// mask brings that to 0, inside the ring, and the fraction carries
+	// the NaN into the result, as the masked ring did.
 	if delay < 1 {
 		delay = 1
 	}
-	maxDelay := float64(len(d.buf) - 1)
-	if delay > maxDelay {
-		delay = maxDelay
+	if delay > d.top {
+		delay = d.top
 	}
-	i := int(delay)
-	frac := delay - float64(i)
-	a := d.buf[(d.pos-i)&d.mask]
-	b := d.buf[(d.pos-i-1)&d.mask]
-	return a + frac*(b-a)
+	i := int(delay) & math.MaxInt32
+	j := d.pos - i
+	if j < 0 {
+		j += len(d.buf)
+	}
+	k := j - 1
+	if k < 0 {
+		k += len(d.buf)
+	}
+	a := d.buf[j]
+	return a + T(delay-float64(i))*(d.buf[k]-a)
 }
 
 // String implements fmt.Stringer for debugging.
-func (d *DelayLine) String() string {
+func (d *DelayLine[T]) String() string {
 	return fmt.Sprintf("DelayLine(cap=%d, pos=%d)", len(d.buf), d.pos)
 }
 
 // Comb is a feedback comb filter: y[n] = x[n-D] + g*y[n-D]. Building block
 // of the Schroeder reverb.
 type Comb struct {
-	line  *DelayLine
+	line  *DelayLine[float64]
 	delay int
 	// Feedback is the loop gain g; |g| < 1 for stability.
 	Feedback float64
@@ -183,7 +214,7 @@ type Comb struct {
 func NewComb(delay int, feedback, damp float64) *Comb {
 	delay = max(delay, 1)
 	return &Comb{
-		line:     NewDelayLine(delay),
+		line:     NewDelayLine[float64](delay),
 		delay:    delay,
 		Feedback: feedback,
 		Damp:     damp,
@@ -236,7 +267,7 @@ func (c *Comb) Reset() {
 // AllPassDelay is a Schroeder all-pass diffuser:
 // y[n] = -g*x[n] + x[n-D] + g*y[n-D].
 type AllPassDelay struct {
-	line  *DelayLine
+	line  *DelayLine[float64]
 	delay int
 	Gain  float64
 }
@@ -245,7 +276,7 @@ type AllPassDelay struct {
 // samples (at least 1).
 func NewAllPassDelay(delay int, gain float64) *AllPassDelay {
 	delay = max(delay, 1)
-	return &AllPassDelay{line: NewDelayLine(delay), delay: delay, Gain: gain}
+	return &AllPassDelay{line: NewDelayLine[float64](delay), delay: delay, Gain: gain}
 }
 
 // Process runs buf through the all-pass stage in place. The only

@@ -11,7 +11,7 @@ import (
 func TestThreeBandEQFlatByDefault(t *testing.T) {
 	eq := NewThreeBandEQ(44100)
 	for _, freq := range []float64{50, 500, 2000, 10000} {
-		if m := eq.MagnitudeAt(freq); math.Abs(m-1) > 0.02 {
+		if m := eqMagnitudeAt(eq, freq); math.Abs(m-1) > 0.02 {
 			t.Fatalf("flat EQ magnitude at %v Hz = %v", freq, m)
 		}
 	}
@@ -20,10 +20,10 @@ func TestThreeBandEQFlatByDefault(t *testing.T) {
 func TestThreeBandEQKill(t *testing.T) {
 	eq := NewThreeBandEQ(44100)
 	eq.SetGains(EQGainMin, 0, 0) // low kill
-	if m := eq.MagnitudeAt(60); m > 0.12 {
+	if m := eqMagnitudeAt(eq, 60); m > 0.12 {
 		t.Fatalf("low kill leaves %v at 60 Hz", m)
 	}
-	if m := eq.MagnitudeAt(10000); math.Abs(m-1) > 0.1 {
+	if m := eqMagnitudeAt(eq, 10000); math.Abs(m-1) > 0.1 {
 		t.Fatalf("low kill affects highs: %v", m)
 	}
 }
@@ -31,7 +31,7 @@ func TestThreeBandEQKill(t *testing.T) {
 func TestThreeBandEQClampsGain(t *testing.T) {
 	eq := NewThreeBandEQ(44100)
 	eq.SetGains(-100, +100, 0)
-	l, m, h := eq.Gains()
+	l, m, h := eq.lowDB, eq.midDB, eq.highDB
 	if l != EQGainMin || m != EQGainMax || h != 0 {
 		t.Fatalf("Gains = %v %v %v, want clamped", l, m, h)
 	}
@@ -51,7 +51,7 @@ func TestThreeBandEQProcessStable(t *testing.T) {
 }
 
 func TestDelayLineRead(t *testing.T) {
-	d := NewDelayLine(8)
+	d := NewDelayLine[float64](8)
 	for i := 1; i <= 8; i++ {
 		d.Write(float64(i))
 	}
@@ -71,7 +71,7 @@ func TestDelayLineRead(t *testing.T) {
 }
 
 func TestDelayLineFracInterpolates(t *testing.T) {
-	d := NewDelayLine(8)
+	d := NewDelayLine[float64](8)
 	d.Write(0)
 	d.Write(10)
 	// 1 step ago = 10, 2 steps ago = 0; 1.5 steps ago = 5.
@@ -80,12 +80,14 @@ func TestDelayLineFracInterpolates(t *testing.T) {
 	}
 }
 
-func TestDelayLineCapacityRounding(t *testing.T) {
-	if c := NewDelayLine(100).Capacity(); c != 128 {
-		t.Fatalf("Capacity = %d, want 128", c)
+func TestDelayLineCapacityIsExact(t *testing.T) {
+	for _, c := range []int{1, 100, 1414, 23625} {
+		if got := NewDelayLine[float32](c).Capacity(); got != c {
+			t.Errorf("NewDelayLine(%d).Capacity() = %d", c, got)
+		}
 	}
-	if c := NewDelayLine(0).Capacity(); c < 1 {
-		t.Fatalf("zero capacity line unusable: %d", c)
+	if c := NewDelayLine[float64](0).Capacity(); c != 1 {
+		t.Fatalf("zero capacity line holds %d, want 1", c)
 	}
 }
 
@@ -95,7 +97,7 @@ func TestDelayLineCapacityRounding(t *testing.T) {
 // grown line keeps running like a line built at the larger size.
 func TestDelayLineGrowKeepsHistory(t *testing.T) {
 	for _, written := range []int{5, 8 + 3} {
-		d, big := NewDelayLine(8), NewDelayLine(32)
+		d, big := NewDelayLine[float64](8), NewDelayLine[float64](20)
 		for i := 1; i <= written; i++ {
 			d.Write(float64(i))
 			if i > written-8 {
@@ -107,11 +109,11 @@ func TestDelayLineGrowKeepsHistory(t *testing.T) {
 			t.Fatalf("Grow(4) on a line of 8: capacity %d", d.Capacity())
 		}
 		d.Grow(20)
-		if d.Capacity() != 32 {
-			t.Fatalf("Grow(20): capacity %d, want 32", d.Capacity())
+		if d.Capacity() != 20 {
+			t.Fatalf("Grow(20): capacity %d, want 20", d.Capacity())
 		}
 		for i := 0; i < 40; i++ {
-			for k := 1; k <= 32; k++ {
+			for k := 1; k <= 20; k++ {
 				if got, want := d.Read(k), big.Read(k); got != want {
 					t.Fatalf("%d written, step %d: Read(%d) = %v, want %v", written, i, k, got, want)
 				}
@@ -124,7 +126,7 @@ func TestDelayLineGrowKeepsHistory(t *testing.T) {
 }
 
 func TestDelayLineResetAndString(t *testing.T) {
-	d := NewDelayLine(4)
+	d := NewDelayLine[float64](4)
 	d.Write(5)
 	d.Reset()
 	if d.Read(1) != 0 {
@@ -277,8 +279,8 @@ func TestSmoothedGainRampsWithoutJump(t *testing.T) {
 		buf[i] = 1
 	}
 	s.Apply(buf, 1) // first call snaps to target
-	if s.Current() != 1 {
-		t.Fatalf("Current = %v, want 1", s.Current())
+	if s.current != 1 {
+		t.Fatalf("Current = %v, want 1", s.current)
 	}
 	for i := range buf {
 		buf[i] = 1
@@ -295,8 +297,8 @@ func TestSmoothedGainRampsWithoutJump(t *testing.T) {
 	}
 	// Empty buffer still updates the target.
 	s.Apply(nil, 0.5)
-	if s.Current() != 0.5 {
-		t.Fatalf("Current after empty Apply = %v", s.Current())
+	if s.current != 0.5 {
+		t.Fatalf("Current after empty Apply = %v", s.current)
 	}
 }
 

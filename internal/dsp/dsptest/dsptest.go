@@ -1,7 +1,7 @@
 // Package dsptest is what the silence-sweep tests of the kernel packages,
 // the graph session and the engine share: a reflective walk over every
-// float64 a kernel holds — unexported fields, delay-line rings and scratch
-// buffers included — so that "no subnormal anywhere" and "this state has
+// float64 and float32 a kernel holds — unexported fields, delay-line rings
+// and scratch buffers included — so that "no subnormal anywhere" and "this state has
 // reached exactly 0" are asserted on the values themselves, in any
 // package's kernels, without each package exporting its state for tests.
 // A field added to a kernel later is covered without anyone remembering to
@@ -17,17 +17,41 @@ import (
 	"unsafe"
 )
 
-// Leaf is one float64 field, or one []float64, reachable from the root of
-// a walk.
+// Leaf is one float64 or float32 field, or one []float64 or []float32,
+// reachable from the root of a walk.
 type Leaf struct {
 	// Field is the name of the struct field that holds the values ("z1",
 	// "buf", "state", ...), whatever slices and pointers lie between.
 	Field string
-	// X are the values: one for a scalar field. It aliases the kernel's
-	// own memory for a slice and is a copy for a scalar.
-	X []float64
+	// X are the values of a float64 leaf, X32 those of a float32 one; the
+	// other is nil. One value for a scalar field. They alias the kernel's
+	// own memory for a slice and are a copy for a scalar.
+	X   []float64
+	X32 []float32
 
 	path []seg
+}
+
+// Len returns the number of values in the leaf.
+func (l Leaf) Len() int { return len(l.X) + len(l.X32) }
+
+// At returns value i of the leaf, widened to float64 for a float32 leaf.
+func (l Leaf) At(i int) float64 {
+	if l.X32 != nil {
+		return float64(l.X32[i])
+	}
+	return l.X[i]
+}
+
+// FirstSubnormal returns the index of the first value that is subnormal
+// in the leaf's own precision, or -1.
+func (l Leaf) FirstSubnormal() int {
+	for i := range l.Len() {
+		if l.X32 != nil && Subnormal32(l.X32[i]) || l.X32 == nil && Subnormal(l.X[i]) {
+			return i
+		}
+	}
+	return -1
 }
 
 type seg struct {
@@ -51,10 +75,10 @@ func (l Leaf) Path() string {
 	return b.String()
 }
 
-// Walk calls visit for every float64 leaf reachable from root through
-// pointers, interfaces, structs, slices, arrays and map values. A pointer
-// is followed once; the pointers in skip are not followed at all (a deck's
-// track is a few million samples of input, not state).
+// Walk calls visit for every float64 and float32 leaf reachable from root
+// through pointers, interfaces, structs, slices, arrays and map values. A
+// pointer is followed once; the pointers in skip are not followed at all
+// (a deck's track is a few million samples of input, not state).
 func Walk(root any, visit func(Leaf), skip ...any) {
 	w := walker{visit: visit, seen: map[unsafe.Pointer]bool{}}
 	for _, s := range skip {
@@ -74,7 +98,9 @@ type walker struct {
 func (w *walker) walk(v reflect.Value, field string) {
 	switch v.Kind() {
 	case reflect.Float64:
-		w.visit(Leaf{Field: field, X: []float64{v.Float()}, path: w.path})
+		w.leaf(field, []float64{v.Float()}, nil)
+	case reflect.Float32:
+		w.leaf(field, nil, []float32{float32(v.Float())})
 	case reflect.Pointer:
 		if v.IsNil() || w.seen[v.UnsafePointer()] {
 			return
@@ -93,14 +119,14 @@ func (w *walker) walk(v reflect.Value, field string) {
 			w.path = w.path[:len(w.path)-1]
 		}
 	case reflect.Slice:
-		if v.Type().Elem().Kind() == reflect.Float64 {
-			if v.Len() > 0 {
-				xs := unsafe.Slice((*float64)(v.UnsafePointer()), v.Len())
-				w.visit(Leaf{Field: field, X: xs, path: w.path})
-			}
-			return
+		switch v.Type().Elem().Kind() {
+		case reflect.Float64:
+			w.leaf(field, unsafe.Slice((*float64)(v.UnsafePointer()), v.Len()), nil)
+		case reflect.Float32:
+			w.leaf(field, nil, unsafe.Slice((*float32)(v.UnsafePointer()), v.Len()))
+		default:
+			w.elems(v, field)
 		}
-		w.elems(v, field)
 	case reflect.Array:
 		w.elems(v, field)
 	case reflect.Map:
@@ -109,6 +135,13 @@ func (w *walker) walk(v reflect.Value, field string) {
 			w.walk(it.Value(), field)
 			w.path = w.path[:len(w.path)-1]
 		}
+	}
+}
+
+// leaf visits x or x32, whichever the leaf is, unless it is empty.
+func (w *walker) leaf(field string, x []float64, x32 []float32) {
+	if len(x)+len(x32) > 0 {
+		w.visit(Leaf{Field: field, X: x, X32: x32, path: w.path})
 	}
 }
 
@@ -123,11 +156,11 @@ func (w *walker) elems(v reflect.Value, field string) {
 	}
 }
 
-// holdsFloats prunes element types that cannot lead to a float64 (a
+// holdsFloats prunes element types that cannot lead to a float (a
 // []bool, a [8]int), so long slices of them are not walked one by one.
 func holdsFloats(t reflect.Type, depth int) bool {
 	switch t.Kind() {
-	case reflect.Float64, reflect.Pointer, reflect.Interface, reflect.Map:
+	case reflect.Float64, reflect.Float32, reflect.Pointer, reflect.Interface, reflect.Map:
 		return true
 	case reflect.Slice, reflect.Array:
 		return holdsFloats(t.Elem(), depth+1)
@@ -152,6 +185,12 @@ func Subnormal(x float64) bool {
 	return b&(0x7ff<<52) == 0 && b<<12 != 0
 }
 
+// Subnormal32 is Subnormal for a float32: a non-zero value below 1.2e-38.
+func Subnormal32(x float32) bool {
+	b := math.Float32bits(x)
+	return b&(0xff<<23) == 0 && b<<9 != 0
+}
+
 // FirstSubnormal returns the index of the first subnormal in xs, or -1.
 func FirstSubnormal(xs []float64) int {
 	for i, x := range xs {
@@ -167,8 +206,8 @@ func FirstSubnormal(xs []float64) int {
 func NoSubnormals(t testing.TB, what string, root any, skip ...any) {
 	t.Helper()
 	Walk(root, func(l Leaf) {
-		if i := FirstSubnormal(l.X); i >= 0 && !t.Failed() {
-			t.Errorf("%s: %s[%d] = %g is subnormal", what, l.Path(), i, l.X[i])
+		if i := l.FirstSubnormal(); i >= 0 && !t.Failed() {
+			t.Errorf("%s: %s[%d] = %g is subnormal", what, l.Path(), i, l.At(i))
 		}
 	}, skip...)
 }
@@ -181,8 +220,8 @@ func Lingering(root any, isState func(Leaf) bool, skip ...any) string {
 		if found != "" || !isState(l) {
 			return
 		}
-		for i, x := range l.X {
-			if x != 0 {
+		for i := range l.Len() {
+			if x := l.At(i); x != 0 {
 				found = fmt.Sprintf("%s[%d] = %g", l.Path(), i, x)
 				return
 			}
@@ -248,7 +287,7 @@ const (
 // subnormal; after ZeroBy silent packets its state and output must be
 // exactly 0 and stay there; and on the second burst it must produce, bit
 // for bit, what a new unit produces — it remembers nothing of the first.
-func Sweep(t *testing.T, k Kernel, noiseL, noiseR []float64) {
+func Sweep(t testing.TB, k Kernel, noiseL, noiseR []float64) {
 	t.Helper()
 	if len(noiseL) < sweepBurst*PacketSize || len(noiseR) < sweepBurst*PacketSize {
 		t.Fatalf("Sweep needs %d samples of noise per channel", sweepBurst*PacketSize)
@@ -324,16 +363,23 @@ func Sweep(t *testing.T, k Kernel, noiseL, noiseR []float64) {
 	}
 }
 
-// Floor is the dsp package's settle floor; a test there holds the two
-// equal.
-const Floor = 1e-60
+// Floor and Floor32 are the dsp package's settle floors for float64 state
+// and float32 history; a test there holds them equal to its own.
+const (
+	Floor   = 1e-60
+	Floor32 = 7e-36
+)
 
 // PacketsToFloor derives a ZeroBy: the number of packets a state that
 // starts at magnitude from and shrinks by perSample every sample takes to
 // pass under Floor, with a tenth and four packets to spare for the
 // transient that precedes the pure decay.
-func PacketsToFloor(from, perSample float64) int {
-	n := math.Log(Floor/from) / math.Log(perSample) / PacketSize
+func PacketsToFloor(from, perSample float64) int { return PacketsTo(Floor, from, perSample) }
+
+// PacketsTo is PacketsToFloor for a given floor (Floor32 for float32
+// history).
+func PacketsTo(floor, from, perSample float64) int {
+	n := math.Log(floor/from) / math.Log(perSample) / PacketSize
 	return int(n*1.1) + 4
 }
 

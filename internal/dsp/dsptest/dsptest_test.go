@@ -87,3 +87,55 @@ func TestSubnormalAndLingering(t *testing.T) {
 		t.Error("PacketsToFloor changed its margin")
 	}
 }
+
+type narrow struct {
+	gain  float32
+	line  []float32
+	pair  [2]float32
+	wide  []float64
+	inner *inner
+}
+
+func TestWalkReachesFloat32(t *testing.T) {
+	n := &narrow{gain: 1, line: []float32{2, 3}, pair: [2]float32{4, 5}, wide: []float64{6}, inner: &inner{z1: 7}}
+	sum, paths := 0.0, map[string]bool{}
+	Walk(n, func(l Leaf) {
+		paths[l.Path()] = true
+		for i := range l.Len() {
+			sum += l.At(i)
+		}
+	})
+	if sum != 28 {
+		t.Errorf("walk summed %v, want 1+...+7 = 28", sum)
+	}
+	for _, p := range []string{"gain", "line", "pair[0]", "pair[1]", "wide", "inner.z1"} {
+		if !paths[p] {
+			t.Errorf("no leaf at %q; have %v", p, paths)
+		}
+	}
+	Walk(n, func(l Leaf) {
+		if l.Field == "line" {
+			l.X32[1] = -3
+		}
+	})
+	if n.line[1] != -3 {
+		t.Error("float32 slice leaf is a copy")
+	}
+
+	tiny := math.Float32frombits(1) // 1.4e-45
+	for x, want := range map[float32]bool{
+		0: false, 1: false, math.SmallestNonzeroFloat32: true, tiny: true, -1e-39: true,
+		0x1p-126: false, -0x1p-126: false, float32(math.Inf(1)): false,
+	} {
+		if Subnormal32(x) != want {
+			t.Errorf("Subnormal32(%g) = %v", x, !want)
+		}
+	}
+	// 1e-39 is a normal float64: only the leaf's own precision tells.
+	if i := (Leaf{X32: []float32{1, -1e-39}}).FirstSubnormal(); i != 1 {
+		t.Errorf("FirstSubnormal on a float32 leaf = %d, want 1", i)
+	}
+	if got := Lingering(&narrow{line: []float32{0, 0x1p-126}}, Fields("line")); got != "line[1] = 1.1754943508222875e-38" {
+		t.Errorf("Lingering on a float32 line = %q", got)
+	}
+}

@@ -50,11 +50,6 @@ func (eq *ThreeBandEQ) SetGains(lowDB, midDB, highDB float64) {
 	eq.high.Configure(HighShelf, eqHighFreq, 0.9, eq.highDB, eq.rate)
 }
 
-// Gains returns the current low/mid/high gains in dB.
-func (eq *ThreeBandEQ) Gains() (lowDB, midDB, highDB float64) {
-	return eq.lowDB, eq.midDB, eq.highDB
-}
-
 // SetGainsFrom copies src's band gains and filter coefficients, keeping
 // eq's filter state: the second channel of a stereo EQ takes what SetGains
 // computed for the first. Both must have been built for one sampling rate.
@@ -76,11 +71,4 @@ func (eq *ThreeBandEQ) Reset() {
 	eq.low.Reset()
 	eq.mid.Reset()
 	eq.high.Reset()
-}
-
-// MagnitudeAt returns the combined magnitude response at freq Hz.
-func (eq *ThreeBandEQ) MagnitudeAt(freq float64) float64 {
-	return eq.low.MagnitudeAt(freq, eq.rate) *
-		eq.mid.MagnitudeAt(freq, eq.rate) *
-		eq.high.MagnitudeAt(freq, eq.rate)
 }

@@ -51,11 +51,8 @@ func MustFFT(n int) *FFT {
 	return f
 }
 
-// Size returns the transform length.
-func (f *FFT) Size() int { return f.n }
-
 // Transform computes the in-place forward FFT of (re, im), both of which
-// must have length Size().
+// must have the transform size n.
 func (f *FFT) Transform(re, im []float64) {
 	f.transform(re, im, false)
 }

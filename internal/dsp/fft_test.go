@@ -184,7 +184,7 @@ func TestFFTNoAllocSteadyState(t *testing.T) {
 }
 
 func TestFFTSizeGetter(t *testing.T) {
-	if MustFFT(128).Size() != 128 {
+	if MustFFT(128).n != 128 {
 		t.Fatal("Size wrong")
 	}
 }

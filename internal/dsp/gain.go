@@ -74,6 +74,3 @@ func (s *SmoothedGain) Apply(buf []float64, target float64) {
 	}
 	s.current = target
 }
-
-// Current returns the present smoothed gain value.
-func (s *SmoothedGain) Current() float64 { return s.current }

@@ -34,19 +34,19 @@ func refBiquadProcess(f *Biquad, buf []float64) {
 
 // refDelayWrite and refDelayRead are DelayLine.Write and DelayLine.Read,
 // per-call clamp included.
-func refDelayWrite(d *DelayLine, x float64) {
+func refDelayWrite(d *DelayLine[float64], x float64) {
 	d.buf[d.pos] = x
-	d.pos = (d.pos + 1) & d.mask
+	d.pos = (d.pos + 1) % len(d.buf)
 }
 
-func refDelayRead(d *DelayLine, delay int) float64 {
+func refDelayRead(d *DelayLine[float64], delay int) float64 {
 	if delay < 1 {
 		delay = 1
 	}
 	if delay > len(d.buf) {
 		delay = len(d.buf)
 	}
-	return d.buf[(d.pos-delay)&d.mask]
+	return d.buf[(d.pos-delay+len(d.buf))%len(d.buf)]
 }
 
 // refCombSample is the former Comb.ProcessSample; what goes back into the
@@ -275,12 +275,12 @@ func TestSetCoeffsFromCopiesConfigureAndKeepsState(t *testing.T) {
 	c.SetGains(-30, 4, 20)
 	b.SetGainsFrom(a)
 	sameEQState(t, b, c)
-	if lo, mid, hi := b.Gains(); lo != EQGainMin || mid != 4 || hi != EQGainMax {
+	if lo, mid, hi := b.lowDB, b.midDB, b.highDB; lo != EQGainMin || mid != 4 || hi != EQGainMax {
 		t.Fatalf("SetGainsFrom gains = %v %v %v", lo, mid, hi)
 	}
 }
 
-func sameLine(t *testing.T, got, want *DelayLine) {
+func sameLine(t *testing.T, got, want *DelayLine[float64]) {
 	t.Helper()
 	if got.pos != want.pos || got.trip != want.trip || got.lane != want.lane {
 		t.Errorf("delay line head at %d, trip %d, lane %d, want %d, %d, %d", got.pos, got.trip, got.lane, want.pos, want.trip, want.lane)
@@ -294,7 +294,7 @@ func sameLine(t *testing.T, got, want *DelayLine) {
 func TestOracleDelayLineSpan(t *testing.T) {
 	rng := synth.NewRand(5)
 	for _, capacity := range []int{1, 2, 64, 100, 2048} {
-		ref, line := NewDelayLine(capacity), NewDelayLine(capacity)
+		ref, line := NewDelayLine[float64](capacity), NewDelayLine[float64](capacity)
 		for step := 0; step < 400; step++ {
 			delay := 1 + rng.Intn(line.Capacity())
 			if step%7 == 0 {
@@ -405,6 +405,136 @@ func TestOracleCubicResample(t *testing.T) {
 				}
 				if t.Failed() {
 					t.Fatalf("stream %s, len(src) %d, pos %v, rate %v, n %d", s.name, srcLen, pos, rate, n)
+				}
+			}
+		}
+	}
+}
+
+// pow2Line is DelayLine as it was before lines were sized exactly: float64
+// only, capacity rounded up to a power of two and every index wrapped by a
+// mask. Moved here verbatim, less Grow, Reset and Span's reach helper.
+type pow2Line struct {
+	buf  []float64
+	pos  int
+	mask int
+	trip int
+	lane int
+}
+
+func newPow2Line(capacity int) *pow2Line {
+	if capacity < 1 {
+		capacity = 1
+	}
+	size := 1
+	for size < capacity {
+		size <<= 1
+	}
+	return &pow2Line{buf: make([]float64, size), mask: size - 1}
+}
+
+func (d *pow2Line) Settle(n, delay int) {
+	delay = max(delay, 1)
+	first := d.pos - n
+	for off := 0; off < n; {
+		if d.trip >= delay {
+			d.trip, d.lane = 0, (d.lane+1)%settleShare
+		}
+		run := min(n-off, delay-d.trip)
+		for i := off + (d.lane-d.trip%settleShare+settleShare)%settleShare; i < off+run; i += settleShare {
+			j := i
+			if j+delay < n {
+				j += (n - 1 - j) / delay * delay
+			}
+			p := &d.buf[(first+j)&d.mask]
+			*p = Settle(*p)
+		}
+		off, d.trip = off+run, d.trip+run
+	}
+}
+
+func (d *pow2Line) Write(x float64) {
+	d.buf[d.pos] = x
+	d.pos = (d.pos + 1) & d.mask
+}
+
+func (d *pow2Line) Read(delay int) float64 {
+	if delay < 1 {
+		delay = 1
+	}
+	if delay > len(d.buf) {
+		delay = len(d.buf)
+	}
+	return d.buf[(d.pos-delay)&d.mask]
+}
+
+func (d *pow2Line) Span(delay, n int) (rd, wr []float64) {
+	tap := (d.pos - delay) & d.mask
+	m := min(n, len(d.buf)-max(tap, d.pos))
+	rd, wr = d.buf[tap:tap+m], d.buf[d.pos:d.pos+m]
+	d.pos = (d.pos + m) & d.mask
+	return rd, wr
+}
+
+func (d *pow2Line) ReadFrac(delay float64) float64 {
+	if delay < 1 {
+		delay = 1
+	}
+	maxDelay := float64(len(d.buf) - 1)
+	if delay > maxDelay {
+		delay = maxDelay
+	}
+	i := int(delay)
+	frac := delay - float64(i)
+	a := d.buf[(d.pos-i)&d.mask]
+	b := d.buf[(d.pos-i-1)&d.mask]
+	return a + frac*(b-a)
+}
+
+// TestOracleExactLineMatchesPowerOfTwoRing holds a float64 line of exactly
+// capacity samples to the power-of-two ring it replaced, bit for bit, on
+// everything a unit reads within its reach: Read at every delay in [1,
+// capacity], ReadFrac below capacity-1 and at a NaN or -Inf delay, Span
+// runs feeding a loop back and the lanes Settle takes — with values
+// around the floor in the loop, so a lane that differed would show.
+func TestOracleExactLineMatchesPowerOfTwoRing(t *testing.T) {
+	type ring interface {
+		Span(delay, n int) (rd, wr []float64)
+		Settle(n, delay int)
+		Read(delay int) float64
+		ReadFrac(delay float64) float64
+	}
+	// block runs xs through a loop of gain 0.5 round the line.
+	block := func(r ring, delay int, xs []float64) {
+		for left := xs; len(left) > 0; {
+			rd, wr := r.Span(delay, len(left))
+			for i := range rd {
+				wr[i] = rd[i]*0.5 + left[i]
+			}
+			left = left[len(rd):]
+		}
+		r.Settle(len(xs), delay)
+	}
+	rng := synth.NewRand(17)
+	for _, capacity := range []int{1, 2, 3, 74, 100, 311, 1414} {
+		line, ref := NewDelayLine[float64](capacity), newPow2Line(capacity)
+		for step := 0; step < 300; step++ {
+			delay := 1 + rng.Intn(capacity)
+			xs := make([]float64, 1+rng.Intn(300))
+			scale := []float64{1, 1e-58, 1e-61}[step%3]
+			for i := range xs {
+				xs[i] = (rng.Float64() - 0.5) * scale
+			}
+			block(line, delay, xs)
+			block(ref, delay, xs)
+			for k := 1; k <= capacity; k++ {
+				if got, want := line.Read(k), ref.Read(k); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("capacity %d step %d: Read(%d) = %v, want %v", capacity, step, k, got, want)
+				}
+			}
+			for _, d := range []float64{-1, 0.5, 1, 1.25, float64(capacity) - 1, rng.Float64() * float64(capacity-1), math.NaN(), math.Inf(-1)} {
+				if got, want := line.ReadFrac(d), ref.ReadFrac(d); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("capacity %d step %d: ReadFrac(%v) = %v (%#x), want %v (%#x)", capacity, step, d, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 			}
 		}

@@ -32,3 +32,24 @@ func Settle(x float64) float64 {
 	}
 	return math.Float64frombits(b)
 }
+
+// settleFloor32 is settleFloor for float32 history: Narrow stores 0 below
+// it, and a float32 DelayLine settles to it. Between two of a line's
+// settles, settleShare trips apart, the weakest loop gain in the graph
+// (the echo's 0.45) shrinks a recursion by 0.45^8, so the floor is
+// 2^-126 / 0.45^8 = 6.99e-36, rounded up, to keep it normal (DESIGN.md
+// §21): -700 dB, 28 orders under a full-scale float32's rounding error.
+const settleFloor32 = 7e-36
+
+// Narrow returns x as a float32, or exactly 0 when |x| is below
+// settleFloor32. The comparison is made on x's float64 bits, before the
+// conversion, so a float64 that float32 cannot hold as a normal number is
+// never converted into a subnormal: every store into float32 history goes
+// through it.
+func Narrow(x float64) float32 {
+	b := math.Float64bits(x)
+	if b<<1 < math.Float64bits(settleFloor32)<<1 {
+		b = 0
+	}
+	return float32(math.Float64frombits(b))
+}

@@ -3,6 +3,8 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"djstar/internal/dsp/dsptest"
@@ -48,6 +50,133 @@ func TestSettle(t *testing.T) {
 	}
 }
 
+// TestNarrow holds the float32 floor to its derivation (settle.go) and
+// Narrow to storing 0 or a normal float32, never a subnormal.
+func TestNarrow(t *testing.T) {
+	if settleFloor32 != dsptest.Floor32 {
+		t.Fatalf("settleFloor32 = %g, dsptest.Floor32 = %g", settleFloor32, dsptest.Floor32)
+	}
+	// A recursion settled at the floor, then settleShare trips of the
+	// weakest loop gain, is still a normal float32; and the floor is no
+	// more than a rounding above that bound.
+	need := 0x1p-126 / math.Pow(0.45, settleShare)
+	if settleFloor32 < need || settleFloor32 > need*1.01 {
+		t.Errorf("settleFloor32 = %g, want 2^-126/0.45^%d = %g rounded up", settleFloor32, settleShare, need)
+	}
+	if settleFloor32 > 0x1p-24*1e-25 {
+		t.Errorf("floor %g is not twenty-five orders under the rounding of a full-scale float32", settleFloor32)
+	}
+	below := math.Nextafter(settleFloor32, 0)
+	for _, c := range []struct {
+		in   float64
+		want float32
+	}{
+		{0, 0}, {1, 1}, {-0.25, -0.25}, {1.0 / 3, float32(1.0 / 3)},
+		{settleFloor32, float32(settleFloor32)}, {-settleFloor32, -float32(settleFloor32)},
+		{below, 0}, {-below, 0}, {1e-40, 0}, {-0x1p-126, 0}, {1e-60, 0}, {5e-324, 0},
+		{math.Inf(-1), float32(math.Inf(-1))},
+	} {
+		if got := Narrow(c.in); got != c.want || math.Signbit(float64(got)) != math.Signbit(float64(c.want)) && c.want != 0 {
+			t.Errorf("Narrow(%g) = %g, want %g", c.in, got, c.want)
+		}
+	}
+	if !math.IsNaN(float64(Narrow(math.NaN()))) {
+		t.Error("Narrow(NaN) is not NaN")
+	}
+	for _, x := range sweepNoiseL {
+		for _, scale := range []float64{1, 1e-36, 1e-38, 1e-41, 1e-46} {
+			if y := Narrow(x * scale); dsptest.Subnormal32(y) {
+				t.Fatalf("Narrow(%g) = %g is subnormal", x*scale, y)
+			}
+		}
+	}
+}
+
+// TestFloat32LineSettles is TestDelayLineSettleReachesEveryRecursion's
+// loop on a float32 line, at its own floor: a unit-gain loop seeded above,
+// at and below settleFloor32 must keep what is at or above it and hold
+// exactly 0 for the rest after settleShare trips.
+func TestFloat32LineSettles(t *testing.T) {
+	f := float32(settleFloor32)
+	seed := []float32{0.5, f, -f, math.Nextafter32(f, 0), 1e-37, 0x1p-126, -1e-39, math.SmallestNonzeroFloat32}
+	for _, delay := range []int{1, 7, 100, 129} {
+		d := NewDelayLine[float32](delay)
+		want := map[float32]int{}
+		for i := 0; i < delay; i++ {
+			x := seed[i%len(seed)]
+			d.Write(x)
+			if math.Abs(float64(x)) < settleFloor32 {
+				x = 0
+			}
+			want[x]++
+		}
+		for written := 0; written < (settleShare+1)*delay+128; written += 128 {
+			for i := 0; i < 128; i++ {
+				d.Write(d.Read(delay))
+			}
+			d.Settle(128, delay)
+		}
+		got := map[float32]int{}
+		for _, x := range d.buf {
+			got[x]++
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("delay %d: after %d trips the loop holds %v, want %v", delay, settleShare+1, got, want)
+		}
+	}
+}
+
+// failRecorder stands in for the testing.T of a sweep that is meant to
+// fail: it records the first failure and ends the sweep's goroutine.
+type failRecorder struct {
+	testing.TB
+	msg string
+}
+
+func (r *failRecorder) Helper()      {}
+func (r *failRecorder) Failed() bool { return r.msg != "" }
+func (r *failRecorder) FailNow()     { runtime.Goexit() }
+func (r *failRecorder) Errorf(f string, a ...any) {
+	if r.msg == "" {
+		r.msg = fmt.Sprintf(f, a...)
+	}
+}
+func (r *failRecorder) Fatalf(f string, a ...any) {
+	r.Errorf(f, a...)
+	runtime.Goexit()
+}
+
+// TestSweepSeesFloat32History is the sweep's mutation check for float32
+// state: a unit that records its input into a float32 line must fail when
+// it stores the input scaled into float32's subnormal range as it comes,
+// and pass when it stores it through Narrow.
+func TestSweepSeesFloat32History(t *testing.T) {
+	run := func(store func(float64) float32) string {
+		rec := &failRecorder{TB: t}
+		k := dsptest.Kernel{Name: "recorder", ZeroBy: 4, New: func() dsptest.Unit {
+			line := NewDelayLine[float32](300)
+			return dsptest.Unit{State: line, Process: func(l, r []float64) {
+				for i := range l {
+					line.Write(store(l[i] * 1e-40))
+				}
+			}}
+		}}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			dsptest.Sweep(rec, k, sweepNoiseL, sweepNoiseR)
+		}()
+		<-done
+		return rec.msg
+	}
+	if msg := run(func(x float64) float32 { return float32(x) }); !strings.Contains(msg, "buf[") || !strings.Contains(msg, "subnormal") {
+		t.Errorf("a float32 line holding subnormals passed the sweep (%q)", msg)
+	}
+	if msg := run(Narrow); msg != "" {
+		t.Errorf("a float32 line stored through Narrow failed the sweep: %s", msg)
+	}
+}
+
 // TestDelayLineSettleReachesEveryRecursion closes a unit-gain loop round a
 // line, so each of its delay recursions holds its value for ever, starts
 // some of them below the floor and calls Settle after every block. Within
@@ -58,7 +187,7 @@ func TestDelayLineSettleReachesEveryRecursion(t *testing.T) {
 	seed := []float64{0.5, 1e-61, -3e-200, settleFloor, 5e-324, -settleFloor, 1e-70}
 	for _, delay := range []int{1, 2, 7, 8, 64, 100, 129, 1927, 2048} {
 		for _, n := range []int{1, 7, 128, 300} {
-			d := NewDelayLine(delay)
+			d := NewDelayLine[float64](delay)
 			want := make([]float64, delay) // by recursion: the value it must hold at the end
 			for i := 0; i < delay; i++ {
 				d.Write(seed[i%len(seed)])

@@ -52,20 +52,21 @@ func (b *base) mix(dry, wet float64) float64 {
 // the delay time between 1/16 and 1/2 note at 126 BPM.
 type Echo struct {
 	base
-	lineL, lineR *dsp.DelayLine
+	lineL, lineR *dsp.DelayLine[float32]
 	feedback     float64
 	rate         int
 }
 
-// NewEcho returns an echo for sampling rate hz. Its lines hold what the
-// macro's delay reaches back (DESIGN.md §29); SetMacro grows them.
+// NewEcho returns an echo for sampling rate hz. Its lines hold exactly
+// what the macro's delay reaches back, as float32 (DESIGN.md §29);
+// SetMacro grows them.
 func NewEcho(hz int) *Echo {
 	e := &Echo{
 		base:     base{name: "echo", macro: 0.5, wet: 0.5},
 		feedback: 0.45,
 		rate:     hz,
 	}
-	e.lineL, e.lineR = dsp.NewDelayLine(e.delaySamples()), dsp.NewDelayLine(e.delaySamples())
+	e.lineL, e.lineR = dsp.NewDelayLine[float32](e.delaySamples()), dsp.NewDelayLine[float32](e.delaySamples())
 	return e
 }
 
@@ -90,7 +91,6 @@ func (e *Echo) Process(buf audio.Stereo) {
 	d := e.delaySamples()
 	fb, dry, wet := e.feedback, 1-e.wet, e.wet
 	l, r := buf.L, buf.R[:len(buf.L)]
-	n := len(l)
 	for len(l) > 0 {
 		// The two lines share capacity, head and delay, so their runs are
 		// the same length.
@@ -99,18 +99,19 @@ func (e *Echo) Process(buf audio.Stereo) {
 		m := len(tapL)
 		tapR, headL, headR = tapR[:m], headL[:m], headR[:m]
 		xl, xr := l[:m], r[:m]
-		for i, wl := range tapL {
-			wr := tapR[i]
-			// Ping-pong: cross-feed the feedback path.
-			headL[i] = xl[i] + wr*fb
-			headR[i] = xr[i] + wl*fb
+		for i, tl := range tapL {
+			wl, wr := float64(tl), float64(tapR[i])
+			// Ping-pong: cross-feed the feedback path. Narrow settles
+			// every sample it stores, so the lines need no Settle: the
+			// input may be any float64, and one under float32's normal
+			// range would otherwise go in as a subnormal.
+			headL[i] = dsp.Narrow(xl[i] + wr*fb)
+			headR[i] = dsp.Narrow(xr[i] + wl*fb)
 			xl[i] = xl[i]*dry + wl*wet
 			xr[i] = xr[i]*dry + wr*wet
 		}
 		l, r = l[m:], r[m:]
 	}
-	e.lineL.Settle(n, d)
-	e.lineR.Settle(n, d)
 }
 
 // Reset implements Effect.
@@ -123,7 +124,7 @@ func (e *Echo) Reset() {
 // controls the LFO rate.
 type Flanger struct {
 	base
-	lineL, lineR *dsp.DelayLine
+	lineL, lineR *dsp.DelayLine[float64]
 	phase        float64
 	rate         int
 	depth        float64 // modulation depth in samples
@@ -131,17 +132,20 @@ type Flanger struct {
 	feedback     float64
 }
 
-// NewFlanger returns a flanger for sampling rate hz.
+// NewFlanger returns a flanger for sampling rate hz. Its lines hold what
+// the taps reach, center+depth samples back and one more, with a slot to
+// spare for a sine the rotor rounds past 1.
 func NewFlanger(hz int) *Flanger {
-	return &Flanger{
+	f := &Flanger{
 		base:     base{name: "flanger", macro: 0.3, wet: 0.5},
-		lineL:    dsp.NewDelayLine(hz / 50),
-		lineR:    dsp.NewDelayLine(hz / 50),
 		rate:     hz,
 		depth:    float64(hz) * 0.002, // ±2 ms
 		center:   float64(hz) * 0.005, // 5 ms
 		feedback: 0.3,
 	}
+	n := int(f.center+f.depth) + 3
+	f.lineL, f.lineR = dsp.NewDelayLine[float64](n), dsp.NewDelayLine[float64](n)
+	return f
 }
 
 // Process implements Effect.
@@ -409,7 +413,7 @@ func (g *Gater) Reset() { g.phase, g.env = 0, 0 }
 // DJ-style. The macro knob selects the slice length.
 type BeatMasher struct {
 	base
-	bufL, bufR []float64
+	bufL, bufR []float32
 	writePos   int
 	readPos    int
 	capturing  bool
@@ -417,14 +421,14 @@ type BeatMasher struct {
 }
 
 // NewBeatMasher returns a beat masher for sampling rate hz. It holds the
-// macro's slice (DESIGN.md §29); SetMacro grows it.
+// macro's slice, as float32 (DESIGN.md §29); SetMacro grows it.
 func NewBeatMasher(hz int) *BeatMasher {
 	m := &BeatMasher{
 		base:      base{name: "beatmasher", macro: 0.4, wet: 1},
 		capturing: true,
 		rate:      hz,
 	}
-	m.bufL, m.bufR = make([]float64, m.sliceLen()), make([]float64, m.sliceLen())
+	m.bufL, m.bufR = make([]float32, m.sliceLen()), make([]float32, m.sliceLen())
 	return m
 }
 
@@ -433,8 +437,8 @@ func NewBeatMasher(hz int) *BeatMasher {
 func (m *BeatMasher) SetMacro(v float64) {
 	m.base.SetMacro(v)
 	if n := m.sliceLen(); n > len(m.bufL) {
-		m.bufL = append(m.bufL, make([]float64, n-len(m.bufL))...)
-		m.bufR = append(m.bufR, make([]float64, n-len(m.bufR))...)
+		m.bufL = append(m.bufL, make([]float32, n-len(m.bufL))...)
+		m.bufR = append(m.bufR, make([]float32, n-len(m.bufR))...)
 	}
 }
 
@@ -449,8 +453,8 @@ func (m *BeatMasher) Process(buf audio.Stereo) {
 	n := m.sliceLen()
 	for i := range buf.L {
 		if m.capturing {
-			m.bufL[m.writePos] = buf.L[i]
-			m.bufR[m.writePos] = buf.R[i]
+			m.bufL[m.writePos] = dsp.Narrow(buf.L[i])
+			m.bufR[m.writePos] = dsp.Narrow(buf.R[i])
 			m.writePos++
 			if m.writePos >= n {
 				m.capturing = false
@@ -459,8 +463,8 @@ func (m *BeatMasher) Process(buf audio.Stereo) {
 			// While capturing, pass dry through.
 			continue
 		}
-		wl := m.bufL[m.readPos]
-		wr := m.bufR[m.readPos]
+		wl := float64(m.bufL[m.readPos])
+		wr := float64(m.bufR[m.readPos])
 		m.readPos++
 		if m.readPos >= n {
 			m.readPos = 0
@@ -474,10 +478,8 @@ func (m *BeatMasher) Process(buf audio.Stereo) {
 func (m *BeatMasher) Reset() {
 	m.writePos, m.readPos = 0, 0
 	m.capturing = true
-	for i := range m.bufL {
-		m.bufL[i] = 0
-		m.bufR[i] = 0
-	}
+	clear(m.bufL)
+	clear(m.bufR)
 }
 
 // FilterSweep is the classic DJ filter: below 0.5 the macro knob low-passes,

@@ -53,7 +53,7 @@ func (a *AutoPan) Reset() { a.phase = 0 }
 // the platter stops; setting the wet control to 0 releases the brake.
 type Brake struct {
 	base
-	line  *dsp.DelayLine
+	line  *dsp.DelayLine[float64]
 	delay float64 // how far behind real time the read tap has fallen
 	speed float64 // current platter speed, 1 -> 0 while braking
 	rate  int
@@ -63,7 +63,7 @@ type Brake struct {
 func NewBrake(hz int) *Brake {
 	return &Brake{
 		base:  base{name: "brake", macro: 0.5, wet: 0},
-		line:  dsp.NewDelayLine(hz * 2),
+		line:  dsp.NewDelayLine[float64](hz * 2),
 		speed: 1,
 		rate:  hz,
 	}

@@ -39,9 +39,10 @@ func sweepCases() map[string]sweepCase {
 	brakeLine := NewBrake(audio.SampleRate).line.Capacity()/audio.PacketSize + 1
 	return map[string]sweepCase{
 		// Macro 0 is the shortest delay, 1/16 note: the most trips round
-		// the loop per packet. 0.45 per trip, and Settle's lane lag.
+		// the loop per packet. 0.45 per trip down to the float32 floor,
+		// which every sample written back is narrowed to: no lane lag.
 		"echo": {macro: 0, wet: 0.25,
-			zeroBy: loopPackets(0.45, echoDelay) + dsptest.LaneLag(echoDelay)},
+			zeroBy: dsptest.PacketsTo(dsptest.Floor32, 100, math.Pow(0.45, 1/float64(echoDelay)))},
 		// 0.3 per trip round at most center+depth = 7 ms; every sample is
 		// settled on the way in, so no lag.
 		"flanger": {macro: 0.3, wet: 0.25, zeroBy: loopPackets(0.3, ms(7)+1)},
@@ -63,15 +64,15 @@ func sweepCases() map[string]sweepCase {
 		// the slowest gate), and multiplies the input: nothing to reach 0
 		// but the output, at once.
 		"gater": {macro: 0.5, wet: 0.25, zeroBy: 1},
-		// Loops what it captured for good, in the capture it was built
-		// with and in one grown to the longest slice.
+		// Loops what it captured for good, in the float32 capture it was
+		// built with and in one grown to the longest slice.
 		"beatmasher":       {macro: 0.4, wet: 0.25, zeroBy: 0},
 		"beatmasher/grown": {effect: "beatmasher", macro: 1, wet: 0.25, zeroBy: 0},
 		// Macro 0 is the 80 Hz low-pass, the slowest poles of the sweep.
 		"filtersweep": {macro: 0, wet: 1, zeroBy: dsptest.PacketsToFloor(100, dsptest.PoleRadius(80, 0.9, audio.SampleRate))},
 		"autopan":     {macro: 0.3, wet: 0.25, zeroBy: 1},
 		// Released (wet 0): out of the signal path, recording the mid into
-		// a 2 s line (131072 slots) with no feedback.
+		// a 2 s line (88200 slots) with no feedback.
 		"brake": {macro: 0.5, wet: 0, zeroBy: brakeLine},
 		// Engaged, it winds down to speed 0 and stays there, reading the
 		// far end of the line; it too holds nothing but those 2 s.

@@ -763,13 +763,12 @@ func (e *Engine) variousCalculations(start int64) {
 	e.vcLoad.RunSince(start, false)
 }
 
-// MasterTempo returns the smoothed master tempo.
-func (e *Engine) MasterTempo() float64 { return e.masterTempo }
-
 // TimecodeLocked reports whether deck d's decoder has a position fix.
 func (e *Engine) TimecodeLocked(d int) bool { return e.tcDec[d].Locked() }
 
 // SetTurntableSpeed changes virtual turntable d's speed (scratching).
+// Safe to call from any goroutine; the cycle thread picks the speed up at
+// its next packet.
 func (e *Engine) SetTurntableSpeed(d int, speed float64) {
 	if d >= 0 && d < len(e.tcGen) {
 		e.tcGen[d].SetSpeed(speed)

@@ -163,7 +163,7 @@ func TestMasterTempoTracksDecks(t *testing.T) {
 	defer e.Close()
 	e.RunCycles(300)
 	// Deck tempos: 1.0, 0.97, 1.03, 0.99 -> mean 0.9975.
-	if mt := e.MasterTempo(); math.Abs(mt-0.9975) > 0.01 {
+	if mt := e.masterTempo; math.Abs(mt-0.9975) > 0.01 {
 		t.Fatalf("master tempo = %v, want ~0.9975", mt)
 	}
 }
@@ -268,9 +268,10 @@ func TestEngineCycleAllocationFreeAfterMacroGrowth(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	// Two echoes, each doubling two lines of 32768 float64s.
-	if grown := after.TotalAlloc - before.TotalAlloc; grown < 1<<20 {
-		t.Fatalf("SetMacro(1) allocated %d bytes, want the echo lines grown (1 MiB)", grown)
+	// Two echoes, each growing two float32 lines to the 42 000 samples
+	// of a half note at 126 BPM.
+	if grown := after.TotalAlloc - before.TotalAlloc; grown < 2*2*42000*4 {
+		t.Fatalf("SetMacro(1) allocated %d bytes, want the echo lines grown (656 KiB)", grown)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { e.Cycle(nil) }); allocs != 0 {
 		t.Fatalf("Cycle allocates %v per run after the growth, want 0", allocs)

@@ -156,11 +156,20 @@ func MountSessionRoutes(mux *http.ServeMux, lookup func(id string) *Engine) {
 			apiv1.Write(w, http.StatusBadRequest, apiv1.Error{Error: "malformed retune body: " + err.Error()})
 			return
 		}
-		if req.LoadFactor != nil {
-			if *req.LoadFactor <= 0 {
-				apiv1.Write(w, http.StatusUnprocessableEntity, apiv1.Error{Error: "load_factor must be > 0"})
+		// Validate everything before applying anything: a rejected retune
+		// changes nothing.
+		if req.LoadFactor != nil && *req.LoadFactor <= 0 {
+			apiv1.Write(w, http.StatusUnprocessableEntity, apiv1.Error{Error: "load_factor must be > 0"})
+			return
+		}
+		for d := range req.TurntableSpeed {
+			if d < 0 || d >= len(e.tcGen) {
+				apiv1.Write(w, http.StatusUnprocessableEntity,
+					apiv1.Error{Error: fmt.Sprintf("turntable_speed: no deck %d (decks are 0..%d)", d, len(e.tcGen)-1)})
 				return
 			}
+		}
+		if req.LoadFactor != nil {
 			e.SetLoadFactor(*req.LoadFactor)
 		}
 		for d, speed := range req.TurntableSpeed {

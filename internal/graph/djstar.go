@@ -162,15 +162,8 @@ func (s *Session) MonitorOut() audio.Buffer { return s.monitorMono }
 // RecordOut returns the record-path buffer.
 func (s *Session) RecordOut() audio.Stereo { return s.recordBuf }
 
-// Spectrum returns the magnitude spectrum computed by the Spectrum node.
-func (s *Session) Spectrum() []float64 { return s.specMag }
-
 // Loudness returns the smoothed master loudness.
 func (s *Session) Loudness() float64 { return s.loudness }
-
-// DeckActive reports whether deck d's input was above the activity
-// threshold in the last prepared cycle.
-func (s *Session) DeckActive(d int) bool { return s.active[d] }
 
 // DeckMixRMS returns the RMS of deck d's post-FX mix buffer from the last
 // graph execution; chaos experiments use it to count silent packets after

@@ -29,9 +29,6 @@ var ErrBadEdit = errors.New("graph: invalid edit")
 // set is adding.
 type NodeRef int
 
-// Added reports whether the ref names a node added by this EditSet.
-func (r NodeRef) Added() bool { return r < 0 }
-
 // NodeSpec describes a node an EditSet adds. Zero-value Kind is
 // KindAudio; a nil Run becomes a no-op (like Graph.AddNode). Added nodes
 // have no spin target, so their design cost (Node.Cost) is zero.

@@ -112,7 +112,7 @@ func TestEditSetReplaceChainStatePairing(t *testing.T) {
 		Name:    "dNew",
 		Migrate: func(prev any) { migrated = prev },
 	})
-	if len(refs) != 1 || !refs[0].Added() {
+	if len(refs) != 1 || refs[0] >= 0 {
 		t.Fatalf("refs = %v", refs)
 	}
 

@@ -147,9 +147,6 @@ type Node struct {
 	succs []int
 }
 
-// Deps returns the IDs of the node's predecessors (do not modify).
-func (n *Node) Deps() []int { return n.deps }
-
 // Succs returns the IDs of the node's successors (do not modify).
 func (n *Node) Succs() []int { return n.succs }
 
@@ -601,25 +598,4 @@ func toInt32(xs []int) []int32 {
 		out[i] = int32(x)
 	}
 	return out
-}
-
-// Validate checks the queue-order invariant the sequential implementation
-// relies on ("nodes in the same column do not carry dependencies to other
-// nodes in the same column"): every dependency must appear strictly
-// earlier in Order. Compile output always satisfies this; the check exists
-// for tests and for hand-built plans.
-func (p *Plan) Validate() error {
-	posOf := make([]int32, p.Len())
-	for pos, id := range p.Order {
-		posOf[id] = int32(pos)
-	}
-	for id := int32(0); id < int32(p.Len()); id++ {
-		for _, d := range p.PredsOf(id) {
-			if posOf[d] >= posOf[id] {
-				return fmt.Errorf("graph: order violates dependency %s -> %s",
-					p.Names[d], p.Names[id])
-			}
-		}
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -21,7 +22,7 @@ func TestAddNodeAndEdges(t *testing.T) {
 	if err := g.AddEdge(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Node(b).Deps(); len(got) != 1 || got[0] != a {
+	if got := g.Node(b).deps; len(got) != 1 || got[0] != a {
 		t.Fatalf("deps = %v", got)
 	}
 	if got := g.Node(a).Succs(); len(got) != 1 || got[0] != b {
@@ -101,7 +102,7 @@ func TestCompileDepthAndOrder(t *testing.T) {
 	if p.CriticalPathLen != 3 {
 		t.Fatalf("CriticalPathLen = %d, want 3", p.CriticalPathLen)
 	}
-	if err := p.Validate(); err != nil {
+	if err := validateOrder(p); err != nil {
 		t.Fatal(err)
 	}
 	srcs := p.Sources()
@@ -111,6 +112,25 @@ func TestCompileDepthAndOrder(t *testing.T) {
 	if got := p.SourcesBySection[SectionControl]; len(got) != 1 || got[0] != int32(e) {
 		t.Fatalf("SourcesBySection = %v", p.SourcesBySection)
 	}
+}
+
+// validateOrder checks the queue-order invariant the sequential
+// implementation relies on ("nodes in the same column do not carry
+// dependencies to other nodes in the same column"): every dependency must
+// appear strictly earlier in Order.
+func validateOrder(p *Plan) error {
+	posOf := make([]int32, p.Len())
+	for pos, id := range p.Order {
+		posOf[id] = int32(pos)
+	}
+	for id := int32(0); id < int32(p.Len()); id++ {
+		for _, d := range p.PredsOf(id) {
+			if posOf[d] >= posOf[id] {
+				return fmt.Errorf("graph: order violates dependency %s -> %s", p.Names[d], p.Names[id])
+			}
+		}
+	}
+	return nil
 }
 
 func TestValidateCatchesBadOrder(t *testing.T) {
@@ -123,8 +143,8 @@ func TestValidateCatchesBadOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Order[0], p.Order[1] = p.Order[1], p.Order[0]
-	if err := p.Validate(); err == nil {
-		t.Fatal("Validate accepted dependency-violating order")
+	if err := validateOrder(p); err == nil {
+		t.Fatal("validateOrder accepted dependency-violating order")
 	}
 }
 
@@ -137,7 +157,7 @@ func TestOrderRespectsDepsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return p.Validate() == nil
+		return validateOrder(p) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -82,9 +82,6 @@ func (c *ChannelStrip) SetFader(x float64) {
 	c.fader = audio.Clamp(x, 0, 1)
 }
 
-// Fader returns the raw fader position.
-func (c *ChannelStrip) Fader() float64 { return c.fader }
-
 // SetCue routes the channel to the headphone bus.
 func (c *ChannelStrip) SetCue(on bool) { c.cue = on }
 
@@ -137,14 +134,8 @@ func NewMixer() *Mixer {
 // SetCrossfade positions the crossfader in [0, 1].
 func (m *Mixer) SetCrossfade(x float64) { m.crossfade = audio.Clamp(x, 0, 1) }
 
-// Crossfade returns the crossfader position.
-func (m *Mixer) Crossfade() float64 { return m.crossfade }
-
 // SetMasterLevel sets the master output gain in [0, 2].
 func (m *Mixer) SetMasterLevel(g float64) { m.masterLevel = audio.Clamp(g, 0, 2) }
-
-// MasterLevel returns the master output gain.
-func (m *Mixer) MasterLevel() float64 { return m.masterLevel }
 
 // SetCueMix blends the headphone output between cue (0) and master (1).
 func (m *Mixer) SetCueMix(x float64) { m.cueMix = audio.Clamp(x, 0, 1) }

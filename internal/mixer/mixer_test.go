@@ -48,20 +48,20 @@ func TestChannelStripFaderCloses(t *testing.T) {
 	if p := buf2.Peak(); p > 1e-9 {
 		t.Fatalf("closed fader leaks: %v", p)
 	}
-	if c.Fader() != 0 {
-		t.Fatalf("Fader = %v", c.Fader())
+	if c.fader != 0 {
+		t.Fatalf("Fader = %v", c.fader)
 	}
 }
 
 func TestChannelStripFaderClamped(t *testing.T) {
 	c := NewChannelStrip("c", rate)
 	c.SetFader(5)
-	if c.Fader() != 1 {
-		t.Fatalf("fader = %v, want 1", c.Fader())
+	if c.fader != 1 {
+		t.Fatalf("fader = %v, want 1", c.fader)
 	}
 	c.SetFader(-1)
-	if c.Fader() != 0 {
-		t.Fatalf("fader = %v, want 0", c.Fader())
+	if c.fader != 0 {
+		t.Fatalf("fader = %v, want 0", c.fader)
 	}
 }
 
@@ -171,7 +171,7 @@ func TestMixerMasterLevelAndSampler(t *testing.T) {
 	if math.Abs(master.L[3]-0.3) > 1e-9 { // (0.4+0.2)*0.5
 		t.Fatalf("master = %v, want 0.3", master.L[3])
 	}
-	if m.MasterLevel() != 0.5 {
+	if m.masterLevel != 0.5 {
 		t.Fatal("MasterLevel getter wrong")
 	}
 }
@@ -179,12 +179,12 @@ func TestMixerMasterLevelAndSampler(t *testing.T) {
 func TestMixerSettersClamped(t *testing.T) {
 	m := NewMixer()
 	m.SetCrossfade(7)
-	if m.Crossfade() != 1 {
-		t.Fatalf("crossfade = %v", m.Crossfade())
+	if m.crossfade != 1 {
+		t.Fatalf("crossfade = %v", m.crossfade)
 	}
 	m.SetMasterLevel(9)
-	if m.MasterLevel() != 2 {
-		t.Fatalf("master level = %v", m.MasterLevel())
+	if m.masterLevel != 2 {
+		t.Fatalf("master level = %v", m.masterLevel)
 	}
 }
 

@@ -115,21 +115,3 @@ func (h *Histogram) Buckets() []HistogramBucket {
 	})
 	return out
 }
-
-// QuantileSeconds estimates the q-quantile (0..1) from the bucket
-// counts, in seconds. Zero when empty.
-func (h *Histogram) QuantileSeconds(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total-1))
-	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.counts[i].Load()
-		if cum > rank {
-			return float64(bucketUpperNS(i)) / 1e9
-		}
-	}
-	return float64(bucketUpperNS(histBuckets-1)) / 1e9
-}

@@ -71,10 +71,10 @@ func TestHistogramRecordAndBuckets(t *testing.T) {
 	}
 	// The quantile estimate brackets the recorded values within bucket
 	// resolution (≤ 12.5 % high).
-	if q := h.QuantileSeconds(0.5); q < 300e-6 || q > 300e-6*1.3 {
+	if q := quantileSeconds(&h, 0.5); q < 300e-6 || q > 300e-6*1.3 {
 		t.Fatalf("p50 = %v s, want ≈ 300 µs", q)
 	}
-	if q := h.QuantileSeconds(1.0); q < 2.5e-3 || q > 2.5e-3*1.3 {
+	if q := quantileSeconds(&h, 1.0); q < 2.5e-3 || q > 2.5e-3*1.3 {
 		t.Fatalf("p100 = %v s, want ≈ 2.5 ms", q)
 	}
 }
@@ -430,4 +430,22 @@ func TestNilSinkIsDisabled(t *testing.T) {
 	if s.Shard() != "" || s.SLO() != (SLOStatus{}) || s.Totals() != (Totals{}) {
 		t.Fatal("nil sink reported state")
 	}
+}
+
+// quantileSeconds estimates the q-quantile (0..1) of h from its bucket
+// counts, in seconds: the upper bound of the bucket that holds it.
+func quantileSeconds(h *Histogram, q float64) float64 {
+	total := h.count.Load()
+	if total == 0 {
+		return 0
+	}
+	rank := uint64(q * float64(total-1))
+	var cum uint64
+	for i := 0; i < histBuckets; i++ {
+		cum += h.counts[i].Load()
+		if cum > rank {
+			return float64(bucketUpperNS(i)) / 1e9
+		}
+	}
+	return float64(bucketUpperNS(histBuckets-1)) / 1e9
 }

@@ -47,9 +47,6 @@ func NewDeque(capacity int) *Deque {
 	return &Deque{mask: int64(size - 1), buf: make([]atomic.Int32, size)}
 }
 
-// Cap returns the deque's capacity.
-func (d *Deque) Cap() int { return len(d.buf) }
-
 // Len returns the approximate number of queued elements.
 func (d *Deque) Len() int {
 	n := d.bottom.Load() - d.top.Load()

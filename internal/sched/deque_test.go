@@ -69,10 +69,10 @@ func TestDequeMixedEnds(t *testing.T) {
 }
 
 func TestDequeCapacityRoundsUp(t *testing.T) {
-	if c := NewDeque(67).Cap(); c != 128 {
+	if c := len(NewDeque(67).buf); c != 128 {
 		t.Fatalf("Cap = %d, want 128", c)
 	}
-	if c := NewDeque(0).Cap(); c != 1 {
+	if c := len(NewDeque(0).buf); c != 1 {
 		t.Fatalf("Cap(0) = %d, want 1", c)
 	}
 }

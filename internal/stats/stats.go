@@ -51,9 +51,6 @@ func (s *Summary) Mean() float64 {
 	return s.mean
 }
 
-// Sum returns the total.
-func (s *Summary) Sum() float64 { return s.sum }
-
 // Min and Max return the extremes (±Inf if empty).
 func (s *Summary) Min() float64 { return s.min }
 func (s *Summary) Max() float64 { return s.max }

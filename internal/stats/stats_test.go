@@ -15,8 +15,8 @@ func TestSummaryBasics(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(x)
 	}
-	if s.N() != 8 || s.Sum() != 40 {
-		t.Fatalf("n=%d sum=%v", s.N(), s.Sum())
+	if s.N() != 8 || s.sum != 40 {
+		t.Fatalf("n=%d sum=%v", s.N(), s.sum)
 	}
 	if s.Mean() != 5 {
 		t.Fatalf("mean = %v", s.Mean())

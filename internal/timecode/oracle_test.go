@@ -12,7 +12,7 @@ import (
 // verbatim. Generate must leave the needle where it leaves it, bit for
 // bit, and its samples within a stated tolerance of its samples.
 func refGenerate(g *Generator, l, r []float64) {
-	inc := CarrierHz / float64(g.rate) * g.speed
+	inc := CarrierHz / float64(g.rate) * g.Speed()
 	n := float64(g.seq.Len())
 	for i := range l {
 		cycle := int(math.Floor(g.phase))

@@ -20,6 +20,7 @@ package timecode
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"djstar/internal/dsp"
 )
@@ -110,20 +111,24 @@ type Generator struct {
 	seq   *Sequence
 	rate  int
 	phase float64 // carrier phase in cycles (absolute record position)
-	speed float64 // playback speed; negative plays backwards
+	// speed is the playback speed (negative plays backwards) as
+	// math.Float64bits: a control thread sets it while Generate runs.
+	speed atomic.Uint64
 }
 
 // NewGenerator returns a generator at unity speed positioned at cycle 0.
 func NewGenerator(seq *Sequence, rate int) *Generator {
-	return &Generator{seq: seq, rate: rate, speed: 1}
+	g := &Generator{seq: seq, rate: rate}
+	g.SetSpeed(1)
+	return g
 }
 
 // SetSpeed sets the playback speed (1 = normal, 0 = stopped, negative =
-// reverse scratch).
-func (g *Generator) SetSpeed(v float64) { g.speed = v }
+// reverse scratch). Safe to call while another goroutine generates.
+func (g *Generator) SetSpeed(v float64) { g.speed.Store(math.Float64bits(v)) }
 
 // Speed returns the current playback speed.
-func (g *Generator) Speed() float64 { return g.speed }
+func (g *Generator) Speed() float64 { return math.Float64frombits(g.speed.Load()) }
 
 // Position returns the absolute record position in carrier cycles.
 func (g *Generator) Position() float64 { return g.phase }
@@ -143,7 +148,7 @@ func (g *Generator) Generate(l, r []float64) {
 	if len(l) != len(r) {
 		panic(fmt.Sprintf("timecode: channel length mismatch %d != %d", len(l), len(r)))
 	}
-	inc := CarrierHz / float64(g.rate) * g.speed
+	inc := CarrierHz / float64(g.rate) * g.Speed()
 	bits := g.seq.bits
 	n := float64(len(bits))
 	phase := g.phase
