@@ -7,7 +7,6 @@
 // Usage:
 //
 //	djanalyze -graph                # task-graph critical-path analysis
-//	djanalyze -graph -fused         # ... plus the cost-guided fused topology
 //	djanalyze -admit                # admission bound vs measured p99 audit
 //	djanalyze -incident i.json      # replay a flight-recorder bundle
 //	djanalyze -dot | dot -Tsvg      # the task graph (Fig. 3) in Graphviz DOT
@@ -40,7 +39,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"djstar/internal/admission"
@@ -62,7 +60,6 @@ func run(args []string) int {
 		cycles    = fs.Int("cycles", 2000, "measurement cycles for -graph and -admit")
 		scale     = fs.Float64("scale", 0.2, "node cost scale for -graph and -admit")
 		threads   = fs.Int("threads", 4, "threads for -graph strategy runs; the largest thread count for -admit")
-		fused     = fs.Bool("fused", false, "with -graph: also print the cost-guided fused topology")
 		admit     = fs.Bool("admit", false, "audit the admission bound against measured p99 per strategy/threads")
 		incident  = fs.String("incident", "", "replay this flight-recorder incident bundle")
 		dot       = fs.Bool("dot", false, "print the task graph in Graphviz DOT format (Fig. 3)")
@@ -86,7 +83,7 @@ func run(args []string) int {
 	case *admit:
 		err = analyzeAdmit(*cycles, *scale, *threads)
 	case *graphMode:
-		err = analyzeGraph(*cycles, *scale, *threads, *fused)
+		err = analyzeGraph(*cycles, *scale, *threads)
 	default:
 		fmt.Fprintln(os.Stderr, "djanalyze: choose an analysis: -graph, -admit, -incident or -dot")
 		fs.Usage()
@@ -115,7 +112,7 @@ func checkRun(cycles, threads int) error {
 // to the RESCON-style bound. The critical path is a true lower bound, so
 // cp ≤ measured must hold for every strategy; the tool exits non-zero if
 // the measurement ever contradicts the theory.
-func analyzeGraph(cycles int, scale float64, threads int, fused bool) error {
+func analyzeGraph(cycles int, scale float64, threads int) error {
 	if err := checkRun(cycles, threads); err != nil {
 		return err
 	}
@@ -136,11 +133,6 @@ func analyzeGraph(cycles int, scale float64, threads int, fused bool) error {
 	fmt.Printf("bound at %d threads: %.1f µs\n\n", threads, ps.Bound(threads))
 
 	printRankTable(plan, means)
-	if fused {
-		if err := printFusedTopology(plan, means); err != nil {
-			return err
-		}
-	}
 
 	var rows [][]string
 	for _, name := range []string{sched.NameBusyWait, sched.NameSleep, sched.NameWorkSteal} {
@@ -148,8 +140,7 @@ func analyzeGraph(cycles int, scale float64, threads int, fused bool) error {
 		if err != nil {
 			return err
 		}
-		e.WarmUp(cycles)
-		m := e.RunCycles(cycles)
+		m := e.MeasuredRun(cycles, false)
 		run, ok := e.CriticalPath()
 		e.Close()
 		if !ok {
@@ -249,7 +240,7 @@ func analyzeAdmit(cycles int, scale float64, maxThreads int) error {
 		if err != nil {
 			return err
 		}
-		m := sampledRun(e, cycles)
+		m := e.MeasuredRun(cycles, true)
 		e.Close()
 		pcts := stats.Percentiles(m.GraphSamplesMS, 0.95, 0.99)
 		p95US, p99US := pcts[0]*1e3, pcts[1]*1e3
@@ -284,17 +275,6 @@ func analyzeAdmit(cycles int, scale float64, maxThreads int) error {
 	return nil
 }
 
-// sampledRun warms e up and runs cycles measured cycles, keeping every
-// cycle's graph and APC time for percentiles.
-func sampledRun(e *engine.Engine, cycles int) *engine.Metrics {
-	e.WarmUp(cycles)
-	m := &engine.Metrics{KeepSamples: true}
-	for i := 0; i < cycles; i++ {
-		e.Cycle(m)
-	}
-	return m
-}
-
 // admitNoiseFloor runs the sequential executor — the null model — and
 // returns the host's timing-noise allowance with the node means and plan
 // its collector measured on the way. With no scheduler in play, the p95
@@ -309,7 +289,7 @@ func admitNoiseFloor(cfg graph.Config, cycles int) (noiseUS float64, means []flo
 		return 0, nil, nil, err
 	}
 	defer e.Close()
-	m := sampledRun(e, cycles)
+	m := e.MeasuredRun(cycles, true)
 	noiseUS = max(stats.Percentiles(m.GraphSamplesMS, 0.95)[0]*1e3-m.GraphMeanMS()*1e3, 0)
 	return noiseUS, e.Collector().NodeMeansUS(), e.Plan(), nil
 }
@@ -337,38 +317,6 @@ func printRankTable(plan *graph.Plan, meansUS []float64) {
 	fmt.Print(stats.RenderTable(
 		[]string{"#", "node", "kind", "depth", "rank", "mean µs"}, rows))
 	fmt.Println()
-}
-
-// printFusedTopology fuses the plan under its measured node means and
-// prints the resulting super-node layout — what the engine would run
-// with Config.FusePlan on.
-func printFusedTopology(plan *graph.Plan, meansUS []float64) error {
-	fp, err := graph.Fuse(plan, meansUS, graph.FuseOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fused topology: %d nodes -> %d units (%d multi-member):\n",
-		plan.Len(), fp.Len(), fp.FusedUnits())
-	var rows [][]string
-	for _, id := range fp.RankOrder {
-		members := fp.MembersOf(id)
-		var cost float64
-		names := make([]string, len(members))
-		for i, m := range members {
-			cost += meansUS[m]
-			names[i] = plan.Names[m]
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", len(members)),
-			fmt.Sprintf("%.1f", cost),
-			fmt.Sprintf("%.1f", fp.Rank[id]),
-			strings.Join(names, " → "),
-		})
-	}
-	fmt.Print(stats.RenderTable(
-		[]string{"len", "cost µs", "rank", "members (rank order)"}, rows))
-	fmt.Println()
-	return nil
 }
 
 // analyzeIncident loads an incident bundle and replays its analysis: the

@@ -11,10 +11,10 @@ func TestAnalysesRejectEmptyRuns(t *testing.T) {
 	if err := analyzeAdmit(10, 0, 0); err == nil {
 		t.Error("analyzeAdmit with 0 threads passed")
 	}
-	if err := analyzeGraph(0, 0, 2, false); err == nil {
+	if err := analyzeGraph(0, 0, 2); err == nil {
 		t.Error("analyzeGraph with 0 cycles passed")
 	}
-	if err := analyzeGraph(10, 0, 0, false); err == nil {
+	if err := analyzeGraph(10, 0, 0); err == nil {
 		t.Error("analyzeGraph with 0 threads passed")
 	}
 }

@@ -9,7 +9,7 @@
 //
 // Experiments: table1, fig4, fig8, fig9, fig10, fig11, fig12, deadlines,
 // profile, threadsweep, ablation, staticvsonline, designspace, nodecosts,
-// chaos, governor, fusion, admission, loadgen, all.
+// chaos, governor, admission, loadgen, all.
 package main
 
 import (
@@ -35,7 +35,7 @@ func main() {
 	flag.Float64Var(&opts.Scale, "scale", opts.Scale, "node cost scale (1.0 = paper scale, 0 = pure DSP)")
 	flag.IntVar(&opts.MaxThreads, "threads", opts.MaxThreads, "maximum thread count (paper: 4)")
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run (table1, fig4, fig8, fig9, fig10, fig11, fig12, deadlines, profile, threadsweep, ablation, staticvsonline, designspace, nodecosts, chaos, governor, fusion, admission, loadgen, all)")
+		experiment = flag.String("experiment", "all", "experiment to run (table1, fig4, fig8, fig9, fig10, fig11, fig12, deadlines, profile, threadsweep, ablation, staticvsonline, designspace, nodecosts, chaos, governor, admission, loadgen, all)")
 		quick      = flag.Bool("quick", false, "fast smoke settings (300 cycles, scale 0.05)")
 		csvDir     = flag.String("csv", "", "also write table1.csv and fig9_samples.csv to this directory")
 		httpAddr   = flag.String("http", "", "serve net/http/pprof on this address (e.g. :6060) while benchmarking")
@@ -135,7 +135,6 @@ func main() {
 		{"nodecosts", wrap(exp.NodeCosts)},
 		{"chaos", wrap(exp.Chaos)},
 		{"governor", wrap(exp.Governor)},
-		{"fusion", wrap(exp.Fusion)},
 		{"admission", wrap(exp.Admission)},
 		{"loadgen", wrap(exp.Loadgen)},
 	}

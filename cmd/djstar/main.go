@@ -50,7 +50,6 @@ func main() {
 		traceOut = flag.String("trace", "", "write sampled schedule realizations to this file as Chrome trace JSON (load in chrome://tracing or ui.perfetto.dev)")
 		httpAddr = flag.String("http", "", `serve live observability on this address (e.g. ":6060"): /debug/pprof/, /v1/sessions/{id}/snapshot|critpath|trace|slo, /metrics`)
 		incDir   = flag.String("incident-dir", "", "write flight-recorder incident bundles to this directory (replay with djanalyze -incident)")
-		fuse     = flag.Bool("fuse", false, "compile the execution plan with cost-guided chain fusion (DESIGN.md §13)")
 		script   = flag.String("script", "", `timed live graph edits: a file of "@<cycle> <patch>" lines, e.g. "@500 insert-delay:A:2" (see DESIGN.md §14)`)
 		repl     = flag.Bool("repl", false, "read live patch specs from stdin, one per line (insert-delay:A:2, remove-delay:A, drop-node:<name>)")
 		admit    = flag.Bool("admission", false, "deadline-aware admission gate: refuse or degrade sessions and edits whose analytical bound exceeds the packet period (DESIGN.md §15)")
@@ -74,7 +73,6 @@ func main() {
 		Graph:    gc,
 		Strategy: *strategy,
 		Threads:  *threads,
-		FusePlan: *fuse,
 		DVS:      *dvs,
 		Watchdog: *watchdog,
 		Telemetry: engine.TelemetryOptions{

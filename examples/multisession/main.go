@@ -38,10 +38,12 @@ func main() {
 	// 2. Four sessions. Three come up with the shared defaults; the
 	//    fourth shows the SessionSpec options struct — a named session
 	//    whose zero-valued fields inherit the base config and whose set
-	//    fields override it (here: a fused hot-path plan just for this
+	//    fields override it (here: a two-deck graph just for this
 	//    session). Each AddSession is placed by analytical headroom and
 	//    starts cycling on the 2.902 ms packet clock at once.
-	specs := []engine.SessionSpec{{}, {}, {}, {ID: "guest-deck", Fuse: true}}
+	guest := graph.DefaultConfig()
+	guest.Decks = 2
+	specs := []engine.SessionSpec{{}, {}, {}, {ID: "guest-deck", Graph: &guest}}
 	for _, sp := range specs {
 		if _, _, err := f.AddSession(sp); err != nil {
 			log.Fatal(err)

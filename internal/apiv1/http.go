@@ -2,6 +2,8 @@ package apiv1
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 )
 
@@ -19,8 +21,19 @@ func Write(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v) // the status line is out; a dead client is not ours to report
 }
 
-// Decode reads a request body of at most MaxBodyBytes into v. Callers
-// answer any error — malformed or oversized — with 400.
+// Decode reads a request body of at most MaxBodyBytes into v: exactly
+// one JSON value, naming no field v lacks, so a misspelled or retired
+// field is refused instead of silently ignored. Callers answer any
+// error — malformed, oversized, unknown field or trailing data — with
+// 400.
 func Decode(w http.ResponseWriter, r *http.Request, v any) error {
-	return json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.Decode(&struct{}{}) != io.EOF {
+		return errors.New("trailing data after the JSON body")
+	}
+	return nil
 }

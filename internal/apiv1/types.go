@@ -61,11 +61,6 @@ type CreateSessionRequest struct {
 	// Scale overrides the fleet's default node-cost scale for this
 	// session (0 = fleet default).
 	Scale float64 `json:"scale,omitempty"`
-	// Fuse enables cost-guided chain fusion for this session.
-	Fuse bool `json:"fuse,omitempty"`
-	// AdmissionMargin overrides the placement safety margin (0 = fleet
-	// default).
-	AdmissionMargin float64 `json:"admission_margin,omitempty"`
 }
 
 // CreateSessionResponse carries the admitted session and the placement

@@ -139,8 +139,8 @@ func (e *Engine) applyEditsLocked(es *graph.EditSet, desc string) error {
 
 // buildStaged applies es to base — the live topology, or the staged
 // edit prev stacks on — and compiles the stage that would replace prev:
-// admission check, fusion, a collector for the new plan, and the remap
-// from the live plan. editMu held.
+// admission check, a collector for the new plan, and the remap from the
+// live plan. editMu held.
 func (e *Engine) buildStaged(es *graph.EditSet, desc string, base *topology, prev *stagedTopo) (*stagedTopo, error) {
 	g2, plan2, remap, err := base.g.Apply(es)
 	if err != nil {
@@ -152,16 +152,9 @@ func (e *Engine) buildStaged(es *graph.EditSet, desc string, base *topology, pre
 	if e.adm != nil {
 		// Admission re-check: the staged plan's analytical bound must
 		// still fit the envelope at the session's current degradation
-		// rung, or the edit is rejected here — before fusion, before the
-		// swap, with the live topology untouched (ErrUnschedulableEdit).
+		// rung, or the edit is rejected here — before the swap, with the
+		// live topology untouched (ErrUnschedulableEdit).
 		if err := e.adm.checkEdit(e, plan2, remap); err != nil {
-			return nil, err
-		}
-	}
-	execPlan := plan2
-	if e.cfg.FusePlan {
-		costs, _ := e.nodeCosts(e.topo.Load(), plan2, remap)
-		if execPlan, err = graph.Fuse(plan2, costs, graph.FuseOptions{}); err != nil {
 			return nil, err
 		}
 	}
@@ -174,7 +167,7 @@ func (e *Engine) buildStaged(es *graph.EditSet, desc string, base *topology, pre
 		})
 	}
 	st := &stagedTopo{
-		topo:  &topology{g: g2, plan: plan2, execPlan: execPlan, col: col},
+		topo:  &topology{g: g2, plan: plan2, col: col},
 		remap: remap,
 		ops:   es.Len(),
 		desc:  desc,
@@ -236,7 +229,7 @@ func (e *Engine) adoptStaged() {
 		return
 	}
 	old := e.topo.Load()
-	sw := sched.Swap{Plan: st.topo.execPlan, OldToNew: st.remap.OldToNew}
+	sw := sched.Swap{Plan: st.topo.plan, OldToNew: st.remap.OldToNew}
 	if st.topo.col != old.col {
 		sw.Observer = st.topo.col
 	}

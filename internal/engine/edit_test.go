@@ -19,8 +19,9 @@ var editStrategies = []string{
 }
 
 // TestEngineApplyPatchAllStrategies inserts and removes a live delay
-// chain on every execution configuration, checking epoch advancement,
-// node-count round-trip and uninterrupted cycles on either side.
+// chain on every execution configuration, with the governor on,
+// checking epoch advancement, node-count round-trip, a collector sized
+// for each adopted plan and uninterrupted cycles on either side.
 func TestEngineApplyPatchAllStrategies(t *testing.T) {
 	for _, name := range editStrategies {
 		t.Run(name, func(t *testing.T) {
@@ -28,7 +29,9 @@ func TestEngineApplyPatchAllStrategies(t *testing.T) {
 			if name == sched.NameSequential {
 				threads = 1
 			}
-			e, err := New(fastConfig(name, threads))
+			cfg := fastConfig(name, threads)
+			cfg.Governor.Enabled = true
+			e, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,6 +59,9 @@ func TestEngineApplyPatchAllStrategies(t *testing.T) {
 			m := e.RunCycles(20)
 			if m.Cycles() != 20 {
 				t.Fatalf("post-insert cycles = %d", m.Cycles())
+			}
+			if got := len(e.Collector().NodeMeansUS()); got != baseNodes+2 {
+				t.Fatalf("collector sized %d after insert, want %d", got, baseNodes+2)
 			}
 
 			if err := e.ApplyPatch("remove-delay:B"); err != nil {
@@ -317,53 +323,11 @@ func TestEngineCloseWhileEditStaged(t *testing.T) {
 	}
 }
 
-// TestEngineEditWithFusionAndGovernor: structural edits compose with
-// plan fusion and an enabled governor — the fused exec plan is rebuilt
-// over the edited base plan, from the measured costs, and adopted at the
-// cycle boundary.
-func TestEngineEditWithFusionAndGovernor(t *testing.T) {
-	cfg := fastConfig(sched.NameBusyWait, 4)
-	cfg.FusePlan = true
-	cfg.Governor.Enabled = true
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.RunCycles(20)
-	base := e.Plan().Len()
-	if err := e.ApplyPatch("insert-delay:B:2"); err != nil {
-		t.Fatal(err)
-	}
-	if e.PlanEpoch() != 0 {
-		t.Fatal("edit adopted outside a cycle boundary")
-	}
-	e.Cycle(nil)
-	if e.PlanEpoch() != 1 {
-		t.Fatalf("epoch = %d", e.PlanEpoch())
-	}
-	if e.Plan().Len() != base+2 {
-		t.Fatalf("base plan = %d nodes, want %d", e.Plan().Len(), base+2)
-	}
-	exec := e.ExecPlan()
-	if !exec.IsFused() || exec.Base != e.Plan() {
-		t.Fatal("exec plan is not a fusion of the edited base plan")
-	}
-	m := e.RunCycles(30)
-	if m.Cycles() != 30 {
-		t.Fatalf("cycles = %d", m.Cycles())
-	}
-	// The new collector observes the edited base plan.
-	if got := len(e.Collector().NodeMeansUS()); got != base+2 {
-		t.Fatalf("collector sized %d, want %d", got, base+2)
-	}
-}
-
 // TestNodeCostsAtRunningScale: the engine's one cost table prices a
 // staged edit's nodes in one unit — a node the edit adds at the static
 // design cost × the running scale, a surviving node at its measured mean
-// carried through the remap — so fusion and the admission gate see an
-// inserted node beside its neighbours, not 1/scale times dearer.
+// carried through the remap — so the admission gate sees an inserted
+// node beside its neighbours, not 1/scale times dearer.
 func TestNodeCostsAtRunningScale(t *testing.T) {
 	const scale = 0.05
 	cfg := spinConfig(sched.NameSequential, 1)

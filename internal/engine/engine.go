@@ -25,7 +25,6 @@ import (
 	"djstar/internal/audio"
 	"djstar/internal/graph"
 	"djstar/internal/obs"
-	"djstar/internal/rescon"
 	"djstar/internal/sched"
 	"djstar/internal/timecode"
 )
@@ -64,15 +63,6 @@ type Config struct {
 	// set. With Strategy == sched.NamePool and no Pool, the scheduler is
 	// a private single-session pool of Threads-1 workers.
 	Pool *sched.Pool
-	// FusePlan compiles the execution plan through graph.Fuse: linear
-	// same-kind chains collapse into fused units that are claimed once
-	// and run back-to-back, cutting per-cycle scheduling overhead. The
-	// construction plan is fused on the static design-cost table
-	// (rescon.PaperCostsUS); every adopted edit is fused on the engine's
-	// node costs, measured where the collector has seen the node. Off by
-	// default — the paper-reproduction experiments run the unfused
-	// 67-node graph.
-	FusePlan bool
 	// DVS couples deck tempos to the decoded timecode signal, exercising
 	// the decode → control path end to end.
 	DVS bool
@@ -161,18 +151,16 @@ type ObsOptions struct {
 }
 
 // topology is one epoch of the engine's graph world: the editable graph,
-// its compiled base plan (the node-ID space of every public API at that
-// epoch), the execution plan the scheduler actually runs (the base plan
-// itself or its fused compilation), and the observability collector
+// its compiled plan (what the scheduler runs, and the node-ID space of
+// every public API at that epoch), and the observability collector
 // sized for it. The bundle is immutable once published; the engine
 // replaces the whole bundle atomically at a cycle boundary when an edit
 // is adopted, so any thread that Loads it gets a mutually consistent
 // (plan, collector) pair.
 type topology struct {
-	g        *graph.Graph
-	plan     *graph.Plan
-	execPlan *graph.Plan
-	col      *obs.Collector // nil when cfg.Obs.Disable
+	g    *graph.Graph
+	plan *graph.Plan
+	col  *obs.Collector // nil when cfg.Obs.Disable
 }
 
 // Engine owns a session, a compiled plan, a scheduler and the timecode
@@ -289,15 +277,6 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	execPlan := plan
-	if cfg.FusePlan {
-		// Initial fusion from the static design-cost table; adopted
-		// edits re-fuse from measured costs (edit.go).
-		execPlan, err = graph.Fuse(plan, rescon.PaperCostsUS(plan), graph.FuseOptions{})
-		if err != nil {
-			return nil, err
-		}
-	}
 	threads := cfg.Threads
 	if cfg.Strategy == sched.NameSequential {
 		threads = 1
@@ -322,10 +301,7 @@ func New(cfg Config) (*Engine, error) {
 	// bound (static design costs — nothing has run yet) against the
 	// deadline envelope BEFORE any scheduler resources are committed.
 	// Refusals return here wrapping admission.ErrOverBudget; an
-	// admit-degraded verdict is applied after the governor exists. The
-	// analysis runs on the unfused base plan: fusion preserves total
-	// work and only removes per-node dispatches, so the base-plan bound
-	// is conservative for the fused execution too.
+	// admit-degraded verdict is applied after the governor exists.
 	var adm *admissionRuntime
 	if cfg.Admission.Enabled {
 		adm, err = newAdmissionRuntime(&cfg, plan, threads)
@@ -338,9 +314,9 @@ func New(cfg Config) (*Engine, error) {
 	var scheduler sched.Scheduler
 	if cfg.Pool != nil {
 		// Shared-pool mode: this engine is one session among many.
-		scheduler, err = cfg.Pool.Attach(execPlan, opts)
+		scheduler, err = cfg.Pool.Attach(plan, opts)
 	} else {
-		scheduler, err = sched.New(cfg.Strategy, execPlan, opts)
+		scheduler, err = sched.New(cfg.Strategy, plan, opts)
 	}
 	if err != nil {
 		return nil, err
@@ -356,7 +332,7 @@ func New(cfg Config) (*Engine, error) {
 		masterTempo: 1,
 	}
 	e.sref.Store(&schedRef{scheduler})
-	e.topo.Store(&topology{g: g, plan: plan, execPlan: execPlan, col: collector})
+	e.topo.Store(&topology{g: g, plan: plan, col: collector})
 	e.userFactor.Store(math.Float64bits(1))
 	e.govFactor.Store(math.Float64bits(1))
 
@@ -578,11 +554,6 @@ func (e *Engine) Scheduler() sched.Scheduler { return e.sch() }
 // it — long-lived readers should re-fetch rather than cache it.
 func (e *Engine) Collector() *obs.Collector { return e.topo.Load().col }
 
-// ExecPlan exposes the plan the scheduler is actually running: Plan()
-// itself, or its fused compilation. The execution plan changes at cycle
-// boundaries when an edit is adopted.
-func (e *Engine) ExecPlan() *graph.Plan { return e.topo.Load().execPlan }
-
 // PlanEpoch counts topology swaps adopted so far (0 = the
 // construction-time plan is still live). Safe from any thread.
 func (e *Engine) PlanEpoch() uint64 { return e.planEpoch.Load() }
@@ -662,8 +633,17 @@ func (e *Engine) RunCycles(n int) *Metrics {
 // memory.
 func WarmUpCycles(n int) int { return min(n/10+1, 200) }
 
-// WarmUp runs the warm-up for a measured run of n cycles.
-func (e *Engine) WarmUp(n int) { e.RunCycles(WarmUpCycles(n)) }
+// MeasuredRun is the evaluation's one measured run: WarmUpCycles(n)
+// unrecorded cycles, then n cycles into fresh totals. keepSamples
+// retains every cycle's graph and APC time for percentiles.
+func (e *Engine) MeasuredRun(n int, keepSamples bool) *Metrics {
+	e.RunCycles(WarmUpCycles(n))
+	m := &Metrics{KeepSamples: keepSamples}
+	for i := 0; i < n; i++ {
+		e.Cycle(m)
+	}
+	return m
+}
 
 // Totals is the engine's own account of every cycle it has run — what
 // Snapshot reports. Read-only for callers; safe from any thread.

@@ -231,8 +231,8 @@ func (g *governor) transition(from, to GovLevel) {
 // shedLevel pushes the shed bits a level implies into the fault state.
 // A level is a rung of graph.NodeKind.ShedAt's ladder — meter and
 // control nodes go at GovDegraded1, FX nodes at GovDegraded2 — the rule
-// admission's degraded cost models use too. Shed bits are per BASE node
-// (fs.Plan), which the fault state honours on fused plans too.
+// admission's degraded cost models use too. Shed bits are per node of
+// fs.Plan.
 func shedLevel(fs *sched.FaultState, level GovLevel) {
 	for i, k := range fs.Plan().Kinds {
 		fs.SetNodeShed(int32(i), k.ShedAt(int(level)))

@@ -54,7 +54,9 @@ func runConcurrent(engines []*Engine, n int) []*Metrics {
 // TestPoolConcurrentSessions is the engine-level acceptance test
 // for shared-pool scheduling: four full DJ sessions (decks, mixer,
 // timecode) execute concurrently over one worker pool, each producing
-// audio and metrics independently.
+// audio and metrics independently. An edit on one session adopts at
+// that session's own cycle boundary; the others keep their plans and
+// keep cycling on the shared workers.
 func TestPoolConcurrentSessions(t *testing.T) {
 	const sessions = 4
 	pool, engines := poolSessions(t, fastConfig("", 0), sessions, 3, sessions)
@@ -87,6 +89,21 @@ func TestPoolConcurrentSessions(t *testing.T) {
 	for i, e := range engines {
 		if e.Session().MasterOut().Peak() == 0 {
 			t.Fatalf("session %d produced silence", i)
+		}
+	}
+
+	if err := engines[0].ApplyPatch("insert-delay:B:2"); err != nil {
+		t.Fatalf("pool session rejected the edit: %v", err)
+	}
+	engines[0].Cycle(nil)
+	for i, e := range engines {
+		if edited := e.PlanEpoch() == 1; edited != (i == 0) {
+			t.Fatalf("session %d at plan epoch %d after session 0's edit", i, e.PlanEpoch())
+		}
+	}
+	for i, mm := range runConcurrent(engines, 20) {
+		if mm.Cycles() != 20 {
+			t.Fatalf("session %d ran %d cycles after the swap, want 20", i, mm.Cycles())
 		}
 	}
 }

@@ -16,13 +16,6 @@ type SessionSpec struct {
 	// IDs stay stable across shard migration. Empty = the container
 	// assigns a monotonic ID.
 	ID string
-	// Fuse enables cost-guided chain fusion for this session.
-	Fuse bool
-	// AdmissionMargin overrides the fleet's placement safety margin for
-	// this session (margin × (base + graph bound) ≤ period); 0 keeps the
-	// fleet's. Resolve does not read it: the fleet switches the engine's
-	// own gate off and scales the session's registered load instead.
-	AdmissionMargin float64
 	// Hooks are per-session event hooks; non-nil fields override the
 	// base config's.
 	Hooks Hooks
@@ -38,9 +31,6 @@ func (sp SessionSpec) Resolve(base Config) Config {
 	c := base
 	if sp.Graph != nil {
 		c.Graph = *sp.Graph
-	}
-	if sp.Fuse {
-		c.FusePlan = true
 	}
 	if sp.ID != "" {
 		c.Telemetry.Session = sp.ID

@@ -110,12 +110,7 @@ func (o *Options) runEngine(strategy string, threads int, collect bool) (*engine
 		return nil, err
 	}
 	defer e.Close()
-	e.WarmUp(o.Cycles)
-	m := &engine.Metrics{KeepSamples: collect}
-	for i := 0; i < o.Cycles; i++ {
-		e.Cycle(m)
-	}
-	return m, nil
+	return e.MeasuredRun(o.Cycles, collect), nil
 }
 
 // timeGraph measures the graph alone — no TP/GP/VC — under the scheduler

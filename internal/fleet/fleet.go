@@ -327,23 +327,6 @@ func (f *Fleet) AddSession(spec engine.SessionSpec) (*Session, apiv1.Placement, 
 		f.mu.Unlock()
 		return nil, apiv1.Placement{Shard: -1}, err
 	}
-	if spec.AdmissionMargin > 0 {
-		// A per-session margin override is folded into the registered
-		// load: the controller applies one shard-wide margin (the default
-		// when unset), so the candidate's terms and its bound are scaled
-		// by the ratio instead.
-		margin := f.acfg.Margin
-		if margin <= 0 {
-			margin = admission.DefaultMargin
-		}
-		r := *rep
-		k := spec.AdmissionMargin / margin
-		r.TotalWorkUS *= k
-		r.CritPathUS *= k
-		r.BaseUS *= k
-		r.BoundUS *= k
-		rep = &r
-	}
 	sh, placement, why := f.placeLocked(rep, -1, "create")
 	if sh == nil {
 		f.mu.Unlock()

@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -301,40 +300,6 @@ func TestReportFollowsGraphShape(t *testing.T) {
 	if small.rep.TotalWorkUS >= big.rep.TotalWorkUS || small.BoundUS() >= big.BoundUS() {
 		t.Fatalf("1-deck session registered work %.0f µs, bound %.0f µs; 4-deck %.0f µs, %.0f µs — want strictly smaller",
 			small.rep.TotalWorkUS, small.BoundUS(), big.rep.TotalWorkUS, big.BoundUS())
-	}
-}
-
-// TestAdmissionMarginOnDefaultFleet: a session's admission_margin is
-// honoured on a fleet whose own margin is left at the default. Alone on
-// its shard, a session at margin 2.5 registers at twice the bound of a
-// default (1.25) session, and reports that bound.
-func TestAdmissionMarginOnDefaultFleet(t *testing.T) {
-	cfg := testConfig()
-	cfg.Engine.Graph.Scale = 0.05
-	cfg.Engine.Graph.Calibration = graph.Calibration{NanosPerUnit: 1e12} // analytical costs, free kernels
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	plain, _, err := f.AddSession(engine.SessionSpec{ID: "plain"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, p, err := f.AddSession(engine.SessionSpec{ID: "wide", AdmissionMargin: 2.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Shard() == wide.Shard() {
-		t.Fatalf("both sessions on shard %d; the empty shard has more headroom", plain.Shard())
-	}
-	bound := func(s *Session) float64 { return f.shards[s.Shard()].ctl.Sessions()[0].BoundUS }
-	if got, want := bound(wide), 2*bound(plain); math.Abs(got-want) > 1e-9*want {
-		t.Errorf("controller bound at margin 2.5 = %.2f µs, want 2 × %.2f µs", got, bound(plain))
-	}
-	if got, want := wide.BoundUS(), 2*plain.BoundUS(); math.Abs(got-want) > 1e-9*want || p.BoundUS != got {
-		t.Errorf("reported bound at margin 2.5 = %.2f µs (placement %.2f), want 2 × %.2f µs",
-			got, p.BoundUS, plain.BoundUS())
 	}
 }
 

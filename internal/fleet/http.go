@@ -53,7 +53,7 @@ func (f *Fleet) Handler() http.Handler {
 			apiv1.Write(w, http.StatusBadRequest, apiv1.Error{Error: "malformed body: " + err.Error()})
 			return
 		}
-		spec := engine.SessionSpec{ID: req.ID, Fuse: req.Fuse, AdmissionMargin: req.AdmissionMargin}
+		spec := engine.SessionSpec{ID: req.ID}
 		if req.Scale != 0 {
 			g := f.cfg.Engine.Graph
 			g.Scale = req.Scale

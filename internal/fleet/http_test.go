@@ -18,7 +18,8 @@ import (
 // TestCreateRejectsBadScale: on a fleet built without a calibration (as
 // `djserve -scale 0` builds it) a positive scale cannot be honoured, and
 // a negative one is never valid. Both are the client's error: 400, and no
-// session is created.
+// session is created. So is a field the request does not have, such as
+// the retired per-session "fuse" and "admission_margin".
 func TestCreateRejectsBadScale(t *testing.T) {
 	f, err := New(testConfig())
 	if err != nil {
@@ -26,7 +27,7 @@ func TestCreateRejectsBadScale(t *testing.T) {
 	}
 	defer f.Close()
 	h := f.Handler()
-	for _, body := range []string{`{"scale":0.5}`, `{"scale":-1}`} {
+	for _, body := range []string{`{"scale":0.5}`, `{"scale":-1}`, `{"fuse":true}`, `{"admission_margin":0.01}`} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(body)))
 		if rec.Code != http.StatusBadRequest {
@@ -77,11 +78,9 @@ func TestControlPlane(t *testing.T) {
 		}
 	}
 
-	// Create two sessions; the response must justify the placement. The
-	// first one is fused, so the edit below re-fuses a plan staged from
-	// this goroutine while the session's driver cycles.
+	// Create two sessions; the response must justify the placement.
 	var created apiv1.CreateSessionResponse
-	do("POST", "/v1/sessions", apiv1.CreateSessionRequest{Fuse: true}, http.StatusCreated, &created)
+	do("POST", "/v1/sessions", apiv1.CreateSessionRequest{}, http.StatusCreated, &created)
 	if created.Session.ID == "" || created.Placement.Shard < 0 || len(created.Placement.Candidates) != 2 {
 		t.Fatalf("create response %+v", created)
 	}
@@ -239,10 +238,12 @@ func TestSessionRoutesOnBothMounts(t *testing.T) {
 		{"POST", "retune", `{"load_factor":1.5}`, 200, field("ok", isTrue)},
 		{"POST", "retune", `{"load_factor":-1}`, 422, field("error", nonEmpty)},
 		{"POST", "retune", `{"load_factor":`, 400, field("error", nonEmpty)},
+		{"POST", "retune", `{"load_factr":2}`, 400, field("error", nonEmpty)},
 		{"POST", "retune", huge, 400, field("error", nonEmpty)},
 		{"POST", "edits", `{"patch":"insert-delay:%s:2"}`, 200, field("staged", isTrue)},
 		{"POST", "edits", `{"patch":"no-such-op"}`, 422, field("error", nonEmpty)},
 		{"POST", "edits", `{}`, 400, field("error", nonEmpty)},
+		{"POST", "edits", `{"patch":"insert-delay:%s:2"}{}`, 400, field("error", nonEmpty)},
 		{"POST", "edits", huge, 400, field("error", nonEmpty)},
 	}
 	call := func(method, url, body string) (int, []byte) {

@@ -149,8 +149,27 @@ func (e *editable) mutate(rng *rand.Rand, minNodes int) (*graph.Plan, *graph.Rem
 	return plan, r, true
 }
 
+// stageSwap stages plan2 on s, fused shape-only (graph.Fuse with unit
+// costs, uncapped — the setting that collapses the most chains) when
+// fuse is set, so the property covers swaps to and from fused plans.
+func stageSwap(t *testing.T, s Scheduler, plan2 *graph.Plan, r *graph.Remap, fuse bool, tag string) {
+	t.Helper()
+	exec := plan2
+	if fuse {
+		fp, err := graph.Fuse(plan2, nil, graph.FuseOptions{MaxCostUS: 1e12})
+		if err != nil {
+			t.Fatalf("%s: Fuse: %v", tag, err)
+		}
+		exec = fp
+	}
+	if err := s.StageSwap(Swap{Plan: exec, OldToNew: r.OldToNew}); err != nil {
+		t.Fatalf("%s: StageSwap: %v", tag, err)
+	}
+}
+
 // runAndCheck executes `cycles` cycles and verifies each live node ran
-// exactly once per cycle, after all of its current-plan predecessors.
+// exactly once per cycle, after all of its current-plan predecessors,
+// and that the fault state is sized for the base plan, fused or not.
 func (e *editable) runAndCheck(t *testing.T, s Scheduler, plan *graph.Plan, cycles int, tag string) {
 	t.Helper()
 	for c := 0; c < cycles; c++ {
@@ -172,6 +191,10 @@ func (e *editable) runAndCheck(t *testing.T, s Scheduler, plan *graph.Plan, cycl
 						tag, c, plan.Names[i], plan.Names[d])
 				}
 			}
+		}
+		if fa := s.FaultState().arr.Load(); fa.plan != plan || len(fa.state) != plan.Len() {
+			t.Fatalf("%s cycle %d: fault state has %d slots for a %d-node plan, want the %d-node base plan's",
+				tag, c, len(fa.state), fa.plan.Len(), plan.Len())
 		}
 	}
 }
@@ -205,9 +228,7 @@ func TestSwapPropertyAllStrategies(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if err := s.StageSwap(Swap{Plan: plan2, OldToNew: r.OldToNew}); err != nil {
-					t.Fatalf("%s: StageSwap: %v", tag, err)
-				}
+				stageSwap(t, s, plan2, r, edits%2 == 1, tag)
 				edits++
 				plan = plan2
 				// Execute adopts the staged swap at its top.
@@ -253,9 +274,8 @@ func TestSwapPropertyPoolSessions(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if err := s.StageSwap(Swap{Plan: plan2, OldToNew: r.OldToNew}); err != nil {
-				t.Fatalf("pool StageSwap: %v", err)
-			}
+			// Each session's own edits alternate too: plain, fused, plain.
+			stageSwap(t, s, plan2, r, edits%4 >= 2, "pool")
 			*plan = plan2
 			edits++
 		}
