@@ -14,23 +14,24 @@ import (
 // goldenAudioHash is audioHash(seq) as captured on commit eab383b, before
 // the DSP kernels were restructured into paired, cascaded and block forms.
 // It pins every restructured kernel on the graph's path to its former
-// output, bit for bit. It was re-pinned once, when deck tracks moved from
-// float64 to float32 storage (DESIGN.md §29). That changed the decks'
-// input, by at most 2⁻²³ of each sample's value
-// (synth.TestOracleTrackWithinFloat32Tolerance; below −138 dBFS at the
-// 0.95 peak), and no kernel. It was re-pinned a second time when the
-// flanger's LFO became a rotor reseeded every packet (DESIGN.md §31). That
-// changed one kernel's output, by at most 2⁻³⁶ absolute per sample
-// (effects.TestOracleLFOWithinTolerance; below −216 dBFS), and left
-// the LFO phase bit-identical. The timecode carrier's rotor does not
-// reach the hash: DVS is off here. It was re-pinned a third time when the
-// echo's lines and the beat masher's capture became float32 (DESIGN.md
-// §29). That changed those two units' output, within the bounds of
-// effects.TestOracleResizedUnits; over these 2048 cycles the master
-// output moved by at most 2.25e-9 (−173 dBFS, measured against the
-// previous code on amd64), and by 2.45e-9 over 8192. amd64 only: other
-// ports may fuse a*b+c into an FMA, which rounds differently.
-const goldenAudioHash uint64 = 0xe3e6d4668de78e2d
+// output, bit for bit. It was re-pinned once when deck tracks moved from
+// float64 to float32 storage, changing no kernel, and a second time when
+// the flanger's LFO became a rotor reseeded every packet (DESIGN.md §31):
+// one kernel's output moved by at most 2⁻³⁶ per sample
+// (effects.TestOracleLFOWithinTolerance; below −216 dBFS), with the LFO
+// phase bit-identical. The timecode carrier's rotor does not reach the
+// hash: DVS is off here. It was re-pinned a third time when the echo's
+// lines and the beat masher's capture became float32 (DESIGN.md §29),
+// within the bounds of effects.TestOracleResizedUnits (master moved by at
+// most 2.45e-9, −172 dBFS, over 8192 cycles). It was re-pinned a fourth
+// time when deck tracks became 16-bit PCM with a per-track gain (DESIGN.md
+// §29). That changed the decks' input, by at most half a step of each
+// track (synth.TestOracleTrackWithinPCM16Tolerance; below −91 dBFS), and
+// no kernel; over 8192 cycles the master output moved by at most 5.14e-5
+// (−85.8 dBFS, measured against the previous code on amd64), all of it
+// within the first 2048. amd64 only: other ports may fuse a*b+c into an
+// FMA, which rounds differently.
+const goldenAudioHash uint64 = 0xe629e1b847f2403f
 
 // audioHash runs the default 67-node graph spin-free for 2048 cycles under
 // the given strategy and folds every sample of the master, record and

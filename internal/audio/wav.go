@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // WAV encoding for the record path (RecordBuffer in Fig. 3 feeds a
@@ -77,8 +76,8 @@ func (ww *WAVWriter) WritePacket(s Stereo) error {
 	}
 	buf := ww.buf[:n*4]
 	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint16(buf[i*4:], uint16(pcm16(s.L[i])))
-		binary.LittleEndian.PutUint16(buf[i*4+2:], uint16(pcm16(s.R[i])))
+		binary.LittleEndian.PutUint16(buf[i*4:], uint16(PCM16(s.L[i])))
+		binary.LittleEndian.PutUint16(buf[i*4+2:], uint16(PCM16(s.R[i])))
 	}
 	if _, err := ww.w.Write(buf); err != nil {
 		return err
@@ -105,9 +104,12 @@ func (ww *WAVWriter) Close() error {
 	return err
 }
 
-// pcm16 converts a float sample to a clamped 16-bit PCM value.
-func pcm16(x float64) int16 {
-	x = Clamp(x, -1, 1)
-	v := math.Round(x * 32767)
-	return int16(v)
+// PCM16 converts a float sample to a clamped 16-bit PCM value, x·32767
+// rounded half away from zero: the WAV writer's and the track store's.
+// v − q is exact and in (−1, 1), so its doubled truncation is the ±1 step
+// math.Round would take, without Round's cost or a branch.
+func PCM16(x float64) int16 {
+	v := Clamp(x, -1, 1) * 32767
+	q := int32(v)
+	return int16(q + int32(2*(v-float64(q))))
 }

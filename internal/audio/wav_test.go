@@ -66,7 +66,7 @@ func TestWAVRoundTrip(t *testing.T) {
 
 // checkWAV checks a finished file byte by byte: the canonical 44-byte
 // header at its fixed offsets, then each frame's little-endian int16 pair
-// against pcm16 of the source sample.
+// against PCM16 of the source sample.
 func checkWAV(t *testing.T, data []byte, src Stereo) {
 	t.Helper()
 	n := src.Len()
@@ -102,8 +102,8 @@ func checkWAV(t *testing.T, data []byte, src Stereo) {
 	for i := 0; i < n; i++ {
 		l := int16(le.Uint16(data[44+4*i:]))
 		r := int16(le.Uint16(data[44+4*i+2:]))
-		if l != pcm16(src.L[i]) || r != pcm16(src.R[i]) {
-			t.Fatalf("frame %d = (%d, %d), want (%d, %d)", i, l, r, pcm16(src.L[i]), pcm16(src.R[i]))
+		if l != PCM16(src.L[i]) || r != PCM16(src.R[i]) {
+			t.Fatalf("frame %d = (%d, %d), want (%d, %d)", i, l, r, PCM16(src.L[i]), PCM16(src.R[i]))
 		}
 	}
 }
@@ -170,7 +170,24 @@ func TestWAVWriterAllocatesNothingPerPacket(t *testing.T) {
 }
 
 func TestPCM16Symmetry(t *testing.T) {
-	if pcm16(1) != 32767 || pcm16(-1) != -32767 || pcm16(0) != 0 {
-		t.Fatalf("pcm16 endpoints: %d %d %d", pcm16(1), pcm16(-1), pcm16(0))
+	if PCM16(1) != 32767 || PCM16(-1) != -32767 || PCM16(0) != 0 {
+		t.Fatalf("PCM16 endpoints: %d %d %d", PCM16(1), PCM16(-1), PCM16(0))
+	}
+}
+
+// TestPCM16RoundsHalfAwayFromZero holds PCM16 to math.Round of the clamped,
+// scaled sample at every half step of the 16-bit range and on either side
+// of it, and past the clamp.
+func TestPCM16RoundsHalfAwayFromZero(t *testing.T) {
+	ref := func(x float64) int16 { return int16(math.Round(Clamp(x, -1, 1) * 32767)) }
+	xs := []float64{math.Inf(1), math.Inf(-1), 2, -2, math.Copysign(0, -1), 1e-300, -1e-300}
+	for k := -65535; k <= 65535; k++ {
+		x := float64(k) / 2 / 32767
+		xs = append(xs, x, math.Nextafter(x, 2), math.Nextafter(x, -2))
+	}
+	for _, x := range xs {
+		if got, want := PCM16(x), ref(x); got != want {
+			t.Fatalf("PCM16(%v) = %d, want %d", x, got, want)
+		}
 	}
 }

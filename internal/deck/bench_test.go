@@ -44,7 +44,8 @@ func BenchmarkReadPacketEdge(b *testing.B) {
 
 func BenchmarkPitchShifterProcess(b *testing.B) {
 	p := NewPitchShifter(audio.SampleRate)
-	src := f64(testTrack().L[:audio.PacketSize])
+	tr := testTrack()
+	src := f64(tr.L[:audio.PacketSize], tr.Gain)
 	buf := make([]float64, audio.PacketSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -60,7 +61,7 @@ func BenchmarkPitchShifterProcess(b *testing.B) {
 func BenchmarkSilenceTail(b *testing.B) {
 	src := testTrack()
 	b.Run("PitchShifter", func(b *testing.B) {
-		dsptest.BenchSilenceTail(b, 64, f64(src.L[:audio.PacketSize]), f64(src.R[:audio.PacketSize]), func() func(l, r []float64) {
+		dsptest.BenchSilenceTail(b, 64, f64(src.L[:audio.PacketSize], src.Gain), f64(src.R[:audio.PacketSize], src.Gain), func() func(l, r []float64) {
 			pl, pr := NewPitchShifter(audio.SampleRate), NewPitchShifter(audio.SampleRate)
 			return func(l, r []float64) {
 				pl.Process(l, 1/0.97)

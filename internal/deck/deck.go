@@ -127,7 +127,7 @@ func (d *Deck) ReadPacket(dst audio.Stereo) {
 		return
 	}
 	n := dst.Len()
-	srcL, srcR := d.track.L, d.track.R
+	srcL, srcR, gain := d.track.L, d.track.R, d.track.Gain
 	srcR = srcR[:len(srcL)]
 	trackLen := float64(len(srcL))
 	pos, tempo := d.pos, d.tempo
@@ -141,8 +141,8 @@ func (d *Deck) ReadPacket(dst audio.Stereo) {
 		// the track. Straight Catmull-Rom, nothing to wrap or clamp.
 		if j := int(pos) - 1; j >= 0 && j+3 < len(srcL) && pos < loopEnd {
 			t := pos - float64(j+1)
-			dst.L[i] = dsp.CatmullRom(float64(srcL[j]), float64(srcL[j+1]), float64(srcL[j+2]), float64(srcL[j+3]), t)
-			dst.R[i] = dsp.CatmullRom(float64(srcR[j]), float64(srcR[j+1]), float64(srcR[j+2]), float64(srcR[j+3]), t)
+			dst.L[i] = dsp.CatmullRom(float64(srcL[j]), float64(srcL[j+1]), float64(srcL[j+2]), float64(srcL[j+3]), t) * gain
+			dst.R[i] = dsp.CatmullRom(float64(srcR[j]), float64(srcR[j+1]), float64(srcR[j+2]), float64(srcR[j+3]), t) * gain
 			pos += tempo
 			continue
 		}
@@ -161,8 +161,8 @@ func (d *Deck) ReadPacket(dst audio.Stereo) {
 			d.pos = trackLen
 			return
 		}
-		dst.L[i] = sampleCubic(srcL, pos)
-		dst.R[i] = sampleCubic(srcR, pos)
+		dst.L[i] = sampleCubic(srcL, pos, gain)
+		dst.R[i] = sampleCubic(srcR, pos, gain)
 		pos += tempo
 	}
 	d.pos = pos
@@ -177,8 +177,8 @@ func (d *Deck) ReadPacket(dst audio.Stereo) {
 }
 
 // sampleCubic reads one Catmull-Rom interpolated sample at fractional
-// position pos, with taps outside src reading as 0.
-func sampleCubic(src []float32, pos float64) float64 {
+// position pos, with taps outside src reading as 0, scaled by gain.
+func sampleCubic(src []int16, pos, gain float64) float64 {
 	idx := int(pos)
 	var p [4]float64
 	for k := range p {
@@ -186,7 +186,7 @@ func sampleCubic(src []float32, pos float64) float64 {
 			p[k] = float64(src[i])
 		}
 	}
-	return dsp.CatmullRom(p[0], p[1], p[2], p[3], pos-float64(idx))
+	return dsp.CatmullRom(p[0], p[1], p[2], p[3], pos-float64(idx)) * gain
 }
 
 // PitchShifter is a classic dual-tap delay-line pitch shifter: two read

@@ -40,7 +40,7 @@ func TestDeckPlaysTrackAudio(t *testing.T) {
 	d.Play()
 	dst := audio.NewStereo(audio.PacketSize)
 	d.ReadPacket(dst)
-	want := f64(tr.L[:audio.PacketSize])
+	want := f64(tr.L[:audio.PacketSize], tr.Gain)
 	for i := 0; i < audio.PacketSize; i++ {
 		if math.Abs(dst.L[i]-want[i]) > 1e-9 {
 			t.Fatalf("unity playback differs at %d: %v vs %v", i, dst.L[i], want[i])
@@ -177,8 +177,9 @@ func TestKeyLockPreservesPitch(t *testing.T) {
 	tr := &synth.Track{
 		Name:         "tone",
 		BPM:          120,
-		L:            f32(tone),
-		R:            f32(tone),
+		L:            pcm(tone),
+		R:            pcm(tone),
+		Gain:         1.0 / 32767,
 		FramesPerBar: rate,
 		LoudBars:     []bool{true},
 	}
@@ -225,7 +226,7 @@ func TestKeyLockUnityTempoBypasses(t *testing.T) {
 	dst := audio.NewStereo(audio.PacketSize)
 	d.ReadPacket(dst)
 	for i := 0; i < audio.PacketSize; i++ {
-		if math.Abs(dst.L[i]-float64(tr.L[i])) > 1e-9 {
+		if math.Abs(dst.L[i]-float64(tr.L[i])*tr.Gain) > 1e-9 {
 			t.Fatalf("keylock at unity tempo altered audio at %d", i)
 		}
 	}

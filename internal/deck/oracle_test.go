@@ -14,14 +14,15 @@ import (
 // PitchShifter.Process as they were before the interior fast path and the
 // hoisted phase wraps — moved here verbatim,
 // operating on a real Deck's fields, except that each tap reads
-// float64(src[i]) from the float32 track. A deck read through ReadPacket
+// float64(src[i]) from the 16-bit track and the interpolated value is then
+// multiplied by the track's Gain. A deck read through ReadPacket
 // and a twin read through the reference must agree on every sample and on
 // every piece of carried state (playhead, playing flag, shifter phase and
 // history). The reference's shifters are built by refNewPitchShifter, with
 // the line twice the window that NewPitchShifter had before it was sized
 // to what the taps reach.
 
-func refSampleCubic(src []float32, pos float64) float64 {
+func refSampleCubic(src []int16, pos, gain float64) float64 {
 	n := len(src)
 	idx := int(pos)
 	t := pos - float64(idx)
@@ -35,7 +36,7 @@ func refSampleCubic(src []float32, pos float64) float64 {
 	a := -0.5*p0 + 1.5*p1 - 1.5*p2 + 0.5*p3
 	b := p0 - 2.5*p1 + 2*p2 - 0.5*p3
 	c := -0.5*p0 + 0.5*p2
-	return ((a*t+b)*t+c)*t + p1
+	return (((a*t+b)*t+c)*t + p1) * gain
 }
 
 // refNewPitchShifter is NewPitchShifter as it was, verbatim.
@@ -92,8 +93,8 @@ func refReadPacket(d *Deck, dst audio.Stereo) {
 			d.pos = trackLen
 			return
 		}
-		dst.L[i] = refSampleCubic(d.track.L, pos)
-		dst.R[i] = refSampleCubic(d.track.R, pos)
+		dst.L[i] = refSampleCubic(d.track.L, pos, d.track.Gain)
+		dst.R[i] = refSampleCubic(d.track.R, pos, d.track.Gain)
 		pos += d.tempo
 	}
 	d.pos = pos
@@ -125,25 +126,26 @@ func oracleTracks() []*synth.Track {
 	n := 60000
 	return []*synth.Track{
 		synth.GenerateTrack(synth.TrackSpec{Name: "synthetic", Bars: 2, Seed: 1}),
-		{Name: "noise", BPM: 126, FramesPerBar: n / 2,
-			L: f32(synth.WhiteNoise(n, 0.5, 31)), R: f32(synth.WhiteNoise(n, 0.5, 32))},
+		{Name: "noise", BPM: 126, FramesPerBar: n / 2, Gain: 1.0 / 32767,
+			L: pcm(synth.WhiteNoise(n, 0.5, 31)), R: pcm(synth.WhiteNoise(n, 0.5, 32))},
 	}
 }
 
-// f32 stores a float64 signal as a track channel.
-func f32(x []float64) []float32 {
-	out := make([]float32, len(x))
+// pcm stores a float64 signal in [−1, 1] as a track channel of gain
+// 1/32767.
+func pcm(x []float64) []int16 {
+	out := make([]int16, len(x))
 	for i, v := range x {
-		out[i] = float32(v)
+		out[i] = audio.PCM16(v)
 	}
 	return out
 }
 
-// f64 widens a track channel.
-func f64(x []float32) []float64 {
+// f64 widens a track channel to the values it stands for.
+func f64(x []int16, gain float64) []float64 {
 	out := make([]float64, len(x))
 	for i, v := range x {
-		out[i] = float64(v)
+		out[i] = float64(v) * gain
 	}
 	return out
 }
@@ -255,7 +257,7 @@ func TestOraclePitchShifter(t *testing.T) {
 		for _, tr := range src {
 			at := 0
 			for _, n := range oracleLens()[1500:] {
-				got := f64(tr.L[at : at+n])
+				got := f64(tr.L[at:at+n], tr.Gain)
 				want := append([]float64(nil), got...)
 				p.Process(got, shift)
 				refShifterProcess(ref, want, shift)

@@ -275,7 +275,7 @@ func oracleStreams() map[string]audio.Stereo {
 	track := synth.StandardDeckTracks(4)[1]
 	looped := audio.NewStereo(total)
 	for i := range looped.L {
-		looped.L[i], looped.R[i] = float64(track.L[i%track.Len()]), float64(track.R[i%track.Len()])
+		looped.L[i], looped.R[i] = float64(track.L[i%track.Len()])*track.Gain, float64(track.R[i%track.Len()])*track.Gain
 	}
 	return map[string]audio.Stereo{
 		"noise": {L: synth.WhiteNoise(total, 0.5, 21), R: synth.WhiteNoise(total, 0.5, 22)},

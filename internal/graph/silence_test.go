@@ -26,11 +26,11 @@ func sweepTracks(amp float64) []*synth.Track {
 	burst, silence := sweepBurst*audio.PacketSize, sweepSilence*audio.PacketSize
 	tracks := make([]*synth.Track, 4)
 	for d := range tracks {
-		tr := &synth.Track{Name: "sweep", BPM: 126, FramesPerBar: 84000,
-			L: make([]float32, 2*burst+silence), R: make([]float32, 2*burst+silence)}
+		tr := &synth.Track{Name: "sweep", BPM: 126, FramesPerBar: 84000, Gain: 1.0 / 32767,
+			L: make([]int16, 2*burst+silence), R: make([]int16, 2*burst+silence)}
 		noiseL, noiseR := synth.WhiteNoise(burst, amp, uint64(81+2*d)), synth.WhiteNoise(burst, amp, uint64(82+2*d))
 		for i := range noiseL {
-			tr.L[i], tr.R[i] = float32(noiseL[i]), float32(noiseR[i])
+			tr.L[i], tr.R[i] = audio.PCM16(noiseL[i]), audio.PCM16(noiseR[i])
 		}
 		copy(tr.L[burst+silence:], tr.L[:burst])
 		copy(tr.R[burst+silence:], tr.R[:burst])

@@ -79,7 +79,7 @@ func TestOracleChannelStrip(t *testing.T) {
 	}
 	track, widened := synth.StandardDeckTracks(4)[2], audio.NewStereo(total)
 	for i := range widened.L {
-		widened.L[i], widened.R[i] = float64(track.L[i]), float64(track.R[i])
+		widened.L[i], widened.R[i] = float64(track.L[i])*track.Gain, float64(track.R[i])*track.Gain
 	}
 	streams := map[string]audio.Stereo{
 		"noise": {L: synth.WhiteNoise(total, 0.5, 41), R: synth.WhiteNoise(total, 0.5, 42)},

@@ -8,12 +8,13 @@ import (
 	"djstar/internal/audio"
 )
 
-// The fidelity oracle for the float32 track store. refGenerateTrack,
+// The fidelity oracle for the 16-bit track store. refGenerateTrack,
 // refRenderBeat and refNormalize are GenerateTrack, renderBeat and
 // normalize as they were when a track held its clip as float64 — moved
-// here verbatim, writing a refTrack. Every stored float32 sample must lie
-// within 2⁻²³ of the reference, relative to the reference sample: below
-// −138 dBFS at the 0.95 peak.
+// here verbatim, writing a refTrack. Every stored sample's value q·Gain
+// must lie within half a step, ½·Gain, of the reference, plus the few
+// ulps of the division by the headroom and of the product: −91.4 dBFS or
+// less for the standard tracks, which use 55 % of the 16-bit range.
 
 type refTrack struct {
 	Name         string
@@ -147,42 +148,77 @@ func refNormalize(s audio.Stereo, target float64) {
 	s.Scale(target / p)
 }
 
-func TestOracleTrackWithinFloat32Tolerance(t *testing.T) {
-	tol := math.Ldexp(1, -23)
-	// StandardDeckTracks' four specs at the benchmark's 16 bars.
-	for _, spec := range []TrackSpec{
-		{Name: "deck-a", BPM: 126, Bars: 16, Seed: 0xA11CE, Key: 0},
-		{Name: "deck-b", BPM: 128, Bars: 16, Seed: 0xB0B42, Key: 5},
-		{Name: "deck-c", BPM: 124, Bars: 16, Seed: 0xC4A7, Key: -4},
-		{Name: "deck-d", BPM: 127, Bars: 16, Seed: 0xD06E, Key: 7},
-	} {
+// standardSpecs are StandardDeckTracks' four specs at the benchmark's 16
+// bars.
+var standardSpecs = []TrackSpec{
+	{Name: "deck-a", BPM: 126, Bars: 16, Seed: 0xA11CE, Key: 0},
+	{Name: "deck-b", BPM: 128, Bars: 16, Seed: 0xB0B42, Key: 5},
+	{Name: "deck-c", BPM: 124, Bars: 16, Seed: 0xC4A7, Key: -4},
+	{Name: "deck-d", BPM: 127, Bars: 16, Seed: 0xD06E, Key: 7},
+}
+
+func TestOracleTrackWithinPCM16Tolerance(t *testing.T) {
+	for _, spec := range standardSpecs {
 		got, ref := GenerateTrack(spec), refGenerateTrack(spec)
 		if got.Len() != ref.Audio.Len() || got.FramesPerBar != ref.FramesPerBar {
 			t.Fatalf("%s: %d frames, %d per bar; want %d, %d", spec.Name, got.Len(), got.FramesPerBar, ref.Audio.Len(), ref.FramesPerBar)
 		}
-		worst, worstRel := 0.0, 0.0
+		// Half a step, and 8 ulps of the 0.95 peak for the arithmetic.
+		tol := got.Gain/2 + 8*math.Ldexp(1, -53)
+		worst := 0.0
 		for _, ch := range []struct {
-			got  []float32
+			got  []int16
 			want []float64
 		}{{got.L, ref.Audio.L}, {got.R, ref.Audio.R}} {
 			for j, want := range ch.want {
-				d := math.Abs(float64(ch.got[j]) - want)
-				if d > tol*math.Abs(want) {
-					t.Fatalf("%s: frame %d = %v, float64 render %v: off by %g, more than 2⁻²³ of it", spec.Name, j, ch.got[j], want, d)
+				v := float64(ch.got[j]) * got.Gain
+				d := math.Abs(v - want)
+				if d > tol {
+					t.Fatalf("%s: frame %d = %d × %g = %v, float64 render %v: off by %g, more than half a step (%g)",
+						spec.Name, j, ch.got[j], got.Gain, v, want, d, got.Gain/2)
 				}
 				worst = math.Max(worst, d)
-				if want != 0 {
-					worstRel = math.Max(worstRel, d/math.Abs(want))
-				}
 			}
 		}
-		t.Logf("%s: worst error %.3g (%.1f dBFS), worst relative error %.3f × 2⁻²³", spec.Name, worst, 20*math.Log10(worst), worstRel/tol)
+		t.Logf("%s: gain %.4g, worst error %.3g (%.1f dBFS), %.3f of a step",
+			spec.Name, got.Gain, worst, 20*math.Log10(worst), worst/got.Gain)
 	}
 }
 
-// TestGenerateTrackAllocatesOnlyItsStore holds the render to the float32
-// clip it returns: at most 1.25 × 8 bytes per frame, where a float64 clip
-// alone is 16.
+// TestGeneratedTracksNeverClamp holds the headroom to its claim: no sample
+// of the four standard tracks or of 200 seeded random specs reaches
+// PCM16's clamp, so no clip is distorted by its store.
+func TestGeneratedTracksNeverClamp(t *testing.T) {
+	specs := append([]TrackSpec(nil), standardSpecs...)
+	rng := NewRand(0x5EED)
+	for i := 0; i < 200; i++ {
+		specs = append(specs, TrackSpec{
+			Name: "random",
+			Key:  rng.Intn(25) - 12,
+			BPM:  60 + 140*rng.Float64(),
+			Bars: 1 + rng.Intn(4),
+			Seed: rng.Uint64(),
+		})
+	}
+	most := 0
+	for _, spec := range specs {
+		tr := GenerateTrack(spec)
+		for _, ch := range [][]int16{tr.L, tr.R} {
+			for j, q := range ch {
+				a := max(int(q), -int(q))
+				if a >= 32767 {
+					t.Fatalf("%+v: frame %d = %d, at the clamp", spec, j, q)
+				}
+				most = max(most, a)
+			}
+		}
+	}
+	t.Logf("largest |q| over %d specs: %d (%.1f %% of the range)", len(specs), most, 100*float64(most)/32767)
+}
+
+// TestGenerateTrackAllocatesOnlyItsStore holds the render to the 16-bit
+// clip it returns: at most 1.25 × 4 bytes per frame, where a float32 clip
+// alone is 8.
 func TestGenerateTrackAllocatesOnlyItsStore(t *testing.T) {
 	spec := TrackSpec{Name: "x", Bars: 16, Seed: 5}
 	var before, after runtime.MemStats
@@ -191,8 +227,8 @@ func TestGenerateTrackAllocatesOnlyItsStore(t *testing.T) {
 	tr := GenerateTrack(spec)
 	runtime.ReadMemStats(&after)
 	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / float64(tr.Len())
-	if perFrame > 1.25*8 {
-		t.Fatalf("GenerateTrack allocated %.2f bytes per frame, want at most %.2f", perFrame, 1.25*8)
+	if perFrame > 1.25*4 {
+		t.Fatalf("GenerateTrack allocated %.2f bytes per frame, want at most %.2f", perFrame, 1.25*4)
 	}
 	t.Logf("%.2f bytes per frame", perFrame)
 }

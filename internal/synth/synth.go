@@ -144,10 +144,12 @@ func (e ADSR) Level(i, gateLen int) float64 {
 type Track struct {
 	Name string
 	BPM  float64
-	// L and R hold the full clip, one float32 per sample: lossless for a
-	// 16- or 24-bit PCM source, within 2⁻²³ of the float64 render for a
-	// generated one (DESIGN.md §29). Readers widen what they use to float64.
-	L, R []float32
+	// L and R hold the full clip as 16-bit PCM, as a CD source decodes to,
+	// and sample i's value is float64(L[i])·Gain: within ½·Gain of the
+	// float64 render for a generated clip (DESIGN.md §29). Readers widen
+	// the taps they use and apply Gain once per output sample.
+	L, R []int16
+	Gain float64
 	// LoudBars marks, per bar, whether the bar was rendered in the loud
 	// (full arrangement) or quiet (sparse) section. Used by tests.
 	LoudBars []bool
@@ -172,14 +174,15 @@ type TrackSpec struct {
 	Key int
 }
 
+// defaults replaces a non-positive BPM, Bars or Rate and a zero QuietEvery.
 func (s *TrackSpec) defaults() {
-	if s.BPM == 0 {
+	if s.BPM <= 0 {
 		s.BPM = 126
 	}
-	if s.Bars == 0 {
+	if s.Bars <= 0 {
 		s.Bars = 16
 	}
-	if s.Rate == 0 {
+	if s.Rate <= 0 {
 		s.Rate = audio.SampleRate
 	}
 	if s.QuietEvery == 0 {
@@ -201,8 +204,8 @@ func GenerateTrack(spec TrackSpec) *Track {
 	tr := &Track{
 		Name:         spec.Name,
 		BPM:          spec.BPM,
-		L:            make([]float32, total),
-		R:            make([]float32, total),
+		L:            make([]int16, total),
+		R:            make([]int16, total),
 		LoudBars:     make([]bool, spec.Bars),
 		FramesPerBar: framesPerBar,
 	}
@@ -222,9 +225,9 @@ func GenerateTrack(spec TrackSpec) *Track {
 	}
 
 	// Each beat is rendered in float64 into one reusable buffer and stored
-	// as float32. The float64 peak is kept, so scaling the stored samples
-	// once at the end normalizes the clip to 0.95 as the float64 render
-	// would, with no full-length float64 copy ever held.
+	// as int16 against the fixed headroom, so no full-length float copy is
+	// ever held and no sample is rounded twice. The float64 peak is kept,
+	// and the gain carries the normalization to 0.95.
 	beat, peak := audio.NewStereo(framesPerBeat), 0.0
 	for bar := 0; bar < spec.Bars; bar++ {
 		loud := true
@@ -241,18 +244,21 @@ func GenerateTrack(spec TrackSpec) *Track {
 			peak = math.Max(peak, beat.Peak())
 			at := bar*framesPerBar + b*framesPerBeat
 			for i := range beat.L {
-				tr.L[at+i], tr.R[at+i] = float32(beat.L[i]), float32(beat.R[i])
+				tr.L[at+i], tr.R[at+i] = audio.PCM16(beat.L[i]/headroom), audio.PCM16(beat.R[i]/headroom)
 			}
 		}
 	}
 	if peak > 0 {
-		g := 0.95 / peak
-		for i := range tr.L {
-			tr.L[i], tr.R[i] = float32(float64(tr.L[i])*g), float32(float64(tr.R[i])*g)
-		}
+		tr.Gain = 0.95 / peak * headroom / 32767
 	}
 	return tr
 }
+
+// headroom bounds a rendered sample before normalization, so x/headroom
+// never reaches PCM16's clamp: |x| ≤ 0.9 kick + 0.5 bass + 0.26 lead +
+// 0.12·6 hats = 2.38 in a loud bar, as rng.NormFloat64 (Irwin–Hall) lies
+// in [−6, 6], and less in a quiet one. The standard tracks peak near 1.3.
+const headroom = 2.4
 
 // renderBeat renders one beat of the arrangement into buf, a beat long.
 func renderBeat(buf audio.Stereo, spec TrackSpec, level float64,
@@ -345,15 +351,6 @@ func SineBuffer(freq float64, n, hz int) audio.Buffer {
 	b := audio.NewBuffer(n)
 	for i := range b {
 		b[i] = math.Sin(2 * math.Pi * freq * float64(i) / float64(hz))
-	}
-	return b
-}
-
-// Impulse returns a unit impulse buffer of length n.
-func Impulse(n int) audio.Buffer {
-	b := audio.NewBuffer(n)
-	if n > 0 {
-		b[0] = 1
 	}
 	return b
 }

@@ -159,9 +159,9 @@ func TestGenerateTrackShape(t *testing.T) {
 	}
 	p := 0.0
 	for i := range tr.L {
-		p = math.Max(p, math.Max(math.Abs(float64(tr.L[i])), math.Abs(float64(tr.R[i]))))
+		p = math.Max(p, math.Max(math.Abs(float64(tr.L[i])), math.Abs(float64(tr.R[i])))*tr.Gain)
 	}
-	if math.Abs(p-0.95) > 1e-6 {
+	if math.Abs(p-0.95) > tr.Gain/2 {
 		t.Fatalf("peak = %v, want normalized to 0.95", p)
 	}
 	if len(tr.LoudBars) != 4 {
@@ -215,22 +215,46 @@ func TestStandardDeckTracksDistinct(t *testing.T) {
 	}
 }
 
-func TestSineBufferAndImpulse(t *testing.T) {
+func TestSineBuffer(t *testing.T) {
 	s := SineBuffer(1000, 64, audio.SampleRate)
 	if len(s) != 64 || s[0] != 0 {
 		t.Fatalf("SineBuffer bad start: len=%d s[0]=%v", len(s), s[0])
 	}
-	im := Impulse(16)
-	if im[0] != 1 {
-		t.Fatal("Impulse[0] != 1")
-	}
-	for i := 1; i < len(im); i++ {
-		if im[i] != 0 {
-			t.Fatalf("Impulse[%d] = %v", i, im[i])
-		}
-	}
-	if b := Impulse(0); len(b) != 0 {
-		t.Fatal("Impulse(0) not empty")
+}
+
+// TestGenerateTrackDefaultsNonPositive renders a spec whose BPM, Bars or
+// Rate is negative: each is replaced by its default, as a zero is, where
+// it used to reach make and panic.
+func TestGenerateTrackDefaultsNonPositive(t *testing.T) {
+	base := TrackSpec{Name: "x", BPM: 126, Bars: 1, Rate: audio.SampleRate, Seed: 3}
+	for _, row := range []struct {
+		name string
+		set  func(s *TrackSpec, sign int)
+	}{
+		{"BPM", func(s *TrackSpec, sign int) { s.BPM = float64(sign) * 120 }},
+		{"Bars", func(s *TrackSpec, sign int) { s.Bars = sign }},
+		{"Rate", func(s *TrackSpec, sign int) { s.Rate = sign * 44100 }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			neg, zero := base, base
+			row.set(&neg, -1)
+			row.set(&zero, 0)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("GenerateTrack(%+v) panicked: %v", neg, r)
+				}
+			}()
+			got, want := GenerateTrack(neg), GenerateTrack(zero)
+			if got.Len() != want.Len() || got.FramesPerBar != want.FramesPerBar || got.BPM != want.BPM || got.Gain != want.Gain {
+				t.Fatalf("%+v: %d frames, %d per bar, %v BPM, gain %v; want %d, %d, %v, %v",
+					neg, got.Len(), got.FramesPerBar, got.BPM, got.Gain, want.Len(), want.FramesPerBar, want.BPM, want.Gain)
+			}
+			for i := range want.L {
+				if got.L[i] != want.L[i] || got.R[i] != want.R[i] {
+					t.Fatalf("%+v: frame %d differs from the default's render", neg, i)
+				}
+			}
+		})
 	}
 }
 
