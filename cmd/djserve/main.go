@@ -28,7 +28,6 @@ import (
 	"djstar/internal/fleet"
 	"djstar/internal/graph"
 	"djstar/internal/hardware"
-	"djstar/internal/synth"
 )
 
 func main() {
@@ -89,15 +88,12 @@ func main() {
 	log.Printf("djserve: shutting down")
 }
 
-// graphConfig is every session's graph config. It carries one rendered
-// set of standard tracks, so the sessions share it, read-only, instead of
-// each rendering four tracks of its own.
+// graphConfig is every session's graph config. The fleet renders its
+// standard tracks once, and the sessions share them, read-only.
 func graphConfig(scale float64, trackBars int) graph.Config {
 	gcfg := graph.DefaultConfig()
 	gcfg.Scale = scale
 	gcfg.TrackBars = trackBars
-	tracks := synth.StandardDeckTracks(trackBars)
-	gcfg.Tracks = tracks[:]
 	if scale > 0 {
 		gcfg.Calibration = graph.Calibrate()
 	}

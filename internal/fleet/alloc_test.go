@@ -123,3 +123,45 @@ func TestV1AllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetRendersTracksOnce: on a fleet whose graph names no tracks, New
+// renders the standard set once and every session plays it, an override
+// graph without tracks of its own too, so AddSession allocates only the
+// session's state: well under 3 MiB, where four 16-bar tracks of its own
+// are 21 MB.
+func TestFleetRendersTracksOnce(t *testing.T) {
+	var cfg Config
+	cfg.Engine.Graph = graph.DefaultConfig()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	a, _, err := f.AddSession(engine.SessionSpec{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if !raceEnabled && alloc > 3<<20 {
+		t.Fatalf("AddSession allocated %.1f MiB, want under 3", float64(alloc)/(1<<20))
+	}
+	t.Logf("AddSession allocated %.2f MiB", float64(alloc)/(1<<20))
+	guest := graph.DefaultConfig()
+	guest.Decks = 2
+	for _, spec := range []engine.SessionSpec{{}, {Graph: &guest}} {
+		b, _, err := f.AddSession(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := a.Engine().Session().Decks
+		for d, dk := range b.Engine().Session().Decks {
+			if dk.Track() == nil || dk.Track() != want[d].Track() {
+				t.Fatalf("session %s deck %d holds its own track", b.ID(), d)
+			}
+		}
+	}
+}

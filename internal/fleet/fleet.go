@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -40,6 +41,7 @@ import (
 	"djstar/internal/hardware"
 	"djstar/internal/obs"
 	"djstar/internal/sched"
+	"djstar/internal/synth"
 )
 
 // ErrSessionClosed reports an operation against a session whose driver
@@ -78,7 +80,9 @@ type Config struct {
 	Period time.Duration
 	// Engine is the base per-session config; SessionSpec resolves over
 	// it. Strategy/Threads/Pool and the engine-level admission gate are
-	// overridden per shard — the fleet owns admission.
+	// overridden per shard — the fleet owns admission. New renders the
+	// standard tracks once for any deck Engine.Graph.Tracks leaves out,
+	// and every session whose graph has no tracks of its own plays these.
 	Engine engine.Config
 	// Admission configures each shard's controller (zero = defaults:
 	// one packet period of envelope, admission.DefaultPeriodUS, and a
@@ -154,6 +158,7 @@ func New(cfg Config) (*Fleet, error) {
 	if period == 0 {
 		period = audio.StandardPacketPeriod
 	}
+	cfg.Engine.Graph.Tracks = sharedTracks(cfg.Engine.Graph)
 	acfg := cfg.Admission
 	if acfg.BaseUS == 0 {
 		acfg.BaseUS = engine.SessionBaseUS(cfg.Engine.Graph.Scale)
@@ -209,6 +214,23 @@ func New(cfg Config) (*Fleet, error) {
 		f.shards = append(f.shards, sh)
 	}
 	return f, nil
+}
+
+// sharedTracks returns g's four deck tracks, each one g leaves out filled
+// from a single render of the standard set at g's length, so that no
+// session renders tracks of its own.
+func sharedTracks(g graph.Config) []*synth.Track {
+	tracks := make([]*synth.Track, 4)
+	copy(tracks, g.Tracks)
+	if slices.Contains(tracks, nil) {
+		std := synth.StandardDeckTracks(g.TrackBars)
+		for d, tr := range tracks {
+			if tr == nil {
+				tracks[d] = std[d]
+			}
+		}
+	}
+	return tracks
 }
 
 // Shards returns the shard slice (fixed after New).
@@ -320,6 +342,11 @@ func (f *Fleet) AddSession(spec engine.SessionSpec) (*Session, apiv1.Placement, 
 
 	gcfg := f.cfg.Engine.Graph
 	if spec.Graph != nil {
+		if len(spec.Graph.Tracks) == 0 {
+			g := *spec.Graph
+			g.Tracks = gcfg.Tracks
+			spec.Graph = &g
+		}
 		gcfg = *spec.Graph
 	}
 	rep, err := f.report(gcfg)

@@ -11,6 +11,9 @@ package synth
 
 import (
 	"math"
+	"runtime"
+	"slices"
+	"sync"
 
 	"djstar/internal/audio"
 )
@@ -87,13 +90,19 @@ func NewOsc(shape Waveform, freq float64, hz int) *Osc {
 // SetFreq retunes the oscillator without resetting phase.
 func (o *Osc) SetFreq(freq float64, hz int) { o.inc = freq / float64(hz) }
 
-// Next returns the next sample in [-1, 1].
-func (o *Osc) Next() float64 {
+// step advances the phase by one sample and returns the phase before it.
+func (o *Osc) step() float64 {
 	p := o.phase
 	o.phase += o.inc
 	if o.phase >= 1 {
 		o.phase -= math.Floor(o.phase)
 	}
+	return p
+}
+
+// Next returns the next sample in [-1, 1].
+func (o *Osc) Next() float64 {
+	p := o.step()
 	switch o.Shape {
 	case Saw:
 		return 2*p - 1
@@ -168,7 +177,8 @@ type TrackSpec struct {
 	Seed uint64  // PRNG seed; same seed, same track
 	Rate int     // sampling rate; default audio.SampleRate
 	// QuietEvery renders every n-th group of 2 bars at low level to create
-	// the loud/quiet alternation. 0 disables quiet sections.
+	// the loud/quiet alternation. 0 means the default, 2; a negative value
+	// disables quiet sections.
 	QuietEvery int
 	// Key shifts the root note in semitones relative to A (55 Hz bass).
 	Key int
@@ -192,66 +202,39 @@ func (s *TrackSpec) defaults() {
 
 // GenerateTrack renders a deterministic dance-style track: four-on-the-floor
 // kick, off-beat bass, a simple lead arpeggio and hat noise, arranged into
-// alternating loud and quiet two-bar groups.
+// alternating loud and quiet two-bar groups. Its beats render on up to
+// GOMAXPROCS goroutines, bit for bit as one goroutine renders them.
 func GenerateTrack(spec TrackSpec) *Track {
-	spec.defaults()
-	rng := NewRand(spec.Seed)
+	return generateTrack(spec, runtime.GOMAXPROCS(0))
+}
 
-	framesPerBeat := int(math.Round(60 / spec.BPM * float64(spec.Rate)))
-	framesPerBar := 4 * framesPerBeat
-	total := spec.Bars * framesPerBar
-
-	tr := &Track{
-		Name:         spec.Name,
-		BPM:          spec.BPM,
-		L:            make([]int16, total),
-		R:            make([]int16, total),
-		LoudBars:     make([]bool, spec.Bars),
-		FramesPerBar: framesPerBar,
+// generateTrack renders spec on min(workers, beats) goroutines, each
+// taking a contiguous run of beats. Every worker starts from a copy of the
+// voices as the first beat finds them and skips that copy over the beats
+// before its run, so each beat starts from the state a sequential render
+// hands it. Worker 0 skips nothing, so every skip overlaps a render.
+func generateTrack(spec TrackSpec, workers int) *Track {
+	a, start := newArrangement(spec)
+	beats := 4 * len(a.tr.LoudBars)
+	w := max(min(workers, beats), 1)
+	peaks := make([]float64, w)
+	var wg sync.WaitGroup
+	for k := 1; k < w; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			peaks[k] = a.run(start, k*beats/w, (k+1)*beats/w)
+		}()
 	}
-
-	root := 55.0 * math.Pow(2, float64(spec.Key)/12)
-	bass := NewOsc(Saw, root, spec.Rate)
-	lead := NewOsc(Square, root*4, spec.Rate)
-	kickEnv := ADSR{Attack: 8, Decay: spec.Rate / 8, Sustain: 0, Release: 64}
-	bassEnv := ADSR{Attack: 32, Decay: spec.Rate / 6, Sustain: 0.3, Release: 256}
-	leadEnv := ADSR{Attack: 64, Decay: spec.Rate / 10, Sustain: 0.2, Release: 512}
-
-	// Arpeggio pattern in semitones over the root, regenerated per track.
-	arp := make([]int, 8)
-	scale := []int{0, 3, 5, 7, 10, 12}
-	for i := range arp {
-		arp[i] = scale[rng.Intn(len(scale))]
+	peaks[0] = a.run(start, 0, beats/w)
+	wg.Wait()
+	// Each beat is stored as int16 against the fixed headroom, so no float
+	// copy of the clip is ever held and no sample is rounded twice. The
+	// float64 peak is kept, and the gain carries the normalization to 0.95.
+	if peak := slices.Max(peaks); peak > 0 {
+		a.tr.Gain = 0.95 / peak * headroom / 32767
 	}
-
-	// Each beat is rendered in float64 into one reusable buffer and stored
-	// as int16 against the fixed headroom, so no full-length float copy is
-	// ever held and no sample is rounded twice. The float64 peak is kept,
-	// and the gain carries the normalization to 0.95.
-	beat, peak := audio.NewStereo(framesPerBeat), 0.0
-	for bar := 0; bar < spec.Bars; bar++ {
-		loud := true
-		if spec.QuietEvery > 0 && (bar/2)%spec.QuietEvery == spec.QuietEvery-1 {
-			loud = false
-		}
-		tr.LoudBars[bar] = loud
-		level := 1.0
-		if !loud {
-			level = 0.18
-		}
-		for b := 0; b < 4; b++ {
-			renderBeat(beat, spec, level, loud, bass, lead, kickEnv, bassEnv, leadEnv, arp, bar*4+b, rng)
-			peak = math.Max(peak, beat.Peak())
-			at := bar*framesPerBar + b*framesPerBeat
-			for i := range beat.L {
-				tr.L[at+i], tr.R[at+i] = audio.PCM16(beat.L[i]/headroom), audio.PCM16(beat.R[i]/headroom)
-			}
-		}
-	}
-	if peak > 0 {
-		tr.Gain = 0.95 / peak * headroom / 32767
-	}
-	return tr
+	return a.tr
 }
 
 // headroom bounds a rendered sample before normalization, so x/headroom
@@ -260,68 +243,165 @@ func GenerateTrack(spec TrackSpec) *Track {
 // in [−6, 6], and less in a quiet one. The standard tracks peak near 1.3.
 const headroom = 2.4
 
-// renderBeat renders one beat of the arrangement into buf, a beat long.
-func renderBeat(buf audio.Stereo, spec TrackSpec, level float64,
-	loud bool, bass, lead *Osc, kickEnv, bassEnv, leadEnv ADSR,
-	arp []int, beatIndex int, rng *Rand) {
+// arrangement is what every beat of one track reads: the rate, the
+// arpeggio, the envelopes, the kick and the track it renders into, whose
+// LoudBars are set before any beat renders.
+type arrangement struct {
+	rate             int
+	frames           int // per beat
+	root             float64
+	arp              []int
+	bassEnv, leadEnv ADSR
+	// kick is the kick's sample at each frame of a beat, before its level.
+	kick []float64
+	tr   *Track
+}
 
-	rate, frames := spec.Rate, buf.Len()
-	half := frames / 2
-	root := 55.0 * math.Pow(2, float64(spec.Key)/12)
-	leadStep := arp[beatIndex%len(arp)]
-	lead.SetFreq(root*4*math.Pow(2, float64(leadStep)/12), rate)
+// voices is the state a beat advances: the two oscillators' phases and
+// the hats' noise.
+type voices struct {
+	bass, lead Osc
+	rng        Rand
+}
 
-	for i := 0; i < frames; i++ {
-		var l, r float64
-
-		// Kick: pitch-swept sine on the beat, always present (even quiet
-		// bars keep a faint pulse so beat tracking stays possible). The
-		// sweep is tuned to the track key so the kick reinforces the root.
-		// Past the envelope's end the kick would be ±0, and l and r start
-		// at +0, so skipping it there leaves every bit as it was.
+// newArrangement allocates spec's track and returns its arrangement with
+// the voices as the first beat finds them.
+func newArrangement(spec TrackSpec) (*arrangement, voices) {
+	spec.defaults()
+	rng := NewRand(spec.Seed)
+	frames := int(math.Round(60 / spec.BPM * float64(spec.Rate)))
+	a := &arrangement{
+		rate:    spec.Rate,
+		frames:  frames,
+		root:    55.0 * math.Pow(2, float64(spec.Key)/12),
+		arp:     make([]int, 8),
+		bassEnv: ADSR{Attack: 32, Decay: spec.Rate / 6, Sustain: 0.3, Release: 256},
+		leadEnv: ADSR{Attack: 64, Decay: spec.Rate / 10, Sustain: 0.2, Release: 512},
+		tr: &Track{
+			Name:         spec.Name,
+			BPM:          spec.BPM,
+			L:            make([]int16, spec.Bars*4*frames),
+			R:            make([]int16, spec.Bars*4*frames),
+			LoudBars:     make([]bool, spec.Bars),
+			FramesPerBar: 4 * frames,
+		},
+	}
+	for bar := range a.tr.LoudBars {
+		a.tr.LoudBars[bar] = spec.QuietEvery <= 0 || (bar/2)%spec.QuietEvery != spec.QuietEvery-1
+	}
+	// Arpeggio pattern in semitones over the root, regenerated per track.
+	scale := []int{0, 3, 5, 7, 10, 12}
+	for i := range a.arp {
+		a.arp[i] = scale[rng.Intn(len(scale))]
+	}
+	// Kick: a pitch-swept sine on the beat, tuned to the track key so it
+	// reinforces the root. It depends only on the frame within the beat,
+	// so it is rendered once. Past the envelope's end a beat would add ±0
+	// to the +0 each sample starts from, which leaves every bit as it was:
+	// the table stops there, and holds +0 wherever the envelope is 0.
+	kickEnv := ADSR{Attack: 8, Decay: spec.Rate / 8, Sustain: 0, Release: 64}
+	a.kick = make([]float64, min(frames, max(kickEnv.Attack+kickEnv.Decay, frames/4+kickEnv.Release)))
+	for i := range a.kick {
 		if env := kickEnv.Level(i, frames/4); env != 0 {
-			kt := float64(i) / float64(rate)
-			kick := math.Sin(2*math.Pi*(root+90*math.Exp(-kt*30))*kt) * env
-			kAmp := 0.9 * level
-			if !loud {
-				kAmp = 0.25
-			}
-			l += kick * kAmp
-			r += kick * kAmp
+			kt := float64(i) / float64(spec.Rate)
+			a.kick[i] = math.Sin(2*math.Pi*(a.root+90*math.Exp(-kt*30))*kt) * env
+		}
+	}
+	return a, voices{bass: *NewOsc(Saw, a.root, spec.Rate), lead: *NewOsc(Square, a.root*4, spec.Rate), rng: *rng}
+}
+
+// run renders beats [from, to) from v, the voices as beat 0 finds them,
+// and returns their float64 peak.
+func (a *arrangement) run(v voices, from, to int) float64 {
+	for b := 0; b < from; b++ {
+		a.skip(&v, b)
+	}
+	peak := 0.0
+	for b := from; b < to; b++ {
+		peak = max(peak, a.beat(&v, b))
+	}
+	return peak
+}
+
+// retune sets the lead to beat b's step of the arpeggio.
+func (a *arrangement) retune(v *voices, b int) {
+	v.lead.SetFreq(a.root*4*math.Pow(2, float64(a.arp[b%len(a.arp)])/12), a.rate)
+}
+
+// beat renders beat b straight into the track's 16-bit store, advancing
+// v, and returns the beat's float64 peak.
+func (a *arrangement) beat(v *voices, b int) float64 {
+	rate, frames := a.rate, a.frames
+	half, eighth, hat := frames/2, max(frames/2, 1), rate/200
+	loud, level, kAmp := a.tr.LoudBars[b/4], 1.0, 0.9
+	if !loud {
+		// Even quiet bars keep a faint pulse so beat tracking stays possible.
+		level, kAmp = 0.18, 0.25
+	}
+	a.retune(v, b)
+	at := b * frames
+	outL, outR := a.tr.L[at:at+frames], a.tr.R[at:at+frames]
+	peak, hi := 0.0, 0 // hi counts frames into the current eighth
+	for i := range outL {
+		var l, r float64
+		if i < len(a.kick) {
+			k := a.kick[i] * kAmp
+			l += k
+			r += k
 		}
 
 		if loud {
 			// Off-beat bass stab.
 			bi := i - half
-			b := bass.Next() * bassEnv.Level(bi, frames/3)
+			b := v.bass.Next() * a.bassEnv.Level(bi, frames/3)
 			l += b * 0.5 * level
 			r += b * 0.5 * level
 
 			// Lead arpeggio, slightly panned right.
-			ld := lead.Next() * leadEnv.Level(i, frames/2)
+			ld := v.lead.Next() * a.leadEnv.Level(i, frames/2)
 			l += ld * 0.18 * level
 			r += ld * 0.26 * level
 
 			// Hats: short noise bursts on eighth notes.
-			eighth := frames / 2
-			hi := i % max(eighth, 1)
-			if hi < rate/200 {
-				h := rng.NormFloat64() * 0.12 * level *
-					(1 - float64(hi)/float64(max(rate/200, 1)))
+			if hi < hat {
+				h := v.rng.NormFloat64() * 0.12 * level *
+					(1 - float64(hi)/float64(max(hat, 1)))
 				l += h
 				r += h * 0.8
 			}
 		} else {
 			// Quiet section: keep the oscillators running so their phase
 			// advances consistently, but render only a faint pad.
-			b := bass.Next()
-			ld := lead.Next()
+			b := v.bass.Next()
+			ld := v.lead.Next()
 			pad := (b*0.3 + ld*0.1) * 0.12
 			l += pad
 			r += pad
 		}
+		if hi++; hi == eighth {
+			hi = 0
+		}
 
-		buf.L[i], buf.R[i] = l, r
+		peak = max(peak, math.Abs(l), math.Abs(r))
+		outL[i], outR[i] = audio.PCM16(l/headroom), audio.PCM16(r/headroom)
+	}
+	return peak
+}
+
+// skip advances v over beat b as beat does, rendering nothing: the same
+// retune, the same phase steps, and in a loud beat as many hat draws,
+// min(hat, eighth) in each whole eighth plus the part eighth's share.
+func (a *arrangement) skip(v *voices, b int) {
+	a.retune(v, b)
+	for i := 0; i < a.frames; i++ {
+		v.bass.step()
+		v.lead.step()
+	}
+	if a.tr.LoudBars[b/4] {
+		eighth, hat := max(a.frames/2, 1), a.rate/200
+		for n := a.frames/eighth*min(hat, eighth) + min(a.frames%eighth, hat); n > 0; n-- {
+			v.rng.NormFloat64()
+		}
 	}
 }
 

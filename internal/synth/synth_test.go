@@ -256,6 +256,22 @@ func TestGenerateTrackDefaultsNonPositive(t *testing.T) {
 			}
 		})
 	}
+	// QuietEvery differs: 0 is its default, 2, and a negative value turns
+	// quiet sections off.
+	t.Run("QuietEvery=0", func(t *testing.T) {
+		zero, two := base, base
+		zero.Bars, two.Bars, two.QuietEvery = 4, 4, 2
+		sameTrack(t, "QuietEvery 0 against 2", GenerateTrack(zero), GenerateTrack(two))
+	})
+	t.Run("QuietEvery<0", func(t *testing.T) {
+		off := base
+		off.Bars, off.QuietEvery = 4, -1
+		for bar, loud := range GenerateTrack(off).LoudBars {
+			if !loud {
+				t.Fatalf("QuietEvery -1: bar %d is quiet", bar)
+			}
+		}
+	})
 }
 
 func TestWhiteNoiseBoundedAndSeeded(t *testing.T) {
@@ -276,5 +292,13 @@ func TestWhiteNoiseBoundedAndSeeded(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("different seeds produced identical noise")
+	}
+}
+
+// BenchmarkGenerateTrack times one 16-bar standard track; -cpu sets the
+// render's workers.
+func BenchmarkGenerateTrack(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		GenerateTrack(standardSpecs[0])
 	}
 }

@@ -20,81 +20,12 @@ func dominantFreq(buf []float64, rate int) float64 {
 	return float64(crossings) / 2 / (float64(len(buf)) / float64(rate))
 }
 
-func TestNewPhaseVocoderValidation(t *testing.T) {
-	if _, err := NewPhaseVocoder(1000, 1); err == nil {
-		t.Fatal("non-power-of-two frame accepted")
-	}
-	if _, err := NewPhaseVocoder(32, 1); err == nil {
-		t.Fatal("too-small frame accepted")
-	}
-	if _, err := NewPhaseVocoder(1024, 1.5); err != nil {
-		t.Fatalf("valid params rejected: %v", err)
-	}
-}
-
 func TestRatioClamping(t *testing.T) {
-	pv, _ := NewPhaseVocoder(256, 100)
-	if pv.Ratio() != MaxRatio {
-		t.Fatalf("ratio = %v, want clamped to %v", pv.Ratio(), MaxRatio)
+	if w, _ := NewWSOLA(512, 0); w.ratio != MinRatio {
+		t.Fatalf("WSOLA ratio = %v, want %v", w.ratio, MinRatio)
 	}
-	pv.SetRatio(0.001)
-	if pv.Ratio() != MinRatio {
-		t.Fatalf("ratio = %v, want clamped to %v", pv.Ratio(), MinRatio)
-	}
-	w, _ := NewWSOLA(512, 0)
-	if w.Ratio() != MinRatio {
-		t.Fatalf("WSOLA ratio = %v, want %v", w.Ratio(), MinRatio)
-	}
-}
-
-func TestStretcherNames(t *testing.T) {
-	pv, _ := NewPhaseVocoder(256, 1)
-	w, _ := NewWSOLA(256, 1)
-	if pv.Name() != "pvoc" || w.Name() != "wsola" {
-		t.Fatalf("names: %q %q", pv.Name(), w.Name())
-	}
-	var _ Stretcher = pv
-	var _ Stretcher = w
-}
-
-func TestPhaseVocoderLength(t *testing.T) {
-	const rate = audio.SampleRate
-	src := synth.SineBuffer(440, rate, rate) // 1 s
-	for _, ratio := range []float64{0.5, 1.0, 2.0} {
-		pv, _ := NewPhaseVocoder(1024, ratio)
-		out := pv.Stretch(src)
-		want := int(float64(len(src)) * ratio)
-		if math.Abs(float64(len(out)-want)) > float64(want)/20+2048 {
-			t.Fatalf("ratio %v: out length %d, want ~%d", ratio, len(out), want)
-		}
-	}
-}
-
-func TestPhaseVocoderPreservesPitch(t *testing.T) {
-	const rate = audio.SampleRate
-	src := synth.SineBuffer(440, rate, rate)
-	for _, ratio := range []float64{0.75, 1.5, 2.0} {
-		pv, _ := NewPhaseVocoder(1024, ratio)
-		out := pv.Stretch(src)
-		// Skip the edges where overlap-add is partial.
-		mid := out[len(out)/4 : 3*len(out)/4]
-		f := dominantFreq(mid, rate)
-		if math.Abs(f-440) > 15 {
-			t.Fatalf("ratio %v: dominant freq %v Hz, want ~440", ratio, f)
-		}
-	}
-}
-
-func TestPhaseVocoderUnityRoughlyTransparent(t *testing.T) {
-	const rate = audio.SampleRate
-	src := synth.SineBuffer(440, rate/2, rate)
-	pv, _ := NewPhaseVocoder(1024, 1)
-	out := pv.Stretch(src)
-	// Compare RMS over the stable middle region.
-	srcMid := audio.Buffer(src[len(src)/4 : 3*len(src)/4]).RMS()
-	outMid := audio.Buffer(out[len(out)/4 : 3*len(out)/4]).RMS()
-	if math.Abs(outMid-srcMid)/srcMid > 0.15 {
-		t.Fatalf("unity stretch RMS changed: %v -> %v", srcMid, outMid)
+	if w, _ := NewWSOLA(512, 100); w.ratio != MaxRatio {
+		t.Fatalf("WSOLA ratio = %v, want clamped to %v", w.ratio, MaxRatio)
 	}
 }
 
@@ -145,8 +76,9 @@ func TestWSOLAValidation(t *testing.T) {
 func TestWSOLAResetAndReuse(t *testing.T) {
 	src := synth.SineBuffer(440, 22050, 44100)
 	w, _ := NewWSOLA(512, 1.2)
+	// Stretch clears its match history when it returns, so a second
+	// call starts as the first did.
 	a := w.Stretch(src)
-	w.Reset()
 	b := w.Stretch(src)
 	if len(a) != len(b) {
 		t.Fatalf("reuse changed output length: %d vs %d", len(a), len(b))
@@ -159,25 +91,11 @@ func TestWSOLAResetAndReuse(t *testing.T) {
 }
 
 func TestStretchEmptyAndShortInputs(t *testing.T) {
-	pv, _ := NewPhaseVocoder(256, 1.5)
-	if out := pv.Stretch(nil); len(out) != 0 {
+	w, _ := NewWSOLA(512, 1.5)
+	if out := w.Stretch(nil); len(out) != 0 {
 		t.Fatalf("empty input gave %d samples", len(out))
 	}
-	if out := pv.Stretch(make([]float64, 100)); len(out) > 150 {
-		t.Fatalf("short input gave %d samples", len(out))
-	}
-	w, _ := NewWSOLA(512, 1.5)
 	if out := w.Stretch(make([]float64, 10)); len(out) > 15 {
 		t.Fatalf("short WSOLA input gave %d samples", len(out))
 	}
-}
-
-func TestWSOLASetRatioAndPvocReset(t *testing.T) {
-	w, _ := NewWSOLA(256, 1)
-	w.SetRatio(2)
-	if w.Ratio() != 2 {
-		t.Fatalf("SetRatio gave %v", w.Ratio())
-	}
-	pv, _ := NewPhaseVocoder(256, 1)
-	pv.Reset() // no state; must be a safe no-op
 }
