@@ -33,12 +33,6 @@ func PacketPeriod(n, hz int) time.Duration {
 // approximately 2.902 ms.
 var StandardPacketPeriod = PacketPeriod(PacketSize, SampleRate)
 
-// PacketRate returns the packet request frequency in Hz for n frames at
-// sampling rate hz (344.53 Hz for the standard configuration).
-func PacketRate(n, hz int) float64 {
-	return float64(hz) / float64(n)
-}
-
 // Buffer is a mono audio packet: a fixed-length slice of float64 samples in
 // the nominal range [-1, 1]. Code that processes Buffers must not change
 // their length.
@@ -62,10 +56,13 @@ func (b Buffer) CopyFrom(src Buffer) {
 	copy(b, src)
 }
 
-// AddFrom mixes src into b sample-wise with the given linear gain.
+// AddFrom mixes src into b sample-wise with the given linear gain. Both
+// operands are resliced to the common length once, so the loop carries
+// no bounds check.
 func (b Buffer) AddFrom(src Buffer, gain float64) {
 	n := min(len(b), len(src))
-	for i := 0; i < n; i++ {
+	b, src = b[:n], src[:n]
+	for i := range b {
 		b[i] += src[i] * gain
 	}
 }
@@ -77,36 +74,40 @@ func (b Buffer) Scale(g float64) {
 	}
 }
 
-// Peak returns the largest absolute sample value.
-func (b Buffer) Peak() float64 {
-	p := 0.0
-	for _, s := range b {
-		if a := math.Abs(s); a > p {
-			p = a
+// peak is the largest |x| over a and b, NaN skipped, taken as an integer
+// max of magnitude bits (the sign cleared), which order like the
+// magnitudes for every non-NaN value, +Inf included, and put every NaN
+// above +Inf's. a and b advance in one loop on two lanes each, so
+// neither taken branches nor one serial chain bound it; only when a NaN
+// comes out on top does a second pass rebuild the max without it.
+func peak(a, b Buffer) float64 {
+	const sign, inf = 1 << 63, 0x7FF0000000000000
+	n := min(len(a), len(b))
+	x, y := a[:n], b[:n]
+	var p0, p1, p2, p3 uint64
+	for ; len(x) >= 2 && len(y) >= 2; x, y = x[2:], y[2:] {
+		p0 = max(p0, math.Float64bits(x[0])&^sign)
+		p1 = max(p1, math.Float64bits(x[1])&^sign)
+		p2 = max(p2, math.Float64bits(y[0])&^sign)
+		p3 = max(p3, math.Float64bits(y[1])&^sign)
+	}
+	p := max(p0, p1, p2, p3)
+	for _, rest := range [...]Buffer{x, y, a[n:], b[n:]} { // odd frame, longer side's tail
+		for _, v := range rest {
+			p = max(p, math.Float64bits(v)&^sign)
 		}
 	}
-	return p
-}
-
-// RMS returns the root-mean-square level of the buffer, 0 for an empty one.
-func (b Buffer) RMS() float64 {
-	if len(b) == 0 {
-		return 0
+	if p > inf {
+		p = 0
+		for _, rest := range [...]Buffer{a, b} {
+			for _, v := range rest {
+				if m := math.Float64bits(v) &^ sign; m <= inf {
+					p = max(p, m)
+				}
+			}
+		}
 	}
-	sum := 0.0
-	for _, s := range b {
-		sum += s * s
-	}
-	return math.Sqrt(sum / float64(len(b)))
-}
-
-// Energy returns the sum of squared samples.
-func (b Buffer) Energy() float64 {
-	sum := 0.0
-	for _, s := range b {
-		sum += s * s
-	}
-	return sum
+	return math.Float64frombits(p)
 }
 
 // Stereo is a two-channel audio packet with independent left and right
@@ -147,10 +148,9 @@ func (s Stereo) Scale(g float64) {
 	s.R.Scale(g)
 }
 
-// Peak returns the largest absolute sample over both channels.
-func (s Stereo) Peak() float64 {
-	return math.Max(s.L.Peak(), s.R.Peak())
-}
+// Peak returns the largest absolute sample over both channels; NaN
+// samples are skipped, and an empty or all-NaN packet peaks at +0.
+func (s Stereo) Peak() float64 { return peak(s.L, s.R) }
 
 // RMS returns the combined RMS level over both channels. The two energy
 // sums advance in one loop — separate accumulators, each adding its
@@ -186,15 +186,6 @@ func (s Stereo) Mono(dst Buffer) {
 	for i := range dst {
 		dst[i] = 0.5 * (s.L[i] + s.R[i])
 	}
-}
-
-// DBToLinear converts a decibel value to a linear gain factor.
-// 0 dB is unity, -inf dB is 0.
-func DBToLinear(db float64) float64 {
-	if math.IsInf(db, -1) {
-		return 0
-	}
-	return math.Pow(10, db/20)
 }
 
 // LinearToDB converts a linear gain factor to decibels.

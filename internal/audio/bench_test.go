@@ -32,3 +32,13 @@ func BenchmarkStereoRMS(b *testing.B) {
 		benchSink = s.RMS()
 	}
 }
+
+func BenchmarkAddFrom(b *testing.B) {
+	s, d := benchStereo(), NewStereo(PacketSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.L.AddFrom(s.L, 0.25)
+	}
+	benchSink = d.L[0]
+}

@@ -241,7 +241,7 @@ func TestPitchShifterIdentityAtUnity(t *testing.T) {
 	p.Process(buf, 1)
 	// Unity shift: output is a delayed/crossfaded copy; require bounded,
 	// non-silent steady-state output.
-	if audio.Buffer(buf[2048:]).Peak() == 0 {
+	if (audio.Stereo{L: buf[2048:]}).Peak() == 0 {
 		t.Fatal("unity shift silenced signal")
 	}
 	for i, s := range buf {

@@ -190,11 +190,11 @@ func TestLimiterCeiling(t *testing.T) {
 			t.Fatalf("limited sample %d = %v, want <= ~0.5", i, buf[i])
 		}
 	}
-	if g := l.Gain(); g <= 0 || g > 1 {
+	if g := l.gain; g <= 0 || g > 1 {
 		t.Fatalf("limiter gain = %v", g)
 	}
 	l.Reset()
-	if l.Gain() != 1 {
+	if l.gain != 1 {
 		t.Fatal("Reset did not restore unity gain")
 	}
 }

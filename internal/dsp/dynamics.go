@@ -35,9 +35,6 @@ func coefForSamples(samples float64) float64 {
 // Reset restores unity gain.
 func (l *Limiter) Reset() { l.gain = 1 }
 
-// Gain returns the current smoothed gain (for metering).
-func (l *Limiter) Gain() float64 { return l.gain }
-
 // Process limits buf in place. The smoothed gain relaxes towards 1, not
 // towards 0: g-target is a difference of two numbers near 1, so it is 0 or
 // at least 2^-53 and its product with a coefficient cannot be subnormal —

@@ -8,8 +8,8 @@ import (
 
 // FFT computes radix-2 decimation-in-time fast Fourier transforms on
 // preallocated complex buffers (separate real/imag slices to avoid
-// complex128 boxing in hot loops). The time-stretching phase vocoder and
-// the spectrum analyzer node are built on it.
+// complex128 boxing in hot loops). The spectrum analyzer node is built
+// on it.
 type FFT struct {
 	n      int
 	logN   int
@@ -54,21 +54,6 @@ func MustFFT(n int) *FFT {
 // Transform computes the in-place forward FFT of (re, im), both of which
 // must have the transform size n.
 func (f *FFT) Transform(re, im []float64) {
-	f.transform(re, im, false)
-}
-
-// Inverse computes the in-place inverse FFT of (re, im), including the 1/n
-// normalization.
-func (f *FFT) Inverse(re, im []float64) {
-	f.transform(re, im, true)
-	inv := 1 / float64(f.n)
-	for i := range re {
-		re[i] *= inv
-		im[i] *= inv
-	}
-}
-
-func (f *FFT) transform(re, im []float64, inverse bool) {
 	n := f.n
 	if len(re) != n || len(im) != n {
 		panic(fmt.Sprintf("dsp: FFT buffers have length %d/%d, want %d", len(re), len(im), n))
@@ -89,9 +74,6 @@ func (f *FFT) transform(re, im []float64, inverse bool) {
 			for i := start; i < start+half; i++ {
 				c := f.cosTab[k]
 				s := f.sinTab[k]
-				if inverse {
-					s = -s
-				}
 				j := i + half
 				tRe := re[j]*c - im[j]*s
 				tIm := re[j]*s + im[j]*c

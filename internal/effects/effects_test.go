@@ -233,7 +233,7 @@ func TestFilterSweepModes(t *testing.T) {
 	copy(high.L, synth.SineBuffer(10000, 4096, rate))
 	copy(high.R, high.L)
 	fs.Process(high)
-	if p := audio.Buffer(high.L[2048:]).Peak(); p > 0.1 {
+	if p := (audio.Stereo{L: high.L[2048:]}).Peak(); p > 0.1 {
 		t.Fatalf("LP mode left high content: %v", p)
 	}
 
@@ -244,7 +244,7 @@ func TestFilterSweepModes(t *testing.T) {
 	copy(low.L, synth.SineBuffer(60, 4096, rate))
 	copy(low.R, low.L)
 	fs2.Process(low)
-	if p := audio.Buffer(low.L[2048:]).Peak(); p > 0.1 {
+	if p := (audio.Stereo{L: low.L[2048:]}).Peak(); p > 0.1 {
 		t.Fatalf("HP mode left low content: %v", p)
 	}
 
@@ -254,9 +254,9 @@ func TestFilterSweepModes(t *testing.T) {
 	mid := audio.NewStereo(8192)
 	copy(mid.L, synth.SineBuffer(1000, 8192, rate))
 	copy(mid.R, mid.L)
-	before := audio.Buffer(mid.L).RMS()
+	before := audio.Stereo{L: mid.L}.RMS()
 	fs3.Process(mid)
-	after := audio.Buffer(mid.L[4096:]).RMS()
+	after := audio.Stereo{L: mid.L[4096:]}.RMS()
 	if math.Abs(after-before)/before > 0.1 {
 		t.Fatalf("center position not transparent: RMS %v -> %v", before, after)
 	}

@@ -28,6 +28,7 @@ import (
 	"djstar/internal/graph"
 	"djstar/internal/sched"
 	"djstar/internal/stats"
+	"djstar/internal/synth"
 )
 
 // Options configure an experiment run.
@@ -86,11 +87,27 @@ func Calib() graph.Calibration {
 	return calVal
 }
 
-// graphConfig builds the standard graph config for the options.
+// tracks maps a bar count to its standard deck tracks ([4]*synth.Track).
+var tracks sync.Map
+
+// deckTracks returns the standard deck tracks of the given length, which
+// every cell shares: rendered once per process, as Calib measures once.
+func deckTracks(bars int) []*synth.Track {
+	t, ok := tracks.Load(bars)
+	if !ok {
+		t, _ = tracks.LoadOrStore(bars, synth.StandardDeckTracks(bars))
+	}
+	set := t.([4]*synth.Track)
+	return set[:]
+}
+
+// graphConfig builds the standard graph config for the options, on the
+// process-wide deck tracks.
 func (o *Options) graphConfig() graph.Config {
 	cfg := graph.DefaultConfig()
 	cfg.Scale = o.Scale
 	cfg.TrackBars = o.TrackBars
+	cfg.Tracks = deckTracks(o.TrackBars)
 	if o.Scale > 0 {
 		cfg.Calibration = Calib()
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"djstar/internal/engine"
+	"djstar/internal/graph"
 	"djstar/internal/obs"
 	"djstar/internal/sched"
 )
@@ -24,6 +25,35 @@ func quickOpts(buf *bytes.Buffer) Options {
 // this host. On a single-core machine the parallel strategies measure
 // scheduling overhead, not speedup (see EXPERIMENTS.md).
 func multicore() bool { return runtime.NumCPU() >= 4 }
+
+// TestCellsShareDeckTracks builds two cells' sessions from one Options,
+// as runEngine and timeGraph do: every deck plays the same *synth.Track
+// in both, rendered once for the process, and a different length gets
+// its own set.
+func TestCellsShareDeckTracks(t *testing.T) {
+	o := quickOpts(new(bytes.Buffer))
+	o.TrackBars = 2
+	var sessions [2]*graph.Session
+	for i := range sessions {
+		s, _, err := graph.BuildDJStar(o.graphConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = s
+	}
+	for d, dk := range sessions[0].Decks {
+		a, b := dk.Track(), sessions[1].Decks[d].Track()
+		if a == nil || a != b {
+			t.Fatalf("deck %d: cells play tracks %p and %p, want one shared track", d, a, b)
+		}
+		if a != deckTracks(o.TrackBars)[d] {
+			t.Fatalf("deck %d: cell track is not the process-wide one", d)
+		}
+	}
+	if deckTracks(3)[0] == deckTracks(2)[0] {
+		t.Fatal("tracks of 3 bars and of 2 bars are one track")
+	}
+}
 
 func TestCalibSingleton(t *testing.T) {
 	a := Calib()

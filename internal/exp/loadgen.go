@@ -96,6 +96,7 @@ func Loadgen(opts Options) (*LoadgenResult, error) {
 		gcfg.Calibration = Calib()
 	}
 	gcfg.TrackBars = min(opts.TrackBars, 4)
+	gcfg.Tracks = deckTracks(gcfg.TrackBars)
 
 	cfg := fleet.Config{
 		Shards:           shards,

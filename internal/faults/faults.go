@@ -154,9 +154,6 @@ func New(seed uint64, specs ...Spec) *Injector {
 // once per audio processing cycle, before graph execution.
 func (in *Injector) BeginCycle() { in.cycle.Add(1) }
 
-// Cycle returns the current 1-based cycle number.
-func (in *Injector) Cycle() uint64 { return in.cycle.Load() }
-
 // Stats returns the cumulative injection counters.
 func (in *Injector) Stats() Stats {
 	return Stats{

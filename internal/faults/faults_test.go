@@ -9,7 +9,7 @@ func TestPanicInjectionDeterministic(t *testing.T) {
 	run := func() []uint64 {
 		in := New(7, Spec{Kind: KindPanic, Node: "FX", Cycle: 3, Count: 2})
 		var ran []uint64
-		wrapped := in.Wrap("FX", func() { ran = append(ran, in.Cycle()) })
+		wrapped := in.Wrap("FX", func() { ran = append(ran, in.cycle.Load()) })
 		for c := 1; c <= 6; c++ {
 			in.BeginCycle()
 			func() {
@@ -90,7 +90,7 @@ func TestJitterDeterministicAcrossRuns(t *testing.T) {
 			before := in.Stats().Jitters
 			wrapped()
 			if in.Stats().Jitters != before {
-				fired = append(fired, in.Cycle())
+				fired = append(fired, in.cycle.Load())
 			}
 		}
 		return fired

@@ -267,14 +267,8 @@ func BuildDJStar(cfg Config) (*Session, *Graph, error) {
 		// FX1's bypass gathers the dry mix without the effect so the chain
 		// stays fed while FX1 is quarantined or shed; the in-place units'
 		// nil bypass means "skip", which passes the dry signal through.
-		gather := func() {
-			mix := s.deckMix[d]
-			mix.Zero()
-			gain := 1 / float64(cfg.SPPerDeck)
-			for _, sp := range s.spBuf[d] {
-				mix.AddFrom(sp, gain)
-			}
-		}
+		bands, gain := padBands(s.spBuf[d]), 1/float64(cfg.SPPerDeck)
+		gather := func() { gatherBands(s.deckMix[d], bands, gain) }
 		prev := -1
 		for j := 0; j < cfg.FXPerDeck; j++ {
 			j := j
@@ -494,6 +488,34 @@ func suffix(i int) string {
 func mustEdge(g *Graph, from, to int) {
 	if err := g.AddEdge(from, to); err != nil {
 		panic(err) // builder bug: indices are generated locally
+	}
+}
+
+// padBands returns a deck's SP bands as the four gatherBands reads, each
+// absent one (SPPerDeck < 4) a shared silent packet: a sum from +0 is
+// never -0, so adding +0·g leaves every bit as it was, NaN and Inf too.
+func padBands(bands []audio.Stereo) *[4]audio.Stereo {
+	silent := audio.NewStereo(bands[0].Len())
+	four := [4]audio.Stereo{silent, silent, silent, silent}
+	copy(four[:], bands)
+	return &four
+}
+
+// gatherBands mixes a deck's four SP bands into mix at gain, one pass
+// per channel, each sample from +0 in band order: the bits of zeroing mix
+// and adding the bands one by one.
+func gatherBands(mix audio.Stereo, b *[4]audio.Stereo, g float64) {
+	gather4(mix.L, b[0].L, b[1].L, b[2].L, b[3].L, g)
+	gather4(mix.R, b[0].R, b[1].R, b[2].R, b[3].R, g)
+}
+
+// gather4 sums four bands into dst in one pass. Every band is resliced to
+// dst's length once, so the loop carries no bounds check.
+func gather4(dst, a, b, c, d audio.Buffer, g float64) {
+	n := len(dst)
+	a, b, c, d = a[:n], b[:n], c[:n], d[:n]
+	for i := range dst {
+		dst[i] = 0 + a[i]*g + b[i]*g + c[i]*g + d[i]*g
 	}
 }
 

@@ -144,22 +144,6 @@ type Remap struct {
 	StateSrc []int32
 }
 
-// IdentityRemap returns the n-node identity mapping (used when a plan
-// is recompiled without structural change, e.g. re-fusion).
-func IdentityRemap(n int) *Remap {
-	r := &Remap{
-		OldToNew: make([]int32, n),
-		NewToOld: make([]int32, n),
-		StateSrc: make([]int32, n),
-	}
-	for i := range r.OldToNew {
-		r.OldToNew[i] = int32(i)
-		r.NewToOld[i] = int32(i)
-		r.StateSrc[i] = int32(i)
-	}
-	return r
-}
-
 // Compose chains two remaps: r maps epoch A->B, next maps B->C; the
 // result maps A->C. Used when several EditSets are staged before one
 // cycle boundary adopts them all.

@@ -260,15 +260,6 @@ func TestRemapCompose(t *testing.T) {
 	}
 }
 
-func TestIdentityRemap(t *testing.T) {
-	r := IdentityRemap(4)
-	for i := 0; i < 4; i++ {
-		if r.OldToNew[i] != int32(i) || r.NewToOld[i] != int32(i) || r.StateSrc[i] != int32(i) {
-			t.Fatalf("identity broken at %d: %+v", i, r)
-		}
-	}
-}
-
 // checkRemapInvariants verifies the structural contract between a source
 // graph, an edit result and its remap. Shared by the fuzz target.
 func checkRemapInvariants(g, g2 *Graph, plan *Plan, r *Remap) error {

@@ -25,8 +25,8 @@ func TestChannelStripFlatPassThrough(t *testing.T) {
 	buf.CopyFrom(in)
 	c.Process(buf)
 	// Flat EQ, no filter, unity fader: RMS preserved in steady state.
-	before := audio.Buffer(in.L[2048:]).RMS()
-	after := audio.Buffer(buf.L[2048:]).RMS()
+	before := audio.Stereo{L: in.L[2048:]}.RMS()
+	after := audio.Stereo{L: buf.L[2048:]}.RMS()
 	if math.Abs(after-before)/before > 0.05 {
 		t.Fatalf("flat strip altered level: %v -> %v", before, after)
 	}
@@ -70,13 +70,13 @@ func TestChannelStripFilterLP(t *testing.T) {
 	c.SetFilter(dsp.LowPass, 500, 0.9, true)
 	buf := tonePacket(8000, 4096)
 	c.Process(buf)
-	if p := audio.Buffer(buf.L[2048:]).Peak(); p > 0.05 {
+	if p := (audio.Stereo{L: buf.L[2048:]}).Peak(); p > 0.05 {
 		t.Fatalf("LP filter left high tone at %v", p)
 	}
 	c.SetFilter(dsp.AllPass, 0, 0, false) // bypass again
 	buf2 := tonePacket(8000, 4096)
 	c.Process(buf2)
-	if p := audio.Buffer(buf2.L[2048:]).Peak(); p < 0.5 {
+	if p := (audio.Stereo{L: buf2.L[2048:]}).Peak(); p < 0.5 {
 		t.Fatalf("bypassed filter still filtering: %v", p)
 	}
 }
@@ -86,7 +86,7 @@ func TestChannelStripEQKill(t *testing.T) {
 	c.SetEQ(dsp.EQGainMin, 0, 0)
 	buf := tonePacket(60, 8192)
 	c.Process(buf)
-	if p := audio.Buffer(buf.L[4096:]).Peak(); p > 0.15 {
+	if p := (audio.Stereo{L: buf.L[4096:]}).Peak(); p > 0.15 {
 		t.Fatalf("low kill leaves %v", p)
 	}
 }

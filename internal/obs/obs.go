@@ -204,8 +204,9 @@ func (c *Collector) EndCycle() {
 		dur := c.end[id] - c.start[id]
 		// Wait-before-start: gap between the node becoming runnable (its
 		// last predecessor finishing; cycle start for sources) and its
-		// actual start — the scheduling + blocking overhead the paper's
-		// strategy comparison is about.
+		// window opening — hand-off and blocking only, as dispatch is in
+		// the window, so one that opens before a predecessor on another
+		// worker closed reads 0.
 		ready := c.base
 		for _, pr := range c.plan.PredsOf(int32(id)) {
 			if c.worker[pr] >= 0 && c.end[pr] > ready {
@@ -226,7 +227,9 @@ func (c *Collector) EndCycle() {
 			a.maxNS = dur
 		}
 		a.win[a.wpos] = dur
-		a.wpos = (a.wpos + 1) % len(a.win)
+		if a.wpos++; a.wpos == len(a.win) {
+			a.wpos = 0
+		}
 		if a.wlen < len(a.win) {
 			a.wlen++
 		}
@@ -267,7 +270,7 @@ type NodeStat struct {
 	MeanUS float64 `json:"mean_us"`
 	MaxUS  float64 `json:"max_us"`
 	P99US  float64 `json:"p99_us"`
-	// WaitMeanUS is the mean wait-before-start in microseconds.
+	// WaitMeanUS is the mean hand-off and blocking wait in microseconds.
 	WaitMeanUS float64 `json:"wait_mean_us"`
 }
 

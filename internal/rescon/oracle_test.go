@@ -108,8 +108,8 @@ func TestOracleModel(t *testing.T) {
 				c.name, m.CriticalPathUS(), m.TotalWork(), ref.CriticalPathUS(), ref.TotalWork())
 		}
 		for i := 0; i < m.Len(); i++ {
-			if m.Name(i) != ref.Name(i) || m.Duration(i) != ref.Duration(i) {
-				t.Fatalf("%s: task %d is %s/%v, reference %s/%v", c.name, i, m.Name(i), m.Duration(i), ref.Name(i), ref.Duration(i))
+			if m.Name(i) != ref.Name(i) || m.dur[i] != ref.dur[i] {
+				t.Fatalf("%s: task %d is %s/%v, reference %s/%v", c.name, i, m.Name(i), m.dur[i], ref.Name(i), ref.dur[i])
 			}
 		}
 		for procs := 1; procs <= 4; procs++ {

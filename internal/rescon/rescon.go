@@ -60,9 +60,6 @@ func (m *Model) Len() int { return len(m.dur) }
 // Name returns task i's name.
 func (m *Model) Name(i int) string { return m.plan.Names[i] }
 
-// Duration returns task i's duration in µs.
-func (m *Model) Duration(i int) float64 { return m.dur[i] }
-
 // TotalWork returns the sum of all durations (the 1-processor makespan).
 func (m *Model) TotalWork() float64 {
 	sum := 0.0

@@ -49,7 +49,7 @@ func TestFromPlanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 1 || m.Name(0) != "a" || m.Duration(0) != 5 || m.TotalWork() != 5 {
+	if m.Len() != 1 || m.Name(0) != "a" || m.dur[0] != 5 || m.TotalWork() != 5 {
 		t.Fatal("accessors wrong")
 	}
 }

@@ -55,15 +55,18 @@ func (pol *listSpinPolicy) stage(p *graph.Plan, threads int) func() {
 func (pol *listSpinPolicy) beginCycle(*core) {}
 
 // runCycle executes worker w's node list for the given generation,
-// spinning on unfinished dependencies.
+// spinning on unfinished dependencies, and stamping afresh after a spin.
 func (pol *listSpinPolicy) runCycle(c *core, w int32, gen uint64) {
+	t := c.stamp()
 	for _, id := range pol.lists[w] {
 		// Dependency check with busy-waiting (paper Fig. 5).
 		for _, d := range c.plan.PredsOf(id) {
-			d := d
-			spinWait(func() bool { return c.done[d].v.Load() == gen })
+			if c.done[d].v.Load() != gen {
+				spinWait(func() bool { return c.done[d].v.Load() == gen })
+				t = c.stamp()
+			}
 		}
-		c.run(id, w, gen)
+		t = c.run(id, w, gen, t)
 		c.done[id].v.Store(gen)
 	}
 }

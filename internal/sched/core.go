@@ -172,10 +172,14 @@ func (c *core) resetPending() {
 }
 
 // run executes node id on worker w with full fault handling (see
-// FaultState.exec); every policy's runCycle goes through it.
-func (c *core) run(id, w int32, gen uint64) {
-	c.faults.exec(c.plan, c.obs, id, w, gen)
+// FaultState.exec) from start stamp start, returning its end stamp;
+// every policy's runCycle goes through it.
+func (c *core) run(id, w int32, gen uint64, start int64) int64 {
+	return c.faults.exec(c.plan, c.obs, id, w, gen, start)
 }
+
+// stamp is a fresh start stamp, taken after a wait (see stamp).
+func (c *core) stamp() int64 { return stamp(c.obs) }
 
 // worker is the persistent loop for workers 1..threads-1.
 func (c *core) worker(w int32) {

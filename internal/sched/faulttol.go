@@ -229,17 +229,10 @@ func (f *FaultState) SetNodeShed(id int32, shed bool) {
 	if id < 0 || int(id) >= len(a.state) {
 		return
 	}
-	for {
-		old := a.state[id].Load()
-		var next uint32
-		if shed {
-			next = old | stateShed
-		} else {
-			next = old &^ stateShed
-		}
-		if old == next || a.state[id].CompareAndSwap(old, next) {
-			return
-		}
+	if shed {
+		a.updateBits(id, stateShed, 0)
+	} else {
+		a.updateBits(id, 0, stateShed)
 	}
 }
 
@@ -287,85 +280,83 @@ func (f *FaultState) Plan() *graph.Plan { return f.arr.Load().plan }
 // plan. A panicking member is contained without aborting the rest of the
 // unit — later members see the same flushed-output state they would see
 // in an unfused run.
-func (f *FaultState) exec(p *graph.Plan, o Observer, id, w int32, gen uint64) {
+//
+// start is the worker's start stamp for the node (Observer.Record); exec
+// returns its end stamp. A fused member starts at its predecessor's end,
+// and a contained panic is followed by a fresh stamp.
+func (f *FaultState) exec(p *graph.Plan, o Observer, id, w int32, gen uint64, start int64) int64 {
 	if p.Members != nil {
 		base := p.Base
 		for _, m := range p.Members[id] {
-			f.execNode(base, o, m, w, gen)
+			start = f.execNode(base, o, m, w, gen, start)
 		}
-		return
+		return start
 	}
-	f.execNode(p, o, id, w, gen)
+	return f.execNode(p, o, id, w, gen, start)
 }
 
 // execNode is exec for a single unfused node. The fault arrays are
 // loaded once per call: a topology swap never happens while a cycle is
-// in flight, so the arrays match the plan the caller is executing.
-func (f *FaultState) execNode(p *graph.Plan, o Observer, id, w int32, gen uint64) {
+// in flight, so the arrays match the plan the caller is executing. A
+// quarantined node due for a probe gets one guarded attempt at the real
+// kernel, which decides whether the quarantine lifts; otherwise a
+// quarantined or shed node runs its stand-in (alternate).
+func (f *FaultState) execNode(p *graph.Plan, o Observer, id, w int32, gen uint64, start int64) int64 {
 	a := f.arr.Load()
 	st := a.state[id].Load()
-	if st == 0 {
-		f.running[w].Store(id + 1)
-		if err, ok := f.guard(p, o, id, w); ok {
-			if a.consec[id].Load() != 0 {
-				a.consec[id].Store(0)
-			}
-		} else {
-			f.noteFault(a, p, id, w, gen, err)
-		}
-		f.running[w].Store(0)
-		return
+	probe := st&stateQuarantined != 0 && st&stateShed == 0 && gen >= a.probeAt[id].Load()
+	if st != 0 && !probe {
+		return f.alternate(p, o, id, w, start)
 	}
-	// Quarantined and due for a probe: one guarded attempt at the real
-	// kernel decides whether the quarantine lifts.
-	if st&stateQuarantined != 0 && st&stateShed == 0 && gen >= a.probeAt[id].Load() {
+	if probe {
 		f.probes.Add(1)
-		f.running[w].Store(id + 1)
-		if err, ok := f.guard(p, o, id, w); ok {
-			f.clearQuarantine(a, id)
-			a.consec[id].Store(0)
-			f.restored.Add(1)
-		} else {
-			a.probeAt[id].Store(gen + f.policy.ProbeEvery)
-			f.noteFault(a, p, id, w, gen, err)
-		}
-		f.running[w].Store(0)
-		return
 	}
-	// Quarantined or shed: run the stand-in. A nil Bypass means skip —
-	// correct for in-place processors, whose input passes through. The
-	// zero-length trace event keeps partial-trace checks honest about the
-	// node having been scheduled.
-	f.alternate(p, o, id, w)
+	f.running[w].Store(id + 1)
+	end, err, ok := f.guard(p, o, id, w, start)
+	switch {
+	case ok && probe:
+		a.updateBits(id, 0, stateQuarantined) // shed state is preserved
+		a.consec[id].Store(0)
+		f.restored.Add(1)
+	case ok:
+		if a.consec[id].Load() != 0 {
+			a.consec[id].Store(0)
+		}
+	default:
+		if probe {
+			a.probeAt[id].Store(gen + f.policy.ProbeEvery)
+		}
+		f.noteFault(a, p, id, w, gen, err)
+		end = stamp(o)
+	}
+	f.running[w].Store(0)
+	return end
 }
 
-// guard runs node id under recover, reporting success or the panic value.
-func (f *FaultState) guard(p *graph.Plan, o Observer, id, w int32) (err any, ok bool) {
+// guard runs node id under recover, reporting its end stamp (see
+// record) on success or the panic value; a panicking node records no
+// window.
+func (f *FaultState) guard(p *graph.Plan, o Observer, id, w int32, start int64) (end int64, err any, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = r
 			ok = false
 		}
 	}()
-	runNode(p, o, id, w)
-	return nil, true
+	p.Run[id]()
+	return record(o, id, w, start), nil, true
 }
 
 // alternate runs the node's bypass stand-in (guarded too — a broken
-// bypass must not crash either) and records its window for the observer.
-func (f *FaultState) alternate(p *graph.Plan, o Observer, id, w int32) {
-	b := p.Bypass[id]
-	if o == nil {
-		if b != nil {
-			f.safely(b)
-		}
-		return
-	}
-	start := nowNanos()
-	if b != nil {
+// bypass must not crash either), records its window for the observer and
+// returns its end stamp. A nil Bypass means skip — correct for in-place
+// processors, whose input passes through; the window still keeps
+// partial-trace checks honest about the node having been scheduled.
+func (f *FaultState) alternate(p *graph.Plan, o Observer, id, w int32, start int64) int64 {
+	if b := p.Bypass[id]; b != nil {
 		f.safely(b)
 	}
-	o.Record(id, w, start, nowNanos())
+	return record(o, id, w, start)
 }
 
 // safely invokes fn, swallowing a panic.
@@ -383,7 +374,7 @@ func (f *FaultState) noteFault(a *faultArrays, p *graph.Plan, id, w int32, gen u
 	}
 	quarantined := false
 	if n := a.consec[id].Add(1); int(n) >= f.policy.QuarantineAfter {
-		if f.setQuarantine(a, id) {
+		if a.updateBits(id, stateQuarantined, 0) {
 			f.quarantines.Add(1)
 			a.probeAt[id].Store(gen + f.policy.ProbeEvery)
 			quarantined = true
@@ -401,29 +392,18 @@ func (f *FaultState) noteFault(a *faultArrays, p *graph.Plan, id, w int32, gen u
 	}
 }
 
-// setQuarantine sets the quarantine bit, reporting whether this call
-// performed the transition.
-func (f *FaultState) setQuarantine(a *faultArrays, id int32) bool {
+// updateBits sets the bits set and clears the bits unset in node id's
+// state, reporting whether this call changed it: of two racing callers
+// making one transition, exactly one reports it.
+func (a *faultArrays) updateBits(id int32, set, unset uint32) bool {
 	for {
 		old := a.state[id].Load()
-		if old&stateQuarantined != 0 {
+		next := old&^unset | set
+		if old == next {
 			return false
 		}
-		if a.state[id].CompareAndSwap(old, old|stateQuarantined) {
+		if a.state[id].CompareAndSwap(old, next) {
 			return true
-		}
-	}
-}
-
-// clearQuarantine clears the quarantine bit (shed state is preserved).
-func (f *FaultState) clearQuarantine(a *faultArrays, id int32) {
-	for {
-		old := a.state[id].Load()
-		if old&stateQuarantined == 0 {
-			return
-		}
-		if a.state[id].CompareAndSwap(old, old&^stateQuarantined) {
-			return
 		}
 	}
 }

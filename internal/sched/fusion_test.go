@@ -71,9 +71,8 @@ func TestFusionPropertyAllStrategies(t *testing.T) {
 					}
 					for v := 0; v < base.Len(); v++ {
 						for _, u := range base.PredsOf(int32(v)) {
-							if ev[v].Start < ev[u].End {
-								t.Fatalf("cycle %d: edge %d->%d violated: succ started %d before pred ended %d",
-									cycle, u, v, ev[v].Start, ev[u].End)
+							if err := edgeOrdered(ev, u, int32(v)); err != nil {
+								t.Fatalf("cycle %d: %v", cycle, err)
 							}
 						}
 					}

@@ -558,16 +558,19 @@ func (s *PoolSession) Execute() {
 	slot.state.Store(slotRunning)
 	s.pool.wakeIfIdle()
 
-	// Participate as the session's own worker until the cycle is done.
+	// Participate as the session's own worker until the cycle is done,
+	// stamping afresh after each failed scan (a wait).
 	callerID := int32(s.pool.workers)
+	ts := stamp(t.obs)
 	for t.remaining.Load() > 0 {
 		id, ok := t.scan(callerID, gen, true)
 		if !ok {
 			// Nothing claimable right now: pool workers hold the rest.
 			runtime.Gosched()
+			ts = stamp(t.obs)
 			continue
 		}
-		s.run(t, id, callerID, gen)
+		ts = s.run(t, id, callerID, gen, ts)
 	}
 	slot.state.Store(slotIdle)
 	// Every node's Record happened before its remaining decrement, so at
@@ -589,7 +592,7 @@ func (s *PoolSession) help(w int32) bool {
 	if !ok {
 		return false
 	}
-	s.run(t, id, w, gen)
+	s.run(t, id, w, gen, stamp(t.obs))
 	return true
 }
 
@@ -686,10 +689,11 @@ func (t *poolTopo) scan(w int32, gen uint64, take bool) (int32, bool) {
 // The remaining decrement comes after the successor releases so the
 // Execute caller cannot observe completion before the node's effects are
 // published; a claimed continuation is still counted in remaining, so
-// the cycle (and gen) cannot move on under it.
-func (s *PoolSession) run(t *poolTopo, id, w int32, gen uint64) {
+// the cycle (and gen) cannot move on under it. A continuation starts at
+// its predecessor's end stamp, or after the wake-up its release made.
+func (s *PoolSession) run(t *poolTopo, id, w int32, gen uint64, start int64) int64 {
 	for {
-		s.faults.exec(t.plan, t.obs, id, w, gen)
+		start = s.faults.exec(t.plan, t.obs, id, w, gen, start)
 		next, readied := int32(-1), 0
 		for _, succ := range t.plan.SuccsOf(id) {
 			if t.pending[succ].Add(-1) == 0 {
@@ -704,11 +708,12 @@ func (s *PoolSession) run(t *poolTopo, id, w int32, gen uint64) {
 			next = -1
 		}
 		t.remaining.Add(-1)
-		if readied > 0 {
-			s.pool.wakeIfIdle()
+		if readied > 0 && s.pool.idlers.Load() > 0 {
+			s.pool.wakeAll()
+			start = stamp(t.obs) // a wake-up is a wait: the next window starts after it
 		}
 		if next < 0 {
-			return
+			return start
 		}
 		id = next
 	}

@@ -446,8 +446,7 @@ func TestPoolStaleHelperClaimsNothing(t *testing.T) {
 // TestPoolClaimPropertyThreaded is the seeded RandomDAG suite (random
 // sections) over real helper threads: helpers 0…3 × fused and unfused.
 // Every original node runs exactly once per cycle, and every original
-// edge's happens-before shows in the observer's windows (the successor's
-// window opens after the predecessor's closed, on one monotonic clock).
+// edge's happens-before shows in the observer's windows (see edgeOrdered).
 func TestPoolClaimPropertyThreaded(t *testing.T) {
 	for _, seed := range []uint64{2, 4, 8, 16} {
 		for helpers := 0; helpers <= 3; helpers++ {
@@ -482,9 +481,8 @@ func TestPoolClaimPropertyThreaded(t *testing.T) {
 								t.Fatalf("cycle %d: base node %d recorded on worker %d", cycle, v, ev[v].Worker)
 							}
 							for _, u := range base.PredsOf(int32(v)) {
-								if ev[v].Start < ev[u].End {
-									t.Fatalf("cycle %d: edge %d->%d violated: successor started %d before predecessor ended %d",
-										cycle, u, v, ev[v].Start, ev[u].End)
+								if err := edgeOrdered(ev, u, int32(v)); err != nil {
+									t.Fatalf("cycle %d: %v", cycle, err)
 								}
 							}
 						}

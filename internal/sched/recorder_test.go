@@ -1,5 +1,11 @@
 package sched
 
+import (
+	"fmt"
+
+	"djstar/internal/graph"
+)
+
 // window is one node's execution in the last cycle a recorder saw.
 // Start and End are nanoseconds relative to the cycle start; Worker is
 // -1 for a node that did not run.
@@ -20,7 +26,7 @@ type recorder struct {
 func newRecorder(n int) *recorder { return &recorder{events: make([]window, n)} }
 
 func (r *recorder) BeginCycle() {
-	r.base = nowNanos()
+	r.base = graph.NowNanos()
 	for i := range r.events {
 		r.events[i] = window{Worker: -1}
 	}
@@ -44,4 +50,21 @@ func (r *recorder) Makespan() int64 {
 		}
 	}
 	return m
+}
+
+// edgeOrdered checks that the windows of edge u->v show its
+// happens-before on one monotonic clock. A window is the node's dispatch
+// plus its kernel (Observer.Record), so on one worker v's window opens
+// no earlier than u's closed; across workers v's dispatch may begin
+// before u's completion is published, but v's kernel cannot finish
+// before u's did, so v's window closes after u's.
+func edgeOrdered(ev []window, u, v int32) error {
+	if ev[v].End < ev[u].End {
+		return fmt.Errorf("edge %d->%d violated: successor ended %d before predecessor ended %d", u, v, ev[v].End, ev[u].End)
+	}
+	if ev[v].Worker == ev[u].Worker && ev[v].Start < ev[u].End {
+		return fmt.Errorf("edge %d->%d violated on worker %d: successor started %d before predecessor ended %d",
+			u, v, ev[v].Worker, ev[v].Start, ev[u].End)
+	}
+	return nil
 }

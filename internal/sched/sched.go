@@ -35,6 +35,14 @@ type Observer interface {
 	BeginCycle()
 	// Record stores one node's execution window. Start and end are
 	// graph.NowNanos timestamps; worker identifies the executing worker.
+	// Each worker reads the clock once per node, when it completes: that
+	// reading is the node's end and, when the worker goes straight on to
+	// its next node, that node's start. After any wait (a dependency
+	// spin, a park or a wake-up, a failed scan or steal, a cycle start)
+	// the worker takes a fresh start stamp. A window is therefore the
+	// node's dispatch plus its kernel, and never a wait; one worker's
+	// windows do not overlap, and a successor's window may open before a
+	// predecessor's on another worker closed, but closes after it.
 	Record(node, worker int32, start, end int64)
 	// EndCycle marks the end of the iteration (Execute caller thread,
 	// after every node has completed).
@@ -198,19 +206,24 @@ func spinWait(cond func() bool) {
 	}
 }
 
-// nowNanos is the scheduler clock: graph.NowNanos, the process's one
-// monotonic base, so Observer.Record windows line up with the engine's
-// stage stamps.
-func nowNanos() int64 { return graph.NowNanos() }
-
-// runNode executes node id on worker w, recording its window when an
-// observer is installed. Shared by all strategies.
-func runNode(p *graph.Plan, o Observer, id, w int32) {
+// stamp reads the scheduler clock when an observer is installed, and
+// returns 0 without reading it otherwise. The clock is graph.NowNanos,
+// the process's one monotonic base, so Observer.Record windows line up
+// with the engine's stage stamps.
+func stamp(o Observer) int64 {
 	if o == nil {
-		p.Run[id]()
-		return
+		return 0
 	}
-	start := nowNanos()
-	p.Run[id]()
-	o.Record(id, w, start, nowNanos())
+	return graph.NowNanos()
+}
+
+// record closes node id's window on worker w: it takes the one stamp a
+// node costs, records the window from start to it, and returns it — the
+// next node's start when the worker goes straight on.
+func record(o Observer, id, w int32, start int64) int64 {
+	end := stamp(o)
+	if o != nil {
+		o.Record(id, w, start, end)
+	}
+	return end
 }

@@ -8,7 +8,7 @@ import "djstar/internal/graph"
 // execution and processed sequentially", paper §IV) and the reference for
 // all speedup numbers. It is the skeleton's one-thread case: core starts
 // no workers, the Execute caller walks plan.Order, and since that order
-// is topological there is no dependency to check.
+// is topological there is no dependency to check, nor wait to stamp.
 type seqPolicy struct{}
 
 func (seqPolicy) name() string { return NameSequential }
@@ -16,8 +16,9 @@ func (seqPolicy) name() string { return NameSequential }
 func (seqPolicy) beginCycle(*core) {}
 
 func (seqPolicy) runCycle(c *core, w int32, gen uint64) {
+	t := c.stamp()
 	for _, id := range c.plan.Order {
-		c.run(id, w, gen)
+		t = c.run(id, w, gen, t)
 	}
 }
 

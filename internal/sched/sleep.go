@@ -64,29 +64,41 @@ func (pol *sleepPolicy) beginCycle(c *core) { c.resetPending() }
 
 // runCycle executes worker w's nodes, sleeping on open dependencies.
 func (pol *sleepPolicy) runCycle(c *core, w int32, gen uint64) {
+	t := c.stamp()
 	for _, id := range pol.lists[w] {
 		// Register-then-recheck avoids the lost-wakeup race: either the
 		// final predecessor sees our registration and sends a token, or
 		// our recheck observes pending == 0 and we never sleep. Spurious
 		// tokens from earlier self-resolved registrations are absorbed by
-		// looping.
-		for c.pending[id].v.Load() > 0 {
-			pol.executor[id].Store(w + 1)
-			if c.pending[id].v.Load() > 0 {
-				<-pol.wake[w]
+		// looping. A node that had to wait takes a fresh start stamp.
+		if c.pending[id].v.Load() > 0 {
+			for c.pending[id].v.Load() > 0 {
+				pol.executor[id].Store(w + 1)
+				if c.pending[id].v.Load() > 0 {
+					<-pol.wake[w]
+				}
 			}
+			t = c.stamp()
 		}
-		c.run(id, w, gen)
-		// Notify successors; wake the executor of any that became ready.
-		for _, succ := range c.plan.SuccsOf(id) {
-			if c.pending[succ].v.Add(-1) == 0 {
-				if e := pol.executor[succ].Load(); e != 0 {
-					select {
-					case pol.wake[e-1] <- struct{}{}:
-					default:
-					}
+		if t = c.run(id, w, gen, t); pol.release(c, id) {
+			t = c.stamp() // a wake-up is a wait: the next window starts after it
+		}
+	}
+}
+
+// release resolves node id's successors and wakes the executor of any
+// that became ready; it reports whether it sent a wake-up.
+func (pol *sleepPolicy) release(c *core, id int32) (woke bool) {
+	for _, succ := range c.plan.SuccsOf(id) {
+		if c.pending[succ].v.Add(-1) == 0 {
+			if e := pol.executor[succ].Load(); e != 0 {
+				select {
+				case pol.wake[e-1] <- struct{}{}:
+					woke = true
+				default:
 				}
 			}
 		}
 	}
+	return woke
 }

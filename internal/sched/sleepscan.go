@@ -59,6 +59,7 @@ func (pol *sleepScanPolicy) runCycle(c *core, w int32, gen uint64) {
 		ran[i] = false
 	}
 	remaining := len(list)
+	t := c.stamp()
 	for remaining > 0 {
 		progressed := false
 		first := -1 // earliest not-yet-run entry, the sleep anchor
@@ -70,7 +71,9 @@ func (pol *sleepScanPolicy) runCycle(c *core, w int32, gen uint64) {
 				first = i
 			}
 			if c.pending[id].v.Load() == 0 {
-				pol.execute(c, id, w, gen)
+				if t = c.run(id, w, gen, t); pol.release(c, id) {
+					t = c.stamp() // a wake-up is a wait
+				}
 				ran[i] = true
 				remaining--
 				progressed = true
@@ -91,20 +94,6 @@ func (pol *sleepScanPolicy) runCycle(c *core, w int32, gen uint64) {
 				<-pol.wake[w]
 			}
 		}
-	}
-}
-
-// execute runs a node and resolves successors, waking sleepers.
-func (pol *sleepScanPolicy) execute(c *core, id, w int32, gen uint64) {
-	c.run(id, w, gen)
-	for _, succ := range c.plan.SuccsOf(id) {
-		if c.pending[succ].v.Add(-1) == 0 {
-			if e := pol.executor[succ].Load(); e != 0 {
-				select {
-				case pol.wake[e-1] <- struct{}{}:
-				default:
-				}
-			}
-		}
+		t = c.stamp()
 	}
 }

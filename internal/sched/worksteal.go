@@ -163,11 +163,14 @@ func (pol *wsPolicy) runCycle(c *core, w int32, gen uint64) {
 	for _, id := range pol.initial[w] {
 		pol.deques[w].PushBottom(id)
 	}
-	failedRounds := 0
+	// Only the worker fills its own deque, so a node not popped from it
+	// follows a steal attempt — a wait, stamped after.
+	failedRounds, t := 0, c.stamp()
 	for pol.remaining.Load() > 0 {
 		id, ok := pol.deques[w].PopBottom()
 		if !ok {
 			id, ok = pol.trySteal(w)
+			t = c.stamp()
 		}
 		if !ok {
 			failedRounds++
@@ -180,13 +183,14 @@ func (pol *wsPolicy) runCycle(c *core, w int32, gen uint64) {
 			continue
 		}
 		failedRounds = 0
-		pol.execute(c, id, w, gen)
+		t = pol.execute(c, id, w, gen, t)
 	}
 }
 
-// execute runs node id and resolves its successors.
-func (pol *wsPolicy) execute(c *core, id, w int32, gen uint64) {
-	c.run(id, w, gen)
+// execute runs node id from start stamp t, resolves its successors and
+// returns its end stamp (a fresh one after a wake-up).
+func (pol *wsPolicy) execute(c *core, id, w int32, gen uint64, t int64) int64 {
+	t = c.run(id, w, gen, t)
 	pushed := false
 	for _, succ := range c.plan.SuccsOf(id) {
 		if c.pending[succ].v.Add(-1) == 0 {
@@ -197,11 +201,11 @@ func (pol *wsPolicy) execute(c *core, id, w int32, gen uint64) {
 	}
 	if pol.remaining.Add(-1) == 0 {
 		pol.wakeAll() // cycle complete: release any sleepers
-		return
-	}
-	if pushed && pol.idlers.Load() > 0 {
+	} else if pushed && pol.idlers.Load() > 0 {
 		pol.wakeAll()
+		t = c.stamp()
 	}
+	return t
 }
 
 // trySteal scans the other workers' deques starting after w.

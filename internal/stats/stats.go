@@ -40,9 +40,6 @@ func (s *Summary) Add(x float64) {
 	}
 }
 
-// N returns the observation count.
-func (s *Summary) N() int64 { return s.n }
-
 // Mean returns the arithmetic mean (0 if empty).
 func (s *Summary) Mean() float64 {
 	if s.n == 0 {
@@ -51,8 +48,7 @@ func (s *Summary) Mean() float64 {
 	return s.mean
 }
 
-// Min and Max return the extremes (±Inf if empty).
-func (s *Summary) Min() float64 { return s.min }
+// Max returns the largest observation (−Inf if empty).
 func (s *Summary) Max() float64 { return s.max }
 
 // StdDev returns the sample standard deviation (0 for n < 2).

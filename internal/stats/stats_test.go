@@ -9,20 +9,20 @@ import (
 
 func TestSummaryBasics(t *testing.T) {
 	s := NewSummary()
-	if s.Mean() != 0 || s.StdDev() != 0 || s.N() != 0 {
+	if s.Mean() != 0 || s.StdDev() != 0 || s.n != 0 {
 		t.Fatal("empty summary not zeroed")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(x)
 	}
-	if s.N() != 8 || s.sum != 40 {
-		t.Fatalf("n=%d sum=%v", s.N(), s.sum)
+	if s.n != 8 || s.sum != 40 {
+		t.Fatalf("n=%d sum=%v", s.n, s.sum)
 	}
 	if s.Mean() != 5 {
 		t.Fatalf("mean = %v", s.Mean())
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
+	if s.min != 2 || s.Max() != 9 {
+		t.Fatalf("min/max = %v/%v", s.min, s.Max())
 	}
 	// Sample stddev of this classic set: sqrt(32/7).
 	want := math.Sqrt(32.0 / 7)

@@ -341,7 +341,9 @@ func (a *arrangement) beat(v *voices, b int) float64 {
 	a.retune(v, b)
 	at := b * frames
 	outL, outR := a.tr.L[at:at+frames], a.tr.R[at:at+frames]
-	peak, hi := 0.0, 0 // hi counts frames into the current eighth
+	// peak is the max of |l|, |r| as bits with the sign cleared, which
+	// order like the (finite) magnitudes: a branch-free integer max.
+	peak, hi := uint64(0), 0 // hi counts frames into the current eighth
 	for i := range outL {
 		var l, r float64
 		if i < len(a.kick) {
@@ -382,10 +384,10 @@ func (a *arrangement) beat(v *voices, b int) float64 {
 			hi = 0
 		}
 
-		peak = max(peak, math.Abs(l), math.Abs(r))
+		peak = max(peak, math.Float64bits(l)&^(1<<63), math.Float64bits(r)&^(1<<63))
 		outL[i], outR[i] = audio.PCM16(l/headroom), audio.PCM16(r/headroom)
 	}
-	return peak
+	return math.Float64frombits(peak)
 }
 
 // skip advances v over beat b as beat does, rendering nothing: the same
