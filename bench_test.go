@@ -200,11 +200,11 @@ func BenchmarkFig12(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ov := rescon.StrategyOverheads{CheckUS: 0.5, WakeUS: 10}
+	lists := plan.RoundRobinLists(4)
 	b.Run("simulate-busy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.SimulateBusy(4, ov); err != nil {
+			if _, err := m.Simulate(lists, rescon.StrategyOverheads{CheckUS: 0.5}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -212,7 +212,7 @@ func BenchmarkFig12(b *testing.B) {
 	b.Run("simulate-sleep", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.SimulateSleep(4, ov); err != nil {
+			if _, err := m.Simulate(lists, rescon.StrategyOverheads{CheckUS: 0.5, WakeUS: 10}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,34 +1,27 @@
 // Package admission computes analytical schedulability bounds for
 // compiled task-graph plans and turns them into admission decisions —
 // the front door the engine consults before a session, a live edit or a
-// cost drift is allowed to consume the 2.902 ms packet period.
-//
-// The paper's ~5-per-10,000 deadline-miss guarantee is otherwise only
-// *observed* (by the telemetry SLO window) after misses have already
-// happened. This package makes the compile-time cost and rank machinery
-// load-bearing instead: from per-node cost estimates (live measured
-// means when available, the static design table otherwise) it derives a
-// response-time upper bound per strategy and refuses or degrades work
-// whose bound does not fit the deadline envelope — response-time
-// analysis in the spirit of Lupu & Goossens for multi-thread periodic
-// tasks, specialized to the DJ Star graph.
+// cost drift is allowed to consume the 2.902 ms packet period. The
+// paper's ~5-per-10,000 miss guarantee is otherwise only observed, by
+// the telemetry SLO window, after misses have happened. From per-node
+// cost estimates (live measured means when available, design costs
+// otherwise) it derives a response-time bound per strategy and refuses
+// or degrades work whose bound misses the deadline: response-time
+// analysis in the spirit of Lupu & Goossens, of the assignment that runs.
 //
 // Bound derivation (DESIGN.md §15). Let W be the total work, CP the
 // critical path and m the parallelism. For the work-conserving
-// executors (work-stealing, the shared pool) Graham's greedy-scheduling
-// theorem gives makespan ≤ CP + (W − CP)/m; per-node dispatch overhead
-// adds n·check/m. The static round-robin executors (busy, sleep,
-// sleepscan, static) are NOT work-conserving — their fixed assignment
-// can stall arbitrarily past Graham's bound — so their bound is the
-// deterministic rescon strategy simulation of the exact assignment
-// discipline, which includes the per-node check cost and (for the
-// sleepers) the wake-up penalty. The sequential baseline is W + n·check
-// exactly. Every bound is then inflated by a safety margin covering
-// mean-vs-tail spread and timing noise, and compared against the
-// envelope: margin × (base + graphBound) ≤ period, where base is the
-// non-graph APC work (TP + GP + VC). The bound is falsifiable: the
-// property suite asserts measured makespans never exceed it, and
-// djanalyze -admit prints it beside measured p99 per strategy.
+// executors (work-stealing, the shared pool) Graham's theorem gives
+// makespan ≤ CP + (W − CP)/m; per-node dispatch adds n·check/m. The
+// static executors (busy, sleep, sleepscan, static) are not
+// work-conserving, so their bound also takes the rescon simulation of
+// the very lists their workers run (graph.Plan.RoundRobinLists), with
+// the per-node check and, for the sleepers, the wake-up penalty. The
+// sequential bound is W + n·check. Every bound is inflated by a margin
+// for mean-vs-tail spread and noise and held against the envelope:
+// margin × (base + graphBound) ≤ period, base being the non-graph APC
+// work (TP + GP + VC). The perf property suite asserts measured
+// makespans never exceed it; djanalyze -admit prints it per strategy.
 package admission
 
 import (
@@ -175,15 +168,8 @@ func Analyze(plan *graph.Plan, costsUS []float64, strategy string, threads int, 
 	switch strategy {
 	case "seq":
 		r.GraphBoundUS = r.TotalWorkUS + n*cfg.Overheads.CheckUS
-	case "sleep", "sleepscan":
-		sim, err := m.SimulateSleep(threads, cfg.Overheads)
-		if err != nil {
-			return nil, err
-		}
-		r.SimUS = sim.MakespanUS
-		r.GraphBoundUS = maxf(r.GrahamUS, r.SimUS)
-	case "busy", "static":
-		sim, err := m.SimulateBusy(threads, cfg.Overheads)
+	case "busy", "static", "sleep", "sleepscan":
+		sim, err := simulate(m, plan, strategy, threads, cfg.Overheads)
 		if err != nil {
 			return nil, err
 		}
@@ -198,6 +184,15 @@ func Analyze(plan *graph.Plan, costsUS []float64, strategy string, threads int, 
 		r.UtilRatio = r.BoundUS / r.EnvelopeUS
 	}
 	return r, nil
+}
+
+// simulate runs a static strategy on the lists its workers run; the
+// spinners (busy, static) pay no wake.
+func simulate(m *rescon.Model, plan *graph.Plan, strategy string, threads int, ov rescon.StrategyOverheads) (*rescon.Result, error) {
+	if strategy == "busy" || strategy == "static" {
+		ov.WakeUS = 0
+	}
+	return m.Simulate(plan.RoundRobinLists(threads), ov)
 }
 
 // ShedCosts returns a copy of costsUS with the nodes shed at ladder rung

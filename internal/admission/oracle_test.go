@@ -14,8 +14,9 @@ import (
 // Oracle for the analysis: Analyze, which now takes the critical path
 // from the plan's forward sweep, and ShedCosts, which now sheds by the
 // one kind→rung rule, are held to the reference below — kept verbatim
-// (renamed) — on the standard plan, its fused plan, an edited plan and
-// seeded random DAGs.
+// (renamed), except that its two static cases now simulate the
+// executors' lists, graph.Plan.RoundRobinLists — on the standard plan,
+// its fused plan, an edited plan and seeded random DAGs.
 
 // refAnalyze computes the schedulability report for a compiled plan under
 // per-node costs (µs, execution scale), a strategy name and an
@@ -51,14 +52,14 @@ func refAnalyze(plan *graph.Plan, costsUS []float64, strategy string, threads in
 	case "seq":
 		r.GraphBoundUS = r.TotalWorkUS + n*cfg.Overheads.CheckUS
 	case "sleep", "sleepscan":
-		sim, err := m.SimulateSleep(threads, cfg.Overheads)
+		sim, err := m.Simulate(plan.RoundRobinLists(threads), cfg.Overheads)
 		if err != nil {
 			return nil, err
 		}
 		r.SimUS = sim.MakespanUS
 		r.GraphBoundUS = maxf(r.GrahamUS, r.SimUS)
 	case "busy", "static":
-		sim, err := m.SimulateBusy(threads, cfg.Overheads)
+		sim, err := m.Simulate(plan.RoundRobinLists(threads), rescon.StrategyOverheads{CheckUS: cfg.Overheads.CheckUS})
 		if err != nil {
 			return nil, err
 		}

@@ -139,6 +139,7 @@ func TestBoundNeverExceededByMeasuredMakespan(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
+				t.Logf("%s: measured %.1f µs, bound %.1f µs (sim %.1f, graham %.1f)", name, meanUS, rep.BoundUS, rep.SimUS, rep.GrahamUS)
 				if meanUS > rep.BoundUS {
 					t.Errorf("%s: measured mean makespan %.1f µs EXCEEDS analytical bound %.1f µs (cp %.1f, work %.1f, graham %.1f, sim %.1f)",
 						name, meanUS, rep.BoundUS, rep.CritPathUS, rep.TotalWorkUS, rep.GrahamUS, rep.SimUS)

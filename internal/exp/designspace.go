@@ -43,7 +43,7 @@ func DesignSpace(opts Options) (*DesignSpaceResult, error) {
 		return nil, err
 	}
 
-	busy, err := m.SimulateBusy(opts.MaxThreads, rescon.StrategyOverheads{CheckUS: 0.5 * opts.Scale})
+	busy, err := m.Simulate(plan.RoundRobinLists(opts.MaxThreads), rescon.StrategyOverheads{CheckUS: 0.5 * opts.Scale})
 	if err != nil {
 		return nil, err
 	}

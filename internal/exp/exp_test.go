@@ -305,26 +305,8 @@ func TestProfileSharesAtPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// We follow the paper's §VI decomposition: TP+GP+VC ≈ 0.8 ms with the
-	// sequential graph at ~1.1-1.3 ms, i.e. graph ≈ 60 % of the APC, TP
-	// ≈ 10 %, GP ≈ 20 %, VC ≈ 8 %. (The §III-B percentages — 38 % graph,
-	// 16 % timecode — are inconsistent with §VI's own numbers; see
-	// EXPERIMENTS.md E9.)
-	checks := []struct {
-		comp   string
-		lo, hi float64
-	}{
-		{"tp", 6, 16},
-		{"gp", 13, 30},
-		{"graph", 48, 72},
-		{"vc", 4, 14},
-	}
-	for _, c := range checks {
-		got := res.Share(c.comp)
-		if got < c.lo || got > c.hi {
-			t.Errorf("%s share %.1f%%, want in [%v, %v]", c.comp, got, c.lo, c.hi)
-		}
-	}
+	// Each component's share of the APC is a wall-clock claim:
+	// TestProfileSharesCalibration (perf tag) asserts the paper's bands.
 	if res.Share("bogus") != 0 {
 		t.Fatal("unknown component share")
 	}
@@ -453,11 +435,8 @@ func TestNodeCostsAudit(t *testing.T) {
 	if len(res.Names) != 67 || len(res.MeasuredUS) != 67 {
 		t.Fatalf("audit covers %d nodes", len(res.Names))
 	}
-	// Top-up loads keep measured costs near targets; generous bound for a
-	// noisy shared host.
-	if res.MeanAbsErrPct > 60 {
-		t.Errorf("mean deviation %.1f%%, calibration badly off", res.MeanAbsErrPct)
-	}
+	// How close measured costs come to their targets is a wall-clock
+	// claim: TestNodeCostsCalibration (perf tag) asserts it.
 	if !strings.Contains(buf.String(), "node cost audit") {
 		t.Fatal("missing report")
 	}

@@ -132,12 +132,12 @@ func Fig12(opts Options) (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ov := rescon.StrategyOverheads{CheckUS: 0.5 * opts.Scale, WakeUS: 10 * opts.Scale}
-	simBusy, err := m.SimulateBusy(4, ov)
+	lists := plan.RoundRobinLists(4)
+	simBusy, err := m.Simulate(lists, rescon.StrategyOverheads{CheckUS: 0.5 * opts.Scale})
 	if err != nil {
 		return nil, err
 	}
-	simSleep, err := m.SimulateSleep(4, ov)
+	simSleep, err := m.Simulate(lists, rescon.StrategyOverheads{CheckUS: 0.5 * opts.Scale, WakeUS: 10 * opts.Scale})
 	if err != nil {
 		return nil, err
 	}

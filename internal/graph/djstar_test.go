@@ -301,3 +301,18 @@ func TestDJStarControlNodeNames(t *testing.T) {
 		t.Fatalf("control nodes = %d, want 16", ctrl)
 	}
 }
+
+// TestListFinishAllocatesNothing: given its output slices, the thread-chain
+// sweep over the dealt lists of the standard plan allocates nothing.
+func TestListFinishAllocatesNothing(t *testing.T) {
+	_, p := buildDefault(t)
+	lists := p.RoundRobinLists(4)
+	start, finish := make([]float64, p.Len()), make([]float64, p.Len())
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		_, _, err = p.ListFinish(lists, nil, 0.5, 10, start, finish)
+	})
+	if allocs != 0 || err != nil {
+		t.Fatalf("ListFinish: %v allocations per run (err %v), want 0", allocs, err)
+	}
+}

@@ -430,10 +430,10 @@ func (g *Graph) Compile() (*Plan, error) {
 }
 
 // The plan's work model is decided here, once: every cost-weighted
-// longest path in the repository — ranks, fusion's cap, the schedule
-// simulator's critical path and list priorities, the observed critical
-// path, the admission bound — is one of the two sweeps below over a
-// per-node µs cost slice (nil = unit costs).
+// longest path in the repository — ranks, fusion's cap, the simulator's
+// critical path, list priorities and static-executor schedules, the
+// observed critical path, the admission bound — is one of the sweeps
+// below over a per-node µs cost slice (nil = unit costs).
 
 // UpwardRank is the backward sweep: the HEFT upward rank on a single
 // machine class, the longest cost path from each node (inclusive) to a
@@ -476,6 +476,70 @@ func (p *Plan) EarliestFinish(costUS []float64) (finish []float64, via []int32) 
 		finish[id] = start + costAt(costUS, id)
 	}
 	return finish, via
+}
+
+// RoundRobinLists is the static executors' assignment: worker w of T
+// runs RankOrder[w], RankOrder[w+T], ..., so critical-path nodes are
+// dealt first. Each list is a subsequence of the topological RankOrder,
+// so a dependency wait only waits on an earlier node, and the lists'
+// round-robin interleave is RankOrder again, which ListFinish sweeps.
+func (p *Plan) RoundRobinLists(threads int) [][]int32 {
+	lists := make([][]int32, threads)
+	for i, id := range p.RankOrder {
+		lists[i%threads] = append(lists[i%threads], id)
+	}
+	return lists
+}
+
+// ListFinish is the thread-chain sweep. Worker w runs lists[w] in order
+// and spends checkUS on each node; a node whose predecessor is still
+// running waits for it, then pays wakeUS (0 for a spinner):
+//
+//	finish(v) = max(finish(prev on thread) + check,
+//	                max over preds finish(p) [+ wake if it stalled]) + cost(v)
+//
+// Position k of every list is visited before position k+1; that order
+// must be topological, as it is for RoundRobinLists. start and finish
+// (length Len()) receive each node's window, so the sweep allocates
+// nothing. It returns the makespan and the total stall time, or an
+// error if the lists do not hold every node once in a sweepable order.
+func (p *Plan) ListFinish(lists [][]int32, costUS []float64, checkUS, wakeUS float64, start, finish []float64) (makespan, waitUS float64, err error) {
+	for i := range finish {
+		finish[i] = -1 // not yet run
+	}
+	for k, more := 0, true; more; k++ {
+		more = false
+		for _, l := range lists {
+			if k >= len(l) {
+				continue
+			}
+			more = true
+			id, st := l[k], checkUS
+			if finish[id] >= 0 {
+				return 0, 0, fmt.Errorf("graph: node %d listed twice", id)
+			}
+			if k > 0 {
+				st += finish[l[k-1]]
+			}
+			ready := 0.0
+			for _, pr := range p.PredsOf(id) {
+				if finish[pr] < 0 {
+					return 0, 0, fmt.Errorf("graph: node %d listed before its predecessor %d", id, pr)
+				}
+				ready = max(ready, finish[pr])
+			}
+			if ready > st {
+				waitUS += ready - st
+				st = ready + wakeUS
+			}
+			start[id], finish[id] = st, st+costAt(costUS, id)
+			makespan = max(makespan, finish[id])
+		}
+	}
+	if i := slices.Index(finish, -1); i >= 0 {
+		return 0, 0, fmt.Errorf("graph: node %d is on no list", i)
+	}
+	return makespan, waitUS, nil
 }
 
 // CriticalPath returns the longest cost path in execution order and its

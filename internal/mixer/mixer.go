@@ -123,12 +123,11 @@ func (c *ChannelStrip) Reset() {
 type Mixer struct {
 	crossfade   float64 // 0 = full A, 1 = full B
 	masterLevel float64
-	cueMix      float64 // headphone blend: 0 = pure cue, 1 = master
 }
 
 // NewMixer returns a mixer with the crossfader centered and unity master.
 func NewMixer() *Mixer {
-	return &Mixer{crossfade: 0.5, masterLevel: 1, cueMix: 0}
+	return &Mixer{crossfade: 0.5, masterLevel: 1}
 }
 
 // SetCrossfade positions the crossfader in [0, 1].
@@ -136,9 +135,6 @@ func (m *Mixer) SetCrossfade(x float64) { m.crossfade = audio.Clamp(x, 0, 1) }
 
 // SetMasterLevel sets the master output gain in [0, 2].
 func (m *Mixer) SetMasterLevel(g float64) { m.masterLevel = audio.Clamp(g, 0, 2) }
-
-// SetCueMix blends the headphone output between cue (0) and master (1).
-func (m *Mixer) SetCueMix(x float64) { m.cueMix = audio.Clamp(x, 0, 1) }
 
 // ChannelInput couples a strip with its processed packet for mixing.
 type ChannelInput struct {
@@ -167,8 +163,8 @@ func (m *Mixer) MixInto(master audio.Stereo, channels []ChannelInput, sampler au
 	master.Scale(m.masterLevel)
 }
 
-// CueInto builds the headphone bus: the sum of cued channels, blended with
-// the master according to the cue mix. dst is zeroed first.
+// CueInto builds the headphone bus: the sum of cued channels, or the
+// master when nothing is cued. dst is zeroed first.
 func (m *Mixer) CueInto(dst audio.Stereo, channels []ChannelInput, master audio.Stereo) {
 	dst.Zero()
 	any := false
@@ -178,14 +174,9 @@ func (m *Mixer) CueInto(dst audio.Stereo, channels []ChannelInput, master audio.
 			any = true
 		}
 	}
-	if !any && m.cueMix == 0 {
+	if !any {
 		// Nothing cued: headphones get the master so they are never dead.
 		dst.AddFrom(master, 1)
-		return
-	}
-	if m.cueMix > 0 {
-		dst.Scale(1 - m.cueMix)
-		dst.AddFrom(master, m.cueMix)
 	}
 }
 

@@ -215,21 +215,6 @@ func TestCueBusFallsBackToMaster(t *testing.T) {
 	}
 }
 
-func TestCueMixBlends(t *testing.T) {
-	m := NewMixer()
-	m.SetCueMix(0.5)
-	ins := makeInputs(2, 0.4)
-	ins[0].Strip.SetCue(true)
-	master := audio.NewStereo(audio.PacketSize)
-	cue := audio.NewStereo(audio.PacketSize)
-	m.MixInto(master, ins, audio.Stereo{}) // master = 0.8
-	m.CueInto(cue, ins, master)
-	want := 0.4*0.5 + 0.8*0.5
-	if math.Abs(cue.L[2]-want) > 1e-9 {
-		t.Fatalf("blended cue = %v, want %v", cue.L[2], want)
-	}
-}
-
 func TestOutputStageLimitsAndClips(t *testing.T) {
 	o := NewOutputStage(1.0, rate)
 	buf := audio.NewStereo(4096)

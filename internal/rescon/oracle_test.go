@@ -74,6 +74,16 @@ func oracleCases(t *testing.T) []oracleCase {
 	return out
 }
 
+// orderDealt deals the queue order round-robin, the assignment the
+// reference simulates (the executors deal RankOrder).
+func orderDealt(p *graph.Plan, threads int) [][]int32 {
+	lists := make([][]int32, threads)
+	for i, id := range p.Order {
+		lists[i%threads] = append(lists[i%threads], id)
+	}
+	return lists
+}
+
 func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
@@ -87,8 +97,9 @@ func sameResult(a, b *Result) bool {
 }
 
 // TestOracleModel: the plan-backed model's earliest-start schedule, list
-// schedules, strategy simulations, critical path and efficiency equal the
-// copied-adjacency reference model's to the bit.
+// schedules, critical path and efficiency equal the copied-adjacency
+// reference model's to the bit, and so do its static-executor
+// simulations when fed the queue-order deal the reference hard-codes.
 func TestOracleModel(t *testing.T) {
 	ov := StrategyOverheads{CheckUS: 0.5, WakeUS: 10}
 	for _, c := range oracleCases(t) {
@@ -118,8 +129,10 @@ func TestOracleModel(t *testing.T) {
 				got, ref func(int) (*Result, error)
 			}{
 				{"ListSchedule", m.ListSchedule, ref.ListSchedule},
-				{"SimulateBusy", func(n int) (*Result, error) { return m.SimulateBusy(n, ov) }, func(n int) (*Result, error) { return ref.SimulateBusy(n, ov) }},
-				{"SimulateSleep", func(n int) (*Result, error) { return m.SimulateSleep(n, ov) }, func(n int) (*Result, error) { return ref.SimulateSleep(n, ov) }},
+				{"Simulate busy", func(n int) (*Result, error) {
+					return m.Simulate(orderDealt(c.plan, n), StrategyOverheads{CheckUS: ov.CheckUS})
+				}, func(n int) (*Result, error) { return ref.SimulateBusy(n, ov) }},
+				{"Simulate sleep", func(n int) (*Result, error) { return m.Simulate(orderDealt(c.plan, n), ov) }, func(n int) (*Result, error) { return ref.SimulateSleep(n, ov) }},
 			} {
 				got, err := sim.got(procs)
 				if err != nil {

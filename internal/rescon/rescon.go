@@ -1,15 +1,11 @@
-// Package rescon is a discrete-event schedule simulator standing in for
-// the RESCON project-scheduling tool the paper uses (§IV and Fig. 12).
-// Given the task graph and per-node durations it computes:
-//
-//   - the earliest-start schedule with infinite processors (critical path
-//     and the maximum-concurrency profile of Fig. 4, where the paper
-//     reports 295 µs and 33 processors),
-//   - a resource-constrained list schedule for k processors (the paper's
-//     optimal 4-core schedule of 324 µs),
-//   - simulations of the BUSY and SLEEP strategies with explicit overhead
-//     parameters (the paper simulated BUSY and obtained 327 µs, within
-//     8 % of the optimum).
+// Package rescon stands in for the RESCON project-scheduling tool the
+// paper uses (§IV and Fig. 12). Given the task graph and per-node
+// durations it computes the earliest-start schedule at infinite
+// processors (Fig. 4's critical path and concurrency: 295 µs and 33 in
+// the paper), a list schedule for k processors (the optimal 4-core
+// schedule, 324 µs) and the static executors' schedules on the lists
+// their workers run, graph.Plan.RoundRobinLists (the paper simulated
+// BUSY at 327 µs, within 8 % of the optimum). The sweeps are graph.Plan's.
 package rescon
 
 import (
@@ -21,8 +17,8 @@ import (
 )
 
 // Model is an immutable scheduling problem: a compiled plan — its
-// dependencies, its queue order (used by the static strategies) and its
-// longest-path sweeps — weighted with per-node durations.
+// dependencies, its queue order and its sweeps — weighted with per-node
+// durations.
 type Model struct {
 	plan *graph.Plan
 	dur  []float64 // microseconds
@@ -264,57 +260,29 @@ type StrategyOverheads struct {
 	WakeUS float64
 }
 
-// SimulateBusy models the busy-waiting strategy: the depth-ordered queue
-// is split round-robin over the threads, each thread runs its list in
-// order and spins until the current node's dependencies are met. This is
-// the simulation the paper ran in RESCON and reported at 327 µs.
-func (m *Model) SimulateBusy(threads int, ov StrategyOverheads) (*Result, error) {
-	return m.simulateStatic("busy-sim", threads, ov, false)
-}
-
-// SimulateSleep models the thread-sleeping strategy: identical assignment,
-// but each dependency stall additionally pays the wake-up latency.
-func (m *Model) SimulateSleep(threads int, ov StrategyOverheads) (*Result, error) {
-	return m.simulateStatic("sleep-sim", threads, ov, true)
-}
-
-func (m *Model) simulateStatic(name string, threads int, ov StrategyOverheads, sleep bool) (*Result, error) {
-	if threads < 1 {
-		return nil, fmt.Errorf("rescon: threads = %d, want >= 1", threads)
-	}
+// Simulate models a static list executor on the lists it runs
+// (graph.Plan.RoundRobinLists): ov.CheckUS per node, and ov.WakeUS per
+// dependency stall for SLEEP (0 for BUSY, which spins; Fig. 12).
+func (m *Model) Simulate(lists [][]int32, ov StrategyOverheads) (*Result, error) {
 	n := m.Len()
 	r := &Result{
-		Strategy: name,
-		Threads:  threads,
+		Strategy: "busy-sim",
+		Threads:  len(lists),
 		Start:    make([]float64, n),
 		Finish:   make([]float64, n),
 		Proc:     make([]int32, n),
 	}
-	threadTime := make([]float64, threads)
-	// Nodes in global queue order: every predecessor of a node appears
-	// earlier, so its finish time is already known when we reach the node.
-	for i, id := range m.plan.Order {
-		w := i % threads
-		ready := 0.0
-		for _, d := range m.plan.PredsOf(id) {
-			if f := r.Finish[d]; f > ready {
-				ready = f
-			}
+	if ov.WakeUS > 0 {
+		r.Strategy = "sleep-sim"
+	}
+	var err error
+	if _, r.WaitUS, err = m.plan.ListFinish(lists, m.dur, ov.CheckUS, ov.WakeUS, r.Start, r.Finish); err != nil {
+		return nil, err
+	}
+	for w, l := range lists {
+		for _, id := range l {
+			r.Proc[id] = int32(w)
 		}
-		st := threadTime[w] + ov.CheckUS
-		if ready > st {
-			// The thread stalls on a dependency.
-			wait := ready - st
-			r.WaitUS += wait
-			st = ready
-			if sleep {
-				st += ov.WakeUS
-			}
-		}
-		r.Start[id] = st
-		r.Finish[id] = st + m.dur[id]
-		r.Proc[id] = int32(w)
-		threadTime[w] = r.Finish[id]
 	}
 	m.finishResult(r)
 	return r, nil

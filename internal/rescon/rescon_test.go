@@ -176,7 +176,7 @@ func (e *scheduleError) Error() string { return e.msg }
 func TestSimulateBusyDiamond(t *testing.T) {
 	m, _ := diamond(t, [4]float64{10, 20, 30, 5})
 	// Queue order: a, b, c, d. Two threads: T0 gets a, c; T1 gets b, d.
-	r, err := m.SimulateBusy(2, StrategyOverheads{})
+	r, err := m.Simulate(orderDealt(m.plan, 2), StrategyOverheads{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,15 +189,24 @@ func TestSimulateBusyDiamond(t *testing.T) {
 	if math.Abs(r.WaitUS-20) > 1e-9 {
 		t.Fatalf("wait = %v, want 20", r.WaitUS)
 	}
-	if _, err := m.SimulateBusy(0, StrategyOverheads{}); err == nil {
+	if _, err := m.Simulate(nil, StrategyOverheads{}); err == nil {
 		t.Fatal("0 threads accepted")
+	}
+	if _, err := m.Simulate([][]int32{{1, 0}, {2, 3}}, StrategyOverheads{}); err == nil {
+		t.Fatal("a node listed before its predecessor accepted")
+	}
+	if _, err := m.Simulate([][]int32{{0, 1}, {2, 2}}, StrategyOverheads{}); err == nil {
+		t.Fatal("a node listed twice accepted")
+	}
+	if _, err := m.Simulate([][]int32{{0, 1}, {2}}, StrategyOverheads{}); err == nil {
+		t.Fatal("a node on no list accepted")
 	}
 }
 
 func TestSimulateSleepAddsWakeLatency(t *testing.T) {
 	m, _ := diamond(t, [4]float64{10, 20, 30, 5})
-	busy, _ := m.SimulateBusy(2, StrategyOverheads{})
-	sleep, err := m.SimulateSleep(2, StrategyOverheads{WakeUS: 7})
+	busy, _ := m.Simulate(orderDealt(m.plan, 2), StrategyOverheads{})
+	sleep, err := m.Simulate(orderDealt(m.plan, 2), StrategyOverheads{WakeUS: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +222,7 @@ func TestSimulateSleepAddsWakeLatency(t *testing.T) {
 
 func TestSimulateBusyCheckOverhead(t *testing.T) {
 	m, _ := diamond(t, [4]float64{10, 20, 30, 5})
-	r, _ := m.SimulateBusy(1, StrategyOverheads{CheckUS: 1})
+	r, _ := m.Simulate(orderDealt(m.plan, 1), StrategyOverheads{CheckUS: 1})
 	// Sequential with 1 µs per node check: 65 + 4.
 	if math.Abs(r.MakespanUS-69) > 1e-9 {
 		t.Fatalf("makespan = %v, want 69", r.MakespanUS)
@@ -239,9 +248,11 @@ func TestSimulationsRespectDependenciesProperty(t *testing.T) {
 			return false
 		}
 		for _, sim := range []func() (*Result, error){
-			func() (*Result, error) { return m.SimulateBusy(threads, StrategyOverheads{CheckUS: 0.5}) },
 			func() (*Result, error) {
-				return m.SimulateSleep(threads, StrategyOverheads{CheckUS: 0.5, WakeUS: 3})
+				return m.Simulate(p.RoundRobinLists(threads), StrategyOverheads{CheckUS: 0.5})
+			},
+			func() (*Result, error) {
+				return m.Simulate(p.RoundRobinLists(threads), StrategyOverheads{CheckUS: 0.5, WakeUS: 3})
 			},
 		} {
 			r, err := sim()
@@ -287,7 +298,7 @@ func TestEfficiency(t *testing.T) {
 	if math.Abs(e-1) > 1e-9 {
 		t.Fatalf("efficiency = %v, want 1", e)
 	}
-	busy, _ := m.SimulateBusy(2, StrategyOverheads{CheckUS: 2})
+	busy, _ := m.Simulate(orderDealt(m.plan, 2), StrategyOverheads{CheckUS: 2})
 	if eb := m.Efficiency(busy); eb >= 1 || eb <= 0 {
 		t.Fatalf("busy efficiency = %v, want in (0,1)", eb)
 	}
@@ -335,7 +346,7 @@ func TestStandardGraphNumbers(t *testing.T) {
 			four.MakespanUS, es.MakespanUS)
 	}
 
-	busy, err := m.SimulateBusy(4, StrategyOverheads{CheckUS: 0.5})
+	busy, err := m.Simulate(p.RoundRobinLists(4), StrategyOverheads{CheckUS: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

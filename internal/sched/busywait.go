@@ -1,25 +1,6 @@
 package sched
 
-import (
-	"djstar/internal/graph"
-)
-
-// roundRobinLists splits the compile-time rank order across threads:
-// worker w gets RankOrder[w], RankOrder[w+T], RankOrder[w+2T], ...
-// Dealing by descending upward rank hands out critical-path nodes first,
-// so the longest chains start as early as the dependencies allow.
-// RankOrder is itself a topological order (see graph.Plan.RankOrder), so
-// the deadlock-freedom argument for the spin lists is unchanged: every
-// worker's list is a subsequence of one global topological order, and a
-// busy-wait can only wait on a node earlier in that order.
-func roundRobinLists(p *graph.Plan, threads int) [][]int32 {
-	lists := make([][]int32, threads)
-	for i, id := range p.RankOrder {
-		w := i % threads
-		lists[w] = append(lists[w], id)
-	}
-	return lists
-}
+import "djstar/internal/graph"
 
 // listSpinPolicy is the paper's winning strategy (§V-A): nodes from the
 // depth-sorted queue are assigned to threads round-robin; each thread
@@ -29,7 +10,7 @@ func roundRobinLists(p *graph.Plan, threads int) [][]int32 {
 // too, so starting a cycle costs no wake-up — the property that gives
 // BUSY its strong early-start behaviour (Fig. 9/10).
 //
-// It backs both NameBusyWait (round-robin lists) and NameStatic
+// It backs both NameBusyWait (graph.Plan.RoundRobinLists) and NameStatic
 // (externally supplied lists, see NewStatic); the two differ only in how
 // the lists are produced.
 type listSpinPolicy struct {
@@ -46,7 +27,7 @@ func (pol *listSpinPolicy) name() string { return pol.strategy }
 // to BusyWait's dealing until a new schedule is installed via a
 // subsequent swap.
 func (pol *listSpinPolicy) stage(p *graph.Plan, threads int) func() {
-	lists := roundRobinLists(p, threads)
+	lists := p.RoundRobinLists(threads)
 	return func() { pol.lists = lists }
 }
 

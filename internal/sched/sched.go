@@ -142,9 +142,9 @@ var AllStrategies = []string{
 // New constructs a scheduler by strategy name: one policy over the
 // shared core per private-worker strategy, or for NamePool a private
 // single-session pool of o.Threads-1 helpers whose session Close also
-// closes the pool. NameSequential ignores o.Threads; NameStatic gets a
-// default round-robin assignment of the queue order (use NewStatic to
-// supply a computed schedule).
+// closes the pool. NameSequential ignores o.Threads; NameStatic gets
+// BUSY's assignment, graph.Plan.RoundRobinLists (use NewStatic to supply
+// a computed schedule).
 func New(name string, p *graph.Plan, o Options) (Scheduler, error) {
 	o = o.withDefaults()
 	switch name {
@@ -164,7 +164,7 @@ func New(name string, p *graph.Plan, o Options) (Scheduler, error) {
 	case NameSequential:
 		pol, mode = seqPolicy{}, waitSpin
 	case NameBusyWait, NameStatic:
-		pol, mode = &listSpinPolicy{strategy: name, lists: roundRobinLists(p, o.Threads)}, waitSpin
+		pol, mode = &listSpinPolicy{strategy: name, lists: p.RoundRobinLists(o.Threads)}, waitSpin
 	case NameSleep:
 		pol = newSleepPolicy(newSleepPlan(p, o.Threads), o.Threads)
 	case NameSleepScan:

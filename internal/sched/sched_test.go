@@ -324,7 +324,7 @@ func TestSingleThreadParallelStrategies(t *testing.T) {
 func TestRoundRobinListsCoverAllNodes(t *testing.T) {
 	g, _ := graph.RandomDAG(graph.RandomSpec{Nodes: 23, EdgeProb: 0.1, Seed: 5})
 	p, _ := g.Compile()
-	lists := roundRobinLists(p, 4)
+	lists := p.RoundRobinLists(4)
 	seen := map[int32]bool{}
 	for _, l := range lists {
 		for _, id := range l {
@@ -341,6 +341,12 @@ func TestRoundRobinListsCoverAllNodes(t *testing.T) {
 	for _, l := range lists {
 		if len(l) < p.Len()/4 || len(l) > p.Len()/4+1 {
 			t.Fatalf("unbalanced list size %d for %d nodes", len(l), p.Len())
+		}
+	}
+	// Dealt by descending rank: RankOrder[i] goes to worker i mod 4.
+	for i, id := range p.RankOrder {
+		if lists[i%4][i/4] != id {
+			t.Fatalf("position %d of the rank order dealt %d, want %d", i, lists[i%4][i/4], id)
 		}
 	}
 }

@@ -19,7 +19,7 @@ type sleepPlan struct {
 
 func newSleepPlan(p *graph.Plan, threads int) sleepPlan {
 	return sleepPlan{
-		lists:    roundRobinLists(p, threads),
+		lists:    p.RoundRobinLists(threads),
 		executor: make([]atomic.Int32, p.Len()),
 	}
 }

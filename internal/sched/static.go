@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"djstar/internal/graph"
 )
@@ -71,12 +73,7 @@ func FromScheduleOrder(p *graph.Plan, proc []int32, start []float64, workers int
 	for i := range order {
 		order[i] = int32(i)
 	}
-	// Stable insertion sort by start time (n = 67; simplicity wins).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && start[order[j]] < start[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(start[a], start[b]) })
 	for _, id := range order {
 		w := int(proc[id])
 		if w < 0 || w >= workers {

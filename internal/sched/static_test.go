@@ -31,7 +31,7 @@ func TestStaticExecutesQueueSplit(t *testing.T) {
 	g, tr := graph.RandomDAG(graph.RandomSpec{Nodes: 40, EdgeProb: 0.15, Seed: 6})
 	p, _ := g.Compile()
 	// A round-robin split of the queue order is a valid static schedule.
-	lists := roundRobinLists(p, 4)
+	lists := p.RoundRobinLists(4)
 	s, err := NewStatic(p, lists, Options{})
 	if err != nil {
 		t.Fatal(err)
