@@ -168,12 +168,12 @@ func analyzeGraph(cycles int, scale float64, threads int) error {
 // strategy and thread count it computes the analytical response-time
 // bound from measured node means — exactly what the engine's gate does
 // on a RefreshAdmission — then runs the strategy and compares the bound
-// to the measured p99 graph makespan. The modeled parallelism is clamped
-// to GOMAXPROCS (the hardware caps real concurrency no matter how many
-// workers spin); busy/static rows oversubscribed past GOMAXPROCS are
-// reported but not judged, since a descheduled owner of the next ready
-// node voids the work-conserving premise behind every bound (DESIGN.md
-// §15).
+// to the measured p99 graph makespan, on GOMAXPROCS processors (the
+// hardware caps real concurrency no matter how many workers spin). The
+// list strategies with more workers than processors are run and
+// reported but not judged: Analyze finds them unboundable, since a
+// descheduled owner of the next ready node voids the premise of every
+// bound (DESIGN.md §15).
 //
 // The bound covers the schedule, not the operating system: on a loaded
 // host, preemptions and timer interrupts land in the extreme tail even
@@ -195,8 +195,8 @@ func analyzeAdmit(cycles int, scale float64, maxThreads int) error {
 	if scale > 0 {
 		cfg.Calibration = graph.Calibrate()
 	}
-	acfg := admission.Config{BaseUS: -1} // graph alone: djanalyze measures graph makespans
 	gomax := runtime.GOMAXPROCS(0)
+	acfg := admission.Config{BaseUS: -1, Procs: gomax} // graph alone: djanalyze measures graph makespans
 
 	threadSet := []int{2}
 	if maxThreads > 2 {
@@ -223,13 +223,7 @@ func analyzeAdmit(cycles int, scale float64, maxThreads int) error {
 	var rows [][]string
 	violations := 0
 	for _, c := range combos {
-		procs := c.threads
-		if procs > gomax {
-			procs = gomax
-		}
-		oversub := c.threads > gomax &&
-			(c.strategy == sched.NameBusyWait || c.strategy == sched.NameStatic)
-		rep, err := admission.Analyze(plan, means, c.strategy, procs, "measured", acfg)
+		rep, err := admission.Analyze(plan, means, c.strategy, c.threads, "measured", acfg)
 		if err != nil {
 			return err
 		}
@@ -248,8 +242,8 @@ func analyzeAdmit(cycles int, scale float64, maxThreads int) error {
 
 		verdict := "ok"
 		switch {
-		case oversub:
-			verdict = "n/a (oversubscribed spin)"
+		case rep.Unboundable != "":
+			verdict = "n/a (unboundable)"
 		case p95US > rep.BoundUS+noiseUS:
 			verdict = "VIOLATED"
 			violations++
@@ -257,7 +251,7 @@ func analyzeAdmit(cycles int, scale float64, maxThreads int) error {
 		rows = append(rows, []string{
 			c.strategy,
 			fmt.Sprintf("%d", c.threads),
-			fmt.Sprintf("%d", procs),
+			fmt.Sprintf("%d", min(c.threads, gomax)),
 			fmt.Sprintf("%.1f", meanUS),
 			fmt.Sprintf("%.1f", p95US),
 			fmt.Sprintf("%.1f", p99US),

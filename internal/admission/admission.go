@@ -10,14 +10,16 @@
 // analysis in the spirit of Lupu & Goossens, of the assignment that runs.
 //
 // Bound derivation (DESIGN.md §15). Let W be the total work, CP the
-// critical path and m the parallelism. For the work-conserving
-// executors (work-stealing, the shared pool) Graham's theorem gives
+// critical path and m the parallelism: the workers, or the processors
+// when there are fewer. For the work-conserving executors
+// (work-stealing, the shared pool) Graham's theorem gives
 // makespan ≤ CP + (W − CP)/m; per-node dispatch adds n·check/m. The
-// static executors (busy, sleep, sleepscan, static) are not
+// static list executors (busy, sleep, sleepscan, static) are not
 // work-conserving, so their bound also takes the rescon simulation of
 // the very lists their workers run (graph.Plan.RoundRobinLists), with
-// the per-node check and, for the sleepers, the wake-up penalty. The
-// sequential bound is W + n·check. Every bound is inflated by a margin
+// the per-node check and, for the sleepers, the wake-up penalty; with
+// more workers than processors they have no bound (Report.Unboundable).
+// The sequential bound is W + n·check. Every bound is inflated by a margin
 // for mean-vs-tail spread and noise and held against the envelope:
 // margin × (base + graphBound) ≤ period, base being the non-graph APC
 // work (TP + GP + VC). The perf property suite asserts measured
@@ -67,6 +69,9 @@ type Config struct {
 	// running scale; the engine fills it from its component targets.
 	// Negative means explicitly zero (analysis of the graph alone).
 	BaseUS float64
+	// Procs is the processor count the workers run on (0 = one per
+	// worker); the engine fills it with GOMAXPROCS.
+	Procs int
 }
 
 func (c Config) withDefaults() Config {
@@ -92,8 +97,9 @@ func (c Config) withDefaults() Config {
 // threads) configuration. All times are microseconds.
 type Report struct {
 	Strategy string `json:"strategy"`
-	Threads  int    `json:"threads"`
-	Nodes    int    `json:"nodes"`
+	// Threads is the worker count.
+	Threads int `json:"threads"`
+	Nodes   int `json:"nodes"`
 	// Source records where the node costs came from: "measured" (live
 	// collector means) or "static" (the design-cost table).
 	Source string `json:"source"`
@@ -123,26 +129,38 @@ type Report struct {
 	EnvelopeUS float64 `json:"envelope_us"`
 	HeadroomUS float64 `json:"headroom_us"`
 	UtilRatio  float64 `json:"util_ratio"`
+
+	// Unboundable, when set, says why the configuration has no bound: a
+	// static list executor with more workers than processors. GraphBoundUS,
+	// BoundUS, HeadroomUS and UtilRatio are then zero, and Fits is false.
+	Unboundable string `json:"unboundable,omitempty"`
 }
 
-// Fits reports whether the bound is inside the envelope.
-func (r *Report) Fits() bool { return r.BoundUS <= r.EnvelopeUS }
+// Fits reports whether there is a bound and it is inside the envelope.
+func (r *Report) Fits() bool { return r.Unboundable == "" && r.BoundUS <= r.EnvelopeUS }
 
 // String renders the report one-line, for logs and flight events.
 func (r *Report) String() string {
+	if r.Unboundable != "" {
+		return fmt.Sprintf("%s/%d: unboundable: %s", r.Strategy, r.Threads, r.Unboundable)
+	}
 	return fmt.Sprintf("%s/%d: bound %.0f µs vs envelope %.0f µs (graph %.0f, cp %.0f, work %.0f, %s costs, util %.2f)",
 		r.Strategy, r.Threads, r.BoundUS, r.EnvelopeUS,
 		r.GraphBoundUS, r.CritPathUS, r.TotalWorkUS, r.Source, r.UtilRatio)
 }
 
 // Analyze computes the schedulability report for a compiled plan under
-// per-node costs (µs, execution scale), a strategy name and an
-// effective parallelism. source labels the cost provenance ("measured"
-// or "static").
+// per-node costs (µs, execution scale), a strategy name and a worker
+// count, on cfg.Procs processors. source labels the cost provenance
+// ("measured" or "static").
 func Analyze(plan *graph.Plan, costsUS []float64, strategy string, threads int, source string, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if threads < 1 {
 		threads = 1
+	}
+	procs := threads // m: the parallelism the processors deliver
+	if cfg.Procs > 0 && cfg.Procs < threads {
+		procs = cfg.Procs
 	}
 	m, err := rescon.FromPlan(plan, costsUS)
 	if err != nil {
@@ -158,17 +176,25 @@ func Analyze(plan *graph.Plan, costsUS []float64, strategy string, threads int, 
 	}
 	r.TotalWorkUS = m.TotalWork()
 	r.CritPathUS = m.CriticalPathUS()
-	if ls, err := m.ListSchedule(threads); err == nil {
+	if ls, err := m.ListSchedule(procs); err == nil {
 		r.ListUS = ls.MakespanUS
 	}
 	n := float64(plan.Len())
-	r.GrahamUS = rescon.GrahamBound(r.TotalWorkUS, r.CritPathUS, threads) +
-		n*cfg.Overheads.CheckUS/float64(threads)
+	r.GrahamUS = rescon.GrahamBound(r.TotalWorkUS, r.CritPathUS, procs) +
+		n*cfg.Overheads.CheckUS/float64(procs)
 
 	switch strategy {
 	case "seq":
 		r.GraphBoundUS = r.TotalWorkUS + n*cfg.Overheads.CheckUS
 	case "busy", "static", "sleep", "sleepscan":
+		if procs < threads {
+			// DESIGN.md §15: the simulation gives every list its own
+			// processor, and a waiting worker can hold the processor
+			// the worker owning the next ready node needs.
+			r.Unboundable = fmt.Sprintf("%d %s workers on %d processors: a static list executor needs a processor per worker",
+				threads, strategy, procs)
+			return r, nil
+		}
 		sim, err := simulate(m, plan, strategy, threads, cfg.Overheads)
 		if err != nil {
 			return nil, err
@@ -250,7 +276,8 @@ type Decision struct {
 	Full     *Report `json:"full"`
 	Admitted *Report `json:"admitted"`
 	// Rung is the pre-shed ladder rung of a degraded admission (0 when
-	// nothing is shed; graph.MaxShedRung on a refusal).
+	// nothing is shed; graph.MaxShedRung on a refusal the ladder walked,
+	// 0 on an unboundable one).
 	Rung int `json:"rung,omitempty"`
 	// Reason is a human-readable summary of the decision.
 	Reason string `json:"reason"`
@@ -269,6 +296,11 @@ func Decide(plan *graph.Plan, costsUS []float64, strategy string, threads int, s
 		return nil, err
 	}
 	d := &Decision{Full: full, Admitted: full}
+	if full.Unboundable != "" { // shedding changes no worker or processor count
+		d.Verdict = VerdictRefuse
+		d.Reason = "unboundable: " + full.Unboundable
+		return d, nil
+	}
 	if full.Fits() {
 		d.Verdict = VerdictAdmit
 		d.Reason = fmt.Sprintf("bound %.0f µs within envelope %.0f µs", full.BoundUS, full.EnvelopeUS)

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
@@ -212,6 +213,46 @@ func TestDecideLadder(t *testing.T) {
 	}
 	if d.Verdict != VerdictRefuse {
 		t.Fatalf("envelope 50: verdict %v, want refuse", d.Verdict)
+	}
+}
+
+// TestUnboundableListExecutors: with more workers than processors the
+// four list strategies get no bound — a report that still encodes as
+// JSON, never fits, and that Decide refuses with its reason — while
+// Graham for ws and pool counts the processors.
+func TestUnboundableListExecutors(t *testing.T) {
+	plan, costs := buildDiamond(t) // W = 70, CP = 50
+	cfg := Config{PeriodUS: 1e9, Margin: 1, BaseUS: -1, Procs: 2, Overheads: rescon.StrategyOverheads{CheckUS: 1e-9, WakeUS: 1e-9}}
+	for _, strat := range []string{"busy", "static", "sleep", "sleepscan"} {
+		rep, err := Analyze(plan, costs, strat, 3, "static", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Unboundable == "" || rep.Fits() || rep.BoundUS != 0 || rep.SimUS != 0 {
+			t.Fatalf("%s/3 on 2: %+v", strat, rep)
+		}
+		if _, err := json.Marshal(rep); err != nil {
+			t.Fatalf("%s/3 on 2: %v", strat, err)
+		}
+		d, err := Decide(plan, costs, strat, 3, "static", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Verdict != VerdictRefuse || d.Reason != "unboundable: "+rep.Unboundable {
+			t.Fatalf("%s/3 on 2: verdict %v, reason %q", strat, d.Verdict, d.Reason)
+		}
+		if rep, _ := Analyze(plan, costs, strat, 2, "static", cfg); rep.Unboundable != "" || !rep.Fits() {
+			t.Fatalf("%s/2 on 2: %+v", strat, rep)
+		}
+	}
+	for _, strat := range []string{"ws", "pool"} {
+		rep, err := Analyze(plan, costs, strat, 3, "static", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 50 + 20.0/2; rep.Unboundable != "" || math.Abs(rep.GraphBoundUS-want) > 1e-6 {
+			t.Fatalf("%s/3 on 2: graph bound %v, want Graham at m = 2, %v (%+v)", strat, rep.GraphBoundUS, want, rep)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -18,7 +19,9 @@ func (workerOf) EndCycle()                               {}
 
 // TestBoundSimulatesExecutedAssignment: for every static strategy the
 // bound's simulation puts each node on the worker that runs it, on the
-// standard plan and on spin-free seeded DAGs.
+// standard plan and on spin-free seeded DAGs. Four workers on an
+// explicit two processors are either simulated on the four lists that
+// run, or reported unboundable.
 func TestBoundSimulatesExecutedAssignment(t *testing.T) {
 	cfg := graph.DefaultConfig()
 	cfg.TrackBars = 2
@@ -41,26 +44,39 @@ func TestBoundSimulatesExecutedAssignment(t *testing.T) {
 	}
 	ov := Config{}.withDefaults().Overheads
 	for i, p := range plans {
-		m, err := rescon.FromPlan(p, rescon.PaperCostsUS(p))
+		costs := rescon.PaperCostsUS(p)
+		m, err := rescon.FromPlan(p, costs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, strat := range []string{sched.NameBusyWait, sched.NameSleep, sched.NameSleepScan, sched.NameStatic} {
-			for _, threads := range []int{2, 3} {
-				sim, err := simulate(m, p, strat, threads, ov)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for _, c := range []struct{ workers, procs int }{{2, 0}, {3, 0}, {4, 2}} {
+				name := fmt.Sprintf("plan %d %s: %d workers on %d processors", i, strat, c.workers, c.procs)
 				ran := make(workerOf, p.Len())
-				s, err := sched.New(strat, p, sched.Options{Threads: threads, Observer: ran})
+				s, err := sched.New(strat, p, sched.Options{Threads: c.workers, Observer: ran})
 				if err != nil {
 					t.Fatal(err)
 				}
 				resets[i]()
 				s.Execute()
 				s.Close()
-				if !slices.Equal(ran, sim.Proc) {
-					t.Errorf("plan %d %s/%d: ran on workers %v, simulated on %v", i, strat, threads, ran, sim.Proc)
+				rep, err := Analyze(p, costs, strat, c.workers, "static", Config{Procs: c.procs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Unboundable != "" {
+					if c.procs == 0 || rep.Fits() || rep.BoundUS != 0 {
+						t.Errorf("%s: unboundable report %+v", name, rep)
+					}
+					continue
+				}
+				sim, err := simulate(m, p, strat, c.workers, ov)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.SimUS != sim.MakespanUS || !slices.Equal(ran, sim.Proc) {
+					t.Errorf("%s: ran on workers %v; the bound simulated %v µs, %v µs on %v",
+						name, ran, rep.SimUS, sim.MakespanUS, sim.Proc)
 				}
 			}
 		}

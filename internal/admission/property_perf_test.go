@@ -88,35 +88,36 @@ func TestBoundNeverExceededByMeasuredMakespan(t *testing.T) {
 			WakeUS:  60,
 		},
 	}
+	// Graham's argument is about processors, not workers: the workers
+	// beyond GOMAXPROCS time-slice, as the engine's gate assumes too.
+	procs := runtime.GOMAXPROCS(0)
+	cfg.Procs = procs
 	const warmup, measured = 10, 60
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g, _ := randomSpinDAG(t, rng, 8+rng.Intn(25))
+		g, costs := randomSpinDAG(t, rng, 8+rng.Intn(25))
 		plan, err := g.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, strat := range strategies {
-			for _, threads := range []int{2, 4} {
-				// Graham's argument is about processors, not workers: on a
-				// machine with fewer cores than workers the excess workers
-				// time-slice, so the model's m is what the hardware gives.
-				// This mirrors the clamp the engine's gate applies.
-				procs := threads
-				if p := runtime.GOMAXPROCS(0); procs > p {
-					procs = p
-					// Static-assignment strategies lose their premise when
-					// oversubscribed: a spinning worker occupies the core
-					// while the worker that owns the next ready node is
-					// descheduled, so neither Graham nor the dedicated-
-					// processor simulation bounds the makespan. The gate
-					// never promises a bound for that regime; neither does
-					// this suite.
-					if strat == sched.NameBusyWait || strat == sched.NameStatic {
-						continue
-					}
-				}
+			// A static list executor with more workers than processors has
+			// no bound (DESIGN.md §15): Analyze itself says so, and such a
+			// cell is not run. The last count only asserts the verdict on
+			// any host.
+			for i, threads := range []int{2, 4, procs + 1} {
 				name := fmt.Sprintf("seed%d/%s/%d", seed, strat, threads)
+				rep, err := Analyze(plan, costs, strat, threads, "static", cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got, want := rep.Unboundable != "", strat != sched.NameWorkSteal && threads > procs; got != want || got && rep.Fits() {
+					t.Errorf("%s on %d processors: unboundable %v, want %v: %v", name, procs, got, want, rep)
+				}
+				if rep.Unboundable != "" || i == 2 {
+					t.Logf("%s: not run: %v", name, rep)
+					continue
+				}
 				col := obs.NewCollector(plan, obs.Config{Workers: threads, TraceEvery: -1})
 				s, err := sched.New(strat, plan, sched.Options{Threads: threads, Observer: col})
 				if err != nil {
@@ -134,7 +135,7 @@ func TestBoundNeverExceededByMeasuredMakespan(t *testing.T) {
 				meanUS := total.Seconds() * 1e6 / measured
 				// The bound from the very costs this run measured: the
 				// strongest falsification the formula can face.
-				rep, err := Analyze(plan, col.NodeMeansUS(), strat, procs, "measured", cfg)
+				rep, err = Analyze(plan, col.NodeMeansUS(), strat, threads, "measured", cfg)
 				s.Close()
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

@@ -67,18 +67,6 @@ type AdmissionState struct {
 	PredictiveEscalations int64 `json:"predictive_escalations"`
 }
 
-// effectiveProcs clamps a worker count to the machine's processor
-// count. Graham's argument (and the dedicated-processor simulations)
-// count processors, not workers: on a machine with fewer cores than
-// configured workers the excess time-slice, so the bound is computed at
-// the parallelism the hardware actually delivers.
-func effectiveProcs(workers int) int {
-	if p := runtime.GOMAXPROCS(0); workers > p {
-		return p
-	}
-	return workers
-}
-
 // admissionRuntime is the per-engine admission state: the resolved
 // analysis config, the construction decision and the predictive
 // monitor. It judges this session alone; sessions sharing a pool are
@@ -101,21 +89,24 @@ type admissionRuntime struct {
 // wrapping admission.ErrOverBudget.
 func newAdmissionRuntime(cfg *Config, plan *graph.Plan, threads int) (*admissionRuntime, error) {
 	strategy := cfg.Strategy
-	effThreads := threads
 	if cfg.Pool != nil {
 		strategy = sched.NamePool
-		effThreads = cfg.Pool.Workers() + 1
+		threads = cfg.Pool.Workers() + 1
 	}
-	effThreads = effectiveProcs(effThreads)
 	acfg := cfg.Admission.Config
 	if acfg.BaseUS == 0 {
 		// Non-graph APC work at the running scale: the TP/GP/VC targets.
 		acfg.BaseUS = SessionBaseUS(cfg.Graph.Scale)
 	}
+	if acfg.Procs == 0 {
+		// Graham's argument and the list simulations count processors:
+		// the workers beyond GOMAXPROCS time-slice.
+		acfg.Procs = runtime.GOMAXPROCS(0)
+	}
 	a := &admissionRuntime{
 		cfg:      acfg,
 		strategy: strategy,
-		threads:  effThreads,
+		threads:  threads,
 		every:    cfg.Admission.PredictEvery,
 	}
 	if a.every == 0 {
@@ -123,7 +114,7 @@ func newAdmissionRuntime(cfg *Config, plan *graph.Plan, threads int) (*admission
 	}
 
 	costs := StaticCostsUS(plan, cfg.Graph.Scale) // nothing has run yet
-	d, err := admission.Decide(plan, costs, strategy, effThreads, "static", acfg)
+	d, err := admission.Decide(plan, costs, strategy, threads, "static", acfg)
 	if err != nil {
 		return nil, err
 	}

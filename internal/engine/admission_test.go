@@ -3,7 +3,9 @@ package engine
 import (
 	"errors"
 	"regexp"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"djstar/internal/admission"
@@ -29,7 +31,7 @@ func admissionGraphConfig() graph.Config {
 
 // staticReports computes the gate's own construction-time analysis for
 // a config: the full-plan report and the rung-1 (meters+control shed)
-// report, at the same effective processor count the engine will use.
+// report, on the processor count acfg names (the engine's too).
 func staticReports(t *testing.T, gc graph.Config, strategy string, threads int, acfg admission.Config) (full, shed1 *admission.Report) {
 	t.Helper()
 	_, g, err := graph.BuildDJStar(gc)
@@ -41,13 +43,12 @@ func staticReports(t *testing.T, gc graph.Config, strategy string, threads int, 
 		t.Fatal(err)
 	}
 	costs := StaticCostsUS(plan, gc.Scale)
-	procs := effectiveProcs(threads)
-	full, err = admission.Analyze(plan, costs, strategy, procs, "static", acfg)
+	full, err = admission.Analyze(plan, costs, strategy, threads, "static", acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shed1, err = admission.Analyze(plan, admission.ShedCosts(plan, costs, 1),
-		strategy, procs, "static", acfg)
+		strategy, threads, "static", acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestAdmissionRefusesOverBudgetSession(t *testing.T) {
 	cfg.Graph = admissionGraphConfig()
 	cfg.Admission = AdmissionOptions{
 		Enabled: true,
-		Config:  admission.Config{PeriodUS: 1, Margin: 1, BaseUS: -1},
+		Config:  admission.Config{PeriodUS: 1, Margin: 1, BaseUS: -1, Procs: 4},
 	}
 	e, err := New(cfg)
 	if err == nil {
@@ -74,6 +75,23 @@ func TestAdmissionRefusesOverBudgetSession(t *testing.T) {
 	}
 	if bound, env := boundAndEnvelope(t, err.Error()); bound <= env {
 		t.Fatalf("refusal carries bound %v <= envelope %v: %v", bound, env, err)
+	}
+}
+
+// TestAdmissionRefusesUnboundableSession: four busy workers on two
+// processors have no bound, however roomy the envelope, so the gate
+// refuses the session and says why.
+func TestAdmissionRefusesUnboundableSession(t *testing.T) {
+	cfg := fastConfig(sched.NameBusyWait, 4)
+	cfg.Graph = admissionGraphConfig()
+	cfg.Admission = AdmissionOptions{Enabled: true, Config: admission.Config{PeriodUS: 1e9, Procs: 2}}
+	e, err := New(cfg)
+	if err == nil {
+		e.Close()
+		t.Fatal("unboundable session admitted")
+	}
+	if !errors.Is(err, admission.ErrOverBudget) || !strings.Contains(err.Error(), "unboundable: 4 busy workers on 2 processors") {
+		t.Fatalf("err = %v, want an unboundable ErrOverBudget", err)
 	}
 }
 
@@ -97,7 +115,7 @@ func TestAdmissionAdmitsWithinEnvelope(t *testing.T) {
 	cfg.Graph = admissionGraphConfig()
 	cfg.Admission = AdmissionOptions{
 		Enabled:      true,
-		Config:       admission.Config{PeriodUS: 1e9, Margin: 1, BaseUS: -1},
+		Config:       admission.Config{PeriodUS: 1e9, Margin: 1, BaseUS: -1, Procs: 4},
 		PredictEvery: -1,
 	}
 	e, err := New(cfg)
@@ -128,7 +146,7 @@ func TestAdmissionAdmitsWithinEnvelope(t *testing.T) {
 // forced to degraded1 before the first cycle, meters and control
 // already shed.
 func TestAdmissionDegradedPreSheds(t *testing.T) {
-	acfg := admission.Config{Margin: 1, BaseUS: -1}
+	acfg := admission.Config{Margin: 1, BaseUS: -1, Procs: 4}
 	full, shed1 := staticReports(t, admissionGraphConfig(), sched.NameBusyWait, 4, acfg)
 	if shed1.BoundUS >= full.BoundUS {
 		t.Fatalf("shed bound %v not below full bound %v — no degradation window", shed1.BoundUS, full.BoundUS)
@@ -168,7 +186,8 @@ func TestAdmissionPoolAggregate(t *testing.T) {
 	const workers = 1
 	acfg := admission.Config{Margin: 1, BaseUS: -1}
 	rep, _ := staticReports(t, gc, sched.NamePool, workers+1, acfg)
-	m := float64(effectiveProcs(workers + 1))
+	procs := min(workers+1, runtime.GOMAXPROCS(0))
+	m := float64(procs)
 	w, cp := rep.TotalWorkUS, rep.CritPathUS
 	// Controller bound for k identical sessions: CP + (k·W − CP)/m.
 	b2 := cp + (2*w-cp)/m
@@ -181,7 +200,7 @@ func TestAdmissionPoolAggregate(t *testing.T) {
 
 	// Like the per-session gate, the shared controller counts processors,
 	// not workers.
-	ctl := admission.NewController(effectiveProcs(workers+1), acfg)
+	ctl := admission.NewController(procs, acfg)
 	for i, e := range engines {
 		st := e.AdmissionState()
 		if st == nil || st.Verdict != "admit" || st.Report == nil {
@@ -219,7 +238,7 @@ func TestAdmissionPoolAggregate(t *testing.T) {
 // typed sentinel, epoch untouched, live topology keeps playing — while
 // a shrinking edit still lands.
 func TestAdmissionRejectsUnschedulableEdit(t *testing.T) {
-	acfg := admission.Config{Margin: 1, BaseUS: -1}
+	acfg := admission.Config{Margin: 1, BaseUS: -1, Procs: 4}
 	full, _ := staticReports(t, admissionGraphConfig(), sched.NameBusyWait, 4, acfg)
 	acfg.PeriodUS = full.BoundUS + 1 // fits, with no room for growth
 
@@ -287,7 +306,7 @@ func TestAdmissionPredictiveArming(t *testing.T) {
 		Governor: GovernorConfig{Enabled: true, Window: 8, DeadlineMS: 1e6, GraphBudgetMS: 1e6},
 		Admission: AdmissionOptions{
 			Enabled: true,
-			Config: admission.Config{PeriodUS: 1, Margin: 1, BaseUS: -1,
+			Config: admission.Config{PeriodUS: 1, Margin: 1, BaseUS: -1, Procs: 4,
 				Overheads: rescon.StrategyOverheads{CheckUS: 1e-3, WakeUS: 1e-3}},
 			PredictEvery: -1,
 		},
@@ -335,7 +354,7 @@ func TestAdmissionZeroAllocCycle(t *testing.T) {
 		if enabled {
 			cfg.Admission = AdmissionOptions{
 				Enabled:      true,
-				Config:       admission.Config{PeriodUS: 1e9},
+				Config:       admission.Config{PeriodUS: 1e9, Procs: 4},
 				PredictEvery: -1, // no monitor goroutine polluting the count
 			}
 		}

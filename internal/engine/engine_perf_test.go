@@ -3,6 +3,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -29,16 +30,18 @@ func TestAdmissionPredictiveEscalation(t *testing.T) {
 	gc.Calibration = admCal
 
 	acfg := admission.Config{Margin: 1, BaseUS: -1}
+	// Busy workers beyond the processors have no bound (DESIGN.md §15).
+	threads := min(4, runtime.GOMAXPROCS(0))
 	// Calibrate the envelope from a probe engine's MEASURED bound at
 	// nominal load (the static table underestimates instrumented builds
 	// like -race): nominal fits ×3, a 100× load factor cannot.
-	probe, err := New(Config{Graph: gc, Strategy: sched.NameBusyWait, Threads: 4})
+	probe, err := New(Config{Graph: gc, Strategy: sched.NameBusyWait, Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}
 	probe.RunCycles(20)
 	nominal, err := admission.Analyze(probe.Plan(), probe.Collector().NodeMeansUS(),
-		sched.NameBusyWait, effectiveProcs(4), "measured", acfg)
+		sched.NameBusyWait, threads, "measured", acfg)
 	probe.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +51,7 @@ func TestAdmissionPredictiveEscalation(t *testing.T) {
 	cfg := Config{
 		Graph:    gc,
 		Strategy: sched.NameBusyWait,
-		Threads:  4,
+		Threads:  threads,
 		Governor: GovernorConfig{
 			Enabled: true,
 			Window:  8,

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"testing"
 
+	"djstar/internal/admission"
 	"djstar/internal/apiv1"
 	"djstar/internal/obs"
 	"djstar/internal/sched"
@@ -173,7 +174,8 @@ func TestV1SessionMatchesSnapshot(t *testing.T) {
 	cfg.Telemetry.Session = "sess"
 	cfg.Telemetry.Shard = "3"
 	cfg.Governor.Enabled = true
-	cfg.Admission = AdmissionOptions{Enabled: true, PredictEvery: -1}
+	// Two processors whatever the host: two busy workers stay boundable.
+	cfg.Admission = AdmissionOptions{Enabled: true, Config: admission.Config{Procs: 2}, PredictEvery: -1}
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -282,7 +282,7 @@ func TestEventsWithAndWithoutSink(t *testing.T) {
 		// Every cycle misses a 1 ns deadline: one escalation per window,
 		// the first (meters) at cycle 4, FX only shed from cycle 8.
 		cfg.Governor = GovernorConfig{Enabled: true, Window: 4, DeadlineMS: 1e-6}
-		cfg.Admission = AdmissionOptions{Enabled: true, Config: admission.Config{PeriodUS: 1e9}, PredictEvery: -1}
+		cfg.Admission = AdmissionOptions{Enabled: true, Config: admission.Config{PeriodUS: 1e9, Procs: 4}, PredictEvery: -1}
 		cfg.Telemetry = TelemetryOptions{Disable: disable, SLO: obs.SLOConfig{TargetPer10k: 10000}}
 		e, err := New(cfg)
 		if err != nil {

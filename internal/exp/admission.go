@@ -297,7 +297,7 @@ func admissionRun(o Options, k, workers int, acfg admission.Config, gate string,
 	}
 	row.SLOOK = admissionSLOOK(row.WorstP95US, row.WorstP99US, periodUS)
 	if gate == "on" && len(admitted) > 0 {
-		if err := admissionBounds(row, procs, admitted, acfg, p95s, p99s); err != nil {
+		if err := admissionBounds(row, workers+1, procs, admitted, acfg, p95s, p99s); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -308,15 +308,16 @@ func admissionRun(o Options, k, workers int, acfg admission.Config, gate string,
 // session's aggregate bound on the shard under the costs the run just
 // measured — the strongest falsification the formula can face — beside
 // its measured percentiles.
-func admissionBounds(row *AdmissionRow, procs int, admitted []*fleet.Session, acfg admission.Config, p95s, p99s []float64) error {
+func admissionBounds(row *AdmissionRow, workers, procs int, admitted []*fleet.Session, acfg admission.Config, p95s, p99s []float64) error {
 	// The summing controller must register every session, so its own
 	// envelope is unbounded; only the bounds it computes are read.
 	sum := acfg
 	sum.PeriodUS = admissionGateOffUS
 	ctl := admission.NewController(procs, sum)
+	acfg.Procs = procs
 	for _, s := range admitted {
 		e := s.Engine()
-		rep, err := admission.Analyze(e.Plan(), e.Collector().NodeMeansUS(), sched.NamePool, procs, "measured", acfg)
+		rep, err := admission.Analyze(e.Plan(), e.Collector().NodeMeansUS(), sched.NamePool, workers, "measured", acfg)
 		if err != nil {
 			return err
 		}

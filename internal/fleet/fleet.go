@@ -266,7 +266,9 @@ func (f *Fleet) report(gcfg graph.Config) (*admission.Report, error) {
 	if gcfg.Scale != f.cfg.Engine.Graph.Scale {
 		acfg.BaseUS = engine.SessionBaseUS(gcfg.Scale)
 	}
-	rep, err := admission.Analyze(plan, costs, sched.NamePool, f.shards[0].procs, "static", acfg)
+	sh := f.shards[0]
+	acfg.Procs = sh.procs
+	rep, err := admission.Analyze(plan, costs, sched.NamePool, sh.pool.Workers()+1, "static", acfg)
 	if err != nil {
 		return nil, err
 	}

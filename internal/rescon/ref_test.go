@@ -12,7 +12,8 @@ import (
 // The reference implementations the oracle tests (oracle_test.go) hold
 // the plan-backed model to: the copied-adjacency model with its own
 // longest-path sweeps, and the name-keyed design-cost table, kept
-// verbatim (renamed).
+// verbatim (renamed) — except that EarliestStart no longer labels
+// display processors, which the model's leaves nil.
 
 // refModel is an immutable scheduling problem: tasks with durations and
 // dependencies, plus the queue order used by the static strategies.
@@ -107,7 +108,6 @@ func (m *refModel) EarliestStart() *Result {
 		Threads:  0,
 		Start:    make([]float64, n),
 		Finish:   make([]float64, n),
-		Proc:     make([]int32, n),
 	}
 	// Process in a dependency-respecting order (the queue order is one).
 	for _, id := range m.order {
@@ -120,36 +120,8 @@ func (m *refModel) EarliestStart() *Result {
 		r.Start[id] = st
 		r.Finish[id] = st + m.dur[id]
 	}
-	m.labelProcs(r)
 	m.finishResult(r)
 	return r
-}
-
-// labelProcs greedily assigns display processors so overlapping tasks get
-// distinct rows (interval-graph coloring by start time).
-func (m *refModel) labelProcs(r *Result) {
-	ids := make([]int, m.Len())
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool { return r.Start[ids[a]] < r.Start[ids[b]] })
-	var procFree []float64
-	const eps = 1e-9
-	for _, id := range ids {
-		placed := false
-		for p := range procFree {
-			if procFree[p] <= r.Start[id]+eps {
-				r.Proc[id] = int32(p)
-				procFree[p] = r.Finish[id]
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			r.Proc[id] = int32(len(procFree))
-			procFree = append(procFree, r.Finish[id])
-		}
-	}
 }
 
 // ListSchedule computes a resource-constrained schedule for the given

@@ -75,8 +75,8 @@ type Result struct {
 	MakespanUS float64
 	// Start and Finish give each task's window in µs.
 	Start, Finish []float64
-	// Proc is each task's processor (always assigned; for the unbounded
-	// schedule it is a greedy labeling used only for display).
+	// Proc is each task's processor, filled by the sweeps that have
+	// processors (ListSchedule, Simulate); nil for EarliestStart.
 	Proc []int32
 	// PeakConcurrency is the maximum number of simultaneously running
 	// tasks.
@@ -130,43 +130,14 @@ func (m *Model) EarliestStart() *Result {
 		Strategy: "earliest-start",
 		Start:    make([]float64, m.Len()),
 		Finish:   finish,
-		Proc:     make([]int32, m.Len()),
 	}
 	for id, v := range via {
 		if v >= 0 {
 			r.Start[id] = finish[v]
 		}
 	}
-	m.labelProcs(r)
 	m.finishResult(r)
 	return r
-}
-
-// labelProcs greedily assigns display processors so overlapping tasks get
-// distinct rows (interval-graph coloring by start time).
-func (m *Model) labelProcs(r *Result) {
-	ids := make([]int, m.Len())
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool { return r.Start[ids[a]] < r.Start[ids[b]] })
-	var procFree []float64
-	const eps = 1e-9
-	for _, id := range ids {
-		placed := false
-		for p := range procFree {
-			if procFree[p] <= r.Start[id]+eps {
-				r.Proc[id] = int32(p)
-				procFree[p] = r.Finish[id]
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			r.Proc[id] = int32(len(procFree))
-			procFree = append(procFree, r.Finish[id])
-		}
-	}
 }
 
 // ListSchedule computes a resource-constrained schedule for the given

@@ -14,9 +14,8 @@ import (
 // teardown — lives in core and is shared by every strategy.
 //
 // A policy's runCycle must execute only nodes whose dependencies have
-// completed this cycle, using the core's done stamps (spin disciplines)
-// or pending counters (blocking disciplines), and must return once the
-// worker's share of the iteration is finished.
+// completed this cycle, using the core's pending counters, and must
+// return once the worker's share of the iteration is finished.
 type policy interface {
 	// name is the strategy identifier returned by Scheduler.Name.
 	name() string
@@ -41,7 +40,7 @@ type waitMode int
 
 const (
 	// waitSpin keeps idle workers spinning on the generation counter
-	// across cycle boundaries (BUSY, STATIC): zero wake-up cost.
+	// across cycle boundaries (BUSY, STATIC, seq): zero wake-up cost.
 	waitSpin waitMode = iota
 	// waitBlock parks idle workers on a channel between cycles (SLEEP,
 	// SLEEPSCAN, WS): no idle CPU burn, pays wake-up latency.
@@ -68,17 +67,10 @@ type padInt32 struct {
 	_ [cacheLine - 4]byte
 }
 
-// doneStamp is one node's done generation, striped to a full cache line
-// so a worker publishing node i's completion never invalidates the line
-// a neighbor is spinning on for node i±1.
-type doneStamp struct {
-	v atomic.Uint64
-	_ [cacheLine - 8]byte
-}
-
-// depCount is one node's pending-dependency counter, striped like
-// doneStamp: different workers decrement different nodes' counters
-// concurrently on every cycle.
+// depCount is one node's pending-dependency counter, striped to a full
+// cache line: different workers decrement different nodes' counters
+// concurrently on every cycle, and a worker publishing into node i's
+// counter must not invalidate the line a neighbor spins on for node i±1.
 type depCount struct {
 	v atomic.Int32
 	_ [cacheLine - 4]byte
@@ -87,7 +79,7 @@ type depCount struct {
 // core is the one executor skeleton behind every private-worker strategy
 // — the sequential baseline included, as the one-thread case: persistent
 // OS-thread-pinned workers, the generation/epoch dispatch that starts a
-// cycle, completion signaling, the per-node done/pending state, the
+// cycle, completion signaling, the per-node pending counters, the
 // observer hook, and the whole lifecycle (Close, execute-after-close,
 // StageSwap, AdoptStaged; see swap.go). All of it is allocation-free in
 // steady state, per the package contract.
@@ -104,13 +96,8 @@ type core struct {
 	pol  policy
 	mode waitMode
 
-	// done[i] stores the generation in which node i last completed; a
-	// node is done for the current cycle when done[i] == generation.
-	// Used by spin-discipline policies. One cache line per node.
-	done []doneStamp
-	// pending[i] counts node i's unfinished dependencies this cycle.
-	// Used by block-discipline policies; reset via resetPending. One
-	// cache line per node.
+	// pending[i] counts node i's unfinished dependencies this cycle;
+	// policies reload it with resetPending. One cache line per node.
 	pending []depCount
 
 	// generation is the cycle counter; waitSpin workers spin on it.
@@ -146,7 +133,6 @@ func newCore(p *graph.Plan, threads int, obs Observer, pol policy, mode waitMode
 		obs:     obs,
 		pol:     pol,
 		mode:    mode,
-		done:    make([]doneStamp, p.Len()),
 		pending: make([]depCount, p.Len()),
 	}
 	if mode == waitBlock {
@@ -163,8 +149,8 @@ func newCore(p *graph.Plan, threads int, obs Observer, pol policy, mode waitMode
 }
 
 // resetPending reloads every pending counter from the plan's indegrees.
-// Policies that use the pending counters call this from beginCycle,
-// before any worker is released.
+// The list and work-stealing policies call it from beginCycle, before
+// any worker is released.
 func (c *core) resetPending() {
 	for i := range c.pending {
 		c.pending[i].v.Store(c.plan.Indegree[i])

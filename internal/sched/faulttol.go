@@ -9,8 +9,8 @@ import (
 // Fault tolerance.
 //
 // A DSP node that panics must not take the audio process down, and must
-// not wedge the cycle: its successors still depend on its done stamp /
-// pending counter, so the recovery path has to retire the node normally.
+// not wedge the cycle: its successors still depend on its pending
+// counter, so the recovery path has to retire the node normally.
 // Every scheduler in this package therefore routes node execution through
 // a shared FaultState: the node runs under recover; on panic its Flush
 // hook silences the half-written output buffer, the fault is reported,

@@ -9,7 +9,7 @@ import (
 // BenchmarkHotStateContention quantifies the false-sharing fix on the
 // scheduler's hot per-node state: four goroutines each hammer their own
 // counter, packed (adjacent atomics sharing a cache line — the old
-// []atomic.Uint64 done array layout) versus striped (one doneStamp per
+// []atomic.Uint64 done array layout) versus striped (one depCount per
 // cache line — the current layout). On multicore hardware the packed
 // variant ping-pongs the line between cores on every store; the striped
 // variant scales linearly.
@@ -24,10 +24,10 @@ func BenchmarkHotStateContention(b *testing.B) {
 		})
 	})
 	b.Run("striped", func(b *testing.B) {
-		var slots [workers]doneStamp
+		var slots [workers]depCount
 		runContention(b, workers, func(w, n int) {
 			for i := 0; i < n; i++ {
-				slots[w].v.Store(uint64(i))
+				slots[w].v.Store(int32(i))
 			}
 		})
 	})

@@ -9,9 +9,9 @@
 // per-cycle setup must be cheap and allocation-free.
 //
 // Memory model: a node's buffer writes are published to its successors
-// through the per-node done flags / pending counters, which are
-// manipulated with sync/atomic operations (sequentially consistent in
-// Go); a successor therefore observes all effects of its predecessors.
+// through the per-node pending counters, which are manipulated with
+// sync/atomic operations (sequentially consistent in Go); a successor
+// therefore observes all effects of its predecessors.
 package sched
 
 import (
@@ -139,12 +139,12 @@ var AllStrategies = []string{
 	NameSleepScan, NameStatic,
 }
 
-// New constructs a scheduler by strategy name: one policy over the
-// shared core per private-worker strategy, or for NamePool a private
-// single-session pool of o.Threads-1 helpers whose session Close also
-// closes the pool. NameSequential ignores o.Threads; NameStatic gets
-// BUSY's assignment, graph.Plan.RoundRobinLists (use NewStatic to supply
-// a computed schedule).
+// New constructs a scheduler by strategy name: the sequential policy or
+// a list preset (listPresets) over the shared core, work-stealing, or
+// for NamePool a private single-session pool of o.Threads-1 helpers
+// whose session Close also closes the pool. NameSequential ignores
+// o.Threads; NameStatic gets BUSY's assignment, graph.Plan.RoundRobinLists
+// (use NewStatic to supply a computed schedule).
 func New(name string, p *graph.Plan, o Options) (Scheduler, error) {
 	o = o.withDefaults()
 	switch name {
@@ -158,21 +158,14 @@ func New(name string, p *graph.Plan, o Options) (Scheduler, error) {
 	if err := checkThreads(p, o.Threads); err != nil {
 		return nil, err
 	}
-	var pol policy
-	mode := waitBlock
-	switch name {
-	case NameSequential:
-		pol, mode = seqPolicy{}, waitSpin
-	case NameBusyWait, NameStatic:
-		pol, mode = &listSpinPolicy{strategy: name, lists: p.RoundRobinLists(o.Threads)}, waitSpin
-	case NameSleep:
-		pol = newSleepPolicy(newSleepPlan(p, o.Threads), o.Threads)
-	case NameSleepScan:
-		pol = newSleepScanPolicy(p, o.Threads)
-	default:
+	if name == NameSequential {
+		return newCore(p, 1, o.Observer, seqPolicy{}, waitSpin), nil
+	}
+	if _, ok := listPresets[name]; !ok {
 		return nil, fmt.Errorf("sched: unknown strategy %q (want one of %v)",
 			name, AllStrategies)
 	}
+	pol, mode := newListPolicy(name, p, p.RoundRobinLists(o.Threads))
 	return newCore(p, o.Threads, o.Observer, pol, mode), nil
 }
 

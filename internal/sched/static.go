@@ -13,7 +13,7 @@ const NameStatic = "static"
 
 // NewStatic returns the offline executor: each worker runs a fixed,
 // externally supplied node list in order, busy-waiting on dependencies
-// exactly like BUSY (the same listSpinPolicy — the strategies are
+// exactly like BUSY (the same listPolicy preset — the strategies are
 // identical at run time and differ only in where the lists come from).
 // It models the MCFlow-style offline-scheduling alternative the paper's
 // related work contrasts with ("the scheduling decision in MCFlow is
@@ -55,8 +55,8 @@ func NewStatic(p *graph.Plan, lists [][]int32, o Options) (Scheduler, error) {
 	if count != p.Len() {
 		return nil, fmt.Errorf("sched: static schedule covers %d of %d nodes", count, p.Len())
 	}
-	pol := &listSpinPolicy{strategy: NameStatic, lists: lists}
-	return newCore(p, len(lists), o.Observer, pol, waitSpin), nil
+	pol, mode := newListPolicy(NameStatic, p, lists)
+	return newCore(p, len(lists), o.Observer, pol, mode), nil
 }
 
 // FromScheduleOrder builds per-worker lists from a processor assignment

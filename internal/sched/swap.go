@@ -26,8 +26,8 @@ import (
 // instead calls AdoptStaged explicitly so it can run state-migration
 // hooks at a known point between cycles.
 //
-// Every allocation adoption needs — fresh done stamps and pending
-// counters, the fault arrays of the new epoch, and the policy's per-plan
+// Every allocation adoption needs — fresh pending counters, the fault
+// arrays of the new epoch, and the policy's per-plan
 // state (node lists, deques; see policy.stage) — is performed at STAGING
 // time, on the staging goroutine, off the audio path, by the same
 // builder the strategy's constructor calls. The adopting cycle boundary
@@ -69,10 +69,7 @@ type stagedSwap struct {
 	// install assigns the policy's prebuilt per-plan state (see
 	// policy.stage).
 	install func()
-	// done and pending are fresh per-node arrays for the new plan. Fresh
-	// stamps read as generation 0 — stale for every future cycle, exactly
-	// like a freshly built core's.
-	done    []doneStamp
+	// pending is a fresh per-node counter array for the new plan.
 	pending []depCount
 	// faults is a pre-sized fault-array set for the new plan; adoption
 	// copies the surviving quarantine/shed/fault state into it through
@@ -91,7 +88,6 @@ func (c *core) StageSwap(sw Swap) error {
 	c.staged.Store(&stagedSwap{
 		sw:      sw,
 		install: c.pol.stage(sw.Plan, c.threads),
-		done:    make([]doneStamp, sw.Plan.Len()),
 		pending: make([]depCount, sw.Plan.Len()),
 		faults:  newFaultArrays(sw.Plan),
 	})
@@ -114,7 +110,6 @@ func (c *core) AdoptStaged() bool {
 	if sw.Observer != nil {
 		c.obs = sw.Observer
 	}
-	c.done = st.done
 	c.pending = st.pending
 	st.install()
 	return true
