@@ -14,9 +14,6 @@ import (
 	"djstar/internal/obs"
 )
 
-// Version is the API version prefix.
-const Version = "v1"
-
 // Error is the uniform error body.
 type Error struct {
 	Error string `json:"error"`

@@ -16,7 +16,6 @@ import (
 // Deck is a single track player. It is not safe for concurrent use; the
 // engine mutates decks only between graph executions (in the GP stage).
 type Deck struct {
-	name  string
 	rate  int
 	track *synth.Track
 
@@ -31,19 +30,16 @@ type Deck struct {
 	shifterL, shifterR *PitchShifter
 }
 
-// New returns a stopped, empty deck for the given sampling rate.
+// New returns a stopped, empty deck for the given sampling rate. The
+// name labels the deck at its call site only; the deck keeps none.
 func New(name string, rate int) *Deck {
 	return &Deck{
-		name:     name,
 		rate:     rate,
 		tempo:    1,
 		shifterL: NewPitchShifter(rate),
 		shifterR: NewPitchShifter(rate),
 	}
 }
-
-// Name returns the deck's label ("deck-a", ...).
-func (d *Deck) Name() string { return d.name }
 
 // Load puts a track on the deck and rewinds to the start.
 func (d *Deck) Load(t *synth.Track) {
@@ -104,9 +100,6 @@ func (d *Deck) SetLoop(start, end float64) {
 	d.loopStart, d.loopEnd = start, end
 	d.loopOn = true
 }
-
-// ClearLoop disables the loop.
-func (d *Deck) ClearLoop() { d.loopOn = false }
 
 // BeatPhase returns the playhead's position within the current bar in
 // [0, 1), or 0 if no track is loaded. Used by the beat-grid control nodes.

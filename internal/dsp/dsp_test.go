@@ -47,7 +47,6 @@ func TestThreeBandEQProcessStable(t *testing.T) {
 			t.Fatalf("unstable EQ output at %d: %v", i, s)
 		}
 	}
-	eq.Reset()
 }
 
 func TestDelayLineRead(t *testing.T) {
@@ -192,10 +191,6 @@ func TestLimiterCeiling(t *testing.T) {
 	}
 	if g := l.gain; g <= 0 || g > 1 {
 		t.Fatalf("limiter gain = %v", g)
-	}
-	l.Reset()
-	if l.gain != 1 {
-		t.Fatal("Reset did not restore unity gain")
 	}
 }
 

@@ -32,9 +32,6 @@ func coefForSamples(samples float64) float64 {
 	return math.Exp(-1 / samples)
 }
 
-// Reset restores unity gain.
-func (l *Limiter) Reset() { l.gain = 1 }
-
 // Process limits buf in place. The smoothed gain relaxes towards 1, not
 // towards 0: g-target is a difference of two numbers near 1, so it is 0 or
 // at least 2^-53 and its product with a coefficient cannot be subnormal —

@@ -65,10 +65,3 @@ func (eq *ThreeBandEQ) SetGainsFrom(src *ThreeBandEQ) {
 func (eq *ThreeBandEQ) Process(buf []float64) {
 	cascade3(eq.low, eq.mid, eq.high, buf)
 }
-
-// Reset clears all band filter state.
-func (eq *ThreeBandEQ) Reset() {
-	eq.low.Reset()
-	eq.mid.Reset()
-	eq.high.Reset()
-}

@@ -20,8 +20,6 @@ type Effect interface {
 	Name() string
 	// SetMacro positions the unit's macro knob; v is clamped to [0, 1].
 	SetMacro(v float64)
-	// Macro returns the current macro knob position.
-	Macro() float64
 	// SetWet sets the dry/wet mix; w is clamped to [0, 1].
 	SetWet(w float64)
 	// Process transforms one stereo packet in place.
@@ -37,8 +35,7 @@ type base struct {
 	wet   float64
 }
 
-func (b *base) Name() string   { return b.name }
-func (b *base) Macro() float64 { return b.macro }
+func (b *base) Name() string { return b.name }
 
 func (b *base) SetMacro(v float64) { b.macro = audio.Clamp(v, 0, 1) }
 func (b *base) SetWet(w float64)   { b.wet = audio.Clamp(w, 0, 1) }

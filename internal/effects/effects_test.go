@@ -2,6 +2,7 @@ package effects
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"djstar/internal/audio"
@@ -70,15 +71,20 @@ func TestEffectsProduceFiniteBoundedOutput(t *testing.T) {
 	}
 }
 
+// macroOf reads the knob position SetMacro stored in the unit's base.
+func macroOf(e Effect) float64 {
+	return reflect.ValueOf(e).Elem().FieldByName("macro").Float()
+}
+
 func TestMacroAndWetClamped(t *testing.T) {
 	for _, e := range allEffects(t) {
 		e.SetMacro(-5)
-		if e.Macro() != 0 {
-			t.Fatalf("%s Macro after -5 = %v, want 0", e.Name(), e.Macro())
+		if m := macroOf(e); m != 0 {
+			t.Fatalf("%s macro after -5 = %v, want 0", e.Name(), m)
 		}
 		e.SetMacro(7)
-		if e.Macro() != 1 {
-			t.Fatalf("%s Macro after 7 = %v, want 1", e.Name(), e.Macro())
+		if m := macroOf(e); m != 1 {
+			t.Fatalf("%s macro after 7 = %v, want 1", e.Name(), m)
 		}
 		e.SetWet(2) // must not panic; effect remains usable
 		buf := makeTestPacket()

@@ -48,9 +48,6 @@ import (
 // has stopped.
 var ErrSessionClosed = errors.New("fleet: session closed")
 
-// ErrDraining reports an operation against a draining shard.
-var ErrDraining = errors.New("fleet: shard draining")
-
 // ErrDuplicate reports an AddSession with an ID already in use.
 var ErrDuplicate = errors.New("fleet: duplicate session ID")
 
@@ -105,9 +102,6 @@ type Shard struct {
 	pinned   bool
 	draining atomic.Bool
 }
-
-// ID returns the shard's fleet-wide index.
-func (sh *Shard) ID() int { return sh.id }
 
 // Pool exposes the shard's worker pool.
 func (sh *Shard) Pool() *sched.Pool { return sh.pool }

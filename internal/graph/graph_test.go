@@ -275,7 +275,7 @@ func TestLoadRunActiveCostsMore(t *testing.T) {
 		best := 1e18
 		for r := 0; r < reps; r++ {
 			start := nowNanos()
-			l.Run(active)
+			l.RunSince(start, active)
 			if el := float64(nowNanos() - start); el < best {
 				best = el
 			}
@@ -292,8 +292,8 @@ func TestLoadRunActiveCostsMore(t *testing.T) {
 func TestZeroScaleLoadIsFree(t *testing.T) {
 	l := NewLoad(CostFX, Calibration{NanosPerUnit: 10}, 0)
 	// Must not spin at all; just ensure it runs instantly and untimed.
-	l.Run(true)
-	l.Run(false)
+	l.RunSince(nowNanos(), true)
+	l.RunSince(nowNanos(), false)
 }
 
 func TestWriteDOT(t *testing.T) {

@@ -134,11 +134,9 @@ func (lf *LoadFactor) Get() float64 { return math.Float64frombits(lf.bits.Load()
 
 // Load converts cost targets to concrete spin work for a node.
 type Load struct {
-	baseUnits int64
-	dataUnits int64
-	baseNs    int64
-	dataNs    int64
-	chunk     int64 // spin units per top-up probe (~0.5 µs)
+	baseNs int64
+	dataNs int64
+	chunk  int64 // spin units per top-up probe (~0.5 µs)
 	// factor, when non-nil, scales the target at run time (governor /
 	// overload control); nil means a fixed 1.0.
 	factor *LoadFactor
@@ -152,11 +150,9 @@ func NewLoad(c Cost, cal Calibration, scale float64) Load {
 		chunk = 1
 	}
 	return Load{
-		baseUnits: cal.UnitsForMicros(c.BaseUS * scale),
-		dataUnits: cal.UnitsForMicros(c.DataUS * scale),
-		baseNs:    int64(c.BaseUS * scale * 1000),
-		dataNs:    int64(c.DataUS * scale * 1000),
-		chunk:     chunk,
+		baseNs: int64(c.BaseUS * scale * 1000),
+		dataNs: int64(c.DataUS * scale * 1000),
+		chunk:  chunk,
 	}
 }
 
@@ -164,19 +160,6 @@ func NewLoad(c Cost, cal Calibration, scale float64) Load {
 func (l Load) WithFactor(lf *LoadFactor) Load {
 	l.factor = lf
 	return l
-}
-
-// Run spends the load's base work, plus the data work when active, as a
-// fixed amount of spin work on top of whatever the caller already did.
-func (l Load) Run(active bool) {
-	u := l.baseUnits
-	if active {
-		u += l.dataUnits
-	}
-	if l.factor != nil {
-		u = int64(float64(u) * l.factor.Get())
-	}
-	Spin(u)
 }
 
 // RunSince tops the caller's elapsed time up to the load's target: the

@@ -29,7 +29,6 @@ const (
 // three-band EQ, smoothed channel fader, cue switch and crossfader
 // assignment.
 type ChannelStrip struct {
-	name string
 	rate int
 
 	filterL, filterR *dsp.Biquad
@@ -39,14 +38,12 @@ type ChannelStrip struct {
 	fader            float64
 	cue              bool
 	side             CrossfadeSide
-
-	peak float64 // post-fader peak of the last packet, for metering
 }
 
 // NewChannelStrip returns a strip with a flat EQ, open fader and no cue.
+// The name labels the strip at its call site only; the strip keeps none.
 func NewChannelStrip(name string, rate int) *ChannelStrip {
 	return &ChannelStrip{
-		name:    name,
 		rate:    rate,
 		filterL: dsp.NewBiquad(dsp.AllPass, 1000, 0.9, 0, rate),
 		filterR: dsp.NewBiquad(dsp.AllPass, 1000, 0.9, 0, rate),
@@ -57,9 +54,6 @@ func NewChannelStrip(name string, rate int) *ChannelStrip {
 		fader:   1,
 	}
 }
-
-// Name returns the strip label.
-func (c *ChannelStrip) Name() string { return c.name }
 
 // SetFilter configures the strip filter; kind AllPass with on=false
 // bypasses it.
@@ -94,9 +88,6 @@ func (c *ChannelStrip) SetCrossfadeSide(s CrossfadeSide) { c.side = s }
 // CrossfadeSide returns the channel's crossfader assignment.
 func (c *ChannelStrip) CrossfadeSide() CrossfadeSide { return c.side }
 
-// Peak returns the post-fader peak of the most recent packet.
-func (c *ChannelStrip) Peak() float64 { return c.peak }
-
 // Process runs the strip over one stereo packet in place.
 func (c *ChannelStrip) Process(buf audio.Stereo) {
 	if c.filterOn {
@@ -106,16 +97,6 @@ func (c *ChannelStrip) Process(buf audio.Stereo) {
 	g := dsp.FaderCurve(c.fader)
 	c.gainL.Apply(buf.L, g)
 	c.gainR.Apply(buf.R, g)
-	c.peak = buf.Peak()
-}
-
-// Reset clears all strip DSP state.
-func (c *ChannelStrip) Reset() {
-	c.filterL.Reset()
-	c.filterR.Reset()
-	c.eqL.Reset()
-	c.eqR.Reset()
-	c.peak = 0
 }
 
 // Mixer combines the channel outputs (through the crossfader) and the
@@ -209,13 +190,6 @@ func (o *OutputStage) Process(buf audio.Stereo) {
 
 // ClippedSamples returns the running count of hard-clipped samples.
 func (o *OutputStage) ClippedSamples() int64 { return o.clipped }
-
-// Reset clears limiter state and the clip counter.
-func (o *OutputStage) Reset() {
-	o.limiterL.Reset()
-	o.limiterR.Reset()
-	o.clipped = 0
-}
 
 // Sampler plays one-shot audio clips into the mix ("Audio Sampler" in
 // Fig. 3). Triggering restarts the clip.

@@ -30,12 +30,6 @@ func TestChannelStripFlatPassThrough(t *testing.T) {
 	if math.Abs(after-before)/before > 0.05 {
 		t.Fatalf("flat strip altered level: %v -> %v", before, after)
 	}
-	if c.Name() != "ch-a" {
-		t.Fatalf("Name = %q", c.Name())
-	}
-	if c.Peak() == 0 {
-		t.Fatal("Peak not updated")
-	}
 }
 
 func TestChannelStripFaderCloses(t *testing.T) {
@@ -100,10 +94,6 @@ func TestChannelStripCueAndSide(t *testing.T) {
 	c.SetCrossfadeSide(CrossfadeB)
 	if c.CrossfadeSide() != CrossfadeB {
 		t.Fatal("side not set")
-	}
-	c.Reset()
-	if c.Peak() != 0 {
-		t.Fatal("Reset did not clear peak")
 	}
 }
 
@@ -225,10 +215,6 @@ func TestOutputStageLimitsAndClips(t *testing.T) {
 	o.Process(buf)
 	if p := buf.Peak(); p > 1.0+1e-12 {
 		t.Fatalf("output exceeds ceiling: %v", p)
-	}
-	o.Reset()
-	if o.ClippedSamples() != 0 {
-		t.Fatal("Reset did not clear clip counter")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"djstar/internal/graph"
@@ -62,16 +61,12 @@ type Pool struct {
 	slots   []poolSlot
 	// hi is one past the highest attached slot: the parking re-check
 	// (anyClaimable) reads slots [0, hi), not the whole capacity.
-	// Guarded by mu (install, detach, park).
+	// Guarded by idle.mu (install, detach, park).
 	hi int
 
-	// Parking (same epoch discipline as the work-stealing strategy): an
-	// idle worker registers, re-verifies under the lock, and waits;
-	// publishers bump pushEpoch and broadcast when idlers are present.
-	mu        sync.Mutex
-	cond      *sync.Cond
-	pushEpoch uint64
-	idlers    atomic.Int32
+	// idle parks a helper with nothing to do anywhere; a session that
+	// publishes work wakes it.
+	idle parking
 
 	// onWorkerStart is PoolOptions.OnWorkerStart (nil = none).
 	onWorkerStart func(worker int)
@@ -116,7 +111,7 @@ func NewPoolWith(workers, capacity int, opts PoolOptions) (*Pool, error) {
 		slots:         make([]poolSlot, capacity),
 		onWorkerStart: opts.OnWorkerStart,
 	}
-	p.cond = sync.NewCond(&p.mu)
+	p.idle.init()
 	for w := 0; w < workers; w++ {
 		go p.worker(int32(w))
 	}
@@ -149,8 +144,8 @@ func (p *Pool) Attach(plan *graph.Plan, o Options) (*PoolSession, error) {
 // install places s in the lowest free slot and raises the high-water
 // mark over it.
 func (p *Pool) install(s *PoolSession) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.idle.mu.Lock()
+	defer p.idle.mu.Unlock()
 	if p.closed.Load() {
 		return ErrPoolClosed
 	}
@@ -170,8 +165,8 @@ func (p *Pool) install(s *PoolSession) error {
 // detach frees s's slot and lowers the high-water mark to the highest
 // slot still attached.
 func (p *Pool) detach(s *PoolSession) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.idle.mu.Lock()
+	defer p.idle.mu.Unlock()
 	p.slots[s.slot].state.Store(slotEmpty)
 	p.slots[s.slot].sess.Store(nil)
 	for p.hi > 0 && p.slots[p.hi-1].state.Load() == slotEmpty {
@@ -237,7 +232,7 @@ func (p *Pool) Close() {
 	if !p.closed.CompareAndSwap(false, true) {
 		return
 	}
-	p.wakeAll()
+	p.idle.wakeAll()
 }
 
 // worker is one persistent pool worker: it scans the session slots for
@@ -286,32 +281,13 @@ func (p *Pool) worker(w int32) {
 			runtime.Gosched()
 			continue
 		}
-		p.park(w)
+		p.idle.park(p.closed.Load, func() bool { return p.anyClaimable(w) })
 		failedRounds = 0
 	}
 }
 
-// park sleeps until a session publishes work or the pool closes,
-// using the same registration/epoch discipline as the work-stealing
-// strategy's mid-cycle parking.
-func (p *Pool) park(w int32) {
-	p.mu.Lock()
-	p.idlers.Add(1)
-	epoch := p.pushEpoch
-	if p.closed.Load() || p.anyClaimable(w) {
-		p.idlers.Add(-1)
-		p.mu.Unlock()
-		return
-	}
-	for p.pushEpoch == epoch && !p.closed.Load() {
-		p.cond.Wait()
-	}
-	p.idlers.Add(-1)
-	p.mu.Unlock()
-}
-
 // anyClaimable reports whether any running session currently has a node
-// helper w could claim. Called only on the slow parking path, with mu
+// helper w could claim. Called only on the slow parking path, with idle.mu
 // held, by w itself (the scan advances w's cursors).
 func (p *Pool) anyClaimable(w int32) bool {
 	for i := range p.slots[:p.hi] {
@@ -328,22 +304,6 @@ func (p *Pool) anyClaimable(w int32) bool {
 		}
 	}
 	return false
-}
-
-// wakeAll bumps the publish epoch and wakes every parked worker.
-func (p *Pool) wakeAll() {
-	p.mu.Lock()
-	p.pushEpoch++
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// wakeIfIdle broadcasts only when parked workers exist — the fast path
-// for publishers.
-func (p *Pool) wakeIfIdle() {
-	if p.idlers.Load() > 0 {
-		p.wakeAll()
-	}
 }
 
 // PoolSession is one compiled plan attached to a shared Pool. It
@@ -556,7 +516,7 @@ func (s *PoolSession) Execute() {
 	gen := t.gen.Add(1)
 	slot := &s.pool.slots[s.slot]
 	slot.state.Store(slotRunning)
-	s.pool.wakeIfIdle()
+	s.pool.idle.wakeIfIdle()
 
 	// Participate as the session's own worker until the cycle is done,
 	// stamping afresh after each failed scan (a wait).
@@ -708,8 +668,7 @@ func (s *PoolSession) run(t *poolTopo, id, w int32, gen uint64, start int64) int
 			next = -1
 		}
 		t.remaining.Add(-1)
-		if readied > 0 && s.pool.idlers.Load() > 0 {
-			s.pool.wakeAll()
+		if readied > 0 && s.pool.idle.wakeIfIdle() {
 			start = stamp(t.obs) // a wake-up is a wait: the next window starts after it
 		}
 		if next < 0 {

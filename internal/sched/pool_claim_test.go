@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -68,7 +67,7 @@ func executeBounded(t *testing.T, s *PoolSession) {
 // idlePool is a pool whose helper goroutines were never started.
 func idlePool(workers, capacity int) *Pool {
 	p := &Pool{workers: workers, slots: make([]poolSlot, capacity)}
-	p.cond = sync.NewCond(&p.mu)
+	p.idle.init()
 	return p
 }
 
@@ -665,8 +664,8 @@ func TestPoolMigrationUpdatesHighWater(t *testing.T) {
 	}
 	defer ns.Close()
 	hiOf := func(p *Pool) int {
-		p.mu.Lock()
-		defer p.mu.Unlock()
+		p.idle.mu.Lock()
+		defer p.idle.mu.Unlock()
 		return p.hi
 	}
 	if s, d := hiOf(src), hiOf(dst); s != 0 || d != 1 {

@@ -3,7 +3,6 @@ package sched
 import (
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"djstar/internal/graph"
@@ -48,7 +47,7 @@ func NewWorkSteal(p *graph.Plan, o Options) (*WorkSteal, error) {
 	}
 	threads := o.Threads
 	pol := &wsPolicy{threads: threads, opts: o.WS, wsPlan: newWSPlan(p, threads, o.WS)}
-	pol.cond = sync.NewCond(&pol.mu)
+	pol.idle.init()
 	return &WorkSteal{core: newCore(p, threads, o.Observer, pol, waitBlock), pol: pol}, nil
 }
 
@@ -129,13 +128,8 @@ type wsPolicy struct {
 
 	remaining atomic.Int32
 
-	// Parking: a worker that finds no work takes mu, re-verifies under
-	// the lock, and waits on cond; pushers bump pushEpoch and broadcast
-	// when idlers are present.
-	mu        sync.Mutex
-	cond      *sync.Cond
-	pushEpoch uint64
-	idlers    atomic.Int32
+	// idle parks a worker that finds no work; pushers wake it.
+	idle parking
 
 	// steals counts successful steals (diagnostics/ablation output).
 	steals atomic.Int64
@@ -178,7 +172,9 @@ func (pol *wsPolicy) runCycle(c *core, w int32, gen uint64) {
 				runtime.Gosched()
 				continue
 			}
-			pol.park()
+			if pol.idle.park(pol.cycleDone, pol.anyWork) {
+				pol.parks.Add(1)
+			}
 			failedRounds = 0
 			continue
 		}
@@ -200,9 +196,8 @@ func (pol *wsPolicy) execute(c *core, id, w int32, gen uint64, t int64) int64 {
 		}
 	}
 	if pol.remaining.Add(-1) == 0 {
-		pol.wakeAll() // cycle complete: release any sleepers
-	} else if pushed && pol.idlers.Load() > 0 {
-		pol.wakeAll()
+		pol.idle.wakeAll() // cycle complete: release any sleepers
+	} else if pushed && pol.idle.wakeIfIdle() {
 		t = c.stamp()
 	}
 	return t
@@ -220,29 +215,8 @@ func (pol *wsPolicy) trySteal(w int32) (int32, bool) {
 	return 0, false
 }
 
-// park sleeps until new work is published or the cycle completes. The
-// re-verification under the lock closes the race against concurrent
-// pushers: a pusher either sees our idler registration and broadcasts, or
-// we see its pushed node in the deque scan.
-func (pol *wsPolicy) park() {
-	pol.mu.Lock()
-	// Register as idle BEFORE scanning the deques: a concurrent pusher
-	// either loads idlers >= 1 after its push (and broadcasts), or its
-	// push completed before our registration and the scan below sees it.
-	pol.idlers.Add(1)
-	epoch := pol.pushEpoch
-	if pol.remaining.Load() == 0 || pol.anyWork() {
-		pol.idlers.Add(-1)
-		pol.mu.Unlock()
-		return
-	}
-	pol.parks.Add(1)
-	for pol.pushEpoch == epoch && pol.remaining.Load() > 0 {
-		pol.cond.Wait()
-	}
-	pol.idlers.Add(-1)
-	pol.mu.Unlock()
-}
+// cycleDone reports whether every node of the cycle has run.
+func (pol *wsPolicy) cycleDone() bool { return pol.remaining.Load() == 0 }
 
 // anyWork reports whether any deque currently has a stealable node.
 func (pol *wsPolicy) anyWork() bool {
@@ -252,12 +226,4 @@ func (pol *wsPolicy) anyWork() bool {
 		}
 	}
 	return false
-}
-
-// wakeAll bumps the push epoch and wakes all parked workers.
-func (pol *wsPolicy) wakeAll() {
-	pol.mu.Lock()
-	pol.pushEpoch++
-	pol.cond.Broadcast()
-	pol.mu.Unlock()
 }

@@ -214,11 +214,6 @@ func NewDecoder(seq *Sequence, rate int) *Decoder {
 	return &Decoder{seq: seq, rate: rate}
 }
 
-// Reset drops all decoder state (lock, speed estimate, bit register).
-func (d *Decoder) Reset() {
-	*d = Decoder{seq: d.seq, rate: d.rate}
-}
-
 // Locked reports whether the decoder currently has an absolute position
 // fix.
 func (d *Decoder) Locked() bool { return d.locked }

@@ -191,16 +191,6 @@ func TestDecoderHandlesLevelDrop(t *testing.T) {
 	}
 }
 
-func TestDecoderReset(t *testing.T) {
-	g := NewGenerator(sharedSeq, audio.SampleRate)
-	d := NewDecoder(sharedSeq, audio.SampleRate)
-	runDVS(g, d, 30)
-	d.Reset()
-	if d.Locked() || d.Speed() != 0 || d.Direction() != 0 {
-		t.Fatal("Reset left state behind")
-	}
-}
-
 func TestDecoderMismatchPanics(t *testing.T) {
 	d := NewDecoder(sharedSeq, audio.SampleRate)
 	defer func() {

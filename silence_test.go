@@ -55,8 +55,8 @@ func TestEngineSilentDecksHoldNoSubnormals(t *testing.T) {
 			for d := 0; d < 3; d++ {
 				s.Decks[d].Pause()
 			}
-			s.Decks[0].Load(nil) // eject
-			s.Decks[3].ClearLoop()
+			s.Decks[0].Load(nil)     // eject
+			s.Decks[3].SetLoop(0, 0) // an empty loop disables it
 			s.Strips[3].SetFader(0)
 			for c := 200; c < 2200; c++ {
 				e.Cycle(nil)
