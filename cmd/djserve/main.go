@@ -34,7 +34,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":7070", "control-plane listen address")
 		shards    = flag.Int("shards", 2, "shard count (independent pools + admission controllers)")
-		workers   = flag.Int("workers", 0, "helper workers per shard (0 = from CPU split)")
+		workers   = flag.Int("workers", 0, "helper workers per shard (0 = the smallest shard's CPU count minus one, so one-CPU shards get none)")
 		capacity  = flag.Int("capacity", 256, "max sessions per shard")
 		pin       = flag.Bool("pin", false, "pin shard workers to disjoint CPU sets (Linux)")
 		scale     = flag.Float64("scale", 0.05, "default node cost scale per session")

@@ -225,6 +225,8 @@ func TestFig12Numbers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.SimBusyUS < res.OptimalUS {
+		// The optimum includes the overhead-free BUSY deal, which the
+		// simulation with per-entry overheads can only lengthen.
 		t.Error("simulated BUSY beats optimal")
 	}
 	// Paper: BUSY simulation within 8 % of optimal.
@@ -234,11 +236,7 @@ func TestFig12Numbers(t *testing.T) {
 	if res.SimSleepUS <= res.SimBusyUS {
 		t.Error("simulated SLEEP not slower than BUSY")
 	}
-	if res.MeasuredBusyUS < res.SimBusyUS {
-		// Measured includes thread management; paper: 452 vs 327 µs. On a
-		// single-core host this holds trivially.
-		t.Errorf("measured BUSY %v below simulation %v", res.MeasuredBusyUS, res.SimBusyUS)
-	}
+	// Measured vs simulated BUSY is wall-clock: TestFig12MeasuredAboveSimulation (perf tag).
 	if res.Efficiency <= 0 || res.Efficiency > 1.001 {
 		t.Errorf("efficiency %v", res.Efficiency)
 	}

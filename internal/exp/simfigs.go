@@ -101,7 +101,8 @@ func Fig4(opts Options) (*Fig4Result, error) {
 
 // Fig12Result compares the BUSY strategy's simulation with measurement.
 type Fig12Result struct {
-	// OptimalUS is the 4-core list schedule makespan (paper: 324 µs).
+	// OptimalUS is the shorter 4-processor schedule of the list schedule and
+	// the overhead-free BUSY deal, so SimBusyUS ≥ it (paper: 324 µs).
 	OptimalUS float64
 	// SimBusyUS is the simulated BUSY makespan (paper: 327 µs).
 	SimBusyUS float64
@@ -133,6 +134,10 @@ func Fig12(opts Options) (*Fig12Result, error) {
 		return nil, err
 	}
 	lists := plan.RoundRobinLists(4)
+	deal, err := m.Simulate(lists, rescon.StrategyOverheads{})
+	if err != nil {
+		return nil, err
+	}
 	simBusy, err := m.Simulate(lists, rescon.StrategyOverheads{CheckUS: 0.5 * opts.Scale})
 	if err != nil {
 		return nil, err
@@ -147,7 +152,7 @@ func Fig12(opts Options) (*Fig12Result, error) {
 	}
 
 	res := &Fig12Result{
-		OptimalUS:      four.MakespanUS,
+		OptimalUS:      min(four.MakespanUS, deal.MakespanUS),
 		SimBusyUS:      simBusy.MakespanUS,
 		SimSleepUS:     simSleep.MakespanUS,
 		MeasuredBusyUS: meas.GraphMeanMS() * 1e3,

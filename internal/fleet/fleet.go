@@ -56,8 +56,9 @@ type Config struct {
 	// Shards is the shard count (default 2).
 	Shards int
 	// WorkersPerShard is the helper worker count of each shard's pool
-	// (session drivers add one more executor each). Default: the shard's
-	// CPU-set size minus one, at least 1.
+	// (session drivers add one more executor each). Default
+	// helpersPerShard: the smallest shard's CPU count minus one, never
+	// below zero, so a one-CPU shard's sessions run on their drivers alone.
 	WorkersPerShard int
 	// SessionsPerShard caps concurrently attached sessions per shard
 	// (pool slot capacity; default 256).
@@ -165,18 +166,16 @@ func New(cfg Config) (*Fleet, error) {
 		repCache: make(map[reportKey]*admission.Report),
 	}
 	sets := hardware.SplitCPUs(runtime.NumCPU(), cfg.Shards)
+	workers := cfg.WorkersPerShard
+	if workers <= 0 {
+		workers = helpersPerShard(sets)
+	}
 	for i := 0; i < cfg.Shards; i++ {
 		cpus := sets[i]
-		workers := cfg.WorkersPerShard
-		if workers <= 0 {
-			workers = len(cpus) - 1
-			if workers < 1 {
-				workers = 1
-			}
-		}
 		sh := &Shard{id: i, cpus: cpus}
 		var popts sched.PoolOptions
-		if cfg.Pin && hardware.PinningSupported() && len(cpus) > 0 {
+		// Only helpers are pinned: a helper-less shard's drivers float.
+		if cfg.Pin && workers > 0 && hardware.PinningSupported() && len(cpus) > 0 {
 			set := cpus
 			popts.OnWorkerStart = func(int) { _ = hardware.PinThread(set) }
 			sh.pinned = true
@@ -190,17 +189,11 @@ func New(cfg Config) (*Fleet, error) {
 		// The controller counts the parallelism the shard really has:
 		// workers+1 (the driving session lends its goroutine), clamped to
 		// the shard's CPU share when pinned, the whole machine otherwise.
-		sh.procs = workers + 1
 		limit := runtime.GOMAXPROCS(0)
 		if sh.pinned {
 			limit = len(cpus)
 		}
-		if sh.procs > limit {
-			sh.procs = limit
-		}
-		if sh.procs < 1 {
-			sh.procs = 1
-		}
+		sh.procs = max(min(workers+1, limit), 1)
 		if cfg.ProcsPerShard > 0 {
 			sh.procs = cfg.ProcsPerShard
 		}
@@ -208,6 +201,18 @@ func New(cfg Config) (*Fleet, error) {
 		f.shards = append(f.shards, sh)
 	}
 	return f, nil
+}
+
+// helpersPerShard is every shard's default helper count: the smallest
+// set's CPU count minus one, never below zero. With its drivers a shard
+// runs one executor per CPU, and one width for all lets any shard take
+// another's sessions (AttachMigrated refuses a wider destination).
+func helpersPerShard(sets [][]int) int {
+	n := len(sets[0])
+	for _, cpus := range sets {
+		n = min(n, len(cpus))
+	}
+	return max(n-1, 0)
 }
 
 // sharedTracks returns g's four deck tracks, each one g leaves out filled

@@ -40,7 +40,7 @@ type waitMode int
 
 const (
 	// waitSpin keeps idle workers spinning on the generation counter
-	// across cycle boundaries (BUSY, STATIC, seq): zero wake-up cost.
+	// across cycle boundaries (BUSY, STATIC): zero wake-up cost.
 	waitSpin waitMode = iota
 	// waitBlock parks idle workers on a channel between cycles (SLEEP,
 	// SLEEPSCAN, WS): no idle CPU burn, pays wake-up latency.
@@ -76,8 +76,8 @@ type depCount struct {
 	_ [cacheLine - 4]byte
 }
 
-// core is the one executor skeleton behind every private-worker strategy
-// — the sequential baseline included, as the one-thread case: persistent
+// core is the one executor skeleton behind every private-worker
+// strategy (the sequential baseline is the pool's width-1 walk): persistent
 // OS-thread-pinned workers, the generation/epoch dispatch that starts a
 // cycle, completion signaling, the per-node pending counters, the
 // observer hook, and the whole lifecycle (Close, execute-after-close,

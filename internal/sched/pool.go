@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -320,9 +321,10 @@ type PoolSession struct {
 
 	pool *Pool
 	slot int32
-	// ownsPool marks the session of a private single-session pool (see
-	// newPrivatePool): its Close also closes the pool.
-	ownsPool bool
+	// private is the strategy name of a private single-session pool's
+	// session (see newPrivatePool), whose Close also closes the pool; ""
+	// on a shared pool.
+	private string
 
 	// topo bundles the session's plan with ALL of its per-cycle claim
 	// state — including the cycle counter. The bundle swaps atomically
@@ -465,11 +467,12 @@ func (t *poolTopo) resumeAt(gen uint64) {
 	}
 }
 
-// newPrivatePool builds New's NamePool executor: a single-session pool
-// of o.Threads-1 helper workers plus the Execute caller — the
-// parallelism of the other strategies — owned by its one session.
-func newPrivatePool(plan *graph.Plan, o Options) (*PoolSession, error) {
-	p, err := NewPool(o.Threads-1, 1)
+// newPrivatePool builds New's NamePool and NameSequential executors: a
+// single-session pool of threads-1 helper workers plus the Execute
+// caller, owned by its one session. NameSequential is its helper-less
+// case, the width-1 walk.
+func newPrivatePool(name string, threads int, plan *graph.Plan, o Options) (*PoolSession, error) {
+	p, err := NewPool(threads-1, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -478,12 +481,12 @@ func newPrivatePool(plan *graph.Plan, o Options) (*PoolSession, error) {
 		p.Close()
 		return nil, err
 	}
-	s.ownsPool = true
+	s.private = name
 	return s, nil
 }
 
 // Name implements Scheduler.
-func (s *PoolSession) Name() string { return NamePool }
+func (s *PoolSession) Name() string { return cmp.Or(s.private, NamePool) }
 
 // FaultState implements Scheduler.
 func (s *PoolSession) FaultState() *FaultState { return s.faults }
@@ -506,6 +509,27 @@ func (s *PoolSession) Execute() {
 	if t.obs != nil {
 		t.obs.BeginCycle()
 	}
+	if s.pool.workers == 0 {
+		// The width-1 cycle (seq's, paper §IV): the caller walks the
+		// topological plan.Order, with no claim, dependency count or wake;
+		// gen still advances, for fault probes, swaps and migration.
+		gen, ts := t.gen.Add(1), stamp(t.obs)
+		for _, id := range t.plan.Order {
+			ts = s.faults.exec(t.plan, t.obs, id, 0, gen, ts)
+		}
+	} else {
+		s.claimCycle(t)
+	}
+	// Every node's Record happened before its completion, so at this
+	// point the observer has seen the whole realization.
+	if t.obs != nil {
+		t.obs.EndCycle()
+	}
+}
+
+// claimCycle runs one cycle of epoch t through the claim protocol, the
+// caller participating until every node has completed.
+func (s *PoolSession) claimCycle(t *poolTopo) {
 	// Reset per-cycle state BEFORE publishing the new generation: a
 	// worker that observes the new generation therefore also observes
 	// the reset counters (sequentially consistent atomics).
@@ -533,11 +557,6 @@ func (s *PoolSession) Execute() {
 		ts = s.run(t, id, callerID, gen, ts)
 	}
 	slot.state.Store(slotIdle)
-	// Every node's Record happened before its remaining decrement, so at
-	// this point the observer has seen the whole realization.
-	if t.obs != nil {
-		t.obs.EndCycle()
-	}
 }
 
 // help lets pool worker w claim one node of this session and run it and
@@ -688,7 +707,7 @@ func (s *PoolSession) Close() {
 	}
 	p := s.pool
 	p.detach(s)
-	if s.ownsPool {
+	if s.private != "" {
 		p.Close()
 	}
 }

@@ -193,12 +193,12 @@ func TestPoolOrdersAreHomedPermutations(t *testing.T) {
 
 // TestPoolCallerOrderPinned pins the sequence a participant running
 // alone executes on the 67-node plan: first as the caller of a real
-// zero-helper pool (everything is home, so the scan order is RankOrder),
+// zero-helper pool, which walks plan.Order (the width-1 cycle, seq's),
 // then as the caller of a three-participant topology whose helpers never
-// show up (master and deck C are home). In both, the sequence
-// is the specification's, a deck's FX1…FX4→Channel chain runs
-// back-to-back as continuations, and in the second the caller does not
-// touch a foreign section before its home sections' sources are done.
+// show up (master and deck C are home). There the sequence is the
+// specification's, a deck's FX1…FX4→Channel chain runs back-to-back as
+// continuations, and the caller does not touch a foreign section before
+// its home sections' sources are done.
 func TestPoolCallerOrderPinned(t *testing.T) {
 	for _, participants := range []int{1, 3} {
 		t.Run(fmt.Sprintf("participants%d", participants), func(t *testing.T) {
@@ -218,7 +218,10 @@ func TestPoolCallerOrderPinned(t *testing.T) {
 				_, s = simPool(t, plan, log, participants)
 			}
 			caller := participants - 1
-			want := referenceSequence(plan, caller, participants)
+			want := plan.Order
+			if participants > 1 {
+				want = referenceSequence(plan, caller, participants)
+			}
 			for cycle := 0; cycle < 3; cycle++ {
 				sess.Prepare()
 				executeBounded(t, s)
@@ -236,6 +239,9 @@ func TestPoolCallerOrderPinned(t *testing.T) {
 					}
 				}
 			}
+			if participants == 1 {
+				return
+			}
 			pos := make(map[string]int, plan.Len())
 			for i, id := range log.ids {
 				pos[plan.Names[id]] = i
@@ -249,19 +255,17 @@ func TestPoolCallerOrderPinned(t *testing.T) {
 					}
 				}
 			}
-			if participants > 1 {
-				firstForeign := len(log.ids)
-				for i, id := range log.ids {
-					if poolHome(plan.Sections[id], participants) != caller {
-						firstForeign = i
-						break
-					}
+			firstForeign := len(log.ids)
+			for i, id := range log.ids {
+				if poolHome(plan.Sections[id], participants) != caller {
+					firstForeign = i
+					break
 				}
-				for i, id := range log.ids {
-					if poolHome(plan.Sections[id], participants) == caller && plan.Indegree[id] == 0 && i > firstForeign {
-						t.Fatalf("home source %s ran at %d, after foreign work began at %d",
-							plan.Names[id], i, firstForeign)
-					}
+			}
+			for i, id := range log.ids {
+				if poolHome(plan.Sections[id], participants) == caller && plan.Indegree[id] == 0 && i > firstForeign {
+					t.Fatalf("home source %s ran at %d, after foreign work began at %d",
+						plan.Names[id], i, firstForeign)
 				}
 			}
 		})
@@ -297,7 +301,9 @@ func TestPoolContinuationPrefersRank(t *testing.T) {
 			t.Fatal(err)
 		}
 		log := &orderLog{}
-		_, s := simPool(t, plan, log, 1)
+		// Two participants, so the caller claims (one alone walks
+		// plan.Order); the helper never shows up.
+		_, s := simPool(t, plan, log, 2)
 		executeBounded(t, s)
 		want := []int32{int32(a), int32(head), int32(tail), int32(leaf)}
 		if fmt.Sprint(log.ids) != fmt.Sprint(want) {

@@ -164,8 +164,7 @@ func TestPoolConcurrentSessions(t *testing.T) {
 }
 
 // TestPoolZeroWorkers: a pool without helper workers still executes
-// correctly — every session runs on its caller through the claim
-// protocol.
+// correctly — every session walks its plan on its caller.
 func TestPoolZeroWorkers(t *testing.T) {
 	p, err := NewPool(0, 2)
 	if err != nil {
@@ -194,7 +193,8 @@ func TestPoolZeroWorkers(t *testing.T) {
 // TestPoolMatchesSequentialAudio verifies dataflow determinism in shared
 // pool mode on the real 67-node graph: master output matches the
 // sequential execution bit for bit, while three other sessions churn on
-// the same pool.
+// the same pool — one with three helpers, and a helper-less one, whose
+// sessions walk plan.Order on their callers.
 func TestPoolMatchesSequentialAudio(t *testing.T) {
 	const cycles = 60
 
@@ -229,48 +229,50 @@ func TestPoolMatchesSequentialAudio(t *testing.T) {
 
 	ref := run(func(p *graph.Plan) (Scheduler, error) { return New(NameSequential, p, Options{}) })
 
-	pool, err := NewPool(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
+	for _, helpers := range []int{3, 0} {
+		pool, err := NewPool(helpers, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
 
-	// Background churn: three noisy sessions executing concurrently.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		g, tr := graph.RandomDAG(graph.RandomSpec{Nodes: 30, EdgeProb: 0.1, Seed: uint64(31 + i)})
-		plan, err := g.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := pool.Attach(plan, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(s *PoolSession, tr *graph.ExecTrace) {
-			defer wg.Done()
-			defer s.Close()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					tr.Reset()
-					s.Execute()
-				}
+		// Background churn: three noisy sessions executing concurrently.
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < 3; i++ {
+			g, tr := graph.RandomDAG(graph.RandomSpec{Nodes: 30, EdgeProb: 0.1, Seed: uint64(31 + i)})
+			plan, err := g.Compile()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(s, tr)
-	}
+			s, err := pool.Attach(plan, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func(s *PoolSession, tr *graph.ExecTrace) {
+				defer wg.Done()
+				defer s.Close()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						tr.Reset()
+						s.Execute()
+					}
+				}
+			}(s, tr)
+		}
 
-	got := run(func(p *graph.Plan) (Scheduler, error) { return pool.Attach(p, Options{}) })
-	close(stop)
-	wg.Wait()
+		got := run(func(p *graph.Plan) (Scheduler, error) { return pool.Attach(p, Options{}) })
+		close(stop)
+		wg.Wait()
 
-	for c := range ref {
-		if got[c] != ref[c] {
-			t.Fatalf("cycle %d: pool output %v differs from sequential %v", c, got[c], ref[c])
+		for c := range ref {
+			if got[c] != ref[c] {
+				t.Fatalf("%d helpers, cycle %d: pool output %v differs from sequential %v", helpers, c, got[c], ref[c])
+			}
 		}
 	}
 }

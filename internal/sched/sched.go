@@ -130,7 +130,7 @@ const (
 // NewPool + Pool.Attach to actually share one).
 var Strategies = []string{NameSequential, NameBusyWait, NameSleep, NameWorkSteal}
 
-// AllStrategies lists every private-worker strategy name New accepts,
+// AllStrategies lists every strategy name New accepts but NamePool,
 // paper strategies first. NamePool is accepted too but not listed: it is
 // the other Scheduler implementation, and callers that sweep "every
 // strategy" decide for themselves whether a pool belongs in the sweep.
@@ -139,27 +139,24 @@ var AllStrategies = []string{
 	NameSleepScan, NameStatic,
 }
 
-// New constructs a scheduler by strategy name: the sequential policy or
-// a list preset (listPresets) over the shared core, work-stealing, or
-// for NamePool a private single-session pool of o.Threads-1 helpers
-// whose session Close also closes the pool. NameSequential ignores
-// o.Threads; NameStatic gets BUSY's assignment, graph.Plan.RoundRobinLists
-// (use NewStatic to supply a computed schedule).
+// New constructs a scheduler by strategy name: a list preset
+// (listPresets) over the shared core, work-stealing, or a private
+// single-session pool, closed with its session, of o.Threads-1 helpers
+// for NamePool and none for NameSequential (the width-1 walk; o.Threads
+// is ignored). NameStatic gets BUSY's assignment,
+// graph.Plan.RoundRobinLists (use NewStatic to supply a computed schedule).
 func New(name string, p *graph.Plan, o Options) (Scheduler, error) {
 	o = o.withDefaults()
 	switch name {
 	case NameSequential:
-		o.Threads = 1
+		return newPrivatePool(name, 1, p, o)
 	case NameWorkSteal:
 		return NewWorkSteal(p, o)
 	case NamePool:
-		return newPrivatePool(p, o)
+		return newPrivatePool(name, o.Threads, p, o)
 	}
 	if err := checkThreads(p, o.Threads); err != nil {
 		return nil, err
-	}
-	if name == NameSequential {
-		return newCore(p, 1, o.Observer, seqPolicy{}, waitSpin), nil
 	}
 	if _, ok := listPresets[name]; !ok {
 		return nil, fmt.Errorf("sched: unknown strategy %q (want one of %v)",
