@@ -69,8 +69,8 @@ var archRows = []archRow{
 // The line budgets: a change that grows either total must delete
 // elsewhere, or name the new budget in CHANGES.md.
 const (
-	archCodeBudget = 19574
-	archDocBudget  = 4274
+	archCodeBudget = 19512
+	archDocBudget  = 4270
 )
 
 func TestArch(t *testing.T) {

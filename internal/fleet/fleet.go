@@ -384,14 +384,12 @@ func (f *Fleet) AddSession(spec engine.SessionSpec) (*Session, apiv1.Placement, 
 	}
 
 	s := &Session{
-		id:      spec.ID,
-		eng:     eng,
-		rep:     rep,
-		verdict: "admit",
-		boundUS: rep.BoundUS,
-		ctl:     make(chan func()),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		id:   spec.ID,
+		eng:  eng,
+		rep:  rep,
+		ctl:  make(chan func()),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	s.setHeadroom(placement.HeadroomUS)
 	s.shard.Store(int32(sh.id))

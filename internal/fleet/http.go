@@ -165,7 +165,7 @@ func (f *Fleet) Handler() http.Handler {
 func (f *Fleet) v1Session(s *Session) apiv1.Session {
 	v := engine.V1Session(s.Engine())
 	v.Shard = s.Shard()
-	v.Verdict = s.Verdict()
+	v.Verdict = admission.VerdictAdmit.String() // a refused session is never built
 	v.BoundUS = s.BoundUS()
 	v.HeadroomUS = s.HeadroomUS()
 	return v

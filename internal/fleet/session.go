@@ -22,9 +22,7 @@ type Session struct {
 
 	// rep is the admission load registered with the hosting shard's
 	// controller; migrations re-register the same report elsewhere.
-	rep     *admission.Report
-	verdict string
-	boundUS float64
+	rep *admission.Report
 	// headroom is Float64bits of the placement headroom — the driver
 	// updates it on migration while HTTP readers poll.
 	headroom atomic.Uint64
@@ -46,10 +44,9 @@ func (s *Session) Engine() *engine.Engine { return s.eng }
 // Shard returns the ID of the shard currently hosting the session.
 func (s *Session) Shard() int { return int(s.shard.Load()) }
 
-// Verdict, BoundUS and HeadroomUS echo the admission decision that
-// placed the session (HeadroomUS refreshes on migration).
-func (s *Session) Verdict() string  { return s.verdict }
-func (s *Session) BoundUS() float64 { return s.boundUS }
+// BoundUS and HeadroomUS echo the admission decision that placed the
+// session (HeadroomUS refreshes on migration).
+func (s *Session) BoundUS() float64 { return s.rep.BoundUS }
 func (s *Session) HeadroomUS() float64 {
 	return math.Float64frombits(s.headroom.Load())
 }

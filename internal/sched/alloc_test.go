@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"djstar/internal/graph"
@@ -82,5 +83,34 @@ func TestPoolExecuteNoAllocSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { s.Execute() })
 	if allocs != 0 {
 		t.Fatalf("pool: Execute allocates %v per cycle", allocs)
+	}
+}
+
+// TestStageSwapRecordsOnly: staging a swap records the Swap and builds
+// nothing plan-sized, on every executor — at most one allocation, the
+// recorded Swap itself. AdoptStaged builds the epoch.
+func TestStageSwapRecordsOnly(t *testing.T) {
+	p, next := noopPlan(t, 67), noopPlan(t, 67)
+	for _, name := range append(slices.Clone(AllStrategies), NamePool) {
+		t.Run(name, func(t *testing.T) {
+			s, err := New(name, p, Options{Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			s.Execute()
+			allocs := testing.AllocsPerRun(50, func() {
+				if err := s.StageSwap(Swap{Plan: next}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 1 {
+				t.Fatalf("%s: StageSwap allocates %v times, want at most the recorded Swap", name, allocs)
+			}
+			if !s.AdoptStaged() {
+				t.Fatal("staged swap not adopted")
+			}
+			s.Execute()
+		})
 	}
 }

@@ -24,15 +24,11 @@ type policy interface {
 	beginCycle(c *core)
 	// runCycle is worker w's participation in the iteration gen.
 	runCycle(c *core, w int32, gen uint64)
-	// stage builds the policy's per-plan state (node lists, executor
-	// registrations, deques) for plan p and returns the function that
-	// installs it. stage runs off the cycle thread — on the staging
-	// goroutine, possibly concurrent with a cycle in flight — so it must
-	// only read immutable policy configuration, never the live per-cycle
-	// state; it calls the same builder the policy's constructor used.
-	// install runs on the adoption thread between cycles (see
-	// core.AdoptStaged) and only assigns.
-	stage(p *graph.Plan, threads int) (install func())
+	// setPlan rebuilds the policy's per-plan state (node lists, executor
+	// registrations, deques) for plan p in place, with the builder the
+	// policy's constructor used. It runs on the Execute thread between
+	// cycles (see core.AdoptStaged).
+	setPlan(p *graph.Plan, threads int)
 }
 
 // waitMode is a policy's between-cycle worker discipline.
@@ -113,11 +109,10 @@ type core struct {
 	start  []chan struct{}
 	doneCh chan struct{}
 
-	// staged holds a pending topology swap plus everything adoption will
-	// need pre-allocated (see swap.go); published by StageSwap from any
-	// goroutine, consumed by AdoptStaged between cycles on the Execute
-	// thread.
-	staged atomic.Pointer[stagedSwap]
+	// staged holds a pending topology swap (see swap.go); published by
+	// StageSwap from any goroutine, built and installed by AdoptStaged
+	// between cycles on the Execute thread.
+	staged atomic.Pointer[Swap]
 
 	closed atomic.Bool
 }

@@ -170,15 +170,14 @@ func newFaultState(p *graph.Plan, workers int) *FaultState {
 // stays quarantined after it, under its new ID. oldToNew == nil means
 // the base topology is unchanged (a re-fusion): when the base plan is
 // literally the same, the arrays are kept; otherwise state is copied by
-// identity index. Runs between cycles on the adoption thread. next is
-// allocated by the caller at staging time (off the audio path) so the
-// adoption boundary only copies surviving state; it must be freshly
-// zeroed and sized for the new plan (newFaultArrays).
-func (f *FaultState) adopt(next *faultArrays, oldToNew []int32) {
+// identity index into fresh arrays sized for p. Runs between cycles on
+// the adoption thread.
+func (f *FaultState) adopt(p *graph.Plan, oldToNew []int32) {
 	old := f.arr.Load()
-	if oldToNew == nil && next.plan == old.plan {
+	if oldToNew == nil && (p == old.plan || p.Base == old.plan) {
 		return
 	}
+	next := newFaultArrays(p)
 	n := len(next.state)
 	if oldToNew == nil {
 		m := min(n, len(old.state))

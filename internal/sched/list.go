@@ -95,14 +95,13 @@ func newListPolicy(strategy string, p *graph.Plan, lists [][]int32) (*listPolicy
 
 func (pol *listPolicy) name() string { return pol.strategy }
 
-// stage re-deals the new plan's rank order round-robin. For STATIC this
+// setPlan re-deals the new plan's rank order round-robin. For STATIC this
 // means an offline schedule does not survive a topology edit — the old
 // assignment names nodes that no longer exist — so the strategy degrades
 // to BUSY's dealing until a new schedule is installed via a subsequent
 // swap.
-func (pol *listPolicy) stage(p *graph.Plan, threads int) func() {
-	lp := newListPlan(p, p.RoundRobinLists(threads))
-	return func() { pol.listPlan = lp }
+func (pol *listPolicy) setPlan(p *graph.Plan, threads int) {
+	pol.listPlan = newListPlan(p, p.RoundRobinLists(threads))
 }
 
 // beginCycle reloads the dependency counters before workers are released.

@@ -135,7 +135,7 @@ func (p *Pool) Attach(plan *graph.Plan, o Options) (*PoolSession, error) {
 		return nil, fmt.Errorf("sched: empty plan")
 	}
 	s := &PoolSession{faults: newFaultState(plan, p.workers+1), pool: p}
-	s.topo.Store(newPoolTopo(plan, o.Observer, p.workers+1))
+	s.topo.Store(newPoolTopo(plan, o.Observer, p.workers+1, 0))
 	if err := p.install(s); err != nil {
 		return nil, err
 	}
@@ -207,18 +207,14 @@ func (p *Pool) AttachMigrated(old *PoolSession, o Options) (*PoolSession, error)
 		obs = o.Observer
 	}
 	// The destination's participant count decides the scan orders and
-	// cursors, so the epoch — and a swap staged but not yet adopted, which
-	// travels with the session — is rebuilt for p, never carried over.
-	ns := &PoolSession{faults: old.faults, pool: p}
-	t := newPoolTopo(ot.plan, obs, p.workers+1)
-	// Continue the old session's cycle generation, so the first
+	// cursors, so the epoch is rebuilt for p, never carried over. It
+	// continues the old session's cycle generation, so the first
 	// post-migration cycle (gen+1) claims every node exactly once and
-	// observers keep a monotonic cycle coordinate.
-	t.resumeAt(ot.gen.Load())
-	ns.topo.Store(t)
-	if st := old.staged.Load(); st != nil {
-		ns.staged.Store(&poolStaged{sw: st.sw, topo: newPoolTopo(st.sw.Plan, nil, p.workers+1), faults: st.faults})
-	}
+	// observers keep a monotonic cycle coordinate. A swap staged but not
+	// yet adopted travels as it is: adoption builds its epoch for p.
+	ns := &PoolSession{faults: old.faults, pool: p}
+	ns.topo.Store(newPoolTopo(ot.plan, obs, p.workers+1, ot.gen.Load()))
+	ns.staged.Store(old.staged.Load())
 	if err := p.install(ns); err != nil {
 		return nil, err
 	}
@@ -339,23 +335,14 @@ type PoolSession struct {
 	topo atomic.Pointer[poolTopo]
 
 	// staged holds a pending topology swap (StageSwap/AdoptStaged).
-	staged atomic.Pointer[poolStaged]
+	staged atomic.Pointer[Swap]
 
 	closed atomic.Bool
 }
 
-// poolStaged is a staged swap plus the allocations adoption will
-// install, pre-sized at staging time on the staging goroutine: the new
-// epoch's topo bundle (its gen and claim stamps are filled at adoption,
-// when the current generation is known) and the new fault arrays.
-type poolStaged struct {
-	sw     Swap
-	topo   *poolTopo
-	faults *faultArrays
-}
-
 // poolTopo is one plan epoch of a pool session: the compiled plan, the
-// observer recording it, and the claim-protocol state.
+// observer recording it, the cycle counter and, with helpers, the
+// claim-protocol state.
 type poolTopo struct {
 	plan *graph.Plan
 	// obs is the epoch's observer (nil = none). Pool workers record
@@ -427,18 +414,28 @@ func poolHome(sec graph.Section, participants int) int {
 	}
 }
 
-// newPoolTopo builds one plan epoch's claim state for a pool of the
-// given participant count (workers+1) — the pool session's per-plan
-// builder, shared by Attach, AttachMigrated and StageSwap.
-func newPoolTopo(plan *graph.Plan, obs Observer, participants int) *poolTopo {
+// newPoolTopo builds one plan epoch for a pool of the given participant
+// count (workers+1) — the pool session's one per-plan builder, shared by
+// Attach, AttachMigrated and AdoptStaged. The epoch continues a
+// predecessor's cycle counter at gen (0 for a new session): every claim
+// stamp starts at gen, so nodes are claimable only by generations > gen,
+// i.e. the next cycle — never by a stale helper still holding gen — and
+// the fresh cursors, at generation 0, start the first scan at the head
+// of their order. One participant walks plan.Order (see Execute) and
+// reads no claim state, so its epoch has none.
+func newPoolTopo(plan *graph.Plan, obs Observer, participants int, gen uint64) *poolTopo {
+	t := &poolTopo{plan: plan, obs: obs}
+	t.gen.Store(gen)
+	if participants == 1 {
+		return t
+	}
 	n := plan.Len()
-	t := &poolTopo{
-		plan:    plan,
-		obs:     obs,
-		pending: make([]atomic.Int32, n),
-		claimed: make([]atomic.Uint64, n),
-		orders:  make([]int32, 0, participants*n),
-		cursors: make([]poolCursor, participants),
+	t.pending = make([]atomic.Int32, n)
+	t.claimed = make([]atomic.Uint64, n)
+	t.orders = make([]int32, 0, participants*n)
+	t.cursors = make([]poolCursor, participants)
+	for i := range t.claimed {
+		t.claimed[i].Store(gen)
 	}
 	for w := 0; w < participants; w++ {
 		for _, id := range plan.RankOrder {
@@ -453,18 +450,6 @@ func newPoolTopo(plan *graph.Plan, obs Observer, participants int) *poolTopo {
 		}
 	}
 	return t
-}
-
-// resumeAt continues a predecessor epoch's cycle counter: every claim
-// stamp starts at gen, so nodes are claimable only by generations > gen,
-// i.e. the next cycle — never by a stale helper still holding gen. t is
-// always a freshly built epoch, so its cursors are at generation 0 and
-// the first scan of gen+1 begins at the head of its order.
-func (t *poolTopo) resumeAt(gen uint64) {
-	t.gen.Store(gen)
-	for i := range t.claimed {
-		t.claimed[i].Store(gen)
-	}
 }
 
 // newPrivatePool builds New's NamePool and NameSequential executors: a
@@ -584,31 +569,26 @@ func (s *PoolSession) StageSwap(sw Swap) error {
 	if sw.Plan == nil || sw.Plan.Len() == 0 {
 		return fmt.Errorf("sched: swap with empty plan")
 	}
-	// The staged bundle's observer is decided at adoption, when the
-	// current one is known.
-	s.staged.Store(&poolStaged{sw: sw, topo: newPoolTopo(sw.Plan, nil, s.pool.workers+1), faults: newFaultArrays(sw.Plan)})
+	s.staged.Store(&sw)
 	return nil
 }
 
-// AdoptStaged implements Scheduler: adopt the staged swap between two of
-// this session's cycles (no Execute in flight). Other sessions on the
-// pool are unaffected and may be mid-cycle.
+// AdoptStaged implements Scheduler: build the staged swap's epoch for
+// this pool and install it between two of this session's cycles (no
+// Execute in flight). Other sessions on the pool are unaffected and may
+// be mid-cycle.
 func (s *PoolSession) AdoptStaged() bool {
-	st := s.staged.Swap(nil)
-	if st == nil || s.closed.Load() {
+	sw := s.staged.Swap(nil)
+	if sw == nil || s.closed.Load() {
 		return false
 	}
-	sw := st.sw
 	old := s.topo.Load()
-	t := st.topo
-	t.obs = old.obs
+	obs := old.obs
 	if sw.Observer != nil {
-		t.obs = sw.Observer
+		obs = sw.Observer
 	}
-	// Here, not at staging time: gen advances between stage and adoption.
-	t.resumeAt(old.gen.Load())
-	s.faults.adopt(st.faults, sw.OldToNew)
-	s.topo.Store(t)
+	s.faults.adopt(sw.Plan, sw.OldToNew)
+	s.topo.Store(newPoolTopo(sw.Plan, obs, s.pool.workers+1, old.gen.Load()))
 	return true
 }
 

@@ -40,7 +40,7 @@ func simPool(t *testing.T, plan *graph.Plan, obs Observer, participants int) (*P
 	t.Helper()
 	p := idlePool(participants-1, 1)
 	s := &PoolSession{faults: newFaultState(plan, participants), pool: p}
-	s.topo.Store(newPoolTopo(plan, obs, participants))
+	s.topo.Store(newPoolTopo(plan, obs, participants, 0))
 	if err := p.install(s); err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,10 @@ func djstarPlan(t *testing.T) (*graph.Session, *graph.Plan) {
 
 // TestPoolOrdersAreHomedPermutations: every participant's order is a
 // permutation of RankOrder, stably partitioned — home sections first —
-// for every participant count, and home is poolHome: decks dealt over
-// the participants, master on the caller, control with nobody.
+// for every participant count above one, and home is poolHome: decks
+// dealt over the participants, master on the caller, control with
+// nobody. A one-participant epoch, whose caller walks plan.Order, holds
+// no claim state at all.
 func TestPoolOrdersAreHomedPermutations(t *testing.T) {
 	_, plan := djstarPlan(t)
 	n := plan.Len()
@@ -158,7 +160,22 @@ func TestPoolOrdersAreHomedPermutations(t *testing.T) {
 				t.Fatalf("%d participants: deck %d homed at %d, want %d", participants, d, h, d%participants)
 			}
 		}
-		topo := newPoolTopo(plan, nil, participants)
+		topo := newPoolTopo(plan, nil, participants, 7)
+		if topo.plan != plan || topo.gen.Load() != 7 {
+			t.Fatalf("%d participants: epoch over plan %p at generation %d, want %p at 7", participants, topo.plan, topo.gen.Load(), plan)
+		}
+		if participants == 1 {
+			if topo.pending != nil || topo.claimed != nil || topo.orders != nil || topo.cursors != nil {
+				t.Fatalf("width-1 epoch holds claim state: %d pending, %d claimed, %d order entries, %d cursors",
+					len(topo.pending), len(topo.claimed), len(topo.orders), len(topo.cursors))
+			}
+			continue
+		}
+		for id := range topo.claimed {
+			if got := topo.claimed[id].Load(); got != 7 {
+				t.Fatalf("%d participants: node %d stamped %d, want the resumed generation 7", participants, id, got)
+			}
+		}
 		if len(topo.orders) != participants*n || len(topo.cursors) != participants {
 			t.Fatalf("%d participants: %d order entries, %d cursors", participants, len(topo.orders), len(topo.cursors))
 		}
@@ -599,7 +616,7 @@ func TestPoolSlotHighWater(t *testing.T) {
 	attach := func() *PoolSession {
 		t.Helper()
 		s := &PoolSession{faults: newFaultState(plan, 2), pool: p}
-		s.topo.Store(newPoolTopo(plan, nil, 2))
+		s.topo.Store(newPoolTopo(plan, nil, 2, 0))
 		if err := p.install(s); err != nil {
 			t.Fatal(err)
 		}
@@ -625,7 +642,7 @@ func TestPoolSlotHighWater(t *testing.T) {
 	// The trap: a session whose first cycle is published and fully
 	// claimable, in a slot install never handed out.
 	trap := &PoolSession{faults: newFaultState(plan, 2), pool: p, slot: 200}
-	tt := newPoolTopo(plan, nil, 2)
+	tt := newPoolTopo(plan, nil, 2, 0)
 	for i := range tt.pending {
 		tt.pending[i].Store(plan.Indegree[i])
 	}

@@ -94,13 +94,13 @@ type Scheduler interface {
 	// scheduler must not be used afterwards (Execute panics).
 	Close()
 
-	// Live topology swaps (see swap.go). StageSwap stages a new compiled
-	// plan; it may be called from any goroutine and a later stage
-	// replaces an unadopted earlier one. AdoptStaged adopts the staged
-	// swap — workers, fault counters and remapped quarantine/shed state
-	// survive — and must be called from the Execute thread with no cycle
-	// in flight; Execute also adopts a staged swap at its top. It reports
-	// whether a swap was adopted.
+	// Live topology swaps (see swap.go). StageSwap validates and records
+	// a new compiled plan, from any goroutine; a later stage replaces an
+	// unadopted earlier one. AdoptStaged builds the staged swap's epoch
+	// and installs it — workers, fault counters and remapped
+	// quarantine/shed state survive — from the Execute thread with no
+	// cycle in flight; Execute also adopts a staged swap at its top. It
+	// reports whether a swap was adopted.
 	StageSwap(sw Swap) error
 	AdoptStaged() bool
 

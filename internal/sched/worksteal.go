@@ -139,9 +139,8 @@ type wsPolicy struct {
 
 func (pol *wsPolicy) name() string { return NameWorkSteal }
 
-func (pol *wsPolicy) stage(p *graph.Plan, threads int) func() {
-	wp := newWSPlan(p, threads, pol.opts)
-	return func() { pol.wsPlan = wp }
+func (pol *wsPolicy) setPlan(p *graph.Plan, threads int) {
+	pol.wsPlan = newWSPlan(p, threads, pol.opts)
 }
 
 // beginCycle resets the dependency and completion counters.
