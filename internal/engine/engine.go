@@ -378,11 +378,11 @@ func New(cfg Config) (*Engine, error) {
 	// deck's nominal tempo.
 	speeds := []float64{1.0, 0.97, 1.03, 0.99}
 	for d := 0; d < cfg.Graph.Decks; d++ {
-		gen := timecode.NewGenerator(e.seq, cfg.Graph.Rate)
+		gen := timecode.NewGenerator(e.seq, audio.SampleRate)
 		gen.SetSpeed(speeds[d%len(speeds)])
 		gen.Seek(float64(1000 * (d + 1)))
 		e.tcGen = append(e.tcGen, gen)
-		e.tcDec = append(e.tcDec, timecode.NewDecoder(e.seq, cfg.Graph.Rate))
+		e.tcDec = append(e.tcDec, timecode.NewDecoder(e.seq, audio.SampleRate))
 		e.tcL = append(e.tcL, audio.NewBuffer(audio.PacketSize))
 		e.tcR = append(e.tcR, audio.NewBuffer(audio.PacketSize))
 		e.tcSpeed = append(e.tcSpeed, speeds[d%len(speeds)])

@@ -73,10 +73,10 @@ type GovernorConfig struct {
 	// overload is gone; a small tolerance (well under EscalateMissRate)
 	// lets recovery distinguish noise from load.
 	RecoverMissRate float64
-	// CriticalFactor is the load-factor multiplier applied at GovCritical
-	// (default 0.5).
-	CriticalFactor float64
 }
+
+// criticalFactor is the load-factor multiplier applied at GovCritical.
+const criticalFactor = 0.5
 
 func (c GovernorConfig) withDefaults() GovernorConfig {
 	if c.DeadlineMS <= 0 {
@@ -93,9 +93,6 @@ func (c GovernorConfig) withDefaults() GovernorConfig {
 	}
 	if c.CleanWindows <= 0 {
 		c.CleanWindows = 4
-	}
-	if c.CriticalFactor <= 0 || c.CriticalFactor >= 1 {
-		c.CriticalFactor = 0.5
 	}
 	if c.RecoverMissRate < 0 {
 		c.RecoverMissRate = 0
@@ -220,7 +217,7 @@ func (g *governor) transition(from, to GovLevel) {
 	shedLevel(g.faults, to)
 	f := 1.0
 	if to >= GovCritical {
-		f = g.cfg.CriticalFactor
+		f = criticalFactor
 	}
 	g.setFactor(f)
 	if g.onChange != nil {

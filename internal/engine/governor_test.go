@@ -80,7 +80,6 @@ func govTestConfig() GovernorConfig {
 		Window:           8,
 		EscalateMissRate: 0.20,
 		CleanWindows:     3,
-		CriticalFactor:   0.5,
 	}
 }
 

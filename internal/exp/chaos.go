@@ -68,7 +68,7 @@ func Chaos(o Options) (*ChaosResult, error) {
 		stallCycle = chaosPanicCycle + chaosProbeEvery + 10
 	}
 	script := fmt.Sprintf("panic:%s@%dx%d, stall:%s@%d:%dms",
-		chaosPanicNode, chaosPanicCycle, sched.DefaultQuarantineAfter,
+		chaosPanicNode, chaosPanicCycle, sched.QuarantineAfter,
 		chaosStallNode, stallCycle, chaosStallMS)
 	inj := faults.New(1, faults.MustParse(script)...)
 

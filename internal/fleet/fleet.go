@@ -67,11 +67,6 @@ type Config struct {
 	// sched_setaffinity. Silently ignored where unsupported
 	// (hardware.PinningSupported reports false).
 	Pin bool
-	// ProcsPerShard overrides the analytical parallelism each shard's
-	// admission controller assumes (0 = derived from the worker count
-	// and the CPU split). Placement tests pin it to keep aggregate
-	// bounds machine-independent.
-	ProcsPerShard int
 	// Period paces each session's cycle loop (default
 	// audio.StandardPacketPeriod, the 2.902 ms packet clock). Negative
 	// runs unpaced, back to back.
@@ -132,9 +127,8 @@ type Fleet struct {
 
 // reportKey is the part of a graph.Config an admission report depends on.
 type reportKey struct {
-	decks, spPerDeck, fxPerDeck, controlNodes int
-	meters                                    bool
-	scale                                     float64
+	decks, fxPerDeck int
+	scale            float64
 }
 
 // New builds the fleet: Shards pools with WorkersPerShard helpers each,
@@ -194,9 +188,6 @@ func New(cfg Config) (*Fleet, error) {
 			limit = len(cpus)
 		}
 		sh.procs = max(min(workers+1, limit), 1)
-		if cfg.ProcsPerShard > 0 {
-			sh.procs = cfg.ProcsPerShard
-		}
 		sh.ctl = admission.NewController(sh.procs, acfg)
 		f.shards = append(f.shards, sh)
 	}
@@ -248,7 +239,7 @@ func (f *Fleet) logf(format string, args ...any) {
 // config — total work, critical path and base cost at the config's
 // scale, the terms shard controllers aggregate.
 func (f *Fleet) report(gcfg graph.Config) (*admission.Report, error) {
-	key := reportKey{gcfg.Decks, gcfg.SPPerDeck, gcfg.FXPerDeck, gcfg.ControlNodes, gcfg.Meters, gcfg.Scale}
+	key := reportKey{gcfg.Decks, gcfg.FXPerDeck, gcfg.Scale}
 	if rep, ok := f.repCache[key]; ok {
 		return rep, nil
 	}

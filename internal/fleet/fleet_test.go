@@ -66,6 +66,16 @@ func TestFleetAddRemoveSession(t *testing.T) {
 	}
 }
 
+// setShardProcs gives every shard of a fleet that holds no session yet
+// procs analytical processors, so aggregate bounds do not depend on the
+// machine's CPU count.
+func setShardProcs(f *Fleet, procs int) {
+	for _, sh := range f.shards {
+		sh.procs = procs
+		sh.ctl = admission.NewController(procs, f.acfg)
+	}
+}
+
 // TestPlacementHeadroomBeatsRoundRobin pre-loads shard 0 with a heavy
 // ballast registration and shows that analytical-headroom placement
 // (a) sends the first session to the empty shard with the larger
@@ -100,7 +110,6 @@ func TestPlacementHeadroomBeatsRoundRobin(t *testing.T) {
 	cfg := testConfig()
 	cfg.Engine.Graph.Scale = 1
 	cfg.Engine.Graph.Calibration = graph.Calibration{NanosPerUnit: 1e12}
-	cfg.ProcsPerShard = 1
 	cfg.Admission = admission.Config{
 		Margin: margin,
 		// Exactly three plain sessions fit on one shard (m = 1):
@@ -112,6 +121,7 @@ func TestPlacementHeadroomBeatsRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	setShardProcs(f, 1)
 
 	// Ballast on shard 0: 1.5 sessions' worth of permanent work, so
 	// shard 0 can absorb only one more session.
@@ -313,12 +323,12 @@ func TestPlacementRespectsSessionSlots(t *testing.T) {
 	cfg.Engine.Graph.Scale = 1
 	cfg.Engine.Graph.Calibration = graph.Calibration{NanosPerUnit: 1e12} // analytical costs, free kernels
 	cfg.SessionsPerShard = 2
-	cfg.ProcsPerShard = 2
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	setShardProcs(f, 2)
 	// The 4-deck session takes shard 0; the light 1-deck sessions prefer
 	// shard 1's headroom until its two slots are gone.
 	if _, _, err := f.AddSession(engine.SessionSpec{ID: "four-decks"}); err != nil {

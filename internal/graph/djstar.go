@@ -16,18 +16,10 @@ import (
 // Config parameterizes the standard DJ Star graph. The zero value is not
 // usable; start from DefaultConfig.
 type Config struct {
-	// Rate is the sampling rate (audio.SampleRate by default).
-	Rate int
 	// Decks is the number of active decks, 1..4.
 	Decks int
-	// SPPerDeck is the number of sample-player filter sources per deck.
-	SPPerDeck int
 	// FXPerDeck is the effect chain length per deck, 0..4.
 	FXPerDeck int
-	// ControlNodes is the number of short dependency-free control nodes.
-	ControlNodes int
-	// Meters enables the eight metering nodes.
-	Meters bool
 	// Scale is the global node cost scale: 1.0 reproduces the paper's
 	// microsecond-scale node costs via calibrated spin work; 0 disables
 	// spin work entirely (pure DSP, used by fast unit tests).
@@ -55,35 +47,29 @@ type Config struct {
 // 67-node graph with 33 sources.
 func DefaultConfig() Config {
 	return Config{
-		Rate:         audio.SampleRate,
-		Decks:        4,
-		SPPerDeck:    4,
-		FXPerDeck:    4,
-		ControlNodes: 16,
-		Meters:       true,
-		Scale:        0,
-		TrackBars:    16,
+		Decks:     4,
+		FXPerDeck: 4,
+		Scale:     0,
+		TrackBars: 16,
 	}
 }
+
+// The standard graph's fixed shape: four SP band sources per deck and
+// 16 control nodes, beside the eight meters (DESIGN.md §4).
+const (
+	spPerDeck    = 4
+	controlNodes = 16
+)
 
 // ErrInvalidConfig is wrapped by every error BuildDJStar returns for a Config it rejects.
 var ErrInvalidConfig = errors.New("graph: invalid config")
 
 func (c *Config) normalize() error {
-	if c.Rate <= 0 {
-		c.Rate = audio.SampleRate
-	}
 	if c.Decks < 1 || c.Decks > 4 {
 		return fmt.Errorf("%w: Decks = %d, want 1..4", ErrInvalidConfig, c.Decks)
 	}
-	if c.SPPerDeck < 1 || c.SPPerDeck > 4 {
-		return fmt.Errorf("%w: SPPerDeck = %d, want 1..4", ErrInvalidConfig, c.SPPerDeck)
-	}
 	if c.FXPerDeck < 0 || c.FXPerDeck > 4 {
 		return fmt.Errorf("%w: FXPerDeck = %d, want 0..4", ErrInvalidConfig, c.FXPerDeck)
-	}
-	if c.ControlNodes < 0 {
-		return fmt.Errorf("%w: ControlNodes = %d, want >= 0", ErrInvalidConfig, c.ControlNodes)
 	}
 	if c.Scale < 0 {
 		return fmt.Errorf("%w: Scale = %v, want >= 0", ErrInvalidConfig, c.Scale)
@@ -247,10 +233,10 @@ func BuildDJStar(cfg Config) (*Session, *Graph, error) {
 	for d := 0; d < cfg.Decks; d++ {
 		d := d
 		sec := DeckSection(d)
-		spIDs := make([]int, cfg.SPPerDeck)
+		spIDs := make([]int, spPerDeck)
 
 		// SP sources: per-band filters over the deck's input packet.
-		for i := 0; i < cfg.SPPerDeck; i++ {
+		for i := 0; i < spPerDeck; i++ {
 			i := i
 			spIDs[i] = addMeta(fmt.Sprintf("SP%s%d", deckNames[d], i+1), sec, CostSP, func() bool {
 				buf, in := s.spBuf[d][i], s.deckIn[d]
@@ -267,7 +253,7 @@ func BuildDJStar(cfg Config) (*Session, *Graph, error) {
 		// FX1's bypass gathers the dry mix without the effect so the chain
 		// stays fed while FX1 is quarantined or shed; the in-place units'
 		// nil bypass means "skip", which passes the dry signal through.
-		bands, gain := padBands(s.spBuf[d]), 1/float64(cfg.SPPerDeck)
+		bands, gain := (*[spPerDeck]audio.Stereo)(s.spBuf[d]), 1/float64(spPerDeck)
 		gather := func() { gatherBands(s.deckMix[d], bands, gain) }
 		prev := -1
 		for j := 0; j < cfg.FXPerDeck; j++ {
@@ -423,7 +409,7 @@ func BuildDJStar(cfg Config) (*Session, *Graph, error) {
 	// (paper: "some have no dependencies and do not modify the audio
 	// packets ... we also included them for a fair average").
 	ctrlKinds := []string{"BeatGrid", "TempoSync", "KeyDisplay", "PhaseMeter"}
-	for i := 0; i < cfg.ControlNodes; i++ {
+	for i := 0; i < controlNodes; i++ {
 		i := i
 		kind := ctrlKinds[i%len(ctrlKinds)]
 		d := i % cfg.Decks
@@ -436,43 +422,41 @@ func BuildDJStar(cfg Config) (*Session, *Graph, error) {
 	}
 
 	// Metering nodes.
-	if cfg.Meters {
-		for d := 0; d < cfg.Decks; d++ {
-			d := d
-			id := addMeta("Meter"+deckNames[d], DeckSection(d), CostMeter, func() bool {
-				s.deckMeters[d].Update(s.deckMix[d])
-				return false
-			}, meta{kind: KindMeter})
-			mustEdge(g, channelIDs[d], id)
-		}
-		id := addMeta("MasterVU", SectionMaster, CostMeter, func() bool {
-			s.masterVU.Update(s.masterBuf)
+	for d := 0; d < cfg.Decks; d++ {
+		d := d
+		id := addMeta("Meter"+deckNames[d], DeckSection(d), CostMeter, func() bool {
+			s.deckMeters[d].Update(s.deckMix[d])
 			return false
 		}, meta{kind: KindMeter})
-		mustEdge(g, masterID, id)
-
-		id = addMeta("CueVU", SectionMaster, CostMeter, func() bool {
-			s.cueVU.Update(s.cueBuf)
-			return false
-		}, meta{kind: KindMeter})
-		mustEdge(g, cueID, id)
-
-		id = addMeta("Spectrum", SectionMaster, CostMeter, func() bool {
-			// The packet, zero-padded to the transform size.
-			clear(s.specRe[copy(s.specRe, s.masterMono):])
-			clear(s.specIm)
-			s.spectrum.Transform(s.specRe, s.specIm)
-			dsp.Magnitudes(s.specRe, s.specIm, s.specMag)
-			return false
-		}, meta{kind: KindMeter})
-		mustEdge(g, masterID, id)
-
-		id = addMeta("Loudness", SectionMaster, CostMeter, func() bool {
-			s.loudness = dsp.Settle(0.95*s.loudness + 0.05*s.masterBuf.RMS())
-			return false
-		}, meta{kind: KindMeter})
-		mustEdge(g, masterID, id)
+		mustEdge(g, channelIDs[d], id)
 	}
+	id := addMeta("MasterVU", SectionMaster, CostMeter, func() bool {
+		s.masterVU.Update(s.masterBuf)
+		return false
+	}, meta{kind: KindMeter})
+	mustEdge(g, masterID, id)
+
+	id = addMeta("CueVU", SectionMaster, CostMeter, func() bool {
+		s.cueVU.Update(s.cueBuf)
+		return false
+	}, meta{kind: KindMeter})
+	mustEdge(g, cueID, id)
+
+	id = addMeta("Spectrum", SectionMaster, CostMeter, func() bool {
+		// The packet, zero-padded to the transform size.
+		clear(s.specRe[copy(s.specRe, s.masterMono):])
+		clear(s.specIm)
+		s.spectrum.Transform(s.specRe, s.specIm)
+		dsp.Magnitudes(s.specRe, s.specIm, s.specMag)
+		return false
+	}, meta{kind: KindMeter})
+	mustEdge(g, masterID, id)
+
+	id = addMeta("Loudness", SectionMaster, CostMeter, func() bool {
+		s.loudness = dsp.Settle(0.95*s.loudness + 0.05*s.masterBuf.RMS())
+		return false
+	}, meta{kind: KindMeter})
+	mustEdge(g, masterID, id)
 
 	return s, g, nil
 }
@@ -489,16 +473,6 @@ func mustEdge(g *Graph, from, to int) {
 	if err := g.AddEdge(from, to); err != nil {
 		panic(err) // builder bug: indices are generated locally
 	}
-}
-
-// padBands returns a deck's SP bands as the four gatherBands reads, each
-// absent one (SPPerDeck < 4) a shared silent packet: a sum from +0 is
-// never -0, so adding +0·g leaves every bit as it was, NaN and Inf too.
-func padBands(bands []audio.Stereo) *[4]audio.Stereo {
-	silent := audio.NewStereo(bands[0].Len())
-	four := [4]audio.Stereo{silent, silent, silent, silent}
-	copy(four[:], bands)
-	return &four
 }
 
 // gatherBands mixes a deck's four SP bands into mix at gain, one pass
@@ -534,12 +508,12 @@ func newSession(cfg Config) *Session {
 		monitorMono:  audio.NewBuffer(n),
 		outBuf:       audio.NewStereo(n),
 		recordBuf:    audio.NewStereo(n),
-		outStage:     mixer.NewOutputStage(0.98, cfg.Rate),
-		recStage:     mixer.NewOutputStage(0.98, cfg.Rate),
+		outStage:     mixer.NewOutputStage(0.98, audio.SampleRate),
+		recStage:     mixer.NewOutputStage(0.98, audio.SampleRate),
 		masterVU:     mixer.NewVUMeter(0.95),
 		cueVU:        mixer.NewVUMeter(0.95),
 		spectrum:     dsp.MustFFT(128),
-		controlState: make([]float64, max(cfg.ControlNodes, 1)),
+		controlState: make([]float64, controlNodes),
 	}
 	s.specRe = make([]float64, 128)
 	s.specIm = make([]float64, 128)
@@ -551,7 +525,7 @@ func newSession(cfg Config) *Session {
 	haveDefaults := false
 
 	for d := 0; d < cfg.Decks; d++ {
-		dk := deck.New(deckNames[d], cfg.Rate)
+		dk := deck.New(deckNames[d], audio.SampleRate)
 		var tr *synth.Track
 		if d < len(cfg.Tracks) && cfg.Tracks[d] != nil {
 			tr = cfg.Tracks[d]
@@ -569,7 +543,7 @@ func newSession(cfg Config) *Session {
 		dk.Play()
 		s.Decks = append(s.Decks, dk)
 
-		strip := mixer.NewChannelStrip("channel-"+deckNames[d], cfg.Rate)
+		strip := mixer.NewChannelStrip("channel-"+deckNames[d], audio.SampleRate)
 		if d%2 == 0 {
 			strip.SetCrossfadeSide(mixer.CrossfadeA)
 		} else {
@@ -581,7 +555,7 @@ func newSession(cfg Config) *Session {
 		s.deckMix = append(s.deckMix, audio.NewStereo(n))
 		s.active = append(s.active, false)
 
-		// SP band filters: split the spectrum into SPPerDeck bands.
+		// SP band filters: split the spectrum into four bands.
 		bands := []struct {
 			kind dsp.FilterKind
 			freq float64
@@ -593,18 +567,17 @@ func newSession(cfg Config) *Session {
 		}
 		var bufs []audio.Stereo
 		var fl, fr []*dsp.Biquad
-		for i := 0; i < cfg.SPPerDeck; i++ {
-			b := bands[i%len(bands)]
+		for _, b := range bands {
 			bufs = append(bufs, audio.NewStereo(n))
-			fl = append(fl, dsp.NewBiquad(b.kind, b.freq, 0.8, 0, cfg.Rate))
-			fr = append(fr, dsp.NewBiquad(b.kind, b.freq, 0.8, 0, cfg.Rate))
+			fl = append(fl, dsp.NewBiquad(b.kind, b.freq, 0.8, 0, audio.SampleRate))
+			fr = append(fr, dsp.NewBiquad(b.kind, b.freq, 0.8, 0, audio.SampleRate))
 		}
 		s.spBuf = append(s.spBuf, bufs)
 		s.spFiltL = append(s.spFiltL, fl)
 		s.spFiltR = append(s.spFiltR, fr)
 
 		// Effect chain.
-		chain := effects.StandardChain(d, cfg.Rate)
+		chain := effects.StandardChain(d, audio.SampleRate)
 		units := make([]effects.Effect, cfg.FXPerDeck)
 		for j := 0; j < cfg.FXPerDeck; j++ {
 			units[j] = chain[j]

@@ -189,8 +189,6 @@ func TestDJStarConfigVariants(t *testing.T) {
 func TestDJStarNoFXVariant(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FXPerDeck = 0
-	cfg.Meters = false
-	cfg.ControlNodes = 0
 	cfg.TrackBars = 2
 	s, g, err := BuildDJStar(cfg)
 	if err != nil {
@@ -200,9 +198,9 @@ func TestDJStarNoFXVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4*(4 SP + 1 channel) + 7 master nodes.
-	if p.Len() != 27 {
-		t.Fatalf("node count = %d, want 27", p.Len())
+	// 4*(4 SP + 1 channel) + 7 master + 16 control + 8 meter nodes.
+	if p.Len() != 51 {
+		t.Fatalf("node count = %d, want 51", p.Len())
 	}
 	for i := 0; i < 20; i++ {
 		s.Prepare()
@@ -217,9 +215,7 @@ func TestDJStarConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Decks = 0 },
 		func(c *Config) { c.Decks = 5 },
-		func(c *Config) { c.SPPerDeck = 0 },
 		func(c *Config) { c.FXPerDeck = 9 },
-		func(c *Config) { c.ControlNodes = -1 },
 		func(c *Config) { c.Scale = -1 },
 		func(c *Config) { c.Scale = 1 }, // without calibration
 	}

@@ -31,13 +31,13 @@ type NodeRef int
 
 // NodeSpec describes a node an EditSet adds. Zero-value Kind is
 // KindAudio; a nil Run becomes a no-op (like Graph.AddNode). Added nodes
-// have no spin target, so their design cost (Node.Cost) is zero.
+// have no spin target, so their design cost (Node.Cost) is zero, and no
+// bypass: a shed or quarantined one is skipped.
 type NodeSpec struct {
 	Name    string
 	Section Section
 	Kind    NodeKind
 	Run     func()
-	Bypass  func()
 	Flush   func()
 	// State and Migrate seed the new node's migratable state (see Node).
 	State   any
@@ -246,7 +246,6 @@ func (st *editState) addNode(spec NodeSpec, from int32) int {
 		Section: spec.Section,
 		Kind:    spec.Kind,
 		Run:     run,
-		Bypass:  spec.Bypass,
 		Flush:   spec.Flush,
 		State:   spec.State,
 		Migrate: spec.Migrate,

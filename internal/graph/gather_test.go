@@ -26,8 +26,8 @@ func sameSample(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 }
 
-// TestGatherBandsMatchesOracle holds the padded one-pass gather to the
-// zero-then-add gather, bit for bit (sameSample), over 1–4 bands of
+// TestGatherBandsMatchesOracle holds the one-pass gather to the
+// zero-then-add gather, bit for bit (sameSample), over four bands of
 // random packets of lengths 0–130 seeded with ±0, subnormals, ±Inf and
 // NaN at random positions, and over bands that are all -0 or all +0,
 // where only the leading +0 makes the sum +0.
@@ -40,9 +40,9 @@ func TestGatherBandsMatchesOracle(t *testing.T) {
 		}
 		return r.Float64()*2 - 1
 	}
-	check := func(n, bandsN int, sample func() float64) {
+	check := func(n int, sample func() float64) {
 		t.Helper()
-		bands := make([]audio.Stereo, bandsN)
+		bands := make([]audio.Stereo, spPerDeck)
 		for k := range bands {
 			bands[k] = audio.NewStereo(n)
 			for i := 0; i < n; i++ {
@@ -53,23 +53,21 @@ func TestGatherBandsMatchesOracle(t *testing.T) {
 		for i := 0; i < n; i++ { // stale contents the gather must overwrite
 			got.L[i], got.R[i] = random(), random()
 		}
-		gatherBands(got, padBands(bands), 1/float64(bandsN))
-		refGather(want, bands, bandsN)
+		gatherBands(got, (*[spPerDeck]audio.Stereo)(bands), 1/float64(spPerDeck))
+		refGather(want, bands, spPerDeck)
 		for i := 0; i < n; i++ {
 			if !sameSample(got.L[i], want.L[i]) || !sameSample(got.R[i], want.R[i]) {
-				t.Fatalf("%d bands of %d: frame %d = %v/%v, want %v/%v",
-					bandsN, n, i, got.L[i], got.R[i], want.L[i], want.R[i])
+				t.Fatalf("bands of %d: frame %d = %v/%v, want %v/%v",
+					n, i, got.L[i], got.R[i], want.L[i], want.R[i])
 			}
 		}
 	}
-	for bandsN := 1; bandsN <= 4; bandsN++ {
-		for _, z := range []float64{math.Copysign(0, -1), 0} {
-			check(audio.PacketSize, bandsN, func() float64 { return z })
-		}
-		for round := 0; round < 10; round++ {
-			for n := 0; n <= 130; n++ {
-				check(n, bandsN, random)
-			}
+	for _, z := range []float64{math.Copysign(0, -1), 0} {
+		check(audio.PacketSize, func() float64 { return z })
+	}
+	for round := 0; round < 10; round++ {
+		for n := 0; n <= 130; n++ {
+			check(n, random)
 		}
 	}
 }
@@ -82,7 +80,7 @@ func BenchmarkGatherBands(b *testing.B) {
 			bands[k].L[i], bands[k].R[i] = math.Sin(float64(i+k)), math.Cos(float64(i*k))
 		}
 	}
-	mix, four := audio.NewStereo(audio.PacketSize), padBands(bands)
+	mix, four := audio.NewStereo(audio.PacketSize), (*[spPerDeck]audio.Stereo)(bands)
 	b.Run("one-pass", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			gatherBands(mix, four, 0.25)

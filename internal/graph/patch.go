@@ -35,35 +35,20 @@ type liveDelayState struct {
 	pos        int
 }
 
-func newLiveDelayState(rate int) *liveDelayState {
-	n := rate * liveDelayMS / 1000
-	if n < audio.PacketSize {
-		n = audio.PacketSize
-	}
+func newLiveDelayState() *liveDelayState {
+	const n = audio.SampleRate * liveDelayMS / 1000
 	return &liveDelayState{bufL: make([]float64, n), bufR: make([]float64, n)}
 }
 
-// adopt carries a previous epoch's delay line over. Differing lengths
-// (e.g. a config change) copy the newest samples.
+// adopt carries a previous epoch's delay line over; every line has the
+// same length.
 func (st *liveDelayState) adopt(prev *liveDelayState) {
-	if prev == nil || len(prev.bufL) == 0 {
+	if prev == nil {
 		return
 	}
-	if len(prev.bufL) == len(st.bufL) {
-		copy(st.bufL, prev.bufL)
-		copy(st.bufR, prev.bufR)
-		st.pos = prev.pos
-		return
-	}
-	for i := range st.bufL {
-		j := (prev.pos - 1 - i + 2*len(prev.bufL)) % len(prev.bufL)
-		k := (st.pos - 1 - i + 2*len(st.bufL)) % len(st.bufL)
-		st.bufL[k] = prev.bufL[j]
-		st.bufR[k] = prev.bufR[j]
-		if i >= len(prev.bufL)-1 {
-			break
-		}
-	}
+	copy(st.bufL, prev.bufL)
+	copy(st.bufR, prev.bufR)
+	st.pos = prev.pos
 }
 
 // process runs the feedback delay in place over one packet.
@@ -165,7 +150,7 @@ func (s *Session) buildInsertDelay(g *Graph, deck string, units int) (*EditSet, 
 	es := &EditSet{}
 	prev := NodeRef(chID)
 	for i := 1; i <= units; i++ {
-		st := newLiveDelayState(s.cfg.Rate)
+		st := newLiveDelayState()
 		mix := s.deckMix[d]
 		ref := es.AddNode(NodeSpec{
 			Name:    liveDelayName(deck, i),

@@ -344,7 +344,7 @@ func checkTolerant(p *graph.Plan, tr *graph.ExecTrace) error {
 // consecutive faults, a probe restores it, and subsequent cycles are
 // fully clean.
 func TestFaultToleranceConformance(t *testing.T) {
-	const quarantineAfter, probeEvery = 3, 8
+	const probeEvery = 8
 	for _, c := range conformanceCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -352,7 +352,7 @@ func TestFaultToleranceConformance(t *testing.T) {
 			s, cleanup := c.build(t, p, Options{})
 			defer cleanup()
 			defer s.Close()
-			s.FaultState().SetFaultPolicy(FaultPolicy{QuarantineAfter: quarantineAfter, ProbeEvery: probeEvery})
+			s.FaultState().SetFaultPolicy(FaultPolicy{ProbeEvery: probeEvery})
 			var mu sync.Mutex
 			var recs []FaultRecord
 			s.FaultState().SetFaultHandler(func(r FaultRecord) {
@@ -379,19 +379,19 @@ func TestFaultToleranceConformance(t *testing.T) {
 			cycle(false) // clean warm-up
 			cycle(false)
 
-			armed.Store(quarantineAfter)
-			for i := 0; i < quarantineAfter; i++ {
+			armed.Store(QuarantineAfter)
+			for i := 0; i < QuarantineAfter; i++ {
 				cycle(true) // faulting: victim dies, cycle still completes
 			}
-			if got := s.FaultState().Faults().Recovered; got != quarantineAfter {
-				t.Fatalf("recovered = %d, want %d", got, quarantineAfter)
+			if got := s.FaultState().Faults().Recovered; got != QuarantineAfter {
+				t.Fatalf("recovered = %d, want %d", got, QuarantineAfter)
 			}
 			if !s.FaultState().Quarantined(faultVictim) {
 				t.Fatal("victim not quarantined after consecutive faults")
 			}
 			mu.Lock()
-			if len(recs) != quarantineAfter {
-				t.Fatalf("handler saw %d records, want %d", len(recs), quarantineAfter)
+			if len(recs) != QuarantineAfter {
+				t.Fatalf("handler saw %d records, want %d", len(recs), QuarantineAfter)
 			}
 			for _, r := range recs {
 				if r.Node != faultVictim || r.Name != p.Names[faultVictim] || r.Err == nil {
@@ -418,7 +418,7 @@ func TestFaultToleranceConformance(t *testing.T) {
 
 			cycle(false) // fully clean again
 			cycle(false)
-			if got := s.FaultState().Faults().Recovered; got != quarantineAfter {
+			if got := s.FaultState().Faults().Recovered; got != QuarantineAfter {
 				t.Fatalf("recovered grew to %d after restoration", got)
 			}
 		})
@@ -450,7 +450,7 @@ func TestPoolFaultIsolationAcrossSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		s.FaultState().SetFaultPolicy(FaultPolicy{QuarantineAfter: 3, ProbeEvery: 8})
+		s.FaultState().SetFaultPolicy(FaultPolicy{ProbeEvery: 8})
 		ss = append(ss, sess{s, p, tr, armed})
 	}
 
@@ -526,10 +526,13 @@ func TestFaultStateCarriedThroughMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := old.FaultState()
-	fs.SetFaultPolicy(FaultPolicy{QuarantineAfter: 1, ProbeEvery: 1 << 30})
+	fs.SetFaultPolicy(FaultPolicy{ProbeEvery: 1 << 30})
 	const shedID = 7
-	armed.Store(1)
-	old.Execute()
+	armed.Store(QuarantineAfter)
+	for i := 0; i < QuarantineAfter; i++ {
+		tr.Reset()
+		old.Execute()
+	}
 	fs.SetNodeShed(shedID, true)
 	if !fs.Quarantined(faultVictim) || !fs.Shed(shedID) {
 		t.Fatal("setup: victim not quarantined / node not shed")
@@ -546,7 +549,7 @@ func TestFaultStateCarriedThroughMigration(t *testing.T) {
 	if ns.FaultState() != fs {
 		t.Fatalf("migration replaced the fault state: %p -> %p", fs, ns.FaultState())
 	}
-	if !fs.Quarantined(faultVictim) || !fs.Shed(shedID) || fs.Faults().Recovered != 1 {
+	if !fs.Quarantined(faultVictim) || !fs.Shed(shedID) || fs.Faults().Recovered != QuarantineAfter {
 		t.Fatalf("state lost in migration: quarantined=%v shed=%v faults=%+v",
 			fs.Quarantined(faultVictim), fs.Shed(shedID), fs.Faults())
 	}

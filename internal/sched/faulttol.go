@@ -27,24 +27,20 @@ import (
 // FaultPolicy configures the quarantine behaviour of a scheduler.
 // The zero value selects the defaults.
 type FaultPolicy struct {
-	// QuarantineAfter is the number of consecutive faults after which a
-	// node is quarantined (default 3).
-	QuarantineAfter int
 	// ProbeEvery is the cycle interval between guarded probes of a
 	// quarantined node's real kernel (default 512).
 	ProbeEvery uint64
 }
 
-// Default fault policy values.
 const (
-	DefaultQuarantineAfter = 3
-	DefaultProbeEvery      = 512
+	// QuarantineAfter is the number of consecutive faults after which a
+	// node is quarantined.
+	QuarantineAfter = 3
+	// DefaultProbeEvery is FaultPolicy.ProbeEvery's default.
+	DefaultProbeEvery = 512
 )
 
 func (p FaultPolicy) withDefaults() FaultPolicy {
-	if p.QuarantineAfter <= 0 {
-		p.QuarantineAfter = DefaultQuarantineAfter
-	}
 	if p.ProbeEvery == 0 {
 		p.ProbeEvery = DefaultProbeEvery
 	}
@@ -372,7 +368,7 @@ func (f *FaultState) noteFault(a *faultArrays, p *graph.Plan, id, w int32, gen u
 		f.safely(fl)
 	}
 	quarantined := false
-	if n := a.consec[id].Add(1); int(n) >= f.policy.QuarantineAfter {
+	if n := a.consec[id].Add(1); n >= QuarantineAfter {
 		if a.updateBits(id, stateQuarantined, 0) {
 			f.quarantines.Add(1)
 			a.probeAt[id].Store(gen + f.policy.ProbeEvery)

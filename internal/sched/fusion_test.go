@@ -132,8 +132,8 @@ type faultOutcome struct {
 
 func runFaultPhases(t *testing.T, s Scheduler, runs []*atomic.Int64, armed *atomic.Int32) faultOutcome {
 	t.Helper()
-	const quarantineAfter, probeEvery = 3, 6
-	s.FaultState().SetFaultPolicy(FaultPolicy{QuarantineAfter: quarantineAfter, ProbeEvery: probeEvery})
+	const probeEvery = 6
+	s.FaultState().SetFaultPolicy(FaultPolicy{ProbeEvery: probeEvery})
 	var mu sync.Mutex
 	records := 0
 	s.FaultState().SetFaultHandler(func(r FaultRecord) {
@@ -147,8 +147,8 @@ func runFaultPhases(t *testing.T, s Scheduler, runs []*atomic.Int64, armed *atom
 
 	s.Execute()
 	s.Execute()
-	armed.Store(quarantineAfter)
-	for i := 0; i < quarantineAfter; i++ {
+	armed.Store(QuarantineAfter)
+	for i := 0; i < QuarantineAfter; i++ {
 		s.Execute()
 	}
 	out := faultOutcome{quarantined: s.FaultState().Quarantined(fusionVictim)}

@@ -210,15 +210,18 @@ func (p *Pool) AttachMigrated(old *PoolSession, o Options) (*PoolSession, error)
 	// cursors, so the epoch is rebuilt for p, never carried over. It
 	// continues the old session's cycle generation, so the first
 	// post-migration cycle (gen+1) claims every node exactly once and
-	// observers keep a monotonic cycle coordinate. A swap staged but not
-	// yet adopted travels as it is: adoption builds its epoch for p.
+	// observers keep a monotonic cycle coordinate.
 	ns := &PoolSession{faults: old.faults, pool: p}
 	ns.topo.Store(newPoolTopo(ot.plan, obs, p.workers+1, ot.gen.Load()))
-	ns.staged.Store(old.staged.Load())
 	if err := p.install(ns); err != nil {
 		return nil, err
 	}
 	old.Close()
+	// A swap staged but not yet adopted travels as it is (adoption builds
+	// its epoch for p). It is taken after the close, so a racing
+	// StageSwap either lands before the take or sees the close and
+	// withdraws its stage.
+	ns.staged.Store(old.staged.Swap(nil))
 	return ns, nil
 }
 
@@ -569,7 +572,12 @@ func (s *PoolSession) StageSwap(sw Swap) error {
 	if sw.Plan == nil || sw.Plan.Len() == 0 {
 		return fmt.Errorf("sched: swap with empty plan")
 	}
-	s.staged.Store(&sw)
+	prev := s.staged.Swap(&sw)
+	// AttachMigrated closes s, then takes its stage: a stage the take
+	// missed is withdrawn (the one it replaced put back) and refused.
+	if s.closed.Load() && s.staged.CompareAndSwap(&sw, prev) {
+		return fmt.Errorf("sched: StageSwap after Close")
+	}
 	return nil
 }
 

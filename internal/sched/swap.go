@@ -81,7 +81,13 @@ func (c *core) AdoptStaged() bool {
 	if sw.Observer != nil {
 		c.obs = sw.Observer
 	}
-	c.pending = make([]depCount, sw.Plan.Len())
+	// No worker touches a counter between cycles, and resetPending
+	// reloads each one at the next cycle's top, so the array is reused.
+	if n := sw.Plan.Len(); cap(c.pending) >= n {
+		c.pending = c.pending[:n]
+	} else {
+		c.pending = make([]depCount, n)
+	}
 	c.pol.setPlan(sw.Plan, c.threads)
 	return true
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -315,10 +316,12 @@ func TestSwapPreservesQuarantineAndShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.FaultState().SetFaultPolicy(FaultPolicy{QuarantineAfter: 1, ProbeEvery: 1 << 30})
+	s.FaultState().SetFaultPolicy(FaultPolicy{ProbeEvery: 1 << 30})
 	boomID := int32(e.g.NodeByName("boom"))
 	shedID := int32(e.g.NodeByName("sheddable"))
-	s.Execute()
+	for i := 0; i < QuarantineAfter; i++ {
+		s.Execute()
+	}
 	if !s.FaultState().Quarantined(boomID) {
 		t.Fatal("boom not quarantined after fault")
 	}
@@ -388,5 +391,109 @@ func TestStageSwapValidation(t *testing.T) {
 	s.Close()
 	if err := s.StageSwap(Swap{Plan: plan}); err == nil {
 		t.Fatal("StageSwap after Close accepted")
+	}
+}
+
+// TestStageSwapRacingAttachMigrated races a StageSwap against an
+// AttachMigrated of the same session, between two helper-less pools and
+// between two 1-helper pools: a stage StageSwap accepted must be adopted
+// by the new session's next Execute, and a refused one must not. On odd
+// rounds an earlier stage is pending; a refused stage leaves it in place.
+func TestStageSwapRacingAttachMigrated(t *testing.T) {
+	const rounds = 1000
+	from, earlier, to := noopPlan(t, 6), noopPlan(t, 7), noopPlan(t, 9)
+	for _, helpers := range []int{0, 1} {
+		t.Run(fmt.Sprintf("helpers=%d", helpers), func(t *testing.T) {
+			pools := make([]*Pool, 2)
+			for i := range pools {
+				p, err := NewPool(helpers, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				pools[i] = p
+			}
+			accepted := 0
+			for r := 0; r < rounds; r++ {
+				old, err := pools[0].Attach(from, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := from.Len()
+				if r%2 == 1 {
+					if err := old.StageSwap(Swap{Plan: earlier}); err != nil {
+						t.Fatal(err)
+					}
+					want = earlier.Len()
+				}
+				// Both sides meet at a barrier; the stager then waits a
+				// few spins more each round, sweeping the race window.
+				var ready atomic.Int32
+				staged := make(chan error, 1)
+				go func() {
+					ready.Add(1)
+					for ready.Load() < 2 {
+						runtime.Gosched()
+					}
+					for i := 0; i < r%100*40; i++ {
+						ready.Load()
+					}
+					staged <- old.StageSwap(Swap{Plan: to})
+				}()
+				ready.Add(1)
+				for ready.Load() < 2 {
+					runtime.Gosched()
+				}
+				ns, err := pools[1].AttachMigrated(old, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				stageErr := <-staged
+				if stageErr == nil {
+					want = to.Len()
+					accepted++
+				}
+				ns.Execute()
+				if got := ns.topo.Load().plan.Len(); got != want {
+					t.Fatalf("round %d: StageSwap returned %v, and the migrated session runs %d nodes, want %d",
+						r, stageErr, got, want)
+				}
+				ns.Close()
+			}
+			t.Logf("%d of %d racing stages accepted", accepted, rounds)
+		})
+	}
+}
+
+// TestSwapReusesPending: adopting a swap keeps the dependency counters'
+// array when it is large enough, and reallocates it for a larger plan.
+func TestSwapReusesPending(t *testing.T) {
+	s, err := New(NameBusyWait, noopPlan(t, 67), Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := s.(*core)
+	s.Execute()
+	adopt := func(nodes int) *depCount {
+		t.Helper()
+		if err := s.StageSwap(Swap{Plan: noopPlan(t, nodes)}); err != nil {
+			t.Fatal(err)
+		}
+		if !s.AdoptStaged() {
+			t.Fatal("staged swap not adopted")
+		}
+		s.Execute()
+		if len(c.pending) != nodes {
+			t.Fatalf("%d counters after adopting a %d-node plan", len(c.pending), nodes)
+		}
+		return &c.pending[0]
+	}
+	first := &c.pending[0]
+	if adopt(67) != first {
+		t.Fatal("a same-size swap reallocated the pending counters")
+	}
+	if adopt(80) == first {
+		t.Fatal("a larger swap kept the pending counters")
 	}
 }
