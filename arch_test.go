@@ -71,8 +71,8 @@ var archRows = []archRow{
 // The line budgets: a change that grows either total must delete
 // elsewhere, or name the new budget in CHANGES.md.
 const (
-	archCodeBudget = 19467
-	archDocBudget  = 4269
+	archCodeBudget = 19385
+	archDocBudget  = 4267
 )
 
 func TestArch(t *testing.T) {
@@ -784,8 +784,6 @@ var archExportAllowed = map[string]string{
 	"djstar/internal/engine.Engine.RefreshAdmission": "the admission tests re-run the gate on demand through it",
 	"djstar/internal/graph.ExecTrace.Check":          "test support: tests in every executor package check the order RandomDAG's nodes ran in",
 	"djstar/internal/graph.ExecTrace.Reset":          "test support: tests in every executor package reuse one trace across cycles",
-	"djstar/internal/graph.Plan.FusedUnits":          "fusion's accessor: the fusion suite reads fused plans through it until section jobs replace it (ROADMAP item 6)",
-	"djstar/internal/graph.Plan.MembersOf":           "fusion's accessor: the fusion suite reads fused plans through it until section jobs replace it (ROADMAP item 6)",
 	"djstar/internal/graph.Session.Cycles":           "the engine and fleet tests observe that the GP stage ran through it",
 	"djstar/internal/graph.Session.MonitorOut":       "the golden audio hash and the graph silence sweep observe the monitor bus through it",
 	"djstar/internal/mixer.CrossfadeThru":            "an enum's zero value: code gets it by leaving the field unset, tests name it",
@@ -923,7 +921,6 @@ var archKnobAllowed = map[string]string{
 	"djstar/internal/engine.AdmissionOptions.PredictEvery": "the admission alloc tests switch the monitor off, so AllocsPerRun counts only the cycle thread",
 	"djstar/internal/engine.TelemetryOptions.SLO":          "the incident tests keep the timing-dependent budget trigger off their one expected dump",
 	"djstar/internal/graph.Config.FXPerDeck":               "the silence sweep takes the FX tails out of the graph",
-	"djstar/internal/graph.FuseOptions.MaxCostUS":          "the fusion suite fuses whole chains past the default cap, until section jobs replace fusion (ROADMAP item 6)",
 	"djstar/internal/obs.SLOConfig.TargetPer10k":           "the incident tests keep the timing-dependent budget trigger off their one expected dump",
 	"djstar/internal/obs.SLOConfig.WindowCycles":           "the sink tests use short windows",
 }

@@ -106,7 +106,7 @@ func (c GovernorConfig) withDefaults() GovernorConfig {
 // readers on other threads.
 type governor struct {
 	cfg GovernorConfig
-	// faults is the session's shed-bit store; it knows the live base plan
+	// faults is the session's shed-bit store; it knows the live plan
 	// across edits and migrations, so the governor never re-points.
 	faults *sched.FaultState
 

@@ -35,7 +35,7 @@ type StallRecord struct {
 // Detection is level-triggered once per cycle.
 type watchdog struct {
 	// faults is the watched session's fault state: its inflight view and
-	// the base plan naming the nodes in it. The same object serves every
+	// the plan naming the nodes in it. The same object serves every
 	// executor the session ever runs on, so there is nothing to re-point
 	// after a plan swap or a migration.
 	faults *sched.FaultState

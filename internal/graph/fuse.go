@@ -6,17 +6,10 @@ import (
 	"strings"
 )
 
-// FuseOptions tunes the chain-fusion pass.
-type FuseOptions struct {
-	// MaxCostUS caps the summed estimated cost of one fused unit. Fusing
-	// a linear chain can never lengthen the critical path (the members
-	// were already sequential), but an over-large unit becomes an
-	// indivisible lump the schedulers cannot balance across workers, so
-	// the cap bounds granularity. 0 means automatic: a quarter of the
-	// cost-weighted critical path, but never below twice the most
-	// expensive single node (so uniform-cost chains still fuse in pairs).
-	MaxCostUS float64
-}
+// FuseOptions is empty: a unit's cost cap is always automatic (see
+// Fuse). It goes together with Fuse once the benchmark stops timing it
+// (ROADMAP item 27, step 2).
+type FuseOptions struct{}
 
 // fuseMaxLen caps the number of members per fused unit.
 const fuseMaxLen = 8
@@ -31,18 +24,21 @@ const fuseMaxLen = 8
 //
 // costUS supplies per-node cost estimates in µs (an engine's measured
 // collector means or a static design table); nil means unit
-// costs, which fuses purely by shape. The returned plan carries the
-// original as Base and per-unit member lists in Members; the scheduler
-// executes, times and fault-isolates each member individually under its
-// base ID, so observability and quarantine semantics are unchanged.
+// costs, which fuses purely by shape. The result is an ordinary plan:
+// each unit is one node, with one Run that calls its members' Run back
+// to back, the summed design Costs of its members, and no Bypass or
+// Flush of its own. An executor runs, times, fault-isolates and sheds
+// a unit as one node.
 //
-// Fusing an already-fused plan is an error — re-fuse from the Base plan.
-func Fuse(p *Plan, costUS []float64, o FuseOptions) (*Plan, error) {
+// A chain stops growing when its summed cost would exceed the cap: a
+// quarter of the cost-weighted critical path, but never below twice the
+// most expensive single node (so uniform-cost chains still fuse in
+// pairs). Fusing a linear chain can never lengthen the critical path
+// (the members were already sequential), but an over-large unit becomes
+// an indivisible lump the schedulers cannot balance across workers.
+func Fuse(p *Plan, costUS []float64, _ FuseOptions) (*Plan, error) {
 	if p == nil || p.Len() == 0 {
 		return nil, errors.New("graph: fuse of empty plan")
-	}
-	if p.IsFused() {
-		return nil, errors.New("graph: plan is already fused (fuse the Base plan)")
 	}
 	n := p.Len()
 	if costUS != nil && len(costUS) != n {
@@ -50,20 +46,14 @@ func Fuse(p *Plan, costUS []float64, o FuseOptions) (*Plan, error) {
 	}
 	cost := func(id int32) float64 { return costAt(costUS, id) }
 
-	maxCost := o.MaxCostUS
-	if maxCost <= 0 {
-		// Cost-weighted critical path (the largest upward rank) and the
-		// most expensive single node.
-		cpUS, maxNode := 0.0, 0.0
-		for id, d := range p.UpwardRank(costUS) {
-			cpUS = max(cpUS, d)
-			maxNode = max(maxNode, cost(int32(id)))
-		}
-		maxCost = cpUS / 4
-		if floor := 2 * maxNode; maxCost < floor {
-			maxCost = floor
-		}
+	// Cost-weighted critical path (the largest upward rank) and the most
+	// expensive single node.
+	cpUS, maxNode := 0.0, 0.0
+	for id, d := range p.UpwardRank(costUS) {
+		cpUS = max(cpUS, d)
+		maxNode = max(maxNode, cost(int32(id)))
 	}
+	maxCost := max(cpUS/4, 2*maxNode)
 
 	// Greedy chain extraction in queue order: each unassigned node heads
 	// a unit, then the unit swallows its successor while the link is a
@@ -143,8 +133,6 @@ func Fuse(p *Plan, costUS []float64, o FuseOptions) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp.Base = p
-	fp.Members = chains
 
 	// Re-rank the contracted plan with real unit costs (sum of members)
 	// so RankOrder is critical-path-first under the supplied estimates.
@@ -156,16 +144,4 @@ func Fuse(p *Plan, costUS []float64, o FuseOptions) (*Plan, error) {
 	}
 	fp.computeRanks(unitCost)
 	return fp, nil
-}
-
-// FusedUnits returns how many fused nodes contain more than one member
-// (0 for an unfused plan).
-func (p *Plan) FusedUnits() int {
-	count := 0
-	for _, m := range p.Members {
-		if len(m) > 1 {
-			count++
-		}
-	}
-	return count
 }

@@ -257,14 +257,6 @@ type Plan struct {
 	// CriticalPathLen is the number of nodes on the longest path.
 	CriticalPathLen int
 
-	// Base and Members are set only on plans produced by Fuse: Base is
-	// the original unfused plan and Members[i] lists the base-plan node
-	// IDs executed (in dependency order) by fused node i. Observability
-	// and fault isolation stay per-member: the scheduler runs, times and
-	// quarantines each member individually under its base ID.
-	Base    *Plan
-	Members [][]int32
-
 	// Costs holds each node's design cost (Node.Cost), the plan's static
 	// work model. It is last so the fields the schedulers read every
 	// cycle keep their cache-line placement.
@@ -273,28 +265,6 @@ type Plan struct {
 
 // Len returns the number of nodes in the plan.
 func (p *Plan) Len() int { return len(p.Run) }
-
-// BaseLen returns the node count of the original plan: Len() for a
-// regular plan, Base.Len() for a fused one. Observer and fault-state
-// arrays are sized by BaseLen because they are indexed by base node IDs.
-func (p *Plan) BaseLen() int {
-	if p.Base != nil {
-		return p.Base.Len()
-	}
-	return p.Len()
-}
-
-// IsFused reports whether the plan was produced by Fuse.
-func (p *Plan) IsFused() bool { return p.Base != nil }
-
-// MembersOf returns the base-plan node IDs fused into node id, or nil if
-// the plan is unfused (execute id directly).
-func (p *Plan) MembersOf(id int32) []int32 {
-	if p.Members == nil {
-		return nil
-	}
-	return p.Members[id]
-}
 
 // PredsOf returns the predecessor IDs of node id (do not modify).
 func (p *Plan) PredsOf(id int32) []int32 {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -63,17 +62,15 @@ func refComputeRanks(p *Plan, costUS []float64) {
 	}
 }
 
-// refFuse is the reference Fuse.
-func refFuse(p *Plan, costUS []float64, o FuseOptions) (*Plan, error) {
+// refFuse is the reference Fuse. It also returns the base node IDs each
+// unit runs, in order.
+func refFuse(p *Plan, costUS []float64) (*Plan, [][]int32, error) {
 	if p == nil || p.Len() == 0 {
-		return nil, errors.New("graph: fuse of empty plan")
-	}
-	if p.IsFused() {
-		return nil, errors.New("graph: plan is already fused (fuse the Base plan)")
+		return nil, nil, errors.New("graph: fuse of empty plan")
 	}
 	n := p.Len()
 	if costUS != nil && len(costUS) != n {
-		return nil, fmt.Errorf("graph: fuse cost table has %d entries for %d nodes", len(costUS), n)
+		return nil, nil, fmt.Errorf("graph: fuse cost table has %d entries for %d nodes", len(costUS), n)
 	}
 	cost := func(id int32) float64 {
 		if costUS == nil {
@@ -82,35 +79,32 @@ func refFuse(p *Plan, costUS []float64, o FuseOptions) (*Plan, error) {
 		return costUS[id]
 	}
 
-	maxCost := o.MaxCostUS
-	if maxCost <= 0 {
-		// Cost-weighted critical path (longest path by summed cost) and
-		// the most expensive single node, via a reverse topological sweep.
-		down := make([]float64, n)
-		maxNode := 0.0
-		for i := n - 1; i >= 0; i-- {
-			id := p.Order[i]
-			best := 0.0
-			for _, s := range p.SuccsOf(id) {
-				if down[s] > best {
-					best = down[s]
-				}
-			}
-			down[id] = cost(id) + best
-			if c := cost(id); c > maxNode {
-				maxNode = c
+	// Cost-weighted critical path (longest path by summed cost) and the
+	// most expensive single node, via a reverse topological sweep.
+	down := make([]float64, n)
+	maxNode := 0.0
+	for i := n - 1; i >= 0; i-- {
+		id := p.Order[i]
+		best := 0.0
+		for _, s := range p.SuccsOf(id) {
+			if down[s] > best {
+				best = down[s]
 			}
 		}
-		cpUS := 0.0
-		for _, d := range down {
-			if d > cpUS {
-				cpUS = d
-			}
+		down[id] = cost(id) + best
+		if c := cost(id); c > maxNode {
+			maxNode = c
 		}
-		maxCost = cpUS / 4
-		if floor := 2 * maxNode; maxCost < floor {
-			maxCost = floor
+	}
+	cpUS := 0.0
+	for _, d := range down {
+		if d > cpUS {
+			cpUS = d
 		}
+	}
+	maxCost := cpUS / 4
+	if floor := 2 * maxNode; maxCost < floor {
+		maxCost = floor
 	}
 
 	// Greedy chain extraction in queue order: each unassigned node heads
@@ -178,17 +172,15 @@ func refFuse(p *Plan, costUS []float64, o FuseOptions) (*Plan, error) {
 		for _, u := range p.PredsOf(v) {
 			if su, sv := memberOf[u], memberOf[v]; su != sv {
 				if err := super.AddEdge(int(su), int(sv)); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 		}
 	}
 	fp, err := super.Compile()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	fp.Base = p
-	fp.Members = chains
 
 	// Re-rank the contracted plan with real unit costs (sum of members)
 	// so RankOrder is critical-path-first under the supplied estimates.
@@ -199,7 +191,7 @@ func refFuse(p *Plan, costUS []float64, o FuseOptions) (*Plan, error) {
 		}
 	}
 	refComputeRanks(fp, unitCost)
-	return fp, nil
+	return fp, chains, nil
 }
 
 // oracleGraph is one oracle input: a graph, its compiled plan and a
@@ -303,9 +295,23 @@ func TestOracleCompileRanks(t *testing.T) {
 	}
 }
 
+// chainCosts sums each chain's design costs, the Costs a fused unit
+// carries.
+func chainCosts(p *Plan, chains [][]int32) []Cost {
+	out := make([]Cost, len(chains))
+	for u, chain := range chains {
+		for _, m := range chain {
+			out[u].BaseUS += p.Costs[m].BaseUS
+			out[u].DataUS += p.Costs[m].DataUS
+		}
+	}
+	return out
+}
+
 // TestOracleFuse: fusion by unit costs and by the cost vector — the
 // automatic cap from the upward-rank sweep — yields the reference's
-// units, ranks, rank order and successor order.
+// units (names, edges and summed Costs), ranks, rank order and
+// successor order.
 func TestOracleFuse(t *testing.T) {
 	for _, c := range oracleGraphs(t) {
 		for _, costs := range [][]float64{nil, c.costs} {
@@ -313,13 +319,19 @@ func TestOracleFuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := refFuse(c.plan, costs, FuseOptions{})
+			want, chains, err := refFuse(c.plan, costs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			name := fmt.Sprintf("%s fused (unit costs %v)", c.name, costs == nil)
-			if !reflect.DeepEqual(got.Members, want.Members) || !reflect.DeepEqual(got.Names, want.Names) {
-				t.Errorf("%s: units %v, reference %v", name, got.Members, want.Members)
+			if !slices.Equal(got.Names, want.Names) {
+				t.Errorf("%s: units %v, reference %v", name, got.Names, want.Names)
+			}
+			if !slices.Equal(got.PredIdx, want.PredIdx) || !slices.Equal(got.PredList, want.PredList) {
+				t.Errorf("%s: unit edges differ from the reference", name)
+			}
+			if !slices.Equal(got.Costs, chainCosts(c.plan, chains)) {
+				t.Errorf("%s: unit costs %v, the reference chains' sums %v", name, got.Costs, chainCosts(c.plan, chains))
 			}
 			checkRanked(t, name, got, want)
 		}
@@ -348,12 +360,11 @@ func TestPlanCarriesDesignCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u, members := range fp.Members {
-		var want Cost
-		for _, m := range members {
-			want.BaseUS += cases[0].plan.Costs[m].BaseUS
-			want.DataUS += cases[0].plan.Costs[m].DataUS
-		}
+	_, chains, err := refFuse(cases[0].plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, want := range chainCosts(cases[0].plan, chains) {
 		if fp.Costs[u] != want {
 			t.Errorf("fused unit %s: cost %+v, want the members' sum %+v", fp.Names[u], fp.Costs[u], want)
 		}

@@ -39,12 +39,6 @@ func oracleCases(t *testing.T) []oracleCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit := make([]float64, fused.Len())
-	for u, members := range fused.Members {
-		for _, m := range members {
-			unit[u] += costs[m]
-		}
-	}
 	es, err := sess.BuildPatch(g, "insert-delay:A:3")
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +49,7 @@ func oracleCases(t *testing.T) []oracleCase {
 	}
 	out := []oracleCase{
 		{"standard", plan, costs},
-		{"fused", fused, unit},
+		{"fused", fused, PaperCostsUS(fused)},
 		{"insert-delay:A:3", edited, PaperCostsUS(edited)},
 	}
 	for seed := uint64(1); seed <= 200; seed++ {

@@ -81,13 +81,13 @@ const (
 	stateShed
 )
 
-// faultArrays is the per-node fault state of one plan epoch: all arrays
-// are indexed by BASE node IDs. The whole set swaps atomically when a
+// faultArrays is the per-node fault state of one plan epoch, indexed by
+// the plan's node IDs. The whole set swaps atomically when a
 // topology edit is adopted (see FaultState.adopt), so cross-thread
 // readers — Health snapshots calling Quarantined, the governor calling
 // SetNodeShed — always see arrays consistent with one plan.
 type faultArrays struct {
-	// plan is the base plan the arrays are indexed by.
+	// plan is the plan the arrays are indexed by.
 	plan *graph.Plan
 	// state[i] holds the quarantine/shed bits of node i.
 	state []atomic.Uint32
@@ -131,18 +131,11 @@ type FaultState struct {
 	restored    atomic.Int64
 }
 
-// newFaultArrays sizes per-node fault arrays for a plan. Fault state is
-// always indexed by BASE node IDs: on a fused plan (graph.Fuse) each
-// member of a fused unit is guarded, counted and quarantined
-// individually, so the arrays are sized by BaseLen.
+// newFaultArrays sizes per-node fault arrays for a plan.
 func newFaultArrays(p *graph.Plan) *faultArrays {
-	base := p
-	if p.Base != nil {
-		base = p.Base
-	}
-	n := p.BaseLen()
+	n := p.Len()
 	return &faultArrays{
-		plan:    base,
+		plan:    p,
 		state:   make([]atomic.Uint32, n),
 		consec:  make([]atomic.Int32, n),
 		probeAt: make([]atomic.Uint64, n),
@@ -164,13 +157,12 @@ func newFaultState(p *graph.Plan, workers int) *FaultState {
 // surviving node's quarantine bit, shed bit, consecutive-fault count and
 // probe deadline through the remap — a node quarantined before the edit
 // stays quarantined after it, under its new ID. oldToNew == nil means
-// the base topology is unchanged (a re-fusion): when the base plan is
-// literally the same, the arrays are kept; otherwise state is copied by
-// identity index into fresh arrays sized for p. Runs between cycles on
-// the adoption thread.
+// the node IDs are unchanged: when the plan is literally the same, the
+// arrays are kept; otherwise state is copied by identity index into
+// fresh arrays sized for p. Runs between cycles on the adoption thread.
 func (f *FaultState) adopt(p *graph.Plan, oldToNew []int32) {
 	old := f.arr.Load()
-	if oldToNew == nil && (p == old.plan || p.Base == old.plan) {
+	if oldToNew == nil && p == old.plan {
 		return
 	}
 	next := newFaultArrays(p)
@@ -260,7 +252,7 @@ func (f *FaultState) Inflight(w int32) int32 {
 // the session's first executor, an upper bound on every later one.
 func (f *FaultState) Workers() int { return len(f.running) }
 
-// Plan returns the base plan of the current epoch — the node-ID space of
+// Plan returns the plan of the current epoch — the node-ID space of
 // SetNodeShed, Quarantined and Inflight. It changes only at AdoptStaged.
 func (f *FaultState) Plan() *graph.Plan { return f.arr.Load().plan }
 
@@ -269,34 +261,14 @@ func (f *FaultState) Plan() *graph.Plan { return f.arr.Load().plan }
 // recorded and contained — so callers retire the node and release its
 // successors exactly as on success.
 //
-// On a fused plan, id names a fused unit: its members run back-to-back
-// under their BASE plan and base IDs, so per-member observation, shed
-// bits, quarantine and inflight reporting are identical to the unfused
-// plan. A panicking member is contained without aborting the rest of the
-// unit — later members see the same flushed-output state they would see
-// in an unfused run.
-//
 // start is the worker's start stamp for the node (Observer.Record); exec
-// returns its end stamp. A fused member starts at its predecessor's end,
-// and a contained panic is followed by a fresh stamp.
+// returns its end stamp, a fresh one after a contained panic. The fault
+// arrays are loaded once per call: a topology swap never happens while a
+// cycle is in flight, so the arrays match the plan the caller is
+// executing. A quarantined node due for a probe gets one guarded attempt
+// at the real kernel, which decides whether the quarantine lifts;
+// otherwise a quarantined or shed node runs its stand-in (alternate).
 func (f *FaultState) exec(p *graph.Plan, o Observer, id, w int32, gen uint64, start int64) int64 {
-	if p.Members != nil {
-		base := p.Base
-		for _, m := range p.Members[id] {
-			start = f.execNode(base, o, m, w, gen, start)
-		}
-		return start
-	}
-	return f.execNode(p, o, id, w, gen, start)
-}
-
-// execNode is exec for a single unfused node. The fault arrays are
-// loaded once per call: a topology swap never happens while a cycle is
-// in flight, so the arrays match the plan the caller is executing. A
-// quarantined node due for a probe gets one guarded attempt at the real
-// kernel, which decides whether the quarantine lifts; otherwise a
-// quarantined or shed node runs its stand-in (alternate).
-func (f *FaultState) execNode(p *graph.Plan, o Observer, id, w int32, gen uint64, start int64) int64 {
 	a := f.arr.Load()
 	st := a.state[id].Load()
 	probe := st&stateQuarantined != 0 && st&stateShed == 0 && gen >= a.probeAt[id].Load()

@@ -9,37 +9,38 @@ import (
 	"djstar/internal/graph"
 )
 
-// fusePlan compiles g and fuses it shape-only (unit costs, uncapped) so
-// chains collapse regardless of cost — the adversarial setting for the
-// scheduler, maximizing multi-member units.
+// Fuse's output is an ordinary plan: a unit is one node, whose Run calls
+// its members' Run back to back. These tests run it on every executor as
+// one more input shape; graph.TestFuseRunsEveryBaseNodeOnce holds the
+// rewrite itself.
+
+// fusePlan compiles g and fuses it by shape (unit costs, the automatic
+// cap), returning the base plan and the fused one.
 func fusePlan(t *testing.T, g *graph.Graph) (*graph.Plan, *graph.Plan) {
 	t.Helper()
 	p, err := g.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := graph.Fuse(p, nil, graph.FuseOptions{MaxCostUS: 1e12})
+	fp, err := graph.Fuse(p, nil, graph.FuseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p, fp
 }
 
-// TestFusionPropertyAllStrategies is the fusion correctness property
-// test: over seeded random DAGs and every strategy, executing the FUSED
-// plan must (a) run every ORIGINAL node exactly once per cycle, (b)
-// respect every original edge's happens-before, and (c) report every
-// original node to the observer with a consistent window. (a) and (b)
-// are exactly ExecTrace.Check against the base plan; (c) uses a recorder
-// sized for the base plan, which fused execution records into per
-// member.
+// TestFusionPropertyAllStrategies: over seeded random DAGs and every
+// strategy, executing the fused plan runs every base node exactly once
+// per cycle after all of its base predecessors (ExecTrace.Check against
+// the base plan), and reports every unit to the observer once, in an
+// order that respects the fused plan's edges.
 func TestFusionPropertyAllStrategies(t *testing.T) {
 	for _, seed := range []uint64{2, 4, 8} {
 		// MaxDeps 1 keeps indegrees low enough that the random DAGs
 		// reliably contain fusable chains (several multi-member units).
 		g, tr := graph.RandomDAG(graph.RandomSpec{Nodes: 24, EdgeProb: 0.1, MaxDeps: 1, Seed: seed})
 		base, fp := fusePlan(t, g)
-		if fp.FusedUnits() == 0 {
+		if fp.Len() == base.Len() {
 			t.Fatalf("seed %d: no multi-member units — property test would be vacuous", seed)
 		}
 		for _, name := range AllStrategies {
@@ -48,7 +49,7 @@ func TestFusionPropertyAllStrategies(t *testing.T) {
 				if name == NameSequential {
 					threads = 1
 				}
-				trace := newRecorder(fp.BaseLen())
+				trace := newRecorder(fp.Len())
 				s, err := New(name, fp, Options{Threads: threads, Observer: trace})
 				if err != nil {
 					t.Fatal(err)
@@ -61,16 +62,14 @@ func TestFusionPropertyAllStrategies(t *testing.T) {
 						t.Fatalf("cycle %d: %v", cycle, err)
 					}
 					ev := trace.Events()
-					for i := 0; i < base.Len(); i++ {
-						if ev[i].Worker < 0 {
-							t.Fatalf("cycle %d: base node %d unobserved", cycle, i)
+					for v := 0; v < fp.Len(); v++ {
+						if ev[v].Worker < 0 {
+							t.Fatalf("cycle %d: unit %d unobserved", cycle, v)
 						}
-						if ev[i].End < ev[i].Start {
-							t.Fatalf("cycle %d: node %d window inverted", cycle, i)
+						if ev[v].End < ev[v].Start {
+							t.Fatalf("cycle %d: unit %d window inverted", cycle, v)
 						}
-					}
-					for v := 0; v < base.Len(); v++ {
-						for _, u := range base.PredsOf(int32(v)) {
+						for _, u := range fp.PredsOf(int32(v)) {
 							if err := edgeOrdered(ev, u, int32(v)); err != nil {
 								t.Fatalf("cycle %d: %v", cycle, err)
 							}
@@ -82,10 +81,16 @@ func TestFusionPropertyAllStrategies(t *testing.T) {
 	}
 }
 
-// fusionFaultChain builds a five-node linear chain whose middle node
-// panics while armed. Shape-only fusion collapses it into one
-// multi-member unit, so the victim is an INNER member — the hard case
-// for panic isolation and quarantine on fused plans.
+// fusionVictim is the chain node that panics while armed. Fusion by
+// shape pairs the five-node chain as n0+n1, n2+n3, n4, so the victim is
+// the inner member of unit fusionVictimUnit.
+const (
+	fusionVictim     = 3
+	fusionVictimUnit = 1
+)
+
+// fusionFaultChain builds a five-node linear chain whose node
+// fusionVictim panics while armed.
 func fusionFaultChain(t *testing.T) (*graph.Graph, []*atomic.Int64, *atomic.Int32) {
 	t.Helper()
 	const n = 5
@@ -94,7 +99,6 @@ func fusionFaultChain(t *testing.T) (*graph.Graph, []*atomic.Int64, *atomic.Int3
 	armed := &atomic.Int32{}
 	prev := -1
 	for i := 0; i < n; i++ {
-		i := i
 		runs[i] = &atomic.Int64{}
 		run := func() { runs[i].Add(1) }
 		if i == fusionVictim {
@@ -117,12 +121,9 @@ func fusionFaultChain(t *testing.T) (*graph.Graph, []*atomic.Int64, *atomic.Int3
 	return g, runs, armed
 }
 
-const fusionVictim = 2
-
-// faultPhases drives a scheduler through the canonical fault lifecycle
-// (clean, faulting to quarantine, quarantined, probe restore, clean) and
-// returns the observable outcomes: fault stats, whether the victim was
-// quarantined mid-run, and per-node run counts.
+// faultOutcome is what runFaultPhases observed: fault stats, whether the
+// faulting node was quarantined mid-run, handler records and per-node
+// run counts.
 type faultOutcome struct {
 	stats       FaultStats
 	quarantined bool
@@ -130,7 +131,10 @@ type faultOutcome struct {
 	runs        []int64
 }
 
-func runFaultPhases(t *testing.T, s Scheduler, runs []*atomic.Int64, armed *atomic.Int32) faultOutcome {
+// runFaultPhases drives a scheduler through the canonical fault
+// lifecycle (clean, faulting to quarantine, quarantined, probe restore,
+// clean); node is the plan node that faults.
+func runFaultPhases(t *testing.T, s Scheduler, node int32, runs []*atomic.Int64, armed *atomic.Int32) faultOutcome {
 	t.Helper()
 	const probeEvery = 6
 	s.FaultState().SetFaultPolicy(FaultPolicy{ProbeEvery: probeEvery})
@@ -140,8 +144,8 @@ func runFaultPhases(t *testing.T, s Scheduler, runs []*atomic.Int64, armed *atom
 		mu.Lock()
 		records++
 		mu.Unlock()
-		if r.Node != fusionVictim {
-			t.Errorf("fault record names node %d, want %d", r.Node, fusionVictim)
+		if r.Node != node {
+			t.Errorf("fault record names node %d, want %d", r.Node, node)
 		}
 	})
 
@@ -151,7 +155,7 @@ func runFaultPhases(t *testing.T, s Scheduler, runs []*atomic.Int64, armed *atom
 	for i := 0; i < QuarantineAfter; i++ {
 		s.Execute()
 	}
-	out := faultOutcome{quarantined: s.FaultState().Quarantined(fusionVictim)}
+	out := faultOutcome{quarantined: s.FaultState().Quarantined(node)}
 	for i := 0; i < probeEvery+1; i++ {
 		s.Execute()
 	}
@@ -167,10 +171,12 @@ func runFaultPhases(t *testing.T, s Scheduler, runs []*atomic.Int64, armed *atom
 	return out
 }
 
-// TestFusionQuarantineParity: an inner member of a fused chain panicking
-// must behave EXACTLY like the same node in the unfused plan — same
-// fault counts, same quarantine trip, same probe restoration, same
-// handler records, and the same run counts for every healthy node.
+// TestFusionQuarantineParity: a fused unit whose inner member panics
+// goes through the same fault lifecycle as that member does in the
+// unfused plan — same fault counts, quarantine trip, probe restoration
+// and handler records — as one node: the records and the quarantine
+// bit name the unit, and while it is quarantined none of its members
+// runs. Every node outside the unit runs as often as unfused.
 func TestFusionQuarantineParity(t *testing.T) {
 	for _, name := range AllStrategies {
 		t.Run(name, func(t *testing.T) {
@@ -182,18 +188,18 @@ func TestFusionQuarantineParity(t *testing.T) {
 			for variant := 0; variant < 2; variant++ {
 				g, runs, armed := fusionFaultChain(t)
 				base, fp := fusePlan(t, g)
-				plan := base
+				plan, node := base, int32(fusionVictim)
 				if variant == 1 {
-					plan = fp
-					if fp.Len() != 1 || len(fp.MembersOf(0)) != base.Len() {
-						t.Fatalf("chain did not fuse into one unit: %d units", fp.Len())
+					plan, node = fp, fusionVictimUnit
+					if want := "n2+n3"; fp.Names[node] != want {
+						t.Fatalf("unit %d is %q, want %q", node, fp.Names[node], want)
 					}
 				}
 				s, err := New(name, plan, Options{Threads: min(threads, plan.Len())})
 				if err != nil {
 					t.Fatal(err)
 				}
-				outcomes[variant] = runFaultPhases(t, s, runs, armed)
+				outcomes[variant] = runFaultPhases(t, s, node, runs, armed)
 				s.Close()
 			}
 			un, fu := outcomes[0], outcomes[1]
@@ -206,24 +212,28 @@ func TestFusionQuarantineParity(t *testing.T) {
 			if un.records != fu.records {
 				t.Fatalf("handler records diverge: unfused %d, fused %d", un.records, fu.records)
 			}
+			const head = fusionVictim - 1 // the victim's unit-mate
 			for i := range un.runs {
-				if un.runs[i] != fu.runs[i] {
+				if i != head && un.runs[i] != fu.runs[i] {
 					t.Fatalf("node %d run counts diverge: unfused %d, fused %d", i, un.runs[i], fu.runs[i])
 				}
+			}
+			if want := fu.runs[fusionVictim] + fu.stats.Recovered; fu.runs[head] != want {
+				t.Fatalf("unit-mate ran %d times, want %d: the victim's successes plus its faults, none while quarantined", fu.runs[head], want)
 			}
 		})
 	}
 }
 
-// TestFusedExecuteNoAllocSteadyState extends the package's zero-alloc
-// contract to fused plans on every strategy and on a pool session.
+// TestFusedExecuteNoAllocSteadyState: a fused plan executes without
+// allocating on every strategy and on a pool session.
 func TestFusedExecuteNoAllocSteadyState(t *testing.T) {
 	p := noopPlan(t, 67)
-	fp, err := graph.Fuse(p, nil, graph.FuseOptions{MaxCostUS: 1e12})
+	fp, err := graph.Fuse(p, nil, graph.FuseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp.FusedUnits() == 0 {
+	if fp.Len() == p.Len() {
 		t.Fatal("noop plan produced no fused units")
 	}
 	for _, name := range AllStrategies {

@@ -339,7 +339,8 @@ func TestPoolContinuationPrefersRank(t *testing.T) {
 // claims a node if and only if some node is ready and unclaimed, i.e.
 // no participant idles past claimable work and no cursor ever skips a
 // node. ExecTrace adds exactly-once (it panics on a double run) and
-// dependency order against the base plan, fused and unfused.
+// dependency order against the base plan, whether the session runs it
+// or its graph.Fuse rewrite.
 func TestPoolClaimWorkConservation(t *testing.T) {
 	rounds, claims := 0, 0 // helper rounds over the whole suite, and how many claimed
 	for _, seed := range []uint64{1, 2, 3, 5, 8, 13} {
@@ -466,9 +467,10 @@ func TestPoolStaleHelperClaimsNothing(t *testing.T) {
 }
 
 // TestPoolClaimPropertyThreaded is the seeded RandomDAG suite (random
-// sections) over real helper threads: helpers 0…3 × fused and unfused.
-// Every original node runs exactly once per cycle, and every original
-// edge's happens-before shows in the observer's windows (see edgeOrdered).
+// sections) over real helper threads: helpers 0…3 × the plan and its
+// graph.Fuse rewrite. Every base node runs exactly once per cycle, and
+// every edge of the executed plan shows its happens-before in the
+// observer's windows (see edgeOrdered).
 func TestPoolClaimPropertyThreaded(t *testing.T) {
 	for _, seed := range []uint64{2, 4, 8, 16} {
 		for helpers := 0; helpers <= 3; helpers++ {
@@ -485,7 +487,7 @@ func TestPoolClaimPropertyThreaded(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer p.Close()
-					trace := newRecorder(plan.BaseLen())
+					trace := newRecorder(plan.Len())
 					s, err := p.Attach(plan, Options{Observer: trace})
 					if err != nil {
 						t.Fatal(err)
@@ -498,11 +500,11 @@ func TestPoolClaimPropertyThreaded(t *testing.T) {
 							t.Fatalf("cycle %d: %v", cycle, err)
 						}
 						ev := trace.Events()
-						for v := 0; v < base.Len(); v++ {
+						for v := 0; v < plan.Len(); v++ {
 							if ev[v].Worker < 0 || int(ev[v].Worker) >= s.Threads() {
-								t.Fatalf("cycle %d: base node %d recorded on worker %d", cycle, v, ev[v].Worker)
+								t.Fatalf("cycle %d: node %d recorded on worker %d", cycle, v, ev[v].Worker)
 							}
-							for _, u := range base.PredsOf(int32(v)) {
+							for _, u := range plan.PredsOf(int32(v)) {
 								if err := edgeOrdered(ev, u, int32(v)); err != nil {
 									t.Fatalf("cycle %d: %v", cycle, err)
 								}

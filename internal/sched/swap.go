@@ -31,10 +31,10 @@ import (
 type Swap struct {
 	// Plan is the new compiled plan to adopt. Required.
 	Plan *graph.Plan
-	// OldToNew maps the current plan's BASE node IDs to the new plan's
+	// OldToNew maps the current plan's node IDs to the new plan's
 	// (-1 = node removed); quarantine/shed/fault state follows it. A nil
-	// map means the base topology is unchanged (e.g. a re-fusion of the
-	// same graph) and per-node state is carried by identity.
+	// map means the node IDs are unchanged and per-node state is carried
+	// by identity.
 	OldToNew []int32
 	// Observer, when non-nil, replaces the scheduler's observer at
 	// adoption (a new topology usually means a new collector sized for

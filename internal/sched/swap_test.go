@@ -150,27 +150,17 @@ func (e *editable) mutate(rng *rand.Rand, minNodes int) (*graph.Plan, *graph.Rem
 	return plan, r, true
 }
 
-// stageSwap stages plan2 on s, fused shape-only (graph.Fuse with unit
-// costs, uncapped — the setting that collapses the most chains) when
-// fuse is set, so the property covers swaps to and from fused plans.
-func stageSwap(t *testing.T, s Scheduler, plan2 *graph.Plan, r *graph.Remap, fuse bool, tag string) {
+// stageSwap stages plan2 on s with the edit's remap.
+func stageSwap(t *testing.T, s Scheduler, plan2 *graph.Plan, r *graph.Remap, tag string) {
 	t.Helper()
-	exec := plan2
-	if fuse {
-		fp, err := graph.Fuse(plan2, nil, graph.FuseOptions{MaxCostUS: 1e12})
-		if err != nil {
-			t.Fatalf("%s: Fuse: %v", tag, err)
-		}
-		exec = fp
-	}
-	if err := s.StageSwap(Swap{Plan: exec, OldToNew: r.OldToNew}); err != nil {
+	if err := s.StageSwap(Swap{Plan: plan2, OldToNew: r.OldToNew}); err != nil {
 		t.Fatalf("%s: StageSwap: %v", tag, err)
 	}
 }
 
 // runAndCheck executes `cycles` cycles and verifies each live node ran
 // exactly once per cycle, after all of its current-plan predecessors,
-// and that the fault state is sized for the base plan, fused or not.
+// and that the fault state is sized for the plan.
 func (e *editable) runAndCheck(t *testing.T, s Scheduler, plan *graph.Plan, cycles int, tag string) {
 	t.Helper()
 	for c := 0; c < cycles; c++ {
@@ -194,7 +184,7 @@ func (e *editable) runAndCheck(t *testing.T, s Scheduler, plan *graph.Plan, cycl
 			}
 		}
 		if fa := s.FaultState().arr.Load(); fa.plan != plan || len(fa.state) != plan.Len() {
-			t.Fatalf("%s cycle %d: fault state has %d slots for a %d-node plan, want the %d-node base plan's",
+			t.Fatalf("%s cycle %d: fault state has %d slots for a %d-node plan, want the %d-node plan's",
 				tag, c, len(fa.state), fa.plan.Len(), plan.Len())
 		}
 	}
@@ -229,7 +219,7 @@ func TestSwapPropertyAllStrategies(t *testing.T) {
 				if !ok {
 					continue
 				}
-				stageSwap(t, s, plan2, r, edits%2 == 1, tag)
+				stageSwap(t, s, plan2, r, tag)
 				edits++
 				plan = plan2
 				// Execute adopts the staged swap at its top.
@@ -275,8 +265,7 @@ func TestSwapPropertyPoolSessions(t *testing.T) {
 			if !ok {
 				continue
 			}
-			// Each session's own edits alternate too: plain, fused, plain.
-			stageSwap(t, s, plan2, r, edits%4 >= 2, "pool")
+			stageSwap(t, s, plan2, r, "pool")
 			*plan = plan2
 			edits++
 		}

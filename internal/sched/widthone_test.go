@@ -93,7 +93,7 @@ func TestPoolWidthOne(t *testing.T) {
 		t.Helper()
 		for {
 			if plan2, r, ok := e.mutate(rng, 6); ok {
-				stageSwap(t, s, plan2, r, false, "width 1")
+				stageSwap(t, s, plan2, r, "width 1")
 				plan = plan2
 				return
 			}
